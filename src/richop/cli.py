@@ -262,11 +262,13 @@ def cmd_sweep(cfg, out_dir, seed, hash_):
     red = cfg.get("reduction", {})
     snaps = rb_mod.generate_snapshots(family, red.get("training_count", 40), seed, space, config)
     basis, _ = rb_mod.weak_greedy(snaps, red.get("n_basis", 8), red.get("gamma", 1.0))
+    beta_mode = cfg.get("network", {}).get("beta_mode", "paper")
+    _, beta_eff = pipe_mod.effective_beta(encoder, config, snaps.coefficients, beta_mode)
     from .relu_net import build_approximator
 
     w = _CsvWriter(out_dir, "sweep.csv", ["epsilon", "depth", "size", "k_steps"], hash_)
     for eps in sweep["values"]:
-        bundle = build_approximator(basis, space, config, encoder, eps)
+        bundle = build_approximator(basis, space, config, encoder, eps, beta_eff=beta_eff)
         w.row(eps, bundle.report.depth, bundle.report.size, bundle.k_steps)
     w.close()
     return 0

@@ -53,6 +53,7 @@ __all__ = [
     "NeuralOperator",
     "ErrorReport",
     "OperatorBuildError",
+    "effective_beta",
     "build_operator",
     "evaluate",
     "error_decomposition",
@@ -103,6 +104,36 @@ class ErrorReport:
         )
 
 
+def effective_beta(
+    encoder: Encoder, config: ProblemConfig, coefficients, beta_mode: str = "paper"
+) -> tuple[float, float]:
+    """Envelope beta_tilde of the encoded reconstructions and the beta it admits.
+
+    Aborts when the envelope reaches alpha, since the reduced iteration then
+    has no contraction guarantee. Mode 'paper' keeps the configured beta and
+    rejects an envelope above it; mode 'measured' uses the envelope itself.
+    """
+    beta_tilde = 0.0
+    for a in coefficients:
+        env = reconstruction_envelope(encoder, encoder.encode(a), config.alpha)
+        beta_tilde = max(beta_tilde, env)
+    if beta_tilde >= config.alpha:
+        raise OperatorBuildError(
+            f"encoded reconstructions have envelope beta_tilde={beta_tilde:.6g} "
+            f">= alpha={config.alpha:.6g}; refine the encoder"
+        )
+    if beta_mode == "paper":
+        if beta_tilde > config.beta + 1e-9:
+            raise OperatorBuildError(
+                f"measured envelope {beta_tilde:.6g} exceeds beta={config.beta:.6g}; "
+                "use beta_mode='measured'"
+            )
+        return beta_tilde, config.beta
+    if beta_mode == "measured":
+        return beta_tilde, max(beta_tilde, 1e-6 * config.alpha)
+    raise ValueError("beta_mode must be 'paper' or 'measured'")
+
+
 def build_operator(
     family: DataFamily,
     config: ProblemConfig,
@@ -117,34 +148,16 @@ def build_operator(
 ) -> NeuralOperator:
     """Snapshots, weak greedy, network assembly, certificate recording.
 
-    Aborts when the measured envelope of the encoded training reconstructions
-    reaches alpha, since the reduced iteration then has no contraction
-    guarantee.
+    The envelope of the encoded training reconstructions sets the effective
+    beta (see effective_beta), which may abort the build.
     """
     if n_basis > training_count:
         raise ValueError("basis size cannot exceed the training count")
     snapshots = generate_snapshots(family, training_count, seed, space, config)
     basis, trace = weak_greedy(snapshots, n_basis, gamma)
-    beta_tilde = 0.0
-    for a in snapshots.coefficients:
-        env = reconstruction_envelope(encoder, encoder.encode(a), config.alpha)
-        beta_tilde = max(beta_tilde, env)
-    if beta_tilde >= config.alpha:
-        raise OperatorBuildError(
-            f"encoded reconstructions have envelope beta_tilde={beta_tilde:.6g} "
-            f">= alpha={config.alpha:.6g}; refine the encoder"
-        )
-    if beta_mode == "paper":
-        if beta_tilde > config.beta + 1e-9:
-            raise OperatorBuildError(
-                f"measured envelope {beta_tilde:.6g} exceeds beta={config.beta:.6g}; "
-                "use beta_mode='measured'"
-            )
-        beta_eff = config.beta
-    elif beta_mode == "measured":
-        beta_eff = max(beta_tilde, 1e-6 * config.alpha)
-    else:
-        raise ValueError("beta_mode must be 'paper' or 'measured'")
+    beta_tilde, beta_eff = effective_beta(
+        encoder, config, snapshots.coefficients, beta_mode
+    )
     approximator = build_approximator(
         basis, space, config, encoder, epsilon, beta_eff=beta_eff
     )
@@ -302,4 +315,9 @@ def load_bundle(directory: str) -> LoadedOperator:
     synthesis = np.loadtxt(os.path.join(directory, "basis.csv"), delimiter=",")
     if synthesis.ndim == 1:
         synthesis = synthesis[:, None]
+    if net.n_inputs != enc.m or net.n_outputs != synthesis.shape[1]:
+        raise ValueError(
+            f"net maps {net.n_inputs} -> {net.n_outputs} but the bundle has "
+            f"{enc.m} encoder channels and {synthesis.shape[1]} basis columns"
+        )
     return LoadedOperator(enc, net, synthesis, meta)

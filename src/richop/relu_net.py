@@ -2,11 +2,11 @@
 
 Networks are lists of (sparse weight, bias) layers with ReLU between them.
 The module provides sparse concatenation with certified depth/size bounds,
-identity channels, a sawtooth product network, an approximate matrix-vector
-block, and the constructions that turn the reduced fixed-point iteration
-into an unrolled approximator: an exact affine net assembling the iteration
-matrix from encoder channels, a tolerance-certified step net, its K-fold
-unrolling, and the composed approximator with its build report.
+identity channels, a sawtooth product network, and the constructions that
+turn the reduced fixed-point iteration into an unrolled approximator: an
+exact affine net assembling the iteration matrix from encoder channels, a
+tolerance-certified step net, its K-fold unrolling, and the composed
+approximator with its build report.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ __all__ = [
     "affine_net",
     "identity_net",
     "sparse_concat",
-    "trim_outputs",
     "product_net",
-    "matvec_net",
     "step_net",
     "iterator_net",
     "input_net",
@@ -97,18 +95,25 @@ class NeuralNet:
 
 
 def realize(net: NeuralNet, x: np.ndarray) -> np.ndarray:
-    """Exact forward evaluation; accepts a single input or a batch (rows)."""
+    """Exact forward evaluation of a single input (1-D) or a batch (rows).
+
+    Activations are carried as columns, so a single input costs one sparse
+    mat-vec per layer and a batch one sparse mat-mat.
+    """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    y = np.atleast_2d(x)
-    if y.shape[1] != net.n_inputs:
-        raise ValueError(f"expected input width {net.n_inputs}, got {y.shape[1]}")
+    if x.ndim not in (1, 2) or x.shape[-1] != net.n_inputs:
+        raise ValueError(
+            f"expected input of width {net.n_inputs} with 1 or 2 dimensions, "
+            f"got shape {x.shape}"
+        )
+    y = x.T
     last = len(net.layers) - 1
     for ell, (w, b) in enumerate(net.layers):
-        y = (w @ y.T).T + b
+        y = w @ y
+        y += b if x.ndim == 1 else b[:, None]
         if ell != last:
-            y = np.maximum(y, 0.0)
-    return y[0] if single else y
+            np.maximum(y, 0.0, out=y)
+    return y.T
 
 
 def affine_net(weights, bias) -> NeuralNet:
@@ -149,13 +154,6 @@ def sparse_concat(outer: NeuralNet, inner: NeuralNet) -> NeuralNet:
     return NeuralNet(inner.layers[:-1] + [splice_in, splice_out] + outer.layers[1:])
 
 
-def trim_outputs(net: NeuralNet, keep) -> NeuralNet:
-    """Restrict the final layer to the given output rows; other layers untouched."""
-    keep = np.asarray(keep, dtype=int)
-    w, b = net.layers[-1]
-    return NeuralNet(net.layers[:-1] + [(w[keep].tocsr(), b[keep])])
-
-
 class _LayerBuilder:
     """Row-wise accumulator for one sparse layer."""
 
@@ -181,10 +179,20 @@ class _LayerBuilder:
         return w, np.asarray(self.bias, dtype=float)
 
 
+def _stack_layers(builders, n_in: int) -> NeuralNet:
+    """Net whose layers are the builders in order, each fed by the previous one."""
+    layers = []
+    for b in builders:
+        layers.append(b.build(n_in))
+        n_in = b.n_rows
+    return NeuralNet(layers)
+
+
 def _sawtooth_levels(epsilon: float, bound: float) -> int:
-    # design rule: m = ceil(log2(3 Z^2 / eps)) sawtooth levels; the resulting
-    # certified product error is eps^2 / (18 Z^2), well inside eps
-    return max(1, math.ceil(math.log2(3.0 * bound * bound / epsilon)))
+    # on [0, 1], f_m(t) - t^2 lies in [0, 4^-(m+1)] (Yarotsky 2017); a*b is
+    # (2Z)^2 / 4 times the difference of two such squares, so the product
+    # error is at most (2Z)^2 / 4 * 4^-(m+1) <= 2 Z^2 4^-(m+1) <= eps
+    return max(1, math.ceil(0.5 * math.log2(2.0 * bound * bound / epsilon)) - 1)
 
 
 def _emit_product(builders, col_a: int, col_b: int, bound: float, m: int):
@@ -238,16 +246,9 @@ def product_net(epsilon: float, bound: float) -> NeuralNet:
         raise ValueError("bound must be at least 1")
     m = _sawtooth_levels(epsilon, bound)
     builders = [_LayerBuilder() for _ in range(m + 1)]
-    out_entries = _emit_product(builders, 0, 1, bound, m)
     out = _LayerBuilder()
-    out.row(out_entries)
-    layers = []
-    n_in = 2
-    for b in builders + [out]:
-        w, bias = b.build(n_in)
-        layers.append((w, bias))
-        n_in = w.shape[0]
-    return NeuralNet(layers)
+    out.row(_emit_product(builders, 0, 1, bound, m))
+    return _stack_layers(builders + [out], 2)
 
 
 def vec_index(i: int, j: int, n: int) -> int:
@@ -255,57 +256,16 @@ def vec_index(i: int, j: int, n: int) -> int:
     return i + n * j
 
 
-def _emit_matvec(builders, n: int, bound: float, m: int, x_offset=None):
-    """Product blocks for all entries; returns per-row output entry lists."""
-    if x_offset is None:
-        x_offset = n * n
-    rows = []
-    for i in range(n):
-        entries = []
-        for j in range(n):
-            entries.extend(
-                _emit_product(builders, vec_index(i, j, n), x_offset + j, bound, m)
-            )
-        rows.append(entries)
-    return rows
-
-
-def matvec_net(n: int, epsilon: float, bound: float) -> NeuralNet:
-    """Net mapping (vec(A), x) to Ax within epsilon in l2.
-
-    Valid for entrywise |A| <= 1 and ||x||_l2 <= bound with bound >= 1; the
-    per-entry product tolerance is epsilon / n^{3/2} so the row sums meet the
-    l2 budget.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-    if bound < 1.0:
-        raise ValueError("bound must be at least 1")
-    eps_entry = epsilon / n**1.5
-    zp = max(bound, 1.0)
-    m = _sawtooth_levels(eps_entry, zp)
-    builders = [_LayerBuilder() for _ in range(m + 1)]
-    rows = _emit_matvec(builders, n, zp, m)
-    out = _LayerBuilder()
-    for entries in rows:
-        out.row(entries)
-    layers = []
-    n_in = n * n + n
-    for b in builders + [out]:
-        w, bias = b.build(n_in)
-        layers.append((w, bias))
-        n_in = w.shape[0]
-    return NeuralNet(layers)
-
-
 def step_net(
     n: int, bound: float, epsilon: float, shift: np.ndarray, carry: bool = True
 ) -> NeuralNet:
     """One approximate iteration step (vec(A), x) -> (vec(A), A x + g).
 
-    The shifted load g enters as an output-layer bias; with carry=True the
-    flattened matrix rides along through identity channel pairs so steps can
-    be chained, the final step drops it.
+    Valid for entrywise |A| <= 1 and ||x||_l2 <= bound; the per-entry product
+    tolerance is epsilon / n^{3/2}, so the row sums meet the l2 budget
+    epsilon. The shifted load g enters as an output-layer bias; with
+    carry=True the flattened matrix rides along through identity channel
+    pairs so steps can be chained, the final step drops it.
     """
     shift = np.asarray(shift, dtype=float)
     if len(shift) != n:
@@ -314,7 +274,14 @@ def step_net(
     zp = max(bound, 1.0)
     m = _sawtooth_levels(eps_entry, zp)
     builders = [_LayerBuilder() for _ in range(m + 1)]
-    rows = _emit_matvec(builders, n, zp, m)
+    rows = []
+    for i in range(n):
+        entries = []
+        for j in range(n):
+            entries.extend(
+                _emit_product(builders, vec_index(i, j, n), n * n + j, zp, m)
+            )
+        rows.append(entries)
     carry_pairs = []
     if carry:
         for c in range(n * n):
@@ -331,13 +298,7 @@ def step_net(
             out.row([(rp, 1.0), (rm, -1.0)])
     for i, entries in enumerate(rows):
         out.row(entries, bias=float(shift[i]))
-    layers = []
-    n_in = n * n + n
-    for b in builders + [out]:
-        w, bias = b.build(n_in)
-        layers.append((w, bias))
-        n_in = w.shape[0]
-    return NeuralNet(layers)
+    return _stack_layers(builders + [out], n * n + n)
 
 
 def iterator_net(
@@ -437,16 +398,12 @@ class ApproximatorBundle:
 
     def realize_recurrent(self, y: np.ndarray) -> np.ndarray:
         """Reuse one step net K times instead of the unrolled weight list."""
-        y = np.asarray(y, dtype=float)
-        single = y.ndim == 1
-        batch = np.atleast_2d(y)
-        flat = realize(self.encoder_input, batch)
-        n = len(self.shift)
-        state = np.zeros((batch.shape[0], n))
-        state[:, 0] = 1.0
+        flat = realize(self.encoder_input, y)
+        state = np.zeros(flat.shape[:-1] + (len(self.shift),))
+        state[..., 0] = 1.0
         for _ in range(self.k_steps):
-            state = realize(self.step, np.hstack([flat, state]))
-        return state[0] if single else state
+            state = realize(self.step, np.concatenate([flat, state], axis=-1))
+        return state
 
 
 def build_approximator(

@@ -60,6 +60,22 @@ def test_sweep_rows(tmp_path):
     assert header[:4] == ["epsilon", "depth", "size", "k_steps"]
 
 
+def test_sweep_measured_mode_sizes_the_built_net(tmp_path):
+    cfg = json.load(open(CONFIG))
+    cfg["network"]["beta_mode"] = "measured"
+    eps = cfg["network"]["epsilon"]
+    cfg["sweep"] = {"axis": "epsilon", "values": [1e-1, eps]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "o")
+    assert cli.main(["build", "--config", str(path), "--out", out]) == 0
+    assert cli.main(["sweep", "--config", str(path), "--out", out]) == 0
+    build = _body(os.path.join(out, "build.csv"))[1].split(",")
+    sweep = [ln.split(",") for ln in _body(os.path.join(out, "sweep.csv"))[1:]]
+    row = next(r for r in sweep if float(r[0]) == eps)
+    assert row[1:3] == build[0:2]
+
+
 def test_mesh_command(tmp_path):
     out = str(tmp_path / "mesh")
     assert cli.main(["mesh", "--config", CONFIG, "--out", out]) == 0

@@ -225,3 +225,11 @@ class TestBundle:
         a = C.sample_family(family, 1, 99)[0]
         assert np.array_equal(loaded.evaluate(a), P.evaluate(operator, a))
         assert loaded.certificates["epsilon"] == operator.certificates["epsilon"]
+
+    def test_rejects_basis_missing_a_column(self, operator, tmp_path):
+        P.save_bundle(operator, str(tmp_path))
+        path = tmp_path / "basis.csv"
+        rows = [ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError):
+            P.load_bundle(str(tmp_path))

@@ -51,6 +51,24 @@ class TestRealize:
         with pytest.raises(ValueError):
             NN.realize(net, np.ones(4))
 
+    def test_rejects_bad_batch_shapes(self):
+        net = NN.identity_net(3, 2)
+        with pytest.raises(ValueError):
+            NN.realize(net, np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            NN.realize(net, np.ones((2, 2, 3)))
+
+    def test_single_input_equals_batch_row_bitwise(self, rng):
+        nets = [random_net(rng, 4), NN.product_net(1e-5, 2.0)]
+        nets.append(NN.step_net(3, 4.0, 1e-4, rng.standard_normal(3), carry=True))
+        for net in nets:
+            x = rng.uniform(-1, 1, (7, net.n_inputs))
+            batch = NN.realize(net, x)
+            for i in range(len(x)):
+                single = NN.realize(net, x[i])
+                assert single.shape == (net.n_outputs,)
+                assert np.array_equal(single, batch[i])
+
     def test_size_counts_nonzeros(self):
         w = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
         net = NN.NeuralNet([(w, np.array([0.0, 3.0]))])
@@ -125,11 +143,25 @@ class TestProductNet:
         )
         assert r2 >= 0.98
 
-    def test_box_scaling(self, rng):
-        net = NN.product_net(1e-4, 3.0)
-        pts = rng.uniform(-3, 3, (500, 2))
+    @pytest.mark.parametrize("bound", [1.0, 3.0, 7.5])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4, 1.5e-5, 1e-8])
+    def test_box_scaling(self, rng, eps, bound):
+        net = NN.product_net(eps, bound)
+        xs = np.linspace(-bound, bound, 161)
+        gx, gy = np.meshgrid(xs, xs, indexing="ij")
+        grid = np.column_stack([gx.ravel(), gy.ravel()])
+        pts = np.vstack([grid, rng.uniform(-bound, bound, (500, 2))])
         got = NN.realize(net, pts)[:, 0]
-        assert np.max(np.abs(got - pts[:, 0] * pts[:, 1])) <= 1e-4
+        assert np.max(np.abs(got - pts[:, 0] * pts[:, 1])) <= eps
+
+    @pytest.mark.parametrize("bound", [1.0, 3.0, 7.5, 20.0])
+    @pytest.mark.parametrize("eps", [0.5, 1e-1, 1e-2, 1e-4, 1.5e-5, 3.7e-7, 1e-8])
+    def test_sawtooth_levels_smallest_certified(self, eps, bound):
+        # certified product error with m levels is 2 Z^2 4^-(m+1)
+        m = NN._sawtooth_levels(eps, bound)
+        assert m >= 1
+        assert 2.0 * bound**2 * 4.0 ** -(m + 1) <= eps
+        assert m == 1 or 2.0 * bound**2 * 4.0 ** -m > eps
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -138,17 +170,22 @@ class TestProductNet:
             NN.product_net(1e-3, 0.5)
 
 
+def matvec_net(n, epsilon, bound):
+    """Net mapping (vec(A), x) to Ax within epsilon in l2: a step with zero shift."""
+    return NN.step_net(n, bound, epsilon, np.zeros(n), carry=False)
+
+
 class TestMatvecNet:
     def test_zero_matrix(self, rng):
         n = 4
-        net = NN.matvec_net(n, 1e-4, 2.0)
+        net = matvec_net(n, 1e-4, 2.0)
         x = rng.standard_normal(n)
         out = NN.realize(net, np.concatenate([np.zeros(n * n), x]))
         assert np.linalg.norm(out) <= 1e-4
 
     def test_identity_matrix(self, rng):
         n = 5
-        net = NN.matvec_net(n, 1e-4, 2.0)
+        net = matvec_net(n, 1e-4, 2.0)
         x = rng.standard_normal(n)
         x *= 1.5 / np.linalg.norm(x)
         out = NN.realize(net, np.concatenate([np.eye(n).flatten(order="F"), x]))
@@ -156,7 +193,7 @@ class TestMatvecNet:
 
     def test_random_vs_dense_oracle(self, rng):
         n = 6
-        net = NN.matvec_net(n, 1e-4, 2.0)
+        net = matvec_net(n, 1e-4, 2.0)
         for _ in range(10):
             a = rng.uniform(-0.5, 0.5, (n, n))
             a *= 0.5 / max(np.linalg.norm(a, 2), 0.5)
