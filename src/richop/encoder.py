@@ -23,7 +23,6 @@ __all__ = [
     "gll_nodes",
     "build_nodal_encoder",
     "build_gll_encoder",
-    "encode",
     "encoder_error",
     "reconstruction_envelope",
     "encoder_to_json",
@@ -109,10 +108,6 @@ class Encoder:
             lambda pts: self.channel_matrix(pts) @ values,
             meta={"encoder": self, "values": values},
         )
-
-    def basis_fields(self):
-        eye = np.eye(self.m)
-        return [self.reconstruct(eye[j]) for j in range(self.m)]
 
 
 def build_nodal_encoder(space: FemSpace) -> Encoder:
@@ -219,10 +214,6 @@ def _gll_channel_matrix(grid: GllGrid, pts: np.ndarray) -> np.ndarray:
         for row, vals in zip(sel, tensor.reshape(len(sel), -1)):
             out[row, cols] += vals
     return out
-
-
-def encode(encoder: Encoder, a: CoefficientField) -> np.ndarray:
-    return encoder.encode(a)
 
 
 def encoder_error(encoder: Encoder, a: CoefficientField, grid_n: int = 400) -> float:

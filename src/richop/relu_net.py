@@ -315,14 +315,22 @@ def iterator_net(
     box 2 + 1/(1 - contraction), so the accumulated geometric error stays
     below epsilon.
     """
+    return _unroll(n, k_steps, epsilon, shift, contraction)[0]
+
+
+def _unroll(
+    n: int, k_steps: int, epsilon: float, shift: np.ndarray, contraction: float
+) -> tuple[NeuralNet, NeuralNet]:
+    """The net of iterator_net and its final (carry-free) step net."""
     if not (0.0 <= contraction < 1.0):
         raise ValueError("contraction must lie in [0, 1)")
+    eps_step = (1.0 - contraction) * epsilon
+    z_tilde = 2.0 + 1.0 / (1.0 - contraction)
+    last_step = step_net(n, z_tilde, eps_step, shift, carry=False)
     if k_steps == 0:
         bias = np.zeros(n)
         bias[0] = 1.0
-        return affine_net(sp.csr_matrix((n, n * n)), bias)
-    eps_step = (1.0 - contraction) * epsilon
-    z_tilde = 2.0 + 1.0 / (1.0 - contraction)
+        return affine_net(sp.csr_matrix((n, n * n)), bias), last_step
     inject_w = sp.vstack(
         [sp.eye(n * n, format="csr"), sp.csr_matrix((n, n * n))]
     ).tocsr()
@@ -330,11 +338,10 @@ def iterator_net(
     inject_b[n * n] = 1.0
     inject = NeuralNet([(inject_w, inject_b)])
     carry_step = step_net(n, z_tilde, eps_step, shift, carry=True)
-    last_step = step_net(n, z_tilde, eps_step, shift, carry=False)
     net = last_step
     for _ in range(k_steps - 1):
         net = sparse_concat(net, carry_step)
-    return sparse_concat(net, inject)
+    return sparse_concat(net, inject), last_step
 
 
 def input_net(
@@ -440,12 +447,11 @@ def build_approximator(
     b0 = p.T @ (basis.nominal_stiffness @ p)
     load = p.T @ assemble_load(space, config.f, order)
     shift = la.cho_solve(la.cho_factor(b0, lower=True), load) / alpha
-    iterator = iterator_net(n, k_steps, eps_iter, shift, contraction)
+    iterator, step = _unroll(n, k_steps, eps_iter, shift, contraction)
     encoder_input = input_net(basis, space, config, encoder, frame, order)
     net = sparse_concat(iterator, encoder_input)
     eps_step = (1.0 - contraction) * eps_iter
     z_tilde = 2.0 + 1.0 / (1.0 - contraction)
-    step = step_net(n, z_tilde, eps_step, shift, carry=False)
     sections = (
         ("input_assembly", encoder_input.size),
         ("unrolled_iterator", iterator.size),

@@ -30,10 +30,6 @@ __all__ = [
 ]
 
 
-class PowerIterationError(RuntimeError):
-    """Spectral norm estimate failed to settle within the iteration cap."""
-
-
 @dataclass
 class ReducedSystem:
     """Dense reduced matrices for one coefficient in a fixed basis frame."""
@@ -91,23 +87,9 @@ def assemble_reduced(
     return ReducedSystem(basis, frame, v, b0, b_v, load, iteration_matrix, shift, b0)
 
 
-def contraction_norm(system: ReducedSystem, tol: float = 1e-12, max_iter: int = 10**4) -> float:
-    """Spectral norm of the iteration matrix by power iteration on A'A."""
-    a = system.iteration_matrix
-    m = a.T @ a
-    x = np.ones(len(m)) / np.sqrt(len(m))
-    lam = 0.0
-    for _ in range(max_iter):
-        y = m @ x
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0
-        x_new = y / nrm
-        lam_new = float(x_new @ (m @ x_new))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-30):
-            return math.sqrt(max(lam_new, 0.0))
-        x, lam = x_new, lam_new
-    raise PowerIterationError("power iteration stagnated")
+def contraction_norm(system: ReducedSystem) -> float:
+    """Spectral norm of the iteration matrix."""
+    return float(np.linalg.norm(system.iteration_matrix, 2))
 
 
 def iterate(system: ReducedSystem, k_steps: int, record: bool = True) -> IterationState:

@@ -1,10 +1,14 @@
+import glob
 import json
 import os
+
+import pytest
 
 from richop import cli
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "square_smoke.json")
 SWEEP = os.path.join(os.path.dirname(__file__), "..", "configs", "eps_sweep.json")
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
 
 
 def _body(path):
@@ -129,12 +133,6 @@ def test_rows_carry_config_hash(tmp_path):
     assert body[1].strip().endswith(cfg_hash)
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("RICHOP_THREADS", "2")
-    out = str(tmp_path / "thr")
-    assert cli.main(["mesh", "--config", CONFIG, "--out", out]) == 0
-
-
 def test_seed_override_changes_output(tmp_path):
     out1 = str(tmp_path / "s1")
     out2 = str(tmp_path / "s2")
@@ -143,3 +141,23 @@ def test_seed_override_changes_output(tmp_path):
     assert _body(os.path.join(out1, "snapshots.csv")) != _body(
         os.path.join(out2, "snapshots.csv")
     )
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_committed_config_loads_and_meshes(path, tmp_path):
+    cli.load_config(path)
+    assert cli.main(["mesh", "--config", path, "--out", str(tmp_path)]) == 0
+
+
+def test_write_csv_closes_file_when_a_row_fails(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    with pytest.raises(TypeError):
+        cli._write_csv(str(tmp_path), "bad.csv", ["value"], [(1.0,), (object(),)], "hash")
+    assert len(opened) == 1 and opened[0].closed

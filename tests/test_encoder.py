@@ -151,7 +151,7 @@ class TestGllEncoder:
 
 class TestEncodeOp:
     def test_all_ones(self, nodal_encoder):
-        vals = E.encode(nodal_encoder, C.constant(1.0))
+        vals = nodal_encoder.encode(C.constant(1.0))
         assert np.array_equal(vals, np.ones(nodal_encoder.m))
 
     def test_basis_members_give_unit_vectors(self, coarse_split):
@@ -164,7 +164,7 @@ class TestEncodeOp:
     def test_linearity(self, nodal_encoder, rng):
         a = C.from_callable(lambda p: 1.0 + 0.3 * np.sin(2 * p[:, 0] + p[:, 1]))
         twice = C.affine_combination([a], [2.0])
-        assert np.array_equal(E.encode(nodal_encoder, twice), 2 * E.encode(nodal_encoder, a))
+        assert np.array_equal(nodal_encoder.encode(twice), 2 * nodal_encoder.encode(a))
 
 
 class TestEncoderError:

@@ -427,6 +427,21 @@ class TestApproximator:
         assert sizes == sorted(sizes)
         assert depths == sorted(depths)
 
+    def test_builds_one_carry_and_one_final_step(self, lab, monkeypatch):
+        built = []
+        step_net = NN.step_net
+
+        def counting_step_net(*args, **kwargs):
+            built.append(step_net(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(NN, "step_net", counting_step_net)
+        b = NN.build_approximator(
+            lab["basis"], lab["space"], lab["config"], lab["encoder"], 1e-1
+        )
+        assert len(built) == 2
+        assert b.step in built
+
     def test_monte_carlo_step_certificate(self, bundle, lab, family, rng):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
         step = bundle.step
