@@ -199,20 +199,20 @@ def _gll_channel_matrix(grid: GllGrid, pts: np.ndarray) -> np.ndarray:
     tri_idx, bary = locate_points(split.mesh, pts, tol=1e-9)
     if np.any(tri_idx < 0):
         raise ValueError("point outside mesh in encoder reconstruction")
-    quad_idx = np.argmax(bary, axis=1)  # quad at the dominant vertex
-    a0, a1, a2, a3 = split.bilinear_coefficients()
-    out = np.zeros((len(pts), len(grid.points)))
-    for t, i in {(int(t), int(i)) for t, i in zip(tri_idx, quad_idx)}:
-        sel = np.flatnonzero((tri_idx == t) & (quad_idx == i))
-        st = _invert_bilinear(
-            (a0[t, i], a1[t, i], a2[t, i], a3[t, i]), pts[sel]
-        )
+    quad = 3 * tri_idx + np.argmax(bary, axis=1)  # flat quad at the dominant vertex
+    a0, a1, a2, a3 = (c.reshape(-1, 2) for c in split.bilinear_coefficients())
+    by_quad = np.argsort(quad, kind="stable")
+    quads, starts = np.unique(quad[by_quad], return_index=True)
+    tensor = np.empty((len(pts), (p + 1) ** 2))
+    for q, sel in zip(quads, np.split(by_quad, starts[1:])):
+        st = _invert_bilinear((a0[q], a1[q], a2[q], a3[q]), pts[sel])
         ls = _lagrange_1d(grid.nodes_1d, st[:, 0])
         lu = _lagrange_1d(grid.nodes_1d, st[:, 1])
-        tensor = ls[:, :, None] * lu[:, None, :]  # (n_sel, p+1, p+1)
-        cols = grid.quad_channels[t, i]
-        for row, vals in zip(sel, tensor.reshape(len(sel), -1)):
-            out[row, cols] += vals
+        tensor[sel] = (ls[:, :, None] * lu[:, None, :]).reshape(len(sel), -1)
+    # each point takes the values of exactly one quad, so assignment is exact
+    out = np.zeros((len(pts), len(grid.points)))
+    cols = grid.quad_channels.reshape(len(a0), -1)[quad]
+    out[np.arange(len(pts))[:, None], cols] = tensor
     return out
 
 
@@ -230,11 +230,22 @@ def encoder_error(encoder: Encoder, a: CoefficientField, grid_n: int = 400) -> f
 def reconstruction_envelope(
     encoder: Encoder, values: np.ndarray, alpha: float, grid_n: int = 200
 ) -> float:
-    """Smallest beta_tilde with the reconstruction inside [alpha -/+ beta_tilde]."""
+    """Largest deviation from alpha of the reconstructions, sampled on a grid.
+
+    `values` is one channel vector (M,) or a stack of them (n, M). Returns
+    max(alpha - min, max - alpha) over the reconstructions of all rows at
+    the points of a grid_n x grid_n lattice on the encoder mesh. A sample
+    maximum is a lower bound of the envelope over the whole domain, not a
+    certificate. The channel matrix of the grid is built once per call; each
+    row is then one mat-vec.
+    """
     mesh = _encoder_mesh(encoder)
-    pts = domain_grid(mesh, grid_n)
-    recon = encoder.channel_matrix(pts) @ np.asarray(values, dtype=float)
-    return float(max(alpha - recon.min(), recon.max() - alpha))
+    channels = encoder.channel_matrix(domain_grid(mesh, grid_n))
+    lo, hi = np.inf, -np.inf
+    for v in np.atleast_2d(np.asarray(values, dtype=float)):
+        recon = channels @ v
+        lo, hi = min(lo, recon.min()), max(hi, recon.max())
+    return float(max(alpha - lo, hi - alpha))
 
 
 def _encoder_mesh(encoder: Encoder):

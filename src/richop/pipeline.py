@@ -29,6 +29,7 @@ from .fem import (
     build_space,
     energy_norm,
     galerkin_solve,
+    quadrature_points,
 )
 from .mesh import quad_split, read_mesh, write_mesh
 from .reduced_basis import (
@@ -61,6 +62,9 @@ __all__ = [
     "save_bundle",
     "load_bundle",
 ]
+
+
+BUNDLE_FORMAT = 1  # written to certificates.json; load_bundle accepts only this
 
 
 class OperatorBuildError(RuntimeError):
@@ -109,14 +113,14 @@ def effective_beta(
 ) -> tuple[float, float]:
     """Envelope beta_tilde of the encoded reconstructions and the beta it admits.
 
-    Aborts when the envelope reaches alpha, since the reduced iteration then
-    has no contraction guarantee. Mode 'paper' keeps the configured beta and
+    beta_tilde is sampled on the grid of reconstruction_envelope, so it is a
+    lower bound of the envelope over the domain, not a certificate. Aborts
+    when it reaches alpha, since the reduced iteration then has no
+    contraction guarantee. Mode 'paper' keeps the configured beta and
     rejects an envelope above it; mode 'measured' uses the envelope itself.
     """
-    beta_tilde = 0.0
-    for a in coefficients:
-        env = reconstruction_envelope(encoder, encoder.encode(a), config.alpha)
-        beta_tilde = max(beta_tilde, env)
+    values = np.stack([encoder.encode(a) for a in coefficients])
+    beta_tilde = reconstruction_envelope(encoder, values, config.alpha)
     if beta_tilde >= config.alpha:
         raise OperatorBuildError(
             f"encoded reconstructions have envelope beta_tilde={beta_tilde:.6g} "
@@ -192,12 +196,14 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
     """
     space, config, basis = op.space, op.config, op.basis
     k0 = basis.nominal_stiffness
+    # reconstructions sampled at the quadrature points: one channel matrix per call
+    channels = op.encoder.channel_matrix(quadrature_points(space))
     report = ErrorReport()
     for a in test_coefficients:
         u_fine = galerkin_solve(space, config, a)
         sys_a = assemble_reduced(basis, space, config, a, frame=op.frame)
         u_reduced = synthesize(basis, direct_solve(sys_a), frame=op.frame)
-        recon = op.encoder.reconstruct(op.encoder.encode(a))
+        recon = channels @ op.encoder.encode(a)
         sys_r = assemble_reduced(basis, space, config, recon, frame=op.frame)
         u_recon = synthesize(basis, direct_solve(sys_r), frame=op.frame)
         u_net = evaluate(op, a)
@@ -278,6 +284,7 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     with open(os.path.join(directory, "net.json"), "w") as fh:
         fh.write(net_to_json(op.approximator.net, op.approximator.report))
     meta = dict(op.certificates)
+    meta["bundle_format"] = BUNDLE_FORMAT
     meta["fem_degree"] = op.space.degree
     meta["frame"] = op.frame
     with open(os.path.join(directory, "certificates.json"), "w") as fh:
@@ -298,8 +305,13 @@ class LoadedOperator:
 
 
 def load_bundle(directory: str) -> LoadedOperator:
+    """Rebuild an operator from a bundle; refuses other bundle formats."""
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
+    if meta.get("bundle_format") != BUNDLE_FORMAT:
+        raise ValueError(
+            f"bundle format {meta.get('bundle_format')!r} is not {BUNDLE_FORMAT}"
+        )
     enc_mesh = read_mesh(os.path.join(directory, "encoder_mesh.txt"))
     with open(os.path.join(directory, "encoder.json")) as fh:
         enc_doc = json.load(fh)

@@ -36,7 +36,7 @@ class ReducedSystem:
 
     basis: ReducedBasis
     frame: str
-    coefficient: CoefficientField
+    coefficient: CoefficientField | np.ndarray
     b_nominal: np.ndarray  # Gram of the frame in the nominal form
     b_coeff: np.ndarray  # bilinear form of the coefficient on the frame
     load: np.ndarray
@@ -63,11 +63,13 @@ def assemble_reduced(
     basis: ReducedBasis,
     space: FemSpace,
     config: ProblemConfig,
-    v: CoefficientField,
+    v: CoefficientField | np.ndarray,
     frame: str = "ortho",
     order: int = 4,
 ) -> ReducedSystem:
     """Project the coefficient's stiffness onto the basis frame.
+
+    v is a field, or its samples at quadrature_points(space, order).
 
     The iteration matrix and shifted load are formed through a Cholesky
     factorization of the nominal reduced matrix, which must be positive

@@ -179,7 +179,64 @@ class TestEncoderError:
         assert np.max(np.abs(enc.encode(enc.reconstruct(y)) - y)) < 1e-12
 
 
+def _gll_channel_matrix_loop(grid, pts):
+    """Reference: one quad group at a time, one row at a time."""
+    tri_idx, bary = M.locate_points(grid.split.mesh, pts, tol=1e-9)
+    quad_idx = np.argmax(bary, axis=1)
+    a0, a1, a2, a3 = grid.split.bilinear_coefficients()
+    out = np.zeros((len(pts), len(grid.points)))
+    for t, i in {(int(t), int(i)) for t, i in zip(tri_idx, quad_idx)}:
+        sel = np.flatnonzero((tri_idx == t) & (quad_idx == i))
+        st = E._invert_bilinear((a0[t, i], a1[t, i], a2[t, i], a3[t, i]), pts[sel])
+        ls = E._lagrange_1d(grid.nodes_1d, st[:, 0])
+        lu = E._lagrange_1d(grid.nodes_1d, st[:, 1])
+        tensor = ls[:, :, None] * lu[:, None, :]
+        for row, vals in zip(sel, tensor.reshape(len(sel), -1)):
+            out[row, grid.quad_channels[t, i]] += vals
+    return out
+
+
+class TestGllChannelMatrix:
+    @pytest.fixture(scope="class")
+    def grid(self, square):
+        return E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)._payload
+
+    def test_random_points_match_loop(self, grid):
+        pts = np.random.default_rng(7).uniform(0.0, 1.0, size=(500, 2))
+        assert np.array_equal(
+            E._gll_channel_matrix(grid, pts), _gll_channel_matrix_loop(grid, pts)
+        )
+
+    def test_quad_interface_points_match_loop(self, grid):
+        # the four edges of every quad: shared by two quads inside a
+        # triangle, or by two triangles, or on the boundary
+        u = np.linspace(-1.0, 1.0, 5)
+        edges = np.concatenate(
+            [np.column_stack([np.full(5, side), u]) for side in (-1.0, 1.0)]
+            + [np.column_stack([u, np.full(5, side)]) for side in (-1.0, 1.0)]
+        )
+        n_tri = grid.split.mesh.n_triangles
+        pts = np.concatenate(
+            [grid.split.map_points(t, i, edges) for t in range(n_tri) for i in range(3)]
+        )
+        assert np.array_equal(
+            E._gll_channel_matrix(grid, pts), _gll_channel_matrix_loop(grid, pts)
+        )
+
+
 class TestEnvelope:
+    @pytest.mark.parametrize("kind", ["nodal", "gll"])
+    def test_stack_equals_max_of_single_rows(self, kind, square, family):
+        coarse = M.triangulate(square, 0.5)
+        if kind == "nodal":
+            enc = E.build_nodal_encoder(F.build_space(coarse, 2))
+        else:
+            enc = E.build_gll_encoder(M.quad_split(coarse), 2)
+        values = np.stack([enc.encode(a) for a in C.sample_family(family, 4, 31)])
+        singles = [E.reconstruction_envelope(enc, v, 1.0, grid_n=60) for v in values]
+        stacked = E.reconstruction_envelope(enc, values, 1.0, grid_n=60)
+        assert stacked == max(singles)
+
     def test_reconstruction_envelope_p1_inside_band(self, nodal_encoder, family):
         # P1 interpolation preserves the value range, so the envelope cannot
         # exceed the sampled band

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -23,6 +24,25 @@ class _AmplifyingEncoder(E.Encoder):
 
     def channel_matrix(self, pts):
         return self._gain * self._base.channel_matrix(pts)
+
+
+class _CountingEncoder(E.Encoder):
+    """Test stub: counts channel_matrix calls."""
+
+    def __init__(self, base):
+        super().__init__(base.kind, base.query_points, base._payload)
+        self.calls = 0
+
+    def channel_matrix(self, pts):
+        self.calls += 1
+        return super().channel_matrix(pts)
+
+
+class TestEffectiveBeta:
+    def test_one_channel_matrix_per_call(self, nodal_encoder, family, config):
+        enc = _CountingEncoder(nodal_encoder)
+        P.effective_beta(enc, config, C.sample_family(family, 8, 5))
+        assert enc.calls == 1
 
 
 class TestBuildOperator:
@@ -112,6 +132,12 @@ class TestErrorDecomposition:
         report = P.error_decomposition(operator, C.sample_family(family, 8, 29))
         for tot, t1, t2, t3 in report.rows():
             assert tot <= t1 + t2 + t3 + 1e-8
+
+    def test_batch_equals_single_calls(self, operator, family):
+        members = C.sample_family(family, 3, 37)
+        batch = P.error_decomposition(operator, members).rows()
+        singles = [P.error_decomposition(operator, [a]).rows()[0] for a in members]
+        assert batch == singles
 
     def test_in_span_member_with_exact_encoding(self, space, config, nodal_encoder):
         # family of P1 fields on the encoder mesh: encoding is exact, and a
@@ -225,6 +251,20 @@ class TestBundle:
         a = C.sample_family(family, 1, 99)[0]
         assert np.array_equal(loaded.evaluate(a), P.evaluate(operator, a))
         assert loaded.certificates["epsilon"] == operator.certificates["epsilon"]
+
+    @pytest.mark.parametrize("fmt", [None, 2])
+    def test_rejects_other_bundle_format(self, operator, tmp_path, fmt):
+        P.save_bundle(operator, str(tmp_path))
+        path = tmp_path / "certificates.json"
+        meta = json.loads(path.read_text())
+        assert meta["bundle_format"] == 1
+        if fmt is None:
+            del meta["bundle_format"]
+        else:
+            meta["bundle_format"] = fmt
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="bundle format"):
+            P.load_bundle(str(tmp_path))
 
     def test_rejects_basis_missing_a_column(self, operator, tmp_path):
         P.save_bundle(operator, str(tmp_path))
