@@ -4,7 +4,10 @@ Consumes a single JSON config and emits deterministic CSV tables: every row
 carries the config hash, and repeated runs with the same config and seed are
 byte-identical apart from the timestamp header line.
 
-Exit codes: 1 config error, 2 build failure, 3 certificate violation.
+Exit codes: 1 config error, 2 build failure (one of the library's own
+errors: OperatorBuildError, SolverError, MembershipError, MeshError,
+IllConditionedBasisError), 3 certificate violation. Any other exception is a
+bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -314,6 +317,15 @@ def cmd_run(s: Setup, out_dir, hash_):
     pipe_mod.save_bundle(op, os.path.join(out_dir, "bundle"))
 
 
+# The library's own failures; any other exception is a bug and propagates.
+_BUILD_FAILURES = (
+    pipe_mod.OperatorBuildError,
+    fem_mod.SolverError,
+    fem_mod.MembershipError,
+    mesh_mod.MeshError,
+    rb_mod.IllConditionedBasisError,
+)
+
 _COMMANDS = {
     "mesh": cmd_mesh,
     "snapshots": cmd_snapshots,
@@ -355,7 +367,7 @@ def main(argv=None) -> int:
     except CertificateViolation as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # build failures: bad envelopes, solver breakdowns
+    except _BUILD_FAILURES as exc:
         print(f"build failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import CoefficientField, domain_grid, from_callable
+from .coeff import CoefficientField, _located_grid, from_callable
 from .fem import FemSpace
-from .mesh import QuadSplit, locate_points
+from .mesh import QuadSplit, _location
 
 __all__ = [
     "Encoder",
@@ -94,8 +94,11 @@ class Encoder:
         return np.asarray(a(self.query_points), dtype=float)
 
     def channel_matrix(self, pts: np.ndarray) -> np.ndarray:
-        """Values of all reconstruction basis fields at the points, (n, M)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        """Values of all reconstruction basis fields at the points, (n, M).
+
+        Points that carry their location in the encoder mesh (the grids of
+        encoder_error and reconstruction_envelope) are not located again.
+        """
         if self.kind == "nodal":
             return _nodal_channel_matrix(self._payload, pts)
         return _gll_channel_matrix(self._payload, pts)
@@ -120,9 +123,10 @@ def build_nodal_encoder(space: FemSpace) -> Encoder:
 def _nodal_channel_matrix(space: FemSpace, pts: np.ndarray) -> np.ndarray:
     from .coeff import _shape_values  # same local ordering as the mesh fields
 
-    tri_idx, bary = locate_points(space.mesh, pts, tol=1e-9)
+    tri_idx, bary = _location(space.mesh, pts, tol=1e-9)
     if np.any(tri_idx < 0):
         raise ValueError("point outside mesh in encoder reconstruction")
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     shapes = _shape_values(bary, space.degree)
     out = np.zeros((len(pts), space.n_dofs))
     rows = np.repeat(np.arange(len(pts)), space.cell_dofs.shape[1])
@@ -196,9 +200,10 @@ def _invert_bilinear(coefs, pts: np.ndarray) -> np.ndarray:
 
 def _gll_channel_matrix(grid: GllGrid, pts: np.ndarray) -> np.ndarray:
     split, p = grid.split, grid.order
-    tri_idx, bary = locate_points(split.mesh, pts, tol=1e-9)
+    tri_idx, bary = _location(split.mesh, pts, tol=1e-9)
     if np.any(tri_idx < 0):
         raise ValueError("point outside mesh in encoder reconstruction")
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     quad = 3 * tri_idx + np.argmax(bary, axis=1)  # flat quad at the dominant vertex
     a0, a1, a2, a3 = (c.reshape(-1, 2) for c in split.bilinear_coefficients())
     by_quad = np.argsort(quad, kind="stable")
@@ -221,8 +226,7 @@ def encoder_error(encoder: Encoder, a: CoefficientField, grid_n: int = 400) -> f
 
     A lower bound of the true L-inf error; dense enough grids make it sharp.
     """
-    mesh = _encoder_mesh(encoder)
-    pts = domain_grid(mesh, grid_n)
+    pts = _located_grid(_encoder_mesh(encoder), grid_n)
     recon = encoder.channel_matrix(pts) @ encoder.encode(a)
     return float(np.max(np.abs(a(pts) - recon)))
 
@@ -236,11 +240,10 @@ def reconstruction_envelope(
     max(alpha - min, max - alpha) over the reconstructions of all rows at
     the points of a grid_n x grid_n lattice on the encoder mesh. A sample
     maximum is a lower bound of the envelope over the whole domain, not a
-    certificate. The channel matrix of the grid is built once per call; each
-    row is then one mat-vec.
+    certificate. The grid is located once and its channel matrix built once
+    per call; each row is then one mat-vec.
     """
-    mesh = _encoder_mesh(encoder)
-    channels = encoder.channel_matrix(domain_grid(mesh, grid_n))
+    channels = encoder.channel_matrix(_located_grid(_encoder_mesh(encoder), grid_n))
     lo, hi = np.inf, -np.inf
     for v in np.atleast_2d(np.asarray(values, dtype=float)):
         recon = channels @ v

@@ -4,6 +4,14 @@ Assembles stiffness matrices int a grad(u).grad(v) and load vectors on P1/P2
 Lagrange spaces with homogeneous Dirichlet conditions eliminated, solves the
 resulting SPD systems, and provides the energy norm induced by the nominal
 coefficient together with the discrete dual norm of the source.
+
+Everything in an assembly that does not depend on the coefficient (the
+quadrature points, the free-dof sparsity pattern, and the sparse operators
+taking samples at the quadrature points to the stiffness data and to the
+load vector) is built once per space and quadrature order and cached on the
+space (see Assembly), so each stiffness matrix or load vector is one sparse
+mat-vec. The stiffness operator yields the upper triangle of the symmetric
+matrix, which a gather mirrors into the whole pattern.
 """
 
 from __future__ import annotations
@@ -20,10 +28,12 @@ from .mesh import Mesh
 
 __all__ = [
     "FemSpace",
+    "Assembly",
     "ProblemConfig",
     "SolverError",
     "MembershipError",
     "build_space",
+    "assembly",
     "quadrature_points",
     "assemble_stiffness",
     "assemble_stiffness_samples",
@@ -114,6 +124,8 @@ class FemSpace:
     cell_dofs: np.ndarray
     free_dofs: np.ndarray
     constrained_dofs: np.ndarray
+    # Assembly per quadrature order, filled by assembly(space, order)
+    _assemblies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_dofs(self) -> int:
@@ -186,6 +198,7 @@ def _reference_tables(degree: int, order: int):
 
 
 def _geometry(space: FemSpace):
+    """Vertex coordinates (t, 3, 2), Jacobian determinants and inverse-transpose Jacobians."""
     p = space.mesh.nodes[space.mesh.triangles]
     jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)  # (t, 2, 2)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
@@ -199,24 +212,106 @@ def _geometry(space: FemSpace):
         )
         / det[:, None, None]
     )
-    return p, jac, det, inv_t
+    return p, det, inv_t
+
+
+@dataclass(frozen=True)
+class Assembly:
+    """Coefficient-independent assembly data of one space and quadrature order.
+
+    points are the physical quadrature points (n_triangles * nq, 2),
+    element-major and read-only. indices/indptr are the CSR pattern of the
+    free-dof stiffness matrix. The matrix is symmetric, so stiffness maps
+    samples at the points to the data of the pattern's upper triangle only,
+    and data[mirror] is the data of the whole pattern. load maps samples to
+    the free-dof load vector.
+    """
+
+    points: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    mirror: np.ndarray
+    stiffness: sp.csc_matrix  # (upper nnz, n_points)
+    load: sp.csc_matrix  # (n_free, n_points)
+
+    def matrix(self, upper: np.ndarray) -> sp.csr_matrix:
+        """Free-dof matrix whose upper triangle holds the given data."""
+        n = len(self.indptr) - 1
+        data = upper[self.mirror]
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+
+
+def assembly(space: FemSpace, order: int = 4) -> Assembly:
+    """The space's Assembly at this quadrature order, built on first use and cached."""
+    cached = space._assemblies.get(order)
+    if cached is None:
+        cached = space._assemblies[order] = _build_assembly(space, order)
+    return cached
+
+
+def _csc_by_point(values, rows, keep, n_rows: int) -> sp.csc_matrix:
+    """Operator whose column (t, q) holds values[t, q, k] in row rows[t, k] where keep[t, k].
+
+    Exact zeros are left out; they add nothing to any product.
+    """
+    nt, nq, _ = values.shape
+    mask = keep[:, None, :] & (values != 0.0)
+    indices = np.broadcast_to(rows[:, None, :], values.shape)[mask]
+    indptr = np.zeros(nt * nq + 1, dtype=np.int32)
+    np.cumsum(mask.sum(axis=2).ravel(), out=indptr[1:])
+    return sp.csc_matrix((values[mask], indices, indptr), shape=(n_rows, nt * nq))
+
+
+def _build_assembly(space: FemSpace, order: int) -> Assembly:
+    bary, w, vals, grads_ref = _reference_tables(space.degree, order)
+    p, det, inv_t = _geometry(space)
+    nt, nloc, n = space.mesh.n_triangles, vals.shape[1], space.n_free
+    points = np.einsum("qk,tkd->tqd", bary, p).reshape(-1, 2)
+    points.flags.writeable = False
+    weight = w[None, :] * (0.5 * np.abs(det))[:, None]  # (t, q)
+    free_of = np.full(space.n_dofs, -1, dtype=np.int32)
+    free_of[space.free_dofs] = np.arange(n, dtype=np.int32)
+    local_dofs = free_of[space.cell_dofs]  # (t, nloc), -1 where constrained
+    # one value per unordered local pair {i, j}, at the upper entry of its dofs
+    pi, pj = np.triu_indices(nloc)
+    lo = np.minimum(local_dofs[:, pi], local_dofs[:, pj]).astype(np.int64)
+    hi = np.maximum(local_dofs[:, pi], local_dofs[:, pj])
+    keep = lo >= 0
+    upper, slot = np.unique(lo[keep] * n + hi[keep], return_inverse=True)
+    position = np.full(keep.shape, -1, dtype=np.int32)
+    position[keep] = slot
+    rows, cols = upper // n, upper % n
+    keys = np.unique(np.concatenate([upper, cols * n + rows]))
+    kr, kc = keys // n, keys % n
+    mirror = np.searchsorted(upper, np.minimum(kr, kc) * n + np.maximum(kr, kc))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(kr, minlength=n), out=indptr[1:])
+    grads = grads_ref @ inv_t.transpose(0, 2, 1)[:, None]  # (t, q, nloc, 2)
+    pairs = (grads @ grads.transpose(0, 1, 3, 2))[:, :, pi, pj]  # (t, q, pairs)
+    pairs *= weight[:, :, None]
+    stiffness = _csc_by_point(pairs, position, keep, len(upper))
+    load = _csc_by_point(vals[None] * weight[:, :, None], local_dofs, local_dofs >= 0, n)
+    return Assembly(
+        points, kc.astype(np.int32), indptr, mirror.astype(np.int32), stiffness, load
+    )
 
 
 def quadrature_points(space: FemSpace, order: int = 4) -> np.ndarray:
-    """Physical quadrature points, shaped (n_triangles * nq, 2), element-major."""
-    bary, _, _, _ = _reference_tables(space.degree, order)
-    p = space.mesh.nodes[space.mesh.triangles]
-    pts = np.einsum("qk,tkd->tqd", bary, p)
-    return pts.reshape(-1, 2)
+    """Physical quadrature points, shaped (n_triangles * nq, 2), element-major.
+
+    The array is cached with the space's Assembly and is read-only; copy it
+    before mutating.
+    """
+    return assembly(space, order).points
 
 
 def _sample_coefficient(space: FemSpace, a, order: int) -> np.ndarray:
-    nq = len(_TRI_RULES[order][1])
+    """Samples of a field (or given samples) at the quadrature points, flat and finite."""
     if isinstance(a, CoefficientField):
         vals = a(quadrature_points(space, order))
     else:
-        vals = np.asarray(a, dtype=float).ravel()
-    vals = vals.reshape(space.mesh.n_triangles, nq)
+        vals = np.asarray(a, dtype=float)
+    vals = vals.reshape(space.mesh.n_triangles * len(_TRI_RULES[order][1]))
     if not np.all(np.isfinite(vals)):
         raise MembershipError("coefficient evaluated to non-finite values")
     return vals
@@ -225,20 +320,13 @@ def _sample_coefficient(space: FemSpace, a, order: int) -> np.ndarray:
 def assemble_stiffness_samples(
     space: FemSpace, samples: np.ndarray, order: int = 4
 ) -> sp.csr_matrix:
-    """Stiffness matrix from coefficient samples at the quadrature points."""
-    _, w, _, grads_ref = _reference_tables(space.degree, order)
-    _, _, det, inv_t = _geometry(space)
-    samples = samples.reshape(space.mesh.n_triangles, len(w))
-    grads = np.einsum("tde,qie->tqid", inv_t, grads_ref)
-    local = np.einsum("q,tq,tqid,tqjd->tij", w, samples, grads, grads)
-    local *= (0.5 * np.abs(det))[:, None, None]
-    nloc = grads_ref.shape[1]
-    rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, nloc)).ravel()
-    full = sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)
-    ).tocsr()
-    return full[space.free_dofs][:, space.free_dofs].tocsr()
+    """Stiffness matrix from coefficient samples at the quadrature points.
+
+    One sparse mat-vec of the space's cached Assembly, mirrored into its
+    fixed pattern.
+    """
+    asm = assembly(space, order)
+    return asm.matrix(asm.stiffness @ np.asarray(samples, dtype=float).reshape(-1))
 
 
 def assemble_stiffness(space: FemSpace, a, order: int = 4) -> sp.csr_matrix:
@@ -247,14 +335,11 @@ def assemble_stiffness(space: FemSpace, a, order: int = 4) -> sp.csr_matrix:
 
 
 def assemble_load(space: FemSpace, f, order: int = 4) -> np.ndarray:
-    """Load vector with entries int f phi_i over the free dofs."""
-    _, w, vals, _ = _reference_tables(space.degree, order)
-    _, _, det, _ = _geometry(space)
-    samples = _sample_coefficient(space, f, order)
-    local = np.einsum("q,tq,qi->ti", w, samples, vals) * (0.5 * np.abs(det))[:, None]
-    full = np.zeros(space.n_dofs)
-    np.add.at(full, space.cell_dofs.ravel(), local.ravel())
-    return full[space.free_dofs]
+    """Load vector with entries int f phi_i over the free dofs.
+
+    One sparse mat-vec of the space's cached Assembly with the samples of f.
+    """
+    return assembly(space, order).load @ _sample_coefficient(space, f, order)
 
 
 def solve_spd(matrix, rhs: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -560,6 +560,31 @@ def locate_points(mesh: Mesh, pts: np.ndarray, tol: float = 1e-12):
     return tri_idx, bary
 
 
+class _Located(np.ndarray):
+    """Points that carry the location found for them in one mesh.
+
+    ``location`` is (mesh, tol, tri_index, barycentric) on the array made by
+    _with_location; views and arithmetic results read the class default
+    None, so a location that is read always belongs to these exact points.
+    """
+
+    location = None
+
+
+def _with_location(pts: np.ndarray, mesh: Mesh, tol: float, tri_idx, bary) -> _Located:
+    out = pts.view(_Located)
+    out.location = (mesh, tol, tri_idx, bary)
+    return out
+
+
+def _location(mesh: Mesh, pts, tol: float):
+    """locate_points(mesh, pts, tol), unless pts already carries that location."""
+    carried = getattr(pts, "location", None)
+    if carried is not None and carried[0] is mesh and carried[1] == tol:
+        return carried[2], carried[3]
+    return locate_points(mesh, pts, tol)
+
+
 def validate_mesh(mesh: Mesh) -> None:
     """Check conformity invariants; raises MeshError on violation.
 

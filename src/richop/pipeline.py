@@ -67,8 +67,9 @@ __all__ = [
 BUNDLE_FORMAT = 1  # written to certificates.json; load_bundle accepts only this
 
 
-class OperatorBuildError(RuntimeError):
-    """Encoded reconstructions left the admissible cone (envelope >= alpha)."""
+class OperatorBuildError(ValueError):
+    """The inputs admit no certified operator: the encoded reconstructions
+    left the admissible cone, or the basis size exceeds the training count."""
 
 
 @dataclass
@@ -156,7 +157,7 @@ def build_operator(
     beta (see effective_beta), which may abort the build.
     """
     if n_basis > training_count:
-        raise ValueError("basis size cannot exceed the training count")
+        raise OperatorBuildError("basis size cannot exceed the training count")
     snapshots = generate_snapshots(family, training_count, seed, space, config)
     basis, trace = weak_greedy(snapshots, n_basis, gamma)
     beta_tilde, beta_eff = effective_beta(

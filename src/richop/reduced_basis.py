@@ -19,6 +19,7 @@ from .coeff import DataFamily, sample_family
 from .fem import (
     FemSpace,
     ProblemConfig,
+    SolverError,
     assemble_stiffness,
     dual_norm,
     energy_norm,
@@ -39,7 +40,8 @@ __all__ = [
 
 
 class IllConditionedBasisError(RuntimeError):
-    """Raw snapshot Gram matrix is numerically rank deficient."""
+    """The reduced basis is unusable: rank-deficient Gram matrix, vanished
+    anchor, or a nominal reduced matrix that is not positive definite."""
 
 
 @dataclass
@@ -128,7 +130,7 @@ def generate_snapshots(
     for a in coefficients:
         u = galerkin_solve(space, config, a)
         if energy_norm(space, config, u, k0=k0) > bound + 1e-8:
-            raise RuntimeError("snapshot violates the a priori energy bound")
+            raise SolverError("snapshot violates the a priori energy bound")
         cols.append(u)
     return SnapshotSet(coefficients, np.column_stack(cols), space, config)
 
@@ -156,7 +158,7 @@ def weak_greedy(
     anchor = galerkin_solve(space, config, config.scaled_nominal())
     anchor_norm = energy_norm(space, config, anchor, k0=k0)
     if anchor_norm == 0.0:
-        raise RuntimeError("anchor solution vanished; zero source?")
+        raise IllConditionedBasisError("anchor solution vanished; zero source?")
 
     sols = snapshots.solutions
     ks = k0 @ sols

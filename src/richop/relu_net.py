@@ -24,9 +24,8 @@ from .fem import (
     FemSpace,
     ProblemConfig,
     assemble_load,
-    assemble_stiffness_samples,
+    assembly,
     dual_norm,
-    quadrature_points,
 )
 from .reduced_basis import ReducedBasis
 from .richardson import choose_step_count
@@ -356,18 +355,18 @@ def input_net(
 
     Per-channel reduced matrices use the same quadrature as assemble_reduced,
     so the realization matches direct assembly of the reconstruction up to
-    solve reassociation.
+    solve reassociation. The stiffness data of all M channels comes from one
+    sparse-times-dense product with the space's cached assembly operator.
     """
     p = basis.frame(frame)
     n = basis.size
     b0 = p.T @ (basis.nominal_stiffness @ p)
     chol = la.cho_factor(b0, lower=True)
-    pts = quadrature_points(space, order)
-    channels = encoder.channel_matrix(pts)
+    asm = assembly(space, order)
+    upper = asm.stiffness @ encoder.channel_matrix(asm.points)  # (upper nnz, M)
     cols = []
     for k in range(encoder.m):
-        k_mode = assemble_stiffness_samples(space, channels[:, k], order)
-        b_mode = p.T @ (k_mode @ p)
+        b_mode = p.T @ (asm.matrix(upper[:, k]) @ p)
         cols.append(-la.cho_solve(chol, b_mode).flatten(order="F") / config.alpha)
     weights = np.column_stack(cols)
     bias = np.eye(n).flatten(order="F")

@@ -17,7 +17,7 @@ import scipy.linalg as la
 
 from .coeff import CoefficientField
 from .fem import FemSpace, ProblemConfig, assemble_load, assemble_stiffness
-from .reduced_basis import ReducedBasis
+from .reduced_basis import IllConditionedBasisError, ReducedBasis
 
 __all__ = [
     "ReducedSystem",
@@ -83,7 +83,9 @@ def assemble_reduced(
     try:
         chol = la.cho_factor(b0, lower=True)
     except la.LinAlgError as exc:
-        raise RuntimeError("nominal reduced matrix is not SPD; basis is broken") from exc
+        raise IllConditionedBasisError(
+            "nominal reduced matrix is not SPD; basis is broken"
+        ) from exc
     iteration_matrix = np.eye(len(load)) - la.cho_solve(chol, b_v) / config.alpha
     shift = la.cho_solve(chol, load) / config.alpha
     return ReducedSystem(basis, frame, v, b0, b_v, load, iteration_matrix, shift, b0)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from richop import cli
+from richop import cli, fem, mesh, pipeline, reduced_basis
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "square_smoke.json")
 SWEEP = os.path.join(os.path.dirname(__file__), "..", "configs", "eps_sweep.json")
@@ -52,6 +52,34 @@ def test_build_failure_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     assert cli.main(["build", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_bug_is_not_reported_as_build_failure(tmp_path, monkeypatch):
+    def broken(s, out_dir, hash_):
+        raise TypeError("a bug, not a refused build")
+
+    monkeypatch.setitem(cli._COMMANDS, "mesh", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        cli.main(["mesh", "--config", CONFIG, "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        pipeline.OperatorBuildError,
+        fem.SolverError,
+        fem.MembershipError,
+        mesh.MeshError,
+        reduced_basis.IllConditionedBasisError,
+    ],
+    ids=lambda e: e.__name__,
+)
+def test_library_errors_exit_two(error, tmp_path, monkeypatch):
+    def failing(s, out_dir, hash_):
+        raise error("refused")
+
+    monkeypatch.setitem(cli._COMMANDS, "mesh", failing)
+    assert cli.main(["mesh", "--config", CONFIG, "--out", str(tmp_path)]) == 2
 
 
 def test_sweep_rows(tmp_path):

@@ -266,3 +266,49 @@ class TestSerialization:
         assert doc["kind"] == "gll"
         assert doc["p"] == 3
         assert len(doc["query_points"]) == enc.m
+
+
+class TestLocatedGrid:
+    @pytest.fixture
+    def located_pts(self, monkeypatch):
+        """Points passed to locate_points, through either module binding."""
+        counted = []
+        real = M.locate_points
+
+        def counting(mesh, pts, tol=1e-12):
+            counted.append(len(np.atleast_2d(pts)))
+            return real(mesh, pts, tol)
+
+        monkeypatch.setattr(M, "locate_points", counting)
+        monkeypatch.setattr(C, "locate_points", counting)
+        return counted
+
+    def _encoders(self, nodal_encoder, coarse_split):
+        return {"nodal": nodal_encoder, "gll": E.build_gll_encoder(coarse_split, 2)}
+
+    @pytest.mark.parametrize("kind", ["nodal", "gll"])
+    def test_carried_location_gives_the_same_matrix(self, kind, nodal_encoder, coarse_split):
+        enc = self._encoders(nodal_encoder, coarse_split)[kind]
+        grid = C._located_grid(E._encoder_mesh(enc), 90)
+        assert grid.location is not None
+        plain = np.asarray(grid)
+        assert np.array_equal(enc.channel_matrix(grid), enc.channel_matrix(plain))
+
+    @pytest.mark.parametrize("kind", ["nodal", "gll"])
+    def test_envelope_locates_its_grid_once(self, kind, nodal_encoder, coarse_split, rng, located_pts):
+        enc = self._encoders(nodal_encoder, coarse_split)[kind]
+        E.reconstruction_envelope(enc, 1.0 + 0.1 * rng.standard_normal((3, enc.m)), 1.0, 50)
+        assert located_pts == [50 * 50]  # the lattice, once; the unit square keeps all of it
+        E.encoder_error(enc, C.constant(1.0), grid_n=40)
+        assert located_pts == [50 * 50, 40 * 40]
+
+    def test_location_of_another_mesh_is_not_reused(self, nodal_encoder, square, located_pts):
+        other = M.triangulate(square, 0.5)
+        grid = C._located_grid(other, 30)
+        nodal_encoder.channel_matrix(grid)
+        assert located_pts == [30 * 30, 30 * 30]
+
+    def test_views_do_not_carry_the_location(self, nodal_encoder):
+        grid = C._located_grid(E._encoder_mesh(nodal_encoder), 20)
+        assert grid[:10].location is None and (grid + 0.0).location is None
+        assert type(C.domain_grid(E._encoder_mesh(nodal_encoder), 20)) is np.ndarray

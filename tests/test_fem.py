@@ -98,6 +98,92 @@ class TestLoad:
         assert np.max(np.abs(low - high)) < 1e-14
 
 
+def _einsum_coo_stiffness(space, samples, order):
+    """Per-call assembly as done before the cached operator: einsum, COO, free slice."""
+    _, w, _, grads_ref = F._reference_tables(space.degree, order)
+    _, det, inv_t = F._geometry(space)
+    samples = samples.reshape(space.mesh.n_triangles, len(w))
+    grads = np.einsum("tde,qie->tqid", inv_t, grads_ref)
+    local = np.einsum("q,tq,tqid,tqjd->tij", w, samples, grads, grads)
+    local *= (0.5 * np.abs(det))[:, None, None]
+    nloc = grads_ref.shape[1]
+    rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
+    cols = np.tile(space.cell_dofs, (1, nloc)).ravel()
+    full = sp.coo_matrix(
+        (local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)
+    ).tocsr()
+    return full[space.free_dofs][:, space.free_dofs].tocsr()
+
+
+def _add_at_load(space, samples, order):
+    """Per-call load vector as done before the cached operator: einsum, np.add.at."""
+    _, w, vals, _ = F._reference_tables(space.degree, order)
+    _, det, _ = F._geometry(space)
+    samples = samples.reshape(space.mesh.n_triangles, len(w))
+    local = np.einsum("q,tq,qi->ti", w, samples, vals) * (0.5 * np.abs(det))[:, None]
+    full = np.zeros(space.n_dofs)
+    np.add.at(full, space.cell_dofs.ravel(), local.ravel())
+    return full[space.free_dofs]
+
+
+_WAVY = C.from_callable(lambda p: 1.0 + 0.4 * np.sin(3 * p[:, 0]) * np.cos(2 * p[:, 1]))
+
+
+class TestAssemblyCache:
+    @pytest.mark.parametrize("order", [1, 2, 4, 5])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_stiffness_matches_einsum_coo(self, square_mesh, degree, order):
+        space = F.build_space(square_mesh, degree)
+        samples = _WAVY(F.quadrature_points(space, order))
+        k = F.assemble_stiffness_samples(space, samples, order)
+        ref = _einsum_coo_stiffness(space, samples, order)
+        assert np.array_equal(k.indices, ref.indices)
+        assert np.array_equal(k.indptr, ref.indptr)
+        assert np.max(np.abs(k.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 5])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_load_matches_add_at(self, square_mesh, degree, order):
+        space = F.build_space(square_mesh, degree)
+        load = F.assemble_load(space, _WAVY, order)
+        ref = _add_at_load(space, _WAVY(F.quadrature_points(space, order)), order)
+        assert np.max(np.abs(load - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_non_finite_samples_raise(self, space):
+        samples = np.ones(len(F.quadrature_points(space)))
+        samples[7] = np.inf
+        with pytest.raises(F.MembershipError):
+            F.assemble_stiffness(space, samples)
+        with pytest.raises(F.MembershipError):
+            F.assemble_load(space, samples)
+
+    def test_galerkin_rejects_out_of_band_after_caching(self, space, config):
+        F.assemble_stiffness(space, config.a0)
+        for a in (C.constant(2.0), C.constant(0.4)):  # band is [0.5, 1.5]
+            with pytest.raises(F.MembershipError):
+                F.galerkin_solve(space, config, a)
+
+    def test_spaces_never_share_a_cache(self, square_mesh):
+        first, second = F.build_space(square_mesh, 1), F.build_space(square_mesh, 1)
+        assert F.assembly(first) is F.assembly(first)
+        assert F.assembly(first) is not F.assembly(second)
+        assert first._assemblies is not second._assemblies
+        p2 = F.build_space(square_mesh, 2)
+        assert F.assembly(p2).stiffness.shape != F.assembly(first).stiffness.shape
+
+    def test_quadrature_points_are_read_only(self, space):
+        pts = F.quadrature_points(space)
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
+        assert np.array_equal(pts, F.quadrature_points(space))
+
+    def test_returned_matrices_do_not_share_the_pattern(self, space):
+        k1 = F.assemble_stiffness(space, C.constant(1.0))
+        k1.indices[:] = 0
+        k2 = F.assemble_stiffness(space, C.constant(1.0))
+        assert np.array_equal(k2.indices, F.assembly(space).indices)
+
+
 class TestSolveSpd:
     def test_identity(self, rng):
         b = rng.standard_normal(7)

@@ -46,6 +46,27 @@ class TestEffectiveBeta:
 
 
 class TestBuildOperator:
+    def test_geometry_built_once_per_space_and_order(
+        self, square_mesh, config, family, nodal_encoder, monkeypatch
+    ):
+        space = F.build_space(square_mesh, 1)
+        geometry, assemblies = [], []
+        real_geometry, real_samples = F._geometry, F.assemble_stiffness_samples
+
+        def counting_geometry(s):
+            geometry.append(s)
+            return real_geometry(s)
+
+        def counting_samples(s, samples, order=4):
+            assemblies.append(s)
+            return real_samples(s, samples, order)
+
+        monkeypatch.setattr(F, "_geometry", counting_geometry)
+        monkeypatch.setattr(F, "assemble_stiffness_samples", counting_samples)
+        P.build_operator(family, config, space, 8, 3, nodal_encoder, 1e-1, seed=2)
+        assert len(assemblies) >= 8  # one per training snapshot at least
+        assert len(geometry) == 1 and geometry[0] is space  # one quadrature order
+
     def test_nominal_only_family_reproduces_anchor(self, space, config, nodal_encoder):
         fam = C.parametric_family(
             config.alpha, config.beta, [C.constant(1.0)], M.unit_square(), fill=0.3

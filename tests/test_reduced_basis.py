@@ -209,3 +209,9 @@ class TestProjectionCurve:
         curve = RB.projection_error_curve(basis, snapshots.solutions)
         vals = [v for _, v in curve]
         assert all(vals[i + 1] <= vals[i] + 1e-14 for i in range(len(vals) - 1))
+
+
+def test_snapshot_above_energy_bound_is_a_solver_error(family, space, config, monkeypatch):
+    monkeypatch.setattr(RB, "energy_norm", lambda *args, **kwargs: 1e6)
+    with pytest.raises(F.SolverError, match="a priori energy bound"):
+        RB.generate_snapshots(family, 2, 0, space, config)

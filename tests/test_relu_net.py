@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -372,6 +373,28 @@ class TestInputNet:
         net = NN.input_net(basis, lab["space"], lab["config"], enc)
         n = basis.size
         assert net.size <= n * n * enc.m + n * n
+
+    @pytest.mark.parametrize("kind", ["nodal", "gll"])
+    def test_batched_weights_equal_per_channel_loop(self, lab, kind, square):
+        basis, space, config = lab["basis"], lab["space"], lab["config"]
+        if kind == "nodal":
+            enc = lab["encoder"]
+        else:
+            from richop import encoder as E
+            from richop import mesh as M
+
+            enc = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
+        p = basis.frame("ortho")
+        chol = la.cho_factor(p.T @ (basis.nominal_stiffness @ p), lower=True)
+        channels = enc.channel_matrix(F.quadrature_points(space))
+        loop = np.column_stack([
+            -la.cho_solve(
+                chol, p.T @ (F.assemble_stiffness_samples(space, channels[:, k]) @ p)
+            ).flatten(order="F") / config.alpha
+            for k in range(enc.m)
+        ])
+        weights = NN.input_net(basis, space, config, enc).layers[0][0].toarray()
+        assert np.max(np.abs(weights - loop)) <= 1e-15
 
 
 @pytest.fixture(scope="module")

@@ -58,6 +58,18 @@ class TestAssembleReduced:
         with pytest.raises(RuntimeError):
             R.assemble_reduced(broken, space, config, config.a0)
 
+    def test_broken_basis_is_a_library_error(self, basis, space, config):
+        broken = RB.ReducedBasis(
+            basis.space,
+            basis.config,
+            np.zeros_like(basis.raw),
+            np.zeros_like(basis.ortho),
+            basis.selection_indices,
+            basis.nominal_stiffness,
+        )
+        with pytest.raises(RB.IllConditionedBasisError, match="basis is broken"):
+            R.assemble_reduced(broken, space, config, config.a0)
+
 
 def _hand_reduced_matrix(space, columns, v):
     mesh = space.mesh
