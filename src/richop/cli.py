@@ -4,10 +4,11 @@ Consumes a single JSON config and emits deterministic CSV tables: every row
 carries the config hash, and repeated runs with the same config and seed are
 byte-identical apart from the timestamp header line.
 
-Exit codes: 1 config error, 2 build failure (one of the library's own
-errors: OperatorBuildError, SolverError, MembershipError, MeshError,
-IllConditionedBasisError), 3 certificate violation. Any other exception is a
-bug and propagates with its traceback.
+Exit codes: 1 config error (including a value the library would refuse),
+2 build failure (one of the library's own errors: OperatorBuildError,
+SolverError, MembershipError, MeshError, IllConditionedBasisError),
+3 certificate violation. Any other exception is a bug and propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _check(ok: bool, message: str) -> None:
+    """A config value the library would refuse is a config error."""
+    if not ok:
+        raise ConfigError(message)
+
+
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
@@ -103,7 +110,9 @@ class Setup:
 
     @cached_property
     def space(self):
-        return fem_mod.build_space(self.mesh, self.cfg.get("mesh", {}).get("degree", 1))
+        degree = self.cfg.get("mesh", {}).get("degree", 1)
+        _check(degree in (1, 2), f"mesh.degree must be 1 or 2, got {degree!r}")
+        return fem_mod.build_space(self.mesh, degree)
 
     @cached_property
     def problem(self):
@@ -159,7 +168,9 @@ class Setup:
         kind = section.get("kind", "nodal")
         coarse = mesh_mod.triangulate(self.domain, section.get("h", 0.25))
         if kind == "nodal":
-            return build_nodal_encoder(fem_mod.build_space(coarse, section.get("degree", 1)))
+            degree = section.get("degree", 1)
+            _check(degree in (1, 2), f"encoder.degree must be 1 or 2, got {degree!r}")
+            return build_nodal_encoder(fem_mod.build_space(coarse, degree))
         if kind == "gll":
             return build_gll_encoder(quad_split(coarse), section.get("p", 3))
         raise ConfigError(f"unknown encoder kind {kind!r}")
@@ -178,6 +189,8 @@ class Setup:
     @cached_property
     def operator(self):
         red = self.reduction
+        epsilon = self.cfg.get("network", {}).get("epsilon", 1e-2)
+        _check(0 < epsilon < 1, f"network.epsilon must lie in (0, 1), got {epsilon!r}")
         return pipe_mod.build_operator(
             self.family,
             self.problem,
@@ -185,7 +198,7 @@ class Setup:
             red.get("training_count", 40),
             red.get("n_basis", 8),
             self.encoder,
-            self.cfg.get("network", {}).get("epsilon", 1e-2),
+            epsilon,
             self.seed,
             gamma=red.get("gamma", 1.0),
             beta_mode=self.beta_mode,
@@ -257,10 +270,12 @@ def cmd_sweep(s: Setup, out_dir, hash_):
     sweep = s.cfg.get("sweep", {"axis": "epsilon", "values": [1e-1, 1e-2, 1e-3]})
     if sweep.get("axis", "epsilon") != "epsilon":
         raise ConfigError("only epsilon sweeps are supported")
+    values = sweep["values"]
+    _check(all(0 < e < 1 for e in values), f"sweep values must lie in (0, 1), got {values!r}")
     basis, _ = s.greedy
     _, beta_eff = pipe_mod.effective_beta(s.encoder, s.problem, s.snapshots.coefficients, s.beta_mode)
     rows = []
-    for eps in sweep["values"]:
+    for eps in values:
         bundle = build_approximator(basis, s.space, s.problem, s.encoder, eps, beta_eff=beta_eff)
         rows.append((eps, bundle.report.depth, bundle.report.size, bundle.k_steps))
     _write_csv(out_dir, "sweep.csv", ["epsilon", "depth", "size", "k_steps"], rows, hash_)

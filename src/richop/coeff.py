@@ -9,7 +9,6 @@ of stored modes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "sobolev_family",
     "abs_family",
     "trig_mode",
-    "field_to_json",
-    "field_from_json",
 ]
 
 
@@ -500,47 +497,3 @@ def sample_family(family: DataFamily, count: int, seed: int):
         members.append(a)
     return members
 
-
-def field_to_json(a: CoefficientField, alpha: float, beta: float) -> str:
-    """Serialize a parametric (affine-in-trig-modes) field."""
-    if a.kind != "affine":
-        raise ValueError("only affine parametric fields serialize to JSON")
-    modes = []
-    for f in a.meta["fields"]:
-        if f.kind == "constant":
-            modes.append({"kind": "constant", "value": f.meta["value"]})
-        elif f.kind == "trig":
-            modes.append(
-                {
-                    "kind": "trig",
-                    "kx": f.meta["kx"],
-                    "ky": f.meta["ky"],
-                    "phase": f.meta["phase"],
-                }
-            )
-        else:
-            raise ValueError(f"mode kind {f.kind!r} has no JSON form")
-    return json.dumps(
-        {
-            "kind": "parametric",
-            "alpha": alpha,
-            "beta": beta,
-            "modes": modes,
-            "coefficients": list(map(float, a.meta["weights"])),
-        }
-    )
-
-
-def field_from_json(text: str) -> CoefficientField:
-    doc = json.loads(text)
-    if doc["kind"] != "parametric":
-        raise ValueError("unsupported field document")
-    fields = []
-    for m in doc["modes"]:
-        if m["kind"] == "constant":
-            fields.append(constant(m["value"]))
-        elif m["kind"] == "trig":
-            fields.append(trig_mode(m["kx"], m["ky"], m["phase"]))
-        else:
-            raise ValueError(f"unknown mode kind {m['kind']!r}")
-    return affine_combination(fields, doc["coefficients"])

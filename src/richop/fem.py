@@ -43,8 +43,6 @@ __all__ = [
     "energy_norm",
     "dual_norm",
     "normalize_source",
-    "vector_to_csv",
-    "vector_from_csv",
 ]
 
 
@@ -468,10 +466,3 @@ def normalize_source(space: FemSpace, config: ProblemConfig, order: int = 4) -> 
     scaled = coeff_mod.affine_combination([config.f], [config.alpha / nrm])
     return ProblemConfig(config.alpha, config.beta, config.a0, scaled)
 
-
-def vector_to_csv(v: np.ndarray) -> str:
-    return "\n".join(f"{x:.17g}" for x in np.asarray(v, dtype=float)) + "\n"
-
-
-def vector_from_csv(text: str) -> np.ndarray:
-    return np.array([float(ln) for ln in text.split() if ln.strip()], dtype=float)

@@ -1,4 +1,4 @@
-"""Full neural operator: encoder, unrolled approximator, exact synthesis.
+"""Full neural operator: encoder, recurrent approximator, exact synthesis.
 
 The decoder is exact linear synthesis in the FEM space, so the decoder term
 of the error decomposition is identically zero. The decomposition measures
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,9 +43,8 @@ from .relu_net import (
     ApproximatorBundle,
     NeuralNet,
     build_approximator,
-    net_from_json,
-    net_to_json,
-    realize,
+    bundle_from_json,
+    bundle_to_json,
     sparse_concat,
 )
 from .richardson import assemble_reduced, direct_solve
@@ -64,7 +63,7 @@ __all__ = [
 ]
 
 
-BUNDLE_FORMAT = 1  # written to certificates.json; load_bundle accepts only this
+BUNDLE_FORMAT = 2  # written to certificates.json; load_bundle accepts only this
 
 
 class OperatorBuildError(ValueError):
@@ -74,7 +73,7 @@ class OperatorBuildError(ValueError):
 
 @dataclass
 class NeuralOperator:
-    """Composed operator a -> synthesize(realize(net, encode(a)))."""
+    """Composed operator a -> synthesize(approximator.realize(encode(a)))."""
 
     encoder: Encoder
     approximator: ApproximatorBundle
@@ -182,9 +181,8 @@ def build_operator(
 
 
 def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
-    """Apply the operator: encode, realize the approximator, synthesize."""
-    y = op.encoder.encode(a)
-    c = realize(op.approximator.net, y)
+    """Apply the operator: encode, run the recurrent approximator, synthesize."""
+    c = op.approximator.realize(op.encoder.encode(a))
     return synthesize(op.basis, c, frame=op.frame)
 
 
@@ -233,37 +231,16 @@ def nonsmooth_operator(op: NeuralOperator, a_min: float) -> NeuralOperator:
     """Prepend the exact a_min + |.| subnet to handle sign-changing inputs.
 
     The base operator must have been built for the shifted coefficient
-    family; outputs are exactly invariant under a -> -a.
+    family; outputs are exactly invariant under a -> -a. The subnet goes in
+    front of the input net; the report still counts the base network.
     """
     if a_min <= 0:
         raise ValueError("a_min must be positive")
-    shift_net = _abs_shift_net(op.encoder.m, a_min)
     app = op.approximator
-    net = sparse_concat(app.net, shift_net)
-    encoder_input = sparse_concat(app.encoder_input, shift_net)
-    new_bundle = ApproximatorBundle(
-        net,
-        app.report,
-        encoder_input,
-        app.step,
-        app.k_steps,
-        app.shift,
-        app.eps_iterator,
-        app.eps_step,
-        app.contraction,
-    )
-    certificates = dict(op.certificates)
-    certificates["nonsmooth_a_min"] = a_min
-    return NeuralOperator(
-        op.encoder,
-        new_bundle,
-        op.basis,
-        op.space,
-        op.config,
-        op.frame,
-        certificates,
-        op.greedy_trace,
-    )
+    shift_net = _abs_shift_net(op.encoder.m, a_min)
+    app = replace(app, encoder_input=sparse_concat(app.encoder_input, shift_net))
+    certificates = {**op.certificates, "nonsmooth_a_min": a_min}
+    return replace(op, approximator=app, certificates=certificates)
 
 
 def save_bundle(op: NeuralOperator, directory: str) -> None:
@@ -283,7 +260,7 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     with open(os.path.join(directory, "encoder.json"), "w") as fh:
         fh.write(encoder_to_json(op.encoder))
     with open(os.path.join(directory, "net.json"), "w") as fh:
-        fh.write(net_to_json(op.approximator.net, op.approximator.report))
+        fh.write(bundle_to_json(op.approximator))
     meta = dict(op.certificates)
     meta["bundle_format"] = BUNDLE_FORMAT
     meta["fem_degree"] = op.space.degree
@@ -297,16 +274,21 @@ class LoadedOperator:
     """Evaluable operator reconstructed from a bundle directory."""
 
     encoder: Encoder
-    net: NeuralNet
+    approximator: ApproximatorBundle
     synthesis: np.ndarray
     certificates: dict
 
     def evaluate(self, a: CoefficientField) -> np.ndarray:
-        return self.synthesis @ realize(self.net, self.encoder.encode(a))
+        return self.synthesis @ self.approximator.realize(self.encoder.encode(a))
 
 
 def load_bundle(directory: str) -> LoadedOperator:
-    """Rebuild an operator from a bundle; refuses other bundle formats."""
+    """Rebuild an operator from a bundle; refuses other bundle formats.
+
+    Raises ValueError unless the input net maps the M encoder channels to
+    n^2 entries, the step net maps n^2 + n to n with n the basis columns,
+    and K is a non-negative integer.
+    """
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
     if meta.get("bundle_format") != BUNDLE_FORMAT:
@@ -324,13 +306,20 @@ def load_bundle(directory: str) -> LoadedOperator:
     if enc.m != len(stored) or not np.allclose(enc.query_points, stored, atol=1e-12):
         raise ValueError("rebuilt encoder does not match the stored query points")
     with open(os.path.join(directory, "net.json")) as fh:
-        net, _ = net_from_json(fh.read())
+        app = bundle_from_json(fh.read())
     synthesis = np.loadtxt(os.path.join(directory, "basis.csv"), delimiter=",")
     if synthesis.ndim == 1:
         synthesis = synthesis[:, None]
-    if net.n_inputs != enc.m or net.n_outputs != synthesis.shape[1]:
-        raise ValueError(
-            f"net maps {net.n_inputs} -> {net.n_outputs} but the bundle has "
-            f"{enc.m} encoder channels and {synthesis.shape[1]} basis columns"
-        )
-    return LoadedOperator(enc, net, synthesis, meta)
+    n = synthesis.shape[1]
+    for name, net, widths in (
+        ("input", app.encoder_input, (enc.m, n * n)),
+        ("step", app.step, (n * n + n, n)),
+    ):
+        if (net.n_inputs, net.n_outputs) != widths:
+            raise ValueError(
+                f"{name} net maps {net.n_inputs} -> {net.n_outputs} but the bundle "
+                f"has {enc.m} encoder channels and {n} basis columns"
+            )
+    if type(app.k_steps) is not int or app.k_steps < 0:
+        raise ValueError(f"k_steps {app.k_steps!r} is not a non-negative integer")
+    return LoadedOperator(enc, app, synthesis, meta)

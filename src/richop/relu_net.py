@@ -2,18 +2,20 @@
 
 Networks are lists of (sparse weight, bias) layers with ReLU between them.
 The module provides sparse concatenation with certified depth/size bounds,
-identity channels, a sawtooth product network, and the constructions that
-turn the reduced fixed-point iteration into an unrolled approximator: an
-exact affine net assembling the iteration matrix from encoder channels, a
-tolerance-certified step net, its K-fold unrolling, and the composed
-approximator with its build report.
+a sawtooth product network, and the recurrent approximator of the reduced
+fixed-point iteration: an exact affine input net assembling the iteration
+matrix from encoder channels, and one tolerance-certified step net that
+evaluation runs K times. The unrolled network (input net, then K spliced
+steps) computes the same function; it is built only when read, and its
+depth and size are counted from the parts without building it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -36,15 +38,13 @@ __all__ = [
     "ApproximatorBundle",
     "realize",
     "affine_net",
-    "identity_net",
     "sparse_concat",
     "product_net",
     "step_net",
-    "iterator_net",
     "input_net",
     "build_approximator",
-    "net_to_json",
-    "net_from_json",
+    "bundle_to_json",
+    "bundle_from_json",
     "vec_index",
 ]
 
@@ -87,10 +87,7 @@ class NeuralNet:
 
     @property
     def size(self) -> int:
-        total = 0
-        for w, b in self.layers:
-            total += int(np.count_nonzero(w.data)) + int(np.count_nonzero(b))
-        return total
+        return sum(w + b for w, b in _layer_counts(self))
 
 
 def realize(net: NeuralNet, x: np.ndarray) -> np.ndarray:
@@ -121,21 +118,6 @@ def affine_net(weights, bias) -> NeuralNet:
     return NeuralNet([(w, np.asarray(bias, dtype=float))])
 
 
-def identity_net(width: int, depth: int = 1) -> NeuralNet:
-    """Exact identity map; uses x = relu(x) - relu(-x) channel pairs for depth > 1."""
-    eye = sp.eye(width, format="csr")
-    if depth == 1:
-        return NeuralNet([(eye, np.zeros(width))])
-    up = sp.vstack([eye, -eye]).tocsr()
-    down = sp.hstack([eye, -eye]).tocsr()
-    pass_through = sp.eye(2 * width, format="csr")
-    layers = [(up, np.zeros(2 * width))]
-    for _ in range(depth - 2):
-        layers.append((pass_through, np.zeros(2 * width)))
-    layers.append((down, np.zeros(width)))
-    return NeuralNet(layers)
-
-
 def sparse_concat(outer: NeuralNet, inner: NeuralNet) -> NeuralNet:
     """Composition net with realize(result) = realize(outer) o realize(inner).
 
@@ -151,6 +133,17 @@ def sparse_concat(outer: NeuralNet, inner: NeuralNet) -> NeuralNet:
     splice_in = (sp.vstack([w2, -w2]).tocsr(), np.concatenate([b2, -b2]))
     splice_out = (sp.hstack([w1, -w1]).tocsr(), b1.copy())
     return NeuralNet(inner.layers[:-1] + [splice_in, splice_out] + outer.layers[1:])
+
+
+def _layer_counts(net: NeuralNet) -> list:
+    """Nonzero weights and biases of each layer; net.size is their total."""
+    return [(int(np.count_nonzero(w.data)), int(np.count_nonzero(b))) for w, b in net.layers]
+
+
+def _concat_counts(outer: list, inner: list) -> list:
+    """The layer counts of sparse_concat(outer, inner), from those of its parts."""
+    (w2, b2), (w1, b1) = inner[-1], outer[0]
+    return inner[:-1] + [(2 * w2, 2 * b2), (2 * w1, b1)] + outer[1:]
 
 
 class _LayerBuilder:
@@ -264,7 +257,8 @@ def step_net(
     tolerance is epsilon / n^{3/2}, so the row sums meet the l2 budget
     epsilon. The shifted load g enters as an output-layer bias; with
     carry=True the flattened matrix rides along through identity channel
-    pairs so steps can be chained, the final step drops it.
+    pairs so steps can be chained, which adds 2 n^2 unit weights and no bias
+    to every layer.
     """
     shift = np.asarray(shift, dtype=float)
     if len(shift) != n:
@@ -300,47 +294,29 @@ def step_net(
     return _stack_layers(builders + [out], n * n + n)
 
 
-def iterator_net(
-    n: int,
-    k_steps: int,
-    epsilon: float,
-    shift: np.ndarray,
-    contraction: float,
-) -> NeuralNet:
-    """K-fold unrolled iteration mapping vec(A) to the K-th iterate.
+def _entry_nets(n: int) -> tuple[NeuralNet, NeuralNet]:
+    """Affine nets vec(A) -> e1 (no step) and vec(A) -> (vec(A), e1)."""
+    start = np.zeros(n)
+    start[0] = 1.0
+    inject_w = sp.vstack([sp.eye(n * n), sp.csr_matrix((n, n * n))])
+    inject_b = np.concatenate([np.zeros(n * n), start])
+    return affine_net(sp.csr_matrix((n, n * n)), start), affine_net(inject_w, inject_b)
 
-    The first layer injects the starting vector e1 exactly; each step runs
-    the certified step net with tolerance (1 - contraction) * epsilon on the
-    box 2 + 1/(1 - contraction), so the accumulated geometric error stays
-    below epsilon.
+
+def _unroll(encoder_input, step, carry, k_steps: int, start, inject, concat):
+    """(iterator, approximator) of the K-fold unrolling, spliced by concat.
+
+    The iterator runs carry K - 1 times and then step, from (vec(A), e1);
+    the approximator puts the input net in front. With sparse_concat the
+    parts are nets, with _concat_counts their layer counts.
     """
-    return _unroll(n, k_steps, epsilon, shift, contraction)[0]
-
-
-def _unroll(
-    n: int, k_steps: int, epsilon: float, shift: np.ndarray, contraction: float
-) -> tuple[NeuralNet, NeuralNet]:
-    """The net of iterator_net and its final (carry-free) step net."""
-    if not (0.0 <= contraction < 1.0):
-        raise ValueError("contraction must lie in [0, 1)")
-    eps_step = (1.0 - contraction) * epsilon
-    z_tilde = 2.0 + 1.0 / (1.0 - contraction)
-    last_step = step_net(n, z_tilde, eps_step, shift, carry=False)
     if k_steps == 0:
-        bias = np.zeros(n)
-        bias[0] = 1.0
-        return affine_net(sp.csr_matrix((n, n * n)), bias), last_step
-    inject_w = sp.vstack(
-        [sp.eye(n * n, format="csr"), sp.csr_matrix((n, n * n))]
-    ).tocsr()
-    inject_b = np.zeros(n * n + n)
-    inject_b[n * n] = 1.0
-    inject = NeuralNet([(inject_w, inject_b)])
-    carry_step = step_net(n, z_tilde, eps_step, shift, carry=True)
-    net = last_step
+        return start, concat(start, encoder_input)
+    iterator = step
     for _ in range(k_steps - 1):
-        net = sparse_concat(net, carry_step)
-    return sparse_concat(net, inject), last_step
+        iterator = concat(iterator, carry)
+    iterator = concat(iterator, inject)
+    return iterator, concat(iterator, encoder_input)
 
 
 def input_net(
@@ -387,29 +363,49 @@ class BuildReport:
 
 @dataclass
 class ApproximatorBundle:
-    """Unrolled approximator with the pieces needed for recurrent evaluation."""
+    """Recurrent approximator: the input net once, then the step net K times.
 
-    net: NeuralNet
-    report: BuildReport
+    The step net is carry-free: each step gets the input net's output again.
+    The report counts the equivalent unrolled net, which net builds on first
+    read (sparse concatenation of the input net, an e1 injection, K - 1
+    carrying steps and this step) for accounting and tests.
+    """
+
     encoder_input: NeuralNet
     step: NeuralNet
     k_steps: int
-    shift: np.ndarray
-    eps_iterator: float
-    eps_step: float
-    contraction: float
+    report: BuildReport
+
+    @property
+    def eps_iterator(self) -> float:
+        return self.report.certificates["eps_iterator"]
+
+    @property
+    def eps_step(self) -> float:
+        return self.report.certificates["eps_step"]
 
     def realize(self, y: np.ndarray) -> np.ndarray:
-        return realize(self.net, y)
+        """Iterate from e1: x <- step(vec(A), x) with vec(A) the input net's output.
 
-    def realize_recurrent(self, y: np.ndarray) -> np.ndarray:
-        """Reuse one step net K times instead of the unrolled weight list."""
+        Equal bit for bit to realize(self.net, y): every first-layer row of
+        the step net has at most two terms, so its splice sums the same ones.
+        """
         flat = realize(self.encoder_input, y)
-        state = np.zeros(flat.shape[:-1] + (len(self.shift),))
+        state = np.zeros(flat.shape[:-1] + (self.step.n_outputs,))
         state[..., 0] = 1.0
         for _ in range(self.k_steps):
             state = realize(self.step, np.concatenate([flat, state], axis=-1))
         return state
+
+    @cached_property
+    def net(self) -> NeuralNet:
+        """The unrolled net of the same function."""
+        n = self.step.n_outputs
+        shift = self.step.layers[-1][1]
+        carry = step_net(n, self.report.input_bound, self.eps_step, shift, carry=True)
+        return _unroll(
+            self.encoder_input, self.step, carry, self.k_steps, *_entry_nets(n), sparse_concat
+        )[1]
 
 
 def build_approximator(
@@ -423,12 +419,14 @@ def build_approximator(
     order: int = 4,
     f_dual: float | None = None,
 ) -> ApproximatorBundle:
-    """Compose the unrolled iterator with the affine input assembly.
+    """The affine input net and the final step net, with the unrolled net's report.
 
     The step count comes from the geometric tail rule and the iterator
     tolerance from the synthesis budget (alpha - beta) eps / (2 sqrt(N+1)
     ||f||), so the synthesized output is within eps of the reduced Galerkin
-    solution of the encoded coefficient, in the energy norm.
+    solution of the encoded coefficient, in the energy norm. Each step has
+    tolerance (1 - contraction) eps_iterator on the box 2 + 1/(1 - contraction),
+    so the accumulated geometric error stays below eps_iterator.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -446,19 +444,28 @@ def build_approximator(
     b0 = p.T @ (basis.nominal_stiffness @ p)
     load = p.T @ assemble_load(space, config.f, order)
     shift = la.cho_solve(la.cho_factor(b0, lower=True), load) / alpha
-    iterator, step = _unroll(n, k_steps, eps_iter, shift, contraction)
-    encoder_input = input_net(basis, space, config, encoder, frame, order)
-    net = sparse_concat(iterator, encoder_input)
     eps_step = (1.0 - contraction) * eps_iter
     z_tilde = 2.0 + 1.0 / (1.0 - contraction)
+    step = step_net(n, z_tilde, eps_step, shift, carry=False)
+    encoder_input = input_net(basis, space, config, encoder, frame, order)
+    step_counts = _layer_counts(step)
+    iterator, net = _unroll(
+        _layer_counts(encoder_input),
+        step_counts,
+        [(w + 2 * n * n, b) for w, b in step_counts],
+        k_steps,
+        *map(_layer_counts, _entry_nets(n)),
+        _concat_counts,
+    )
+    size, iterator_size = sum(map(sum, net)), sum(map(sum, iterator))
     sections = (
         ("input_assembly", encoder_input.size),
-        ("unrolled_iterator", iterator.size),
-        ("splice_overhead", net.size - encoder_input.size - iterator.size),
+        ("unrolled_iterator", iterator_size),
+        ("splice_overhead", size - encoder_input.size - iterator_size),
     )
     report = BuildReport(
-        depth=net.depth,
-        size=net.size,
+        depth=len(net),
+        size=size,
         tolerance=epsilon,
         input_bound=z_tilde,
         sections=sections,
@@ -471,20 +478,10 @@ def build_approximator(
             "beta_eff": beta,
         },
     )
-    return ApproximatorBundle(
-        net,
-        report,
-        encoder_input,
-        step,
-        k_steps,
-        shift,
-        eps_iter,
-        eps_step,
-        contraction,
-    )
+    return ApproximatorBundle(encoder_input, step, k_steps, report)
 
 
-def net_to_json(net: NeuralNet, report: BuildReport | None = None) -> str:
+def _net_to_doc(net: NeuralNet) -> list:
     layers = []
     last = net.depth - 1
     for ell, (w, b) in enumerate(net.layers):
@@ -500,38 +497,36 @@ def net_to_json(net: NeuralNet, report: BuildReport | None = None) -> str:
                 "activation": "linear" if ell == last else "relu",
             }
         )
-    doc = {"layers": layers}
-    if report is not None:
-        doc["report"] = {
-            "depth": report.depth,
-            "size": report.size,
-            "tolerance": report.tolerance,
-            "input_bound": report.input_bound,
-            "sections": [list(s) for s in report.sections],
-            "certificates": report.certificates,
-        }
-    return json.dumps(doc)
+    return layers
 
 
-def net_from_json(text: str):
-    doc = json.loads(text)
-    layers = []
-    for spec in doc["layers"]:
+def _net_from_doc(layers: list) -> NeuralNet:
+    built = []
+    for spec in layers:
         shape = tuple(spec["shape"])
         w = _csr(spec["rows"], spec["cols"], spec["vals"], shape)
         b = np.zeros(shape[0])
         b[np.asarray(spec["bias_rows"], dtype=int)] = spec["bias_vals"]
-        layers.append((w, b))
-    net = NeuralNet(layers)
-    report = None
-    if "report" in doc:
-        r = doc["report"]
-        report = BuildReport(
-            depth=r["depth"],
-            size=r["size"],
-            tolerance=r["tolerance"],
-            input_bound=r["input_bound"],
-            sections=tuple(tuple(s) for s in r["sections"]),
-            certificates=r["certificates"],
-        )
-    return net, report
+        built.append((w, b))
+    return NeuralNet(built)
+
+
+def bundle_to_json(bundle: ApproximatorBundle) -> str:
+    """The input net, the step net, K and the report; floats round-trip exactly."""
+    return json.dumps(
+        {
+            "input": _net_to_doc(bundle.encoder_input),
+            "step": _net_to_doc(bundle.step),
+            "k_steps": bundle.k_steps,
+            "report": asdict(bundle.report),
+        }
+    )
+
+
+def bundle_from_json(text: str) -> ApproximatorBundle:
+    doc = json.loads(text)
+    r = doc["report"]
+    report = BuildReport(**{**r, "sections": tuple(map(tuple, r["sections"]))})
+    return ApproximatorBundle(
+        _net_from_doc(doc["input"]), _net_from_doc(doc["step"]), doc["k_steps"], report
+    )

@@ -42,6 +42,26 @@ def test_invalid_beta_exits_one(tmp_path):
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("build", "network", "epsilon", 2.0),
+        ("build", "network", "epsilon", 0.0),
+        ("build", "mesh", "degree", 3),
+        ("build", "encoder", "degree", 3),
+        ("sweep", "sweep", "values", [0.1, 1.5]),
+    ],
+    ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree", "sweep_epsilon"],
+)
+def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, key, value):
+    cfg = json.load(open(CONFIG))
+    cfg.setdefault(section, {})[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: {section}" in capsys.readouterr().err
+
+
 def test_missing_config_exits_one(tmp_path):
     assert cli.main(["run", "--config", "/nonexistent.json", "--out", str(tmp_path)]) == 1
 

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -231,21 +230,3 @@ class TestMeshField:
         with pytest.raises(ValueError):
             field(np.array([[2.0, 2.0]]))
 
-
-class TestSerialization:
-    def test_parametric_round_trip(self, square):
-        modes = [C.trig_mode(1, 0), C.trig_mode(2, 2, "sin")]
-        fam = C.parametric_family(1.0, 0.5, modes, square)
-        a = C.sample_family(fam, 1, 9)[0]
-        doc = C.field_to_json(a, 1.0, 0.5)
-        parsed = json.loads(doc)
-        assert parsed["kind"] == "parametric"
-        assert parsed["alpha"] == 1.0
-        back = C.field_from_json(doc)
-        pts = C.domain_grid(square, 30)
-        assert np.max(np.abs(back(pts) - a(pts))) < 1e-15
-
-    def test_unsupported_mode_rejected(self, square):
-        field = C.from_callable(lambda p: p[:, 0])
-        with pytest.raises(ValueError):
-            C.field_to_json(field, 1.0, 0.5)

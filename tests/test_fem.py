@@ -486,10 +486,6 @@ class TestConfig:
         cfg = F.normalize_source(space, F.ProblemConfig(2.0, 0.5))
         assert abs(F.dual_norm(space, cfg) - 2.0) < 1e-10
 
-    def test_vector_csv_round_trip(self, rng):
-        v = rng.standard_normal(17)
-        assert np.array_equal(F.vector_from_csv(F.vector_to_csv(v)), v)
-
 
 class TestP2Space:
     def test_dof_count_nodes_plus_edges(self, square):

@@ -91,7 +91,7 @@ class TestBuildOperator:
     def test_deterministic_given_seed(self, family, config, space, nodal_encoder):
         op1 = P.build_operator(family, config, space, 10, 4, nodal_encoder, 1e-1, seed=3)
         op2 = P.build_operator(family, config, space, 10, 4, nodal_encoder, 1e-1, seed=3)
-        assert NN.net_to_json(op1.approximator.net) == NN.net_to_json(op2.approximator.net)
+        assert NN.bundle_to_json(op1.approximator) == NN.bundle_to_json(op2.approximator)
         assert np.array_equal(op1.basis.raw, op2.basis.raw)
 
     def test_basis_larger_than_training_rejected(self, family, config, space, nodal_encoder):
@@ -273,12 +273,12 @@ class TestBundle:
         assert np.array_equal(loaded.evaluate(a), P.evaluate(operator, a))
         assert loaded.certificates["epsilon"] == operator.certificates["epsilon"]
 
-    @pytest.mark.parametrize("fmt", [None, 2])
+    @pytest.mark.parametrize("fmt", [None, 1])
     def test_rejects_other_bundle_format(self, operator, tmp_path, fmt):
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / "certificates.json"
         meta = json.loads(path.read_text())
-        assert meta["bundle_format"] == 1
+        assert meta["bundle_format"] == 2
         if fmt is None:
             del meta["bundle_format"]
         else:
@@ -293,4 +293,21 @@ class TestBundle:
         rows = [ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError):
+            P.load_bundle(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("step", "wider"), ("k_steps", -1), ("k_steps", 2.5)],
+        ids=["step_width", "negative_k_steps", "fractional_k_steps"],
+    )
+    def test_rejects_inconsistent_net(self, operator, tmp_path, key, value):
+        P.save_bundle(operator, str(tmp_path))
+        path = tmp_path / "net.json"
+        doc = json.loads(path.read_text())
+        if value == "wider":
+            n = operator.basis.size + 1
+            value = NN._net_to_doc(NN.step_net(n, 3.0, 1e-2, np.zeros(n), carry=False))
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=key):
             P.load_bundle(str(tmp_path))

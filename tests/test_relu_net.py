@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -6,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richop import coeff as C
+from richop import encoder as E
 from richop import fem as F
+from richop import mesh as M
+from richop import pipeline as P
 from richop import relu_net as NN
 from richop import richardson as R
 from richop import reduced_basis as RB
@@ -23,6 +28,10 @@ def random_net(rng, depth, width_lo=2, width_hi=5, density=0.6):
     return NN.NeuralNet(layers)
 
 
+def identity(n):
+    return NN.affine_net(sp.eye(n), np.zeros(n))
+
+
 class TestRealize:
     def test_depth_one_affine(self, rng):
         # sparse and dense matvecs may sum in different orders; agreement is
@@ -32,11 +41,6 @@ class TestRealize:
         net = NN.affine_net(a, b)
         x = rng.standard_normal(4)
         assert np.max(np.abs(NN.realize(net, x) - (a @ x + b))) < 1e-14
-
-    def test_identity_net_exact(self, rng):
-        net = NN.identity_net(5, 4)
-        x = rng.standard_normal((20, 5))
-        assert np.array_equal(NN.realize(net, x), x)
 
     def test_hand_built_max_net(self, rng):
         # max(x1, x2) = x2 + relu(x1 - x2), with x2 = relu(x2) - relu(-x2)
@@ -48,12 +52,12 @@ class TestRealize:
         assert np.max(np.abs(got - np.maximum(pairs[:, 0], pairs[:, 1]))) < 1e-15
 
     def test_width_mismatch(self, rng):
-        net = NN.identity_net(3, 2)
+        net = identity(3)
         with pytest.raises(ValueError):
             NN.realize(net, np.ones(4))
 
     def test_rejects_bad_batch_shapes(self):
-        net = NN.identity_net(3, 2)
+        net = identity(3)
         with pytest.raises(ValueError):
             NN.realize(net, np.ones((2, 4)))
         with pytest.raises(ValueError):
@@ -80,7 +84,7 @@ class TestRealize:
 class TestSparseConcat:
     def test_identity_outer_preserves_realization(self, rng):
         inner = random_net(rng, 3)
-        outer = NN.identity_net(inner.n_outputs, 1)
+        outer = identity(inner.n_outputs)
         net = NN.sparse_concat(outer, inner)
         x = rng.standard_normal((100, inner.n_inputs))
         got = NN.realize(net, x)
@@ -106,7 +110,7 @@ class TestSparseConcat:
 
     def test_width_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
-            NN.sparse_concat(NN.identity_net(3, 1), NN.identity_net(4, 1))
+            NN.sparse_concat(identity(3), identity(4))
 
 
 class TestProductNet:
@@ -279,24 +283,39 @@ class TestStepNet:
         assert np.array_equal(out[: n * n], flat)
 
 
+def iteration_bundle(n, k_steps, epsilon, shift, contraction):
+    """Bundle whose input net passes vec(A) through: K certified steps from e1.
+
+    Each step has tolerance (1 - contraction) epsilon on the box
+    2 + 1 / (1 - contraction), as build_approximator chooses them.
+    """
+    eps_step = (1.0 - contraction) * epsilon
+    z = 2.0 + 1.0 / (1.0 - contraction)
+    report = NN.BuildReport(0, 0, epsilon, z, (), {"eps_step": eps_step})
+    step = NN.step_net(n, z, eps_step, shift, carry=False)
+    return NN.ApproximatorBundle(identity(n * n), step, k_steps, report)
+
+
 class TestIteratorNet:
     def test_zero_steps_returns_start_vector(self, lab):
         n = lab["basis"].size
-        net = NN.iterator_net(n, 0, 1e-3, np.zeros(n), 0.5)
-        out = NN.realize(net, np.zeros(n * n))
+        bundle = iteration_bundle(n, 0, 1e-3, np.zeros(n), 0.5)
         e1 = np.zeros(n)
         e1[0] = 1.0
-        assert np.array_equal(out, e1)
+        assert np.array_equal(bundle.realize(np.zeros(n * n)), e1)
+        assert np.array_equal(NN.realize(bundle.net, np.zeros(n * n)), e1)
+        assert bundle.net.depth == 2
 
     def test_nominal_contracts_to_start(self, lab):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
         sys0 = R.assemble_reduced(basis, space, config, config.scaled_nominal())
         eps = 1e-5
-        net = NN.iterator_net(basis.size, 3, eps, sys0.shift, 0.5)
-        out = NN.realize(net, sys0.iteration_matrix.flatten(order="F"))
+        bundle = iteration_bundle(basis.size, 3, eps, sys0.shift, 0.5)
+        flat = sys0.iteration_matrix.flatten(order="F")
         e1 = np.zeros(basis.size)
         e1[0] = 1.0
-        assert np.linalg.norm(out - e1) <= eps
+        for out in (bundle.realize(flat), NN.realize(bundle.net, flat)):
+            assert np.linalg.norm(out - e1) <= eps
 
     def test_tracks_exact_iterate_at_chosen_step_count(self, lab, family):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
@@ -304,12 +323,13 @@ class TestIteratorNet:
         k = R.choose_step_count(config.alpha, config.beta, lab["f_dual"], eps)
         for a in C.sample_family(family, 3, 37):
             sys_a = R.assemble_reduced(basis, space, config, a)
-            net = NN.iterator_net(
+            bundle = iteration_bundle(
                 basis.size, k, eps, sys_a.shift, config.beta / config.alpha
             )
-            out = NN.realize(net, sys_a.iteration_matrix.flatten(order="F"))
+            flat = sys_a.iteration_matrix.flatten(order="F")
             exact = R.iterate(sys_a, k, record=False).coefficients
-            assert np.linalg.norm(out - exact) <= eps
+            assert np.linalg.norm(bundle.realize(flat) - exact) <= eps
+            assert np.array_equal(NN.realize(bundle.net, flat), bundle.realize(flat))
 
 
 class TestInputNet:
@@ -426,14 +446,30 @@ class TestApproximator:
             err = F.energy_norm(space, config, u_net - u_ref, k0=k0)
             assert err <= bundle.report.tolerance
 
-    def test_recurrent_mode_matches_unrolled(self, bundle, lab, family):
-        y = lab["encoder"].encode(C.sample_family(family, 1, 5)[0])
-        a = bundle.realize(y)
-        b = bundle.realize_recurrent(y)
-        assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
+    def test_recurrent_mode_matches_unrolled(self, bundle, lab, family, square):
+        # exact by construction: every first-layer row of the step net has at
+        # most two terms, so the unrolled net's splices sum the same floats
+        basis, space, config, nodal = (
+            lab["basis"],
+            lab["space"],
+            lab["config"],
+            lab["encoder"],
+        )
+        gll = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
+        gll_bundle = NN.build_approximator(basis, space, config, gll, 1e-2)
+        op = P.NeuralOperator(nodal, bundle, basis, space, config, "ortho", {})
+        wrapped = P.nonsmooth_operator(op, 0.6).approximator
+        members = C.sample_family(family, 8, 5)
+        for app, enc in ((bundle, nodal), (gll_bundle, gll), (wrapped, nodal)):
+            ys = np.stack([enc.encode(a) for a in members])
+            ys = np.vstack([ys, 0.75 - ys])
+            assert np.array_equal(app.realize(ys), NN.realize(app.net, ys))
+            for y in ys[:3]:
+                assert np.array_equal(app.realize(y), NN.realize(app.net, y))
 
     def test_report_recount(self, bundle):
         assert bundle.report.depth == bundle.net.depth
+        assert bundle.report.depth == 2 + bundle.k_steps * bundle.step.depth
         assert bundle.report.size == bundle.net.size
         sections = dict((name, nnz) for name, nnz in bundle.report.sections)
         assert sum(sections.values()) == bundle.report.size
@@ -451,19 +487,27 @@ class TestApproximator:
         assert depths == sorted(depths)
 
     def test_builds_one_carry_and_one_final_step(self, lab, monkeypatch):
-        built = []
-        step_net = NN.step_net
+        # a build makes the final step only; the unrolled net is built on read
+        built, spliced = [], []
+        step_net, sparse_concat = NN.step_net, NN.sparse_concat
 
         def counting_step_net(*args, **kwargs):
             built.append(step_net(*args, **kwargs))
             return built[-1]
 
+        def counting_concat(*args):
+            spliced.append(args)
+            return sparse_concat(*args)
+
         monkeypatch.setattr(NN, "step_net", counting_step_net)
+        monkeypatch.setattr(NN, "sparse_concat", counting_concat)
         b = NN.build_approximator(
             lab["basis"], lab["space"], lab["config"], lab["encoder"], 1e-1
         )
-        assert len(built) == 2
-        assert b.step in built
+        assert built == [b.step]
+        assert spliced == []
+        assert b.net.depth == b.report.depth
+        assert len(built) == 2 and len(spliced) == b.k_steps + 1
 
     def test_monte_carlo_step_certificate(self, bundle, lab, family, rng):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
@@ -483,30 +527,24 @@ class TestApproximator:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, rng):
-        net = NN.product_net(1e-4, 2.0)
-        text = NN.net_to_json(net)
-        back, _ = NN.net_from_json(text)
-        assert back.depth == net.depth
-        assert back.size == net.size
-        x = rng.uniform(-2, 2, (20, 2))
-        assert np.array_equal(NN.realize(back, x), NN.realize(net, x))
+    def test_round_trip_bit_exact(self, bundle, rng):
+        back = NN.bundle_from_json(NN.bundle_to_json(bundle))
+        for got, want in ((back.encoder_input, bundle.encoder_input), (back.step, bundle.step)):
+            assert (got.depth, got.size, got.widths) == (want.depth, want.size, want.widths)
+        y = rng.uniform(-1, 1, (20, bundle.encoder_input.n_inputs))
+        assert np.array_equal(back.realize(y), bundle.realize(y))
 
-    def test_report_round_trip(self, lab):
-        bundle = NN.build_approximator(
-            lab["basis"], lab["space"], lab["config"], lab["encoder"], 1e-1
-        )
-        text = NN.net_to_json(bundle.net, bundle.report)
-        back, report = NN.net_from_json(text)
-        assert report.depth == bundle.report.depth
-        assert report.size == bundle.report.size
-        assert report.certificates["k_steps"] == bundle.k_steps
+    def test_report_round_trip(self, bundle):
+        back = NN.bundle_from_json(NN.bundle_to_json(bundle))
+        assert back.report == bundle.report
+        assert back.k_steps == bundle.k_steps
+        assert back.eps_step == bundle.eps_step
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=4))
     def test_random_net_round_trip(self, depth):
         rng = np.random.default_rng(depth)
         net = random_net(rng, depth)
-        back, _ = NN.net_from_json(NN.net_to_json(net))
+        back = NN._net_from_doc(json.loads(json.dumps(NN._net_to_doc(net))))
         x = rng.standard_normal((5, net.n_inputs))
         assert np.array_equal(NN.realize(back, x), NN.realize(net, x))
