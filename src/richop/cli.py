@@ -285,10 +285,9 @@ def cmd_nncheck(s: Setup, out_dir, hash_):
     op = s.operator
     space, config, k0 = s.space, s.problem, op.basis.nominal_stiffness
     eps = op.certificates["epsilon"]
-    channels = op.encoder.channel_matrix(fem_mod.quadrature_points(space))
     errors = []
     for a in s.test_coefficients("mc_count", 200, 2):
-        recon = channels @ op.encoder.encode(a)
+        recon = op.quadrature_channels @ op.encoder.encode(a)
         sys_r = rich_mod.assemble_reduced(op.basis, space, config, recon, frame=op.frame)
         u_ref = rb_mod.synthesize(op.basis, rich_mod.direct_solve(sys_r), frame=op.frame)
         errors.append(fem_mod.energy_norm(space, config, u_ref - pipe_mod.evaluate(op, a), k0=k0))
@@ -369,12 +368,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    os.makedirs(args.out, exist_ok=True)
-    try:
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        os.makedirs(args.out, exist_ok=True)
         _COMMANDS[args.command](Setup(cfg, seed), args.out, config_hash(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,8 +12,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .coeff import CoefficientField, _located_grid, from_callable
+from .coeff import CoefficientField, _located_grid, _shape_values, from_callable
 from .fem import FemSpace
 from .mesh import QuadSplit, _location
 
@@ -93,9 +94,11 @@ class Encoder:
         """Point queries a(x_1..x_M) in canonical channel order."""
         return np.asarray(a(self.query_points), dtype=float)
 
-    def channel_matrix(self, pts: np.ndarray) -> np.ndarray:
-        """Values of all reconstruction basis fields at the points, (n, M).
+    def channel_matrix(self, pts: np.ndarray) -> sp.csr_matrix:
+        """Values of all reconstruction basis fields at the points, CSR (n, M).
 
+        Row i stores the fields of the one cell holding point i: its nloc
+        local dofs for a nodal encoder, its quad's (p+1)^2 channels for GLL.
         Points that carry their location in the encoder mesh (the grids of
         encoder_error and reconstruction_envelope) are not located again.
         """
@@ -120,19 +123,17 @@ def build_nodal_encoder(space: FemSpace) -> Encoder:
     return Encoder("nodal", space.dof_coords, space)
 
 
-def _nodal_channel_matrix(space: FemSpace, pts: np.ndarray) -> np.ndarray:
-    from .coeff import _shape_values  # same local ordering as the mesh fields
+def _rows_of(values: np.ndarray, cols: np.ndarray, m: int) -> sp.csr_matrix:
+    """CSR (n, m) whose row i holds values[i] in columns cols[i]."""
+    n, k = values.shape
+    return sp.csr_matrix((values.ravel(), cols.ravel(), np.arange(0, n * k + 1, k)), shape=(n, m))
 
+
+def _nodal_channel_matrix(space: FemSpace, pts: np.ndarray) -> sp.csr_matrix:
     tri_idx, bary = _location(space.mesh, pts, tol=1e-9)
     if np.any(tri_idx < 0):
         raise ValueError("point outside mesh in encoder reconstruction")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    shapes = _shape_values(bary, space.degree)
-    out = np.zeros((len(pts), space.n_dofs))
-    rows = np.repeat(np.arange(len(pts)), space.cell_dofs.shape[1])
-    cols = space.cell_dofs[tri_idx].ravel()
-    np.add.at(out, (rows, cols), shapes.ravel())
-    return out
+    return _rows_of(_shape_values(bary, space.degree), space.cell_dofs[tri_idx], space.n_dofs)
 
 
 def build_gll_encoder(split: QuadSplit, p: int) -> Encoder:
@@ -198,7 +199,7 @@ def _invert_bilinear(coefs, pts: np.ndarray) -> np.ndarray:
     return st
 
 
-def _gll_channel_matrix(grid: GllGrid, pts: np.ndarray) -> np.ndarray:
+def _gll_channel_matrix(grid: GllGrid, pts: np.ndarray) -> sp.csr_matrix:
     split, p = grid.split, grid.order
     tri_idx, bary = _location(split.mesh, pts, tol=1e-9)
     if np.any(tri_idx < 0):
@@ -214,11 +215,8 @@ def _gll_channel_matrix(grid: GllGrid, pts: np.ndarray) -> np.ndarray:
         ls = _lagrange_1d(grid.nodes_1d, st[:, 0])
         lu = _lagrange_1d(grid.nodes_1d, st[:, 1])
         tensor[sel] = (ls[:, :, None] * lu[:, None, :]).reshape(len(sel), -1)
-    # each point takes the values of exactly one quad, so assignment is exact
-    out = np.zeros((len(pts), len(grid.points)))
-    cols = grid.quad_channels.reshape(len(a0), -1)[quad]
-    out[np.arange(len(pts))[:, None], cols] = tensor
-    return out
+    # each point takes the values of exactly one quad
+    return _rows_of(tensor, grid.quad_channels.reshape(len(a0), -1)[quad], len(grid.points))
 
 
 def encoder_error(encoder: Encoder, a: CoefficientField, grid_n: int = 400) -> float:

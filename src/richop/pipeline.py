@@ -12,12 +12,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .coeff import CoefficientField, DataFamily
 from .encoder import (
     Encoder,
+    _encoder_mesh,
     build_gll_encoder,
     build_nodal_encoder,
     encoder_to_json,
@@ -84,8 +87,10 @@ class NeuralOperator:
     certificates: dict
     greedy_trace: GreedyTrace | None = None
 
-    def encode(self, a: CoefficientField) -> np.ndarray:
-        return self.encoder.encode(a)
+    @cached_property
+    def quadrature_channels(self) -> sp.csr_matrix:
+        """Channel matrix at quadrature_points(space): encoding to reconstruction samples."""
+        return self.encoder.channel_matrix(quadrature_points(self.space))
 
 
 @dataclass
@@ -193,19 +198,21 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
     the coefficient and of its reconstruction, (III) reduced solve of the
     reconstruction vs the synthesized network output.
     """
-    space, config, basis = op.space, op.config, op.basis
+    space, config, basis, frame = op.space, op.config, op.basis, op.frame
     k0 = basis.nominal_stiffness
-    # reconstructions sampled at the quadrature points: one channel matrix per call
-    channels = op.encoder.channel_matrix(quadrature_points(space))
+
+    def reduced_solution(samples):
+        system = assemble_reduced(basis, space, config, samples, frame=frame)
+        return synthesize(basis, direct_solve(system), frame=frame)
+
     report = ErrorReport()
     for a in test_coefficients:
-        u_fine = galerkin_solve(space, config, a)
-        sys_a = assemble_reduced(basis, space, config, a, frame=op.frame)
-        u_reduced = synthesize(basis, direct_solve(sys_a), frame=op.frame)
-        recon = channels @ op.encoder.encode(a)
-        sys_r = assemble_reduced(basis, space, config, recon, frame=op.frame)
-        u_recon = synthesize(basis, direct_solve(sys_r), frame=op.frame)
-        u_net = evaluate(op, a)
+        samples = a(quadrature_points(space))
+        y = op.encoder.encode(a)
+        u_fine = galerkin_solve(space, config, samples)
+        u_reduced = reduced_solution(samples)
+        u_recon = reduced_solution(op.quadrature_channels @ y)
+        u_net = synthesize(basis, op.approximator.realize(y), frame=frame)
         report.totals.append(energy_norm(space, config, u_fine - u_net, k0=k0))
         report.reduced_truncation.append(
             energy_norm(space, config, u_fine - u_reduced, k0=k0)
@@ -219,8 +226,6 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
 
 def _abs_shift_net(m: int, a_min: float) -> NeuralNet:
     """Exact channelwise map y -> a_min + |y| as a two-layer ReLU net."""
-    import scipy.sparse as sp
-
     eye = sp.eye(m, format="csr")
     up = sp.vstack([eye, -eye]).tocsr()
     down = sp.hstack([eye, eye]).tocsr()
@@ -247,12 +252,7 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     """Operator bundle: mesh, basis matrix CSV, encoder JSON, net JSON, certificates."""
     os.makedirs(directory, exist_ok=True)
     write_mesh(op.space.mesh, os.path.join(directory, "mesh.txt"))
-    enc_mesh = (
-        op.encoder._payload.mesh
-        if op.encoder.kind == "nodal"
-        else op.encoder._payload.split.mesh
-    )
-    write_mesh(enc_mesh, os.path.join(directory, "encoder_mesh.txt"))
+    write_mesh(_encoder_mesh(op.encoder), os.path.join(directory, "encoder_mesh.txt"))
     p = op.basis.frame(op.frame)
     with open(os.path.join(directory, "basis.csv"), "w") as fh:
         for row in p:

@@ -70,6 +70,13 @@ class GreedyTrace:
     def rows(self):
         return list(zip(self.sizes, self.residuals, self.selected, self.seconds))
 
+    def record(self, size: int, residual: float, selected: int, started: float) -> None:
+        """Append one step that began at time.perf_counter() == started."""
+        self.sizes.append(size)
+        self.residuals.append(residual)
+        self.selected.append(selected)
+        self.seconds.append(time.perf_counter() - started)
+
 
 @dataclass
 class ReducedBasis:
@@ -181,10 +188,7 @@ def weak_greedy(
         res = residual_norms()
         rmax = float(res.max())
         if rmax < residual_floor:
-            trace.sizes.append(len(selected))
-            trace.residuals.append(rmax)
-            trace.selected.append(-1)
-            trace.seconds.append(time.perf_counter() - t0)
+            trace.record(len(selected), rmax, -1, t0)
             break
         pick = int(np.flatnonzero(res >= gamma * rmax)[0])
         v = sols[:, pick].copy()
@@ -194,19 +198,13 @@ def weak_greedy(
                 v -= (q @ (k0 @ v)) * q
         nrm = energy_norm(space, config, v, k0=k0)
         if nrm < residual_floor:
-            trace.sizes.append(len(selected))
-            trace.residuals.append(rmax)
-            trace.selected.append(pick)
-            trace.seconds.append(time.perf_counter() - t0)
+            trace.record(len(selected), rmax, pick, t0)
             break
         q_new = v / nrm
         raw_cols.append(sols[:, pick])
         ortho_cols.append(q_new)
         selected.append(pick)
-        trace.sizes.append(len(selected) - 1)
-        trace.residuals.append(rmax)
-        trace.selected.append(pick)
-        trace.seconds.append(time.perf_counter() - t0)
+        trace.record(len(selected) - 1, rmax, pick, t0)
 
     raw = np.column_stack(raw_cols)
     ortho = np.column_stack(ortho_cols)

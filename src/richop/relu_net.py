@@ -331,15 +331,15 @@ def input_net(
 
     Per-channel reduced matrices use the same quadrature as assemble_reduced,
     so the realization matches direct assembly of the reconstruction up to
-    solve reassociation. The stiffness data of all M channels comes from one
-    sparse-times-dense product with the space's cached assembly operator.
+    solve reassociation. The stiffness data of all M channels is one sparse
+    product of the cached assembly operator and the channel matrix, made dense.
     """
     p = basis.frame(frame)
     n = basis.size
     b0 = p.T @ (basis.nominal_stiffness @ p)
     chol = la.cho_factor(b0, lower=True)
     asm = assembly(space, order)
-    upper = asm.stiffness @ encoder.channel_matrix(asm.points)  # (upper nnz, M)
+    upper = (asm.stiffness @ encoder.channel_matrix(asm.points)).toarray()  # (upper nnz, M)
     cols = []
     for k in range(encoder.m):
         b_mode = p.T @ (asm.matrix(upper[:, k]) @ p)

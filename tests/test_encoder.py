@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from richop import coeff as C
 from richop import encoder as E
@@ -204,7 +205,7 @@ class TestGllChannelMatrix:
     def test_random_points_match_loop(self, grid):
         pts = np.random.default_rng(7).uniform(0.0, 1.0, size=(500, 2))
         assert np.array_equal(
-            E._gll_channel_matrix(grid, pts), _gll_channel_matrix_loop(grid, pts)
+            E._gll_channel_matrix(grid, pts).toarray(), _gll_channel_matrix_loop(grid, pts)
         )
 
     def test_quad_interface_points_match_loop(self, grid):
@@ -220,8 +221,29 @@ class TestGllChannelMatrix:
             [grid.split.map_points(t, i, edges) for t in range(n_tri) for i in range(3)]
         )
         assert np.array_equal(
-            E._gll_channel_matrix(grid, pts), _gll_channel_matrix_loop(grid, pts)
+            E._gll_channel_matrix(grid, pts).toarray(), _gll_channel_matrix_loop(grid, pts)
         )
+
+
+class TestChannelMatrixSparsity:
+    @pytest.mark.parametrize(
+        "kind,degree,per_row",
+        [("nodal", 1, 3), ("nodal", 2, 6), ("gll", 2, 9), ("gll", 3, 16)],
+    )
+    def test_csr_with_one_cell_per_row(self, kind, degree, per_row, square):
+        coarse = M.triangulate(square, 0.5)
+        if kind == "nodal":
+            enc = E.build_nodal_encoder(F.build_space(coarse, degree))
+        else:
+            enc = E.build_gll_encoder(M.quad_split(coarse), degree)
+        pts = np.random.default_rng(11).uniform(0.0, 1.0, size=(300, 2))
+        channels = enc.channel_matrix(pts)
+        assert sp.issparse(channels) and channels.format == "csr"
+        assert channels.shape == (300, enc.m)
+        assert np.all(np.diff(channels.indptr) == per_row)
+        assert channels.nnz == 300 * per_row
+        # the stored values reconstruct a constant exactly (partition of unity)
+        assert np.allclose(channels @ np.ones(enc.m), 1.0, atol=1e-12)
 
 
 class TestEnvelope:
@@ -292,7 +314,9 @@ class TestLocatedGrid:
         grid = C._located_grid(E._encoder_mesh(enc), 90)
         assert grid.location is not None
         plain = np.asarray(grid)
-        assert np.array_equal(enc.channel_matrix(grid), enc.channel_matrix(plain))
+        assert np.array_equal(
+            enc.channel_matrix(grid).toarray(), enc.channel_matrix(plain).toarray()
+        )
 
     @pytest.mark.parametrize("kind", ["nodal", "gll"])
     def test_envelope_locates_its_grid_once(self, kind, nodal_encoder, coarse_split, rng, located_pts):

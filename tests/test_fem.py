@@ -199,7 +199,7 @@ class TestSolveSpd:
         assert np.max(np.abs(x - oracle)) < 1e-10
 
     def test_pcg_path_matches_dense(self, rng):
-        n = 2500  # forces the iterative branch
+        n = 2500  # a banded system; its factorization is exact
         diag = sp.diags(np.linspace(1.0, 5.0, n))
         band = sp.diags([np.full(n - 1, -0.4), np.full(n - 1, -0.4)], [-1, 1])
         mat = (diag + band).tocsr()
@@ -284,6 +284,81 @@ class TestGalerkinSolve:
         outside = C.constant(2.0)  # above alpha + beta = 1.5
         with pytest.raises(F.MembershipError):
             F.galerkin_solve(space, config, outside)
+
+
+class TestPreconditionedCg:
+    """Galerkin solves: CG preconditioned by the cached factorization of K(1)."""
+
+    @staticmethod
+    def _count_applications(monkeypatch):
+        """Preconditioner applications, one entry per CG run."""
+        counts = []
+        real = F._cg
+
+        class Counting:
+            def __init__(self, factor):
+                self.factor = factor
+
+            def solve(self, r):
+                counts[-1] += 1
+                return self.factor.solve(r)
+
+        def cg(matrix, rhs, factor, tol):
+            counts.append(0)
+            return real(matrix, rhs, Counting(factor), tol)
+
+        monkeypatch.setattr(F, "_cg", cg)
+        return counts
+
+    def test_applications_stay_under_the_a_priori_bound(self, square, family, monkeypatch):
+        # kappa(K(1)^-1 K(a)) <= (alpha + beta) / (alpha - beta) for every
+        # admissible a, so CG needs at most ln(2 / tol) / ln(1 / rate) steps
+        # to reduce the energy error by tol, on every mesh
+        cfg = F.ProblemConfig(1.0, 0.5)
+        kappa = (cfg.alpha + cfg.beta) / (cfg.alpha - cfg.beta)
+        rate = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
+        bound = np.log(2.0 / F._SOLVE_TOL) / np.log(1.0 / rate)
+        coarse = M.triangulate(square, 0.12)
+        members = C.sample_family(family, 5, 17)
+        spaces = [F.build_space(m, 1) for m in (coarse, M.refine_uniform(coarse))]
+        for space in spaces:
+            F.assembly(space).laplace  # factor outside the count
+        counts = self._count_applications(monkeypatch)
+        for space in spaces:
+            for a in members:
+                F.galerkin_solve(space, cfg, a)
+        assert len(counts) == 10
+        assert 0 < max(counts) <= bound
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_matches_dense_cholesky(self, square_mesh, family, degree):
+        space = F.build_space(square_mesh, degree)
+        cfg = F.ProblemConfig(1.0, 0.5)
+        rhs = F.assemble_load(space, cfg.f)
+        for a in C.sample_family(family, 3, 19):
+            dense = F.assemble_stiffness(space, a).toarray()
+            oracle = la.cho_solve(la.cho_factor(dense), rhs)
+            u = F.galerkin_solve(space, cfg, a)
+            assert np.linalg.norm(u - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            C.from_callable(lambda p: 1.0 + 0.9 * np.sin(2 * np.pi * p[:, 0])),
+            C.from_callable(lambda p: 10.0 ** (3 * np.sin(2 * np.pi * p[:, 0]))),
+            C.from_callable(lambda p: np.cos(2 * np.pi * p[:, 0])),
+        ],
+        ids=["mild", "wide", "sign_changing"],
+    )
+    def test_out_of_band_unchecked_solves_or_raises(self, space, a):
+        cfg = F.ProblemConfig(1.0, 0.5)
+        try:
+            u = F.galerkin_solve(space, cfg, a, check=False)
+        except F.SolverError:
+            return
+        k = F.assemble_stiffness(space, a)
+        rhs = F.assemble_load(space, cfg.f)
+        assert np.linalg.norm(k @ u - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def _energy_error_sq_vs_exact(space, u, exact_grad):

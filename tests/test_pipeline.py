@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -199,6 +200,35 @@ class TestErrorDecomposition:
                     F.energy_norm(space, config, sols[:, j] - u_n, k0=k0),
                 )
             assert worst <= factor * curve[n_plus_1 - 1] + 1e-8
+
+    def test_quadrature_channel_matrix_built_once_per_operator(self, operator, family):
+        op = dataclasses.replace(operator, encoder=_CountingEncoder(operator.encoder))
+        members = C.sample_family(family, 2, 41)
+        P.error_decomposition(op, members)
+        P.error_decomposition(op, members)
+        assert op.encoder.calls == 1
+
+    def test_matches_dense_channel_computation(self, operator, family, space, config):
+        op, frame, k0 = operator, operator.frame, operator.basis.nominal_stiffness
+        dense = op.encoder.channel_matrix(F.quadrature_points(space)).toarray()
+
+        def reduced(v):
+            sys_v = R.assemble_reduced(op.basis, space, config, v, frame=frame)
+            return RB.synthesize(op.basis, R.direct_solve(sys_v), frame=frame)
+
+        members = C.sample_family(family, 4, 43)
+        report = P.error_decomposition(op, members)
+        for a, row in zip(members, report.rows()):
+            u_fine = F.galerkin_solve(space, config, a)
+            u_reduced = reduced(a)
+            u_recon = reduced(dense @ op.encoder.encode(a))
+            u_net = P.evaluate(op, a)
+            expected = [
+                F.energy_norm(space, config, u - v, k0=k0)
+                for u, v in ((u_fine, u_net), (u_fine, u_reduced),
+                             (u_reduced, u_recon), (u_recon, u_net))
+            ]
+            assert np.max(np.abs(np.subtract(row, expected))) <= 1e-13
 
     def test_decoder_is_exact(self, operator, rng):
         # the synthesis stage adds no error: analyze(synthesize(c)) = c

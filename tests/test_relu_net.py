@@ -406,7 +406,7 @@ class TestInputNet:
             enc = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
         p = basis.frame("ortho")
         chol = la.cho_factor(p.T @ (basis.nominal_stiffness @ p), lower=True)
-        channels = enc.channel_matrix(F.quadrature_points(space))
+        channels = enc.channel_matrix(F.quadrature_points(space)).toarray()
         loop = np.column_stack([
             -la.cho_solve(
                 chol, p.T @ (F.assemble_stiffness_samples(space, channels[:, k]) @ p)
