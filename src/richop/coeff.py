@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, Polygon, _with_location, locate_points
+from .mesh import Mesh, Polygon, locate_points
 
 __all__ = [
     "CoefficientField",
@@ -154,11 +154,6 @@ def abs_shift(a: CoefficientField, a_min: float) -> CoefficientField:
 
 def domain_grid(domain, grid_n: int) -> np.ndarray:
     """grid_n x grid_n bounding-box lattice restricted to the domain."""
-    return np.asarray(_located_grid(domain, grid_n))
-
-
-def _located_grid(domain, grid_n: int) -> np.ndarray:
-    """domain_grid; on a Mesh the points carry the location that kept them."""
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     if isinstance(domain, Polygon):
@@ -179,9 +174,7 @@ def _located_grid(domain, grid_n: int) -> np.ndarray:
         probe = pts + 1e-12 * (center - pts)
         keep = domain.contains(probe)
     else:
-        tri_idx, bary = locate_points(domain, pts, tol=1e-9)
-        keep = tri_idx >= 0
-        return _with_location(pts[keep], domain, 1e-9, tri_idx[keep], bary[keep])
+        keep = locate_points(domain, pts, tol=1e-9)[0] >= 0
     return pts[keep]
 
 

@@ -9,14 +9,15 @@ interfaces so the reconstruction is globally continuous.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .coeff import CoefficientField, _located_grid, _shape_values, from_callable
+from .coeff import _P2_EDGES, CoefficientField, _shape_values, domain_grid, from_callable
 from .fem import FemSpace
-from .mesh import QuadSplit, _location
+from .mesh import QuadSplit, locate_points
 
 __all__ = [
     "Encoder",
@@ -99,8 +100,8 @@ class Encoder:
 
         Row i stores the fields of the one cell holding point i: its nloc
         local dofs for a nodal encoder, its quad's (p+1)^2 channels for GLL.
-        Points that carry their location in the encoder mesh (the grids of
-        encoder_error and reconstruction_envelope) are not located again.
+        At the encoder's own query_points it maps channels to the nodal values
+        that reconstruction_envelope bounds.
         """
         if self.kind == "nodal":
             return _nodal_channel_matrix(self._payload, pts)
@@ -130,7 +131,7 @@ def _rows_of(values: np.ndarray, cols: np.ndarray, m: int) -> sp.csr_matrix:
 
 
 def _nodal_channel_matrix(space: FemSpace, pts: np.ndarray) -> sp.csr_matrix:
-    tri_idx, bary = _location(space.mesh, pts, tol=1e-9)
+    tri_idx, bary = locate_points(space.mesh, pts, tol=1e-9)
     if np.any(tri_idx < 0):
         raise ValueError("point outside mesh in encoder reconstruction")
     return _rows_of(_shape_values(bary, space.degree), space.cell_dofs[tri_idx], space.n_dofs)
@@ -201,7 +202,7 @@ def _invert_bilinear(coefs, pts: np.ndarray) -> np.ndarray:
 
 def _gll_channel_matrix(grid: GllGrid, pts: np.ndarray) -> sp.csr_matrix:
     split, p = grid.split, grid.order
-    tri_idx, bary = _location(split.mesh, pts, tol=1e-9)
+    tri_idx, bary = locate_points(split.mesh, pts, tol=1e-9)
     if np.any(tri_idx < 0):
         raise ValueError("point outside mesh in encoder reconstruction")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -224,29 +225,40 @@ def encoder_error(encoder: Encoder, a: CoefficientField, grid_n: int = 400) -> f
 
     A lower bound of the true L-inf error; dense enough grids make it sharp.
     """
-    pts = _located_grid(_encoder_mesh(encoder), grid_n)
+    pts = domain_grid(_encoder_mesh(encoder), grid_n)
     recon = encoder.channel_matrix(pts) @ encoder.encode(a)
     return float(np.max(np.abs(a(pts) - recon)))
 
 
-def reconstruction_envelope(
-    encoder: Encoder, values: np.ndarray, alpha: float, grid_n: int = 200
-) -> float:
-    """Largest deviation from alpha of the reconstructions, sampled on a grid.
+def reconstruction_envelope(encoder: Encoder, values: np.ndarray, alpha: float) -> float:
+    """Upper bound of the deviation from alpha of the reconstructions.
 
-    `values` is one channel vector (M,) or a stack of them (n, M). Returns
-    max(alpha - min, max - alpha) over the reconstructions of all rows at
-    the points of a grid_n x grid_n lattice on the encoder mesh. A sample
-    maximum is a lower bound of the envelope over the whole domain, not a
-    certificate. The grid is located once and its channel matrix built once
-    per call; each row is then one mat-vec.
+    `values` is one channel vector (M,) or a stack of them (n, M). The
+    reconstructions of all rows are evaluated once at the encoder's
+    query_points, one channel_matrix call on M points, and gathered per
+    element into Bernstein-Bezier coefficients, whose convex hull holds the
+    element's range: the nodal values for P1, the vertex values and
+    2 mid - (va + vb) / 2 per edge for P2, and T V T^T per quad for GLL, with
+    V the quad's nodal block and T the inverse of the Bernstein Vandermonde
+    at the GLL nodes mapped to [0, 1]. Returns max(alpha - min, max - alpha)
+    over all coefficients, a bound on the whole domain; for P1 it is exact.
     """
-    channels = encoder.channel_matrix(_located_grid(_encoder_mesh(encoder), grid_n))
-    lo, hi = np.inf, -np.inf
-    for v in np.atleast_2d(np.asarray(values, dtype=float)):
-        recon = channels @ v
-        lo, hi = min(lo, recon.min()), max(hi, recon.max())
-    return float(max(alpha - lo, hi - alpha))
+    rows = np.atleast_2d(np.asarray(values, dtype=float))
+    nodal = (encoder.channel_matrix(encoder.query_points) @ rows.T).T  # (n, M)
+    payload = encoder._payload
+    if encoder.kind == "gll":
+        p, k = payload.order, np.arange(payload.order + 1)
+        t = (payload.nodes_1d[:, None] + 1.0) / 2.0
+        binom = np.array([math.comb(p, i) for i in k], dtype=float)
+        inv = np.linalg.inv(binom * t**k * (1.0 - t) ** (p - k))
+        coeffs = inv @ nodal[:, payload.quad_channels].reshape(len(rows), -1, p + 1, p + 1) @ inv.T
+    else:
+        coeffs = nodal[:, payload.cell_dofs]  # (n, t, nloc)
+        if payload.degree == 2:
+            a, b = np.array(_P2_EDGES).T
+            edges = 2.0 * coeffs[..., 3:] - 0.5 * (coeffs[..., a] + coeffs[..., b])
+            coeffs = np.concatenate([coeffs[..., :3], edges], axis=-1)
+    return float(max(alpha - coeffs.min(), coeffs.max() - alpha))
 
 
 def _encoder_mesh(encoder: Encoder):

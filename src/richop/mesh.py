@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _MERGE_DECIMALS = 12
+_LOCATE_PAIRS = 1 << 14  # point-triangle pairs per block of locate_points
 
 
 class MeshError(ValueError):
@@ -525,6 +526,9 @@ def locate_points(mesh: Mesh, pts: np.ndarray, tol: float = 1e-12):
     """Assign each point to a containing triangle.
 
     Returns (tri_index, barycentric) arrays; index -1 for points outside.
+    A point inside several triangles (within tol) takes the first in index
+    order. Blocks of points are tested against all triangles at once, with
+    at most _LOCATE_PAIRS point-triangle pairs per block.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = len(pts)
@@ -532,57 +536,21 @@ def locate_points(mesh: Mesh, pts: np.ndarray, tol: float = 1e-12):
     bary = np.zeros((n, 3))
     p = mesh.nodes[mesh.triangles]
     v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
-    d = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (v2[:, 0] - v0[:, 0]) * (
-        v1[:, 1] - v0[:, 1]
-    )
-    remaining = np.arange(n)
-    for t in range(mesh.n_triangles):
-        if len(remaining) == 0:
-            break
-        q = pts[remaining]
-        l1 = (
-            (q[:, 0] - v0[t, 0]) * (v2[t, 1] - v0[t, 1])
-            - (q[:, 1] - v0[t, 1]) * (v2[t, 0] - v0[t, 0])
-        ) / d[t]
-        l2 = (
-            (q[:, 1] - v0[t, 1]) * (v1[t, 0] - v0[t, 0])
-            - (q[:, 0] - v0[t, 0]) * (v1[t, 1] - v0[t, 1])
-        ) / d[t]
+    e1, e2 = v1 - v0, v2 - v0
+    d = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    block = max(1, _LOCATE_PAIRS // max(1, mesh.n_triangles))
+    for lo in range(0, n, block):
+        qx = pts[lo : lo + block, 0:1] - v0[:, 0]  # (block, n_triangles)
+        qy = pts[lo : lo + block, 1:2] - v0[:, 1]
+        l1 = (qx * e2[:, 1] - qy * e2[:, 0]) / d
+        l2 = (qy * e1[:, 0] - qx * e1[:, 1]) / d
         l0 = 1.0 - l1 - l2
         hit = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-        if hit.any():
-            rows = remaining[hit]
-            tri_idx[rows] = t
-            bary[rows, 0] = l0[hit]
-            bary[rows, 1] = l1[hit]
-            bary[rows, 2] = l2[hit]
-            remaining = remaining[~hit]
+        rows = np.flatnonzero(hit.any(axis=1))
+        t = hit[rows].argmax(axis=1)
+        tri_idx[lo + rows] = t
+        bary[lo + rows] = np.column_stack([l0[rows, t], l1[rows, t], l2[rows, t]])
     return tri_idx, bary
-
-
-class _Located(np.ndarray):
-    """Points that carry the location found for them in one mesh.
-
-    ``location`` is (mesh, tol, tri_index, barycentric) on the array made by
-    _with_location; views and arithmetic results read the class default
-    None, so a location that is read always belongs to these exact points.
-    """
-
-    location = None
-
-
-def _with_location(pts: np.ndarray, mesh: Mesh, tol: float, tri_idx, bary) -> _Located:
-    out = pts.view(_Located)
-    out.location = (mesh, tol, tri_idx, bary)
-    return out
-
-
-def _location(mesh: Mesh, pts, tol: float):
-    """locate_points(mesh, pts, tol), unless pts already carries that location."""
-    carried = getattr(pts, "location", None)
-    if carried is not None and carried[0] is mesh and carried[1] == tol:
-        return carried[2], carried[3]
-    return locate_points(mesh, pts, tol)
 
 
 def validate_mesh(mesh: Mesh) -> None:

@@ -89,7 +89,10 @@ class NeuralOperator:
 
     @cached_property
     def quadrature_channels(self) -> sp.csr_matrix:
-        """Channel matrix at quadrature_points(space): encoding to reconstruction samples."""
+        """Channel matrix at quadrature_points(space): encoding to reconstruction samples.
+
+        build_operator sets it to the matrix its input net was built from.
+        """
         return self.encoder.channel_matrix(quadrature_points(self.space))
 
 
@@ -118,8 +121,8 @@ def effective_beta(
 ) -> tuple[float, float]:
     """Envelope beta_tilde of the encoded reconstructions and the beta it admits.
 
-    beta_tilde is sampled on the grid of reconstruction_envelope, so it is a
-    lower bound of the envelope over the domain, not a certificate. Aborts
+    beta_tilde is the Bernstein bound of reconstruction_envelope, an upper
+    bound of the envelope over the whole domain (exact for P1). Aborts
     when it reaches alpha, since the reduced iteration then has no
     contraction guarantee. Mode 'paper' keeps the configured beta and
     rejects an envelope above it; mode 'measured' uses the envelope itself.
@@ -167,8 +170,9 @@ def build_operator(
     beta_tilde, beta_eff = effective_beta(
         encoder, config, snapshots.coefficients, beta_mode
     )
+    channels = encoder.channel_matrix(quadrature_points(space))
     approximator = build_approximator(
-        basis, space, config, encoder, epsilon, beta_eff=beta_eff
+        basis, space, config, encoder, epsilon, beta_eff=beta_eff, channels=channels
     )
     certificates = {
         "epsilon": epsilon,
@@ -180,9 +184,11 @@ def build_operator(
         "m_channels": encoder.m,
         **approximator.report.certificates,
     }
-    return NeuralOperator(
+    op = NeuralOperator(
         encoder, approximator, basis, space, config, "ortho", certificates, trace
     )
+    op.quadrature_channels = channels
+    return op
 
 
 def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:

@@ -326,20 +326,25 @@ def input_net(
     encoder: Encoder,
     frame: str = "ortho",
     order: int = 4,
+    channels: sp.csr_matrix | None = None,
 ) -> NeuralNet:
     """Depth-one affine net: encoder channels y -> vec(Id - (alpha B0)^{-1} B_v).
 
     Per-channel reduced matrices use the same quadrature as assemble_reduced,
     so the realization matches direct assembly of the reconstruction up to
     solve reassociation. The stiffness data of all M channels is one sparse
-    product of the cached assembly operator and the channel matrix, made dense.
+    product of the cached assembly operator and the channel matrix at its
+    quadrature points, made dense. `channels` is that matrix when the caller
+    already holds it; otherwise it is built here.
     """
     p = basis.frame(frame)
     n = basis.size
     b0 = p.T @ (basis.nominal_stiffness @ p)
     chol = la.cho_factor(b0, lower=True)
     asm = assembly(space, order)
-    upper = (asm.stiffness @ encoder.channel_matrix(asm.points)).toarray()  # (upper nnz, M)
+    if channels is None:
+        channels = encoder.channel_matrix(asm.points)
+    upper = (asm.stiffness @ channels).toarray()  # (upper nnz, M)
     cols = []
     for k in range(encoder.m):
         b_mode = p.T @ (asm.matrix(upper[:, k]) @ p)
@@ -418,6 +423,7 @@ def build_approximator(
     frame: str = "ortho",
     order: int = 4,
     f_dual: float | None = None,
+    channels: sp.csr_matrix | None = None,
 ) -> ApproximatorBundle:
     """The affine input net and the final step net, with the unrolled net's report.
 
@@ -426,7 +432,8 @@ def build_approximator(
     ||f||), so the synthesized output is within eps of the reduced Galerkin
     solution of the encoded coefficient, in the energy norm. Each step has
     tolerance (1 - contraction) eps_iterator on the box 2 + 1/(1 - contraction),
-    so the accumulated geometric error stays below eps_iterator.
+    so the accumulated geometric error stays below eps_iterator. `channels`
+    is handed to input_net.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -447,7 +454,7 @@ def build_approximator(
     eps_step = (1.0 - contraction) * eps_iter
     z_tilde = 2.0 + 1.0 / (1.0 - contraction)
     step = step_net(n, z_tilde, eps_step, shift, carry=False)
-    encoder_input = input_net(basis, space, config, encoder, frame, order)
+    encoder_input = input_net(basis, space, config, encoder, frame, order, channels)
     step_counts = _layer_counts(step)
     iterator, net = _unroll(
         _layer_counts(encoder_input),

@@ -255,8 +255,8 @@ class TestEnvelope:
         else:
             enc = E.build_gll_encoder(M.quad_split(coarse), 2)
         values = np.stack([enc.encode(a) for a in C.sample_family(family, 4, 31)])
-        singles = [E.reconstruction_envelope(enc, v, 1.0, grid_n=60) for v in values]
-        stacked = E.reconstruction_envelope(enc, values, 1.0, grid_n=60)
+        singles = [E.reconstruction_envelope(enc, v, 1.0) for v in values]
+        stacked = E.reconstruction_envelope(enc, values, 1.0)
         assert stacked == max(singles)
 
     def test_reconstruction_envelope_p1_inside_band(self, nodal_encoder, family):
@@ -275,6 +275,50 @@ class TestEnvelope:
         assert E.reconstruction_envelope(nodal_encoder, vals, 1.0) > 1.0
 
 
+class TestEnvelopeBound:
+    """The Bernstein bound against a 400 x 400 lattice of the reconstructions."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[("nodal", 1), ("nodal", 2), ("gll", 2), ("gll", 3)],
+        ids=["p1", "p2", "gll2", "gll3"],
+    )
+    def sampled(self, request, square):
+        kind, degree = request.param
+        coarse = M.triangulate(square, 0.5)
+        if kind == "nodal":
+            enc = E.build_nodal_encoder(F.build_space(coarse, degree))
+        else:
+            enc = E.build_gll_encoder(M.quad_split(coarse), degree)
+        return enc, enc.channel_matrix(C.domain_grid(coarse, 400))
+
+    def _rows(self, enc, family):
+        members = np.stack([enc.encode(a) for a in C.sample_family(family, 6, 53)])
+        perturbed = 1.0 + 0.4 * np.random.default_rng(59).standard_normal((6, enc.m))
+        return np.vstack([members, perturbed])
+
+    def test_bound_covers_the_lattice(self, sampled, family):
+        enc, lattice = sampled
+        for v in self._rows(enc, family):
+            sampled_max = np.max(np.abs(lattice @ v - 1.0))
+            assert E.reconstruction_envelope(enc, v, 1.0) >= sampled_max
+
+    def test_bound_is_tight_for_an_affine_field(self, sampled):
+        # every element reproduces an affine field, whose Bernstein hull is
+        # the range of its corners: the bound meets the lattice maximum at
+        # the domain corner (1, 0)
+        enc, lattice = sampled
+        v = enc.encode(C.from_callable(lambda p: 1.0 + 0.3 * p[:, 0] - 0.2 * p[:, 1]))
+        bound = E.reconstruction_envelope(enc, v, 1.0)
+        assert abs(bound - np.max(np.abs(lattice @ v - 1.0))) <= 1e-12
+
+    def test_p1_bound_is_exact(self, nodal_encoder, family):
+        rows = self._rows(nodal_encoder, family)
+        for v in rows:
+            assert E.reconstruction_envelope(nodal_encoder, v, 1.0) == np.max(np.abs(v - 1.0))
+        assert E.reconstruction_envelope(nodal_encoder, rows, 1.0) == np.max(np.abs(rows - 1.0))
+
+
 class TestSerialization:
     def test_nodal_json(self, nodal_encoder):
         doc = json.loads(E.encoder_to_json(nodal_encoder))
@@ -288,51 +332,3 @@ class TestSerialization:
         assert doc["kind"] == "gll"
         assert doc["p"] == 3
         assert len(doc["query_points"]) == enc.m
-
-
-class TestLocatedGrid:
-    @pytest.fixture
-    def located_pts(self, monkeypatch):
-        """Points passed to locate_points, through either module binding."""
-        counted = []
-        real = M.locate_points
-
-        def counting(mesh, pts, tol=1e-12):
-            counted.append(len(np.atleast_2d(pts)))
-            return real(mesh, pts, tol)
-
-        monkeypatch.setattr(M, "locate_points", counting)
-        monkeypatch.setattr(C, "locate_points", counting)
-        return counted
-
-    def _encoders(self, nodal_encoder, coarse_split):
-        return {"nodal": nodal_encoder, "gll": E.build_gll_encoder(coarse_split, 2)}
-
-    @pytest.mark.parametrize("kind", ["nodal", "gll"])
-    def test_carried_location_gives_the_same_matrix(self, kind, nodal_encoder, coarse_split):
-        enc = self._encoders(nodal_encoder, coarse_split)[kind]
-        grid = C._located_grid(E._encoder_mesh(enc), 90)
-        assert grid.location is not None
-        plain = np.asarray(grid)
-        assert np.array_equal(
-            enc.channel_matrix(grid).toarray(), enc.channel_matrix(plain).toarray()
-        )
-
-    @pytest.mark.parametrize("kind", ["nodal", "gll"])
-    def test_envelope_locates_its_grid_once(self, kind, nodal_encoder, coarse_split, rng, located_pts):
-        enc = self._encoders(nodal_encoder, coarse_split)[kind]
-        E.reconstruction_envelope(enc, 1.0 + 0.1 * rng.standard_normal((3, enc.m)), 1.0, 50)
-        assert located_pts == [50 * 50]  # the lattice, once; the unit square keeps all of it
-        E.encoder_error(enc, C.constant(1.0), grid_n=40)
-        assert located_pts == [50 * 50, 40 * 40]
-
-    def test_location_of_another_mesh_is_not_reused(self, nodal_encoder, square, located_pts):
-        other = M.triangulate(square, 0.5)
-        grid = C._located_grid(other, 30)
-        nodal_encoder.channel_matrix(grid)
-        assert located_pts == [30 * 30, 30 * 30]
-
-    def test_views_do_not_carry_the_location(self, nodal_encoder):
-        grid = C._located_grid(E._encoder_mesh(nodal_encoder), 20)
-        assert grid[:10].location is None and (grid + 0.0).location is None
-        assert type(C.domain_grid(E._encoder_mesh(nodal_encoder), 20)) is np.ndarray

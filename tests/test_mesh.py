@@ -279,3 +279,29 @@ class TestLocatePoints:
             "nk,nkd->nd", bary, square_mesh.nodes[square_mesh.triangles[tri_idx]]
         )
         assert np.max(np.abs(rebuilt - pts)) < 1e-12
+
+    def test_matches_the_per_triangle_scan(self, square_mesh, rng, monkeypatch):
+        # reference: scan triangles in index order, each point kept by the
+        # first one holding it; small blocks exercise the block boundaries
+        def scan(mesh, pts, tol):
+            tri_idx, bary = -np.ones(len(pts), dtype=np.int64), np.zeros((len(pts), 3))
+            for t, (v0, v1, v2) in enumerate(mesh.nodes[mesh.triangles]):
+                d = (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
+                for i, q in enumerate(pts):
+                    if tri_idx[i] >= 0:
+                        continue
+                    l1 = ((q[0] - v0[0]) * (v2[1] - v0[1]) - (q[1] - v0[1]) * (v2[0] - v0[0])) / d
+                    l2 = ((q[1] - v0[1]) * (v1[0] - v0[0]) - (q[0] - v0[0]) * (v1[1] - v0[1])) / d
+                    l0 = 1.0 - l1 - l2
+                    if min(l0, l1, l2) >= -tol:
+                        tri_idx[i], bary[i] = t, (l0, l1, l2)
+            return tri_idx, bary
+
+        edges = square_mesh.nodes[square_mesh.triangles[:, :2]].mean(axis=1)
+        pts = np.vstack([
+            square_mesh.nodes, edges, rng.uniform(-0.1, 1.1, size=(200, 2))
+        ])
+        monkeypatch.setattr(M, "_LOCATE_PAIRS", 7 * square_mesh.n_triangles)
+        for tol in (1e-12, 1e-9):
+            got, expected = M.locate_points(square_mesh, pts, tol), scan(square_mesh, pts, tol)
+            assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])

@@ -28,14 +28,18 @@ class _AmplifyingEncoder(E.Encoder):
 
 
 class _CountingEncoder(E.Encoder):
-    """Test stub: counts channel_matrix calls."""
+    """Test stub: records the points of each channel_matrix call."""
 
     def __init__(self, base):
         super().__init__(base.kind, base.query_points, base._payload)
-        self.calls = 0
+        self.queried = []
+
+    @property
+    def calls(self):
+        return len(self.queried)
 
     def channel_matrix(self, pts):
-        self.calls += 1
+        self.queried.append(pts)
         return super().channel_matrix(pts)
 
 
@@ -44,6 +48,17 @@ class TestEffectiveBeta:
         enc = _CountingEncoder(nodal_encoder)
         P.effective_beta(enc, config, C.sample_family(family, 8, 5))
         assert enc.calls == 1
+
+    @pytest.mark.parametrize("kind", ["nodal", "gll"])
+    def test_envelope_queries_only_the_encoder_nodes(self, kind, square, family, config):
+        coarse = M.triangulate(square, 0.5)
+        if kind == "nodal":
+            base = E.build_nodal_encoder(F.build_space(coarse, 2))
+        else:
+            base = E.build_gll_encoder(M.quad_split(coarse), 2)
+        enc = _CountingEncoder(base)
+        P.effective_beta(enc, config, C.sample_family(family, 4, 61))
+        assert enc.calls == 1 and np.array_equal(enc.queried[0], base.query_points)
 
 
 class TestBuildOperator:
@@ -200,6 +215,19 @@ class TestErrorDecomposition:
                     F.energy_norm(space, config, sols[:, j] - u_n, k0=k0),
                 )
             assert worst <= factor * curve[n_plus_1 - 1] + 1e-8
+
+    def test_build_and_decompositions_make_two_channel_matrices(
+        self, family, config, space, nodal_encoder
+    ):
+        # one for the envelope at the encoder nodes, one at the quadrature
+        # points shared by the input net and every decomposition
+        enc = _CountingEncoder(nodal_encoder)
+        op = P.build_operator(family, config, space, 8, 3, enc, 1e-1, seed=2)
+        members = C.sample_family(family, 2, 41)
+        P.error_decomposition(op, members)
+        P.error_decomposition(op, members)
+        assert enc.calls == 2
+        assert np.array_equal(enc.queried[1], F.quadrature_points(space))
 
     def test_quadrature_channel_matrix_built_once_per_operator(self, operator, family):
         op = dataclasses.replace(operator, encoder=_CountingEncoder(operator.encoder))
