@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, Polygon, locate_points
+from .mesh import _P2_EDGES, Mesh, Polygon, _p2_dofs, locate_points
 
 __all__ = [
     "CoefficientField",
@@ -82,9 +82,6 @@ def affine_combination(fields, weights) -> CoefficientField:
     )
 
 
-_P2_EDGES = ((0, 1), (1, 2), (2, 0))
-
-
 def _shape_values(bary: np.ndarray, degree: int) -> np.ndarray:
     """Lagrange shape values from barycentric coordinates; (n, nloc)."""
     l0, l1, l2 = bary[:, 0], bary[:, 1], bary[:, 2]
@@ -102,28 +99,13 @@ def mesh_field(mesh: Mesh, values: np.ndarray, degree: int = 1) -> CoefficientFi
     """Continuous piecewise-polynomial field from nodal values.
 
     For degree 2 the value array is ordered vertices first, then edge
-    midpoints in the (0,1), (1,2), (2,0) local order used by the FEM spaces.
+    midpoints numbered by first appearance, as in the P2 FEM spaces.
     """
     values = np.asarray(values, dtype=float)
     if degree == 1:
         cell_dofs = mesh.triangles
     elif degree == 2:
-        edge_ids: dict = {}
-        for tri in mesh.triangles:
-            for a, b in _P2_EDGES:
-                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                edge_ids.setdefault(key, mesh.n_nodes + len(edge_ids))
-        cell_dofs = np.array(
-            [
-                list(tri)
-                + [
-                    edge_ids[(min(tri[a], tri[b]), max(tri[a], tri[b]))]
-                    for a, b in _P2_EDGES
-                ]
-                for tri in mesh.triangles
-            ],
-            dtype=np.int64,
-        )
+        cell_dofs = _p2_dofs(mesh)[1]
     else:
         raise ValueError("degree must be 1 or 2")
 
@@ -379,19 +361,6 @@ def abs_family(
     )
 
 
-def _p2_dof_coords(mesh: Mesh) -> np.ndarray:
-    """Vertex then edge-midpoint coordinates, matching mesh_field ordering."""
-    edge_ids: dict = {}
-    mids = []
-    for tri in mesh.triangles:
-        for a, b in _P2_EDGES:
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            if key not in edge_ids:
-                edge_ids[key] = len(mids)
-                mids.append(0.5 * (mesh.nodes[key[0]] + mesh.nodes[key[1]]))
-    return np.vstack([mesh.nodes, np.asarray(mids)])
-
-
 # wavenumbers and W^{m,inf}-scaled amplitudes for the Sobolev-ball sampler
 _SOBOLEV_WAVES = [
     (kx, ky) for kx in range(0, 5) for ky in range(0, 5) if (kx, ky) != (0, 0)
@@ -440,7 +409,7 @@ def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
         coords = (
             family.coeff_mesh.nodes
             if family.coeff_degree == 1
-            else _p2_dof_coords(family.coeff_mesh)
+            else _p2_dofs(family.coeff_mesh)[0]
         )
         amps = _sobolev_amplitudes(family.sobolev_order or 2)
         raw_vals = np.zeros(len(coords))

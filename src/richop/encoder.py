@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coeff import _P2_EDGES, CoefficientField, _shape_values, domain_grid, from_callable
+from .coeff import CoefficientField, _shape_values, domain_grid, from_callable
 from .fem import FemSpace
-from .mesh import QuadSplit, locate_points
+from .mesh import _P2_EDGES, QuadSplit, _first_appearance, locate_points
 
 __all__ = [
     "Encoder",
@@ -162,41 +162,42 @@ def build_gll_encoder(split: QuadSplit, p: int) -> Encoder:
         + a1[:, :, None, :] * st[None, None, :, 0:1]
         + a2[:, :, None, :] * st[None, None, :, 1:2]
         + a3[:, :, None, :] * st[None, None, :, 0:1] * st[None, None, :, 1:2]
-    )  # (t, 3, (p+1)^2, 2)
-    channel_of: dict = {}
-    points = []
-    quad_channels = np.empty((n_tri, 3, (p + 1) ** 2), dtype=np.int64)
-    for t in range(n_tri):
-        for i in range(3):
-            for loc in range((p + 1) ** 2):
-                key = tuple(np.round(mapped[t, i, loc], 12))
-                if key not in channel_of:
-                    channel_of[key] = len(points)
-                    points.append(mapped[t, i, loc])
-                quad_channels[t, i, loc] = channel_of[key]
-    grid = GllGrid(split, p, nodes, np.asarray(points), quad_channels)
+    ).reshape(-1, 2)  # (t, 3, (p+1)^2) points, flat
+    # nodes on quad interfaces coincide to rounding; each is one channel
+    first, channels = _first_appearance(np.round(mapped, 12))
+    grid = GllGrid(split, p, nodes, mapped[first], channels.reshape(n_tri, 3, -1))
     return Encoder("gll", grid.points, grid)
 
 
-def _invert_bilinear(coefs, pts: np.ndarray) -> np.ndarray:
-    """Newton inversion of G(s, u) = x for one quad, vectorized over points."""
-    a0, a1, a2, a3 = coefs
+def _invert_bilinear(coefs, quad: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Newton inversion of G(s, u) = x, each point in the map of its quad.
+
+    coefs are the flat (n_quads, 2) bilinear coefficients. The points of a
+    quad stop together, after the first step whose largest |ds|, |du| over
+    them is below 1e-14; at most 60 steps.
+    """
+    a0, a1, a2, a3 = (c[quad] for c in coefs)
     st = np.zeros_like(pts)
+    live = np.arange(len(pts))  # points whose quad still iterates
     for _ in range(60):
-        s, u = st[:, 0], st[:, 1]
-        gx = a0[0] + a1[0] * s + a2[0] * u + a3[0] * s * u - pts[:, 0]
-        gy = a0[1] + a1[1] * s + a2[1] * u + a3[1] * s * u - pts[:, 1]
-        j11 = a1[0] + a3[0] * u
-        j12 = a2[0] + a3[0] * s
-        j21 = a1[1] + a3[1] * u
-        j22 = a2[1] + a3[1] * s
+        if not len(live):
+            break
+        s, u = st[live, 0], st[live, 1]
+        b0, b1, b2, b3 = a0[live], a1[live], a2[live], a3[live]
+        gx = b0[:, 0] + b1[:, 0] * s + b2[:, 0] * u + b3[:, 0] * s * u - pts[live, 0]
+        gy = b0[:, 1] + b1[:, 1] * s + b2[:, 1] * u + b3[:, 1] * s * u - pts[live, 1]
+        j11 = b1[:, 0] + b3[:, 0] * u
+        j12 = b2[:, 0] + b3[:, 0] * s
+        j21 = b1[:, 1] + b3[:, 1] * u
+        j22 = b2[:, 1] + b3[:, 1] * s
         det = j11 * j22 - j12 * j21
         ds = (gx * j22 - gy * j12) / det
         du = (gy * j11 - gx * j21) / det
-        st[:, 0] -= ds
-        st[:, 1] -= du
-        if max(np.max(np.abs(ds)), np.max(np.abs(du))) < 1e-14:
-            break
+        st[live, 0] -= ds
+        st[live, 1] -= du
+        step = np.zeros(len(coefs[0]))
+        np.maximum.at(step, quad[live], np.maximum(np.abs(ds), np.abs(du)))
+        live = live[~(step[quad[live]] < 1e-14)]
     return st
 
 
@@ -207,17 +208,13 @@ def _gll_channel_matrix(grid: GllGrid, pts: np.ndarray) -> sp.csr_matrix:
         raise ValueError("point outside mesh in encoder reconstruction")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     quad = 3 * tri_idx + np.argmax(bary, axis=1)  # flat quad at the dominant vertex
-    a0, a1, a2, a3 = (c.reshape(-1, 2) for c in split.bilinear_coefficients())
-    by_quad = np.argsort(quad, kind="stable")
-    quads, starts = np.unique(quad[by_quad], return_index=True)
-    tensor = np.empty((len(pts), (p + 1) ** 2))
-    for q, sel in zip(quads, np.split(by_quad, starts[1:])):
-        st = _invert_bilinear((a0[q], a1[q], a2[q], a3[q]), pts[sel])
-        ls = _lagrange_1d(grid.nodes_1d, st[:, 0])
-        lu = _lagrange_1d(grid.nodes_1d, st[:, 1])
-        tensor[sel] = (ls[:, :, None] * lu[:, None, :]).reshape(len(sel), -1)
+    coefs = tuple(c.reshape(-1, 2) for c in split.bilinear_coefficients())
+    st = _invert_bilinear(coefs, quad, pts)
+    ls = _lagrange_1d(grid.nodes_1d, st[:, 0])
+    lu = _lagrange_1d(grid.nodes_1d, st[:, 1])
+    tensor = (ls[:, :, None] * lu[:, None, :]).reshape(len(pts), -1)
     # each point takes the values of exactly one quad
-    return _rows_of(tensor, grid.quad_channels.reshape(len(a0), -1)[quad], len(grid.points))
+    return _rows_of(tensor, grid.quad_channels.reshape(len(coefs[0]), -1)[quad], len(grid.points))
 
 
 def encoder_error(encoder: Encoder, a: CoefficientField, grid_n: int = 400) -> float:

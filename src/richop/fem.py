@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from . import coeff as coeff_mod
 from .coeff import CoefficientField, constant
-from .mesh import Mesh
+from .mesh import _P2_EDGES, Mesh, _p2_dofs
 
 __all__ = [
     "FemSpace",
@@ -86,9 +86,6 @@ _TRI_RULES = {
     ),
 }
 
-_P2_EDGES = ((0, 1), (1, 2), (2, 0))
-
-
 @dataclass(frozen=True)
 class FemSpace:
     """Lagrange space of degree 1 or 2 with Dirichlet dofs eliminated."""
@@ -117,30 +114,7 @@ def build_space(mesh: Mesh, degree: int = 1) -> FemSpace:
         dof_coords = mesh.nodes.copy()
         constrained = mesh.boundary_nodes.copy()
     elif degree == 2:
-        edge_ids: dict = {}
-        edge_nodes = []
-        for tri in mesh.triangles:
-            for a, b in _P2_EDGES:
-                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                if key not in edge_ids:
-                    edge_ids[key] = mesh.n_nodes + len(edge_ids)
-                    edge_nodes.append(0.5 * (mesh.nodes[key[0]] + mesh.nodes[key[1]]))
-        cell_dofs = np.array(
-            [
-                list(tri)
-                + [
-                    edge_ids[(min(tri[a], tri[b]), max(tri[a], tri[b]))]
-                    for a, b in _P2_EDGES
-                ]
-                for tri in mesh.triangles
-            ],
-            dtype=np.int64,
-        )
-        dof_coords = np.vstack([mesh.nodes, np.asarray(edge_nodes)])
-        boundary_keys = {tuple(e) for e in mesh.boundary_edges}
-        constrained = list(mesh.boundary_nodes)
-        constrained += [edge_ids[k] for k in edge_ids if k in boundary_keys]
-        constrained = np.array(sorted(constrained), dtype=np.int64)
+        dof_coords, cell_dofs, constrained = _p2_dofs(mesh)
     else:
         raise ValueError("degree must be 1 or 2")
     free = np.setdiff1d(np.arange(len(dof_coords)), constrained)

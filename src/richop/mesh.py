@@ -5,6 +5,12 @@ L-shapes), ear-clipping plus refinement for general simple polygons,
 uniform red refinement, corner-graded refinement by longest-edge
 bisection, and the barycentric split of every triangle into three
 quadrilaterals with their bilinear reference maps.
+
+Shared entities are numbered once, by first appearance: grid nodes in
+cell order, edges in (triangle, local edge) order with local edges (0,1),
+(1,2), (2,0), and the P2 dofs as the vertices followed by the edge
+midpoints. The FEM spaces, red refinement, mesh fields and the GLL
+encoder's channels all use this numbering (_first_appearance).
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
 ]
 
 _MERGE_DECIMALS = 12
+_P2_EDGES = ((0, 1), (1, 2), (2, 0))  # local edge k joins vertices k and k + 1
 _LOCATE_PAIRS = 1 << 14  # point-triangle pairs per block of locate_points
 
 
@@ -148,13 +155,44 @@ class Mesh:
         return len(self.triangles)
 
 
-def _edge_counts(triangles: np.ndarray) -> dict:
-    counts: dict = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _first_appearance(keys: np.ndarray):
+    """Number the distinct rows of keys in order of first appearance.
+
+    Returns (first, ids): first[j] is the row where the j-th distinct key
+    first appears and ids[i] the number of row i's key, so that
+    keys[first][ids] equals keys.
+    """
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
+def _edge_table(triangles: np.ndarray):
+    """Undirected edges numbered by first appearance over (triangle, local edge).
+
+    Returns (edges, cell_edges, counts): the (min, max) node pairs (E, 2),
+    the edge of each local edge (t, 3) in _P2_EDGES order, and the number
+    of triangles holding each edge (E,).
+    """
+    pairs = np.sort(triangles[:, _P2_EDGES].reshape(-1, 2), axis=1)
+    first, ids = _first_appearance(pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1])
+    return pairs[first], ids.reshape(-1, 3), np.bincount(ids, minlength=len(first))
+
+
+def _p2_dofs(mesh: Mesh):
+    """P2 dofs: the vertices, then the edge midpoints 0.5 (a + b).
+
+    Returns (coords, cell_dofs, boundary): the dof coordinates, each
+    triangle's vertices then its edge dofs in _P2_EDGES order (t, 6), and
+    the sorted dofs on the boundary.
+    """
+    edges, cell_edges, counts = _edge_table(mesh.triangles)
+    nodes, n = mesh.nodes, mesh.n_nodes
+    coords = np.vstack([nodes, 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])])
+    boundary = np.concatenate([mesh.boundary_nodes, n + np.flatnonzero(counts == 1)])
+    return coords, np.hstack([mesh.triangles, n + cell_edges]), boundary
 
 
 def _build_mesh(nodes: np.ndarray, triangles: np.ndarray) -> Mesh:
@@ -172,12 +210,10 @@ def _build_mesh(nodes: np.ndarray, triangles: np.ndarray) -> Mesh:
         areas = np.abs(areas)
     if np.any(areas <= 1e-16):
         raise MeshError("degenerate triangle in mesh")
-    counts = _edge_counts(triangles)
-    boundary_edges = np.array(
-        sorted(e for e, c in counts.items() if c == 1), dtype=np.int64
-    ).reshape(-1, 2)
-    if np.any(np.array(list(counts.values())) > 2):
+    edges, _, counts = _edge_table(triangles)
+    if np.any(counts > 2):
         raise MeshError("edge shared by more than two triangles")
+    boundary_edges = np.unique(edges[counts == 1], axis=0)
     boundary_nodes = np.unique(boundary_edges)
     nodes = nodes.copy()
     nodes.setflags(write=False)
@@ -228,32 +264,20 @@ def _structured_rectilinear(polygon: Polygon, h_target: float) -> Mesh:
     step = h_target / np.sqrt(2.0)
     xs = _grid_lines(polygon.vertices[:, 0], step)
     ys = _grid_lines(polygon.vertices[:, 1], step)
-    nx, ny = len(xs), len(ys)
-    node_id = -np.ones((nx, ny), dtype=np.int64)
-    nodes = []
-    triangles = []
+    ny = len(ys)
     centers_x = 0.5 * (xs[:-1, None] + xs[1:, None])
     centers_y = 0.5 * (ys[None, :-1] + ys[None, 1:])
     cx, cy = np.broadcast_arrays(centers_x, centers_y)
     keep = polygon.contains(np.column_stack([cx.ravel(), cy.ravel()])).reshape(cx.shape)
-
-    def nid(i, j):
-        if node_id[i, j] < 0:
-            node_id[i, j] = len(nodes)
-            nodes.append((xs[i], ys[j]))
-        return node_id[i, j]
-
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            if not keep[i, j]:
-                continue
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n11, n01 = nid(i + 1, j + 1), nid(i, j + 1)
-            triangles.append((n00, n10, n11))
-            triangles.append((n00, n11, n01))
-    if not triangles:
+    ci, cj = np.nonzero(keep)  # kept cells, i-major
+    if not len(ci):
         raise MeshError("no cell center inside polygon; h_target too coarse?")
-    return _build_mesh(np.asarray(nodes), np.asarray(triangles))
+    # grid index i * ny + j of the corners n00, n10, n11, n01 of each cell
+    corners = (ci * ny + cj)[:, None] + np.array([0, ny, ny + 1, 1])
+    first, ids = _first_appearance(corners.reshape(-1))
+    key = corners.reshape(-1)[first]
+    nodes = np.column_stack([xs[key // ny], ys[key % ny]])
+    return _build_mesh(nodes, ids.reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
 
 
 def _ear_clip(polygon: Polygon) -> np.ndarray:
@@ -314,26 +338,13 @@ def triangulate(polygon: Polygon, h_target: float) -> Mesh:
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Red refinement: every triangle is split into 4 via edge midpoints.
 
-    Original nodes keep their indices and exact coordinates.
+    Original nodes keep their indices and exact coordinates; the new nodes
+    are the P2 edge dofs, so the children of triangle (v0, v1, v2, m01, m12,
+    m20) are (v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20).
     """
-    nodes = [tuple(p) for p in mesh.nodes]
-    midpoint: dict = {}
-
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in midpoint:
-            midpoint[key] = len(nodes)
-            pa, pb = mesh.nodes[a], mesh.nodes[b]
-            nodes.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
-        return midpoint[key]
-
-    triangles = []
-    for v0, v1, v2 in mesh.triangles:
-        m01, m12, m20 = mid(v0, v1), mid(v1, v2), mid(v2, v0)
-        triangles.extend(
-            [(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)]
-        )
-    return _build_mesh(np.asarray(nodes), np.asarray(triangles))
+    coords, cell_dofs, _ = _p2_dofs(mesh)
+    children = cell_dofs[:, [[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]]]
+    return _build_mesh(coords, children.reshape(-1, 3))
 
 
 def _longest_edge(tri, nodes) -> int:
@@ -571,18 +582,14 @@ def validate_mesh(mesh: Mesh) -> None:
     )
     if np.any(areas <= 0):
         raise MeshError("non-positive triangle area")
-    directed: dict = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            if (a, b) in directed:
-                raise MeshError("edge traversed twice in the same direction")
-            directed[(a, b)] = True
-    counts = _edge_counts(mesh.triangles)
-    if np.any(np.array(list(counts.values())) > 2):
+    directed = mesh.triangles[:, _P2_EDGES].reshape(-1, 2)
+    if len(np.unique(directed, axis=0)) < len(directed):
+        raise MeshError("edge traversed twice in the same direction")
+    edges, _, counts = _edge_table(mesh.triangles)
+    if np.any(counts > 2):
         raise MeshError("edge shared by more than two triangles")
-    boundary = set(map(tuple, mesh.boundary_edges))
-    recomputed = {e for e, c in counts.items() if c == 1}
-    if boundary != recomputed:
+    boundary = np.unique(np.reshape(mesh.boundary_edges, (-1, 2)), axis=0)
+    if not np.array_equal(boundary, np.unique(edges[counts == 1], axis=0)):
         raise MeshError("boundary edges out of date")
     angle_sum = np.zeros(mesh.n_nodes)
     for tri in mesh.triangles:

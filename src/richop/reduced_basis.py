@@ -94,7 +94,6 @@ class ReducedBasis:
     ortho: np.ndarray
     selection_indices: list
     nominal_stiffness: sp.csr_matrix
-    gram_chol: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -118,7 +117,6 @@ class ReducedBasis:
             self.ortho[:, :n_plus_1],
             self.selection_indices[: n_plus_1 - 1],
             self.nominal_stiffness,
-            None,
         )
 
 
@@ -206,15 +204,8 @@ def weak_greedy(
         selected.append(pick)
         trace.record(len(selected) - 1, rmax, pick, t0)
 
-    raw = np.column_stack(raw_cols)
-    ortho = np.column_stack(ortho_cols)
-    gram = raw.T @ (k0 @ raw)
-    try:
-        chol = la.cholesky(gram, lower=True)
-    except la.LinAlgError:
-        chol = None
-    basis = ReducedBasis(space, config, raw, ortho, selected, k0, chol)
-    return basis, trace
+    raw, ortho = np.column_stack(raw_cols), np.column_stack(ortho_cols)
+    return ReducedBasis(space, config, raw, ortho, selected, k0), trace
 
 
 def analyze(basis: ReducedBasis, v: np.ndarray, frame: str = "raw", best: bool = False) -> np.ndarray:

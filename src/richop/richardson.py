@@ -34,15 +34,11 @@ __all__ = [
 class ReducedSystem:
     """Dense reduced matrices for one coefficient in a fixed basis frame."""
 
-    basis: ReducedBasis
-    frame: str
-    coefficient: CoefficientField | np.ndarray
     b_nominal: np.ndarray  # Gram of the frame in the nominal form
     b_coeff: np.ndarray  # bilinear form of the coefficient on the frame
     load: np.ndarray
     iteration_matrix: np.ndarray
     shift: np.ndarray
-    gram: np.ndarray  # nominal Gram, used for energy distances
 
     @property
     def size(self) -> int:
@@ -88,7 +84,7 @@ def assemble_reduced(
         ) from exc
     iteration_matrix = np.eye(len(load)) - la.cho_solve(chol, b_v) / config.alpha
     shift = la.cho_solve(chol, load) / config.alpha
-    return ReducedSystem(basis, frame, v, b0, b_v, load, iteration_matrix, shift, b0)
+    return ReducedSystem(b0, b_v, load, iteration_matrix, shift)
 
 
 def contraction_norm(system: ReducedSystem) -> float:
@@ -134,7 +130,7 @@ def reduced_energy_error(
 ) -> float:
     """Energy-norm distance between two reduced coefficient vectors."""
     d = np.asarray(c, dtype=float) - np.asarray(c_ref, dtype=float)
-    return float(np.sqrt(max(d @ (system.gram @ d), 0.0)))
+    return float(np.sqrt(max(d @ (system.b_nominal @ d), 0.0)))
 
 
 def direct_solve(system: ReducedSystem) -> np.ndarray:

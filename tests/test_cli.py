@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from richop import cli, fem, mesh, pipeline, reduced_basis
+from richop import cli, encoder, fem, mesh, pipeline, reduced_basis
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "square_smoke.json")
 SWEEP = os.path.join(os.path.dirname(__file__), "..", "configs", "eps_sweep.json")
@@ -110,6 +110,21 @@ def test_sweep_rows(tmp_path):
     assert len(body) == 1 + len(values)  # header + one row per epsilon
     header = body[0].strip().split(",")
     assert header[:4] == ["epsilon", "depth", "size", "k_steps"]
+
+
+def test_sweep_builds_the_quadrature_channel_matrix_once(tmp_path, monkeypatch):
+    points = []
+    original = encoder.Encoder.channel_matrix
+
+    def counting(self, pts):
+        points.append(len(pts))
+        return original(self, pts)
+
+    monkeypatch.setattr(encoder.Encoder, "channel_matrix", counting)
+    assert cli.main(["sweep", "--config", SWEEP, "--out", str(tmp_path / "sweep")]) == 0
+    # one call at the encoder's own nodes (the envelope), one at the quadrature points
+    assert len(points) == 2
+    assert len(json.load(open(SWEEP))["sweep"]["values"]) > 1
 
 
 def test_sweep_measured_mode_sizes_the_built_net(tmp_path):

@@ -180,6 +180,28 @@ class TestEncoderError:
         assert np.max(np.abs(enc.encode(enc.reconstruct(y)) - y)) < 1e-12
 
 
+def _invert_bilinear_loop(coefs, pts):
+    """Reference Newton inversion for the points of one quad."""
+    a0, a1, a2, a3 = coefs
+    st = np.zeros_like(pts)
+    for _ in range(60):
+        s, u = st[:, 0], st[:, 1]
+        gx = a0[0] + a1[0] * s + a2[0] * u + a3[0] * s * u - pts[:, 0]
+        gy = a0[1] + a1[1] * s + a2[1] * u + a3[1] * s * u - pts[:, 1]
+        j11 = a1[0] + a3[0] * u
+        j12 = a2[0] + a3[0] * s
+        j21 = a1[1] + a3[1] * u
+        j22 = a2[1] + a3[1] * s
+        det = j11 * j22 - j12 * j21
+        ds = (gx * j22 - gy * j12) / det
+        du = (gy * j11 - gx * j21) / det
+        st[:, 0] -= ds
+        st[:, 1] -= du
+        if max(np.max(np.abs(ds)), np.max(np.abs(du))) < 1e-14:
+            break
+    return st
+
+
 def _gll_channel_matrix_loop(grid, pts):
     """Reference: one quad group at a time, one row at a time."""
     tri_idx, bary = M.locate_points(grid.split.mesh, pts, tol=1e-9)
@@ -188,7 +210,7 @@ def _gll_channel_matrix_loop(grid, pts):
     out = np.zeros((len(pts), len(grid.points)))
     for t, i in {(int(t), int(i)) for t, i in zip(tri_idx, quad_idx)}:
         sel = np.flatnonzero((tri_idx == t) & (quad_idx == i))
-        st = E._invert_bilinear((a0[t, i], a1[t, i], a2[t, i], a3[t, i]), pts[sel])
+        st = _invert_bilinear_loop((a0[t, i], a1[t, i], a2[t, i], a3[t, i]), pts[sel])
         ls = E._lagrange_1d(grid.nodes_1d, st[:, 0])
         lu = E._lagrange_1d(grid.nodes_1d, st[:, 1])
         tensor = ls[:, :, None] * lu[:, None, :]

@@ -1,8 +1,13 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from richop import encoder as E
+from richop import fem as F
 from richop import mesh as M
 
 
@@ -305,3 +310,203 @@ class TestLocatePoints:
         for tol in (1e-12, 1e-9):
             got, expected = M.locate_points(square_mesh, pts, tol), scan(square_mesh, pts, tol)
             assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+
+class TestValidateMeshRejects:
+    """One crafted mesh per MeshError branch of validate_mesh."""
+
+    def test_duplicate_node(self, square):
+        mesh = M.triangulate(square, 1.5)
+        copy = M._build_mesh(np.vstack([mesh.nodes, mesh.nodes[:1]]), mesh.triangles)
+        with pytest.raises(M.MeshError, match="duplicate node"):
+            M.validate_mesh(copy)
+
+    def test_non_positive_area(self, square):
+        mesh = M.triangulate(square, 1.5)
+        clockwise = M.Mesh(
+            mesh.nodes, mesh.triangles[:, [0, 2, 1]], mesh.boundary_nodes, mesh.boundary_edges
+        )
+        with pytest.raises(M.MeshError, match="non-positive"):
+            M.validate_mesh(clockwise)
+
+    def test_edge_traversed_twice_in_one_direction(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 1.0]])
+        overlap = M._build_mesh(nodes, np.array([[0, 1, 2], [0, 1, 3]]))
+        with pytest.raises(M.MeshError, match="traversed twice"):
+            M.validate_mesh(overlap)
+
+    def test_edge_in_three_triangles(self):
+        # three triangles hold the edge in only two directions, so the
+        # same-direction check is the one that fires
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]])
+        fan = M.Mesh(nodes, np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]]), np.arange(5), np.zeros((0, 2)))
+        with pytest.raises(M.MeshError, match="traversed twice"):
+            M.validate_mesh(fan)
+
+    def test_stale_boundary_edges(self, square):
+        mesh = M.triangulate(square, 0.5)
+        stale = M.Mesh(mesh.nodes, mesh.triangles, mesh.boundary_nodes, mesh.boundary_edges[1:])
+        with pytest.raises(M.MeshError, match="out of date"):
+            M.validate_mesh(stale)
+
+    def test_angle_sum_gap(self):
+        # a fan of seven 4pi/7 wedges winds twice around its interior centre
+        angles = 4.0 * np.pi * np.arange(7) / 7.0
+        radii = np.where(angles < 2.0 * np.pi, 1.0, 2.0)
+        rim = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+        wedges = np.column_stack([np.zeros(7), 1 + np.arange(7), 1 + (np.arange(1, 8) % 7)])
+        double_cover = M._build_mesh(np.vstack([[0.0, 0.0], rim]), wedges)
+        assert 0 not in double_cover.boundary_nodes
+        with pytest.raises(M.MeshError, match="angle sum"):
+            M.validate_mesh(double_cover)
+
+
+class TestBuildMeshRejects:
+    def test_degenerate_triangle(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(M.MeshError, match="degenerate"):
+            M._build_mesh(nodes, np.array([[0, 1, 2]]))
+
+    def test_edge_in_three_triangles(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]])
+        with pytest.raises(M.MeshError, match="more than two"):
+            M._build_mesh(nodes, np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]]))
+
+
+# Reference numberings: dict loops that number each shared node, edge or
+# channel the first time a (cell, local entity) scan meets it.
+
+
+def _dict_structured(polygon, h_target):
+    step = h_target / np.sqrt(2.0)
+    xs = M._grid_lines(polygon.vertices[:, 0], step)
+    ys = M._grid_lines(polygon.vertices[:, 1], step)
+    node_id, nodes, triangles = {}, [], []
+
+    def nid(i, j):
+        if (i, j) not in node_id:
+            node_id[i, j] = len(nodes)
+            nodes.append((xs[i], ys[j]))
+        return node_id[i, j]
+
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            centre = [[0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])]]
+            if not polygon.contains(centre)[0]:
+                continue
+            n00, n10, n11, n01 = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
+            triangles += [(n00, n10, n11), (n00, n11, n01)]
+    return np.asarray(nodes), np.asarray(triangles)
+
+
+def _dict_boundary_edges(triangles):
+    counts = {}
+    for tri in triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return np.array(sorted(e for e, c in counts.items() if c == 1)).reshape(-1, 2)
+
+
+def _dict_p2(mesh):
+    """(dof coordinates, cell dofs, boundary dofs) of the P2 space."""
+    edge_ids, mids = {}, []
+    for tri in mesh.triangles:
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            if key not in edge_ids:
+                edge_ids[key] = mesh.n_nodes + len(mids)
+                mids.append(0.5 * (mesh.nodes[key[0]] + mesh.nodes[key[1]]))
+    cell_dofs = [
+        list(tri) + [edge_ids[min(tri[a], tri[b]), max(tri[a], tri[b])] for a, b in ((0, 1), (1, 2), (2, 0))]
+        for tri in mesh.triangles
+    ]
+    boundary = {tuple(e) for e in mesh.boundary_edges}
+    constrained = sorted(list(mesh.boundary_nodes) + [i for k, i in edge_ids.items() if k in boundary])
+    return np.vstack([mesh.nodes, mids]), np.asarray(cell_dofs), np.asarray(constrained)
+
+
+def _dict_refine(mesh):
+    nodes, midpoint, triangles = [tuple(p) for p in mesh.nodes], {}, []
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint:
+            midpoint[key] = len(nodes)
+            pa, pb = mesh.nodes[a], mesh.nodes[b]
+            nodes.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
+        return midpoint[key]
+
+    for v0, v1, v2 in mesh.triangles:
+        m01, m12, m20 = mid(v0, v1), mid(v1, v2), mid(v2, v0)
+        triangles += [(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)]
+    return np.asarray(nodes), np.asarray(triangles)
+
+
+def _graded_lshape():
+    cfg = json.load(open(os.path.join(os.path.dirname(__file__), "..", "configs", "decay_lshape.json")))
+    graded = cfg["mesh"]["graded"]
+    coarse = M.triangulate(M.lshape(), cfg["mesh"]["h"])
+    return M.refine_corner_graded(coarse, graded["corners"], graded["grading"], graded["levels"])
+
+
+_NUMBERING_MESHES = {
+    "square_0.3": lambda: M.triangulate(M.unit_square(), 0.3),
+    "square_0.025": lambda: M.triangulate(M.unit_square(), 0.025),
+    "square_0.0884": lambda: M.triangulate(M.unit_square(), 0.0884),
+    "lshape_0.5": lambda: M.triangulate(M.lshape(), 0.5),
+    "lshape_0.07": lambda: M.triangulate(M.lshape(), 0.07),
+    "lshape_graded": _graded_lshape,
+    "ear_clipped": lambda: M.triangulate(
+        M.Polygon(np.array([[0.0, 0.0], [2.0, 0.3], [1.7, 1.4], [0.6, 1.9], [-0.4, 0.9]])), 0.4
+    ),
+}
+
+
+class TestFirstAppearanceNumbering:
+    @pytest.fixture(scope="class", params=sorted(_NUMBERING_MESHES))
+    def mesh(self, request):
+        return _NUMBERING_MESHES[request.param]()
+
+    def test_boundary_edges(self, mesh):
+        assert np.array_equal(mesh.boundary_edges, _dict_boundary_edges(mesh.triangles))
+
+    def test_p2_space(self, mesh):
+        space = F.build_space(mesh, 2)
+        coords, cell_dofs, constrained = _dict_p2(mesh)
+        assert np.array_equal(space.dof_coords, coords)
+        assert np.array_equal(space.cell_dofs, cell_dofs)
+        assert np.array_equal(space.constrained_dofs, constrained)
+
+    def test_red_refinement(self, mesh):
+        fine, (nodes, triangles) = M.refine_uniform(mesh), _dict_refine(mesh)
+        assert np.array_equal(fine.nodes, nodes) and np.array_equal(fine.triangles, triangles)
+
+    @pytest.mark.parametrize("h", [0.3, 0.025, 0.0884])
+    def test_structured_square(self, h):
+        mesh, (nodes, triangles) = M.triangulate(M.unit_square(), h), _dict_structured(M.unit_square(), h)
+        assert np.array_equal(mesh.nodes, nodes) and np.array_equal(mesh.triangles, triangles)
+
+    @pytest.mark.parametrize("h", [0.5, 0.07])
+    def test_structured_lshape(self, h):
+        mesh, (nodes, triangles) = M.triangulate(M.lshape(), h), _dict_structured(M.lshape(), h)
+        assert np.array_equal(mesh.nodes, nodes) and np.array_equal(mesh.triangles, triangles)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_gll_channels(self, p):
+        split = M.quad_split(M.triangulate(M.unit_square(), 0.5))
+        grid = E.build_gll_encoder(split, p)._payload
+        nodes = E.gll_nodes(p)
+        st = np.column_stack([np.repeat(nodes, p + 1), np.tile(nodes, p + 1)])
+        channel_of, points = {}, []
+        channels = np.empty_like(grid.quad_channels)
+        for t in range(split.mesh.n_triangles):
+            for i in range(3):
+                for loc, x in enumerate(split.map_points(t, i, st)):
+                    key = tuple(np.round(x, 12))
+                    if key not in channel_of:
+                        channel_of[key] = len(points)
+                        points.append(x)
+                    channels[t, i, loc] = channel_of[key]
+        assert np.array_equal(grid.points, np.asarray(points))
+        assert np.array_equal(grid.quad_channels, channels)
