@@ -31,7 +31,7 @@ from . import reduced_basis as rb_mod
 from . import richardson as rich_mod
 from .encoder import build_gll_encoder, build_nodal_encoder
 from .mesh import quad_split
-from .relu_net import build_approximator
+from .relu_net import build_approximator, input_net
 
 __all__ = ["main", "run", "load_config", "ConfigError"]
 
@@ -274,11 +274,11 @@ def cmd_sweep(s: Setup, out_dir, hash_):
     _check(all(0 < e < 1 for e in values), f"sweep values must lie in (0, 1), got {values!r}")
     basis, _ = s.greedy
     _, beta_eff = pipe_mod.effective_beta(s.encoder, s.problem, s.snapshots.coefficients, s.beta_mode)
-    channels = s.encoder.channel_matrix(fem_mod.quadrature_points(s.space))
+    net_in = input_net(basis, s.space, s.problem, s.encoder)
     rows = []
     for eps in values:
         bundle = build_approximator(
-            basis, s.space, s.problem, s.encoder, eps, beta_eff=beta_eff, channels=channels
+            basis, s.space, s.problem, s.encoder, eps, beta_eff=beta_eff, encoder_input=net_in
         )
         rows.append((eps, bundle.report.depth, bundle.report.size, bundle.k_steps))
     _write_csv(out_dir, "sweep.csv", ["epsilon", "depth", "size", "k_steps"], rows, hash_)

@@ -586,22 +586,15 @@ def validate_mesh(mesh: Mesh) -> None:
     if len(np.unique(directed, axis=0)) < len(directed):
         raise MeshError("edge traversed twice in the same direction")
     edges, _, counts = _edge_table(mesh.triangles)
-    if np.any(counts > 2):
-        raise MeshError("edge shared by more than two triangles")
     boundary = np.unique(np.reshape(mesh.boundary_edges, (-1, 2)), axis=0)
     if not np.array_equal(boundary, np.unique(edges[counts == 1], axis=0)):
         raise MeshError("boundary edges out of date")
+    # corner k of every triangle at once: u, v run to corners k + 1 and k + 2
+    u, v = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+    cosang = np.sum(u * v, axis=2) / (np.linalg.norm(u, axis=2) * np.linalg.norm(v, axis=2))
+    angles = np.arccos(np.clip(cosang, -1.0, 1.0))
     angle_sum = np.zeros(mesh.n_nodes)
-    for tri in mesh.triangles:
-        for k in range(3):
-            a = mesh.nodes[tri[k]]
-            b = mesh.nodes[tri[(k + 1) % 3]]
-            c = mesh.nodes[tri[(k + 2) % 3]]
-            u, v = b - a, c - a
-            cosang = np.clip(
-                (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0
-            )
-            angle_sum[tri[k]] += np.arccos(cosang)
+    np.add.at(angle_sum, mesh.triangles.ravel(), angles.ravel())
     interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
     if len(interior) and np.max(np.abs(angle_sum[interior] - 2 * np.pi)) > 1e-9:
         raise MeshError("interior angle sum differs from 2*pi (overlap or gap)")

@@ -48,6 +48,7 @@ from .relu_net import (
     build_approximator,
     bundle_from_json,
     bundle_to_json,
+    input_net,
     sparse_concat,
 )
 from .richardson import assemble_reduced, direct_solve
@@ -171,8 +172,9 @@ def build_operator(
         encoder, config, snapshots.coefficients, beta_mode
     )
     channels = encoder.channel_matrix(quadrature_points(space))
+    encoder_input = input_net(basis, space, config, encoder, channels=channels)
     approximator = build_approximator(
-        basis, space, config, encoder, epsilon, beta_eff=beta_eff, channels=channels
+        basis, space, config, encoder, epsilon, beta_eff=beta_eff, encoder_input=encoder_input
     )
     certificates = {
         "epsilon": epsilon,

@@ -8,6 +8,11 @@ matrix from encoder channels, and one tolerance-certified step net that
 evaluation runs K times. The unrolled network (input net, then K spliced
 steps) computes the same function; it is built only when read, and its
 depth and size are counted from the parts without building it.
+
+Weights are float64 CSR. realize runs each layer through the kernel that
+scipy's `w @ y` dispatches to (`_sparsetools.csr_matvec`, `csr_matvecs`),
+without the dispatch: the kernel sums the same terms in the same order, so
+results are bit-identical to `w @ y`.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .encoder import Encoder
 from .fem import (
@@ -63,7 +69,10 @@ class NeuralNet:
     """Weight/bias list; realization applies ReLU after every layer but the last."""
 
     def __init__(self, layers):
-        self.layers = [(w.tocsr(), np.asarray(b, dtype=float)) for w, b in layers]
+        self.layers = [
+            (w.tocsr().astype(np.float64, copy=False), np.asarray(b, dtype=float))
+            for w, b in layers
+        ]
         widths = [self.layers[0][0].shape[1]]
         for w, b in self.layers:
             if w.shape[1] != widths[-1]:
@@ -93,8 +102,10 @@ class NeuralNet:
 def realize(net: NeuralNet, x: np.ndarray) -> np.ndarray:
     """Exact forward evaluation of a single input (1-D) or a batch (rows).
 
-    Activations are carried as columns, so a single input costs one sparse
-    mat-vec per layer and a batch one sparse mat-mat.
+    Activations are carried as columns: a vector for a single input, a
+    C-ordered (width, batch) block for a batch. Each layer calls csr_matvec
+    or csr_matvecs directly; like `w @ y`, they sum each output from zero
+    over the row's stored entries in order, so the result is bit-identical.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != net.n_inputs:
@@ -102,13 +113,18 @@ def realize(net: NeuralNet, x: np.ndarray) -> np.ndarray:
             f"expected input of width {net.n_inputs} with 1 or 2 dimensions, "
             f"got shape {x.shape}"
         )
-    y = x.T
+    y = np.ascontiguousarray(x.T)
     last = len(net.layers) - 1
     for ell, (w, b) in enumerate(net.layers):
-        y = w @ y
-        y += b if x.ndim == 1 else b[:, None]
+        out = np.zeros((len(b),) + y.shape[1:])
+        if y.ndim == 1:
+            _sparsetools.csr_matvec(*w.shape, w.indptr, w.indices, w.data, y, out)
+        else:
+            _sparsetools.csr_matvecs(*w.shape, y.shape[1], w.indptr, w.indices, w.data, y, out)
+        out += b if y.ndim == 1 else b[:, None]
         if ell != last:
-            np.maximum(y, 0.0, out=y)
+            np.maximum(out, 0.0, out=out)
+        y = out
     return y.T
 
 
@@ -423,7 +439,7 @@ def build_approximator(
     frame: str = "ortho",
     order: int = 4,
     f_dual: float | None = None,
-    channels: sp.csr_matrix | None = None,
+    encoder_input: NeuralNet | None = None,
 ) -> ApproximatorBundle:
     """The affine input net and the final step net, with the unrolled net's report.
 
@@ -432,8 +448,9 @@ def build_approximator(
     ||f||), so the synthesized output is within eps of the reduced Galerkin
     solution of the encoded coefficient, in the energy norm. Each step has
     tolerance (1 - contraction) eps_iterator on the box 2 + 1/(1 - contraction),
-    so the accumulated geometric error stays below eps_iterator. `channels`
-    is handed to input_net.
+    so the accumulated geometric error stays below eps_iterator. A caller
+    holding input_net(basis, space, config, encoder, frame, order), which
+    does not depend on epsilon, passes it as `encoder_input`.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -454,7 +471,8 @@ def build_approximator(
     eps_step = (1.0 - contraction) * eps_iter
     z_tilde = 2.0 + 1.0 / (1.0 - contraction)
     step = step_net(n, z_tilde, eps_step, shift, carry=False)
-    encoder_input = input_net(basis, space, config, encoder, frame, order, channels)
+    if encoder_input is None:
+        encoder_input = input_net(basis, space, config, encoder, frame, order)
     step_counts = _layer_counts(step)
     iterator, net = _unroll(
         _layer_counts(encoder_input),

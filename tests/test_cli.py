@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from richop import cli, encoder, fem, mesh, pipeline, reduced_basis
+from richop import cli, encoder, fem, mesh, pipeline, reduced_basis, relu_net
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "square_smoke.json")
 SWEEP = os.path.join(os.path.dirname(__file__), "..", "configs", "eps_sweep.json")
@@ -125,6 +125,20 @@ def test_sweep_builds_the_quadrature_channel_matrix_once(tmp_path, monkeypatch):
     # one call at the encoder's own nodes (the envelope), one at the quadrature points
     assert len(points) == 2
     assert len(json.load(open(SWEEP))["sweep"]["values"]) > 1
+
+
+def test_sweep_builds_the_input_net_once(tmp_path, monkeypatch):
+    calls = []
+    original = relu_net.input_net
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(relu_net, "input_net", counting)
+    monkeypatch.setattr(cli, "input_net", counting)
+    assert cli.main(["sweep", "--config", SWEEP, "--out", str(tmp_path / "sweep")]) == 0
+    assert len(calls) == 1
 
 
 def test_sweep_measured_mode_sizes_the_built_net(tmp_path):

@@ -32,6 +32,38 @@ def identity(n):
     return NN.affine_net(sp.eye(n), np.zeros(n))
 
 
+def matmul_realize(layers, x):
+    """Reference forward pass through scipy's `w @ y`, bias and ReLU."""
+    y = np.asarray(x, dtype=float).T
+    for ell, (w, b) in enumerate(layers):
+        y = w @ y
+        y += b if x.ndim == 1 else b[:, None]
+        if ell != len(layers) - 1:
+            np.maximum(y, 0.0, out=y)
+    return y.T
+
+
+def kernel_layers(rng):
+    """Three layers the kernel must sum exactly as `w @ y` does.
+
+    Integer-valued weights in int64; CSR with unsorted indices and duplicate
+    entries whose values span 16 decades, so any reordering of a row's sum
+    changes its bits; and an empty row, whose output is its bias alone.
+    """
+    ints = sp.csr_matrix(rng.integers(-3, 4, (7, 5)) * (rng.random((7, 5)) < 0.6))
+    cols = np.array([4, 0, 4, 2, 6, 1, 1, 5, 3, 3, 0, 6])
+    indptr = np.array([0, 4, 4, 8, 12])  # row 1 is empty
+    vals = rng.standard_normal(len(cols)) * 10.0 ** rng.uniform(-8, 8, len(cols))
+    messy = sp.csr_matrix((vals, cols, indptr), shape=(4, 7))
+    assert not messy.has_sorted_indices and not messy.has_canonical_format
+    last = sp.csr_matrix(rng.standard_normal((3, 4)))
+    return [
+        (ints, rng.standard_normal(7)),
+        (messy, rng.standard_normal(4)),
+        (last, rng.standard_normal(3)),
+    ]
+
+
 class TestRealize:
     def test_depth_one_affine(self, rng):
         # sparse and dense matvecs may sum in different orders; agreement is
@@ -73,6 +105,28 @@ class TestRealize:
                 single = NN.realize(net, x[i])
                 assert single.shape == (net.n_outputs,)
                 assert np.array_equal(single, batch[i])
+
+    @pytest.mark.parametrize("layout", ["vector", "c_batch", "f_batch", "strided", "one_row"])
+    @pytest.mark.parametrize("kind", ["mixed", "depth_one"])
+    def test_kernel_equals_matmul_loop_bitwise(self, rng, kind, layout):
+        layers = kernel_layers(rng) if kind == "mixed" else kernel_layers(rng)[1:2]
+        net = NN.NeuralNet(layers)
+        n = net.n_inputs
+        x = {
+            "vector": lambda: rng.standard_normal(n),
+            "c_batch": lambda: rng.standard_normal((6, n)),
+            "f_batch": lambda: np.asfortranarray(rng.standard_normal((6, n))),
+            "strided": lambda: rng.standard_normal((6, 2 * n))[:, ::2],
+            "one_row": lambda: rng.standard_normal((1, n)),
+        }[layout]()
+        got = NN.realize(net, x)
+        want = matmul_realize(layers, x)
+        assert got.shape == want.shape == x.shape[:-1] + (net.n_outputs,)
+        assert np.array_equal(got, want)
+
+    def test_weights_stored_as_float64_csr(self, rng):
+        for w, _ in NN.NeuralNet(kernel_layers(rng)).layers:
+            assert sp.issparse(w) and w.format == "csr" and w.dtype == np.float64
 
     def test_size_counts_nonzeros(self):
         w = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
