@@ -274,7 +274,7 @@ def cmd_sweep(s: Setup, out_dir, hash_):
     _check(all(0 < e < 1 for e in values), f"sweep values must lie in (0, 1), got {values!r}")
     basis, _ = s.greedy
     _, beta_eff = pipe_mod.effective_beta(s.encoder, s.problem, s.snapshots.coefficients, s.beta_mode)
-    net_in = input_net(basis, s.space, s.problem, s.encoder)
+    net_in = input_net(basis, s.encoder)
     rows = []
     for eps in values:
         bundle = build_approximator(
@@ -290,9 +290,7 @@ def cmd_nncheck(s: Setup, out_dir, hash_):
     eps = op.certificates["epsilon"]
     errors = []
     for a in s.test_coefficients("mc_count", 200, 2):
-        recon = op.quadrature_channels @ op.encoder.encode(a)
-        sys_r = rich_mod.assemble_reduced(op.basis, space, config, recon, frame=op.frame)
-        u_ref = rb_mod.synthesize(op.basis, rich_mod.direct_solve(sys_r), frame=op.frame)
+        u_ref = pipe_mod.reduced_solution(op, op.quadrature_channels @ op.encoder.encode(a))
         errors.append(fem_mod.energy_norm(space, config, u_ref - pipe_mod.evaluate(op, a), k0=k0))
     rows = [(j, err, eps) for j, err in enumerate(errors)]
     _write_csv(out_dir, "nncheck.csv", ["index", "energy_error_vs_reduced", "certified"], rows, hash_)
@@ -318,7 +316,7 @@ def cmd_run(s: Setup, out_dir, hash_):
     """Full pipeline: build, contraction and convergence tables, certificates."""
     op = s.operator
     systems = [
-        rich_mod.assemble_reduced(op.basis, s.space, s.problem, a, frame=op.frame)
+        rich_mod.assemble_reduced(op.basis, a)
         for a in s.test_coefficients("test_count", 10, 1)
     ]
     bound = s.problem.beta / s.problem.alpha

@@ -44,7 +44,6 @@ __all__ = [
     "assemble_stiffness",
     "assemble_stiffness_samples",
     "assemble_load",
-    "solve_spd",
     "galerkin_solve",
     "energy_norm",
     "dual_norm",
@@ -299,12 +298,6 @@ def assemble_load(space: FemSpace, f, order: int = 4) -> np.ndarray:
 # Two CG steps past 1e-12 keep solutions within about 1e-14 of a direct solve;
 # the greedy basis divides that by a snapshot's residual (down to about 3e-3).
 _SOLVE_TOL = 1e-14
-
-
-def solve_spd(matrix, rhs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Solve an SPD system by CG preconditioned by the matrix's own factorization,
-    which stops after one step; raises SolverError if the matrix is not SPD."""
-    return _cg(matrix, rhs, _factor(matrix), tol)
 
 
 def _factor(matrix) -> spla.SuperLU:

@@ -60,6 +60,7 @@ __all__ = [
     "effective_beta",
     "build_operator",
     "evaluate",
+    "reduced_solution",
     "error_decomposition",
     "nonsmooth_operator",
     "save_bundle",
@@ -172,7 +173,7 @@ def build_operator(
         encoder, config, snapshots.coefficients, beta_mode
     )
     channels = encoder.channel_matrix(quadrature_points(space))
-    encoder_input = input_net(basis, space, config, encoder, channels=channels)
+    encoder_input = input_net(basis, encoder, channels=channels)
     approximator = build_approximator(
         basis, space, config, encoder, epsilon, beta_eff=beta_eff, encoder_input=encoder_input
     )
@@ -199,6 +200,16 @@ def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
     return synthesize(op.basis, c, frame=op.frame)
 
 
+def reduced_solution(op: NeuralOperator, v: CoefficientField | np.ndarray) -> np.ndarray:
+    """Synthesized dense reduced Galerkin solution of a coefficient.
+
+    v is a field, or its samples at quadrature_points(op.space); the
+    reconstruction of an encoding y has samples op.quadrature_channels @ y.
+    """
+    system = assemble_reduced(op.basis, v)
+    return synthesize(op.basis, direct_solve(system), frame="ortho")
+
+
 def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
     """Measure the truncation, encoder, and network error terms independently.
 
@@ -206,21 +217,16 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
     the coefficient and of its reconstruction, (III) reduced solve of the
     reconstruction vs the synthesized network output.
     """
-    space, config, basis, frame = op.space, op.config, op.basis, op.frame
+    space, config, basis = op.space, op.config, op.basis
     k0 = basis.nominal_stiffness
-
-    def reduced_solution(samples):
-        system = assemble_reduced(basis, space, config, samples, frame=frame)
-        return synthesize(basis, direct_solve(system), frame=frame)
-
     report = ErrorReport()
     for a in test_coefficients:
         samples = a(quadrature_points(space))
         y = op.encoder.encode(a)
         u_fine = galerkin_solve(space, config, samples)
-        u_reduced = reduced_solution(samples)
-        u_recon = reduced_solution(op.quadrature_channels @ y)
-        u_net = synthesize(basis, op.approximator.realize(y), frame=frame)
+        u_reduced = reduced_solution(op, samples)
+        u_recon = reduced_solution(op, op.quadrature_channels @ y)
+        u_net = synthesize(basis, op.approximator.realize(y), frame=op.frame)
         report.totals.append(energy_norm(space, config, u_fine - u_net, k0=k0))
         report.reduced_truncation.append(
             energy_norm(space, config, u_fine - u_reduced, k0=k0)

