@@ -5,6 +5,10 @@ Lagrange spaces with homogeneous Dirichlet conditions eliminated, solves the
 resulting SPD systems, and provides the energy norm induced by the nominal
 coefficient together with the discrete dual norm of the source.
 
+What the problem fixes, K(a0), the load vector of f and the dual norm of f,
+is one FineForm per (space, config), built on first use and cached on the
+space (see nominal); every solve and norm reads it.
+
 Everything in an assembly that does not depend on the coefficient (the
 quadrature points, the free-dof sparsity pattern, and the sparse operators
 taking samples at the quadrature points to the stiffness data and to the
@@ -14,7 +18,7 @@ mat-vec. The stiffness operator yields the upper triangle of the symmetric
 matrix, which a gather mirrors into the whole pattern.
 
 The one solver is CG preconditioned by a sparse factorization; Galerkin
-solves and dual norms use that of K(1), cached with the Assembly. Admissible
+solves and the dual norm use that of K(1), cached with the Assembly. Admissible
 coefficients lie in [alpha - beta, alpha + beta], so the preconditioned
 condition number is at most (alpha + beta) / (alpha - beta) on every mesh.
 """
@@ -35,18 +39,19 @@ from .mesh import _P2_EDGES, Mesh, _p2_dofs
 __all__ = [
     "FemSpace",
     "Assembly",
+    "FineForm",
     "ProblemConfig",
     "SolverError",
     "MembershipError",
     "build_space",
     "assembly",
+    "nominal",
     "quadrature_points",
     "assemble_stiffness",
     "assemble_stiffness_samples",
     "assemble_load",
     "galerkin_solve",
     "energy_norm",
-    "dual_norm",
     "normalize_source",
 ]
 
@@ -97,6 +102,8 @@ class FemSpace:
     constrained_dofs: np.ndarray
     # Assembly per quadrature order, filled by assembly(space, order)
     _assemblies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # FineForm per ProblemConfig, filled by nominal(space, config)
+    _nominal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_dofs(self) -> int:
@@ -369,21 +376,49 @@ class ProblemConfig:
         return coeff_mod.affine_combination([self.a0], [self.alpha])
 
 
+@dataclass(frozen=True)
+class FineForm:
+    """The nominal form of one (space, config), fixed by the problem.
+
+    stiffness is K(a0) and load the load vector of f, both on the free dofs
+    at quadrature order 4. f_dual is the discrete dual norm of f,
+    sqrt(load' K(a0)^{-1} load), whose Riesz representer is solved by CG
+    preconditioned by the space's cached factorization of K(1). Arrays are
+    read-only.
+    """
+
+    stiffness: sp.csr_matrix
+    load: np.ndarray
+    f_dual: float
+
+
+def nominal(space: FemSpace, config: ProblemConfig) -> FineForm:
+    """The FineForm of (space, config), built on first use and cached on the space."""
+    form = space._nominal.get(config)
+    if form is None:
+        k0 = assemble_stiffness(space, config.a0)
+        load = assemble_load(space, config.f)
+        rep = _cg(k0, load, assembly(space).laplace, _SOLVE_TOL)
+        for array in (k0.data, k0.indices, k0.indptr, load):
+            array.flags.writeable = False
+        f_dual = float(np.sqrt(max(float(load @ rep), 0.0)))
+        form = space._nominal[config] = FineForm(k0, load, f_dual)
+    return form
+
+
 def galerkin_solve(
     space: FemSpace,
     config: ProblemConfig,
     a: CoefficientField | np.ndarray,
-    order: int = 4,
-    tol: float = _SOLVE_TOL,
     check: bool = True,
 ) -> np.ndarray:
     """Discrete solution of b(a; u, v) = (f, v) on the space, free dofs only.
 
-    a is a field, or its samples at quadrature_points(space, order). CG is
-    preconditioned by the space's cached factorization of K(1) and stops at
-    relative residual tol.
+    a is a field, or its samples at quadrature_points(space). The load is the
+    cached one of nominal(space, config). CG is preconditioned by the space's
+    cached factorization of K(1) and stops at relative residual 1e-14.
     """
-    samples = _sample_coefficient(space, a, order)
+    samples = _sample_coefficient(space, a, 4)
     if check:
         lo, hi = samples.min(), samples.max()
         if lo < config.alpha - config.beta - 1e-12 or hi > config.alpha + config.beta + 1e-12:
@@ -391,52 +426,25 @@ def galerkin_solve(
                 f"coefficient range [{lo:.6g}, {hi:.6g}] outside "
                 f"[{config.alpha - config.beta:.6g}, {config.alpha + config.beta:.6g}]"
             )
-    k = assemble_stiffness_samples(space, samples, order)
-    rhs = assemble_load(space, config.f, order)
-    return _cg(k, rhs, assembly(space, order).laplace, tol)
+    k = assemble_stiffness_samples(space, samples)
+    return _cg(k, nominal(space, config).load, assembly(space).laplace, _SOLVE_TOL)
 
 
-def energy_norm(
-    space: FemSpace,
-    config: ProblemConfig,
-    v: np.ndarray,
-    k0: sp.csr_matrix | None = None,
-) -> float:
-    """Norm induced by the nominal bilinear form, sqrt(v' K(a0) v)."""
-    if k0 is None:
-        k0 = assemble_stiffness(space, config.a0)
-    val = float(v @ (k0 @ v))
+def energy_norm(space: FemSpace, config: ProblemConfig, v: np.ndarray) -> float:
+    """Nominal energy norm sqrt(v' K(a0) v), with K(a0) read from nominal(space, config)."""
+    val = float(v @ (nominal(space, config).stiffness @ v))
     return float(np.sqrt(max(val, 0.0)))
 
 
-def dual_norm(
-    space: FemSpace,
-    config: ProblemConfig,
-    f: CoefficientField | None = None,
-    k0: sp.csr_matrix | None = None,
-    order: int = 4,
-) -> float:
-    """Discrete dual norm of the source: energy norm of its Riesz representer.
-
-    The representer solves K(a0) with CG preconditioned by the space's
-    cached factorization of K(1).
-    """
-    if k0 is None:
-        k0 = assemble_stiffness(space, config.a0, order)
-    load = assemble_load(space, f if f is not None else config.f, order)
-    rep = _cg(k0, load, assembly(space, order).laplace, _SOLVE_TOL)
-    return float(np.sqrt(max(float(load @ rep), 0.0)))
-
-
-def normalize_source(space: FemSpace, config: ProblemConfig, order: int = 4) -> ProblemConfig:
+def normalize_source(space: FemSpace, config: ProblemConfig) -> ProblemConfig:
     """Rescale the source so its discrete dual norm equals alpha.
 
-    This makes the anchor solution S(alpha a0) have unit energy norm, so the
-    reduced systems below carry their coefficient bounds exactly.
+    The dual norm is nominal(space, config).f_dual. This makes the anchor
+    solution S(alpha a0) have unit energy norm, so the reduced systems below
+    carry their coefficient bounds exactly.
     """
-    nrm = dual_norm(space, config, order=order)
+    nrm = nominal(space, config).f_dual
     if nrm == 0.0:
         raise ValueError("cannot normalize a zero source")
     scaled = coeff_mod.affine_combination([config.f], [config.alpha / nrm])
     return ProblemConfig(config.alpha, config.beta, config.a0, scaled)
-

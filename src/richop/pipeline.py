@@ -218,7 +218,6 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
     reconstruction vs the synthesized network output.
     """
     space, config, basis = op.space, op.config, op.basis
-    k0 = basis.nominal_stiffness
     report = ErrorReport()
     for a in test_coefficients:
         samples = a(quadrature_points(space))
@@ -227,14 +226,10 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
         u_reduced = reduced_solution(op, samples)
         u_recon = reduced_solution(op, op.quadrature_channels @ y)
         u_net = synthesize(basis, op.approximator.realize(y), frame=op.frame)
-        report.totals.append(energy_norm(space, config, u_fine - u_net, k0=k0))
-        report.reduced_truncation.append(
-            energy_norm(space, config, u_fine - u_reduced, k0=k0)
-        )
-        report.encoder_perturbation.append(
-            energy_norm(space, config, u_reduced - u_recon, k0=k0)
-        )
-        report.network.append(energy_norm(space, config, u_recon - u_net, k0=k0))
+        report.totals.append(energy_norm(space, config, u_fine - u_net))
+        report.reduced_truncation.append(energy_norm(space, config, u_fine - u_reduced))
+        report.encoder_perturbation.append(energy_norm(space, config, u_reduced - u_recon))
+        report.network.append(energy_norm(space, config, u_recon - u_net))
     return report
 
 

@@ -16,17 +16,9 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
+from . import fem
 from .coeff import DataFamily, sample_family
-from .fem import (
-    FemSpace,
-    ProblemConfig,
-    SolverError,
-    assemble_load,
-    assemble_stiffness,
-    dual_norm,
-    energy_norm,
-    galerkin_solve,
-)
+from .fem import FemSpace, ProblemConfig, SolverError, energy_norm, galerkin_solve
 
 __all__ = [
     "SnapshotSet",
@@ -87,7 +79,8 @@ class NominalForm:
 
     In the orthonormal frame P: b0 = P^T K(a0) P with its lower Cholesky
     factor chol, the reduced load P^T f, the shift (alpha b0)^{-1} P^T f and
-    the dual norm of f, all at quadrature order 4. Arrays are read-only.
+    the dual norm of f. K(a0), the load of f and its dual norm are those of
+    the fine form fem.nominal(space, config). Arrays are read-only.
     """
 
     b0: np.ndarray
@@ -113,11 +106,15 @@ class ReducedBasis:
     raw: np.ndarray
     ortho: np.ndarray
     selection_indices: list
-    nominal_stiffness: sp.csr_matrix
 
     @property
     def size(self) -> int:
         return self.raw.shape[1]
+
+    @property
+    def nominal_stiffness(self) -> sp.csr_matrix:
+        """K(a0) of the fine form fem.nominal(space, config); read-only."""
+        return fem.nominal(self.space, self.config).stiffness
 
     def frame(self, name: str) -> np.ndarray:
         if name == "raw":
@@ -130,19 +127,19 @@ class ReducedBasis:
     def nominal(self) -> NominalForm:
         """Computed on first read; IllConditionedBasisError unless b0 is SPD."""
         p, config = self.ortho, self.config
-        b0 = p.T @ (self.nominal_stiffness @ p)
+        fine = fem.nominal(self.space, config)
+        b0 = p.T @ (fine.stiffness @ p)
         try:
             chol = la.cho_factor(b0, lower=True)
         except la.LinAlgError as exc:
             raise IllConditionedBasisError(
                 "nominal reduced matrix is not SPD; basis is broken"
             ) from exc
-        load = p.T @ assemble_load(self.space, config.f)
+        load = p.T @ fine.load
         shift = la.cho_solve(chol, load) / config.alpha
         for array in (b0, chol[0], load, shift):
             array.flags.writeable = False
-        f_dual = dual_norm(self.space, config, k0=self.nominal_stiffness)
-        return NominalForm(b0, chol, load, shift, f_dual)
+        return NominalForm(b0, chol, load, shift, fine.f_dual)
 
     def prefix(self, n_plus_1: int) -> "ReducedBasis":
         """Basis spanned by the anchor and the first n selected snapshots."""
@@ -154,7 +151,6 @@ class ReducedBasis:
             self.raw[:, :n_plus_1],
             self.ortho[:, :n_plus_1],
             self.selection_indices[: n_plus_1 - 1],
-            self.nominal_stiffness,
         )
 
 
@@ -167,12 +163,11 @@ def generate_snapshots(
 ) -> SnapshotSet:
     """Sample the family and solve each member; verifies the energy bound."""
     coefficients = sample_family(family, count, seed)
-    k0 = assemble_stiffness(space, config.a0)
-    bound = dual_norm(space, config, k0=k0) / (config.alpha - config.beta)
+    bound = fem.nominal(space, config).f_dual / (config.alpha - config.beta)
     cols = []
     for a in coefficients:
         u = galerkin_solve(space, config, a)
-        if energy_norm(space, config, u, k0=k0) > bound + 1e-8:
+        if energy_norm(space, config, u) > bound + 1e-8:
             raise SolverError("snapshot violates the a priori energy bound")
         cols.append(u)
     return SnapshotSet(coefficients, np.column_stack(cols), space, config)
@@ -197,9 +192,9 @@ def weak_greedy(
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
     space, config = snapshots.space, snapshots.config
-    k0 = assemble_stiffness(space, config.a0)
+    k0 = fem.nominal(space, config).stiffness
     anchor = galerkin_solve(space, config, config.scaled_nominal())
-    anchor_norm = energy_norm(space, config, anchor, k0=k0)
+    anchor_norm = energy_norm(space, config, anchor)
     if anchor_norm == 0.0:
         raise IllConditionedBasisError("anchor solution vanished; zero source?")
 
@@ -232,7 +227,7 @@ def weak_greedy(
         for _ in range(2):
             for q in ortho_cols:
                 v -= (q @ (k0 @ v)) * q
-        nrm = energy_norm(space, config, v, k0=k0)
+        nrm = energy_norm(space, config, v)
         if nrm < residual_floor:
             trace.record(len(selected), rmax, pick, t0)
             break
@@ -243,7 +238,7 @@ def weak_greedy(
         trace.record(len(selected) - 1, rmax, pick, t0)
 
     raw, ortho = np.column_stack(raw_cols), np.column_stack(ortho_cols)
-    return ReducedBasis(space, config, raw, ortho, selected, k0), trace
+    return ReducedBasis(space, config, raw, ortho, selected), trace
 
 
 def analyze(basis: ReducedBasis, v: np.ndarray, frame: str = "raw", best: bool = False) -> np.ndarray:

@@ -110,9 +110,7 @@ def choose_step_count(alpha: float, beta: float, f_dual_norm: float, epsilon: fl
     return int(math.ceil(num / abs(math.log(beta / alpha))))
 
 
-def reduced_energy_error(
-    basis: ReducedBasis, system: ReducedSystem, c: np.ndarray, c_ref: np.ndarray
-) -> float:
+def reduced_energy_error(system: ReducedSystem, c: np.ndarray, c_ref: np.ndarray) -> float:
     """Energy-norm distance between two reduced coefficient vectors."""
     d = np.asarray(c, dtype=float) - np.asarray(c_ref, dtype=float)
     return float(np.sqrt(max(d @ (system.b_nominal @ d), 0.0)))

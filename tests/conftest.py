@@ -31,7 +31,7 @@ def config(space):
 
 @pytest.fixture(scope="session")
 def k0(space, config):
-    return F.assemble_stiffness(space, config.a0)
+    return F.nominal(space, config).stiffness
 
 
 @pytest.fixture(scope="session")

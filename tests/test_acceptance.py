@@ -41,7 +41,7 @@ def lab():
     snapshots = RB.generate_snapshots(family, 60, 0, space, config)
     basis, trace = RB.weak_greedy(snapshots, 10)
     encoder = E.build_nodal_encoder(F.build_space(M.triangulate(square, 0.35), 1))
-    f_dual = F.dual_norm(space, config, k0=basis.nominal_stiffness)
+    f_dual = F.nominal(space, config).f_dual
     return {
         "square": square,
         "space": space,
@@ -88,7 +88,7 @@ def iteration_run(lab):
     sys_p = R.assemble_reduced(basis, probe)
     c_star = R.direct_solve(sys_p)
     state = R.iterate(sys_p, 30)
-    errs = [R.reduced_energy_error(basis, sys_p, c, c_star) for c in state.trajectory]
+    errs = [R.reduced_energy_error(sys_p, c, c_star) for c in state.trajectory]
     return sys_p, state, errs
 
 
@@ -179,7 +179,6 @@ def test_criterion_06_network_certificates(lab, approximator, rng):
     )
     bundle = approximator
     assert enc.m <= 100
-    k0 = basis.nominal_stiffness
     samples = C.sample_family(lab["family"], 200, 2024)
     worst_step = worst_it = worst_app_l2 = worst_energy = 0.0
     flats = []
@@ -206,7 +205,7 @@ def test_criterion_06_network_certificates(lab, approximator, rng):
         u_net = RB.synthesize(basis, c_net, frame="ortho")
         u_ref = RB.synthesize(basis, c_star, frame="ortho")
         worst_energy = max(
-            worst_energy, F.energy_norm(space, config, u_net - u_ref, k0=k0)
+            worst_energy, F.energy_norm(space, config, u_net - u_ref)
         )
     elapsed = time.perf_counter() - t0
     ok = (
@@ -284,7 +283,7 @@ def test_criterion_09_energy_and_shifted_form_bounds(lab, rng):
     ok = True
     for a in samples:
         u = F.galerkin_solve(space, config, a)
-        ok = ok and F.energy_norm(space, config, u, k0=k0) <= bound + 1e-8
+        ok = ok and F.energy_norm(space, config, u) <= bound + 1e-8
         k = F.assemble_stiffness(space, a)
         shifted = k - ALPHA * k0
         w = rng.standard_normal(space.n_free)
@@ -292,8 +291,8 @@ def test_criterion_09_energy_and_shifted_form_bounds(lab, rng):
         val = abs(float(w @ (shifted @ v)))
         cap = (
             BETA
-            * F.energy_norm(space, config, w, k0=k0)
-            * F.energy_norm(space, config, v, k0=k0)
+            * F.energy_norm(space, config, w)
+            * F.energy_norm(space, config, v)
         )
         ok = ok and val <= cap * (1 + 1e-10)
     _report(
@@ -418,7 +417,6 @@ def test_criterion_13_nonsmooth_extension(lab):
     base = P.build_operator(fam, config, space, 20, 6, lab["encoder"], 1e-2, seed=66)
     wrapped = P.nonsmooth_operator(base, 0.6)
     members = C.sample_family(fam, 20, 67)
-    k0 = base.basis.nominal_stiffness
     eps = base.certificates["epsilon"]
     invariance_ok = True
     budget_ok = True
@@ -430,7 +428,7 @@ def test_criterion_13_nonsmooth_extension(lab):
         v_neg = P.evaluate(wrapped, neg)
         invariance_ok = invariance_ok and np.array_equal(v_pos, v_neg)
         u_fine = F.galerkin_solve(space, config, a)
-        err = F.energy_norm(space, config, u_fine - v_pos, k0=k0)
+        err = F.energy_norm(space, config, u_fine - v_pos)
         budget_ok = budget_ok and err <= t1 + t2 + eps + 1e-8
     _report(
         13,

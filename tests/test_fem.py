@@ -214,10 +214,10 @@ class TestSolveSpd:
 
 
 class TestGalerkinSolve:
-    def test_nominal_anchor_energy_bound(self, space, config, k0):
+    def test_nominal_anchor_energy_bound(self, space, config):
         u = F.galerkin_solve(space, config, config.scaled_nominal())
-        bound = F.dual_norm(space, config, k0=k0) / config.alpha
-        assert F.energy_norm(space, config, u, k0=k0) <= bound + 1e-8
+        bound = F.nominal(space, config).f_dual / config.alpha
+        assert F.energy_norm(space, config, u) <= bound + 1e-8
 
     def test_manufactured_solution_rate(self, square):
         # oracle: u = sin(pi x) sin(pi y), f = 2 pi^2 u, exact gradient known
@@ -253,12 +253,11 @@ class TestGalerkinSolve:
         for _ in range(3):
             space = F.build_space(mesh, 1)
             cfg = F.ProblemConfig(1.0, 0.5)
-            k0 = F.assemble_stiffness(space, cfg.a0)
             u1 = F.galerkin_solve(space, cfg, a1)
             u2 = F.galerkin_solve(space, cfg, a2)
-            ratios.append(F.energy_norm(space, cfg, u1 - u2, k0=k0) / diff_inf)
+            ratios.append(F.energy_norm(space, cfg, u1 - u2) / diff_inf)
             mesh = M.refine_uniform(mesh)
-        c_lip = F.dual_norm(space, cfg) / (cfg.alpha - cfg.beta) ** 2
+        c_lip = F.nominal(space, cfg).f_dual / (cfg.alpha - cfg.beta) ** 2
         assert all(r <= c_lip for r in ratios)
         assert max(ratios) - min(ratios) <= 0.2 * max(ratios)
 
@@ -305,6 +304,7 @@ class TestPreconditionedCg:
         spaces = [F.build_space(m, 1) for m in (coarse, M.refine_uniform(coarse))]
         for space in spaces:
             F.assembly(space).laplace  # factor outside the count
+            F.nominal(space, cfg)  # and the dual-norm solve of the cached form
         counts = self._count_applications(monkeypatch)
         for space in spaces:
             for a in members:
@@ -366,24 +366,24 @@ def _energy_error_sq_vs_exact(space, u, exact_grad):
 
 
 class TestEnergyNorm:
-    def test_zero_vector(self, space, config, k0):
-        assert F.energy_norm(space, config, np.zeros(space.n_free), k0=k0) == 0.0
+    def test_zero_vector(self, space, config):
+        assert F.energy_norm(space, config, np.zeros(space.n_free)) == 0.0
 
-    def test_homogeneity(self, space, config, k0, rng):
+    def test_homogeneity(self, space, config, rng):
         v = rng.standard_normal(space.n_free)
-        n1 = F.energy_norm(space, config, v, k0=k0)
-        n2 = F.energy_norm(space, config, -2.5 * v, k0=k0)
+        n1 = F.energy_norm(space, config, v)
+        n2 = F.energy_norm(space, config, -2.5 * v)
         assert abs(n2 - 2.5 * n1) <= 1e-13 * n2
 
-    def test_matches_elementwise_h1_oracle(self, space, config, k0, rng):
+    def test_matches_elementwise_h1_oracle(self, space, config, rng):
         v = rng.standard_normal(space.n_free)
         direct = element_h1_seminorm_sq(space, v)
-        assert abs(F.energy_norm(space, config, v, k0=k0) ** 2 - direct) <= 1e-10 * direct
+        assert abs(F.energy_norm(space, config, v) ** 2 - direct) <= 1e-10 * direct
 
 
 class TestDualNorm:
-    def test_zero_source(self, space, config, k0):
-        assert F.dual_norm(space, config, C.constant(0.0), k0=k0) == 0.0
+    def test_zero_source(self, space):
+        assert F.nominal(space, F.ProblemConfig(1.0, 0.5, f=C.constant(0.0))).f_dual == 0.0
 
     def test_riesz_identity(self, space, config, k0, rng):
         # functional induced by g through the nominal form has dual norm |g|
@@ -391,7 +391,7 @@ class TestDualNorm:
         load = k0 @ g
         rep = spla.spsolve(k0, load)
         val = np.sqrt(load @ rep)
-        assert abs(val - F.energy_norm(space, config, g, k0=k0)) < 1e-10
+        assert abs(val - F.energy_norm(space, config, g)) < 1e-10
 
     def test_unit_source_series_oracle(self, square):
         # truncated double series for -lap(u) = 1 on the unit square:
@@ -406,20 +406,52 @@ class TestDualNorm:
         vals = []
         for _ in range(2):
             space = F.build_space(mesh, 1)
-            vals.append(F.dual_norm(space, cfg))
+            vals.append(F.nominal(space, cfg).f_dual)
             mesh = M.refine_uniform(mesh)
         assert abs(vals[1] - oracle) < abs(vals[0] - oracle)
         assert abs(vals[1] - oracle) / oracle < 2e-3
 
 
+class TestNominalForm:
+    """The fine form of one (space, config): K(a0), the load and |f|_dual."""
+
+    def test_bit_identical_to_its_formulas(self, space, config):
+        form = F.nominal(space, config)
+        k0 = F.assemble_stiffness(space, config.a0)
+        load = F.assemble_load(space, config.f)
+        rep = F._cg(k0, load, F.assembly(space).laplace, F._SOLVE_TOL)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(form.stiffness, name), getattr(k0, name))
+        assert np.array_equal(form.load, load)
+        assert form.f_dual == float(np.sqrt(max(float(load @ rep), 0.0)))
+
+    def test_cached_per_space_and_config_and_read_only(self, space, config):
+        form = F.nominal(space, config)
+        assert F.nominal(space, config) is form
+        k0 = form.stiffness
+        for array in (k0.data, k0.indices, k0.indptr, form.load):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        other = F.ProblemConfig(config.alpha, config.beta, config.a0, C.constant(2.0))
+        assert F.nominal(space, other) is not form
+        assert F.nominal(F.build_space(space.mesh, space.degree), config) is not form
+
+    def test_galerkin_solve_reads_the_cached_load(self, space, config, family):
+        a = C.sample_family(family, 1, 7)[0]
+        k_a = F.assemble_stiffness(space, a)
+        rhs = F.assemble_load(space, config.f)
+        expected = F._cg(k_a, rhs, F.assembly(space).laplace, F._SOLVE_TOL)
+        assert np.array_equal(F.galerkin_solve(space, config, a), expected)
+
+
 class TestConeInvariants:
-    def test_coercivity_continuity_sandwich(self, space, config, k0, family, rng):
+    def test_coercivity_continuity_sandwich(self, space, config, family, rng):
         samples = C.sample_family(family, 5, 42)
         for a in samples:
             k = F.assemble_stiffness(space, a)
             for _ in range(20):
                 w = rng.standard_normal(space.n_free)
-                en2 = F.energy_norm(space, config, w, k0=k0) ** 2
+                en2 = F.energy_norm(space, config, w) ** 2
                 val = float(w @ (k @ w))
                 lo = (config.alpha - config.beta) * en2
                 hi = (config.alpha + config.beta) * en2
@@ -437,8 +469,8 @@ class TestConeInvariants:
                 val = abs(float(u @ (shifted @ v)))
                 bound = (
                     config.beta
-                    * F.energy_norm(space, config, u, k0=k0)
-                    * F.energy_norm(space, config, v, k0=k0)
+                    * F.energy_norm(space, config, u)
+                    * F.energy_norm(space, config, v)
                 )
                 assert val <= bound * (1 + 1e-10)
 
@@ -463,11 +495,11 @@ class TestConeInvariants:
         diff = uf - prol @ uc
         assert np.max(np.abs(prol.T @ (kf @ diff))) < 1e-9 * scale
 
-    def test_energy_bound_over_family(self, space, config, k0, family):
-        bound = F.dual_norm(space, config, k0=k0) / (config.alpha - config.beta)
+    def test_energy_bound_over_family(self, space, config, family):
+        bound = F.nominal(space, config).f_dual / (config.alpha - config.beta)
         for a in C.sample_family(family, 10, 3):
             u = F.galerkin_solve(space, config, a)
-            assert F.energy_norm(space, config, u, k0=k0) <= bound + 1e-8
+            assert F.energy_norm(space, config, u) <= bound + 1e-8
 
 
 def _p1_prolongation(coarse, fine):
@@ -541,7 +573,7 @@ class TestConfig:
 
     def test_normalize_source(self, space):
         cfg = F.normalize_source(space, F.ProblemConfig(2.0, 0.5))
-        assert abs(F.dual_norm(space, cfg) - 2.0) < 1e-10
+        assert abs(F.nominal(space, cfg).f_dual - 2.0) < 1e-10
 
 
 class TestP2Space:

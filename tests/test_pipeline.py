@@ -91,7 +91,7 @@ class TestBuildOperator:
         op = P.build_operator(fam, config, space, 8, 2, nodal_encoder, 1e-2, seed=1)
         anchor = F.galerkin_solve(space, config, config.scaled_nominal())
         out = P.evaluate(op, config.scaled_nominal())
-        err = F.energy_norm(space, config, anchor - out, k0=op.basis.nominal_stiffness)
+        err = F.energy_norm(space, config, anchor - out)
         assert err <= 1e-2
 
     def test_certificates_recorded(self, operator):
@@ -149,7 +149,6 @@ class TestEvaluate:
         assert np.array_equal(manual, P.evaluate(operator, a))
 
     def test_in_family_error_budget(self, operator, family, space, config):
-        k0 = operator.basis.nominal_stiffness
         report = P.error_decomposition(operator, C.sample_family(family, 5, 13))
         eps = operator.certificates["epsilon"]
         for tot, t1, t2, t3 in report.rows():
@@ -161,7 +160,7 @@ class TestEvaluate:
         )
         out = P.evaluate(operator, rogue)
         u = F.galerkin_solve(space, config, rogue)
-        err = F.energy_norm(space, config, u - out, k0=operator.basis.nominal_stiffness)
+        err = F.energy_norm(space, config, u - out)
         assert np.isfinite(err)
 
 
@@ -203,7 +202,6 @@ class TestErrorDecomposition:
         tests = C.sample_family(family, 10, 47)
         sols = np.column_stack([F.galerkin_solve(space, config, a) for a in tests])
         curve = dict(RB.projection_error_curve(operator.basis, sols))
-        k0 = operator.basis.nominal_stiffness
         factor = (config.alpha + config.beta) / (config.alpha - config.beta)
         for n_plus_1 in (2, 4, operator.basis.size):
             prefix = operator.basis.prefix(n_plus_1)
@@ -213,37 +211,45 @@ class TestErrorDecomposition:
                 u_n = RB.synthesize(prefix, R.direct_solve(sys_a), frame="ortho")
                 worst = max(
                     worst,
-                    F.energy_norm(space, config, sols[:, j] - u_n, k0=k0),
+                    F.energy_norm(space, config, sols[:, j] - u_n),
                 )
             assert worst <= factor * curve[n_plus_1 - 1] + 1e-8
 
     def test_nominal_form_computed_once_per_basis(
         self, family, config, space, nodal_encoder, monkeypatch
     ):
-        # B0 is factored, and the load projected, once for the build and every
-        # decomposition; fem's own solves assemble their loads themselves
-        factored, loads = [], []
-        real_factor = la.cho_factor
+        # on a fresh space, K(a0) and the load of f are assembled once and B0
+        # is factored once, for the build and every decomposition: every fine
+        # solve and norm reads the space's cached form
+        fresh = F.build_space(space.mesh, space.degree)
+        factored, loads, nominal_stiffness = [], [], []
+        real_factor, real_load = la.cho_factor, F.assemble_load
+        real_stiffness = F.assemble_stiffness
 
         def counting_factor(*args, **kwargs):
             factored.append(1)
             return real_factor(*args, **kwargs)
 
+        def counting_load(*args, **kwargs):
+            loads.append(1)
+            return real_load(*args, **kwargs)
+
+        def counting_stiffness(space_, a, *args, **kwargs):
+            if a is config.a0:
+                nominal_stiffness.append(1)
+            return real_stiffness(space_, a, *args, **kwargs)
+
         monkeypatch.setattr(la, "cho_factor", counting_factor)
-        for module in (RB, R, NN, P):
-            if hasattr(module, "assemble_load"):
-                real_load = module.assemble_load
-
-                def counting_load(*args, _real=real_load, **kwargs):
-                    loads.append(1)
-                    return _real(*args, **kwargs)
-
+        for module in (F, RB, R, NN, P):
+            if getattr(module, "assemble_load", None) is real_load:
                 monkeypatch.setattr(module, "assemble_load", counting_load)
-        op = P.build_operator(family, config, space, 8, 3, nodal_encoder, 1e-1, seed=2)
+            if getattr(module, "assemble_stiffness", None) is real_stiffness:
+                monkeypatch.setattr(module, "assemble_stiffness", counting_stiffness)
+        op = P.build_operator(family, config, fresh, 8, 3, nodal_encoder, 1e-1, seed=2)
         members = C.sample_family(family, 2, 41)
         P.error_decomposition(op, members)
         P.error_decomposition(op, members)
-        assert (len(factored), len(loads)) == (1, 1)
+        assert (len(factored), len(loads), len(nominal_stiffness)) == (1, 1, 1)
 
     def test_each_prefix_has_its_own_nominal_form(self, operator):
         basis, k0 = operator.basis, operator.basis.nominal_stiffness
@@ -276,7 +282,7 @@ class TestErrorDecomposition:
         assert op.encoder.calls == 1
 
     def test_matches_dense_channel_computation(self, operator, family, space, config):
-        op, frame, k0 = operator, operator.frame, operator.basis.nominal_stiffness
+        op, frame = operator, operator.frame
         dense = op.encoder.channel_matrix(F.quadrature_points(space)).toarray()
 
         def reduced(v):
@@ -291,7 +297,7 @@ class TestErrorDecomposition:
             u_recon = reduced(dense @ op.encoder.encode(a))
             u_net = P.evaluate(op, a)
             expected = [
-                F.energy_norm(space, config, u - v, k0=k0)
+                F.energy_norm(space, config, u - v)
                 for u, v in ((u_fine, u_net), (u_fine, u_reduced),
                              (u_reduced, u_recon), (u_recon, u_net))
             ]
@@ -338,12 +344,11 @@ class TestNonsmooth:
         eps = base.certificates["epsilon"]
         members = C.sample_family(fam, 20, 73)
         report = P.error_decomposition(base, members)
-        k0 = base.basis.nominal_stiffness
         for a, (tot, t1, t2, t3) in zip(members, report.rows()):
             raw = a.meta["raw"]
             u_fine = F.galerkin_solve(space, config, a)
             err = F.energy_norm(
-                space, config, u_fine - P.evaluate(wrapped, raw), k0=k0
+                space, config, u_fine - P.evaluate(wrapped, raw)
             )
             assert err <= t1 + t2 + eps + 1e-8
 

@@ -54,10 +54,10 @@ class TestSnapshots:
             assert np.array_equal(a.meta["params"], b.meta["params"])
         assert np.array_equal(s1.solutions, s2.solutions)
 
-    def test_energy_bound_holds(self, snapshots, space, config, k0):
-        bound = F.dual_norm(space, config, k0=k0) / (config.alpha - config.beta)
+    def test_energy_bound_holds(self, snapshots, space, config):
+        bound = F.nominal(space, config).f_dual / (config.alpha - config.beta)
         for j in range(snapshots.count):
-            nrm = F.energy_norm(space, config, snapshots.solutions[:, j], k0=k0)
+            nrm = F.energy_norm(space, config, snapshots.solutions[:, j])
             assert nrm <= bound + 1e-8
 
 
@@ -184,12 +184,12 @@ class TestAnalyzeSynthesize:
         back = RB.analyze(basis, RB.synthesize(basis, c))
         assert np.max(np.abs(back - c)) < 1e-10
 
-    def test_synthesis_norm_bound(self, basis, space, config, k0, rng):
+    def test_synthesis_norm_bound(self, basis, space, config, rng):
         # Cauchy-Schwarz chain: |sum c_i psi_i| <= |c|_2 sqrt(N+1) max |psi_i|
         c = rng.standard_normal(basis.size)
-        val = F.energy_norm(space, config, RB.synthesize(basis, c), k0=k0)
+        val = F.energy_norm(space, config, RB.synthesize(basis, c))
         max_norm = max(
-            F.energy_norm(space, config, basis.raw[:, j], k0=k0)
+            F.energy_norm(space, config, basis.raw[:, j])
             for j in range(basis.size)
         )
         assert val <= np.linalg.norm(c) * np.sqrt(basis.size) * max_norm + 1e-12

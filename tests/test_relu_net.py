@@ -274,7 +274,7 @@ class TestMatvecNet:
 def lab(basis, space, config, nodal_encoder):
     from richop import fem as F
 
-    f_dual = F.dual_norm(space, config, k0=basis.nominal_stiffness)
+    f_dual = F.nominal(space, config).f_dual
     return {
         "basis": basis,
         "space": space,
@@ -490,14 +490,13 @@ class TestApproximator:
 
     def test_energy_certificate_vs_dense_solve(self, bundle, lab, family):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
-        k0 = basis.nominal_stiffness
         for a in C.sample_family(family, 10, 4):
             y = lab["encoder"].encode(a)
             recon = lab["encoder"].reconstruct(y)
             sys_r = R.assemble_reduced(basis, recon)
             u_net = RB.synthesize(basis, bundle.realize(y), "ortho")
             u_ref = RB.synthesize(basis, R.direct_solve(sys_r), "ortho")
-            err = F.energy_norm(space, config, u_net - u_ref, k0=k0)
+            err = F.energy_norm(space, config, u_net - u_ref)
             assert err <= bundle.report.tolerance
 
     def test_recurrent_mode_matches_unrolled(self, bundle, lab, family, square):

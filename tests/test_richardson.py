@@ -55,7 +55,6 @@ class TestAssembleReduced:
             np.zeros_like(basis.raw),
             np.zeros_like(basis.ortho),
             basis.selection_indices,
-            basis.nominal_stiffness,
         )
         with pytest.raises(RuntimeError):
             R.assemble_reduced(broken, config.a0)
@@ -68,7 +67,6 @@ class TestAssembleReduced:
             np.zeros_like(basis.raw),
             np.zeros_like(basis.ortho),
             basis.selection_indices,
-            basis.nominal_stiffness,
         )
         for read_form in (
             lambda: R.assemble_reduced(broken, config.a0),
@@ -168,12 +166,12 @@ class TestIterate:
         c_star = R.direct_solve(sys_p)
         state = R.iterate(sys_p, 30)
         errs = [
-            R.reduced_energy_error(basis, sys_p, c, c_star) for c in state.trajectory
+            R.reduced_energy_error(sys_p, c, c_star) for c in state.trajectory
         ]
         ratio = config.beta / config.alpha
         for k in range(30):
             assert errs[k + 1] <= (ratio + 1e-8) * errs[k]
-        f_dual = F.dual_norm(space, config, k0=basis.nominal_stiffness)
+        f_dual = F.nominal(space, config).f_dual
         for k in range(31):
             bound = (1.0 / (config.alpha - config.beta)) * ratio ** (k + 1) * f_dual
             assert errs[k] <= bound + 1e-8
@@ -237,16 +235,16 @@ class TestReducedEnergyError:
     def test_identical_vectors(self, basis, config):
         sys0 = R.assemble_reduced(basis, config.a0)
         c = np.ones(basis.size)
-        assert R.reduced_energy_error(basis, sys0, c, c) == 0.0
+        assert R.reduced_energy_error(sys0, c, c) == 0.0
 
     def test_orthonormal_frame_matches_l2(self, basis, config, rng):
         sys0 = R.assemble_reduced(basis, config.a0)
         c1 = rng.standard_normal(basis.size)
         c2 = rng.standard_normal(basis.size)
-        val = R.reduced_energy_error(basis, sys0, c1, c2)
+        val = R.reduced_energy_error(sys0, c1, c2)
         assert abs(val - np.linalg.norm(c1 - c2)) < 1e-12
 
-    def test_matches_full_space_recomputation(self, basis, space, config, k0, rng):
+    def test_matches_full_space_recomputation(self, basis, space, config, rng):
         sys0 = R.assemble_reduced(basis, config.a0)
         c1 = rng.standard_normal(basis.size)
         c2 = rng.standard_normal(basis.size)
@@ -254,6 +252,5 @@ class TestReducedEnergyError:
             space,
             config,
             RB.synthesize(basis, c1, "ortho") - RB.synthesize(basis, c2, "ortho"),
-            k0=k0,
         )
-        assert abs(R.reduced_energy_error(basis, sys0, c1, c2) - direct) < 1e-10
+        assert abs(R.reduced_energy_error(sys0, c1, c2) - direct) < 1e-10
