@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 
-BUNDLE_FORMAT = 2  # written to certificates.json; load_bundle accepts only this
+BUNDLE_FORMAT = 3  # written to certificates.json; load_bundle accepts only this
 
 
 class OperatorBuildError(ValueError):

@@ -42,6 +42,7 @@ __all__ = [
     "product_net",
     "step_net",
     "input_net",
+    "interval_matrix_bound",
     "build_approximator",
     "bundle_to_json",
     "bundle_from_json",
@@ -190,30 +191,30 @@ def _stack_layers(builders, n_in: int) -> NeuralNet:
     return NeuralNet(layers)
 
 
-def _sawtooth_levels(epsilon: float, bound: float) -> int:
+def _sawtooth_levels(epsilon: float, bound_a: float, bound_b: float) -> int:
     # on [0, 1], f_m(t) - t^2 lies in [0, 4^-(m+1)] (Yarotsky 2017); a*b is
-    # (2Z)^2 / 4 times the difference of two such squares, so the product
-    # error is at most (2Z)^2 / 4 * 4^-(m+1) <= 2 Z^2 4^-(m+1) <= eps
-    return max(1, math.ceil(0.5 * math.log2(2.0 * bound * bound / epsilon)) - 1)
+    # Z_a Z_b times the difference of two such squares, so the product error
+    # is at most Z_a Z_b 4^-(m+1) <= 2 Z_a Z_b 4^-(m+1) <= eps
+    return max(1, math.ceil(0.5 * math.log2(2.0 * bound_a * bound_b / epsilon)) - 1)
 
 
-def _emit_product(builders, col_a: int, col_b: int, bound: float, m: int):
-    """Append channels approximating a*b to shared layers.
+def _emit_product(builders, col_a: int, col_b: int, bound_a: float, bound_b: float, m: int):
+    """Append channels approximating a*b on the box |a| <= bound_a, |b| <= bound_b.
 
-    Uses a*b = ((a+b)^2 - (a-b)^2) / 4 with each square realized by m
-    sawtooth levels on [0, 1] after rescaling by the pair bound. Returns the
-    output-layer entries expressing the product value. When one factor is
-    zero the two squaring chains carry identical values and the output
-    cancels to rounding level, but not to an exact zero: the certified
-    tolerance is the only guarantee.
+    With u = a / bound_a and v = b / bound_b, a*b = bound_a bound_b
+    (((u+v)/2)^2 - ((u-v)/2)^2), each square realized by m sawtooth levels
+    on [0, 1]. Returns the output-layer entries expressing the product
+    value. When one factor is zero the two squaring chains carry identical
+    values and the output cancels to rounding level, but not to an exact
+    zero: the certified tolerance is the only guarantee.
     """
-    zp = 2.0 * bound
+    wa, wb = 1.0 / (2.0 * bound_a), 1.0 / (2.0 * bound_b)
     b0 = builders[0]
     c = [
-        b0.row([(col_a, 1.0 / zp), (col_b, 1.0 / zp)]),
-        b0.row([(col_a, -1.0 / zp), (col_b, -1.0 / zp)]),
-        b0.row([(col_a, 1.0 / zp), (col_b, -1.0 / zp)]),
-        b0.row([(col_a, -1.0 / zp), (col_b, 1.0 / zp)]),
+        b0.row([(col_a, wa), (col_b, wb)]),
+        b0.row([(col_a, -wa), (col_b, -wb)]),
+        b0.row([(col_a, wa), (col_b, -wb)]),
+        b0.row([(col_a, -wa), (col_b, wb)]),
     ]
     chains = []
     for i0, i1 in ((0, 1), (2, 3)):
@@ -227,7 +228,7 @@ def _emit_product(builders, col_a: int, col_b: int, bound: float, m: int):
             nh3 = builders[s].row([(h3, 1.0), (h2, -2.0 / f), (h1, 4.0 / f)])
             h1, h2, h3 = nh1, nh2, nh3
         chains.append((h1, h2, h3))
-    scale = zp * zp / 4.0
+    scale = bound_a * bound_b
     f = 4.0**m
     (h1p, h2p, h3p), (h1m, h2m, h3m) = chains
     return [
@@ -246,10 +247,10 @@ def product_net(epsilon: float, bound: float) -> NeuralNet:
         raise ValueError("epsilon must lie in (0, 1)")
     if bound < 1.0:
         raise ValueError("bound must be at least 1")
-    m = _sawtooth_levels(epsilon, bound)
+    m = _sawtooth_levels(epsilon, bound, bound)
     builders = [_LayerBuilder() for _ in range(m + 1)]
     out = _LayerBuilder()
-    out.row(_emit_product(builders, 0, 1, bound, m))
+    out.row(_emit_product(builders, 0, 1, bound, bound, m))
     return _stack_layers(builders + [out], 2)
 
 
@@ -259,30 +260,41 @@ def vec_index(i: int, j: int, n: int) -> int:
 
 
 def step_net(
-    n: int, bound: float, epsilon: float, shift: np.ndarray, carry: bool = True
+    n: int,
+    bound: float,
+    epsilon: float,
+    shift: np.ndarray,
+    carry: bool = True,
+    matrix_bound: float = 1.0,
 ) -> NeuralNet:
     """One approximate iteration step (vec(A), x) -> (vec(A), A x + g).
 
-    Valid for entrywise |A| <= 1 and ||x||_l2 <= bound; the per-entry product
-    tolerance is epsilon / n^{3/2}, so the row sums meet the l2 budget
-    epsilon. The shifted load g enters as an output-layer bias; with
-    carry=True the flattened matrix rides along through identity channel
-    pairs so steps can be chained, which adds 2 n^2 unit weights and no bias
-    to every layer.
+    Certified for inputs with every |A_ij| <= matrix_bound and every
+    |x_j| <= bound (which ||x||_l2 <= bound implies), and for no others:
+    each product A_ij x_j is within the per-entry tolerance epsilon / n^{3/2}
+    on that box, so the row sums meet the l2 budget epsilon. The default
+    matrix_bound 1.0 is the contract |A| <= 1. The shifted load g enters as an
+    output-layer bias; with carry=True the flattened matrix rides along
+    through identity channel pairs so steps can be chained, which adds
+    2 n^2 unit weights and no bias to every layer.
     """
     shift = np.asarray(shift, dtype=float)
     if len(shift) != n:
         raise ValueError("shift length must match the reduced dimension")
+    for name, value in (("bound", bound), ("matrix_bound", matrix_bound)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     eps_entry = epsilon / n**1.5
-    zp = max(bound, 1.0)
-    m = _sawtooth_levels(eps_entry, zp)
+    m = _sawtooth_levels(eps_entry, matrix_bound, bound)
     builders = [_LayerBuilder() for _ in range(m + 1)]
     rows = []
     for i in range(n):
         entries = []
         for j in range(n):
             entries.extend(
-                _emit_product(builders, vec_index(i, j, n), n * n + j, zp, m)
+                _emit_product(
+                    builders, vec_index(i, j, n), n * n + j, matrix_bound, bound, m
+                )
             )
         rows.append(entries)
     carry_pairs = []
@@ -354,6 +366,23 @@ def input_net(
     return affine_net(np.column_stack(cols), np.eye(basis.size).flatten(order="F"))
 
 
+def interval_matrix_bound(encoder_input: NeuralNet, alpha: float, beta: float) -> float:
+    """Z_A = max_ij |vec(A)_ij| over channels y in [alpha - beta, alpha + beta]^M.
+
+    Interval bound propagation through the depth-one affine input net
+    vec(A) = W y + b (Gowal et al. 2018): the box centre alpha 1 maps to
+    W alpha 1 + b and the radius adds beta sum_k |W_ij,k|, so
+    Z_A = max_ij (|(W alpha 1 + b)_ij| + beta sum_k |W_ij,k|), attained at a
+    vertex of the box.
+    """
+    if encoder_input.depth != 1:
+        raise ValueError("the interval bound needs a depth-one affine input net")
+    w, b = encoder_input.layers[0]
+    ones = np.ones(w.shape[1])
+    center = w @ (alpha * ones) + b
+    return float(np.max(np.abs(center) + beta * (abs(w) @ ones)))
+
+
 @dataclass(frozen=True)
 class BuildReport:
     """Depth/size bookkeeping and certificates for a built network."""
@@ -373,7 +402,9 @@ class ApproximatorBundle:
     The step net is carry-free: each step gets the input net's output again.
     The report counts the equivalent unrolled net, which net builds on first
     read (sparse concatenation of the input net, an e1 injection, K - 1
-    carrying steps and this step) for accounting and tests.
+    carrying steps and this step) for accounting and tests. The carrying
+    steps are built on the step's own box: report.input_bound for x and
+    report.certificates["matrix_bound"] for vec(A).
     """
 
     encoder_input: NeuralNet
@@ -407,7 +438,14 @@ class ApproximatorBundle:
         """The unrolled net of the same function."""
         n = self.step.n_outputs
         shift = self.step.layers[-1][1]
-        carry = step_net(n, self.report.input_bound, self.eps_step, shift, carry=True)
+        carry = step_net(
+            n,
+            self.report.input_bound,
+            self.eps_step,
+            shift,
+            carry=True,
+            matrix_bound=self.report.certificates["matrix_bound"],
+        )
         return _unroll(
             self.encoder_input, self.step, carry, self.k_steps, *_entry_nets(n), sparse_concat
         )[1]
@@ -430,10 +468,18 @@ def build_approximator(
     from the synthesis budget (alpha - beta) eps / (2 sqrt(N+1) ||f||), so
     the synthesized output is within eps of the reduced Galerkin solution
     of the encoded coefficient, in the energy norm. Each step has tolerance
-    (1 - contraction) eps_iterator on the box 2 + 1/(1 - contraction), so
-    the accumulated geometric error stays below eps_iterator. A caller
-    holding input_net(basis, encoder), which does not depend on epsilon,
-    passes it as `encoder_input`.
+    (1 - contraction) eps_iterator on the box |A_ij| <= Z_A,
+    |x_j| <= Z~ = 2 + 1/(1 - contraction), so the accumulated geometric
+    error stays below eps_iterator. Z_A is interval_matrix_bound of the
+    input net over the channel box [alpha - beta_eff, alpha + beta_eff]^M,
+    recorded as certificates["matrix_bound"].
+
+    The certificate holds exactly for encodings y whose reconstruction lies
+    in the band alpha +- beta_eff: the iteration then contracts by
+    beta_eff / alpha, its iterates stay in ||x|| <= Z~, and y, being point
+    values of the reconstruction, lies in the channel box. A caller holding
+    input_net(basis, encoder), which does not depend on epsilon, passes it
+    as `encoder_input`; it must be that depth-one affine net.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -448,9 +494,12 @@ def build_approximator(
     contraction = beta / alpha
     eps_step = (1.0 - contraction) * eps_iter
     z_tilde = 2.0 + 1.0 / (1.0 - contraction)
-    step = step_net(n, z_tilde, eps_step, basis.nominal.shift, carry=False)
     if encoder_input is None:
         encoder_input = input_net(basis, encoder)
+    z_a = interval_matrix_bound(encoder_input, alpha, beta)
+    step = step_net(
+        n, z_tilde, eps_step, basis.nominal.shift, carry=False, matrix_bound=z_a
+    )
     step_counts = _layer_counts(step)
     iterator, net = _unroll(
         _layer_counts(encoder_input),
@@ -479,6 +528,7 @@ def build_approximator(
             "contraction": contraction,
             "f_dual_norm": f_dual,
             "beta_eff": beta,
+            "matrix_bound": z_a,
         },
     )
     return ApproximatorBundle(encoder_input, step, k_steps, report)

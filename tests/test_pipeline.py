@@ -375,12 +375,14 @@ class TestBundle:
         assert np.array_equal(loaded.evaluate(a), P.evaluate(operator, a))
         assert loaded.certificates["epsilon"] == operator.certificates["epsilon"]
 
-    @pytest.mark.parametrize("fmt", [None, 1])
+    @pytest.mark.parametrize("fmt", [None, 1, 2])
     def test_rejects_other_bundle_format(self, operator, tmp_path, fmt):
+        # format 2 step nets were built on the symmetric box max(Z~, 1) and
+        # its reports lack matrix_bound, so they are refused like format 1
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / "certificates.json"
         meta = json.loads(path.read_text())
-        assert meta["bundle_format"] == 2
+        assert meta["bundle_format"] == 3
         if fmt is None:
             del meta["bundle_format"]
         else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,9 @@ from richop import pipeline as P
 from richop import relu_net as NN
 from richop import richardson as R
 from richop import reduced_basis as RB
+
+
+PRODUCT_NET_DIGEST = "e386c8f4b50662f0da4350eff2769aba7af470ea8a66cd961ba0d8df663eca49"
 
 
 def random_net(rng, depth, width_lo=2, width_hi=5, density=0.6):
@@ -216,11 +220,42 @@ class TestProductNet:
     @pytest.mark.parametrize("bound", [1.0, 3.0, 7.5, 20.0])
     @pytest.mark.parametrize("eps", [0.5, 1e-1, 1e-2, 1e-4, 1.5e-5, 3.7e-7, 1e-8])
     def test_sawtooth_levels_smallest_certified(self, eps, bound):
-        # certified product error with m levels is 2 Z^2 4^-(m+1)
-        m = NN._sawtooth_levels(eps, bound)
-        assert m >= 1
-        assert 2.0 * bound**2 * 4.0 ** -(m + 1) <= eps
-        assert m == 1 or 2.0 * bound**2 * 4.0 ** -m > eps
+        # certified product error with m levels on |a| <= Z_A, |x| <= Z is
+        # 2 Z_A Z 4^-(m+1); the symmetric box is Z_A = Z
+        for z_a in (bound, 1.0, 0.5, 0.5086, 0.125):
+            m = NN._sawtooth_levels(eps, z_a, bound)
+            assert m >= 1
+            assert 2.0 * z_a * bound * 4.0 ** -(m + 1) <= eps
+            assert m == 1 or 2.0 * z_a * bound * 4.0 ** -m > eps
+
+    @pytest.mark.parametrize("z_a, z_x", [(0.5, 4.0), (0.25, 7.5), (0.5086, 4.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4, 1.5e-5, 1e-8])
+    def test_asymmetric_box_scaling(self, rng, eps, z_a, z_x):
+        # a one-entry step net with zero shift is the product a*x on the box
+        # |a| <= z_a, |x| <= z_x, with per-entry tolerance eps
+        net = NN.step_net(1, z_x, eps, np.zeros(1), carry=False, matrix_bound=z_a)
+        ga, gx = np.meshgrid(
+            np.linspace(-z_a, z_a, 161), np.linspace(-z_x, z_x, 161), indexing="ij"
+        )
+        grid = np.column_stack([ga.ravel(), gx.ravel()])
+        rand = rng.uniform(-1.0, 1.0, (500, 2)) * [z_a, z_x]
+        pts = np.vstack([grid, rand])
+        got = NN.realize(net, pts)[:, 0]
+        assert np.max(np.abs(got - pts[:, 0] * pts[:, 1])) <= eps
+
+    def test_product_net_bits_unchanged(self):
+        # digest of every layer (indptr, indices, data, bias) of the symmetric
+        # product nets the tests above use; the asymmetric box must leave
+        # them bit for bit as they were
+        h = hashlib.sha256()
+        cases = [(eps, 1.0) for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)]
+        cases += [(eps, b) for b in (1.0, 3.0, 7.5) for eps in (1e-1, 1.5e-5)]
+        cases.append((1e-5, 2.0))
+        for eps, bound in cases:
+            for w, b in NN.product_net(eps, bound).layers:
+                for arr, dtype in ((w.indptr, "<i8"), (w.indices, "<i8"), (w.data, "<f8"), (b, "<f8")):
+                    h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        assert h.hexdigest() == PRODUCT_NET_DIGEST
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -345,9 +380,22 @@ def iteration_bundle(n, k_steps, epsilon, shift, contraction):
     """
     eps_step = (1.0 - contraction) * epsilon
     z = 2.0 + 1.0 / (1.0 - contraction)
-    report = NN.BuildReport(0, 0, epsilon, z, (), {"eps_step": eps_step})
+    report = NN.BuildReport(0, 0, epsilon, z, (), {"eps_step": eps_step, "matrix_bound": 1.0})
     step = NN.step_net(n, z, eps_step, shift, carry=False)
     return NN.ApproximatorBundle(identity(n * n), step, k_steps, report)
+
+
+class TestStepNetBox:
+    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
+    def test_rejects_matrix_bound_not_finite_positive(self, value):
+        with pytest.raises(ValueError, match="matrix_bound"):
+            NN.step_net(2, 4.0, 1e-3, np.zeros(2), carry=False, matrix_bound=value)
+
+    def test_fewer_levels_on_the_smaller_matrix_box(self):
+        wide = NN.step_net(3, 4.0, 1e-4, np.zeros(3), carry=False)
+        narrow = NN.step_net(3, 4.0, 1e-4, np.zeros(3), carry=False, matrix_bound=0.5)
+        assert narrow.depth == wide.depth - 1
+        assert narrow.size < wide.size
 
 
 class TestIteratorNet:
@@ -577,6 +625,29 @@ class TestApproximator:
                 exact = sys_a.iteration_matrix @ x + sys_a.shift
                 worst = max(worst, float(np.linalg.norm(out - exact)))
         assert worst <= bundle.eps_step
+
+
+class TestIntervalBound:
+    def test_attained_at_box_vertex(self, bundle, lab):
+        # the entry and vertex the bound picks reproduce it through the net
+        net, config = bundle.encoder_input, lab["config"]
+        alpha, beta = config.alpha, bundle.report.certificates["beta_eff"]
+        z_a = bundle.report.certificates["matrix_bound"]
+        assert z_a == NN.interval_matrix_bound(net, alpha, beta)
+        w = net.layers[0][0].toarray()
+        center = w @ np.full(w.shape[1], alpha) + net.layers[0][1]
+        r = int(np.argmax(np.abs(center) + beta * np.abs(w).sum(axis=1)))
+        y_star = alpha + beta * (1.0 if center[r] >= 0 else -1.0) * np.sign(w[r])
+        assert abs(abs(NN.realize(net, y_star)[r]) - z_a) <= 1e-12
+
+    def test_bounds_family_encodings(self, bundle, lab, family):
+        z_a = bundle.report.certificates["matrix_bound"]
+        ys = np.stack([lab["encoder"].encode(a) for a in C.sample_family(family, 200, 71)])
+        assert np.max(np.abs(NN.realize(bundle.encoder_input, ys))) <= z_a
+
+    def test_rejects_deeper_input_net(self):
+        with pytest.raises(ValueError):
+            NN.interval_matrix_bound(random_net(np.random.default_rng(0), 2), 1.0, 0.5)
 
 
 class TestSerialization:
