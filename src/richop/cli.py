@@ -134,31 +134,24 @@ class Setup:
     def family(self):
         section = self.cfg.get("family", {"kind": "analytic"})
         kind = section.get("kind", "analytic")
-        fill = section.get("fill", 0.9)
+        fill, n_modes = section.get("fill", 0.9), section.get("n_modes", 4)
+        _check(0 < fill <= 1, f"family.fill must lie in (0, 1], got {fill!r}")
+        _check(n_modes >= 1, f"family.n_modes must be at least 1, got {n_modes!r}")
         alpha, beta = self.problem.alpha, self.problem.beta
         if kind == "analytic":
             return coeff_mod.analytic_family(
-                alpha,
-                beta,
-                self.domain,
-                n_modes=section.get("n_modes", 4),
-                decay=section.get("decay", 0.5),
-                fill=fill,
+                alpha, beta, self.domain, n_modes=n_modes, decay=section.get("decay", 0.5), fill=fill
             )
         if kind == "parametric":
-            modes = [
-                coeff_mod.trig_mode(k + 1, k % 2 + 1) for k in range(section.get("n_modes", 4))
-            ]
+            modes = [coeff_mod.trig_mode(k + 1, k % 2 + 1) for k in range(n_modes)]
             return coeff_mod.parametric_family(alpha, beta, modes, self.domain, fill=fill)
         if kind == "sobolev_ball":
+            order, radius = section.get("order", 2), section.get("radius", 50.0)
+            _check(order >= 0, f"family.order must be non-negative, got {order!r}")
+            _check(radius > 0, f"family.radius must be positive, got {radius!r}")
             coarse = mesh_mod.triangulate(self.domain, section.get("coeff_h", 0.5))
             return coeff_mod.sobolev_family(
-                alpha,
-                beta,
-                coarse,
-                order=section.get("order", 2),
-                radius=section.get("radius", 50.0),
-                fill=fill,
+                alpha, beta, coarse, order=order, radius=radius, fill=fill
             )
         raise ConfigError(f"unknown family kind {kind!r}")
 

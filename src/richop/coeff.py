@@ -5,6 +5,12 @@ arrays. Families generate admissible coefficients: trigonometric sums with
 factorially controlled derivatives (analytic), random piecewise-quadratic
 fields on a coarse mesh (Sobolev ball), and affine parametric combinations
 of stored modes.
+
+Every member lies in the band alpha +- beta by construction, with no grid
+sample: an affine family divides by a normalizer of at least
+sum_k |c_k| sup|xi_k|, in closed form per mode kind, and a Sobolev-ball
+member is scaled from the Bernstein hull of its nodal values
+(_bernstein_range, which also bounds the encoder's reconstructions).
 """
 
 from __future__ import annotations
@@ -119,8 +125,25 @@ def mesh_field(mesh: Mesh, values: np.ndarray, degree: int = 1) -> CoefficientFi
     return CoefficientField(
         fn,
         kind="mesh_field",
-        meta={"mesh": mesh, "degree": degree, "values": values},
+        meta={"mesh": mesh, "degree": degree, "values": values, "cell_dofs": cell_dofs},
     )
+
+
+def _bernstein_range(values: np.ndarray, cell_dofs: np.ndarray, degree: int) -> tuple:
+    """Bounds (lo, hi) of continuous P1/P2 fields on the whole mesh.
+
+    `values` is one nodal vector or a stack (n, n_dofs), numbered as
+    cell_dofs (t, nloc). Per element, the Bernstein-Bezier coefficients are
+    the nodal values for P1, and the vertex values and 2 mid - (va + vb) / 2
+    per edge for P2; their convex hull holds the element's range, so
+    [lo, hi] encloses every field, exactly for P1.
+    """
+    coeffs = np.asarray(values, dtype=float)[..., cell_dofs]
+    if degree == 2:
+        a, b = np.array(_P2_EDGES).T
+        edges = 2.0 * coeffs[..., 3:] - 0.5 * (coeffs[..., a] + coeffs[..., b])
+        coeffs = np.concatenate([coeffs[..., :3], edges], axis=-1)
+    return float(coeffs.min()), float(coeffs.max())
 
 
 def abs_shift(a: CoefficientField, a_min: float) -> CoefficientField:
@@ -183,6 +206,9 @@ def membership(
 
     True iff min sample >= alpha - beta - 1e-12 and max sample
     <= alpha + beta + 1e-12 over a grid_n x grid_n sampling of the domain.
+    A sample only bounds the range from inside, so this is not on the
+    sampling path (sample_family certifies members in closed form); it is
+    kept as the sampled reference that tests compare against.
     """
     pts = domain_grid(domain, grid_n)
     vals = a(pts)
@@ -210,7 +236,10 @@ class DataFamily:
     """Generator description for a set of admissible coefficients.
 
     ``fill`` is the fraction of the beta band the family occupies, so every
-    sample satisfies the membership bounds with strict margin.
+    member lies in alpha +- beta * fill. For an affine family (parametric,
+    analytic, abs_shift) ``normalizer`` must be at least the certified
+    sum_k |c_k| sup|xi_k| of its modes, which sample_family checks; an
+    abs_shift family's [a_min, a_min + raw_amplitude] must lie in the band.
     """
 
     kind: str
@@ -234,14 +263,43 @@ class DataFamily:
             raise ValueError("family requires 0 < beta < alpha")
         if not (0 < self.fill <= 1):
             raise ValueError("fill must lie in (0, 1]")
+        if self.kind == "abs_shift" and not (
+            self.alpha - self.beta <= self.a_min
+            and self.a_min + self.raw_amplitude <= self.alpha + self.beta
+        ):
+            raise ValueError("shifted range leaves the admissible band")
 
 
-def _mode_normalizer(modes, amplitudes, domain, grid_n: int = 200) -> float:
-    pts = domain_grid(domain, grid_n)
-    total = np.zeros(len(pts))
+def _mode_sup(mode: CoefficientField) -> float:
+    """sup|xi| of a family mode in closed form, on any domain."""
+    if mode.kind == "constant":
+        return abs(mode.meta["value"])
+    if mode.kind == "trig":
+        return 1.0
+    if mode.kind == "mesh_field":
+        lo, hi = _bernstein_range(mode.meta["values"], mode.meta["cell_dofs"], mode.meta["degree"])
+        return max(-lo, hi)
+    raise ValueError(f"no closed-form bound for a {mode.kind!r} mode")
+
+
+def _affine_normalizer(modes, amplitudes) -> float:
+    """sum_k |c_k| sup|xi_k| in mode order, a bound of sum_k |c_k xi_k(x)|."""
+    if not modes:
+        raise ValueError("an affine family needs at least one mode")
+    total = 0.0
     for amp, mode in zip(amplitudes, modes):
-        total += abs(amp) * np.abs(mode(pts))
-    return float(total.max())
+        total += abs(amp) * _mode_sup(mode)
+    return total
+
+
+def _affine_family(kind, alpha, beta, modes, amplitudes, **fields) -> DataFamily:
+    """The one DataFamily constructor of the affine kinds; unit amplitudes by default."""
+    modes = tuple(modes)
+    if amplitudes is None:
+        amplitudes = [1.0] * len(modes)
+    amplitudes = tuple(float(c) for c in amplitudes)
+    normalizer = _affine_normalizer(modes, amplitudes)
+    return DataFamily(kind, alpha, beta, modes, amplitudes, normalizer=normalizer, **fields)
 
 
 def parametric_family(
@@ -253,21 +311,7 @@ def parametric_family(
     fill: float = 0.9,
 ) -> DataFamily:
     """Affine family a = alpha + beta*fill * sum_k y_k c_k xi_k / s, y in [-1,1]^K."""
-    modes = tuple(modes)
-    if amplitudes is None:
-        amplitudes = tuple(1.0 for _ in modes)
-    amplitudes = tuple(float(c) for c in amplitudes)
-    normalizer = _mode_normalizer(modes, amplitudes, domain)
-    return DataFamily(
-        kind="parametric",
-        alpha=alpha,
-        beta=beta,
-        modes=modes,
-        amplitudes=amplitudes,
-        fill=fill,
-        normalizer=normalizer,
-        domain=domain,
-    )
+    return _affine_family("parametric", alpha, beta, modes, amplitudes, fill=fill, domain=domain)
 
 
 def analytic_family(
@@ -286,22 +330,11 @@ def analytic_family(
     ``analytic_bound`` records the envelope constant as metadata without a
     sharpness claim.
     """
-    modes, amps = [], []
     wave = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
-    for k, (kx, ky) in enumerate(wave[:n_modes]):
-        modes.append(trig_mode(kx, ky))
-        amps.append(decay**k)
-    fam = parametric_family(alpha, beta, modes, domain, amps, fill)
-    return DataFamily(
-        kind="analytic",
-        alpha=alpha,
-        beta=beta,
-        modes=fam.modes,
-        amplitudes=fam.amplitudes,
-        fill=fill,
-        normalizer=fam.normalizer,
-        analytic_bound=analytic_bound,
-        domain=domain,
+    modes = [trig_mode(kx, ky) for kx, ky in wave[:n_modes]]
+    amps = [decay**k for k in range(len(modes))]
+    return _affine_family(
+        "analytic", alpha, beta, modes, amps, fill=fill, analytic_bound=analytic_bound, domain=domain
     )
 
 
@@ -315,16 +348,11 @@ def sobolev_family(
     degree: int = 2,
 ) -> DataFamily:
     """Random piecewise-P2 fields on a coarse mesh, range-clipped into the cone."""
+    if order < 0 or not radius > 0:
+        raise ValueError("sobolev_family needs order >= 0 and radius > 0")
     return DataFamily(
-        kind="sobolev_ball",
-        alpha=alpha,
-        beta=beta,
-        fill=fill,
-        sobolev_order=order,
-        sobolev_radius=radius,
-        coeff_mesh=coeff_mesh,
-        coeff_degree=degree,
-        domain=coeff_mesh,
+        "sobolev_ball", alpha, beta, fill=fill, sobolev_order=order, sobolev_radius=radius,
+        coeff_mesh=coeff_mesh, coeff_degree=degree, domain=coeff_mesh,
     )
 
 
@@ -342,22 +370,8 @@ def abs_family(
     Requires [a_min, a_min + amplitude] inside [alpha - beta, alpha + beta].
     Each member records the raw sign-changing field in its metadata.
     """
-    if not (alpha - beta <= a_min and a_min + amplitude <= alpha + beta):
-        raise ValueError("shifted range leaves the admissible band")
-    modes = tuple(modes)
-    if amplitudes is None:
-        amplitudes = tuple(1.0 for _ in modes)
-    normalizer = _mode_normalizer(modes, amplitudes, domain)
-    return DataFamily(
-        kind="abs_shift",
-        alpha=alpha,
-        beta=beta,
-        modes=modes,
-        amplitudes=tuple(float(c) for c in amplitudes),
-        normalizer=normalizer,
-        domain=domain,
-        a_min=a_min,
-        raw_amplitude=amplitude,
+    return _affine_family(
+        "abs_shift", alpha, beta, modes, amplitudes, domain=domain, a_min=a_min, raw_amplitude=amplitude
     )
 
 
@@ -405,13 +419,12 @@ def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
         return out
     if family.kind == "sobolev_ball":
         # smooth random draw with W^{m,inf}-scaled spectrum, interpolated as
-        # a piecewise-P2 field on the coarse coefficient mesh
-        coords = (
-            family.coeff_mesh.nodes
-            if family.coeff_degree == 1
-            else _p2_dofs(family.coeff_mesh)[0]
-        )
-        amps = _sobolev_amplitudes(family.sobolev_order or 2)
+        # a piecewise-P1/P2 field on the coarse coefficient mesh
+        if family.coeff_degree == 1:
+            coords, cell_dofs = family.coeff_mesh.nodes, family.coeff_mesh.triangles
+        else:
+            coords, cell_dofs = _p2_dofs(family.coeff_mesh)[:2]
+        amps = _sobolev_amplitudes(family.sobolev_order)
         raw_vals = np.zeros(len(coords))
         for y, amp, (kx, ky) in zip(params, amps, _SOBOLEV_WAVES):
             raw_vals += (
@@ -420,19 +433,18 @@ def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
                 * np.cos(kx * np.pi * coords[:, 0])
                 * np.cos(ky * np.pi * coords[:, 1])
             )
-        # measure the field range on a fine grid: P2 fields overshoot their
-        # nodal values, so nodal min/max are not enough for range clipping
-        raw = mesh_field(family.coeff_mesh, raw_vals, family.coeff_degree)
-        sampled = raw(domain_grid(family.coeff_mesh, 160))
-        mid = 0.5 * (sampled.min() + sampled.max())
-        half = max(0.5 * (sampled.max() - sampled.min()), 1e-12)
+        # P2 fields overshoot their nodal values; the Bernstein hull bounds
+        # the range, so the scaled member stays in alpha +- beta * fill
+        lo, hi = _bernstein_range(raw_vals, cell_dofs, family.coeff_degree)
+        mid = 0.5 * (lo + hi)
+        half = max(0.5 * (hi - lo), 1e-12)
         band = family.beta * family.fill
         scale = band / half
         # near-flat draws would be range-amplified past the declared radius;
         # cap the analytic curvature bound of the generator at 0.8 R
         k2 = np.array([kx * kx + ky * ky for kx, ky in _SOBOLEV_WAVES])
         curvature = scale * float(np.sum(np.abs(params) * amps * k2)) * np.pi**2
-        radius = family.sobolev_radius or 50.0
+        radius = family.sobolev_radius
         if curvature > 0.8 * radius:
             scale *= 0.8 * radius / curvature
         vals = family.alpha + scale * (raw_vals - mid)
@@ -443,19 +455,23 @@ def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
 
 
 def sample_family(family: DataFamily, count: int, seed: int):
-    """Deterministic list of family members; every member passes membership."""
+    """Deterministic list of family members, each admissible by construction.
+
+    An affine member is alpha + beta * fill * sum_k y_k c_k xi_k / normalizer
+    with |y_k| <= 1 (abs_shift: a_min + |raw|, |raw| <= raw_amplitude), so a
+    normalizer of at least sum_k |c_k| sup|xi_k| keeps it in the band; that
+    closed-form bound is checked once here and a smaller normalizer is
+    refused. A sobolev_ball member is scaled from its Bernstein hull. No
+    member is sampled on a grid.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
-    draws = parameter_vectors(family, count, seed)
-    members = []
-    for row in draws:
-        a = realize_member(family, row)
-        check = membership(a, family.alpha, family.beta, 64, family.domain)
-        if not check:
+    if family.kind in ("parametric", "analytic", "abs_shift"):
+        bound = _affine_normalizer(family.modes, family.amplitudes)
+        if not family.normalizer >= bound:
             raise ValueError(
-                "family produced an inadmissible member: "
-                f"range [{check.min_value:.6g}, {check.max_value:.6g}]"
+                f"family normalizer {family.normalizer:.6g} is below the "
+                f"certified bound {bound:.6g} of its modes"
             )
-        members.append(a)
-    return members
+    return [realize_member(family, row) for row in parameter_vectors(family, count, seed)]
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coeff import CoefficientField, _shape_values, domain_grid, from_callable
+from .coeff import CoefficientField, _bernstein_range, _shape_values, domain_grid, from_callable
 from .fem import FemSpace
-from .mesh import _P2_EDGES, QuadSplit, _first_appearance, locate_points
+from .mesh import QuadSplit, _first_appearance, locate_points
 
 __all__ = [
     "Encoder",
@@ -234,8 +234,8 @@ def reconstruction_envelope(encoder: Encoder, values: np.ndarray, alpha: float) 
     reconstructions of all rows are evaluated once at the encoder's
     query_points, one channel_matrix call on M points, and gathered per
     element into Bernstein-Bezier coefficients, whose convex hull holds the
-    element's range: the nodal values for P1, the vertex values and
-    2 mid - (va + vb) / 2 per edge for P2, and T V T^T per quad for GLL, with
+    element's range: coeff._bernstein_range for P1/P2 (the hull that also
+    scales Sobolev-ball members), and T V T^T per quad for GLL, with
     V the quad's nodal block and T the inverse of the Bernstein Vandermonde
     at the GLL nodes mapped to [0, 1]. Returns max(alpha - min, max - alpha)
     over all coefficients, a bound on the whole domain; for P1 it is exact.
@@ -249,13 +249,10 @@ def reconstruction_envelope(encoder: Encoder, values: np.ndarray, alpha: float) 
         binom = np.array([math.comb(p, i) for i in k], dtype=float)
         inv = np.linalg.inv(binom * t**k * (1.0 - t) ** (p - k))
         coeffs = inv @ nodal[:, payload.quad_channels].reshape(len(rows), -1, p + 1, p + 1) @ inv.T
+        lo, hi = coeffs.min(), coeffs.max()
     else:
-        coeffs = nodal[:, payload.cell_dofs]  # (n, t, nloc)
-        if payload.degree == 2:
-            a, b = np.array(_P2_EDGES).T
-            edges = 2.0 * coeffs[..., 3:] - 0.5 * (coeffs[..., a] + coeffs[..., b])
-            coeffs = np.concatenate([coeffs[..., :3], edges], axis=-1)
-    return float(max(alpha - coeffs.min(), coeffs.max() - alpha))
+        lo, hi = _bernstein_range(nodal, payload.cell_dofs, payload.degree)
+    return float(max(alpha - lo, hi - alpha))
 
 
 def _encoder_mesh(encoder: Encoder):

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import coeff as coeff_mod
-from .coeff import CoefficientField, constant
+from .coeff import CoefficientField, _shape_values, constant
 from .mesh import _P2_EDGES, Mesh, _p2_dofs
 
 __all__ = [
@@ -130,18 +130,12 @@ def build_space(mesh: Mesh, degree: int = 1) -> FemSpace:
 def _reference_tables(degree: int, order: int):
     """Shape values (nq, nloc) and reference gradients (nq, nloc, 2)."""
     bary, w = _TRI_RULES[order]
-    l0, l1, l2 = bary[:, 0], bary[:, 1], bary[:, 2]
+    vals = _shape_values(bary, degree)
     gl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # grad of l0, l1, l2
     if degree == 1:
-        vals = np.stack([l0, l1, l2], axis=1)
         grads = np.broadcast_to(gl, (len(w), 3, 2)).copy()
     else:
-        lam = [l0, l1, l2]
-        vals = np.stack(
-            [l * (2 * l - 1) for l in lam]
-            + [4 * lam[a] * lam[b] for a, b in _P2_EDGES],
-            axis=1,
-        )
+        lam = bary.T
         grads = np.empty((len(w), 6, 2))
         for i in range(3):
             grads[:, i, :] = (4 * lam[i] - 1)[:, None] * gl[i]

@@ -43,19 +43,25 @@ def test_invalid_beta_exits_one(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, section, key, value",
+    "command, section, values",
     [
-        ("build", "network", "epsilon", 2.0),
-        ("build", "network", "epsilon", 0.0),
-        ("build", "mesh", "degree", 3),
-        ("build", "encoder", "degree", 3),
-        ("sweep", "sweep", "values", [0.1, 1.5]),
+        ("build", "network", {"epsilon": 2.0}),
+        ("build", "network", {"epsilon": 0.0}),
+        ("build", "mesh", {"degree": 3}),
+        ("build", "encoder", {"degree": 3}),
+        ("sweep", "sweep", {"values": [0.1, 1.5]}),
+        ("build", "family", {"fill": 1.5}),
+        ("build", "family", {"n_modes": 0}),
+        ("snapshots", "family", {"kind": "parametric", "n_modes": 0}),
+        ("snapshots", "family", {"kind": "sobolev_ball", "order": -1}),
+        ("snapshots", "family", {"kind": "sobolev_ball", "radius": 0.0}),
     ],
-    ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree", "sweep_epsilon"],
+    ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree", "sweep_epsilon",
+         "family_fill", "family_n_modes", "parametric_n_modes", "sobolev_order", "sobolev_radius"],
 )
-def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, key, value):
+def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, values):
     cfg = json.load(open(CONFIG))
-    cfg.setdefault(section, {})[key] = value
+    cfg.setdefault(section, {}).update(values)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     assert cli.main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 1

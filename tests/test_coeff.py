@@ -230,3 +230,134 @@ class TestMeshField:
         with pytest.raises(ValueError):
             field(np.array([[2.0, 2.0]]))
 
+
+def _p1_trig_modes(mesh):
+    """The P1 mesh_field modes of acceptance criterion 12."""
+    waves = [(1, 0), (0, 1), (1, 1), (2, 1)]
+    return [C.mesh_field(mesh, C.trig_mode(kx, ky)(mesh.nodes), 1) for kx, ky in waves]
+
+
+# one family of each kind; members must lie in the band of their kind
+_CERTIFIED_KINDS = {
+    "analytic": lambda sq: C.analytic_family(1.0, 0.5, sq, n_modes=8, decay=0.8),
+    "trig_parametric": lambda sq: C.parametric_family(
+        1.0, 0.5, [C.trig_mode(k + 1, k % 2 + 1) for k in range(4)], sq, fill=1.0
+    ),
+    "p1_mesh_field": lambda sq: C.parametric_family(
+        1.0, 0.5, _p1_trig_modes(M.triangulate(sq, 0.5)), sq, amplitudes=[1.0, -0.5, 0.7, 0.2]
+    ),
+    "constant": lambda sq: C.parametric_family(1.0, 0.5, [C.constant(-2.0)], sq),
+    "abs_shift": lambda sq: C.abs_family(
+        1.0, 0.5, [C.trig_mode(1, 0), C.trig_mode(1, 1)], sq, 0.6, 0.8
+    ),
+    "sobolev_p1": lambda sq: C.sobolev_family(1.0, 0.5, M.triangulate(sq, 0.4), degree=1),
+    "sobolev_p2": lambda sq: C.sobolev_family(1.0, 0.5, M.triangulate(sq, 0.4), degree=2),
+}
+
+
+# the affine families the repo builds: analytic in src, tests and bench, the
+# CLI parametric kind, criterion 12's P1 modes, the constant mode, abs_family
+_REPO_FAMILIES = {
+    **{
+        f"analytic{n}_{dom.__name__}": (
+            lambda n=n, d=d, dom=dom: C.analytic_family(1.0, 0.5, dom(), n_modes=n, decay=d)
+        )
+        for n, d in [(2, 1.0), (4, 0.7), (5, 0.6), (8, 0.8)]
+        for dom in (M.unit_square, M.lshape)
+    },
+    "cli_parametric": lambda: C.parametric_family(
+        1.0, 0.5, [C.trig_mode(k + 1, k % 2 + 1) for k in range(4)], M.unit_square()
+    ),
+    "p1_mesh_field": lambda: C.parametric_family(
+        1.0, 0.5, _p1_trig_modes(M.triangulate(M.unit_square(), 0.35)), M.unit_square()
+    ),
+    "constant": lambda: C.parametric_family(1.0, 0.5, [C.constant(1.0)], M.unit_square()),
+    "abs_family": lambda: C.abs_family(
+        1.0, 0.5, [C.trig_mode(1, 0), C.trig_mode(1, 1)], M.unit_square(), 0.6, 0.8
+    ),
+}
+
+
+def _old_grid_normalizer(family):
+    """The 200 x 200 grid maximum of sum_k |c_k xi_k| that the closed form replaced."""
+    pts = C.domain_grid(family.domain, 200)
+    total = np.zeros(len(pts))
+    for amp, mode in zip(family.amplitudes, family.modes):
+        total += abs(amp) * np.abs(mode(pts))
+    return float(total.max())
+
+
+class TestCertifiedFamilies:
+    @pytest.mark.parametrize("kind", sorted(_CERTIFIED_KINDS))
+    def test_members_lie_in_band_on_dense_lattice(self, square, kind):
+        fam = _CERTIFIED_KINDS[kind](square)
+        if fam.kind == "abs_shift":
+            lo, hi = fam.a_min, fam.a_min + fam.raw_amplitude
+        else:
+            lo, hi = fam.alpha - fam.beta * fam.fill, fam.alpha + fam.beta * fam.fill
+        pts = C.domain_grid(square, 400)
+        # random draws, and the corners y = +-sign(c) of the parameter box,
+        # where an affine member reaches its band at the origin
+        n_params = C.parameter_vectors(fam, 1, 0).shape[1]
+        corner = np.sign(fam.amplitudes) if fam.modes else np.ones(n_params)
+        extremes = [C.realize_member(fam, sign * corner) for sign in (1.0, -1.0)]
+        for a in C.sample_family(fam, 4, 17) + extremes:
+            vals = a(pts)
+            assert vals.min() >= lo - 1e-12
+            assert vals.max() <= hi + 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_REPO_FAMILIES))
+    def test_normalizer_equals_old_grid_maximum(self, name):
+        fam = _REPO_FAMILIES[name]()
+        assert fam.normalizer == _old_grid_normalizer(fam)
+
+    def test_callable_mode_refused(self, square):
+        mode = C.from_callable(lambda p: np.cos(np.pi * p[:, 0]))
+        with pytest.raises(ValueError, match="closed-form"):
+            C.parametric_family(1.0, 0.5, [mode], square)
+
+    def test_empty_mode_list_refused(self, square):
+        with pytest.raises(ValueError, match="at least one mode"):
+            C.parametric_family(1.0, 0.5, [], square)
+
+    def test_hand_made_abs_family_outside_band_refused(self, square):
+        with pytest.raises(ValueError, match="band"):
+            C.DataFamily(kind="abs_shift", alpha=1.0, beta=0.2, modes=(C.trig_mode(1, 0),),
+                         amplitudes=(1.0,), domain=square, a_min=0.6, raw_amplitude=0.8)
+
+    def test_bernstein_range_exact_for_p1(self, square):
+        mesh = M.triangulate(square, 0.3)
+        vals = np.sin(3 * mesh.nodes[:, 0]) - np.cos(2 * mesh.nodes[:, 1])
+        lo, hi = C._bernstein_range(vals, mesh.triangles, 1)
+        assert (lo, hi) == (vals.min(), vals.max())
+        sampled = C.mesh_field(mesh, vals, 1)(C.domain_grid(square, 400))
+        assert lo - 1e-12 <= sampled.min() and sampled.max() <= hi + 1e-12
+
+    def test_bernstein_range_encloses_p2_sample(self, square):
+        mesh = M.triangulate(square, 0.4)
+        coords, cell_dofs = M._p2_dofs(mesh)[:2]
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            vals = rng.uniform(-1.0, 1.0, len(coords))
+            lo, hi = C._bernstein_range(vals, cell_dofs, 2)
+            sampled = C.mesh_field(mesh, vals, 2)(C.domain_grid(square, 400))
+            assert lo - 1e-12 <= sampled.min() and sampled.max() <= hi + 1e-12
+
+
+class TestSobolevParameters:
+    def test_order_zero_is_not_order_two(self, square):
+        coarse = M.triangulate(square, 0.5)
+        pts = C.domain_grid(square, 30)
+        zero = C.sample_family(C.sobolev_family(1.0, 0.5, coarse, order=0), 4, 3)
+        two = C.sample_family(C.sobolev_family(1.0, 0.5, coarse, order=2), 4, 3)
+        for a, b in zip(zero, two):
+            assert not np.array_equal(a(pts), b(pts))
+
+    def test_negative_order_refused(self, square):
+        with pytest.raises(ValueError, match="order"):
+            C.sobolev_family(1.0, 0.5, M.triangulate(square, 0.5), order=-1)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_radius_refused(self, square, radius):
+        with pytest.raises(ValueError, match="radius"):
+            C.sobolev_family(1.0, 0.5, M.triangulate(square, 0.5), radius=radius)
