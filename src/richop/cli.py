@@ -136,9 +136,14 @@ class Setup:
         kind = section.get("kind", "analytic")
         fill, n_modes = section.get("fill", 0.9), section.get("n_modes", 4)
         _check(0 < fill <= 1, f"family.fill must lie in (0, 1], got {fill!r}")
-        _check(n_modes >= 1, f"family.n_modes must be at least 1, got {n_modes!r}")
+        _check(
+            isinstance(n_modes, int) and n_modes >= 1,
+            f"family.n_modes must be an integer of at least 1, got {n_modes!r}",
+        )
         alpha, beta = self.problem.alpha, self.problem.beta
         if kind == "analytic":
+            top = len(coeff_mod.ANALYTIC_WAVENUMBERS)
+            _check(n_modes <= top, f"family.n_modes must be at most {top}, got {n_modes!r}")
             return coeff_mod.analytic_family(
                 alpha, beta, self.domain, n_modes=n_modes, decay=section.get("decay", 0.5), fill=fill
             )

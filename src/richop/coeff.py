@@ -314,6 +314,10 @@ def parametric_family(
     return _affine_family("parametric", alpha, beta, modes, amplitudes, fill=fill, domain=domain)
 
 
+# wavenumbers (kx, ky) of the analytic family's modes, in order of decaying amplitude
+ANALYTIC_WAVENUMBERS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3))
+
+
 def analytic_family(
     alpha: float,
     beta: float,
@@ -330,8 +334,11 @@ def analytic_family(
     ``analytic_bound`` records the envelope constant as metadata without a
     sharpness claim.
     """
-    wave = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
-    modes = [trig_mode(kx, ky) for kx, ky in wave[:n_modes]]
+    if not 1 <= n_modes <= len(ANALYTIC_WAVENUMBERS):
+        raise ValueError(
+            f"analytic_family takes 1 to {len(ANALYTIC_WAVENUMBERS)} modes, got {n_modes!r}"
+        )
+    modes = [trig_mode(kx, ky) for kx, ky in ANALYTIC_WAVENUMBERS[:n_modes]]
     amps = [decay**k for k in range(len(modes))]
     return _affine_family(
         "analytic", alpha, beta, modes, amps, fill=fill, analytic_bound=analytic_bound, domain=domain

@@ -2,12 +2,13 @@
 
 Networks are lists of (sparse weight, bias) layers with ReLU between them.
 The module provides sparse concatenation with certified depth/size bounds,
-a sawtooth product network, and the recurrent approximator of the reduced
+a sawtooth product gadget, and the recurrent approximator of the reduced
 fixed-point iteration: an exact affine input net assembling the iteration
-matrix from encoder channels, and one tolerance-certified step net that
-evaluation runs K times. The unrolled network (input net, then K spliced
-steps) computes the same function; it is built only when read, and its
-depth and size are counted from the parts without building it.
+matrix from encoder channels, and one tolerance-certified step net, n^2
+copies of the product gadget, that evaluation runs K times. The unrolled
+network (input net, then K spliced steps) computes the same function; it is
+built only when read, and its depth and size are counted from the parts
+without building it.
 
 Weights are float64 CSR. realize runs each layer through the kernel that
 scipy's `w @ y` dispatches to (`_sparsetools.csr_matvec`, `csr_matvecs`),
@@ -157,40 +158,6 @@ def _concat_counts(outer: list, inner: list) -> list:
     return inner[:-1] + [(2 * w2, 2 * b2), (2 * w1, b1)] + outer[1:]
 
 
-class _LayerBuilder:
-    """Row-wise accumulator for one sparse layer."""
-
-    def __init__(self):
-        self.rows: list = []
-        self.cols: list = []
-        self.vals: list = []
-        self.bias: list = []
-        self.n_rows = 0
-
-    def row(self, entries, bias: float = 0.0) -> int:
-        idx = self.n_rows
-        for col, val in entries:
-            self.rows.append(idx)
-            self.cols.append(col)
-            self.vals.append(val)
-        self.bias.append(bias)
-        self.n_rows += 1
-        return idx
-
-    def build(self, n_in: int):
-        w = _csr(self.rows, self.cols, self.vals, (self.n_rows, n_in))
-        return w, np.asarray(self.bias, dtype=float)
-
-
-def _stack_layers(builders, n_in: int) -> NeuralNet:
-    """Net whose layers are the builders in order, each fed by the previous one."""
-    layers = []
-    for b in builders:
-        layers.append(b.build(n_in))
-        n_in = b.n_rows
-    return NeuralNet(layers)
-
-
 def _sawtooth_levels(epsilon: float, bound_a: float, bound_b: float) -> int:
     # on [0, 1], f_m(t) - t^2 lies in [0, 4^-(m+1)] (Yarotsky 2017); a*b is
     # Z_a Z_b times the difference of two such squares, so the product error
@@ -198,47 +165,40 @@ def _sawtooth_levels(epsilon: float, bound_a: float, bound_b: float) -> int:
     return max(1, math.ceil(0.5 * math.log2(2.0 * bound_a * bound_b / epsilon)) - 1)
 
 
-def _emit_product(builders, col_a: int, col_b: int, bound_a: float, bound_b: float, m: int):
-    """Append channels approximating a*b on the box |a| <= bound_a, |b| <= bound_b.
+def _copies(w: np.ndarray, k: int) -> sp.csr_matrix:
+    """kron(I_k, w) for a dense block w, as canonical CSR: k copies of w on the diagonal."""
+    rows, cols = np.nonzero(w)
+    height, width = w.shape
+    indptr = np.concatenate([[0], np.cumsum(np.tile(np.count_nonzero(w, axis=1), k))])
+    indices = (cols + width * np.arange(k)[:, None]).ravel()
+    data = np.tile(w[rows, cols], k)
+    return sp.csr_matrix((data, indices, indptr), shape=(k * height, k * width))
+
+
+def _product_gadget(bound_a: float, bound_b: float, m: int) -> list:
+    """Dense layers (W, b) of a net approximating a*b on |a| <= bound_a, |b| <= bound_b.
 
     With u = a / bound_a and v = b / bound_b, a*b = bound_a bound_b
     (((u+v)/2)^2 - ((u-v)/2)^2), each square realized by m sawtooth levels
-    on [0, 1]. Returns the output-layer entries expressing the product
-    value. When one factor is zero the two squaring chains carry identical
-    values and the output cancels to rounding level, but not to an exact
-    zero: the certified tolerance is the only guarantee.
+    on [0, 1]. The m + 2 layers are a 4x2 split into relu(+-(u+v)/2) and
+    relu(+-(u-v)/2); per level, two 3-row chains (h1, h2, h3), one per
+    square; and a 1x6 output. When one factor is zero the two chains carry
+    identical values and the output cancels to rounding level, but not to
+    an exact zero: the certified tolerance is the only guarantee.
     """
     wa, wb = 1.0 / (2.0 * bound_a), 1.0 / (2.0 * bound_b)
-    b0 = builders[0]
-    c = [
-        b0.row([(col_a, wa), (col_b, wb)]),
-        b0.row([(col_a, -wa), (col_b, -wb)]),
-        b0.row([(col_a, wa), (col_b, -wb)]),
-        b0.row([(col_a, -wa), (col_b, wb)]),
-    ]
-    chains = []
-    for i0, i1 in ((0, 1), (2, 3)):
-        h1 = builders[1].row([(c[i0], 1.0), (c[i1], 1.0)], bias=-0.5)
-        h2 = builders[1].row([(c[i0], 1.0), (c[i1], 1.0)])
-        h3 = builders[1].row([(c[i0], 1.0), (c[i1], 1.0)])
-        for s in range(2, m + 1):
-            f = 4.0 ** (s - 1)
-            nh1 = builders[s].row([(h2, 2.0), (h1, -4.0)], bias=-0.5)
-            nh2 = builders[s].row([(h2, 2.0), (h1, -4.0)])
-            nh3 = builders[s].row([(h3, 1.0), (h2, -2.0 / f), (h1, 4.0 / f)])
-            h1, h2, h3 = nh1, nh2, nh3
-        chains.append((h1, h2, h3))
-    scale = bound_a * bound_b
-    f = 4.0**m
-    (h1p, h2p, h3p), (h1m, h2m, h3m) = chains
-    return [
-        (h3p, scale),
-        (h2p, -2.0 * scale / f),
-        (h1p, 4.0 * scale / f),
-        (h3m, -scale),
-        (h2m, 2.0 * scale / f),
-        (h1m, -4.0 * scale / f),
-    ]
+    split = np.array([[wa, wb], [-wa, -wb], [wa, -wb], [-wa, wb]])
+    levels = [la.block_diag(np.ones((3, 2)), np.ones((3, 2)))]
+    for s in range(2, m + 1):
+        f = 4.0 ** (s - 1)
+        level = np.array([[-4.0, 2.0, 0.0], [-4.0, 2.0, 0.0], [4.0 / f, -2.0 / f, 1.0]])
+        levels.append(la.block_diag(level, level))
+    scale, f = bound_a * bound_b, 4.0**m
+    out = [4.0 * scale / f, -2.0 * scale / f, scale, -4.0 * scale / f, 2.0 * scale / f, -scale]
+    # h1 of each chain is offset by -1/2
+    chain_bias = [-0.5, 0.0, 0.0, -0.5, 0.0, 0.0]
+    layers = [(split, np.zeros(4))] + [(w, np.array(chain_bias)) for w in levels]
+    return layers + [(np.array([out]), np.zeros(1))]
 
 
 def product_net(epsilon: float, bound: float) -> NeuralNet:
@@ -248,14 +208,11 @@ def product_net(epsilon: float, bound: float) -> NeuralNet:
     if bound < 1.0:
         raise ValueError("bound must be at least 1")
     m = _sawtooth_levels(epsilon, bound, bound)
-    builders = [_LayerBuilder() for _ in range(m + 1)]
-    out = _LayerBuilder()
-    out.row(_emit_product(builders, 0, 1, bound, bound, m))
-    return _stack_layers(builders + [out], 2)
+    return NeuralNet([(_copies(w, 1), b) for w, b in _product_gadget(bound, bound, m)])
 
 
-def vec_index(i: int, j: int, n: int) -> int:
-    """Column-major position of matrix entry (i, j) in the flattened input."""
+def vec_index(i, j, n: int):
+    """Column-major position of matrix entry (i, j) in the flattened input; i, j may be arrays."""
     return i + n * j
 
 
@@ -264,56 +221,66 @@ def step_net(
     bound: float,
     epsilon: float,
     shift: np.ndarray,
-    carry: bool = True,
     matrix_bound: float = 1.0,
 ) -> NeuralNet:
-    """One approximate iteration step (vec(A), x) -> (vec(A), A x + g).
+    """One approximate iteration step (vec(A), x) -> A x + g.
 
     Certified for inputs with every |A_ij| <= matrix_bound and every
     |x_j| <= bound (which ||x||_l2 <= bound implies), and for no others:
     each product A_ij x_j is within the per-entry tolerance epsilon / n^{3/2}
     on that box, so the row sums meet the l2 budget epsilon. The default
-    matrix_bound 1.0 is the contract |A| <= 1. The shifted load g enters as an
-    output-layer bias; with carry=True the flattened matrix rides along
-    through identity channel pairs so steps can be chained, which adds
-    2 n^2 unit weights and no bias to every layer.
+    matrix_bound 1.0 is the contract |A| <= 1.
+
+    The net is n^2 copies of one product gadget side by side, copy i n + j
+    computing A_ij x_j: a gather feeds (A_ij, x_j) into the copies' first
+    layer, every gadget layer W becomes kron(I_{n^2}, W), and the output
+    sums each row's n products (kron(I_n, 1^T_n)) and adds the shifted load
+    g as its bias.
     """
-    shift = np.asarray(shift, dtype=float)
+    shift = np.array(shift, dtype=float)
     if len(shift) != n:
         raise ValueError("shift length must match the reduced dimension")
     for name, value in (("bound", bound), ("matrix_bound", matrix_bound)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    eps_entry = epsilon / n**1.5
-    m = _sawtooth_levels(eps_entry, matrix_bound, bound)
-    builders = [_LayerBuilder() for _ in range(m + 1)]
-    rows = []
-    for i in range(n):
-        entries = []
-        for j in range(n):
-            entries.extend(
-                _emit_product(
-                    builders, vec_index(i, j, n), n * n + j, matrix_bound, bound, m
-                )
-            )
-        rows.append(entries)
-    carry_pairs = []
-    if carry:
-        for c in range(n * n):
-            rp = builders[0].row([(c, 1.0)])
-            rm = builders[0].row([(c, -1.0)])
-            for b in builders[1:]:
-                rp_next = b.row([(rp, 1.0)])
-                rm_next = b.row([(rm, 1.0)])
-                rp, rm = rp_next, rm_next
-            carry_pairs.append((rp, rm))
-    out = _LayerBuilder()
-    if carry:
-        for rp, rm in carry_pairs:
-            out.row([(rp, 1.0), (rm, -1.0)])
-    for i, entries in enumerate(rows):
-        out.row(entries, bias=float(shift[i]))
-    return _stack_layers(builders + [out], n * n + n)
+    m = _sawtooth_levels(epsilon / n**1.5, matrix_bound, bound)
+    (split, b0), *hidden, (w_out, _) = _product_gadget(matrix_bound, bound, m)
+    # kron(I_{n^2}, split) times the gather is the split copies with column
+    # 2p read from A_ij and column 2p + 1 from x_j, for copy p = i n + j
+    i, j = np.divmod(np.arange(n * n), n)
+    gather = np.column_stack([vec_index(i, j, n), n * n + j]).ravel()
+    split = _copies(split, n * n)
+    first = sp.csr_matrix(
+        (split.data, gather[split.indices], split.indptr), shape=(4 * n * n, n * n + n)
+    )
+    layers = [(first, np.tile(b0, n * n))]
+    layers += [(_copies(w, n * n), np.tile(b, n * n)) for w, b in hidden]
+    # kron(I_n, 1^T_n) kron(I_{n^2}, w_out) = kron(I_n, [w_out ... w_out])
+    layers.append((_copies(np.tile(w_out, n), n), shift))
+    return NeuralNet(layers)
+
+
+def _carrying(step: NeuralNet) -> NeuralNet:
+    """The step with its matrix input carried: (vec(A), x) -> (vec(A), step(vec(A), x)).
+
+    Each entry a of vec(A) rides along as the pair relu(a), relu(-a): the
+    pairs are stacked under the first layer, pass every hidden layer through
+    an identity block, and leave as a = relu(a) - relu(-a) in output rows
+    above the step's own. This adds 2 n^2 unit weights and no bias to every
+    layer.
+    """
+    n_mat = step.n_inputs - step.n_outputs
+    pair = np.array([[1.0], [-1.0]])
+    carried = sp.identity(2 * n_mat)
+    zeros = np.zeros(2 * n_mat)
+    (w0, b0), *hidden, (w_out, b_out) = step.layers
+    first = sp.vstack([w0, sp.kron(sp.eye(n_mat, step.n_inputs), pair)])
+    layers = [(first, np.concatenate([b0, zeros]))]
+    layers += [(sp.block_diag([w, carried]), np.concatenate([b, zeros])) for w, b in hidden]
+    out = sp.bmat([[None, sp.kron(sp.identity(n_mat), pair.T)], [w_out, None]])
+    layers.append((out, np.concatenate([np.zeros(n_mat), b_out])))
+    coos = [(w.tocoo(), b) for w, b in layers]
+    return NeuralNet([(_csr(c.row, c.col, c.data, c.shape), b) for c, b in coos])
 
 
 def _entry_nets(n: int) -> tuple[NeuralNet, NeuralNet]:
@@ -403,8 +370,8 @@ class ApproximatorBundle:
     The report counts the equivalent unrolled net, which net builds on first
     read (sparse concatenation of the input net, an e1 injection, K - 1
     carrying steps and this step) for accounting and tests. The carrying
-    steps are built on the step's own box: report.input_bound for x and
-    report.certificates["matrix_bound"] for vec(A).
+    step is this step with vec(A) carried through identity channels
+    (_carrying); net reads no report field.
     """
 
     encoder_input: NeuralNet
@@ -436,19 +403,8 @@ class ApproximatorBundle:
     @cached_property
     def net(self) -> NeuralNet:
         """The unrolled net of the same function."""
-        n = self.step.n_outputs
-        shift = self.step.layers[-1][1]
-        carry = step_net(
-            n,
-            self.report.input_bound,
-            self.eps_step,
-            shift,
-            carry=True,
-            matrix_bound=self.report.certificates["matrix_bound"],
-        )
-        return _unroll(
-            self.encoder_input, self.step, carry, self.k_steps, *_entry_nets(n), sparse_concat
-        )[1]
+        carry, entry = _carrying(self.step), _entry_nets(self.step.n_outputs)
+        return _unroll(self.encoder_input, self.step, carry, self.k_steps, *entry, sparse_concat)[1]
 
 
 def build_approximator(
@@ -462,8 +418,9 @@ def build_approximator(
 ) -> ApproximatorBundle:
     """The affine input net and the final step net, with the unrolled net's report.
 
-    space and config must be the basis's own (basis.space, basis.config):
-    the shift and the dual norm ||f|| come from basis.nominal. The step
+    space and config must be the basis's own (basis.space, basis.config),
+    or ValueError is raised: alpha and beta are read from config, the shift
+    and the dual norm ||f|| from basis.nominal. The step
     count comes from the geometric tail rule and the iterator tolerance
     from the synthesis budget (alpha - beta) eps / (2 sqrt(N+1) ||f||), so
     the synthesized output is within eps of the reduced Galerkin solution
@@ -481,6 +438,8 @@ def build_approximator(
     input_net(basis, encoder), which does not depend on epsilon, passes it
     as `encoder_input`; it must be that depth-one affine net.
     """
+    if space is not basis.space or config != basis.config:
+        raise ValueError("space and config must be the basis's own")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     alpha = config.alpha
@@ -497,9 +456,7 @@ def build_approximator(
     if encoder_input is None:
         encoder_input = input_net(basis, encoder)
     z_a = interval_matrix_bound(encoder_input, alpha, beta)
-    step = step_net(
-        n, z_tilde, eps_step, basis.nominal.shift, carry=False, matrix_bound=z_a
-    )
+    step = step_net(n, z_tilde, eps_step, basis.nominal.shift, matrix_bound=z_a)
     step_counts = _layer_counts(step)
     iterator, net = _unroll(
         _layer_counts(encoder_input),

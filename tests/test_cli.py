@@ -52,12 +52,15 @@ def test_invalid_beta_exits_one(tmp_path):
         ("sweep", "sweep", {"values": [0.1, 1.5]}),
         ("build", "family", {"fill": 1.5}),
         ("build", "family", {"n_modes": 0}),
+        ("build", "family", {"n_modes": 9}),
+        ("build", "family", {"n_modes": 2.5}),
         ("snapshots", "family", {"kind": "parametric", "n_modes": 0}),
         ("snapshots", "family", {"kind": "sobolev_ball", "order": -1}),
         ("snapshots", "family", {"kind": "sobolev_ball", "radius": 0.0}),
     ],
     ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree", "sweep_epsilon",
-         "family_fill", "family_n_modes", "parametric_n_modes", "sobolev_order", "sobolev_radius"],
+         "family_fill", "family_n_modes", "analytic_n_modes_above_eight", "family_n_modes_fraction",
+         "parametric_n_modes", "sobolev_order", "sobolev_radius"],
 )
 def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, values):
     cfg = json.load(open(CONFIG))

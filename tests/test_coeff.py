@@ -133,6 +133,18 @@ class TestFamilies:
         for a in C.sample_family(fam, 50, 7):
             assert C.membership(a, 1.0, 0.5, 48, square).ok
 
+    @pytest.mark.parametrize("n_modes", [0, -1, 9, 12])
+    def test_analytic_family_refuses_mode_count_out_of_range(self, square, n_modes):
+        # the family has eight stored wavenumbers; a slice would silently
+        # give 8 modes for n_modes=12 and 7 for n_modes=-1
+        with pytest.raises(ValueError, match="1 to 8 modes"):
+            C.analytic_family(1.0, 0.5, square, n_modes=n_modes)
+
+    def test_analytic_family_takes_one_to_eight_modes(self, square):
+        for n_modes in range(1, 9):
+            fam = C.analytic_family(1.0, 0.5, square, n_modes=n_modes)
+            assert len(fam.modes) == n_modes
+
     def test_analytic_family_derivative_envelope_low_orders(self, square):
         # factorially controlled derivatives are verified for orders <= 4
         # via the analytic per-mode bound |d^nu mode| <= (k pi)^{|nu|}

@@ -410,7 +410,7 @@ class TestBundle:
         doc = json.loads(path.read_text())
         if value == "wider":
             n = operator.basis.size + 1
-            value = NN._net_to_doc(NN.step_net(n, 3.0, 1e-2, np.zeros(n), carry=False))
+            value = NN._net_to_doc(NN.step_net(n, 3.0, 1e-2, np.zeros(n)))
         doc[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=key):

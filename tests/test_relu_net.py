@@ -19,6 +19,8 @@ from richop import reduced_basis as RB
 
 
 PRODUCT_NET_DIGEST = "e386c8f4b50662f0da4350eff2769aba7af470ea8a66cd961ba0d8df663eca49"
+STEP_NET_DIGEST = "2833c608b47f53ae7a1f210fb8c37b5d38d55b743572d4f2be916877d4310bb7"
+CARRYING_STEP_DIGEST = "3d2f097d3090a4db01d1c734b9ee24d13312495f43ebadd7f3acf96d4446449d"
 
 
 def random_net(rng, depth, width_lo=2, width_hi=5, density=0.6):
@@ -30,6 +32,16 @@ def random_net(rng, depth, width_lo=2, width_hi=5, density=0.6):
         b = rng.standard_normal(widths[ell + 1])
         layers.append((sp.csr_matrix(w), b))
     return NN.NeuralNet(layers)
+
+
+def layers_digest(nets):
+    """sha256 of every layer's indptr, indices, data and bias, net by net."""
+    h = hashlib.sha256()
+    for net in nets:
+        for w, b in net.layers:
+            for arr, dtype in ((w.indptr, "<i8"), (w.indices, "<i8"), (w.data, "<f8"), (b, "<f8")):
+                h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()
 
 
 def identity(n):
@@ -101,7 +113,7 @@ class TestRealize:
 
     def test_single_input_equals_batch_row_bitwise(self, rng):
         nets = [random_net(rng, 4), NN.product_net(1e-5, 2.0)]
-        nets.append(NN.step_net(3, 4.0, 1e-4, rng.standard_normal(3), carry=True))
+        nets.append(NN._carrying(NN.step_net(3, 4.0, 1e-4, rng.standard_normal(3))))
         for net in nets:
             x = rng.uniform(-1, 1, (7, net.n_inputs))
             batch = NN.realize(net, x)
@@ -233,7 +245,7 @@ class TestProductNet:
     def test_asymmetric_box_scaling(self, rng, eps, z_a, z_x):
         # a one-entry step net with zero shift is the product a*x on the box
         # |a| <= z_a, |x| <= z_x, with per-entry tolerance eps
-        net = NN.step_net(1, z_x, eps, np.zeros(1), carry=False, matrix_bound=z_a)
+        net = NN.step_net(1, z_x, eps, np.zeros(1), matrix_bound=z_a)
         ga, gx = np.meshgrid(
             np.linspace(-z_a, z_a, 161), np.linspace(-z_x, z_x, 161), indexing="ij"
         )
@@ -266,7 +278,7 @@ class TestProductNet:
 
 def matvec_net(n, epsilon, bound):
     """Net mapping (vec(A), x) to Ax within epsilon in l2: a step with zero shift."""
-    return NN.step_net(n, bound, epsilon, np.zeros(n), carry=False)
+    return NN.step_net(n, bound, epsilon, np.zeros(n))
 
 
 class TestMatvecNet:
@@ -327,7 +339,7 @@ class TestStepNet:
         z = 4.0
         a = C.sample_family(family, 1, 91)[0]
         sys_a = R.assemble_reduced(basis, a)
-        net = NN.step_net(n, z, eps, sys_a.shift, carry=False)
+        net = NN.step_net(n, z, eps, sys_a.shift)
         for _ in range(5):
             x = rng.standard_normal(n)
             x *= rng.uniform(0.1, z) / np.linalg.norm(x)
@@ -343,7 +355,7 @@ class TestStepNet:
         sys_a = R.assemble_reduced(basis, a)
         c_star = R.direct_solve(sys_a)
         eps = 1e-5
-        net = NN.step_net(basis.size, 4.0, eps, sys_a.shift, carry=False)
+        net = NN.step_net(basis.size, 4.0, eps, sys_a.shift)
         out = NN.realize(
             net, np.concatenate([sys_a.iteration_matrix.flatten(order="F"), c_star])
         )
@@ -354,7 +366,7 @@ class TestStepNet:
         sys0 = R.assemble_reduced(basis, config.scaled_nominal())
         n = basis.size
         eps = 1e-5
-        net = NN.step_net(n, 4.0, eps, sys0.shift, carry=False)
+        net = NN.step_net(n, 4.0, eps, sys0.shift)
         x = rng.standard_normal(n)
         x *= 3.0 / np.linalg.norm(x)
         out = NN.realize(
@@ -367,7 +379,7 @@ class TestStepNet:
         flat = rng.uniform(-0.9, 0.9, n * n)
         x = rng.standard_normal(n)
         x *= 2.0 / np.linalg.norm(x)
-        net = NN.step_net(n, 4.0, 1e-4, np.zeros(n), carry=True)
+        net = NN._carrying(NN.step_net(n, 4.0, 1e-4, np.zeros(n)))
         out = NN.realize(net, np.concatenate([flat, x]))
         assert np.array_equal(out[: n * n], flat)
 
@@ -381,7 +393,7 @@ def iteration_bundle(n, k_steps, epsilon, shift, contraction):
     eps_step = (1.0 - contraction) * epsilon
     z = 2.0 + 1.0 / (1.0 - contraction)
     report = NN.BuildReport(0, 0, epsilon, z, (), {"eps_step": eps_step, "matrix_bound": 1.0})
-    step = NN.step_net(n, z, eps_step, shift, carry=False)
+    step = NN.step_net(n, z, eps_step, shift)
     return NN.ApproximatorBundle(identity(n * n), step, k_steps, report)
 
 
@@ -389,11 +401,24 @@ class TestStepNetBox:
     @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
     def test_rejects_matrix_bound_not_finite_positive(self, value):
         with pytest.raises(ValueError, match="matrix_bound"):
-            NN.step_net(2, 4.0, 1e-3, np.zeros(2), carry=False, matrix_bound=value)
+            NN.step_net(2, 4.0, 1e-3, np.zeros(2), matrix_bound=value)
+
+    def test_step_net_bits_unchanged(self):
+        # pinned digests of the step nets, carry-free and carrying, over a
+        # grid of (n, eps, Z_A, Z~): any change of row order, weight or bias
+        # changes them, and with them the bundles and CSV outputs
+        steps = [
+            NN.step_net(n, z_x, eps, (np.arange(n) - 1.5) / 7.0, matrix_bound=z_a)
+            for n in (1, 2, 3, 9, 13)
+            for eps in (1e-1, 1e-2, 1e-4, 1e-6)
+            for z_a, z_x in ((1.0, 3.0), (0.5, 4.0), (0.5086, 7.5))
+        ]
+        assert layers_digest(steps) == STEP_NET_DIGEST
+        assert layers_digest(map(NN._carrying, steps)) == CARRYING_STEP_DIGEST
 
     def test_fewer_levels_on_the_smaller_matrix_box(self):
-        wide = NN.step_net(3, 4.0, 1e-4, np.zeros(3), carry=False)
-        narrow = NN.step_net(3, 4.0, 1e-4, np.zeros(3), carry=False, matrix_bound=0.5)
+        wide = NN.step_net(3, 4.0, 1e-4, np.zeros(3))
+        narrow = NN.step_net(3, 4.0, 1e-4, np.zeros(3), matrix_bound=0.5)
         assert narrow.depth == wide.depth - 1
         assert narrow.size < wide.size
 
@@ -588,27 +613,46 @@ class TestApproximator:
         assert depths == sorted(depths)
 
     def test_builds_one_carry_and_one_final_step(self, lab, monkeypatch):
-        # a build makes the final step only; the unrolled net is built on read
-        built, spliced = [], []
-        step_net, sparse_concat = NN.step_net, NN.sparse_concat
+        # a build makes the final step only; the unrolled net is built on
+        # read, its one carrying step derived from the shipped step
+        built, carried, spliced = [], [], []
+        step_net, carrying, sparse_concat = NN.step_net, NN._carrying, NN.sparse_concat
 
         def counting_step_net(*args, **kwargs):
             built.append(step_net(*args, **kwargs))
             return built[-1]
+
+        def counting_carrying(step):
+            carried.append(step)
+            return carrying(step)
 
         def counting_concat(*args):
             spliced.append(args)
             return sparse_concat(*args)
 
         monkeypatch.setattr(NN, "step_net", counting_step_net)
+        monkeypatch.setattr(NN, "_carrying", counting_carrying)
         monkeypatch.setattr(NN, "sparse_concat", counting_concat)
         b = NN.build_approximator(
             lab["basis"], lab["space"], lab["config"], lab["encoder"], 1e-1
         )
         assert built == [b.step]
-        assert spliced == []
+        assert carried == spliced == []
         assert b.net.depth == b.report.depth
-        assert len(built) == 2 and len(spliced) == b.k_steps + 1
+        assert built == carried == [b.step]
+        assert len(spliced) == b.k_steps + 1
+
+    def test_refuses_space_or_config_not_the_basis_own(self, lab, square):
+        # alpha and beta come from config, the shift and ||f|| from the
+        # basis: a mismatched pair would certify the wrong problem
+        basis, space, config, enc = lab["basis"], lab["space"], lab["config"], lab["encoder"]
+        wider = F.ProblemConfig(2.0, config.beta, config.a0, config.f)
+        coarse = F.build_space(M.triangulate(square, 0.5), 1)
+        for s, c in ((space, wider), (coarse, config)):
+            with pytest.raises(ValueError, match="basis's own"):
+                NN.build_approximator(basis, s, c, enc, 1e-1)
+        equal = F.ProblemConfig(config.alpha, config.beta, config.a0, config.f)
+        assert NN.build_approximator(basis, space, equal, enc, 1e-1).report.depth > 0
 
     def test_monte_carlo_step_certificate(self, bundle, lab, family, rng):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
@@ -657,6 +701,15 @@ class TestSerialization:
             assert (got.depth, got.size, got.widths) == (want.depth, want.size, want.widths)
         y = rng.uniform(-1, 1, (20, bundle.encoder_input.n_inputs))
         assert np.array_equal(back.realize(y), bundle.realize(y))
+
+    def test_loaded_unrolled_net_equals_in_memory(self, bundle):
+        # .net derives its carrying steps from the step alone, so a loaded
+        # bundle unrolls to the same layers bit for bit
+        back = NN.bundle_from_json(NN.bundle_to_json(bundle))
+        assert back.net.widths == bundle.net.widths
+        for (w, b), (w0, b0) in zip(back.net.layers, bundle.net.layers):
+            pairs = zip((w.indptr, w.indices, w.data, b), (w0.indptr, w0.indices, w0.data, b0))
+            assert all(np.array_equal(got, want) for got, want in pairs)
 
     def test_report_round_trip(self, bundle):
         back = NN.bundle_from_json(NN.bundle_to_json(bundle))
