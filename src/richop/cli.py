@@ -17,6 +17,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 from functools import cached_property
@@ -51,10 +52,11 @@ def load_config(path: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     problem = cfg.get("problem", {})
-    alpha = problem.get("alpha", 1.0)
-    beta = problem.get("beta", 0.5)
-    if not (0 < beta < alpha):
-        raise ConfigError(f"invalid problem bounds: require 0 < beta={beta} < alpha={alpha}")
+    alpha = _number(problem, "problem.alpha", 1.0, lambda a: 0 < a < math.inf, "be positive")
+    _number(problem, "problem.beta", 0.5, lambda b: 0 < b < alpha, f"lie in (0, alpha={alpha!r})")
+    _number(cfg.get("reduction", {}), "reduction.gamma", 1.0, lambda g: 0 < g <= 1, "lie in (0, 1]")
+    mode = cfg.get("network", {}).get("beta_mode", "paper")
+    _check(mode in ("paper", "measured"), f"network.beta_mode must be paper or measured: {mode!r}")
     return cfg
 
 
@@ -62,6 +64,13 @@ def _check(ok: bool, message: str) -> None:
     """A config value the library would refuse is a config error."""
     if not ok:
         raise ConfigError(message)
+
+
+def _number(section: dict, name: str, default, ok, need: str):
+    """The number at name's last key in section (default if absent); ConfigError unless ok."""
+    value = section.get(name.rsplit(".", 1)[1], default)
+    _check(type(value) in (int, float) and ok(value), f"{name} must {need}, got {value!r}")
+    return value
 
 
 def config_hash(cfg: dict) -> str:
@@ -100,7 +109,8 @@ class Setup:
     @cached_property
     def mesh(self):
         section = self.cfg.get("mesh", {})
-        m = mesh_mod.triangulate(self.domain, section.get("h", 0.125))
+        h = _number(section, "mesh.h", 0.125, lambda h: h > 0, "be positive")
+        m = mesh_mod.triangulate(self.domain, h)
         graded = section.get("graded")
         if graded:
             m = mesh_mod.refine_corner_graded(
@@ -120,11 +130,13 @@ class Setup:
         source = section.get("source", {"kind": "constant", "value": 1.0})
         if source.get("kind", "constant") != "constant":
             raise ConfigError("only constant sources are configurable")
+        value = _number(source, "problem.source.value", 1.0, lambda v: 0 < abs(v) < math.inf,
+                        "be finite and nonzero")
         config = fem_mod.ProblemConfig(
             section.get("alpha", 1.0),
             section.get("beta", 0.5),
             coeff_mod.constant(1.0),
-            coeff_mod.constant(source.get("value", 1.0)),
+            coeff_mod.constant(value),
         )
         if section.get("normalize_source", True):
             config = fem_mod.normalize_source(self.space, config)
@@ -134,12 +146,9 @@ class Setup:
     def family(self):
         section = self.cfg.get("family", {"kind": "analytic"})
         kind = section.get("kind", "analytic")
-        fill, n_modes = section.get("fill", 0.9), section.get("n_modes", 4)
-        _check(0 < fill <= 1, f"family.fill must lie in (0, 1], got {fill!r}")
-        _check(
-            isinstance(n_modes, int) and n_modes >= 1,
-            f"family.n_modes must be an integer of at least 1, got {n_modes!r}",
-        )
+        fill = _number(section, "family.fill", 0.9, lambda f: 0 < f <= 1, "lie in (0, 1]")
+        n_modes = _number(section, "family.n_modes", 4, lambda k: isinstance(k, int) and k >= 1,
+                          "be an integer of at least 1")
         alpha, beta = self.problem.alpha, self.problem.beta
         if kind == "analytic":
             top = len(coeff_mod.ANALYTIC_WAVENUMBERS)
@@ -151,9 +160,8 @@ class Setup:
             modes = [coeff_mod.trig_mode(k + 1, k % 2 + 1) for k in range(n_modes)]
             return coeff_mod.parametric_family(alpha, beta, modes, self.domain, fill=fill)
         if kind == "sobolev_ball":
-            order, radius = section.get("order", 2), section.get("radius", 50.0)
-            _check(order >= 0, f"family.order must be non-negative, got {order!r}")
-            _check(radius > 0, f"family.radius must be positive, got {radius!r}")
+            order = _number(section, "family.order", 2, lambda k: k >= 0, "be non-negative")
+            radius = _number(section, "family.radius", 50.0, lambda r: r > 0, "be positive")
             coarse = mesh_mod.triangulate(self.domain, section.get("coeff_h", 0.5))
             return coeff_mod.sobolev_family(
                 alpha, beta, coarse, order=order, radius=radius, fill=fill
@@ -164,13 +172,15 @@ class Setup:
     def encoder(self):
         section = self.cfg.get("encoder", {"kind": "nodal", "h": 0.25, "degree": 1})
         kind = section.get("kind", "nodal")
-        coarse = mesh_mod.triangulate(self.domain, section.get("h", 0.25))
+        h = _number(section, "encoder.h", 0.25, lambda h: h > 0, "be positive")
+        coarse = mesh_mod.triangulate(self.domain, h)
         if kind == "nodal":
-            degree = section.get("degree", 1)
-            _check(degree in (1, 2), f"encoder.degree must be 1 or 2, got {degree!r}")
+            degree = _number(section, "encoder.degree", 1, lambda d: d in (1, 2), "be 1 or 2")
             return build_nodal_encoder(fem_mod.build_space(coarse, degree))
         if kind == "gll":
-            return build_gll_encoder(quad_split(coarse), section.get("p", 3))
+            p = _number(section, "encoder.p", 3, lambda p: isinstance(p, int) and p >= 1,
+                        "be an integer of at least 1")
+            return build_gll_encoder(quad_split(coarse), p)
         raise ConfigError(f"unknown encoder kind {kind!r}")
 
     @cached_property
@@ -187,8 +197,8 @@ class Setup:
     @cached_property
     def operator(self):
         red = self.reduction
-        epsilon = self.cfg.get("network", {}).get("epsilon", 1e-2)
-        _check(0 < epsilon < 1, f"network.epsilon must lie in (0, 1), got {epsilon!r}")
+        section = self.cfg.get("network", {})
+        epsilon = _number(section, "network.epsilon", 1e-2, lambda e: 0 < e < 1, "lie in (0, 1)")
         return pipe_mod.build_operator(
             self.family,
             self.problem,
@@ -268,7 +278,8 @@ def cmd_sweep(s: Setup, out_dir, hash_):
     if sweep.get("axis", "epsilon") != "epsilon":
         raise ConfigError("only epsilon sweeps are supported")
     values = sweep["values"]
-    _check(all(0 < e < 1 for e in values), f"sweep values must lie in (0, 1), got {values!r}")
+    _check(all(type(e) in (int, float) and 0 < e < 1 for e in values),
+           f"sweep values must lie in (0, 1), got {values!r}")
     basis, _ = s.greedy
     _, beta_eff = pipe_mod.effective_beta(s.encoder, s.problem, s.snapshots.coefficients, s.beta_mode)
     net_in = input_net(basis, s.encoder)

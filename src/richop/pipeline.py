@@ -46,9 +46,10 @@ from .relu_net import (
     ApproximatorBundle,
     NeuralNet,
     build_approximator,
-    bundle_from_json,
-    bundle_to_json,
+    certified_approximator,
     input_net,
+    net_from_doc,
+    net_to_doc,
     sparse_concat,
 )
 from .richardson import assemble_reduced, direct_solve
@@ -68,7 +69,7 @@ __all__ = [
 ]
 
 
-BUNDLE_FORMAT = 3  # written to certificates.json; load_bundle accepts only this
+BUNDLE_FORMAT = 4  # written to certificates.json; load_bundle accepts only this
 
 
 class OperatorBuildError(ValueError):
@@ -258,7 +259,14 @@ def nonsmooth_operator(op: NeuralOperator, a_min: float) -> NeuralOperator:
 
 
 def save_bundle(op: NeuralOperator, directory: str) -> None:
-    """Operator bundle: mesh, basis matrix CSV, encoder JSON, net JSON, certificates."""
+    """Operator bundle: mesh, basis matrix CSV, encoder JSON, net JSON, certificates.
+
+    net.json holds the input net and the shift; load_bundle re-derives the
+    rest. A nonsmooth operator is refused: its input net has depth 3, so
+    interval_matrix_bound cannot re-derive Z_A from it.
+    """
+    if "nonsmooth_a_min" in op.certificates:
+        raise ValueError("a nonsmooth operator cannot be saved: its input net has depth 3")
     os.makedirs(directory, exist_ok=True)
     write_mesh(op.space.mesh, os.path.join(directory, "mesh.txt"))
     write_mesh(_encoder_mesh(op.encoder), os.path.join(directory, "encoder_mesh.txt"))
@@ -268,8 +276,9 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
     with open(os.path.join(directory, "encoder.json"), "w") as fh:
         fh.write(encoder_to_json(op.encoder))
+    shift = op.basis.nominal.shift.tolist()
     with open(os.path.join(directory, "net.json"), "w") as fh:
-        fh.write(bundle_to_json(op.approximator))
+        fh.write(json.dumps({"input": net_to_doc(op.approximator.encoder_input), "shift": shift}))
     meta = dict(op.certificates)
     meta["bundle_format"] = BUNDLE_FORMAT
     meta["fem_degree"] = op.space.degree
@@ -292,11 +301,17 @@ class LoadedOperator:
 
 
 def load_bundle(directory: str) -> LoadedOperator:
-    """Rebuild an operator from a bundle; refuses other bundle formats.
+    """Rebuild an operator from a bundle through the build's certificate chain.
 
-    Raises ValueError unless the input net maps the M encoder channels to
-    n^2 entries, the step net maps n^2 + n to n with n the basis columns,
-    and K is a non-negative integer.
+    certified_approximator re-derives K, the budgets, Z_A, the step net and
+    the report from the stored input net, shift, alpha, beta_eff, ||f|| and
+    epsilon. Raises ValueError for another bundle format, for n_basis,
+    m_channels, input net widths or shift length that do not match basis.csv
+    and the encoder, and for any stored certificate (k_steps, eps_iterator,
+    eps_step, contraction, matrix_bound, ...) not exactly the derived one.
+    This checks consistency, not provenance: the bundle stores neither a0
+    nor f, so the input net, the shift, ||f|| and basis.csv are taken as
+    given, and edits that keep them consistent with each other load.
     """
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
@@ -311,24 +326,25 @@ def load_bundle(directory: str) -> LoadedOperator:
         enc = build_nodal_encoder(build_space(enc_mesh, enc_doc["degree"]))
     else:
         enc = build_gll_encoder(quad_split(enc_mesh), enc_doc["p"])
-    stored = np.asarray(enc_doc["query_points"], dtype=float)
-    if enc.m != len(stored) or not np.allclose(enc.query_points, stored, atol=1e-12):
+    points = np.asarray(enc_doc["query_points"], dtype=float)
+    if enc.m != len(points) or not np.allclose(enc.query_points, points, atol=1e-12):
         raise ValueError("rebuilt encoder does not match the stored query points")
     with open(os.path.join(directory, "net.json")) as fh:
-        app = bundle_from_json(fh.read())
-    synthesis = np.loadtxt(os.path.join(directory, "basis.csv"), delimiter=",")
-    if synthesis.ndim == 1:
-        synthesis = synthesis[:, None]
+        doc = json.load(fh)
+    encoder_input, shift = net_from_doc(doc["input"]), np.asarray(doc["shift"], dtype=float)
+    synthesis = np.loadtxt(os.path.join(directory, "basis.csv"), delimiter=",", ndmin=2)
     n = synthesis.shape[1]
-    for name, net, widths in (
-        ("input", app.encoder_input, (enc.m, n * n)),
-        ("step", app.step, (n * n + n, n)),
-    ):
-        if (net.n_inputs, net.n_outputs) != widths:
+    app = certified_approximator(
+        encoder_input, shift, meta["alpha"], meta["beta_eff"], meta["f_dual_norm"], meta["epsilon"]
+    )
+    widths = (encoder_input.n_inputs, encoder_input.n_outputs)
+    stored = {**meta, "input net widths": widths, "shift length": len(shift)}
+    derived = {"n_basis": n - 1, "m_channels": enc.m, "input net widths": (enc.m, n * n),
+               "shift length": n, **app.report.certificates}
+    for key, value in derived.items():
+        if stored.get(key) != value:
             raise ValueError(
-                f"{name} net maps {net.n_inputs} -> {net.n_outputs} but the bundle "
-                f"has {enc.m} encoder channels and {n} basis columns"
+                f"bundle has {key} {stored.get(key)!r}, but {n} basis columns, {enc.m} encoder "
+                f"channels, the input net, the shift and epsilon {meta['epsilon']!r} give {value!r}"
             )
-    if type(app.k_steps) is not int or app.k_steps < 0:
-        raise ValueError(f"k_steps {app.k_steps!r} is not a non-negative integer")
     return LoadedOperator(enc, app, synthesis, meta)

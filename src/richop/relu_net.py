@@ -18,9 +18,8 @@ results are bit-identical to `w @ y`.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -44,9 +43,10 @@ __all__ = [
     "step_net",
     "input_net",
     "interval_matrix_bound",
+    "certified_approximator",
     "build_approximator",
-    "bundle_to_json",
-    "bundle_from_json",
+    "net_to_doc",
+    "net_from_doc",
     "vec_index",
 ]
 
@@ -407,6 +407,58 @@ class ApproximatorBundle:
         return _unroll(self.encoder_input, self.step, carry, self.k_steps, *entry, sparse_concat)[1]
 
 
+def certified_approximator(
+    encoder_input: NeuralNet, shift: np.ndarray,
+    alpha: float, beta_eff: float, f_dual: float, epsilon: float,
+) -> ApproximatorBundle:
+    """The certificate chain: K, the budgets, Z_A, the step net and the report.
+
+    All follow from the depth-one input net, the shift g (of length n),
+    alpha, beta_eff, the dual norm ||f|| and epsilon; build and load both
+    call this. The step count comes from the geometric tail rule and the
+    iterator tolerance from the synthesis budget
+    (alpha - beta_eff) eps / (2 sqrt(n) ||f||), so the synthesized output is
+    within eps of the reduced Galerkin solution of the encoded coefficient,
+    in the energy norm. Each step has tolerance (1 - contraction)
+    eps_iterator on the box |A_ij| <= Z_A, |x_j| <= Z~ = 2 + 1/(1 - contraction),
+    so the accumulated geometric error stays below eps_iterator. Z_A is
+    interval_matrix_bound of the input net over the channel box
+    [alpha - beta_eff, alpha + beta_eff]^M, recorded as
+    certificates["matrix_bound"].
+    """
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie in (0, 1)")
+    if not (0.0 < beta_eff < alpha):
+        raise ValueError("effective beta must lie in (0, alpha)")
+    n = len(shift)
+    k_steps = choose_step_count(alpha, beta_eff, f_dual, epsilon)
+    eps_iter = (alpha - beta_eff) / (2.0 * math.sqrt(n) * f_dual) * epsilon
+    contraction = beta_eff / alpha
+    eps_step = (1.0 - contraction) * eps_iter
+    z_tilde = 2.0 + 1.0 / (1.0 - contraction)
+    z_a = interval_matrix_bound(encoder_input, alpha, beta_eff)
+    step = step_net(n, z_tilde, eps_step, shift, matrix_bound=z_a)
+    step_counts = _layer_counts(step)
+    carry_counts = [(w + 2 * n * n, b) for w, b in step_counts]
+    entry_counts = map(_layer_counts, _entry_nets(n))
+    input_counts = _layer_counts(encoder_input)
+    iterator, net = _unroll(
+        input_counts, step_counts, carry_counts, k_steps, *entry_counts, _concat_counts
+    )
+    size, iterator_size = sum(map(sum, net)), sum(map(sum, iterator))
+    sections = (
+        ("input_assembly", encoder_input.size),
+        ("unrolled_iterator", iterator_size),
+        ("splice_overhead", size - encoder_input.size - iterator_size),
+    )
+    certificates = dict(
+        k_steps=k_steps, eps_iterator=eps_iter, eps_step=eps_step, contraction=contraction,
+        f_dual_norm=f_dual, beta_eff=beta_eff, matrix_bound=z_a,
+    )
+    report = BuildReport(len(net), size, epsilon, z_tilde, sections, certificates)
+    return ApproximatorBundle(encoder_input, step, k_steps, report)
+
+
 def build_approximator(
     basis: ReducedBasis,
     space: FemSpace,
@@ -416,20 +468,11 @@ def build_approximator(
     beta_eff: float | None = None,
     encoder_input: NeuralNet | None = None,
 ) -> ApproximatorBundle:
-    """The affine input net and the final step net, with the unrolled net's report.
+    """certified_approximator on input_net(basis, encoder) and the basis's nominal form.
 
     space and config must be the basis's own (basis.space, basis.config),
     or ValueError is raised: alpha and beta are read from config, the shift
-    and the dual norm ||f|| from basis.nominal. The step
-    count comes from the geometric tail rule and the iterator tolerance
-    from the synthesis budget (alpha - beta) eps / (2 sqrt(N+1) ||f||), so
-    the synthesized output is within eps of the reduced Galerkin solution
-    of the encoded coefficient, in the energy norm. Each step has tolerance
-    (1 - contraction) eps_iterator on the box |A_ij| <= Z_A,
-    |x_j| <= Z~ = 2 + 1/(1 - contraction), so the accumulated geometric
-    error stays below eps_iterator. Z_A is interval_matrix_bound of the
-    input net over the channel box [alpha - beta_eff, alpha + beta_eff]^M,
-    recorded as certificates["matrix_bound"].
+    and the dual norm ||f|| from basis.nominal.
 
     The certificate holds exactly for encodings y whose reconstruction lies
     in the band alpha +- beta_eff: the iteration then contracts by
@@ -440,77 +483,27 @@ def build_approximator(
     """
     if space is not basis.space or config != basis.config:
         raise ValueError("space and config must be the basis's own")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-    alpha = config.alpha
-    beta = config.beta if beta_eff is None else beta_eff
-    if not (0.0 < beta < alpha):
-        raise ValueError("effective beta must lie in (0, alpha)")
-    f_dual = basis.nominal.f_dual
-    n = basis.size
-    k_steps = choose_step_count(alpha, beta, f_dual, epsilon)
-    eps_iter = (alpha - beta) / (2.0 * math.sqrt(n) * f_dual) * epsilon
-    contraction = beta / alpha
-    eps_step = (1.0 - contraction) * eps_iter
-    z_tilde = 2.0 + 1.0 / (1.0 - contraction)
     if encoder_input is None:
         encoder_input = input_net(basis, encoder)
-    z_a = interval_matrix_bound(encoder_input, alpha, beta)
-    step = step_net(n, z_tilde, eps_step, basis.nominal.shift, matrix_bound=z_a)
-    step_counts = _layer_counts(step)
-    iterator, net = _unroll(
-        _layer_counts(encoder_input),
-        step_counts,
-        [(w + 2 * n * n, b) for w, b in step_counts],
-        k_steps,
-        *map(_layer_counts, _entry_nets(n)),
-        _concat_counts,
+    beta = config.beta if beta_eff is None else beta_eff
+    nominal = basis.nominal
+    return certified_approximator(
+        encoder_input, nominal.shift, config.alpha, beta, nominal.f_dual, epsilon
     )
-    size, iterator_size = sum(map(sum, net)), sum(map(sum, iterator))
-    sections = (
-        ("input_assembly", encoder_input.size),
-        ("unrolled_iterator", iterator_size),
-        ("splice_overhead", size - encoder_input.size - iterator_size),
-    )
-    report = BuildReport(
-        depth=len(net),
-        size=size,
-        tolerance=epsilon,
-        input_bound=z_tilde,
-        sections=sections,
-        certificates={
-            "k_steps": k_steps,
-            "eps_iterator": eps_iter,
-            "eps_step": eps_step,
-            "contraction": contraction,
-            "f_dual_norm": f_dual,
-            "beta_eff": beta,
-            "matrix_bound": z_a,
-        },
-    )
-    return ApproximatorBundle(encoder_input, step, k_steps, report)
 
 
-def _net_to_doc(net: NeuralNet) -> list:
+def net_to_doc(net: NeuralNet) -> list:
+    """JSON-ready layers of a net; floats round-trip exactly."""
     layers = []
-    last = net.depth - 1
-    for ell, (w, b) in enumerate(net.layers):
-        coo = w.tocoo()
-        layers.append(
-            {
-                "shape": list(w.shape),
-                "rows": coo.row.tolist(),
-                "cols": coo.col.tolist(),
-                "vals": coo.data.tolist(),
-                "bias_rows": np.flatnonzero(b).tolist(),
-                "bias_vals": b[np.flatnonzero(b)].tolist(),
-                "activation": "linear" if ell == last else "relu",
-            }
-        )
+    for w, b in net.layers:
+        coo, nz = w.tocoo(), np.flatnonzero(b)
+        entries = {"rows": coo.row.tolist(), "cols": coo.col.tolist(), "vals": coo.data.tolist()}
+        bias = {"bias_rows": nz.tolist(), "bias_vals": b[nz].tolist()}
+        layers.append({"shape": list(w.shape), **entries, **bias})
     return layers
 
 
-def _net_from_doc(layers: list) -> NeuralNet:
+def net_from_doc(layers: list) -> NeuralNet:
     built = []
     for spec in layers:
         shape = tuple(spec["shape"])
@@ -519,24 +512,3 @@ def _net_from_doc(layers: list) -> NeuralNet:
         b[np.asarray(spec["bias_rows"], dtype=int)] = spec["bias_vals"]
         built.append((w, b))
     return NeuralNet(built)
-
-
-def bundle_to_json(bundle: ApproximatorBundle) -> str:
-    """The input net, the step net, K and the report; floats round-trip exactly."""
-    return json.dumps(
-        {
-            "input": _net_to_doc(bundle.encoder_input),
-            "step": _net_to_doc(bundle.step),
-            "k_steps": bundle.k_steps,
-            "report": asdict(bundle.report),
-        }
-    )
-
-
-def bundle_from_json(text: str) -> ApproximatorBundle:
-    doc = json.loads(text)
-    r = doc["report"]
-    report = BuildReport(**{**r, "sections": tuple(map(tuple, r["sections"]))})
-    return ApproximatorBundle(
-        _net_from_doc(doc["input"]), _net_from_doc(doc["step"]), doc["k_steps"], report
-    )

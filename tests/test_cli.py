@@ -57,10 +57,23 @@ def test_invalid_beta_exits_one(tmp_path):
         ("snapshots", "family", {"kind": "parametric", "n_modes": 0}),
         ("snapshots", "family", {"kind": "sobolev_ball", "order": -1}),
         ("snapshots", "family", {"kind": "sobolev_ball", "radius": 0.0}),
+        ("build", "encoder", {"kind": "gll", "p": 0}),
+        ("build", "reduction", {"gamma": 0.0}),
+        ("build", "reduction", {"gamma": 2.0}),
+        ("build", "network", {"beta_mode": "bogus"}),
+        ("build", "problem", {"source": {"kind": "constant", "value": 0.0}}),
+        ("build", "family", {"fill": "0.9"}),
+        ("build", "problem", {"alpha": "1.0"}),
+        ("build", "mesh", {"h": 0.0}),
+        ("build", "mesh", {"h": -0.1}),
+        ("build", "encoder", {"h": 0.0}),
+        ("build", "encoder", {"h": -0.3}),
     ],
     ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree", "sweep_epsilon",
          "family_fill", "family_n_modes", "analytic_n_modes_above_eight", "family_n_modes_fraction",
-         "parametric_n_modes", "sobolev_order", "sobolev_radius"],
+         "parametric_n_modes", "sobolev_order", "sobolev_radius", "gll_p_zero", "gamma_zero",
+         "gamma_above_one", "beta_mode_unknown", "source_value_zero", "family_fill_string",
+         "alpha_string", "mesh_h_zero", "mesh_h_negative", "encoder_h_zero", "encoder_h_negative"],
 )
 def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, values):
     cfg = json.load(open(CONFIG))

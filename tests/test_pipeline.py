@@ -105,11 +105,18 @@ class TestBuildOperator:
         assert net.n_inputs == operator.encoder.m
         assert net.n_outputs == operator.basis.size
 
-    def test_deterministic_given_seed(self, family, config, space, nodal_encoder):
-        op1 = P.build_operator(family, config, space, 10, 4, nodal_encoder, 1e-1, seed=3)
-        op2 = P.build_operator(family, config, space, 10, 4, nodal_encoder, 1e-1, seed=3)
-        assert NN.bundle_to_json(op1.approximator) == NN.bundle_to_json(op2.approximator)
-        assert np.array_equal(op1.basis.raw, op2.basis.raw)
+    def test_deterministic_given_seed(self, family, config, space, nodal_encoder, tmp_path):
+        ops = [
+            P.build_operator(family, config, space, 10, 4, nodal_encoder, 1e-1, seed=3)
+            for _ in range(2)
+        ]
+        for name, op in zip("ab", ops):
+            P.save_bundle(op, str(tmp_path / name))
+        files = sorted(os.listdir(tmp_path / "a"))
+        assert files == sorted(os.listdir(tmp_path / "b"))
+        for f in files:
+            assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+        assert np.array_equal(ops[0].basis.raw, ops[1].basis.raw)
 
     def test_basis_larger_than_training_rejected(self, family, config, space, nodal_encoder):
         with pytest.raises(ValueError):
@@ -375,14 +382,31 @@ class TestBundle:
         assert np.array_equal(loaded.evaluate(a), P.evaluate(operator, a))
         assert loaded.certificates["epsilon"] == operator.certificates["epsilon"]
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2])
+    def test_gll_round_trip_rebuilds_the_same_operator(
+        self, family, config, space, square, tmp_path
+    ):
+        gll = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
+        op = P.build_operator(family, config, space, 12, 4, gll, 1e-2, seed=5)
+        P.save_bundle(op, str(tmp_path))
+        loaded = P.load_bundle(str(tmp_path))
+        built, got = op.approximator, loaded.approximator
+        for net, want in ((got.step, built.step), (got.net, built.net)):
+            assert net.widths == want.widths
+            for (w, b), (w0, b0) in zip(net.layers, want.layers):
+                pairs = zip((w.indptr, w.indices, w.data, b), (w0.indptr, w0.indices, w0.data, b0))
+                assert all(np.array_equal(x, y) for x, y in pairs)
+        for a in C.sample_family(family, 3, 98):
+            assert np.array_equal(loaded.evaluate(a), P.evaluate(op, a))
+
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3])
     def test_rejects_other_bundle_format(self, operator, tmp_path, fmt):
         # format 2 step nets were built on the symmetric box max(Z~, 1) and
-        # its reports lack matrix_bound, so they are refused like format 1
+        # its reports lack matrix_bound; format 3 stored the step net, K and
+        # the report in net.json: all are refused like format 1
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / "certificates.json"
         meta = json.loads(path.read_text())
-        assert meta["bundle_format"] == 3
+        assert meta["bundle_format"] == 4
         if fmt is None:
             del meta["bundle_format"]
         else:
@@ -399,19 +423,43 @@ class TestBundle:
         with pytest.raises(ValueError):
             P.load_bundle(str(tmp_path))
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("step", "wider"), ("k_steps", -1), ("k_steps", 2.5)],
-        ids=["step_width", "negative_k_steps", "fractional_k_steps"],
-    )
-    def test_rejects_inconsistent_net(self, operator, tmp_path, key, value):
+    def test_net_json_holds_only_the_input_net_and_shift(self, operator, tmp_path):
         P.save_bundle(operator, str(tmp_path))
-        path = tmp_path / "net.json"
-        doc = json.loads(path.read_text())
-        if value == "wider":
-            n = operator.basis.size + 1
-            value = NN._net_to_doc(NN.step_net(n, 3.0, 1e-2, np.zeros(n)))
-        doc[key] = value
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=key):
+        doc = json.loads((tmp_path / "net.json").read_text())
+        assert set(doc) == {"input", "shift"}
+        assert doc["shift"] == operator.basis.nominal.shift.tolist()
+        meta = json.loads((tmp_path / "certificates.json").read_text())
+        assert meta["k_steps"] == operator.approximator.k_steps
+
+    @pytest.mark.parametrize(
+        "key, tamper, named",
+        [
+            ("k_steps", lambda v: -1, "k_steps"),
+            ("k_steps", lambda v: 2.5, "k_steps"),
+            ("k_steps", lambda v: v + 5, "k_steps"),
+            ("epsilon", lambda v: 1e-9, "k_steps"),
+            ("matrix_bound", lambda v: 2 * v, "matrix_bound"),
+            ("n_basis", lambda v: v + 1, "n_basis"),
+            ("m_channels", lambda v: v + 1, "m_channels"),
+        ],
+        ids=["negative_k_steps", "fractional_k_steps", "k_steps_plus_five", "epsilon_1e-9",
+             "matrix_bound_doubled", "n_basis_plus_one", "m_channels_plus_one"],
+    )
+    def test_rejects_inconsistent_net(self, operator, tmp_path, key, tamper, named):
+        # load_bundle re-derives the certificate chain from the input net and
+        # the shift; a stored value that differs is named in the error (an
+        # edited epsilon shows first as the K it no longer gives)
+        P.save_bundle(operator, str(tmp_path))
+        path = tmp_path / "certificates.json"
+        meta = json.loads(path.read_text())
+        meta[key] = tamper(meta[key])
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=named):
             P.load_bundle(str(tmp_path))
+
+    def test_refuses_nonsmooth_operator(self, shifted_setup, tmp_path):
+        # its depth-3 input net admits no interval bound to re-derive Z_A from
+        _, _, wrapped = shifted_setup
+        with pytest.raises(ValueError, match="nonsmooth"):
+            P.save_bundle(wrapped, str(tmp_path))
+        assert not os.path.exists(tmp_path / "net.json")

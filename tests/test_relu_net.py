@@ -694,34 +694,49 @@ class TestIntervalBound:
             NN.interval_matrix_bound(random_net(np.random.default_rng(0), 2), 1.0, 0.5)
 
 
-class TestSerialization:
-    def test_round_trip_bit_exact(self, bundle, rng):
-        back = NN.bundle_from_json(NN.bundle_to_json(bundle))
-        for got, want in ((back.encoder_input, bundle.encoder_input), (back.step, bundle.step)):
-            assert (got.depth, got.size, got.widths) == (want.depth, want.size, want.widths)
-        y = rng.uniform(-1, 1, (20, bundle.encoder_input.n_inputs))
-        assert np.array_equal(back.realize(y), bundle.realize(y))
+@pytest.fixture(scope="module")
+def loaded(operator, tmp_path_factory):
+    """The conftest operator's approximator, saved and rebuilt by load_bundle."""
+    path = str(tmp_path_factory.mktemp("bundle"))
+    P.save_bundle(operator, path)
+    return P.load_bundle(path).approximator
 
-    def test_loaded_unrolled_net_equals_in_memory(self, bundle):
+
+def same_layers(got, want):
+    pairs = [(w.indptr, w.indices, w.data, b) for w, b in got.layers]
+    wants = [(w.indptr, w.indices, w.data, b) for w, b in want.layers]
+    return len(pairs) == len(wants) and all(
+        np.array_equal(x, y) for p, q in zip(pairs, wants) for x, y in zip(p, q)
+    )
+
+
+class TestSerialization:
+    def test_round_trip_bit_exact(self, operator, loaded, rng):
+        # the step is not stored: load_bundle rebuilds it from the input net
+        # and the shift through the build's own certificate chain
+        built = operator.approximator
+        assert same_layers(loaded.encoder_input, built.encoder_input)
+        assert same_layers(loaded.step, built.step)
+        y = rng.uniform(-1, 1, (20, built.encoder_input.n_inputs))
+        assert np.array_equal(loaded.realize(y), built.realize(y))
+
+    def test_loaded_unrolled_net_equals_in_memory(self, operator, loaded):
         # .net derives its carrying steps from the step alone, so a loaded
         # bundle unrolls to the same layers bit for bit
-        back = NN.bundle_from_json(NN.bundle_to_json(bundle))
-        assert back.net.widths == bundle.net.widths
-        for (w, b), (w0, b0) in zip(back.net.layers, bundle.net.layers):
-            pairs = zip((w.indptr, w.indices, w.data, b), (w0.indptr, w0.indices, w0.data, b0))
-            assert all(np.array_equal(got, want) for got, want in pairs)
+        assert loaded.net.widths == operator.approximator.net.widths
+        assert same_layers(loaded.net, operator.approximator.net)
 
-    def test_report_round_trip(self, bundle):
-        back = NN.bundle_from_json(NN.bundle_to_json(bundle))
-        assert back.report == bundle.report
-        assert back.k_steps == bundle.k_steps
-        assert back.eps_step == bundle.eps_step
+    def test_report_round_trip(self, operator, loaded):
+        built = operator.approximator
+        assert loaded.report == built.report
+        assert loaded.k_steps == built.k_steps
+        assert loaded.eps_step == built.eps_step
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=4))
     def test_random_net_round_trip(self, depth):
         rng = np.random.default_rng(depth)
         net = random_net(rng, depth)
-        back = NN._net_from_doc(json.loads(json.dumps(NN._net_to_doc(net))))
+        back = NN.net_from_doc(json.loads(json.dumps(NN.net_to_doc(net))))
         x = rng.standard_normal((5, net.n_inputs))
         assert np.array_equal(NN.realize(back, x), NN.realize(net, x))
