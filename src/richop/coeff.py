@@ -11,11 +11,18 @@ sample: an affine family divides by a normalizer of at least
 sum_k |c_k| sup|xi_k|, in closed form per mode kind, and a Sobolev-ball
 member is scaled from the Bernstein hull of its nodal values
 (_bernstein_range, which also bounds the encoder's reconstructions).
+
+A family computes the parameter-free part of its members once per read-only
+point array and keeps it while the array lives (_point_table): the mode
+table of an affine family, or the cell dofs and shape values on a Sobolev
+ball's mesh. Members evaluate from it bit-identically to affine_combination
+and mesh_field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,17 +123,22 @@ def mesh_field(mesh: Mesh, values: np.ndarray, degree: int = 1) -> CoefficientFi
         raise ValueError("degree must be 1 or 2")
 
     def fn(pts):
-        tri_idx, bary = locate_points(mesh, pts)
-        if np.any(tri_idx < 0):
-            raise ValueError("point outside mesh in mesh_field evaluation")
-        shapes = _shape_values(bary, degree)
-        return np.sum(values[cell_dofs[tri_idx]] * shapes, axis=1)
+        dofs, shapes = _locate(mesh, cell_dofs, degree, pts)
+        return np.sum(values[dofs] * shapes, axis=1)
 
     return CoefficientField(
         fn,
         kind="mesh_field",
         meta={"mesh": mesh, "degree": degree, "values": values, "cell_dofs": cell_dofs},
     )
+
+
+def _locate(mesh: Mesh, cell_dofs: np.ndarray, degree: int, pts: np.ndarray) -> tuple:
+    """Dofs (n, nloc) and shape values (n, nloc) of the cell holding each point."""
+    tri_idx, bary = locate_points(mesh, pts)
+    if np.any(tri_idx < 0):
+        raise ValueError("point outside mesh in mesh_field evaluation")
+    return cell_dofs[tri_idx], _shape_values(bary, degree)
 
 
 def _bernstein_range(values: np.ndarray, cell_dofs: np.ndarray, degree: int) -> tuple:
@@ -257,6 +269,8 @@ class DataFamily:
     domain: object = None
     a_min: float | None = None
     raw_amplitude: float | None = None
+    # id(points) -> (weakref to the points, parameter-free part); see _point_table
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.beta < self.alpha):
@@ -403,26 +417,49 @@ def parameter_vectors(family: DataFamily, count: int, seed: int) -> np.ndarray:
     raise ValueError(f"unknown family kind {family.kind!r}")
 
 
+def _point_table(family: DataFamily, pts: np.ndarray) -> tuple:
+    """The parameter-free part of the family's members at the points.
+
+    (table,) for affine kinds, (dofs, shapes) for sobolev_ball. Kept per
+    read-only array until a weakref callback drops it with the array, so a
+    reused id finds nothing; a writable array is recomputed on every call.
+    """
+    if pts.flags.writeable:
+        return _build_table(family, pts)
+    key, tables = id(pts), family._tables
+    entry = tables.get(key)
+    if entry is None or entry[0]() is not pts:
+        ref = weakref.ref(pts, lambda _, key=key: tables.pop(key, None))
+        entry = tables[key] = (ref, _build_table(family, pts))
+    return entry[1]
+
+
+def _build_table(family: DataFamily, pts: np.ndarray) -> tuple:
+    if family.kind == "sobolev_ball":
+        mesh, degree = family.coeff_mesh, family.coeff_degree
+        return _locate(mesh, mesh.triangles if degree == 1 else _p2_dofs(mesh)[1], degree, pts)
+    # columns: a constant 1 (not for abs_shift, whose raw field has no offset), then the modes
+    fields = family.modes if family.kind == "abs_shift" else (constant(1.0), *family.modes)
+    return (np.stack([f(pts) for f in fields], axis=1),)
+
+
 def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
     """Build the coefficient field for one parameter vector."""
     params = np.asarray(params, dtype=float)
-    if family.kind in ("parametric", "analytic"):
-        scale = family.beta * family.fill / family.normalizer
-        weights = np.concatenate(
-            [[family.alpha], scale * params * np.asarray(family.amplitudes)]
+    if family.kind in ("parametric", "analytic", "abs_shift"):
+        # a member is the family's shared table times its own weights (abs_shift: a_min + |that|)
+        shifted = family.kind == "abs_shift"
+        scale = (family.raw_amplitude if shifted else family.beta * family.fill) / family.normalizer
+        weights = scale * params * np.asarray(family.amplitudes)
+        if not shifted:
+            weights = np.concatenate([[family.alpha], weights])
+        out = CoefficientField(
+            lambda pts: _point_table(family, pts)[0] @ weights, kind="affine", meta={"weights": weights}
         )
-        fields = [constant(1.0), *family.modes]
-        out = affine_combination(fields, weights)
+        if shifted:
+            out = abs_shift(out, family.a_min)
+            out.meta["raw"] = out.meta["base"]
         out.meta["params"] = params
-        return out
-    if family.kind == "abs_shift":
-        scale = family.raw_amplitude / family.normalizer
-        raw = affine_combination(
-            family.modes, scale * params * np.asarray(family.amplitudes)
-        )
-        out = abs_shift(raw, family.a_min)
-        out.meta["params"] = params
-        out.meta["raw"] = raw
         return out
     if family.kind == "sobolev_ball":
         # smooth random draw with W^{m,inf}-scaled spectrum, interpolated as
@@ -455,9 +492,14 @@ def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
         if curvature > 0.8 * radius:
             scale *= 0.8 * radius / curvature
         vals = family.alpha + scale * (raw_vals - mid)
-        out = mesh_field(family.coeff_mesh, vals, family.coeff_degree)
-        out.meta["params"] = params
-        return out
+
+        def member(pts):  # mesh_field(coeff_mesh, vals, coeff_degree) from the cached location
+            dofs, shapes = _point_table(family, pts)
+            return np.sum(vals[dofs] * shapes, axis=1)
+
+        meta = {"mesh": family.coeff_mesh, "degree": family.coeff_degree, "values": vals,
+                "cell_dofs": cell_dofs, "params": params}
+        return CoefficientField(member, kind="mesh_field", meta=meta)
     raise ValueError(f"unknown family kind {family.kind!r}")
 
 

@@ -83,11 +83,15 @@ class GllGrid:
 
 
 class Encoder:
-    """Linear encoder a -> R^M given by point queries, with reconstruction basis."""
+    """Linear encoder a -> R^M given by point queries, with reconstruction basis.
+
+    ``query_points`` is a read-only copy, so family members encode from their family's table.
+    """
 
     def __init__(self, kind: str, query_points: np.ndarray, payload):
         self.kind = kind
-        self.query_points = np.asarray(query_points, dtype=float)
+        self.query_points = np.array(query_points, dtype=float)
+        self.query_points.flags.writeable = False
         self.m = len(self.query_points)
         self._payload = payload
 

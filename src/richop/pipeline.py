@@ -271,9 +271,9 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     write_mesh(op.space.mesh, os.path.join(directory, "mesh.txt"))
     write_mesh(_encoder_mesh(op.encoder), os.path.join(directory, "encoder_mesh.txt"))
     p = op.basis.frame(op.frame)
+    row_format = ",".join(["%.17g"] * p.shape[1]) + "\n"
     with open(os.path.join(directory, "basis.csv"), "w") as fh:
-        for row in p:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.writelines(row_format % tuple(row) for row in p.tolist())
     with open(os.path.join(directory, "encoder.json"), "w") as fh:
         fh.write(encoder_to_json(op.encoder))
     shift = op.basis.nominal.shift.tolist()
@@ -305,7 +305,8 @@ def load_bundle(directory: str) -> LoadedOperator:
 
     certified_approximator re-derives K, the budgets, Z_A, the step net and
     the report from the stored input net, shift, alpha, beta_eff, ||f|| and
-    epsilon. Raises ValueError for another bundle format, for n_basis,
+    epsilon. Raises ValueError for another bundle format, for alpha,
+    beta_eff, f_dual_norm or epsilon missing or not a number, for n_basis,
     m_channels, input net widths or shift length that do not match basis.csv
     and the encoder, and for any stored certificate (k_steps, eps_iterator,
     eps_step, contraction, matrix_bound, ...) not exactly the derived one.
@@ -319,6 +320,9 @@ def load_bundle(directory: str) -> LoadedOperator:
         raise ValueError(
             f"bundle format {meta.get('bundle_format')!r} is not {BUNDLE_FORMAT}"
         )
+    for key in ("alpha", "beta_eff", "f_dual_norm", "epsilon"):
+        if type(meta.get(key)) not in (int, float):  # a JSON bool, string or null is refused
+            raise ValueError(f"bundle has {key} {meta.get(key)!r}, not a number")
     enc_mesh = read_mesh(os.path.join(directory, "encoder_mesh.txt"))
     with open(os.path.join(directory, "encoder.json")) as fh:
         enc_doc = json.load(fh)

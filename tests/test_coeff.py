@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richop import coeff as C
+from richop import encoder as E
+from richop import fem as F
 from richop import mesh as M
 
 
@@ -373,3 +375,100 @@ class TestSobolevParameters:
     def test_nonpositive_radius_refused(self, square, radius):
         with pytest.raises(ValueError, match="radius"):
             C.sobolev_family(1.0, 0.5, M.triangulate(square, 0.5), radius=radius)
+
+
+def _uncached(fam, a, pts):
+    """A family member's values through affine_combination or mesh_field, no table."""
+    if fam.kind == "abs_shift":
+        raw = C.affine_combination(fam.modes, a.meta["raw"].meta["weights"])
+        return fam.a_min + np.abs(raw(pts))
+    if fam.kind == "sobolev_ball":
+        return C.mesh_field(fam.coeff_mesh, a.meta["values"], fam.coeff_degree)(pts)
+    return C.affine_combination([C.constant(1.0), *fam.modes], a.meta["weights"])(pts)
+
+
+def _read_only(pts):
+    pts = np.array(pts)
+    pts.flags.writeable = False
+    return pts
+
+
+_TABLE_KINDS = ("analytic", "trig_parametric", "p1_mesh_field", "abs_shift", "sobolev_p1",
+                "sobolev_p2")
+
+
+class TestMemberTables:
+    @pytest.fixture(scope="class")
+    def point_sets(self, square):
+        # read-only quadrature points, and the same points reversed: one shape, other values
+        quad = F.quadrature_points(F.build_space(M.triangulate(square, 0.25), 1))
+        return quad, _read_only(quad[::-1])
+
+    @pytest.mark.parametrize("kind", _TABLE_KINDS)
+    def test_members_equal_the_uncached_fields(self, square, point_sets, kind):
+        fam = _CERTIFIED_KINDS[kind](square)
+        for a in C.sample_family(fam, 5, 11):
+            for pts in point_sets + point_sets:
+                assert np.array_equal(a(pts), _uncached(fam, a, pts))
+        assert len(fam._tables) == 2
+
+    @pytest.mark.parametrize("kind", ["analytic", "p1_mesh_field", "abs_shift"])
+    def test_each_mode_runs_once_per_point_set(self, square, point_sets, kind, monkeypatch):
+        fam = _CERTIFIED_KINDS[kind](square)
+        calls = []
+        for k, mode in enumerate(fam.modes):
+            monkeypatch.setattr(mode, "_fn", lambda p, fn=mode._fn, k=k: calls.append(k) or fn(p))
+        members = C.sample_family(fam, 40, 3)
+        for pts in point_sets:
+            for a in members:
+                a(pts)
+        assert sorted(calls) == sorted(2 * list(range(len(fam.modes))))
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_sobolev_locates_once_per_point_set(self, square, point_sets, degree, monkeypatch):
+        fam = C.sobolev_family(1.0, 0.5, M.triangulate(square, 0.4), degree=degree)
+        located = []
+        real = C.locate_points
+        monkeypatch.setattr(C, "locate_points", lambda *a, **k: located.append(1) or real(*a, **k))
+        members = C.sample_family(fam, 40, 3)
+        for pts in point_sets:
+            for a in members:
+                a(pts)
+        assert len(located) == 2
+
+    @pytest.mark.parametrize("kind", _TABLE_KINDS)
+    def test_writable_points_are_never_cached(self, square, point_sets, kind):
+        fam = _CERTIFIED_KINDS[kind](square)
+        a = C.sample_family(fam, 1, 4)[0]
+        pts = np.array(point_sets[0])
+        first = a(pts)
+        pts[:] = pts[::-1].copy()
+        assert np.array_equal(a(pts), first[::-1])
+        assert np.array_equal(a(pts), _uncached(fam, a, pts))
+        assert not fam._tables
+
+    def test_dead_point_arrays_leave_no_entries(self, square, point_sets):
+        fam = _CERTIFIED_KINDS["analytic"](square)
+        a = C.sample_family(fam, 1, 4)[0]
+        kept = point_sets[0]
+        a(kept)
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            # a new array may take a dead one's id; it must not find that one's table
+            pts = _read_only(kept[rng.permutation(len(kept))])
+            assert np.array_equal(a(pts), _uncached(fam, a, pts))
+            del pts
+        assert list(fam._tables) == [id(kept)]
+
+    def test_encoder_query_points_are_read_only(self, square, monkeypatch):
+        space = F.build_space(M.triangulate(square, 0.3), 1)
+        enc = E.build_nodal_encoder(space)
+        with pytest.raises(ValueError):
+            enc.query_points[0, 0] = 0.5
+        fam = _CERTIFIED_KINDS["analytic"](square)
+        calls = []
+        mode = fam.modes[0]
+        monkeypatch.setattr(mode, "_fn", lambda p, fn=mode._fn: calls.append(1) or fn(p))
+        for a in C.sample_family(fam, 40, 3):
+            assert np.array_equal(enc.encode(a), _uncached(fam, a, enc.query_points))
+        assert len(calls) == 1 + 40  # the table once, and the 40 uncached references

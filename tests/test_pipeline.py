@@ -16,6 +16,10 @@ from richop import relu_net as NN
 from richop import richardson as R
 
 
+# certificates.json values that load_bundle feeds to certified_approximator
+_CHAIN_INPUTS = ("alpha", "beta_eff", "f_dual_norm", "epsilon")
+
+
 class _AmplifyingEncoder(E.Encoder):
     """Test stub: reconstructions scaled away from the band midpoint."""
 
@@ -423,6 +427,13 @@ class TestBundle:
         with pytest.raises(ValueError):
             P.load_bundle(str(tmp_path))
 
+    def test_basis_csv_bytes_match_the_value_by_value_writer(self, operator, tmp_path):
+        # one %.17g format string per row writes the bytes f"{x:.17g}" per value wrote
+        P.save_bundle(operator, str(tmp_path))
+        p = operator.basis.frame(operator.frame)
+        expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in p)
+        assert (tmp_path / "basis.csv").read_bytes() == expected.encode()
+
     def test_net_json_holds_only_the_input_net_and_shift(self, operator, tmp_path):
         P.save_bundle(operator, str(tmp_path))
         doc = json.loads((tmp_path / "net.json").read_text())
@@ -441,18 +452,26 @@ class TestBundle:
             ("matrix_bound", lambda v: 2 * v, "matrix_bound"),
             ("n_basis", lambda v: v + 1, "n_basis"),
             ("m_channels", lambda v: v + 1, "m_channels"),
+            *[(key, None, key) for key in _CHAIN_INPUTS],
+            *[(key, lambda v: str(v), key) for key in _CHAIN_INPUTS],
         ],
         ids=["negative_k_steps", "fractional_k_steps", "k_steps_plus_five", "epsilon_1e-9",
-             "matrix_bound_doubled", "n_basis_plus_one", "m_channels_plus_one"],
+             "matrix_bound_doubled", "n_basis_plus_one", "m_channels_plus_one",
+             *[f"{key}_deleted" for key in _CHAIN_INPUTS],
+             *[f"{key}_string" for key in _CHAIN_INPUTS]],
     )
     def test_rejects_inconsistent_net(self, operator, tmp_path, key, tamper, named):
         # load_bundle re-derives the certificate chain from the input net and
         # the shift; a stored value that differs is named in the error (an
-        # edited epsilon shows first as the K it no longer gives)
+        # edited epsilon shows first as the K it no longer gives), and so is
+        # a chain input that is missing (tamper None) or not a number
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / "certificates.json"
         meta = json.loads(path.read_text())
-        meta[key] = tamper(meta[key])
+        if tamper is None:
+            del meta[key]
+        else:
+            meta[key] = tamper(meta[key])
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=named):
             P.load_bundle(str(tmp_path))
