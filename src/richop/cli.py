@@ -34,7 +34,7 @@ from .encoder import build_gll_encoder, build_nodal_encoder
 from .mesh import quad_split
 from .relu_net import build_approximator, input_net
 
-__all__ = ["main", "run", "load_config", "ConfigError"]
+__all__ = ["main", "load_config", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -360,12 +360,6 @@ _COMMANDS = {
     "decompose": cmd_decompose,
     "run": cmd_run,
 }
-
-
-def run(config_path: str, out_dir: str = "out", seed: int | None = None) -> int:
-    """Programmatic entry point for the `run` subcommand."""
-    return main(["run", "--config", config_path, "--out", out_dir]
-               + ([] if seed is None else ["--seed", str(seed)]))
 
 
 def main(argv=None) -> int:

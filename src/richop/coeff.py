@@ -16,7 +16,8 @@ A family computes the parameter-free part of its members once per read-only
 point array and keeps it while the array lives (_point_table): the mode
 table of an affine family, or the cell dofs and shape values on a Sobolev
 ball's mesh. Members evaluate from it bit-identically to affine_combination
-and mesh_field.
+and mesh_field. A Sobolev ball also builds its dof table and the cosine
+factors of its waves at the dofs once (_sobolev_table).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import _P2_EDGES, Mesh, Polygon, _p2_dofs, locate_points
+from .mesh import _P2_EDGES, Mesh, Polygon, _lagrange_dofs, locate_points
 
 __all__ = [
     "CoefficientField",
@@ -115,12 +116,7 @@ def mesh_field(mesh: Mesh, values: np.ndarray, degree: int = 1) -> CoefficientFi
     midpoints numbered by first appearance, as in the P2 FEM spaces.
     """
     values = np.asarray(values, dtype=float)
-    if degree == 1:
-        cell_dofs = mesh.triangles
-    elif degree == 2:
-        cell_dofs = _p2_dofs(mesh)[1]
-    else:
-        raise ValueError("degree must be 1 or 2")
+    cell_dofs = _lagrange_dofs(mesh, degree)[1]
 
     def fn(pts):
         dofs, shapes = _locate(mesh, cell_dofs, degree, pts)
@@ -231,16 +227,13 @@ def membership(
     return MembershipResult(ok, float(vals[imin]), pts[imin], float(vals[imax]), pts[imax])
 
 
-def trig_mode(kx: int, ky: int, phase: str = "cos") -> CoefficientField:
-    """Product mode cos/sin(kx*pi*x) * cos/sin(ky*pi*y)."""
-    fx = np.cos if phase == "cos" else np.sin
+def trig_mode(kx: int, ky: int) -> CoefficientField:
+    """Product mode cos(kx*pi*x) * cos(ky*pi*y)."""
 
     def fn(pts):
-        return fx(kx * np.pi * pts[:, 0]) * fx(ky * np.pi * pts[:, 1])
+        return np.cos(kx * np.pi * pts[:, 0]) * np.cos(ky * np.pi * pts[:, 1])
 
-    return CoefficientField(
-        fn, kind="trig", meta={"kx": kx, "ky": ky, "phase": phase}
-    )
+    return CoefficientField(fn, kind="trig", meta={"kx": kx, "ky": ky})
 
 
 @dataclass(frozen=True)
@@ -269,7 +262,8 @@ class DataFamily:
     domain: object = None
     a_min: float | None = None
     raw_amplitude: float | None = None
-    # id(points) -> (weakref to the points, parameter-free part); see _point_table
+    # id(points) -> (weakref to the points, parameter-free part), see _point_table;
+    # "sobolev" -> the sobolev_ball dof table and mode factors, see _sobolev_table
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -400,11 +394,11 @@ def abs_family(
 _SOBOLEV_WAVES = [
     (kx, ky) for kx in range(0, 5) for ky in range(0, 5) if (kx, ky) != (0, 0)
 ]
+_SOBOLEV_K2 = np.array([kx * kx + ky * ky for kx, ky in _SOBOLEV_WAVES], dtype=float)
 
 
 def _sobolev_amplitudes(order: int) -> np.ndarray:
-    k2 = np.array([kx * kx + ky * ky for kx, ky in _SOBOLEV_WAVES], dtype=float)
-    return (1.0 + k2) ** (-(order + 1) / 2.0)
+    return (1.0 + _SOBOLEV_K2) ** (-(order + 1) / 2.0)
 
 
 def parameter_vectors(family: DataFamily, count: int, seed: int) -> np.ndarray:
@@ -434,10 +428,26 @@ def _point_table(family: DataFamily, pts: np.ndarray) -> tuple:
     return entry[1]
 
 
+def _sobolev_table(family: DataFamily) -> tuple:
+    """(coords, cell_dofs, cx, cy) of a sobolev_ball family, built on first use.
+
+    The dof table of the coefficient mesh, and the factors cos(kx pi x) and
+    cos(ky pi y) of every wave at the dofs, one row per wave.
+    """
+    table = family._tables.get("sobolev")
+    if table is None:
+        coords, cell_dofs, _ = _lagrange_dofs(family.coeff_mesh, family.coeff_degree)
+        cx = np.array([np.cos(kx * np.pi * coords[:, 0]) for kx, _ in _SOBOLEV_WAVES])
+        cy = np.array([np.cos(ky * np.pi * coords[:, 1]) for _, ky in _SOBOLEV_WAVES])
+        table = family._tables["sobolev"] = (coords, cell_dofs, cx, cy)
+        for array in table:  # shared by every member
+            array.flags.writeable = False
+    return table
+
+
 def _build_table(family: DataFamily, pts: np.ndarray) -> tuple:
     if family.kind == "sobolev_ball":
-        mesh, degree = family.coeff_mesh, family.coeff_degree
-        return _locate(mesh, mesh.triangles if degree == 1 else _p2_dofs(mesh)[1], degree, pts)
+        return _locate(family.coeff_mesh, _sobolev_table(family)[1], family.coeff_degree, pts)
     # columns: a constant 1 (not for abs_shift, whose raw field has no offset), then the modes
     fields = family.modes if family.kind == "abs_shift" else (constant(1.0), *family.modes)
     return (np.stack([f(pts) for f in fields], axis=1),)
@@ -464,19 +474,11 @@ def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
     if family.kind == "sobolev_ball":
         # smooth random draw with W^{m,inf}-scaled spectrum, interpolated as
         # a piecewise-P1/P2 field on the coarse coefficient mesh
-        if family.coeff_degree == 1:
-            coords, cell_dofs = family.coeff_mesh.nodes, family.coeff_mesh.triangles
-        else:
-            coords, cell_dofs = _p2_dofs(family.coeff_mesh)[:2]
+        coords, cell_dofs, cx, cy = _sobolev_table(family)
         amps = _sobolev_amplitudes(family.sobolev_order)
         raw_vals = np.zeros(len(coords))
-        for y, amp, (kx, ky) in zip(params, amps, _SOBOLEV_WAVES):
-            raw_vals += (
-                y
-                * amp
-                * np.cos(kx * np.pi * coords[:, 0])
-                * np.cos(ky * np.pi * coords[:, 1])
-            )
+        for y, amp, cos_x, cos_y in zip(params, amps, cx, cy):
+            raw_vals += y * amp * cos_x * cos_y
         # P2 fields overshoot their nodal values; the Bernstein hull bounds
         # the range, so the scaled member stays in alpha +- beta * fill
         lo, hi = _bernstein_range(raw_vals, cell_dofs, family.coeff_degree)
@@ -486,8 +488,7 @@ def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
         scale = band / half
         # near-flat draws would be range-amplified past the declared radius;
         # cap the analytic curvature bound of the generator at 0.8 R
-        k2 = np.array([kx * kx + ky * ky for kx, ky in _SOBOLEV_WAVES])
-        curvature = scale * float(np.sum(np.abs(params) * amps * k2)) * np.pi**2
+        curvature = scale * float(np.sum(np.abs(params) * amps * _SOBOLEV_K2)) * np.pi**2
         radius = family.sobolev_radius
         if curvature > 0.8 * radius:
             scale *= 0.8 * radius / curvature

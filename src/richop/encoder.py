@@ -3,7 +3,9 @@
 Two encoders are provided: nodal interpolation on a P1/P2 coefficient space,
 and piecewise tensor Gauss-Legendre-Lobatto interpolation on the barycentric
 quad split of a triangulation, with channels deduplicated across quad
-interfaces so the reconstruction is globally continuous.
+interfaces so the reconstruction is globally continuous. The GLL nodes, the
+bijectivity probe and the Newton inversion of the reconstruction all map
+through the split's one bilinear map, QuadSplit.bilinear_map.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ __all__ = [
 ]
 
 
-def gll_nodes(p: int, tol: float = 1e-14) -> np.ndarray:
+def gll_nodes(p: int) -> np.ndarray:
     """Gauss-Legendre-Lobatto nodes of order p on [-1, 1].
 
     The p+1 nodes are the roots of (1 - x^2) P'_p(x), found by Newton
     iteration from the Chebyshev-Lobatto guess using the Legendre
-    three-term recurrence.
+    three-term recurrence, until no node moves by more than 1e-14.
     """
     if p < 1:
         raise ValueError("order p must be at least 1")
@@ -45,7 +47,7 @@ def gll_nodes(p: int, tol: float = 1e-14) -> np.ndarray:
     vand = np.zeros((n, n))
     x_old = 2.0 * np.ones(n)
     for _ in range(200):
-        if np.max(np.abs(x - x_old)) <= tol:
+        if np.max(np.abs(x - x_old)) <= 1e-14:
             break
         x_old = x.copy()
         vand[:, 0] = 1.0
@@ -146,60 +148,38 @@ def build_gll_encoder(split: QuadSplit, p: int) -> Encoder:
     if p < 1:
         raise ValueError("order p must be at least 1")
     nodes = gll_nodes(p)
-    ss, uu = np.meshgrid(nodes, nodes, indexing="ij")
-    st = np.column_stack([ss.ravel(), uu.ravel()])  # local index a*(p+1)+b
-    a0, a1, a2, a3 = split.bilinear_coefficients()
+    ss, uu = np.meshgrid(nodes, nodes, indexing="ij")  # local index a*(p+1)+b
+    quads = np.arange(3 * split.mesh.n_triangles)[:, None]
     # detect non-bijective maps on an 11 x 11 probe grid
     probe = np.linspace(-1.0, 1.0, 11)
     ps, pu = np.meshgrid(probe, probe, indexing="ij")
-    gs = a1[..., None, 0] + a3[..., None, 0] * pu.ravel()
-    gy = a1[..., None, 1] + a3[..., None, 1] * pu.ravel()
-    hs = a2[..., None, 0] + a3[..., None, 0] * ps.ravel()
-    hy = a2[..., None, 1] + a3[..., None, 1] * ps.ravel()
-    det = gs * hy - hs * gy
-    if np.any(det <= 0):
+    if np.any(split.bilinear_map(quads, ps.ravel()[None], pu.ravel()[None])[3] <= 0):
         raise ValueError("non-bijective bilinear map detected in quad split")
-
-    n_tri = split.mesh.n_triangles
-    mapped = (
-        a0[:, :, None, :]
-        + a1[:, :, None, :] * st[None, None, :, 0:1]
-        + a2[:, :, None, :] * st[None, None, :, 1:2]
-        + a3[:, :, None, :] * st[None, None, :, 0:1] * st[None, None, :, 1:2]
-    ).reshape(-1, 2)  # (t, 3, (p+1)^2) points, flat
+    mapped = split.bilinear_map(quads, ss.ravel()[None], uu.ravel()[None])[0].reshape(2, -1).T.copy()
     # nodes on quad interfaces coincide to rounding; each is one channel
     first, channels = _first_appearance(np.round(mapped, 12))
-    grid = GllGrid(split, p, nodes, mapped[first], channels.reshape(n_tri, 3, -1))
+    grid = GllGrid(split, p, nodes, mapped[first], channels.reshape(split.mesh.n_triangles, 3, -1))
     return Encoder("gll", grid.points, grid)
 
 
-def _invert_bilinear(coefs, quad: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Newton inversion of G(s, u) = x, each point in the map of its quad.
+def _invert_bilinear(split: QuadSplit, quad: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Newton inversion of G(s, u) = x, each point in the map of its flat quad.
 
-    coefs are the flat (n_quads, 2) bilinear coefficients. The points of a
-    quad stop together, after the first step whose largest |ds|, |du| over
-    them is below 1e-14; at most 60 steps.
+    The points of a quad stop together, after the first step whose largest
+    |ds|, |du| over them is below 1e-14; at most 60 steps.
     """
-    a0, a1, a2, a3 = (c[quad] for c in coefs)
     st = np.zeros_like(pts)
     live = np.arange(len(pts))  # points whose quad still iterates
     for _ in range(60):
         if not len(live):
             break
-        s, u = st[live, 0], st[live, 1]
-        b0, b1, b2, b3 = a0[live], a1[live], a2[live], a3[live]
-        gx = b0[:, 0] + b1[:, 0] * s + b2[:, 0] * u + b3[:, 0] * s * u - pts[live, 0]
-        gy = b0[:, 1] + b1[:, 1] * s + b2[:, 1] * u + b3[:, 1] * s * u - pts[live, 1]
-        j11 = b1[:, 0] + b3[:, 0] * u
-        j12 = b2[:, 0] + b3[:, 0] * s
-        j21 = b1[:, 1] + b3[:, 1] * u
-        j22 = b2[:, 1] + b3[:, 1] * s
-        det = j11 * j22 - j12 * j21
-        ds = (gx * j22 - gy * j12) / det
-        du = (gy * j11 - gx * j21) / det
+        g, g_s, g_u, det = split.bilinear_map(quad[live], st[live, 0], st[live, 1])
+        rx, ry = g[0] - pts[live, 0], g[1] - pts[live, 1]
+        ds = (rx * g_u[1] - ry * g_u[0]) / det
+        du = (ry * g_s[0] - rx * g_s[1]) / det
         st[live, 0] -= ds
         st[live, 1] -= du
-        step = np.zeros(len(coefs[0]))
+        step = np.zeros(3 * split.mesh.n_triangles)
         np.maximum.at(step, quad[live], np.maximum(np.abs(ds), np.abs(du)))
         live = live[~(step[quad[live]] < 1e-14)]
     return st
@@ -212,13 +192,12 @@ def _gll_channel_matrix(grid: GllGrid, pts: np.ndarray) -> sp.csr_matrix:
         raise ValueError("point outside mesh in encoder reconstruction")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     quad = 3 * tri_idx + np.argmax(bary, axis=1)  # flat quad at the dominant vertex
-    coefs = tuple(c.reshape(-1, 2) for c in split.bilinear_coefficients())
-    st = _invert_bilinear(coefs, quad, pts)
+    st = _invert_bilinear(split, quad, pts)
     ls = _lagrange_1d(grid.nodes_1d, st[:, 0])
     lu = _lagrange_1d(grid.nodes_1d, st[:, 1])
     tensor = (ls[:, :, None] * lu[:, None, :]).reshape(len(pts), -1)
     # each point takes the values of exactly one quad
-    return _rows_of(tensor, grid.quad_channels.reshape(len(coefs[0]), -1)[quad], len(grid.points))
+    return _rows_of(tensor, grid.quad_channels.reshape(-1, (p + 1) ** 2)[quad], len(grid.points))
 
 
 def encoder_error(encoder: Encoder, a: CoefficientField, grid_n: int = 400) -> float:

@@ -9,13 +9,14 @@ What the problem fixes, K(a0), the load vector of f and the dual norm of f,
 is one FineForm per (space, config), built on first use and cached on the
 space (see nominal); every solve and norm reads it.
 
-Everything in an assembly that does not depend on the coefficient (the
-quadrature points, the free-dof sparsity pattern, and the sparse operators
-taking samples at the quadrature points to the stiffness data and to the
-load vector) is built once per space and quadrature order and cached on the
-space (see Assembly), so each stiffness matrix or load vector is one sparse
-mat-vec. The stiffness operator yields the upper triangle of the symmetric
-matrix, which a gather mirrors into the whole pattern.
+Every form is integrated by one quadrature rule, the symmetric six-point
+rule exact for degree 4. Everything in an assembly that does not depend on
+the coefficient (the quadrature points, the free-dof sparsity pattern, and
+the sparse operators taking samples at the quadrature points to the
+stiffness data and to the load vector) is built once per space and cached
+on the space (see Assembly), so each stiffness matrix or load vector is one
+sparse mat-vec. The stiffness operator yields the upper triangle of the
+symmetric matrix, which a gather mirrors into the whole pattern.
 
 The one solver is CG preconditioned by a sparse factorization; Galerkin
 solves and the dual norm use that of K(1), cached with the Assembly. Admissible
@@ -34,7 +35,7 @@ import scipy.sparse.linalg as spla
 
 from . import coeff as coeff_mod
 from .coeff import CoefficientField, _shape_values, constant
-from .mesh import _P2_EDGES, Mesh, _p2_dofs
+from .mesh import _P2_EDGES, Mesh, _lagrange_dofs
 
 __all__ = [
     "FemSpace",
@@ -69,26 +70,12 @@ def _orbit(a: float, b: float) -> list:
     return [[a, b, b], [b, a, b], [b, b, a]]
 
 
-# symmetric triangle rules, barycentric points with weights summing to one
-_TRI_RULES = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (np.array(_orbit(2 / 3, 1 / 6)), np.array([1 / 3, 1 / 3, 1 / 3])),
-    4: (
-        np.array(
-            _orbit(0.816847572980459, 0.091576213509771)
-            + _orbit(0.108103018168070, 0.445948490915965)
-        ),
-        np.repeat([0.109951743655322, 0.223381589678011], 3),
-    ),
-    5: (
-        np.array(
-            [[1 / 3, 1 / 3, 1 / 3]]
-            + _orbit(0.797426985353087, 0.101286507323456)
-            + _orbit(0.059715871789770, 0.470142064105115)
-        ),
-        np.array([0.225] + [0.125939180544827] * 3 + [0.132394152788506] * 3),
-    ),
-}
+# the symmetric degree-4 triangle rule: barycentric points, weights summing to one
+_TRI_POINTS = np.array(
+    _orbit(0.816847572980459, 0.091576213509771) + _orbit(0.108103018168070, 0.445948490915965)
+)
+_TRI_WEIGHTS = np.repeat([0.109951743655322, 0.223381589678011], 3)
+
 
 @dataclass(frozen=True)
 class FemSpace:
@@ -100,8 +87,6 @@ class FemSpace:
     cell_dofs: np.ndarray
     free_dofs: np.ndarray
     constrained_dofs: np.ndarray
-    # Assembly per quadrature order, filled by assembly(space, order)
-    _assemblies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # FineForm per ProblemConfig, filled by nominal(space, config)
     _nominal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -113,23 +98,21 @@ class FemSpace:
     def n_free(self) -> int:
         return len(self.free_dofs)
 
+    @cached_property
+    def _assembly(self) -> Assembly:
+        """Built on first read, through assembly(space)."""
+        return _build_assembly(self)
+
 
 def build_space(mesh: Mesh, degree: int = 1) -> FemSpace:
-    if degree == 1:
-        cell_dofs = mesh.triangles.copy()
-        dof_coords = mesh.nodes.copy()
-        constrained = mesh.boundary_nodes.copy()
-    elif degree == 2:
-        dof_coords, cell_dofs, constrained = _p2_dofs(mesh)
-    else:
-        raise ValueError("degree must be 1 or 2")
+    dof_coords, cell_dofs, constrained = (a.copy() for a in _lagrange_dofs(mesh, degree))
     free = np.setdiff1d(np.arange(len(dof_coords)), constrained)
     return FemSpace(mesh, degree, dof_coords, cell_dofs, free, constrained)
 
 
-def _reference_tables(degree: int, order: int):
+def _reference_tables(degree: int):
     """Shape values (nq, nloc) and reference gradients (nq, nloc, 2)."""
-    bary, w = _TRI_RULES[order]
+    bary, w = _TRI_POINTS, _TRI_WEIGHTS
     vals = _shape_values(bary, degree)
     gl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # grad of l0, l1, l2
     if degree == 1:
@@ -166,7 +149,7 @@ def _geometry(space: FemSpace):
 
 @dataclass(frozen=True)
 class Assembly:
-    """Coefficient-independent assembly data of one space and quadrature order.
+    """Coefficient-independent assembly data of one space.
 
     points are the physical quadrature points (n_triangles * nq, 2),
     element-major and read-only. indices/indptr are the CSR pattern of the
@@ -195,12 +178,9 @@ class Assembly:
         return _factor(self.matrix(self.stiffness @ np.ones(len(self.points))))
 
 
-def assembly(space: FemSpace, order: int = 4) -> Assembly:
-    """The space's Assembly at this quadrature order, built on first use and cached."""
-    cached = space._assemblies.get(order)
-    if cached is None:
-        cached = space._assemblies[order] = _build_assembly(space, order)
-    return cached
+def assembly(space: FemSpace) -> Assembly:
+    """The space's Assembly, built on first use and cached."""
+    return space._assembly
 
 
 def _csc_by_point(values, rows, keep, n_rows: int) -> sp.csc_matrix:
@@ -216,8 +196,8 @@ def _csc_by_point(values, rows, keep, n_rows: int) -> sp.csc_matrix:
     return sp.csc_matrix((values[mask], indices, indptr), shape=(n_rows, nt * nq))
 
 
-def _build_assembly(space: FemSpace, order: int) -> Assembly:
-    bary, w, vals, grads_ref = _reference_tables(space.degree, order)
+def _build_assembly(space: FemSpace) -> Assembly:
+    bary, w, vals, grads_ref = _reference_tables(space.degree)
     p, det, inv_t = _geometry(space)
     nt, nloc, n = space.mesh.n_triangles, vals.shape[1], space.n_free
     points = np.einsum("qk,tkd->tqd", bary, p).reshape(-1, 2)
@@ -250,50 +230,48 @@ def _build_assembly(space: FemSpace, order: int) -> Assembly:
     )
 
 
-def quadrature_points(space: FemSpace, order: int = 4) -> np.ndarray:
+def quadrature_points(space: FemSpace) -> np.ndarray:
     """Physical quadrature points, shaped (n_triangles * nq, 2), element-major.
 
     The array is cached with the space's Assembly and is read-only; copy it
     before mutating.
     """
-    return assembly(space, order).points
+    return assembly(space).points
 
 
-def _sample_coefficient(space: FemSpace, a, order: int) -> np.ndarray:
+def _sample_coefficient(space: FemSpace, a) -> np.ndarray:
     """Samples of a field (or given samples) at the quadrature points, flat and finite."""
     if isinstance(a, CoefficientField):
-        vals = a(quadrature_points(space, order))
+        vals = a(quadrature_points(space))
     else:
         vals = np.asarray(a, dtype=float)
-    vals = vals.reshape(space.mesh.n_triangles * len(_TRI_RULES[order][1]))
+    vals = vals.reshape(space.mesh.n_triangles * len(_TRI_WEIGHTS))
     if not np.all(np.isfinite(vals)):
         raise MembershipError("coefficient evaluated to non-finite values")
     return vals
 
 
-def assemble_stiffness_samples(
-    space: FemSpace, samples: np.ndarray, order: int = 4
-) -> sp.csr_matrix:
+def assemble_stiffness_samples(space: FemSpace, samples: np.ndarray) -> sp.csr_matrix:
     """Stiffness matrix from coefficient samples at the quadrature points.
 
     One sparse mat-vec of the space's cached Assembly, mirrored into its
     fixed pattern.
     """
-    asm = assembly(space, order)
+    asm = assembly(space)
     return asm.matrix(asm.stiffness @ np.asarray(samples, dtype=float).reshape(-1))
 
 
-def assemble_stiffness(space: FemSpace, a, order: int = 4) -> sp.csr_matrix:
+def assemble_stiffness(space: FemSpace, a) -> sp.csr_matrix:
     """Stiffness matrix of the form int a grad(phi_j).grad(phi_i), free dofs only."""
-    return assemble_stiffness_samples(space, _sample_coefficient(space, a, order), order)
+    return assemble_stiffness_samples(space, _sample_coefficient(space, a))
 
 
-def assemble_load(space: FemSpace, f, order: int = 4) -> np.ndarray:
+def assemble_load(space: FemSpace, f) -> np.ndarray:
     """Load vector with entries int f phi_i over the free dofs.
 
     One sparse mat-vec of the space's cached Assembly with the samples of f.
     """
-    return assembly(space, order).load @ _sample_coefficient(space, f, order)
+    return assembly(space).load @ _sample_coefficient(space, f)
 
 
 # Two CG steps past 1e-12 keep solutions within about 1e-14 of a direct solve;
@@ -374,8 +352,8 @@ class ProblemConfig:
 class FineForm:
     """The nominal form of one (space, config), fixed by the problem.
 
-    stiffness is K(a0) and load the load vector of f, both on the free dofs
-    at quadrature order 4. f_dual is the discrete dual norm of f,
+    stiffness is K(a0) and load the load vector of f, both on the free dofs.
+    f_dual is the discrete dual norm of f,
     sqrt(load' K(a0)^{-1} load), whose Riesz representer is solved by CG
     preconditioned by the space's cached factorization of K(1). Arrays are
     read-only.
@@ -412,7 +390,7 @@ def galerkin_solve(
     cached one of nominal(space, config). CG is preconditioned by the space's
     cached factorization of K(1) and stops at relative residual 1e-14.
     """
-    samples = _sample_coefficient(space, a, 4)
+    samples = _sample_coefficient(space, a)
     if check:
         lo, hi = samples.min(), samples.max()
         if lo < config.alpha - config.beta - 1e-12 or hi > config.alpha + config.beta + 1e-12:

@@ -3,8 +3,9 @@
 Provides structured template meshes for rectilinear domains (squares,
 L-shapes), ear-clipping plus refinement for general simple polygons,
 uniform red refinement, corner-graded refinement by longest-edge
-bisection, and the barycentric split of every triangle into three
-quadrilaterals with their bilinear reference maps.
+bisection, the barycentric split of every triangle into three
+quadrilaterals with their one bilinear reference map (QuadSplit.bilinear_map),
+and the one Lagrange dof table of degree 1 or 2 (_lagrange_dofs).
 
 Shared entities are numbered once, by first appearance: grid nodes in
 cell order, edges in (triangle, local edge) order with local edges (0,1),
@@ -15,7 +16,6 @@ encoder's channels all use this numbering (_first_appearance).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +36,6 @@ __all__ = [
     "validate_mesh",
     "write_mesh",
     "read_mesh",
-    "mesh_to_text",
-    "mesh_from_text",
 ]
 
 _MERGE_DECIMALS = 12
@@ -181,13 +179,18 @@ def _edge_table(triangles: np.ndarray):
     return pairs[first], ids.reshape(-1, 3), np.bincount(ids, minlength=len(first))
 
 
-def _p2_dofs(mesh: Mesh):
-    """P2 dofs: the vertices, then the edge midpoints 0.5 (a + b).
+def _lagrange_dofs(mesh: Mesh, degree: int):
+    """The Lagrange dof table of degree 1 or 2: (coords, cell_dofs, boundary).
 
-    Returns (coords, cell_dofs, boundary): the dof coordinates, each
-    triangle's vertices then its edge dofs in _P2_EDGES order (t, 6), and
-    the sorted dofs on the boundary.
+    The dof coordinates, each triangle's dofs (t, 3 or 6), and the sorted
+    dofs on the boundary. P1 dofs are the mesh's own (read-only) arrays; P2
+    dofs are the vertices, then the edge midpoints 0.5 (a + b), each
+    triangle's edge dofs in _P2_EDGES order.
     """
+    if degree == 1:
+        return mesh.nodes, mesh.triangles, mesh.boundary_nodes
+    if degree != 2:
+        raise ValueError("degree must be 1 or 2")
     edges, cell_edges, counts = _edge_table(mesh.triangles)
     nodes, n = mesh.nodes, mesh.n_nodes
     coords = np.vstack([nodes, 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])])
@@ -342,7 +345,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     are the P2 edge dofs, so the children of triangle (v0, v1, v2, m01, m12,
     m20) are (v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20).
     """
-    coords, cell_dofs, _ = _p2_dofs(mesh)
+    coords, cell_dofs, _ = _lagrange_dofs(mesh, 2)
     children = cell_dofs[:, [[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]]]
     return _build_mesh(coords, children.reshape(-1, 3))
 
@@ -500,21 +503,23 @@ class QuadSplit:
         a3 = (p[..., 0, :] - p[..., 1, :] + p[..., 2, :] - p[..., 3, :]) / 4.0
         return a0, a1, a2, a3
 
-    def map_points(self, t: int, i: int, st: np.ndarray) -> np.ndarray:
-        a0, a1, a2, a3 = (a[t, i] for a in self.bilinear_coefficients())
-        st = np.atleast_2d(st)
-        s, u = st[:, 0:1], st[:, 1:2]
-        return a0[None, :] + a1[None, :] * s + a2[None, :] * u + a3[None, :] * s * u
+    def bilinear_map(self, quad: np.ndarray, s: np.ndarray, u: np.ndarray):
+        """The reference map G(s, u) = a0 + a1 s + a2 u + a3 s u and its Jacobian.
 
-    def jacobians(self, t: int, i: int, st: np.ndarray) -> np.ndarray:
-        a0, a1, a2, a3 = (a[t, i] for a in self.bilinear_coefficients())
-        st = np.atleast_2d(st)
-        s, u = st[:, 0], st[:, 1]
-        gx_s = a1[0] + a3[0] * u
-        gy_s = a1[1] + a3[1] * u
-        gx_t = a2[0] + a3[0] * s
-        gy_t = a2[1] + a3[1] * s
-        return gx_s * gy_t - gx_t * gy_s
+        quad numbers the quads 3 t + i; quad, s and u broadcast together to a
+        shape S. Returns G, the columns dG/ds and dG/du, each (2, S) with the
+        x and y components first, and det DG (S). Every point is computed by
+        the same expressions, so a point's image does not depend on the batch
+        it is mapped in.
+        """
+        # quad padded to the rank of S, so the gathered coefficients are (2, ...) against S
+        ndim = len(np.broadcast_shapes(np.shape(quad), np.shape(s), np.shape(u)))
+        quad = np.reshape(quad, (1,) * (ndim - np.ndim(quad)) + np.shape(quad))
+        a0, a1, a2, a3 = (a.reshape(-1, 2).T[:, quad] for a in self.bilinear_coefficients())
+        g_s = a1 + a3 * u
+        g_u = a2 + a3 * s
+        det = g_s[0] * g_u[1] - g_u[0] * g_s[1]
+        return a0 + a1 * s + a2 * u + a3 * s * u, g_s, g_u, det
 
 
 def quad_split(mesh: Mesh) -> QuadSplit:
@@ -600,20 +605,23 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("interior angle sum differs from 2*pi (overlap or gap)")
 
 
-def mesh_to_text(mesh: Mesh) -> str:
-    buf = io.StringIO()
-    buf.write(f"NODES {mesh.n_nodes} TRIANGLES {mesh.n_triangles}\n")
+def write_mesh(mesh: Mesh, path) -> None:
+    """Write the mesh as text: a "NODES n TRIANGLES t" header, one "x y flag"
+    line per node (%.17g, so every double survives; flag 1 on the boundary),
+    then one line of node indices per triangle."""
     flags = np.zeros(mesh.n_nodes, dtype=int)
     flags[mesh.boundary_nodes] = 1
-    for (x, y), flag in zip(mesh.nodes, flags):
-        buf.write(f"{x:.17g} {y:.17g} {flag}\n")
-    for i, j, k in mesh.triangles:
-        buf.write(f"{i} {j} {k}\n")
-    return buf.getvalue()
+    with open(path, "w") as fh:
+        fh.write(f"NODES {mesh.n_nodes} TRIANGLES {mesh.n_triangles}\n")
+        node_rows = zip(mesh.nodes.tolist(), flags.tolist())
+        fh.writelines("%.17g %.17g %d\n" % (x, y, f) for (x, y), f in node_rows)
+        fh.writelines("%d %d %d\n" % tuple(tri) for tri in mesh.triangles.tolist())
 
 
-def mesh_from_text(text: str) -> Mesh:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def read_mesh(path) -> Mesh:
+    """The mesh of a file written by write_mesh; MeshError on a bad header."""
+    with open(path) as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     head = lines[0].split()
     if head[0] != "NODES" or head[2] != "TRIANGLES":
         raise MeshError("bad mesh header")
@@ -626,13 +634,3 @@ def mesh_from_text(text: str) -> Mesh:
     for j in range(t):
         tris[j] = [int(v) for v in lines[1 + n + j].split()]
     return _build_mesh(nodes, tris)
-
-
-def write_mesh(mesh: Mesh, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(mesh_to_text(mesh))
-
-
-def read_mesh(path) -> Mesh:
-    with open(path) as fh:
-        return mesh_from_text(fh.read())

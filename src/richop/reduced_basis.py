@@ -28,7 +28,6 @@ __all__ = [
     "IllConditionedBasisError",
     "generate_snapshots",
     "weak_greedy",
-    "analyze",
     "synthesize",
     "projection_error_curve",
 ]
@@ -173,19 +172,17 @@ def generate_snapshots(
     return SnapshotSet(coefficients, np.column_stack(cols), space, config)
 
 
-def weak_greedy(
-    snapshots: SnapshotSet,
-    n_max: int,
-    gamma: float = 1.0,
-    residual_floor: float = 1e-13,
-):
+_RESIDUAL_FLOOR = 1e-13
+
+
+def weak_greedy(snapshots: SnapshotSet, n_max: int, gamma: float = 1.0):
     """Greedy basis selection in the energy norm.
 
     Starts from the anchor solution for the scaled nominal coefficient. At
     each step any snapshot whose orthogonal residual is at least gamma times
     the maximum may be picked; the smallest qualifying index is used, so
     gamma = 1 is the strong greedy choice. Stops at n_max selected snapshots
-    or when the worst residual falls below the floor.
+    or when the worst residual falls below _RESIDUAL_FLOOR.
     """
     if snapshots.count == 0:
         raise ValueError("empty snapshot set")
@@ -218,7 +215,7 @@ def weak_greedy(
         t0 = time.perf_counter()
         res = residual_norms()
         rmax = float(res.max())
-        if rmax < residual_floor:
+        if rmax < _RESIDUAL_FLOOR:
             trace.record(len(selected), rmax, -1, t0)
             break
         pick = int(np.flatnonzero(res >= gamma * rmax)[0])
@@ -228,7 +225,7 @@ def weak_greedy(
             for q in ortho_cols:
                 v -= (q @ (k0 @ v)) * q
         nrm = energy_norm(space, config, v)
-        if nrm < residual_floor:
+        if nrm < _RESIDUAL_FLOOR:
             trace.record(len(selected), rmax, pick, t0)
             break
         q_new = v / nrm
@@ -241,42 +238,8 @@ def weak_greedy(
     return ReducedBasis(space, config, raw, ortho, selected), trace
 
 
-def analyze(basis: ReducedBasis, v: np.ndarray, frame: str = "raw", best: bool = False) -> np.ndarray:
-    """Coefficients of the projection of v onto the basis span.
-
-    With best=False the vector must already lie in the span (projection
-    residual at most 1e-8); best=True returns the best-approximation
-    coefficients for arbitrary vectors.
-    """
-    p = basis.frame(frame)
-    k0 = basis.nominal_stiffness
-    rhs = p.T @ (k0 @ v)
-    if frame == "ortho":
-        coeffs = rhs
-    else:
-        gram = p.T @ (k0 @ p)
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise IllConditionedBasisError(
-                f"snapshot Gram condition estimate {cond:.3e} exceeds 1e12"
-            )
-        chol = la.cholesky(gram, lower=True)
-        coeffs = la.cho_solve((chol, True), rhs)
-        # one step of iterative refinement with the full-space residual
-        resid = p.T @ (k0 @ (v - p @ coeffs))
-        coeffs = coeffs + la.cho_solve((chol, True), resid)
-    if not best:
-        resid = v - p @ coeffs
-        rnorm = float(np.sqrt(max(resid @ (k0 @ resid), 0.0)))
-        if rnorm > 1e-8:
-            raise ValueError(
-                f"vector is not in the basis span (residual {rnorm:.3e})"
-            )
-    return coeffs
-
-
 def synthesize(basis: ReducedBasis, coeffs: np.ndarray, frame: str = "raw") -> np.ndarray:
-    """Linear combination of basis columns; left inverse of analyze on the span."""
+    """Linear combination of the columns of the named frame."""
     p = basis.frame(frame)
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) != p.shape[1]:

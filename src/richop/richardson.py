@@ -77,20 +77,19 @@ def contraction_norm(system: ReducedSystem) -> float:
     return float(np.linalg.norm(system.iteration_matrix, 2))
 
 
-def iterate(system: ReducedSystem, k_steps: int, record: bool = True) -> IterationState:
-    """Run k steps of c <- A c + g from the anchor coordinate vector e1."""
+def iterate(system: ReducedSystem, k_steps: int) -> IterationState:
+    """Run k steps of c <- A c + g from the anchor coordinate vector e1, recording every iterate."""
     if k_steps < 0:
         raise ValueError("k_steps must be nonnegative")
     n = system.size
     c = np.zeros(n)
     c[0] = 1.0
     history = [float(np.linalg.norm(c))]
-    traj = [c.copy()] if record else []
+    traj = [c.copy()]
     for _ in range(k_steps):
         c = system.iteration_matrix @ c + system.shift
         history.append(float(np.linalg.norm(c)))
-        if record:
-            traj.append(c.copy())
+        traj.append(c.copy())
     return IterationState(c, k_steps, history, traj)
 
 

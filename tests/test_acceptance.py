@@ -121,7 +121,7 @@ def test_criterion_03_coefficient_bound(lab, iteration_run):
         ok = ok and nrm <= (BETA / ALPHA) ** k + cap + 1e-8
     for a in C.sample_family(lab["family"], 10, 707):
         sys_a = R.assemble_reduced(basis, a)
-        hist = R.iterate(sys_a, 30, record=False).ell2_history
+        hist = R.iterate(sys_a, 30).ell2_history
         for k, nrm in enumerate(hist):
             ok = ok and nrm <= (BETA / ALPHA) ** k + cap + 1e-8
     _report(
@@ -196,7 +196,7 @@ def test_criterion_06_network_certificates(lab, approximator, rng):
             float(np.linalg.norm(step_out - (sys_r.iteration_matrix @ x + sys_r.shift))),
         )
         # iterator certificate vs the exact unrolled iterate
-        exact = R.iterate(sys_r, bundle.k_steps, record=False).coefficients
+        exact = R.iterate(sys_r, bundle.k_steps).coefficients
         c_net = bundle.realize(y)
         worst_it = max(worst_it, float(np.linalg.norm(c_net - exact)))
         # full approximator vs the dense reduced solve of the reconstruction

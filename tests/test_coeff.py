@@ -349,7 +349,7 @@ class TestCertifiedFamilies:
 
     def test_bernstein_range_encloses_p2_sample(self, square):
         mesh = M.triangulate(square, 0.4)
-        coords, cell_dofs = M._p2_dofs(mesh)[:2]
+        coords, cell_dofs = M._lagrange_dofs(mesh, 2)[:2]
         rng = np.random.default_rng(5)
         for _ in range(5):
             vals = rng.uniform(-1.0, 1.0, len(coords))
@@ -387,6 +387,11 @@ def _uncached(fam, a, pts):
     return C.affine_combination([C.constant(1.0), *fam.modes], a.meta["weights"])(pts)
 
 
+def _point_entries(fam):
+    """The keys of a family's per-point-set tables (a Sobolev ball also keeps its dof table)."""
+    return [key for key in fam._tables if key != "sobolev"]
+
+
 def _read_only(pts):
     pts = np.array(pts)
     pts.flags.writeable = False
@@ -410,7 +415,7 @@ class TestMemberTables:
         for a in C.sample_family(fam, 5, 11):
             for pts in point_sets + point_sets:
                 assert np.array_equal(a(pts), _uncached(fam, a, pts))
-        assert len(fam._tables) == 2
+        assert len(_point_entries(fam)) == 2
 
     @pytest.mark.parametrize("kind", ["analytic", "p1_mesh_field", "abs_shift"])
     def test_each_mode_runs_once_per_point_set(self, square, point_sets, kind, monkeypatch):
@@ -436,6 +441,31 @@ class TestMemberTables:
                 a(pts)
         assert len(located) == 2
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_sobolev_dof_table_built_once(self, square, point_sets, degree, monkeypatch):
+        mesh = M.triangulate(square, 0.4)
+        fam = C.sobolev_family(1.0, 0.5, mesh, degree=degree)
+        built, real = [], M._lagrange_dofs
+        monkeypatch.setattr(C, "_lagrange_dofs", lambda *a: built.append(1) or real(*a))
+        members = C.sample_family(fam, 40, 3)
+        for a in members:
+            a(point_sets[0])
+        assert len(built) == 1
+        # each member's nodal values, by the per-member formula
+        coords, cell_dofs, _ = real(mesh, degree)
+        amps = C._sobolev_amplitudes(fam.sobolev_order)
+        k2 = np.array([kx * kx + ky * ky for kx, ky in C._SOBOLEV_WAVES])
+        for y, a in zip(C.parameter_vectors(fam, 40, 3), members):
+            raw = np.zeros(len(coords))
+            for y_k, amp, (kx, ky) in zip(y, amps, C._SOBOLEV_WAVES):
+                raw += y_k * amp * np.cos(kx * np.pi * coords[:, 0]) * np.cos(ky * np.pi * coords[:, 1])
+            lo, hi = C._bernstein_range(raw, cell_dofs, degree)
+            scale = fam.beta * fam.fill / max(0.5 * (hi - lo), 1e-12)
+            curvature = scale * float(np.sum(np.abs(y) * amps * k2)) * np.pi**2
+            if curvature > 0.8 * fam.sobolev_radius:
+                scale *= 0.8 * fam.sobolev_radius / curvature
+            assert np.array_equal(a.meta["values"], fam.alpha + scale * (raw - 0.5 * (lo + hi)))
+
     @pytest.mark.parametrize("kind", _TABLE_KINDS)
     def test_writable_points_are_never_cached(self, square, point_sets, kind):
         fam = _CERTIFIED_KINDS[kind](square)
@@ -445,7 +475,7 @@ class TestMemberTables:
         pts[:] = pts[::-1].copy()
         assert np.array_equal(a(pts), first[::-1])
         assert np.array_equal(a(pts), _uncached(fam, a, pts))
-        assert not fam._tables
+        assert not _point_entries(fam)
 
     def test_dead_point_arrays_leave_no_entries(self, square, point_sets):
         fam = _CERTIFIED_KINDS["analytic"](square)

@@ -127,9 +127,7 @@ class TestGllEncoder:
         for t in range(mesh.n_triangles):
             for i in range(3):
                 params = rng.uniform(-0.95, 0.95, size=20)
-                edge = coarse_split.map_points(
-                    t, i, np.column_stack([np.ones(20), params])
-                )
+                edge = coarse_split.bilinear_map(3 * t + i, np.ones(20), params)[0].T
                 vertex = mesh.nodes[mesh.triangles[t, i]]
                 bary = mesh.nodes[mesh.triangles[t]].mean(axis=0)
                 side_a = edge + 1e-13 * (vertex - edge)
@@ -238,10 +236,8 @@ class TestGllChannelMatrix:
             [np.column_stack([np.full(5, side), u]) for side in (-1.0, 1.0)]
             + [np.column_stack([u, np.full(5, side)]) for side in (-1.0, 1.0)]
         )
-        n_tri = grid.split.mesh.n_triangles
-        pts = np.concatenate(
-            [grid.split.map_points(t, i, edges) for t in range(n_tri) for i in range(3)]
-        )
+        quads = np.arange(3 * grid.split.mesh.n_triangles)[:, None]
+        pts = grid.split.bilinear_map(quads, edges[:, 0], edges[:, 1])[0].reshape(2, -1).T
         assert np.array_equal(
             E._gll_channel_matrix(grid, pts).toarray(), _gll_channel_matrix_loop(grid, pts)
         )

@@ -202,9 +202,9 @@ class TestQuadSplit:
         split = M.quad_split(mesh)
         for t in range(mesh.n_triangles):
             for i in range(3):
-                image = split.map_points(t, i, np.array([[-1.0, -1.0]]))
+                image = split.bilinear_map(3 * t + i, np.array([-1.0]), np.array([-1.0]))[0]
                 vertex = mesh.nodes[mesh.triangles[t, i]]
-                assert np.allclose(image[0], vertex, rtol=0, atol=1e-15)
+                assert np.allclose(image[:, 0], vertex, rtol=0, atol=1e-15)
 
     def test_jacobian_positive_on_grid(self):
         mesh = M.triangulate(M.lshape(), 0.6)
@@ -214,7 +214,7 @@ class TestQuadSplit:
         st_pts = np.column_stack([gs.ravel(), gt.ravel()])
         for t in range(mesh.n_triangles):
             for i in range(3):
-                assert np.all(split.jacobians(t, i, st_pts) > 0)
+                assert np.all(split.bilinear_map(3 * t + i, st_pts[:, 0], st_pts[:, 1])[3] > 0)
 
 
 class TestConformityInvariant:
@@ -227,11 +227,12 @@ class TestConformityInvariant:
 
 
 class TestTextFormat:
-    def test_round_trip_structured(self):
+    def test_round_trip_structured(self, tmp_path):
         mesh = M.refine_corner_graded(
             M.triangulate(M.lshape(), 0.7), [[0.0, 0.0]], 0.5, 1
         )
-        back = M.mesh_from_text(M.mesh_to_text(mesh))
+        M.write_mesh(mesh, tmp_path / "mesh.txt")
+        back = M.read_mesh(tmp_path / "mesh.txt")
         assert np.array_equal(mesh.nodes, back.nodes)
         assert np.array_equal(mesh.triangles, back.triangles)
         assert np.array_equal(mesh.boundary_nodes, back.boundary_nodes)
@@ -254,12 +255,11 @@ class TestTextFormat:
         for x in xy:
             assert float(f"{x:.17g}") == x
 
-    def test_header_line(self, square):
-        mesh = M.triangulate(square, 1.5)
-        text = M.mesh_to_text(mesh)
-        assert text.splitlines()[0] == "NODES 4 TRIANGLES 2"
+    def test_header_line(self, square, tmp_path):
+        M.write_mesh(M.triangulate(square, 1.5), tmp_path / "mesh.txt")
+        assert (tmp_path / "mesh.txt").read_text().splitlines()[0] == "NODES 4 TRIANGLES 2"
 
-    def test_irrational_coordinates_bit_exact(self):
+    def test_irrational_coordinates_bit_exact(self, tmp_path):
         poly = M.Polygon(
             np.array(
                 [
@@ -271,8 +271,19 @@ class TestTextFormat:
             )
         )
         mesh = M.triangulate(poly, 0.5)
-        back = M.mesh_from_text(M.mesh_to_text(mesh))
+        M.write_mesh(mesh, tmp_path / "mesh.txt")
+        back = M.read_mesh(tmp_path / "mesh.txt")
         assert np.array_equal(mesh.nodes, back.nodes)
+
+    def test_bytes_match_the_value_by_value_writer(self, tmp_path):
+        # one format string per line writes the bytes f"{x:.17g}" per value wrote
+        mesh = M.refine_corner_graded(M.triangulate(M.lshape(), 0.7), [[0.0, 0.0]], 0.5, 1)
+        flags = np.isin(np.arange(mesh.n_nodes), mesh.boundary_nodes).astype(int)
+        expected = f"NODES {mesh.n_nodes} TRIANGLES {mesh.n_triangles}\n"
+        expected += "".join(f"{x:.17g} {y:.17g} {f}\n" for (x, y), f in zip(mesh.nodes, flags))
+        expected += "".join(f"{i} {j} {k}\n" for i, j, k in mesh.triangles)
+        M.write_mesh(mesh, tmp_path / "mesh.txt")
+        assert (tmp_path / "mesh.txt").read_bytes() == expected.encode()
 
 
 class TestLocatePoints:
@@ -502,7 +513,7 @@ class TestFirstAppearanceNumbering:
         channels = np.empty_like(grid.quad_channels)
         for t in range(split.mesh.n_triangles):
             for i in range(3):
-                for loc, x in enumerate(split.map_points(t, i, st)):
+                for loc, x in enumerate(split.bilinear_map(3 * t + i, st[:, 0], st[:, 1])[0].T):
                     key = tuple(np.round(x, 12))
                     if key not in channel_of:
                         channel_of[key] = len(points)

@@ -78,15 +78,15 @@ class TestBuildOperator:
             geometry.append(s)
             return real_geometry(s)
 
-        def counting_samples(s, samples, order=4):
+        def counting_samples(s, samples):
             assemblies.append(s)
-            return real_samples(s, samples, order)
+            return real_samples(s, samples)
 
         monkeypatch.setattr(F, "_geometry", counting_geometry)
         monkeypatch.setattr(F, "assemble_stiffness_samples", counting_samples)
         P.build_operator(family, config, space, 8, 3, nodal_encoder, 1e-1, seed=2)
         assert len(assemblies) >= 8  # one per training snapshot at least
-        assert len(geometry) == 1 and geometry[0] is space  # one quadrature order
+        assert len(geometry) == 1 and geometry[0] is space  # one Assembly per space
 
     def test_nominal_only_family_reproduces_anchor(self, space, config, nodal_encoder):
         fam = C.parametric_family(

@@ -454,7 +454,7 @@ class TestIteratorNet:
                 basis.size, k, eps, sys_a.shift, config.beta / config.alpha
             )
             flat = sys_a.iteration_matrix.flatten(order="F")
-            exact = R.iterate(sys_a, k, record=False).coefficients
+            exact = R.iterate(sys_a, k).coefficients
             assert np.linalg.norm(bundle.realize(flat) - exact) <= eps
             assert np.array_equal(NN.realize(bundle.net, flat), bundle.realize(flat))
 
@@ -558,7 +558,7 @@ class TestApproximator:
             y = lab["encoder"].encode(a)
             recon = lab["encoder"].reconstruct(y)
             sys_r = R.assemble_reduced(basis, recon)
-            exact = R.iterate(sys_r, bundle.k_steps, record=False).coefficients
+            exact = R.iterate(sys_r, bundle.k_steps).coefficients
             assert np.linalg.norm(bundle.realize(y) - exact) <= bundle.eps_iterator
 
     def test_energy_certificate_vs_dense_solve(self, bundle, lab, family):

@@ -179,7 +179,7 @@ class TestIterate:
     def test_fixed_point_consistency_long_run(self, basis, family):
         for a in C.sample_family(family, 3, 17):
             sys_a = R.assemble_reduced(basis, a)
-            state = R.iterate(sys_a, 200, record=False)
+            state = R.iterate(sys_a, 200)
             c_star = R.direct_solve(sys_a)
             assert np.linalg.norm(state.coefficients - c_star) < 1e-10
 
@@ -188,7 +188,7 @@ class TestIterate:
         cap = config.alpha / (config.alpha - config.beta)
         for a in C.sample_family(family, 20, 23):
             sys_a = R.assemble_reduced(basis, a)
-            state = R.iterate(sys_a, 50, record=False)
+            state = R.iterate(sys_a, 50)
             for k, nrm in enumerate(state.ell2_history):
                 assert nrm <= ratio**k + cap + 1e-8
 
