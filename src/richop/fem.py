@@ -18,10 +18,18 @@ on the space (see Assembly), so each stiffness matrix or load vector is one
 sparse mat-vec. The stiffness operator yields the upper triangle of the
 symmetric matrix, which a gather mirrors into the whole pattern.
 
-The one solver is CG preconditioned by a sparse factorization; Galerkin
-solves and the dual norm use that of K(1), cached with the Assembly. Admissible
-coefficients lie in [alpha - beta, alpha + beta], so the preconditioned
-condition number is at most (alpha + beta) / (alpha - beta) on every mesh.
+The one solver is CG preconditioned by the sparse factorization of K(1),
+cached with the Assembly, rescaled symmetrically to the diagonal of the matrix
+solved (van der Sluis 1969): z = s^-1 * K(1)^-1 (s^-1 * r) with
+s = sqrt(diag K(a) / diag K(1)). Every solve uses it: snapshots, the anchor and
+the dual norm. Admissible coefficients lie in [alpha - beta, alpha + beta], so
+the unscaled factor would bound the condition number by
+(alpha + beta) / (alpha - beta) on every mesh; that bound does not carry over
+to the scaled one. On smooth coefficients the scaled one needs about half the
+applications (6-7 against 12-17 on the committed families); on coefficients
+that jump at mesh scale it can need more (stripes 0.55/1.45 on h = 0.025: 43
+against 23). The accuracy contract is the same for both: CG stops at relative
+residual 1e-14 and the true residual of its result is checked.
 """
 
 from __future__ import annotations
@@ -156,7 +164,8 @@ class Assembly:
     free-dof stiffness matrix. The matrix is symmetric, so stiffness maps
     samples at the points to the data of the pattern's upper triangle only,
     and data[mirror] is the data of the whole pattern. load maps samples to
-    the free-dof load vector. laplace, built on first read, factors K(1).
+    the free-dof load vector. laplace, built on first read, factors K(1), and
+    laplace_diagonal is diag K(1), by which every solve rescales that factor.
     """
 
     points: np.ndarray
@@ -172,10 +181,21 @@ class Assembly:
         data = upper[self.mirror]
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
 
+    def _unit(self) -> sp.csr_matrix:
+        """The coefficient-1 stiffness matrix K(1)."""
+        return self.matrix(self.stiffness @ np.ones(len(self.points)))
+
     @cached_property
     def laplace(self) -> spla.SuperLU:
         """Factorization of the coefficient-1 stiffness matrix K(1)."""
-        return _factor(self.matrix(self.stiffness @ np.ones(len(self.points))))
+        return _factor(self._unit())
+
+    @cached_property
+    def laplace_diagonal(self) -> np.ndarray:
+        """diag K(1), read-only."""
+        diagonal = self._unit().diagonal()
+        diagonal.flags.writeable = False
+        return diagonal
 
 
 def assembly(space: FemSpace) -> Assembly:
@@ -295,18 +315,30 @@ def _factor(matrix) -> spla.SuperLU:
     return lu
 
 
-def _cg(matrix, rhs: np.ndarray, factor: spla.SuperLU, tol: float) -> np.ndarray:
-    """CG from zero preconditioned by factor.solve, to relative residual tol.
+def _cg(
+    matrix, rhs: np.ndarray, factor: spla.SuperLU, unit_diagonal: np.ndarray, tol: float
+) -> np.ndarray:
+    """CG from zero to relative residual tol, preconditioned by the factor of K(1)
+    scaled to the matrix: z = s^-1 * factor.solve(s^-1 * r), with
+    s = sqrt(diag(matrix) / unit_diagonal) taken once per solve.
 
-    SolverError on non-positive curvature, at the cap, or on a final residual
-    above tol."""
+    The a priori bound (alpha + beta) / (alpha - beta) on the condition number
+    holds for the unscaled factor only; the scaled one takes 6-7 applications
+    per solve on the committed families, where the unscaled one took 12-17
+    (see the module docstring for the cases it loses). SolverError on a
+    non-positive diagonal entry, on non-positive curvature, at the cap, or on
+    a final residual above tol."""
     rhs = np.asarray(rhs, dtype=float)
     bnorm = np.linalg.norm(rhs)
     x = np.zeros_like(rhs)
     if bnorm == 0.0:
         return x
+    diagonal = matrix.diagonal()
+    if not np.all(diagonal > 0.0):
+        raise SolverError("non-positive diagonal; matrix not SPD")
+    scale = np.sqrt(unit_diagonal / diagonal)  # s^-1
     r = rhs.copy()
-    z = factor.solve(r)
+    z = scale * factor.solve(scale * r)
     p = z.copy()
     rz = r @ z
     for _ in range(max(len(rhs), 100)):
@@ -319,7 +351,7 @@ def _cg(matrix, rhs: np.ndarray, factor: spla.SuperLU, tol: float) -> np.ndarray
         r -= step * ap
         if np.linalg.norm(r) <= tol * bnorm:
             break
-        z = factor.solve(r)
+        z = scale * factor.solve(scale * r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
     else:
@@ -355,8 +387,8 @@ class FineForm:
     stiffness is K(a0) and load the load vector of f, both on the free dofs.
     f_dual is the discrete dual norm of f,
     sqrt(load' K(a0)^{-1} load), whose Riesz representer is solved by CG
-    preconditioned by the space's cached factorization of K(1). Arrays are
-    read-only.
+    preconditioned by the space's cached factorization of K(1), scaled to
+    diag K(a0). Arrays are read-only.
     """
 
     stiffness: sp.csr_matrix
@@ -370,7 +402,8 @@ def nominal(space: FemSpace, config: ProblemConfig) -> FineForm:
     if form is None:
         k0 = assemble_stiffness(space, config.a0)
         load = assemble_load(space, config.f)
-        rep = _cg(k0, load, assembly(space).laplace, _SOLVE_TOL)
+        asm = assembly(space)
+        rep = _cg(k0, load, asm.laplace, asm.laplace_diagonal, _SOLVE_TOL)
         for array in (k0.data, k0.indices, k0.indptr, load):
             array.flags.writeable = False
         f_dual = float(np.sqrt(max(float(load @ rep), 0.0)))
@@ -388,7 +421,8 @@ def galerkin_solve(
 
     a is a field, or its samples at quadrature_points(space). The load is the
     cached one of nominal(space, config). CG is preconditioned by the space's
-    cached factorization of K(1) and stops at relative residual 1e-14.
+    cached factorization of K(1), scaled to diag K(a), and stops at relative
+    residual 1e-14.
     """
     samples = _sample_coefficient(space, a)
     if check:
@@ -399,7 +433,8 @@ def galerkin_solve(
                 f"[{config.alpha - config.beta:.6g}, {config.alpha + config.beta:.6g}]"
             )
     k = assemble_stiffness_samples(space, samples)
-    return _cg(k, nominal(space, config).load, assembly(space).laplace, _SOLVE_TOL)
+    asm = assembly(space)
+    return _cg(k, nominal(space, config).load, asm.laplace, asm.laplace_diagonal, _SOLVE_TOL)
 
 
 def energy_norm(space: FemSpace, config: ProblemConfig, v: np.ndarray) -> float:

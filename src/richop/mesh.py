@@ -619,18 +619,30 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
-    """The mesh of a file written by write_mesh; MeshError on a bad header."""
+    """The mesh of a file written by write_mesh.
+
+    Each block is parsed by one np.loadtxt call. MeshError on a bad header,
+    or on fewer or malformed lines than the header states.
+    """
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "NODES" or head[2] != "TRIANGLES":
+    head = lines[0].split() if lines else []
+    if not (
+        len(head) == 4
+        and head[0] == "NODES"
+        and head[2] == "TRIANGLES"
+        and head[1].isdigit()
+        and head[3].isdigit()
+    ):
         raise MeshError("bad mesh header")
     n, t = int(head[1]), int(head[3])
-    nodes = np.empty((n, 2))
-    for i in range(n):
-        x, y, _flag = lines[1 + i].split()
-        nodes[i] = (float(x), float(y))
-    tris = np.empty((t, 3), dtype=np.int64)
-    for j in range(t):
-        tris[j] = [int(v) for v in lines[1 + n + j].split()]
-    return _build_mesh(nodes, tris)
+    if len(lines) < 1 + n + t:
+        raise MeshError(f"header states {n} nodes and {t} triangles; file has {len(lines) - 1} lines")
+    try:
+        nodes = np.loadtxt(lines[1 : 1 + n], ndmin=2, comments=None)
+        tris = np.loadtxt(lines[1 + n : 1 + n + t], dtype=np.int64, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise MeshError(f"malformed mesh line: {exc}") from exc
+    if nodes.shape != (n, 3) or tris.shape != (t, 3):
+        raise MeshError("a node line needs x, y and a flag; a triangle line three indices")
+    return _build_mesh(nodes[:, :2].copy(), tris)

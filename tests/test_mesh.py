@@ -285,6 +285,38 @@ class TestTextFormat:
         M.write_mesh(mesh, tmp_path / "mesh.txt")
         assert (tmp_path / "mesh.txt").read_bytes() == expected.encode()
 
+    def test_round_trip_fine_square(self, square, tmp_path):
+        mesh = M.triangulate(square, 0.025)
+        M.write_mesh(mesh, tmp_path / "mesh.txt")
+        back = M.read_mesh(tmp_path / "mesh.txt")
+        assert np.array_equal(mesh.nodes, back.nodes)
+        assert np.array_equal(mesh.triangles, back.triangles)
+        assert np.array_equal(mesh.boundary_nodes, back.boundary_nodes)
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["truncated", "short_node_line", "short_triangle_line", "text_value", "bad_header", "empty"],
+    )
+    def test_broken_file_raises_mesh_error(self, square, tmp_path, edit):
+        path = tmp_path / "mesh.txt"
+        M.write_mesh(M.triangulate(square, 0.6), path)
+        lines = path.read_text().splitlines()
+        if edit == "truncated":
+            lines = lines[:-2]
+        elif edit == "short_node_line":
+            lines[1] = lines[1].rsplit(" ", 1)[0]
+        elif edit == "short_triangle_line":
+            lines[-1] = lines[-1].rsplit(" ", 1)[0]
+        elif edit == "text_value":
+            lines[2] = "x " + lines[2].split(" ", 1)[1]
+        elif edit == "bad_header":
+            lines[0] = "NODES many TRIANGLES 2"
+        else:
+            lines = []
+        path.write_text("".join(ln + "\n" for ln in lines))
+        with pytest.raises(M.MeshError):
+            M.read_mesh(path)
+
 
 class TestLocatePoints:
     def test_barycentric_recovery(self, square_mesh, rng):
