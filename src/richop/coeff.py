@@ -16,8 +16,9 @@ A family computes the parameter-free part of its members once per read-only
 point array and keeps it while the array lives (_point_table): the mode
 table of an affine family, or the cell dofs and shape values on a Sobolev
 ball's mesh. Members evaluate from it bit-identically to affine_combination
-and mesh_field. A Sobolev ball also builds its dof table and the cosine
-factors of its waves at the dofs once (_sobolev_table).
+and mesh_field. The cache (_per_points, weakly keyed by the array) also
+holds the encoder's channel matrices. A Sobolev ball also builds its dof
+table and the cosine factors of its waves at the dofs once (_sobolev_table).
 """
 
 from __future__ import annotations
@@ -411,21 +412,25 @@ def parameter_vectors(family: DataFamily, count: int, seed: int) -> np.ndarray:
     raise ValueError(f"unknown family kind {family.kind!r}")
 
 
-def _point_table(family: DataFamily, pts: np.ndarray) -> tuple:
-    """The parameter-free part of the family's members at the points.
+def _per_points(cache: dict, pts: np.ndarray, build):
+    """build(pts), kept in cache per read-only point array.
 
-    (table,) for affine kinds, (dofs, shapes) for sobolev_ball. Kept per
-    read-only array until a weakref callback drops it with the array, so a
-    reused id finds nothing; a writable array is recomputed on every call.
+    The entry lives until a weakref callback drops it with the array, so a
+    reused id finds nothing; a writable array is rebuilt on every call.
     """
     if pts.flags.writeable:
-        return _build_table(family, pts)
-    key, tables = id(pts), family._tables
-    entry = tables.get(key)
+        return build(pts)
+    key = id(pts)
+    entry = cache.get(key)
     if entry is None or entry[0]() is not pts:
-        ref = weakref.ref(pts, lambda _, key=key: tables.pop(key, None))
-        entry = tables[key] = (ref, _build_table(family, pts))
+        ref = weakref.ref(pts, lambda _, key=key: cache.pop(key, None))
+        entry = cache[key] = (ref, build(pts))
     return entry[1]
+
+
+def _point_table(family: DataFamily, pts: np.ndarray) -> tuple:
+    """The members' parameter-free part: (table,) if affine, (dofs, shapes) if sobolev_ball."""
+    return _per_points(family._tables, pts, lambda pts: _build_table(family, pts))
 
 
 def _sobolev_table(family: DataFamily) -> tuple:

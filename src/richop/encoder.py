@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coeff import CoefficientField, _bernstein_range, _shape_values, domain_grid, from_callable
+from .coeff import (CoefficientField, _bernstein_range, _per_points, _shape_values, domain_grid,
+                    from_callable)
 from .fem import FemSpace
 from .mesh import QuadSplit, _first_appearance, locate_points
 
@@ -96,6 +97,7 @@ class Encoder:
         self.query_points.flags.writeable = False
         self.m = len(self.query_points)
         self._payload = payload
+        self._channels = {}  # id(points) -> (weakref to the points, channel matrix)
 
     def encode(self, a: CoefficientField) -> np.ndarray:
         """Point queries a(x_1..x_M) in canonical channel order."""
@@ -106,12 +108,18 @@ class Encoder:
 
         Row i stores the fields of the one cell holding point i: its nloc
         local dofs for a nodal encoder, its quad's (p+1)^2 channels for GLL.
-        At the encoder's own query_points it maps channels to the nodal values
-        that reconstruction_envelope bounds.
+        Cached per read-only point array (coeff._per_points), so
+        quadrature_points(space) costs one build per encoder and space; a
+        writable array is rebuilt on every call. The CSR arrays are read-only.
         """
-        if self.kind == "nodal":
-            return _nodal_channel_matrix(self._payload, pts)
-        return _gll_channel_matrix(self._payload, pts)
+        return _per_points(self._channels, np.asarray(pts, dtype=float), self._build_channel_matrix)
+
+    def _build_channel_matrix(self, pts: np.ndarray) -> sp.csr_matrix:
+        build = _nodal_channel_matrix if self.kind == "nodal" else _gll_channel_matrix
+        matrix = build(self._payload, pts)
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            array.flags.writeable = False
+        return matrix
 
     def reconstruct(self, values: np.ndarray) -> CoefficientField:
         values = np.asarray(values, dtype=float)
@@ -214,8 +222,8 @@ def reconstruction_envelope(encoder: Encoder, values: np.ndarray, alpha: float) 
     """Upper bound of the deviation from alpha of the reconstructions.
 
     `values` is one channel vector (M,) or a stack of them (n, M). The
-    reconstructions of all rows are evaluated once at the encoder's
-    query_points, one channel_matrix call on M points, and gathered per
+    channels are the reconstructions' values at the query points (the
+    channel matrix there is the identity), so the rows are gathered per
     element into Bernstein-Bezier coefficients, whose convex hull holds the
     element's range: coeff._bernstein_range for P1/P2 (the hull that also
     scales Sobolev-ball members), and T V T^T per quad for GLL, with
@@ -223,15 +231,14 @@ def reconstruction_envelope(encoder: Encoder, values: np.ndarray, alpha: float) 
     at the GLL nodes mapped to [0, 1]. Returns max(alpha - min, max - alpha)
     over all coefficients, a bound on the whole domain; for P1 it is exact.
     """
-    rows = np.atleast_2d(np.asarray(values, dtype=float))
-    nodal = (encoder.channel_matrix(encoder.query_points) @ rows.T).T  # (n, M)
+    nodal = np.atleast_2d(np.asarray(values, dtype=float))  # (n, M)
     payload = encoder._payload
     if encoder.kind == "gll":
         p, k = payload.order, np.arange(payload.order + 1)
         t = (payload.nodes_1d[:, None] + 1.0) / 2.0
         binom = np.array([math.comb(p, i) for i in k], dtype=float)
         inv = np.linalg.inv(binom * t**k * (1.0 - t) ** (p - k))
-        coeffs = inv @ nodal[:, payload.quad_channels].reshape(len(rows), -1, p + 1, p + 1) @ inv.T
+        coeffs = inv @ nodal[:, payload.quad_channels].reshape(len(nodal), -1, p + 1, p + 1) @ inv.T
         lo, hi = coeffs.min(), coeffs.max()
     else:
         lo, hi = _bernstein_range(nodal, payload.cell_dofs, payload.degree)

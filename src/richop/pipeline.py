@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,7 +46,6 @@ from .relu_net import (
     NeuralNet,
     build_approximator,
     certified_approximator,
-    input_net,
     net_from_doc,
     net_to_doc,
     sparse_concat,
@@ -90,12 +88,9 @@ class NeuralOperator:
     certificates: dict
     greedy_trace: GreedyTrace | None = None
 
-    @cached_property
+    @property
     def quadrature_channels(self) -> sp.csr_matrix:
-        """Channel matrix at quadrature_points(space): encoding to reconstruction samples.
-
-        build_operator sets it to the matrix its input net was built from.
-        """
+        """The encoder's cached channel matrix at quadrature_points(space): encoding to samples."""
         return self.encoder.channel_matrix(quadrature_points(self.space))
 
 
@@ -173,11 +168,7 @@ def build_operator(
     beta_tilde, beta_eff = effective_beta(
         encoder, config, snapshots.coefficients, beta_mode
     )
-    channels = encoder.channel_matrix(quadrature_points(space))
-    encoder_input = input_net(basis, encoder, channels=channels)
-    approximator = build_approximator(
-        basis, space, config, encoder, epsilon, beta_eff=beta_eff, encoder_input=encoder_input
-    )
+    approximator = build_approximator(basis, space, config, encoder, epsilon, beta_eff=beta_eff)
     certificates = {
         "epsilon": epsilon,
         "beta_tilde": beta_tilde,
@@ -188,11 +179,7 @@ def build_operator(
         "m_channels": encoder.m,
         **approximator.report.certificates,
     }
-    op = NeuralOperator(
-        encoder, approximator, basis, space, config, "ortho", certificates, trace
-    )
-    op.quadrature_channels = channels
-    return op
+    return NeuralOperator(encoder, approximator, basis, space, config, "ortho", certificates, trace)
 
 
 def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
@@ -262,7 +249,9 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     """Operator bundle: mesh, basis matrix CSV, encoder JSON, net JSON, certificates.
 
     net.json holds the input net and the shift; load_bundle re-derives the
-    rest. A nonsmooth operator is refused: its input net has depth 3, so
+    rest. mesh.txt, which no loader reads, records the output space: the
+    rows of basis.csv are the free dofs of build_space(read_mesh(mesh.txt),
+    fem_degree). A nonsmooth operator is refused: its input net has depth 3, so
     interval_matrix_bound cannot re-derive Z_A from it.
     """
     if "nonsmooth_a_min" in op.certificates:
@@ -289,7 +278,8 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
 
 @dataclass
 class LoadedOperator:
-    """Evaluable operator reconstructed from a bundle directory."""
+    """Evaluable operator reconstructed from a bundle directory; evaluate returns
+    free-dof values of the space that mesh.txt records (see save_bundle)."""
 
     encoder: Encoder
     approximator: ApproximatorBundle

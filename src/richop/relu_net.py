@@ -28,9 +28,9 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .encoder import Encoder
-from .fem import FemSpace, ProblemConfig, assembly
+from .fem import FemSpace, ProblemConfig, quadrature_points
 from .reduced_basis import ReducedBasis
-from .richardson import choose_step_count
+from .richardson import choose_step_count, reduced_stiffness
 
 __all__ = [
     "NeuralNet",
@@ -308,28 +308,17 @@ def _unroll(encoder_input, step, carry, k_steps: int, start, inject, concat):
     return iterator, concat(iterator, encoder_input)
 
 
-def input_net(
-    basis: ReducedBasis, encoder: Encoder, channels: sp.csr_matrix | None = None
-) -> NeuralNet:
+def input_net(basis: ReducedBasis, encoder: Encoder) -> NeuralNet:
     """Depth-one affine net: encoder channels y -> vec(Id - (alpha B0)^{-1} B_v).
 
-    Per-channel reduced matrices use the quadrature, the orthonormal frame
-    and the cached factor of B0 (basis.nominal) that assemble_reduced uses,
-    so the realization matches direct assembly of the reconstruction up to
-    solve reassociation. The stiffness data of all M channels is one sparse
-    product of the cached assembly operator and the channel matrix at its
-    quadrature points, made dense. `channels` is that matrix when the caller
-    already holds it; otherwise it is built here.
+    Column k is -(alpha B0)^{-1} B_k in F order: B_k is reduced_stiffness of
+    channel k, one slice of the block of all M channels (the encoder's cached
+    channel matrix at the quadrature points), solved with basis.nominal's factor,
+    so it matches assemble_reduced of the reconstruction up to solve reassociation.
     """
-    p, chol = basis.ortho, basis.nominal.chol
-    asm = assembly(basis.space)
-    if channels is None:
-        channels = encoder.channel_matrix(asm.points)
-    upper = (asm.stiffness @ channels).toarray()  # (upper nnz, M)
-    cols = []
-    for k in range(encoder.m):
-        b_mode = p.T @ (asm.matrix(upper[:, k]) @ p)
-        cols.append(-la.cho_solve(chol, b_mode).flatten(order="F") / basis.config.alpha)
+    chol, alpha = basis.nominal.chol, basis.config.alpha
+    modes = reduced_stiffness(basis, encoder.channel_matrix(quadrature_points(basis.space)))
+    cols = [-la.cho_solve(chol, b, check_finite=False).flatten(order="F") / alpha for b in modes]
     return affine_net(np.column_stack(cols), np.eye(basis.size).flatten(order="F"))
 
 

@@ -3,9 +3,10 @@
 For a coefficient v the reduced system holds the dense matrices of the
 bilinear form on the basis's orthonormal frame, the iteration matrix
 Id - (alpha B0)^{-1} B_v, and the shifted load. Only B_v depends on v; the
-rest is the basis's NominalForm, computed once per basis. The iteration
-contracts with factor beta/alpha on the admissible cone and its step count
-for a target accuracy follows a closed-form ceiling rule.
+rest is the basis's NominalForm, computed once per basis. B_v has one
+kernel, reduced_stiffness, which also serves relu_net.input_net. The
+iteration contracts with factor beta/alpha on the admissible cone and its
+step count for a target accuracy follows a closed-form ceiling rule.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .coeff import CoefficientField
-from .fem import assemble_stiffness
+from .fem import assemble_stiffness, assembly
 from .reduced_basis import ReducedBasis
 
 __all__ = [
     "ReducedSystem",
     "IterationState",
+    "reduced_stiffness",
     "assemble_reduced",
     "direct_solve",
     "contraction_norm",
@@ -30,6 +33,8 @@ __all__ = [
     "choose_step_count",
     "reduced_energy_error",
 ]
+
+_STACK_ROWS = 16384  # rows of stacked stiffness matrices per product in reduced_stiffness
 
 
 @dataclass
@@ -57,16 +62,35 @@ class IterationState:
     trajectory: list = field(default_factory=list)
 
 
-def assemble_reduced(basis: ReducedBasis, v: CoefficientField | np.ndarray) -> ReducedSystem:
-    """Project the coefficient's stiffness onto the basis's orthonormal frame.
+def reduced_stiffness(basis: ReducedBasis, v) -> np.ndarray:
+    """B_v = P^T K(v) P on the basis's orthonormal frame P: the one reduced-assembly kernel.
 
-    v is a field, or its samples at quadrature_points(basis.space). Only
-    K_v and B_v = P^T K_v P are assembled here; the iteration matrix is one
-    solve with the cached Cholesky factor of basis.nominal, which raises
-    IllConditionedBasisError when B0 is not positive definite.
+    v is a field or its samples at quadrature_points(basis.space), giving (N, N);
+    or a block of sample columns (n_qp, M), dense or sparse, giving (M, N, N),
+    slice k bit for bit the kernel of column k. The block's matrices are stacked
+    _STACK_ROWS rows at a time, so that each product with P stays in cache.
     """
-    p = basis.ortho
-    b_v = p.T @ (assemble_stiffness(basis.space, v) @ p)
+    space, p = basis.space, basis.ortho
+    if not (sp.issparse(v) or np.ndim(v) == 2):
+        return p.T @ (assemble_stiffness(space, v) @ p)
+    asm = assembly(space)
+    upper = asm.stiffness @ v
+    upper = upper.toarray() if sp.issparse(upper) else upper
+    step = max(1, _STACK_ROWS // len(p))
+    return np.concatenate([
+        p.T @ (asm.matrix(upper[:, k:k + step]) @ p).reshape(-1, *p.shape)
+        for k in range(0, upper.shape[1], step)
+    ])
+
+
+def assemble_reduced(basis: ReducedBasis, v: CoefficientField | np.ndarray) -> ReducedSystem:
+    """The reduced system of v, with B_v = reduced_stiffness(basis, v).
+
+    The iteration matrix is one solve with the cached Cholesky factor of
+    basis.nominal, which raises IllConditionedBasisError when B0 is not
+    positive definite.
+    """
+    b_v = reduced_stiffness(basis, v)
     form = basis.nominal
     iteration_matrix = np.eye(len(form.load)) - la.cho_solve(form.chol, b_v) / basis.config.alpha
     return ReducedSystem(form.b0, b_v, form.load, iteration_matrix, form.shift)

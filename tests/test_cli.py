@@ -136,16 +136,16 @@ def test_sweep_rows(tmp_path):
 
 def test_sweep_builds_the_quadrature_channel_matrix_once(tmp_path, monkeypatch):
     points = []
-    original = encoder.Encoder.channel_matrix
+    original = encoder.Encoder._build_channel_matrix
 
     def counting(self, pts):
-        points.append(len(pts))
+        points.append(pts)
         return original(self, pts)
 
-    monkeypatch.setattr(encoder.Encoder, "channel_matrix", counting)
+    monkeypatch.setattr(encoder.Encoder, "_build_channel_matrix", counting)
     assert cli.main(["sweep", "--config", SWEEP, "--out", str(tmp_path / "sweep")]) == 0
-    # one call at the encoder's own nodes (the envelope), one at the quadrature points
-    assert len(points) == 2
+    # one build, at the quadrature points, for the input net; none for the envelope
+    assert len(points) == 1 and not points[0].flags.writeable
     assert len(json.load(open(SWEEP))["sweep"]["values"]) > 1
 
 

@@ -264,6 +264,83 @@ class TestChannelMatrixSparsity:
         assert np.allclose(channels @ np.ones(enc.m), 1.0, atol=1e-12)
 
 
+def _pentagon():
+    angles = 2.0 * np.pi * np.arange(5) / 5 + np.pi / 2
+    return M.Polygon(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+class TestChannelMatrixAtQueryPoints:
+    """The reconstruction interpolates: at query point i only channel i is nonzero,
+    so reconstruction_envelope reads the channel values as the nodal values."""
+
+    @pytest.mark.parametrize("h", [0.25, 0.5])
+    @pytest.mark.parametrize("domain", ["square", "lshape", "pentagon"])
+    def test_exact_identity_for_p1(self, domain, h):
+        polygon = {"square": M.unit_square, "lshape": M.lshape, "pentagon": _pentagon}[domain]()
+        enc = E.build_nodal_encoder(F.build_space(M.triangulate(polygon, h), 1))
+        assert np.array_equal(enc.channel_matrix(enc.query_points).toarray(), np.eye(enc.m))
+
+    @pytest.mark.parametrize("domain", ["square", "lshape", "pentagon"])
+    def test_identity_for_p2(self, domain):
+        polygon = {"square": M.unit_square, "lshape": M.lshape, "pentagon": _pentagon}[domain]()
+        enc = E.build_nodal_encoder(F.build_space(M.triangulate(polygon, 0.25), 2))
+        dense = enc.channel_matrix(enc.query_points).toarray()
+        assert np.max(np.abs(dense - np.eye(enc.m))) <= 1e-13
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("domain,h", [("square", 0.25), ("square", 0.5), ("lshape", 0.5)])
+    def test_identity_for_gll(self, domain, h, p):
+        polygon = {"square": M.unit_square, "lshape": M.lshape}[domain]()
+        enc = E.build_gll_encoder(M.quad_split(M.triangulate(polygon, h)), p)
+        dense = enc.channel_matrix(enc.query_points).toarray()
+        assert np.max(np.abs(dense - np.eye(enc.m))) <= 1e-13
+
+
+class TestChannelMatrixCache:
+    @pytest.fixture
+    def encoder(self, square):
+        return E.build_nodal_encoder(F.build_space(M.triangulate(square, 0.5), 2))
+
+    @staticmethod
+    def _counting(encoder, monkeypatch):
+        built, original = [], encoder._build_channel_matrix
+        monkeypatch.setattr(
+            encoder, "_build_channel_matrix", lambda pts: built.append(pts) or original(pts)
+        )
+        return built
+
+    def test_cached_for_a_read_only_array(self, encoder, monkeypatch):
+        built = self._counting(encoder, monkeypatch)
+        pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(50, 2))
+        pts.flags.writeable = False
+        first = encoder.channel_matrix(pts)
+        assert encoder.channel_matrix(pts) is first and len(built) == 1
+        fresh = E._nodal_channel_matrix(encoder._payload, pts)
+        assert (first != fresh).nnz == 0
+
+    def test_rebuilt_for_a_writable_array(self, encoder, monkeypatch):
+        built = self._counting(encoder, monkeypatch)
+        pts = np.random.default_rng(4).uniform(0.0, 1.0, size=(50, 2))
+        first, second = encoder.channel_matrix(pts), encoder.channel_matrix(pts)
+        assert first is not second and len(built) == 2 and encoder._channels == {}
+        assert (first != second).nnz == 0
+
+    def test_entry_dropped_with_its_array(self, encoder):
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(50, 2))
+        pts.flags.writeable = False
+        encoder.channel_matrix(pts)
+        assert list(encoder._channels) == [id(pts)]
+        del pts
+        assert encoder._channels == {}
+
+    def test_cached_arrays_are_read_only(self, encoder):
+        channels = encoder.channel_matrix(encoder.query_points)
+        for array in (channels.data, channels.indices, channels.indptr):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            channels.data[0] = 2.0
+
+
 class TestEnvelope:
     @pytest.mark.parametrize("kind", ["nodal", "gll"])
     def test_stack_equals_max_of_single_rows(self, kind, square, family):

@@ -21,49 +21,62 @@ _CHAIN_INPUTS = ("alpha", "beta_eff", "f_dual_norm", "epsilon")
 
 
 class _AmplifyingEncoder(E.Encoder):
-    """Test stub: reconstructions scaled away from the band midpoint."""
+    """Test stub: encodings, and so reconstructions, scaled by a gain."""
 
     def __init__(self, base, gain):
         super().__init__(base.kind, base.query_points, base._payload)
-        self._base = base
         self._gain = gain
 
-    def channel_matrix(self, pts):
-        return self._gain * self._base.channel_matrix(pts)
+    def encode(self, a):
+        return self._gain * super().encode(a)
 
 
 class _CountingEncoder(E.Encoder):
-    """Test stub: records the points of each channel_matrix call."""
+    """Test stub: records the points of each channel_matrix call and of each build.
+
+    channel_matrix caches per read-only point array, so builds count cache misses.
+    """
 
     def __init__(self, base):
         super().__init__(base.kind, base.query_points, base._payload)
         self.queried = []
-
-    @property
-    def calls(self):
-        return len(self.queried)
+        self.built = []
 
     def channel_matrix(self, pts):
         self.queried.append(pts)
         return super().channel_matrix(pts)
 
+    def _build_channel_matrix(self, pts):
+        self.built.append(pts)
+        return super()._build_channel_matrix(pts)
+
 
 class TestEffectiveBeta:
-    def test_one_channel_matrix_per_call(self, nodal_encoder, family, config):
+    def test_no_channel_matrix_per_call(self, nodal_encoder, family, config):
         enc = _CountingEncoder(nodal_encoder)
         P.effective_beta(enc, config, C.sample_family(family, 8, 5))
-        assert enc.calls == 1
+        assert enc.queried == [] and enc.built == []
 
     @pytest.mark.parametrize("kind", ["nodal", "gll"])
     def test_envelope_queries_only_the_encoder_nodes(self, kind, square, family, config):
+        # the coefficients are read at the encoder's nodes and nowhere else:
+        # the envelope reads the channel values, with no channel matrix
         coarse = M.triangulate(square, 0.5)
         if kind == "nodal":
             base = E.build_nodal_encoder(F.build_space(coarse, 2))
         else:
             base = E.build_gll_encoder(M.quad_split(coarse), 2)
-        enc = _CountingEncoder(base)
-        P.effective_beta(enc, config, C.sample_family(family, 4, 61))
-        assert enc.calls == 1 and np.array_equal(enc.queried[0], base.query_points)
+        enc, queried = _CountingEncoder(base), []
+
+        def recording(a):
+            return C.from_callable(lambda pts: queried.append(pts) or a(pts))
+
+        members = C.sample_family(family, 4, 61)
+        beta_tilde, _ = P.effective_beta(enc, config, [recording(a) for a in members])
+        assert enc.queried == [] and enc.built == []
+        assert len(queried) == 4 and all(np.array_equal(q, base.query_points) for q in queried)
+        values = np.stack([base.encode(a) for a in members])
+        assert beta_tilde == E.reconstruction_envelope(base, values, config.alpha)
 
 
 class TestBuildOperator:
@@ -272,25 +285,26 @@ class TestErrorDecomposition:
             e1 = np.eye(n_plus_1)[0]
             assert np.max(np.abs(form.shift - e1)) < 1e-10
 
-    def test_build_and_decompositions_make_two_channel_matrices(
+    def test_build_and_decompositions_make_one_channel_matrix(
         self, family, config, space, nodal_encoder
     ):
-        # one for the envelope at the encoder nodes, one at the quadrature
-        # points shared by the input net and every decomposition
+        # none for the envelope; one at the quadrature points, cached on the
+        # encoder and shared by the input net and every decomposition
         enc = _CountingEncoder(nodal_encoder)
         op = P.build_operator(family, config, space, 8, 3, enc, 1e-1, seed=2)
         members = C.sample_family(family, 2, 41)
         P.error_decomposition(op, members)
         P.error_decomposition(op, members)
-        assert enc.calls == 2
-        assert np.array_equal(enc.queried[1], F.quadrature_points(space))
+        assert len(enc.built) == 1 and enc.built[0] is F.quadrature_points(space)
+        assert all(q is F.quadrature_points(space) for q in enc.queried)
 
     def test_quadrature_channel_matrix_built_once_per_operator(self, operator, family):
         op = dataclasses.replace(operator, encoder=_CountingEncoder(operator.encoder))
         members = C.sample_family(family, 2, 41)
         P.error_decomposition(op, members)
         P.error_decomposition(op, members)
-        assert op.encoder.calls == 1
+        assert len(op.encoder.built) == 1
+        assert op.quadrature_channels is op.encoder.channel_matrix(F.quadrature_points(op.space))
 
     def test_matches_dense_channel_computation(self, operator, family, space, config):
         op, frame = operator, operator.frame
@@ -385,6 +399,16 @@ class TestBundle:
         a = C.sample_family(family, 1, 99)[0]
         assert np.array_equal(loaded.evaluate(a), P.evaluate(operator, a))
         assert loaded.certificates["epsilon"] == operator.certificates["epsilon"]
+
+    def test_mesh_file_records_the_output_space(self, operator, family, tmp_path):
+        P.save_bundle(operator, str(tmp_path))
+        loaded = P.load_bundle(str(tmp_path))
+        mesh = M.read_mesh(os.path.join(tmp_path, "mesh.txt"))
+        space = F.build_space(mesh, loaded.certificates["fem_degree"])
+        assert np.array_equal(space.free_dofs, operator.space.free_dofs)
+        assert np.array_equal(space.dof_coords, operator.space.dof_coords)
+        assert space.n_free == loaded.synthesis.shape[0]
+        assert len(loaded.evaluate(C.sample_family(family, 1, 97)[0])) == space.n_free
 
     def test_gll_round_trip_rebuilds_the_same_operator(
         self, family, config, space, square, tmp_path

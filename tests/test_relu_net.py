@@ -543,6 +543,20 @@ class TestInputNet:
         weights = NN.input_net(basis, enc).layers[0][0].toarray()
         assert np.max(np.abs(weights - loop)) <= 1e-15
 
+    @pytest.mark.parametrize("kind", ["nodal", "gll"])
+    def test_weight_columns_are_the_kernel_of_each_channel(self, lab, kind, square):
+        basis, space, config = lab["basis"], lab["space"], lab["config"]
+        if kind == "nodal":
+            enc = lab["encoder"]
+        else:
+            enc = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
+        channels = enc.channel_matrix(F.quadrature_points(space)).toarray()
+        weights = NN.input_net(basis, enc).layers[0][0].toarray()
+        for k in range(enc.m):
+            b_k = R.reduced_stiffness(basis, channels[:, k])
+            column = -la.cho_solve(basis.nominal.chol, b_k).flatten(order="F") / config.alpha
+            assert np.array_equal(weights[:, k], column)
+
 
 @pytest.fixture(scope="module")
 def bundle(lab):

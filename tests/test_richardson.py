@@ -104,6 +104,34 @@ class TestAssembleReduced:
                 array[0] = 0.0
 
 
+class TestReducedStiffness:
+    def test_assemble_reduced_reads_the_kernel(self, basis, family, space):
+        a = C.sample_family(family, 1, 71)[0]
+        kernel = R.reduced_stiffness(basis, a)
+        assert kernel.shape == (basis.size, basis.size)
+        assert np.array_equal(R.assemble_reduced(basis, a).b_coeff, kernel)
+        assert np.array_equal(R.reduced_stiffness(basis, a(F.quadrature_points(space))), kernel)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_block_slices_equal_single_columns(self, basis, space, nodal_encoder, kind):
+        channels = nodal_encoder.channel_matrix(F.quadrature_points(space))
+        dense = channels.toarray()
+        block = R.reduced_stiffness(basis, channels if kind == "sparse" else dense)
+        assert block.shape == (nodal_encoder.m, basis.size, basis.size)
+        for k in range(nodal_encoder.m):
+            assert np.array_equal(block[k], R.reduced_stiffness(basis, dense[:, k]))
+
+    def test_block_wider_than_one_stack(self, basis, space, family, monkeypatch):
+        # several stacked products: a block of 7 sample columns, 3 matrices per stack
+        pts = F.quadrature_points(space)
+        samples = np.column_stack([a(pts) for a in C.sample_family(family, 7, 73)])
+        monkeypatch.setattr(R, "_STACK_ROWS", 3 * space.n_free)
+        block = R.reduced_stiffness(basis, samples)
+        assert block.shape == (7, basis.size, basis.size)
+        for k in range(7):
+            assert np.array_equal(block[k], R.reduced_stiffness(basis, samples[:, k]))
+
+
 def _hand_reduced_matrix(space, columns, v):
     mesh = space.mesh
     p = mesh.nodes[mesh.triangles]
