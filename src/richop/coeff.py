@@ -413,11 +413,9 @@ def parameter_vectors(family: DataFamily, count: int, seed: int) -> np.ndarray:
 
 
 def _per_points(cache: dict, pts: np.ndarray, build):
-    """build(pts), kept in cache per read-only point array.
-
-    The entry lives until a weakref callback drops it with the array, so a
-    reused id finds nothing; a writable array is rebuilt on every call.
-    """
+    """build(pts), kept in cache per read-only point array until a weakref callback
+    drops it with the array, so a reused id finds nothing; a writable array is
+    rebuilt on every call."""
     if pts.flags.writeable:
         return build(pts)
     key = id(pts)

@@ -108,9 +108,8 @@ class Encoder:
 
         Row i stores the fields of the one cell holding point i: its nloc
         local dofs for a nodal encoder, its quad's (p+1)^2 channels for GLL.
-        Cached per read-only point array (coeff._per_points), so
-        quadrature_points(space) costs one build per encoder and space; a
-        writable array is rebuilt on every call. The CSR arrays are read-only.
+        Cached per read-only point array (coeff._per_points); a writable array
+        is rebuilt on every call. The CSR arrays are read-only.
         """
         return _per_points(self._channels, np.asarray(pts, dtype=float), self._build_channel_matrix)
 

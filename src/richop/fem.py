@@ -177,16 +177,10 @@ class Assembly:
     load: sp.csc_matrix  # (n_free, n_points)
 
     def matrix(self, upper: np.ndarray) -> sp.csr_matrix:
-        """Free-dof matrix whose upper triangle holds the given data; a block of
-        data columns (upper nnz, M) gives the M matrices stacked, (M n, n)."""
+        """Free-dof matrix whose upper triangle holds the given data."""
         n = len(self.indptr) - 1
-        if upper.ndim == 1:
-            data = upper[self.mirror]
-            return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
-        count, nnz = upper.shape[1], len(self.indices)
-        indptr = np.append(self.indptr[:-1] + nnz * np.arange(count)[:, None], count * nnz)
-        data = upper[self.mirror].T.ravel()
-        return sp.csr_matrix((data, np.tile(self.indices, count), indptr), shape=(count * n, n))
+        data = upper[self.mirror]
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
 
     def _unit(self) -> sp.csr_matrix:
         """The coefficient-1 stiffness matrix K(1)."""

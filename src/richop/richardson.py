@@ -19,7 +19,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .coeff import CoefficientField
-from .fem import assemble_stiffness, assembly
+from .fem import _sample_coefficient, assembly
 from .reduced_basis import ReducedBasis
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "choose_step_count",
     "reduced_energy_error",
 ]
-
-_STACK_ROWS = 16384  # rows of stacked stiffness matrices per product in reduced_stiffness
 
 
 @dataclass
@@ -63,34 +61,22 @@ class IterationState:
 
 
 def reduced_stiffness(basis: ReducedBasis, v) -> np.ndarray:
-    """B_v = P^T K(v) P on the basis's orthonormal frame P: the one reduced-assembly kernel.
-
-    v is a field or its samples at quadrature_points(basis.space), giving (N, N);
-    or a block of sample columns (n_qp, M), dense or sparse, giving (M, N, N),
-    slice k bit for bit the kernel of column k. The block's matrices are stacked
-    _STACK_ROWS rows at a time, so that each product with P stays in cache.
-    """
-    space, p = basis.space, basis.ortho
-    if not (sp.issparse(v) or np.ndim(v) == 2):
-        return p.T @ (assemble_stiffness(space, v) @ p)
-    asm = assembly(space)
-    upper = asm.stiffness @ v
+    """B_v = P^T K(v) P on the basis's orthonormal frame P, (N, N) for a field or its
+    samples at quadrature_points(basis.space); (M, N, N) for a block of sample columns
+    (n_qp, M), dense or sparse, whose stiffness data is one product with the assembly."""
+    block = np.ndim(v) == 2  # a sparse matrix has ndim 2 too
+    asm, p = assembly(basis.space), basis.ortho
+    upper = asm.stiffness @ (v if block else _sample_coefficient(basis.space, v)[:, None])
     upper = upper.toarray() if sp.issparse(upper) else upper
-    step = max(1, _STACK_ROWS // len(p))
-    return np.concatenate([
-        p.T @ (asm.matrix(upper[:, k:k + step]) @ p).reshape(-1, *p.shape)
-        for k in range(0, upper.shape[1], step)
-    ])
+    out = np.array([p.T @ (asm.matrix(column) @ p) for column in upper.T])
+    return out if block else out[0]
 
 
 def assemble_reduced(basis: ReducedBasis, v: CoefficientField | np.ndarray) -> ReducedSystem:
-    """The reduced system of v, with B_v = reduced_stiffness(basis, v).
-
-    The iteration matrix is one solve with the cached Cholesky factor of
-    basis.nominal, which raises IllConditionedBasisError when B0 is not
-    positive definite.
-    """
-    b_v = reduced_stiffness(basis, v)
+    """The reduced system of v, B_v the kernel of v's samples as one column whatever
+    their shape; the iteration matrix is one solve with the cached Cholesky factor of
+    basis.nominal, which raises IllConditionedBasisError when B0 is not positive definite."""
+    b_v = reduced_stiffness(basis, _sample_coefficient(basis.space, v)[:, None])[0]
     form = basis.nominal
     iteration_matrix = np.eye(len(form.load)) - la.cho_solve(form.chol, b_v) / basis.config.alpha
     return ReducedSystem(form.b0, b_v, form.load, iteration_matrix, form.shift)

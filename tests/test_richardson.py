@@ -110,7 +110,11 @@ class TestReducedStiffness:
         kernel = R.reduced_stiffness(basis, a)
         assert kernel.shape == (basis.size, basis.size)
         assert np.array_equal(R.assemble_reduced(basis, a).b_coeff, kernel)
-        assert np.array_equal(R.reduced_stiffness(basis, a(F.quadrature_points(space))), kernel)
+        samples = a(F.quadrature_points(space))
+        assert np.array_equal(R.reduced_stiffness(basis, samples), kernel)
+        # assemble_reduced flattens any samples array, so no shape of one reads as a block
+        for shaped in (samples[:, None], samples.reshape(space.mesh.n_triangles, -1)):
+            assert np.array_equal(R.assemble_reduced(basis, shaped).b_coeff, kernel)
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_block_slices_equal_single_columns(self, basis, space, nodal_encoder, kind):
@@ -120,16 +124,6 @@ class TestReducedStiffness:
         assert block.shape == (nodal_encoder.m, basis.size, basis.size)
         for k in range(nodal_encoder.m):
             assert np.array_equal(block[k], R.reduced_stiffness(basis, dense[:, k]))
-
-    def test_block_wider_than_one_stack(self, basis, space, family, monkeypatch):
-        # several stacked products: a block of 7 sample columns, 3 matrices per stack
-        pts = F.quadrature_points(space)
-        samples = np.column_stack([a(pts) for a in C.sample_family(family, 7, 73)])
-        monkeypatch.setattr(R, "_STACK_ROWS", 3 * space.n_free)
-        block = R.reduced_stiffness(basis, samples)
-        assert block.shape == (7, basis.size, basis.size)
-        for k in range(7):
-            assert np.array_equal(block[k], R.reduced_stiffness(basis, samples[:, k]))
 
 
 def _hand_reduced_matrix(space, columns, v):
