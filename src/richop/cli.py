@@ -32,7 +32,7 @@ from . import reduced_basis as rb_mod
 from . import richardson as rich_mod
 from .encoder import build_gll_encoder, build_nodal_encoder
 from .mesh import quad_split
-from .relu_net import build_approximator, input_net
+from .relu_net import certified_approximator
 
 __all__ = ["main", "load_config", "ConfigError"]
 
@@ -73,6 +73,12 @@ def _number(section: dict, name: str, default, ok, need: str):
     return value
 
 
+def _integer(section: dict, name: str, default, least: int) -> int:
+    """_number for an integer no smaller than least."""
+    return _number(section, name, default, lambda k: isinstance(k, int) and k >= least,
+                   f"be an integer of at least {least}")
+
+
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
@@ -85,7 +91,9 @@ class Setup:
     encoder -> snapshots -> greedy -> operator. Each is computed the first
     time a command reads it, and kept. The operator stage is
     pipeline.build_operator, which draws its own snapshots and basis from
-    the same seed, so a command reads either it or the snapshot stages.
+    the same seed, so a command reads either it or the snapshot stages:
+    snapshots and greedy read the latter; build, eval, sweep, nncheck,
+    decompose and run read the operator (sweep re-certifies its input net).
     """
 
     def __init__(self, cfg: dict, seed: int):
@@ -113,16 +121,19 @@ class Setup:
         m = mesh_mod.triangulate(self.domain, h)
         graded = section.get("graded")
         if graded:
-            m = mesh_mod.refine_corner_graded(
-                m, graded["corners"], graded["grading"], graded["levels"]
-            )
+            grading = _number(graded, "mesh.graded.grading", None, lambda g: 0 < g < 1,
+                              "lie in (0, 1)")
+            levels = _integer(graded, "mesh.graded.levels", None, 0)
+            m = mesh_mod.refine_corner_graded(m, graded["corners"], grading, levels)
         return m
 
     @cached_property
     def space(self):
         degree = self.cfg.get("mesh", {}).get("degree", 1)
         _check(degree in (1, 2), f"mesh.degree must be 1 or 2, got {degree!r}")
-        return fem_mod.build_space(self.mesh, degree)
+        space = fem_mod.build_space(self.mesh, degree)
+        _check(space.n_free > 0, f"mesh.h must leave a free dof at mesh.degree {degree}")
+        return space
 
     @cached_property
     def problem(self):
@@ -138,7 +149,10 @@ class Setup:
             coeff_mod.constant(1.0),
             coeff_mod.constant(value),
         )
-        if section.get("normalize_source", True):
+        normalize = section.get("normalize_source", True)
+        _check(type(normalize) is bool,
+               f"problem.normalize_source must be true or false, got {normalize!r}")
+        if normalize:
             config = fem_mod.normalize_source(self.space, config)
         return config
 
@@ -147,8 +161,7 @@ class Setup:
         section = self.cfg.get("family", {"kind": "analytic"})
         kind = section.get("kind", "analytic")
         fill = _number(section, "family.fill", 0.9, lambda f: 0 < f <= 1, "lie in (0, 1]")
-        n_modes = _number(section, "family.n_modes", 4, lambda k: isinstance(k, int) and k >= 1,
-                          "be an integer of at least 1")
+        n_modes = _integer(section, "family.n_modes", 4, 1)
         alpha, beta = self.problem.alpha, self.problem.beta
         if kind == "analytic":
             top = len(coeff_mod.ANALYTIC_WAVENUMBERS)
@@ -162,7 +175,8 @@ class Setup:
         if kind == "sobolev_ball":
             order = _number(section, "family.order", 2, lambda k: k >= 0, "be non-negative")
             radius = _number(section, "family.radius", 50.0, lambda r: r > 0, "be positive")
-            coarse = mesh_mod.triangulate(self.domain, section.get("coeff_h", 0.5))
+            coeff_h = _number(section, "family.coeff_h", 0.5, lambda h: h > 0, "be positive")
+            coarse = mesh_mod.triangulate(self.domain, coeff_h)
             return coeff_mod.sobolev_family(
                 alpha, beta, coarse, order=order, radius=radius, fill=fill
             )
@@ -178,21 +192,21 @@ class Setup:
             degree = _number(section, "encoder.degree", 1, lambda d: d in (1, 2), "be 1 or 2")
             return build_nodal_encoder(fem_mod.build_space(coarse, degree))
         if kind == "gll":
-            p = _number(section, "encoder.p", 3, lambda p: isinstance(p, int) and p >= 1,
-                        "be an integer of at least 1")
+            p = _integer(section, "encoder.p", 3, 1)
             return build_gll_encoder(quad_split(coarse), p)
         raise ConfigError(f"unknown encoder kind {kind!r}")
 
     @cached_property
     def snapshots(self):
-        count = self.reduction.get("training_count", 40)
+        count = _integer(self.reduction, "reduction.training_count", 40, 1)
         return rb_mod.generate_snapshots(self.family, count, self.seed, self.space, self.problem)
 
     @cached_property
     def greedy(self):
         """(basis, greedy trace) of the training snapshots."""
         red = self.reduction
-        return rb_mod.weak_greedy(self.snapshots, red.get("n_basis", 8), red.get("gamma", 1.0))
+        n_basis = _integer(red, "reduction.n_basis", 8, 0)
+        return rb_mod.weak_greedy(self.snapshots, n_basis, red.get("gamma", 1.0))
 
     @cached_property
     def operator(self):
@@ -203,8 +217,8 @@ class Setup:
             self.family,
             self.problem,
             self.space,
-            red.get("training_count", 40),
-            red.get("n_basis", 8),
+            _integer(red, "reduction.training_count", 40, 1),
+            _integer(red, "reduction.n_basis", 8, 0),
             self.encoder,
             epsilon,
             self.seed,
@@ -214,7 +228,7 @@ class Setup:
 
     def test_coefficients(self, count_key: str, default: int, seed_offset: int):
         """Family members drawn with seed + seed_offset, as many as evaluation[count_key]."""
-        count = self.cfg.get("evaluation", {}).get(count_key, default)
+        count = _integer(self.cfg.get("evaluation", {}), f"evaluation.{count_key}", default, 1)
         return coeff_mod.sample_family(self.family, count, self.seed + seed_offset)
 
 
@@ -280,26 +294,18 @@ def cmd_sweep(s: Setup, out_dir, hash_):
     values = sweep["values"]
     _check(all(type(e) in (int, float) and 0 < e < 1 for e in values),
            f"sweep values must lie in (0, 1), got {values!r}")
-    basis, _ = s.greedy
-    _, beta_eff = pipe_mod.effective_beta(s.encoder, s.problem, s.snapshots.coefficients, s.beta_mode)
-    net_in = input_net(basis, s.encoder)
-    rows = []
-    for eps in values:
-        bundle = build_approximator(
-            basis, s.space, s.problem, s.encoder, eps, beta_eff=beta_eff, encoder_input=net_in
-        )
-        rows.append((eps, bundle.report.depth, bundle.report.size, bundle.k_steps))
+    op, certs = s.operator, s.operator.certificates
+    chain = (op.basis.nominal.shift, certs["alpha"], certs["beta_eff"], certs["f_dual_norm"])
+    bundles = [certified_approximator(op.approximator.encoder_input, *chain, eps) for eps in values]
+    rows = ((eps, b.report.depth, b.report.size, b.k_steps) for eps, b in zip(values, bundles))
     _write_csv(out_dir, "sweep.csv", ["epsilon", "depth", "size", "k_steps"], rows, hash_)
 
 
 def cmd_nncheck(s: Setup, out_dir, hash_):
     op = s.operator
-    space, config = s.space, s.problem
     eps = op.certificates["epsilon"]
-    errors = []
-    for a in s.test_coefficients("mc_count", 200, 2):
-        u_ref = pipe_mod.reduced_solution(op, op.quadrature_channels @ op.encoder.encode(a))
-        errors.append(fem_mod.energy_norm(space, config, u_ref - pipe_mod.evaluate(op, a)))
+    solutions = pipe_mod.network_solutions(op, s.test_coefficients("mc_count", 200, 2))
+    errors = [fem_mod.energy_norm(s.space, s.problem, r - u) for r, u in zip(*solutions)]
     rows = [(j, err, eps) for j, err in enumerate(errors)]
     _write_csv(out_dir, "nncheck.csv", ["index", "energy_error_vs_reduced", "certified"], rows, hash_)
     worst = max(errors, default=0.0)

@@ -35,7 +35,6 @@ from .fem import (
 )
 from .mesh import quad_split, read_mesh, write_mesh
 from .reduced_basis import (
-    GreedyTrace,
     ReducedBasis,
     generate_snapshots,
     synthesize,
@@ -50,7 +49,7 @@ from .relu_net import (
     net_to_doc,
     sparse_concat,
 )
-from .richardson import assemble_reduced, direct_solve
+from .richardson import direct_solves
 
 __all__ = [
     "NeuralOperator",
@@ -59,7 +58,7 @@ __all__ = [
     "effective_beta",
     "build_operator",
     "evaluate",
-    "reduced_solution",
+    "network_solutions",
     "error_decomposition",
     "nonsmooth_operator",
     "save_bundle",
@@ -86,7 +85,6 @@ class NeuralOperator:
     config: ProblemConfig
     frame: str
     certificates: dict
-    greedy_trace: GreedyTrace | None = None
 
     @property
     def quadrature_channels(self) -> sp.csr_matrix:
@@ -164,7 +162,7 @@ def build_operator(
     if n_basis > training_count:
         raise OperatorBuildError("basis size cannot exceed the training count")
     snapshots = generate_snapshots(family, training_count, seed, space, config)
-    basis, trace = weak_greedy(snapshots, n_basis, gamma)
+    basis, _ = weak_greedy(snapshots, n_basis, gamma)
     beta_tilde, beta_eff = effective_beta(
         encoder, config, snapshots.coefficients, beta_mode
     )
@@ -179,7 +177,7 @@ def build_operator(
         "m_channels": encoder.m,
         **approximator.report.certificates,
     }
-    return NeuralOperator(encoder, approximator, basis, space, config, "ortho", certificates, trace)
+    return NeuralOperator(encoder, approximator, basis, space, config, "ortho", certificates)
 
 
 def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
@@ -188,14 +186,17 @@ def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
     return synthesize(op.basis, c, frame=op.frame)
 
 
-def reduced_solution(op: NeuralOperator, v: CoefficientField | np.ndarray) -> np.ndarray:
-    """Synthesized dense reduced Galerkin solution of a coefficient.
+def _reduced_solutions(op: NeuralOperator, block) -> list:
+    """Synthesized dense reduced Galerkin solution of each column of quadrature-point samples."""
+    return [synthesize(op.basis, c, frame="ortho") for c in direct_solves(op.basis, block)]
 
-    v is a field, or its samples at quadrature_points(op.space); the
-    reconstruction of an encoding y has samples op.quadrature_channels @ y.
-    """
-    system = assemble_reduced(op.basis, v)
-    return synthesize(op.basis, direct_solve(system), frame="ortho")
+
+def network_solutions(op: NeuralOperator, coefficients) -> tuple[list, list]:
+    """Per coefficient, encoded once: the reduced Galerkin solution of its encoded reconstruction
+    (samples op.quadrature_channels @ y; no network) and the operator's output, as evaluate's."""
+    ys = np.reshape([op.encoder.encode(a) for a in coefficients], (-1, op.encoder.m))
+    recon = _reduced_solutions(op, op.quadrature_channels @ ys.T)
+    return recon, [synthesize(op.basis, op.approximator.realize(y), frame=op.frame) for y in ys]
 
 
 def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
@@ -203,17 +204,16 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
 
     Terms: (I) fine solution vs dense reduced solve, (II) reduced solves of
     the coefficient and of its reconstruction, (III) reduced solve of the
-    reconstruction vs the synthesized network output.
+    reconstruction vs the synthesized network output. The coefficients'
+    samples are one direct_solves block; network_solutions gives the rest.
     """
-    space, config, basis = op.space, op.config, op.basis
+    space, config, points = op.space, op.config, quadrature_points(op.space)
+    coefficients = list(test_coefficients)
+    samples = np.reshape([a(points) for a in coefficients], (-1, len(points)))
     report = ErrorReport()
-    for a in test_coefficients:
-        samples = a(quadrature_points(space))
-        y = op.encoder.encode(a)
-        u_fine = galerkin_solve(space, config, samples)
-        u_reduced = reduced_solution(op, samples)
-        u_recon = reduced_solution(op, op.quadrature_channels @ y)
-        u_net = synthesize(basis, op.approximator.realize(y), frame=op.frame)
+    solutions = zip(samples, _reduced_solutions(op, samples.T), *network_solutions(op, coefficients))
+    for s, u_reduced, u_recon, u_net in solutions:
+        u_fine = galerkin_solve(space, config, s)
         report.totals.append(energy_norm(space, config, u_fine - u_net))
         report.reduced_truncation.append(energy_norm(space, config, u_fine - u_reduced))
         report.encoder_perturbation.append(energy_norm(space, config, u_reduced - u_recon))

@@ -455,7 +455,6 @@ def build_approximator(
     encoder: Encoder,
     epsilon: float,
     beta_eff: float | None = None,
-    encoder_input: NeuralNet | None = None,
 ) -> ApproximatorBundle:
     """certified_approximator on input_net(basis, encoder) and the basis's nominal form.
 
@@ -466,18 +465,14 @@ def build_approximator(
     The certificate holds exactly for encodings y whose reconstruction lies
     in the band alpha +- beta_eff: the iteration then contracts by
     beta_eff / alpha, its iterates stay in ||x|| <= Z~, and y, being point
-    values of the reconstruction, lies in the channel box. A caller holding
-    input_net(basis, encoder), which does not depend on epsilon, passes it
-    as `encoder_input`; it must be that depth-one affine net.
+    values of the reconstruction, lies in the channel box.
     """
     if space is not basis.space or config != basis.config:
         raise ValueError("space and config must be the basis's own")
-    if encoder_input is None:
-        encoder_input = input_net(basis, encoder)
     beta = config.beta if beta_eff is None else beta_eff
     nominal = basis.nominal
     return certified_approximator(
-        encoder_input, nominal.shift, config.alpha, beta, nominal.f_dual, epsilon
+        input_net(basis, encoder), nominal.shift, config.alpha, beta, nominal.f_dual, epsilon
     )
 
 

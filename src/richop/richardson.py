@@ -4,7 +4,8 @@ For a coefficient v the reduced system holds the dense matrices of the
 bilinear form on the basis's orthonormal frame, the iteration matrix
 Id - (alpha B0)^{-1} B_v, and the shifted load. Only B_v depends on v; the
 rest is the basis's NominalForm, computed once per basis. B_v has one
-kernel, reduced_stiffness, which also serves relu_net.input_net. The
+kernel, reduced_stiffness, which also serves relu_net.input_net and
+direct_solves, the dense solutions of a block of sample columns. The
 iteration contracts with factor beta/alpha on the admissible cone and its
 step count for a target accuracy follows a closed-form ceiling rule.
 """
@@ -19,7 +20,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .coeff import CoefficientField
-from .fem import _sample_coefficient, assembly
+from .fem import MembershipError, _sample_coefficient, assembly
 from .reduced_basis import ReducedBasis
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "reduced_stiffness",
     "assemble_reduced",
     "direct_solve",
+    "direct_solves",
     "contraction_norm",
     "iterate",
     "choose_step_count",
@@ -68,6 +70,8 @@ def reduced_stiffness(basis: ReducedBasis, v) -> np.ndarray:
     asm, p = assembly(basis.space), basis.ortho
     upper = asm.stiffness @ (v if block else _sample_coefficient(basis.space, v)[:, None])
     upper = upper.toarray() if sp.issparse(upper) else upper
+    if not np.all(np.isfinite(upper)):  # a block skips _sample_coefficient's check
+        raise MembershipError("coefficient evaluated to non-finite values")
     out = np.array([p.T @ (asm.matrix(column) @ p) for column in upper.T])
     return out if block else out[0]
 
@@ -128,3 +132,10 @@ def reduced_energy_error(system: ReducedSystem, c: np.ndarray, c_ref: np.ndarray
 def direct_solve(system: ReducedSystem) -> np.ndarray:
     """Dense solve of the reduced Galerkin system B_v c = f_N."""
     return la.solve(system.b_coeff, system.load, assume_a="sym")
+
+
+def direct_solves(basis: ReducedBasis, samples) -> np.ndarray:
+    """Row j solves B_j c = f_N as direct_solve does, B_j slice j of the kernel of a
+    block of sample columns (n_qp, M): one reduced_stiffness call, then one solve per slice."""
+    load = basis.nominal.load
+    return np.array([la.solve(b, load, assume_a="sym") for b in reduced_stiffness(basis, samples)])

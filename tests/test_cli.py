@@ -68,12 +68,29 @@ def test_invalid_beta_exits_one(tmp_path):
         ("build", "mesh", {"h": -0.1}),
         ("build", "encoder", {"h": 0.0}),
         ("build", "encoder", {"h": -0.3}),
+        ("eval", "evaluation", {"test_count": 0}),
+        ("run", "evaluation", {"test_count": 0}),
+        ("decompose", "evaluation", {"test_count": -2}),
+        ("nncheck", "evaluation", {"mc_count": 0}),
+        ("nncheck", "evaluation", {"mc_count": 2.5}),
+        ("build", "reduction", {"training_count": "30"}),
+        ("build", "reduction", {"n_basis": -1}),
+        ("build", "mesh", {"graded": {"corners": [[0.0, 0.0]], "grading": 0.5, "levels": 1.5}}),
+        ("build", "mesh", {"graded": {"corners": [[0.0, 0.0]], "grading": 0.5, "levels": -1}}),
+        ("build", "mesh", {"graded": {"corners": [[0.0, 0.0]], "grading": 1.5, "levels": 1}}),
+        ("snapshots", "family", {"kind": "sobolev_ball", "coeff_h": 0}),
+        ("build", "mesh", {"h": 5.0}),
+        ("build", "problem", {"normalize_source": "no"}),
     ],
     ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree", "sweep_epsilon",
          "family_fill", "family_n_modes", "analytic_n_modes_above_eight", "family_n_modes_fraction",
          "parametric_n_modes", "sobolev_order", "sobolev_radius", "gll_p_zero", "gamma_zero",
          "gamma_above_one", "beta_mode_unknown", "source_value_zero", "family_fill_string",
-         "alpha_string", "mesh_h_zero", "mesh_h_negative", "encoder_h_zero", "encoder_h_negative"],
+         "alpha_string", "mesh_h_zero", "mesh_h_negative", "encoder_h_zero", "encoder_h_negative",
+         "eval_test_count_zero", "run_test_count_zero", "decompose_test_count_negative",
+         "mc_count_zero", "mc_count_fraction", "training_count_string", "n_basis_negative",
+         "graded_levels_fraction", "graded_levels_negative", "graded_grading_above_one",
+         "sobolev_coeff_h_zero", "mesh_h_leaves_no_free_dof", "normalize_source_string"],
 )
 def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, values):
     cfg = json.load(open(CONFIG))
@@ -158,14 +175,14 @@ def test_sweep_builds_the_input_net_once(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(relu_net, "input_net", counting)
-    monkeypatch.setattr(cli, "input_net", counting)
     assert cli.main(["sweep", "--config", SWEEP, "--out", str(tmp_path / "sweep")]) == 0
     assert len(calls) == 1
 
 
-def test_sweep_measured_mode_sizes_the_built_net(tmp_path):
+@pytest.mark.parametrize("beta_mode", ["paper", "measured"])
+def test_sweep_measured_mode_sizes_the_built_net(tmp_path, beta_mode):
     cfg = json.load(open(CONFIG))
-    cfg["network"]["beta_mode"] = "measured"
+    cfg["network"]["beta_mode"] = beta_mode
     eps = cfg["network"]["epsilon"]
     cfg["sweep"] = {"axis": "epsilon", "values": [1e-1, eps]}
     path = tmp_path / "cfg.json"
@@ -221,6 +238,19 @@ def test_nncheck_passes_certificate(tmp_path):
     path.write_text(json.dumps(cfg))
     out = str(tmp_path / "nn")
     assert cli.main(["nncheck", "--config", str(path), "--out", out]) == 0
+
+
+def test_nncheck_errors_are_the_decomposition_network_term(tmp_path):
+    cfg = json.load(open(CONFIG))
+    cfg["evaluation"]["mc_count"] = 6
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "nn")
+    assert cli.main(["nncheck", "--config", str(path), "--out", out]) == 0
+    errors = [float(ln.split(",")[1]) for ln in _body(os.path.join(out, "nncheck.csv"))[1:]]
+    s = cli.Setup(cfg, cfg["seed"])
+    members = s.test_coefficients("mc_count", 200, 2)
+    assert errors == pipeline.error_decomposition(s.operator, members).network
 
 
 def test_rows_carry_config_hash(tmp_path):

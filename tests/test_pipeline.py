@@ -32,7 +32,8 @@ class _AmplifyingEncoder(E.Encoder):
 
 
 class _CountingEncoder(E.Encoder):
-    """Test stub: records the points of each channel_matrix call and of each build.
+    """Test stub: records the points of each channel_matrix call and of each build,
+    and each encoded coefficient.
 
     channel_matrix caches per read-only point array, so builds count cache misses.
     """
@@ -41,6 +42,11 @@ class _CountingEncoder(E.Encoder):
         super().__init__(base.kind, base.query_points, base._payload)
         self.queried = []
         self.built = []
+        self.encoded = []
+
+    def encode(self, a):
+        self.encoded.append(a)
+        return super().encode(a)
 
     def channel_matrix(self, pts):
         self.queried.append(pts)
@@ -334,6 +340,52 @@ class TestErrorDecomposition:
         v = RB.synthesize(operator.basis, c, frame="ortho")
         back = operator.basis.ortho.T @ (operator.basis.nominal_stiffness @ v)
         assert np.max(np.abs(back - c)) < 1e-10
+
+
+class TestNetworkSolutions:
+    def test_one_encoding_per_coefficient_and_one_kernel_call_per_block(
+        self, operator, family, monkeypatch
+    ):
+        op, blocks = dataclasses.replace(operator, encoder=_CountingEncoder(operator.encoder)), []
+        real = R.reduced_stiffness
+
+        def counting(basis, v):
+            blocks.append(np.shape(v))
+            return real(basis, v)
+
+        monkeypatch.setattr(R, "reduced_stiffness", counting)
+        members = C.sample_family(family, 3, 53)
+        n_qp = len(F.quadrature_points(op.space))
+        recon, nets = P.network_solutions(op, members)
+        assert len(recon) == len(nets) == 3
+        assert op.encoder.encoded == members and blocks == [(n_qp, 3)]
+        op.encoder.encoded.clear(), blocks.clear()
+        P.error_decomposition(op, members)
+        assert op.encoder.encoded == members and blocks == [(n_qp, 3), (n_qp, 3)]
+
+    def test_matches_the_per_coefficient_solves(self, operator, family):
+        members = C.sample_family(family, 3, 59)
+        recon, nets = P.network_solutions(operator, members)
+        for a, u_recon, u_net in zip(members, recon, nets):
+            samples = operator.quadrature_channels @ operator.encoder.encode(a)
+            c = R.direct_solve(R.assemble_reduced(operator.basis, samples))
+            assert np.array_equal(u_recon, RB.synthesize(operator.basis, c, frame="ortho"))
+            assert np.array_equal(u_net, P.evaluate(operator, a))
+
+    def test_reference_does_not_read_the_input_net(self, operator, family):
+        (w, b), = operator.approximator.encoder_input.layers
+        app = dataclasses.replace(operator.approximator,
+                                  encoder_input=NN.NeuralNet([(w, b + 1e-6)]))
+        perturbed = dataclasses.replace(operator, approximator=app)
+        members = C.sample_family(family, 2, 67)
+        recon, nets = P.network_solutions(operator, members)
+        recon_p, nets_p = P.network_solutions(perturbed, members)
+        assert all(np.array_equal(u, v) for u, v in zip(recon, recon_p))
+        assert not any(np.array_equal(u, v) for u, v in zip(nets, nets_p))
+
+    def test_no_coefficients(self, operator):
+        assert P.network_solutions(operator, []) == ([], [])
+        assert P.error_decomposition(operator, []).rows() == []
 
 
 @pytest.fixture(scope="module")

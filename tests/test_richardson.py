@@ -125,6 +125,21 @@ class TestReducedStiffness:
         for k in range(nodal_encoder.m):
             assert np.array_equal(block[k], R.reduced_stiffness(basis, dense[:, k]))
 
+    def test_direct_solves_equal_direct_solve_per_column(self, basis, family, space):
+        members = C.sample_family(family, 3, 73)
+        block = np.column_stack([a(F.quadrature_points(space)) for a in members])
+        solved = R.direct_solves(basis, block)
+        assert solved.shape == (3, basis.size)
+        for a, c in zip(members, solved):
+            assert np.array_equal(c, R.direct_solve(R.assemble_reduced(basis, a)))
+
+    def test_non_finite_block_is_a_membership_error(self, basis, family, space):
+        block = np.column_stack([a(F.quadrature_points(space))
+                                 for a in C.sample_family(family, 2, 79)])
+        block[5, 1] = np.nan
+        with pytest.raises(F.MembershipError):
+            R.direct_solves(basis, block)
+
 
 def _hand_reduced_matrix(space, columns, v):
     mesh = space.mesh
