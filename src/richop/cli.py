@@ -57,6 +57,7 @@ def load_config(path: str) -> dict:
     _number(cfg.get("reduction", {}), "reduction.gamma", 1.0, lambda g: 0 < g <= 1, "lie in (0, 1]")
     mode = cfg.get("network", {}).get("beta_mode", "paper")
     _check(mode in ("paper", "measured"), f"network.beta_mode must be paper or measured: {mode!r}")
+    _integer(cfg, "seed", 0, 0)
     return cfg
 
 
@@ -68,7 +69,7 @@ def _check(ok: bool, message: str) -> None:
 
 def _number(section: dict, name: str, default, ok, need: str):
     """The number at name's last key in section (default if absent); ConfigError unless ok."""
-    value = section.get(name.rsplit(".", 1)[1], default)
+    value = section.get(name.rsplit(".", 1)[-1], default)
     _check(type(value) in (int, float) and ok(value), f"{name} must {need}, got {value!r}")
     return value
 
@@ -124,6 +125,7 @@ class Setup:
             grading = _number(graded, "mesh.graded.grading", None, lambda g: 0 < g < 1,
                               "lie in (0, 1)")
             levels = _integer(graded, "mesh.graded.levels", None, 0)
+            _check("corners" in graded, "mesh.graded.corners is required")
             m = mesh_mod.refine_corner_graded(m, graded["corners"], grading, levels)
         return m
 
@@ -166,8 +168,9 @@ class Setup:
         if kind == "analytic":
             top = len(coeff_mod.ANALYTIC_WAVENUMBERS)
             _check(n_modes <= top, f"family.n_modes must be at most {top}, got {n_modes!r}")
+            decay = _number(section, "family.decay", 0.5, lambda d: 0 < d <= 1, "lie in (0, 1]")
             return coeff_mod.analytic_family(
-                alpha, beta, self.domain, n_modes=n_modes, decay=section.get("decay", 0.5), fill=fill
+                alpha, beta, self.domain, n_modes=n_modes, decay=decay, fill=fill
             )
         if kind == "parametric":
             modes = [coeff_mod.trig_mode(k + 1, k % 2 + 1) for k in range(n_modes)]
@@ -291,9 +294,10 @@ def cmd_sweep(s: Setup, out_dir, hash_):
     sweep = s.cfg.get("sweep", {"axis": "epsilon", "values": [1e-1, 1e-2, 1e-3]})
     if sweep.get("axis", "epsilon") != "epsilon":
         raise ConfigError("only epsilon sweeps are supported")
-    values = sweep["values"]
-    _check(all(type(e) in (int, float) and 0 < e < 1 for e in values),
-           f"sweep values must lie in (0, 1), got {values!r}")
+    values = sweep.get("values")
+    _check(isinstance(values, list) and len(values) > 0
+           and all(type(e) in (int, float) and 0 < e < 1 for e in values),
+           f"sweep.values must be a non-empty list of numbers in (0, 1), got {values!r}")
     op, certs = s.operator, s.operator.certificates
     chain = (op.basis.nominal.shift, certs["alpha"], certs["beta_eff"], certs["f_dual_norm"])
     bundles = [certified_approximator(op.approximator.encoder_input, *chain, eps) for eps in values]

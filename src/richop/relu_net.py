@@ -12,8 +12,17 @@ without building it.
 
 Weights are float64 CSR. realize runs each layer through the kernel that
 scipy's `w @ y` dispatches to (`_sparsetools.csr_matvec`, `csr_matvecs`),
-without the dispatch: the kernel sums the same terms in the same order, so
-results are bit-identical to `w @ y`.
+without the dispatch, on a kernel form of the net built on first use: every
+nonzero bias b_i is appended as the last stored entry of row i, at one extra
+input column that reads a constant 1, and every layer but the last gets one
+extra row that carries the 1 through its ReLU. The input gets the 1
+appended, and each layer is np.zeros, the kernel call and an in-place ReLU.
+This is bit-identical to `w @ y` followed by `+= b`:
+- the kernel sums each row from the output's initial +0 over the row's
+  stored entries in order, so appending b_i * 1 as the last term gives
+  exactly (sum) + b_i;
+- a sum that starts at +0 is never -0, so a row with b_i = 0 (of either
+  sign) needs no entry: sum + 0.0 is bitwise the sum.
 """
 
 from __future__ import annotations
@@ -94,14 +103,63 @@ class NeuralNet:
     def size(self) -> int:
         return sum(w + b for w, b in _layer_counts(self))
 
+    @cached_property
+    def _kernel(self) -> list:
+        """(rows, cols, indptr, indices, data) of each layer in kernel form.
+
+        Row i is w's row i followed by (cols - 1, b_i) when b_i != 0; every
+        layer but the last has one more row, (cols - 1, 1.0), so that its
+        output ends in the 1 the next layer's bias column reads.
+        """
+        last = len(self.layers) - 1
+        return [_bias_folded(w, b, carry=ell != last) for ell, (w, b) in enumerate(self.layers)]
+
+
+def _bias_folded(w: sp.csr_matrix, b: np.ndarray, carry: bool) -> tuple:
+    """Kernel arrays of [w b] (of [w b; 0 1] when carry) for an input ending in 1."""
+    indptr, one = w.indptr, w.shape[1]
+    if carry:  # one more row, empty, whose bias 1 carries the constant
+        indptr, b = np.append(indptr, indptr[-1]), np.append(b, 1.0)
+    has = b != 0.0
+    folded = np.zeros_like(indptr)
+    np.cumsum(np.diff(indptr) + has, out=folded[1:])
+    tail = folded[1:][has] - 1  # the last slot of each row with a bias
+    kept = np.ones(folded[-1], dtype=bool)
+    kept[tail] = False
+    indices = np.full(folded[-1], one, dtype=w.indices.dtype)
+    indices[kept] = w.indices
+    data = np.empty(folded[-1])
+    data[kept] = w.data
+    data[tail] = b[has]
+    return len(b), one + 1, folded, indices, data
+
+
+def _forward(net: NeuralNet, y: np.ndarray) -> np.ndarray:
+    """net's output columns for input columns y whose last row is all ones (C-ordered)."""
+    last = len(net.layers) - 1
+    for ell, (rows, cols, indptr, indices, data) in enumerate(net._kernel):
+        out = np.zeros((rows,) + y.shape[1:])
+        if y.ndim == 1:
+            _sparsetools.csr_matvec(rows, cols, indptr, indices, data, y, out)
+        else:
+            _sparsetools.csr_matvecs(rows, cols, y.shape[1], indptr, indices, data, y, out)
+        if ell != last:
+            np.maximum(out, 0.0, out=out)
+        y = out
+    return y
+
 
 def realize(net: NeuralNet, x: np.ndarray) -> np.ndarray:
     """Exact forward evaluation of a single input (1-D) or a batch (rows).
 
     Activations are carried as columns: a vector for a single input, a
-    C-ordered (width, batch) block for a batch. Each layer calls csr_matvec
-    or csr_matvecs directly; like `w @ y`, they sum each output from zero
-    over the row's stored entries in order, so the result is bit-identical.
+    C-ordered (width + 1, batch) block for a batch, whose last row is the
+    constant 1 that the kernel form's bias column reads. Each layer is one
+    csr_matvec or csr_matvecs call on the kernel form and an in-place ReLU.
+    The kernel sums each output from +0 over the row's stored entries in
+    order and the bias is the last of them, so the result is bit-identical
+    to `w @ y` followed by `+= b` (see the module docstring). The result is
+    a fresh array.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != net.n_inputs:
@@ -109,19 +167,9 @@ def realize(net: NeuralNet, x: np.ndarray) -> np.ndarray:
             f"expected input of width {net.n_inputs} with 1 or 2 dimensions, "
             f"got shape {x.shape}"
         )
-    y = np.ascontiguousarray(x.T)
-    last = len(net.layers) - 1
-    for ell, (w, b) in enumerate(net.layers):
-        out = np.zeros((len(b),) + y.shape[1:])
-        if y.ndim == 1:
-            _sparsetools.csr_matvec(*w.shape, w.indptr, w.indices, w.data, y, out)
-        else:
-            _sparsetools.csr_matvecs(*w.shape, y.shape[1], w.indptr, w.indices, w.data, y, out)
-        out += b if y.ndim == 1 else b[:, None]
-        if ell != last:
-            np.maximum(out, 0.0, out=out)
-        y = out
-    return y.T
+    y = np.ones((net.n_inputs + 1,) + x.shape[:-1])
+    y[:-1] = x.T
+    return _forward(net, y).T
 
 
 def affine_net(weights, bias) -> NeuralNet:
@@ -315,11 +363,16 @@ def input_net(basis: ReducedBasis, encoder: Encoder) -> NeuralNet:
     channel k, one slice of the block of all M channels (the encoder's cached
     channel matrix at the quadrature points), solved with basis.nominal's factor,
     so it matches assemble_reduced of the reconstruction up to solve reassociation.
+    All M N right-hand sides go to one solve, columns k N ... k N + N - 1
+    holding B_k.
     """
-    chol, alpha = basis.nominal.chol, basis.config.alpha
+    chol, alpha, n = basis.nominal.chol, basis.config.alpha, basis.size
     modes = reduced_stiffness(basis, encoder.channel_matrix(quadrature_points(basis.space)))
-    cols = [-la.cho_solve(chol, b, check_finite=False).flatten(order="F") / alpha for b in modes]
-    return affine_net(np.column_stack(cols), np.eye(basis.size).flatten(order="F"))
+    rhs = modes.transpose(1, 0, 2).reshape(n, len(modes) * n)
+    solved = la.cho_solve(chol, rhs, check_finite=False)
+    # row k of solved^T reshaped to (M, N^2) is the F-order flattening of solved block k
+    weights = -solved.T.reshape(len(modes), n * n).T / alpha
+    return affine_net(weights, np.eye(n).flatten(order="F"))
 
 
 def interval_matrix_bound(encoder_input: NeuralNet, alpha: float, beta: float) -> float:
@@ -379,15 +432,21 @@ class ApproximatorBundle:
     def realize(self, y: np.ndarray) -> np.ndarray:
         """Iterate from e1: x <- step(vec(A), x) with vec(A) the input net's output.
 
-        Equal bit for bit to realize(self.net, y): every first-layer row of
-        the step net has at most two terms, so its splice sums the same ones.
+        The step net reads one block of columns [vec(A), x, 1], kept across
+        the steps: each step's output is written into its x rows. Equal bit
+        for bit to realize(self.net, y): every first-layer row of the step
+        net has at most two terms, so its splice sums the same ones.
         """
-        flat = realize(self.encoder_input, y)
-        state = np.zeros(flat.shape[:-1] + (self.step.n_outputs,))
-        state[..., 0] = 1.0
+        flat = realize(self.encoder_input, y).T
+        n_mat, n = len(flat), self.step.n_outputs
+        columns = np.ones((n_mat + n + 1,) + flat.shape[1:])
+        columns[:n_mat] = flat
+        state = np.zeros((n,) + flat.shape[1:])
+        state[0] = 1.0
         for _ in range(self.k_steps):
-            state = realize(self.step, np.concatenate([flat, state], axis=-1))
-        return state
+            columns[n_mat:-1] = state
+            state = _forward(self.step, columns)
+        return state.T
 
     @cached_property
     def net(self) -> NeuralNet:

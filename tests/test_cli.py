@@ -81,6 +81,12 @@ def test_invalid_beta_exits_one(tmp_path):
         ("snapshots", "family", {"kind": "sobolev_ball", "coeff_h": 0}),
         ("build", "mesh", {"h": 5.0}),
         ("build", "problem", {"normalize_source": "no"}),
+        ("build", "family", {"decay": "0.5"}),
+        ("build", "family", {"decay": -1.0}),
+        ("build", "family", {"decay": 1.5}),
+        ("build", "mesh", {"graded": {"grading": 0.5, "levels": 1}}),
+        ("sweep", "sweep", {"axis": "epsilon"}),
+        ("sweep", "sweep", {"values": []}),
     ],
     ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree", "sweep_epsilon",
          "family_fill", "family_n_modes", "analytic_n_modes_above_eight", "family_n_modes_fraction",
@@ -90,7 +96,9 @@ def test_invalid_beta_exits_one(tmp_path):
          "eval_test_count_zero", "run_test_count_zero", "decompose_test_count_negative",
          "mc_count_zero", "mc_count_fraction", "training_count_string", "n_basis_negative",
          "graded_levels_fraction", "graded_levels_negative", "graded_grading_above_one",
-         "sobolev_coeff_h_zero", "mesh_h_leaves_no_free_dof", "normalize_source_string"],
+         "sobolev_coeff_h_zero", "mesh_h_leaves_no_free_dof", "normalize_source_string",
+         "decay_string", "decay_negative", "decay_above_one", "graded_without_corners",
+         "sweep_without_values", "sweep_values_empty"],
 )
 def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, values):
     cfg = json.load(open(CONFIG))
@@ -99,6 +107,16 @@ def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, values
     bad.write_text(json.dumps(cfg))
     assert cli.main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert f"config error: {section}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["3", 2.5, -1], ids=["string", "fraction", "negative"])
+def test_bad_config_seed_exits_one(tmp_path, capsys, seed):
+    cfg = json.load(open(CONFIG))
+    cfg["seed"] = seed
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert cli.main(["mesh", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: seed" in capsys.readouterr().err
 
 
 def test_missing_config_exits_one(tmp_path):

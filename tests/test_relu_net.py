@@ -64,7 +64,10 @@ def kernel_layers(rng):
 
     Integer-valued weights in int64; CSR with unsorted indices and duplicate
     entries whose values span 16 decades, so any reordering of a row's sum
-    changes its bits; and an empty row, whose output is its bias alone.
+    changes its bits; an empty row, whose output is its bias alone; and in
+    the last layer two rows whose two terms cancel exactly, one with bias
+    +0.0 and one with bias -0.0, whose outputs are +0 as with `w @ y` and
+    `+= b`.
     """
     ints = sp.csr_matrix(rng.integers(-3, 4, (7, 5)) * (rng.random((7, 5)) < 0.6))
     cols = np.array([4, 0, 4, 2, 6, 1, 1, 5, 3, 3, 0, 6])
@@ -72,11 +75,17 @@ def kernel_layers(rng):
     vals = rng.standard_normal(len(cols)) * 10.0 ** rng.uniform(-8, 8, len(cols))
     messy = sp.csr_matrix((vals, cols, indptr), shape=(4, 7))
     assert not messy.has_sorted_indices and not messy.has_canonical_format
-    last = sp.csr_matrix(rng.standard_normal((3, 4)))
+    v = rng.standard_normal(2)
+    dense = rng.standard_normal((3, 4))
+    last = sp.csr_matrix((
+        np.concatenate([dense.ravel(), [v[0], -v[0], v[1], -v[1]]]),
+        np.concatenate([np.tile(np.arange(4), 3), [0, 0, 1, 1]]),
+        np.array([0, 4, 8, 12, 14, 16]),
+    ), shape=(5, 4))
     return [
         (ints, rng.standard_normal(7)),
         (messy, rng.standard_normal(4)),
-        (last, rng.standard_normal(3)),
+        (last, np.concatenate([rng.standard_normal(3), [0.0, -0.0]])),
     ]
 
 
@@ -139,6 +148,26 @@ class TestRealize:
         want = matmul_realize(layers, x)
         assert got.shape == want.shape == x.shape[:-1] + (net.n_outputs,)
         assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if kind == "mixed":
+            # the cancelling rows: exact +0 whatever the sign of their zero bias
+            assert np.all(got[..., 3:] == 0.0) and not np.any(np.signbit(got[..., 3:]))
+
+    def test_result_is_fresh(self, rng):
+        net = NN.NeuralNet(kernel_layers(rng))
+        for x in (rng.standard_normal(net.n_inputs), rng.standard_normal((4, net.n_inputs))):
+            kept = x.copy()
+            first = NN.realize(net, x)
+            want = first.copy()
+            first[...] = np.nan
+            assert np.array_equal(NN.realize(net, x), want)
+            assert np.array_equal(x, kept)
+
+    def test_kernel_form_built_on_first_realize(self, rng):
+        net = NN.NeuralNet(kernel_layers(rng))
+        assert "_kernel" not in net.__dict__
+        NN.realize(net, rng.standard_normal(net.n_inputs))
+        assert "_kernel" in net.__dict__
 
     def test_weights_stored_as_float64_csr(self, rng):
         for w, _ in NN.NeuralNet(kernel_layers(rng)).layers:
@@ -606,6 +635,39 @@ class TestApproximator:
             assert np.array_equal(app.realize(ys), NN.realize(app.net, ys))
             for y in ys[:3]:
                 assert np.array_equal(app.realize(y), NN.realize(app.net, y))
+
+    def test_batch_equals_unrolled_net_bitwise(self, bundle, lab, family):
+        enc = lab["encoder"]
+        ys = np.stack([enc.encode(a) for a in C.sample_family(family, 16, 11)])
+        got, want = bundle.realize(ys), NN.realize(bundle.net, ys)
+        assert got.shape == want.shape == (16, bundle.step.n_outputs)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert all(np.array_equal(got[i], bundle.realize(y)) for i, y in enumerate(ys))
+
+    def test_result_is_fresh(self, bundle, lab, family):
+        enc = lab["encoder"]
+        ys = np.stack([enc.encode(a) for a in C.sample_family(family, 4, 13)])
+        for y in (ys[0], ys):
+            first = bundle.realize(y)
+            want = first.copy()
+            first[...] = np.nan
+            assert np.array_equal(bundle.realize(y), want)
+
+    def test_building_and_loading_build_no_kernel_form(self, lab, operator, tmp_path):
+        built = NN.build_approximator(
+            lab["basis"], lab["space"], lab["config"], lab["encoder"], 1e-2
+        )
+        assert "net" not in built.__dict__
+        direct = NN.certified_approximator(
+            built.encoder_input, lab["basis"].nominal.shift, lab["config"].alpha,
+            lab["config"].beta, lab["f_dual"], 1e-2,
+        )
+        P.save_bundle(operator, str(tmp_path))
+        loaded = P.load_bundle(str(tmp_path)).approximator
+        for app in (built, direct, loaded):
+            assert "_kernel" not in app.encoder_input.__dict__
+            assert "_kernel" not in app.step.__dict__
 
     def test_report_recount(self, bundle):
         assert bundle.report.depth == bundle.net.depth
