@@ -7,8 +7,9 @@ byte-identical apart from the timestamp header line.
 Exit codes: 1 config error (including a value the library would refuse),
 2 build failure (one of the library's own errors: OperatorBuildError,
 SolverError, MembershipError, MeshError, IllConditionedBasisError),
-3 certificate violation. Any other exception is a bug and propagates with
-its traceback.
+3 certificate violation, 4 a bug: any other exception. main lets a bug
+propagate; the console entry (the richop script, python -m richop.cli)
+prints its traceback and exits 4.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +36,7 @@ from .encoder import build_gll_encoder, build_nodal_encoder
 from .mesh import quad_split
 from .relu_net import certified_approximator
 
-__all__ = ["main", "load_config", "ConfigError"]
+__all__ = ["main", "console", "load_config", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -381,7 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        seed = cfg.get("seed", 0) if args.seed is None else _integer(vars(args), "seed", None, 0)
         os.makedirs(args.out, exist_ok=True)
         _COMMANDS[args.command](Setup(cfg, seed), args.out, config_hash(cfg))
     except ConfigError as exc:
@@ -396,5 +398,14 @@ def main(argv=None) -> int:
     return 0
 
 
+def console(argv=None) -> int:
+    """main for the console: a bug prints its traceback and exits 4."""
+    try:
+        return main(argv)
+    except Exception:
+        traceback.print_exc()
+        return 4
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

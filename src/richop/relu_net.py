@@ -16,17 +16,27 @@ without the dispatch, on a kernel form of the net built on first use: every
 nonzero bias b_i is appended as the last stored entry of row i, at one extra
 input column that reads a constant 1, and every layer but the last gets one
 extra row that carries the 1 through its ReLU. The input gets the 1
-appended, and each layer is np.zeros, the kernel call and an in-place ReLU.
-This is bit-identical to `w @ y` followed by `+= b`:
+appended, and each layer is the kernel call into a zeroed output and an
+in-place ReLU. This is bit-identical to `w @ y` followed by `+= b`:
 - the kernel sums each row from the output's initial +0 over the row's
   stored entries in order, so appending b_i * 1 as the last term gives
   exactly (sum) + b_i;
 - a sum that starts at +0 is never -0, so a row with b_i = 0 (of either
   sign) needs no entry: sum + 0.0 is bitwise the sum.
+
+realize gives each layer a fresh np.zeros output. The recurrent
+ApproximatorBundle.realize allocates one zeroed workspace per call instead:
+the input net's input [y, 1] and hidden layers, the step's column block
+[vec(A), x, 1], into which the input net's last layer writes vec(A) in
+place, and every step-net layer's output, back to back. Each step zeroes
+the step-net region once, writes each layer into its slice, and copies the
+last one into the x rows. Each output still starts from +0, so the result
+is bit for bit the same.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -134,11 +144,28 @@ def _bias_folded(w: sp.csr_matrix, b: np.ndarray, carry: bool) -> tuple:
     return len(b), one + 1, folded, indices, data
 
 
-def _forward(net: NeuralNet, y: np.ndarray) -> np.ndarray:
-    """net's output columns for input columns y whose last row is all ones (C-ordered)."""
-    last = len(net.layers) - 1
+def _checked(net: NeuralNet, x) -> np.ndarray:
+    """x as float, after checking it is one input (1-D) or a batch (rows) of net's width."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != net.n_inputs:
+        raise ValueError(
+            f"expected input of width {net.n_inputs} with 1 or 2 dimensions, "
+            f"got shape {x.shape}"
+        )
+    return x
+
+
+def _forward(net: NeuralNet, y: np.ndarray, outs) -> np.ndarray:
+    """net's output columns for input columns y whose last row is all ones.
+
+    Layer ell writes into the ell-th of outs, which must be zeroed and
+    C-ordered, (rows,) or (rows, batch) as y is; the last one is returned.
+    outs is drawn with next rather than zipped: zip's cached result tuple
+    would keep the first output alive to the end.
+    """
+    last, outs = len(net.layers) - 1, iter(outs)
     for ell, (rows, cols, indptr, indices, data) in enumerate(net._kernel):
-        out = np.zeros((rows,) + y.shape[1:])
+        out = next(outs)
         if y.ndim == 1:
             _sparsetools.csr_matvec(rows, cols, indptr, indices, data, y, out)
         else:
@@ -155,21 +182,18 @@ def realize(net: NeuralNet, x: np.ndarray) -> np.ndarray:
     Activations are carried as columns: a vector for a single input, a
     C-ordered (width + 1, batch) block for a batch, whose last row is the
     constant 1 that the kernel form's bias column reads. Each layer is one
-    csr_matvec or csr_matvecs call on the kernel form and an in-place ReLU.
+    csr_matvec or csr_matvecs call on the kernel form into a fresh np.zeros
+    output, allocated as the layer is reached, and an in-place ReLU.
     The kernel sums each output from +0 over the row's stored entries in
     order and the bias is the last of them, so the result is bit-identical
     to `w @ y` followed by `+= b` (see the module docstring). The result is
     a fresh array.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != net.n_inputs:
-        raise ValueError(
-            f"expected input of width {net.n_inputs} with 1 or 2 dimensions, "
-            f"got shape {x.shape}"
-        )
+    x = _checked(net, x)
     y = np.ones((net.n_inputs + 1,) + x.shape[:-1])
     y[:-1] = x.T
-    return _forward(net, y).T
+    outs = (np.zeros((layer[0],) + x.shape[:-1]) for layer in net._kernel)
+    return _forward(net, y, outs).T
 
 
 def affine_net(weights, bias) -> NeuralNet:
@@ -432,21 +456,36 @@ class ApproximatorBundle:
     def realize(self, y: np.ndarray) -> np.ndarray:
         """Iterate from e1: x <- step(vec(A), x) with vec(A) the input net's output.
 
-        The step net reads one block of columns [vec(A), x, 1], kept across
-        the steps: each step's output is written into its x rows. Equal bit
-        for bit to realize(self.net, y): every first-layer row of the step
-        net has at most two terms, so its splice sums the same ones.
+        One np.zeros workspace per call holds, back to back: the input
+        net's input [y, 1] and hidden-layer outputs; the step's column block
+        [vec(A), x, 1], whose vec(A) rows the input net's last layer writes
+        in place; and each step-net layer's output. Each step zeroes the
+        step-net region once, runs every layer into its own slice and copies
+        the last into the x rows. Nothing is kept between calls, and the
+        result is a fresh array. Equal bit for bit to realize(self.net, y):
+        every output starts from +0 as with np.zeros, and every first-layer
+        row of the step net has at most two terms, so its splice sums the
+        same ones.
         """
-        flat = realize(self.encoder_input, y).T
-        n_mat, n = len(flat), self.step.n_outputs
-        columns = np.ones((n_mat + n + 1,) + flat.shape[1:])
-        columns[:n_mat] = flat
-        state = np.zeros((n,) + flat.shape[1:])
+        y = _checked(self.encoder_input, y)
+        inputs, step, depth = self.encoder_input, self.step, self.encoder_input.depth
+        sizes = [inputs.n_inputs + 1] + [layer[0] for layer in inputs._kernel[:-1]]
+        sizes += [step.n_inputs + 1] + [layer[0] for layer in step._kernel]
+        ends = list(itertools.accumulate(sizes))
+        work = np.zeros((ends[-1],) + y.shape[:-1])
+        regions = [work[a:b] for a, b in zip([0] + ends, ends)]
+        source, hidden = regions[0], regions[1:depth]
+        columns, layers = regions[depth], regions[depth + 1:]
+        source[:-1] = y.T
+        source[-1] = 1.0
+        _forward(inputs, source, hidden + [columns[:inputs.n_outputs]])
+        columns[-1] = 1.0
+        state = columns[inputs.n_outputs:-1]
         state[0] = 1.0
         for _ in range(self.k_steps):
-            columns[n_mat:-1] = state
-            state = _forward(self.step, columns)
-        return state.T
+            work[ends[depth]:].fill(0.0)
+            state[...] = _forward(step, columns, layers)
+        return state.copy().T
 
     @cached_property
     def net(self) -> NeuralNet:

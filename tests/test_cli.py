@@ -119,6 +119,13 @@ def test_bad_config_seed_exits_one(tmp_path, capsys, seed):
     assert "config error: seed" in capsys.readouterr().err
 
 
+def test_bad_seed_flag_exits_one(tmp_path, capsys):
+    # the flag is checked like the config's seed, before any stage draws from it
+    out = str(tmp_path / "o")
+    assert cli.main(["snapshots", "--config", CONFIG, "--out", out, "--seed", "-1"]) == 1
+    assert "config error: seed" in capsys.readouterr().err
+
+
 def test_missing_config_exits_one(tmp_path):
     assert cli.main(["run", "--config", "/nonexistent.json", "--out", str(tmp_path)]) == 1
 
@@ -138,6 +145,17 @@ def test_bug_is_not_reported_as_build_failure(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "mesh", broken)
     with pytest.raises(TypeError, match="a bug"):
         cli.main(["mesh", "--config", CONFIG, "--out", str(tmp_path)])
+
+
+def test_console_prints_a_bug_and_exits_four(tmp_path, capsys, monkeypatch):
+    def broken(s, out_dir, hash_):
+        raise TypeError("a bug, not a refused build")
+
+    monkeypatch.setitem(cli._COMMANDS, "mesh", broken)
+    assert cli.console(["mesh", "--config", CONFIG, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "TypeError: a bug, not a refused build" in err
+    assert cli.console(["mesh", "--config", "/nonexistent.json", "--out", str(tmp_path)]) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from richop import pipeline as P
 from richop import relu_net as NN
 from richop import richardson as R
 from richop import reduced_basis as RB
+from scipy.sparse import _sparsetools
 
 
 PRODUCT_NET_DIGEST = "e386c8f4b50662f0da4350eff2769aba7af470ea8a66cd961ba0d8df663eca49"
@@ -57,6 +60,31 @@ def matmul_realize(layers, x):
         if ell != len(layers) - 1:
             np.maximum(y, 0.0, out=y)
     return y.T
+
+
+def kernel_forward(net, y):
+    """Reference layer loop on columns y ending in ones: np.zeros, the kernel, ReLU."""
+    for ell, (rows, cols, indptr, indices, data) in enumerate(net._kernel):
+        out = np.zeros((rows,) + y.shape[1:])
+        if y.ndim == 1:
+            _sparsetools.csr_matvec(rows, cols, indptr, indices, data, y, out)
+        else:
+            _sparsetools.csr_matvecs(rows, cols, y.shape[1], indptr, indices, data, y, out)
+        if ell != net.depth - 1:
+            np.maximum(out, 0.0, out=out)
+        y = out
+    return y
+
+
+def recurrent_reference(app, ys):
+    """The recurrent loop with a fresh array per layer and a new [vec(A), x, 1] per step."""
+    ones = np.ones((1,) + ys.shape[:-1])
+    flat = kernel_forward(app.encoder_input, np.concatenate([ys.T, ones]))
+    state = np.zeros((app.step.n_outputs,) + ys.shape[:-1])
+    state[0] = 1.0
+    for _ in range(app.k_steps):
+        state = kernel_forward(app.step, np.concatenate([flat, state, ones]))
+    return state.T
 
 
 def kernel_layers(rng):
@@ -594,6 +622,19 @@ def bundle(lab):
     )
 
 
+@pytest.fixture(scope="module")
+def approximators(bundle, lab, square):
+    """(approximator, encoder) by kind; nonsmooth_operator's input net has depth 3."""
+    basis, space, config, nodal = lab["basis"], lab["space"], lab["config"], lab["encoder"]
+    gll = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
+    op = P.NeuralOperator(nodal, bundle, basis, space, config, "ortho", {})
+    return {
+        "nodal": (bundle, nodal),
+        "gll": (NN.build_approximator(basis, space, config, gll, 1e-2), gll),
+        "nonsmooth": (P.nonsmooth_operator(op, 0.6).approximator, nodal),
+    }
+
+
 class TestApproximator:
     def test_certificate_against_exact_iterate(self, bundle, lab, family):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
@@ -615,21 +656,11 @@ class TestApproximator:
             err = F.energy_norm(space, config, u_net - u_ref)
             assert err <= bundle.report.tolerance
 
-    def test_recurrent_mode_matches_unrolled(self, bundle, lab, family, square):
+    def test_recurrent_mode_matches_unrolled(self, approximators, family):
         # exact by construction: every first-layer row of the step net has at
         # most two terms, so the unrolled net's splices sum the same floats
-        basis, space, config, nodal = (
-            lab["basis"],
-            lab["space"],
-            lab["config"],
-            lab["encoder"],
-        )
-        gll = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
-        gll_bundle = NN.build_approximator(basis, space, config, gll, 1e-2)
-        op = P.NeuralOperator(nodal, bundle, basis, space, config, "ortho", {})
-        wrapped = P.nonsmooth_operator(op, 0.6).approximator
         members = C.sample_family(family, 8, 5)
-        for app, enc in ((bundle, nodal), (gll_bundle, gll), (wrapped, nodal)):
+        for app, enc in approximators.values():
             ys = np.stack([enc.encode(a) for a in members])
             ys = np.vstack([ys, 0.75 - ys])
             assert np.array_equal(app.realize(ys), NN.realize(app.net, ys))
@@ -668,6 +699,55 @@ class TestApproximator:
         for app in (built, direct, loaded):
             assert "_kernel" not in app.encoder_input.__dict__
             assert "_kernel" not in app.step.__dict__
+
+    @pytest.mark.parametrize("kind", ["nodal", "gll", "nonsmooth"])
+    def test_workspace_equals_fresh_array_loop_bitwise(self, approximators, family, kind):
+        app, enc = approximators[kind]
+        assert app.encoder_input.depth == (3 if kind == "nonsmooth" else 1)
+        ys = np.stack([enc.encode(a) for a in C.sample_family(family, 6, 17)])
+        ys = np.vstack([ys, 0.75 - ys])
+        for y in (ys, ys[:1], ys[0], ys[-1]):
+            got, want = app.realize(y), recurrent_reference(app, y)
+            assert got.shape == want.shape == y.shape[:-1] + (app.step.n_outputs,)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_concurrent_calls_equal_serial_bitwise(self, approximators, family):
+        app, enc = approximators["nodal"]
+        ys = np.stack([enc.encode(a) for a in C.sample_family(family, 4, 19)])
+        inputs = [ys[0], ys, ys[3], 0.75 - ys[:2]]
+        want = [app.realize(y) for y in inputs]
+        got = [[] for _ in inputs]
+        start = threading.Barrier(len(inputs))
+
+        def work(i):
+            start.wait(timeout=30)
+            got[i].extend(app.realize(inputs[i]) for _ in range(40))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for outs, w in zip(got, want):
+            assert len(outs) == 40 and all(np.array_equal(o, w) for o in outs)
+
+    def test_realize_keeps_nothing_but_the_kernel_form(self, approximators, family):
+        for app, enc in approximators.values():
+            nets = (app.encoder_input, app.step)
+            before = set(vars(app)), [set(vars(net)) for net in nets]
+            ys = np.stack([enc.encode(a) for a in C.sample_family(family, 3, 23)])
+            app.realize(ys)
+            app.realize(ys[0])
+            assert set(vars(app)) == before[0]
+            for net, keys in zip(nets, before[1]):
+                assert set(vars(net)) - keys <= {"_kernel"}
 
     def test_report_recount(self, bundle):
         assert bundle.report.depth == bundle.net.depth
