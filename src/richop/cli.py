@@ -4,7 +4,8 @@ Consumes a single JSON config and emits deterministic CSV tables: every row
 carries the config hash, and repeated runs with the same config and seed are
 byte-identical apart from the timestamp header line.
 
-Exit codes: 1 config error (including a value the library would refuse),
+Exit codes: 1 config error (including a value the library would refuse
+and a usage error such as an unknown command or a missing --config),
 2 build failure (one of the library's own errors: OperatorBuildError,
 SolverError, MembershipError, MeshError, IllConditionedBasisError),
 3 certificate violation, 4 a bug: any other exception. main lets a bug
@@ -335,18 +336,15 @@ def cmd_decompose(s: Setup, out_dir, hash_):
 def cmd_run(s: Setup, out_dir, hash_):
     """Full pipeline: build, contraction and convergence tables, certificates."""
     op = s.operator
-    systems = [
-        rich_mod.assemble_reduced(op.basis, a)
-        for a in s.test_coefficients("test_count", 10, 1)
-    ]
+    coefficients = s.test_coefficients("test_count", 10, 1)
+    matrices = [rich_mod.iteration_matrix(op.basis, a) for a in coefficients]
     bound = s.problem.beta / s.problem.alpha
-    rows = ((j, rich_mod.contraction_norm(sys_a), bound) for j, sys_a in enumerate(systems))
+    rows = ((j, float(np.linalg.norm(a, 2)), bound) for j, a in enumerate(matrices))
     _write_csv(out_dir, "contraction.csv", ["index", "contraction_norm", "bound"], rows, hash_)
-    sys_a = systems[0]
-    c_star = rich_mod.direct_solve(sys_a)
+    c_star = rich_mod.direct_solve(op.basis, coefficients[0])
     rows = (
-        (k, float(np.linalg.norm(c)), rich_mod.reduced_energy_error(sys_a, c, c_star))
-        for k, c in enumerate(rich_mod.iterate(sys_a, 30).trajectory)
+        (k, float(np.linalg.norm(c)), rich_mod.reduced_energy_error(op.basis, c, c_star))
+        for k, c in enumerate(rich_mod.iterate(op.basis, matrices[0], 30))
     )
     _write_csv(out_dir, "convergence.csv", ["k", "ell2_norm", "energy_error_vs_direct"], rows, hash_)
     pipe_mod.save_bundle(op, os.path.join(out_dir, "bundle"))
@@ -374,14 +372,21 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (unknown command, missing --config) is a config error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="richop", description=__doc__)
+    parser = _Parser(prog="richop", description=__doc__)
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default="out", help="artifact directory")
     parser.add_argument("--seed", type=int, default=None, help="overrides config seed")
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config)
         seed = cfg.get("seed", 0) if args.seed is None else _integer(vars(args), "seed", None, 0)
         os.makedirs(args.out, exist_ok=True)

@@ -405,14 +405,8 @@ def _bisect_conforming(mesh: Mesh, marked: np.ndarray) -> Mesh:
         c = [v for v in t if v not in edge_key][0]
         m = mid(a, b)
         remove(i)
-        insert((c, a, m) if _ccw(nodes, c, a, m) else (c, m, a))
-        insert((c, m, b) if _ccw(nodes, c, m, b) else (c, b, m))
-
-    def _ccw(nds, i0, i1, i2):
-        p0, p1, p2 = nds[i0], nds[i1], nds[i2]
-        return (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (
-            p2[0] - p0[0]
-        ) > 0
+        insert((c, a, m))  # _build_mesh orients both halves counter-clockwise
+        insert((c, m, b))
 
     def refine(i, depth=0):
         if depth > 200:

@@ -49,7 +49,7 @@ from .relu_net import (
     net_to_doc,
     sparse_concat,
 )
-from .richardson import direct_solves
+from .richardson import direct_solve
 
 __all__ = [
     "NeuralOperator",
@@ -188,7 +188,7 @@ def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
 
 def _reduced_solutions(op: NeuralOperator, block) -> list:
     """Synthesized dense reduced Galerkin solution of each column of quadrature-point samples."""
-    return [synthesize(op.basis, c, frame="ortho") for c in direct_solves(op.basis, block)]
+    return [synthesize(op.basis, c, frame="ortho") for c in direct_solve(op.basis, block)]
 
 
 def network_solutions(op: NeuralOperator, coefficients) -> tuple[list, list]:
@@ -205,7 +205,8 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
     Terms: (I) fine solution vs dense reduced solve, (II) reduced solves of
     the coefficient and of its reconstruction, (III) reduced solve of the
     reconstruction vs the synthesized network output. The coefficients'
-    samples are one direct_solves block; network_solutions gives the rest.
+    samples are one richardson.direct_solve block; network_solutions gives
+    the rest.
     """
     space, config, points = op.space, op.config, quadrature_points(op.space)
     coefficients = list(test_coefficients)

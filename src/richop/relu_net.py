@@ -386,9 +386,9 @@ def input_net(basis: ReducedBasis, encoder: Encoder) -> NeuralNet:
     Column k is -(alpha B0)^{-1} B_k in F order: B_k is reduced_stiffness of
     channel k, one slice of the block of all M channels (the encoder's cached
     channel matrix at the quadrature points), solved with basis.nominal's factor,
-    so it matches assemble_reduced of the reconstruction up to solve reassociation.
-    All M N right-hand sides go to one solve, columns k N ... k N + N - 1
-    holding B_k.
+    so it matches richardson.iteration_matrix of the reconstruction up to solve
+    reassociation. All M N right-hand sides go to one solve, columns
+    k N ... k N + N - 1 holding B_k.
     """
     chol, alpha, n = basis.nominal.chol, basis.config.alpha, basis.size
     modes = reduced_stiffness(basis, encoder.channel_matrix(quadrature_points(basis.space)))

@@ -67,8 +67,8 @@ def test_criterion_01_contraction_bound(lab):
     assert basis.size == 11
     worst = 0.0
     for a in C.sample_family(lab["family"], 20, 101):
-        sys_a = R.assemble_reduced(basis, a)
-        worst = max(worst, R.contraction_norm(sys_a))
+        mat_a = R.iteration_matrix(basis, a)
+        worst = max(worst, np.linalg.norm(mat_a, 2))
     elapsed = time.perf_counter() - t0
     _report(
         1,
@@ -85,16 +85,16 @@ def iteration_run(lab):
     probe = C.affine_combination(
         [C.constant(1.0), C.trig_mode(1, 0)], [1.0, 0.98 * BETA]
     )
-    sys_p = R.assemble_reduced(basis, probe)
-    c_star = R.direct_solve(sys_p)
-    state = R.iterate(sys_p, 30)
-    errs = [R.reduced_energy_error(sys_p, c, c_star) for c in state.trajectory]
-    return sys_p, state, errs
+    mat_p = R.iteration_matrix(basis, probe)
+    c_star = R.direct_solve(basis, probe)
+    iterates = R.iterate(basis, mat_p, 30)
+    errs = [R.reduced_energy_error(basis, c, c_star) for c in iterates]
+    return iterates, errs
 
 
 def test_criterion_02_geometric_convergence(lab, iteration_run):
     t0 = time.perf_counter()
-    _, state, errs = iteration_run
+    _, errs = iteration_run
     ratio_bound = BETA / ALPHA + 1e-8
     ratios_ok = all(errs[k + 1] <= ratio_bound * errs[k] for k in range(30))
     f_dual = lab["f_dual"]
@@ -116,12 +116,12 @@ def test_criterion_03_coefficient_bound(lab, iteration_run):
     basis, space, config = lab["basis"], lab["space"], lab["config"]
     cap = ALPHA / (ALPHA - BETA)
     ok = True
-    _, state, _ = iteration_run
-    for k, nrm in enumerate(state.ell2_history):
+    iterates, _ = iteration_run
+    for k, nrm in enumerate(np.linalg.norm(c) for c in iterates):
         ok = ok and nrm <= (BETA / ALPHA) ** k + cap + 1e-8
     for a in C.sample_family(lab["family"], 10, 707):
-        sys_a = R.assemble_reduced(basis, a)
-        hist = R.iterate(sys_a, 30).ell2_history
+        mat_a = R.iteration_matrix(basis, a)
+        hist = [np.linalg.norm(c) for c in R.iterate(basis, mat_a, 30)]
         for k, nrm in enumerate(hist):
             ok = ok and nrm <= (BETA / ALPHA) ** k + cap + 1e-8
     _report(
@@ -134,11 +134,11 @@ def test_criterion_03_coefficient_bound(lab, iteration_run):
 
 def test_criterion_04_exact_one_step_fixed_point(lab):
     basis, space, config = lab["basis"], lab["space"], lab["config"]
-    sys0 = R.assemble_reduced(basis, config.scaled_nominal())
-    state = R.iterate(sys0, 1)
+    mat0 = R.iteration_matrix(basis, config.scaled_nominal())
+    iterates = R.iterate(basis, mat0, 1)
     e1 = np.zeros(basis.size)
     e1[0] = 1.0
-    dev = float(np.max(np.abs(state.coefficients - e1)))
+    dev = float(np.max(np.abs(iterates[-1] - e1)))
     _report(4, f"one-step fixed point |c1 - e1| = {dev:.2e} <= 1e-12", dev <= 1e-12)
 
 
@@ -154,10 +154,10 @@ def test_criterion_05_input_net_exactness(lab):
     for a in C.sample_family(lab["family"], 10, 55):
         y = enc.encode(a)
         recon = enc.reconstruct(y)
-        sys_r = R.assemble_reduced(basis, recon)
+        mat_r = R.iteration_matrix(basis, recon)
         out = NN.realize(net, y)
         worst = max(
-            worst, float(np.max(np.abs(out - sys_r.iteration_matrix.flatten(order="F"))))
+            worst, float(np.max(np.abs(out - mat_r.flatten(order="F"))))
         )
     n = basis.size
     size_ok = net.size <= n * n * enc.m + n * n
@@ -185,22 +185,22 @@ def test_criterion_06_network_certificates(lab, approximator, rng):
     for a in samples:
         y = enc.encode(a)
         recon = enc.reconstruct(y)
-        sys_r = R.assemble_reduced(basis, recon)
-        flat = sys_r.iteration_matrix.flatten(order="F")
+        mat_r = R.iteration_matrix(basis, recon)
+        flat = mat_r.flatten(order="F")
         # step certificate on an admissible state
         x = rng.standard_normal(basis.size)
         x *= rng.uniform(0.0, bundle.report.input_bound) / np.linalg.norm(x)
         step_out = NN.realize(bundle.step, np.concatenate([flat, x]))
         worst_step = max(
             worst_step,
-            float(np.linalg.norm(step_out - (sys_r.iteration_matrix @ x + sys_r.shift))),
+            float(np.linalg.norm(step_out - (mat_r @ x + basis.nominal.shift))),
         )
         # iterator certificate vs the exact unrolled iterate
-        exact = R.iterate(sys_r, bundle.k_steps).coefficients
+        exact = R.iterate(basis, mat_r, bundle.k_steps)[-1]
         c_net = bundle.realize(y)
         worst_it = max(worst_it, float(np.linalg.norm(c_net - exact)))
         # full approximator vs the dense reduced solve of the reconstruction
-        c_star = R.direct_solve(sys_r)
+        c_star = R.direct_solve(basis, recon)
         worst_app_l2 = max(worst_app_l2, float(np.linalg.norm(c_net - c_star)))
         u_net = RB.synthesize(basis, c_net, frame="ortho")
         u_ref = RB.synthesize(basis, c_star, frame="ortho")

@@ -46,13 +46,31 @@ def test_counted_arguments_are_parameters(bench):
         assert argument in inspect.signature(obj).parameters, name
 
 
-def test_workload_setup_and_swept_build(bench):
+@pytest.fixture(scope="module")
+def tiny(bench):
     _, workloads = bench
     cfg = workloads._variant(mesh={"h": 0.3}, encoder={"h": 0.5},
                              reduction={"training_count": 6, "n_basis": 3})
-    prob = workloads.setup(cfg, 1)
-    op = prob.op
+    return workloads.setup(cfg, 1)
+
+
+def test_workload_setup_and_swept_build(tiny):
+    op = tiny.op
     # the positional call of the benchmark's epsilon sweep
-    swept = richop.relu_net.build_approximator(op.basis, prob.space, prob.config, op.encoder,
+    swept = richop.relu_net.build_approximator(op.basis, tiny.space, tiny.config, op.encoder,
                                                1e-3, beta_eff=op.certificates["beta_eff"])
     assert swept.report.depth >= op.approximator.report.depth
+
+
+def test_verify_phase_counts_the_dense_reduced_solves(bench, tiny):
+    # the verify phase's dense reduced solves reach richardson.direct_solve_s
+    spans, _ = bench
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.root("verify"):
+            richop.pipeline.error_decomposition(
+                tiny.op, richop.coeff.sample_family(tiny.family, 1, 5))
+    finally:
+        tracer.uninstall()
+    assert tracer.total("richardson.direct_solve", 0) >= 1

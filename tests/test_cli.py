@@ -126,6 +126,26 @@ def test_bad_seed_flag_exits_one(tmp_path, capsys):
     assert "config error: seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["bogus", "--config", CONFIG], "invalid choice"),
+     (["mesh"], "the following arguments are required: --config")],
+    ids=["unknown_command", "no_config_flag"],
+)
+def test_usage_error_exits_one(tmp_path, capsys, argv, message):
+    # a mistyped command line is a config error, not the build-failure code 2
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0 and "usage: richop" in capsys.readouterr().out
+
+
 def test_missing_config_exits_one(tmp_path):
     assert cli.main(["run", "--config", "/nonexistent.json", "--out", str(tmp_path)]) == 1
 

@@ -395,41 +395,41 @@ class TestStepNet:
         eps = 1e-4
         z = 4.0
         a = C.sample_family(family, 1, 91)[0]
-        sys_a = R.assemble_reduced(basis, a)
-        net = NN.step_net(n, z, eps, sys_a.shift)
+        mat_a = R.iteration_matrix(basis, a)
+        net = NN.step_net(n, z, eps, basis.nominal.shift)
         for _ in range(5):
             x = rng.standard_normal(n)
             x *= rng.uniform(0.1, z) / np.linalg.norm(x)
             out = NN.realize(
-                net, np.concatenate([sys_a.iteration_matrix.flatten(order="F"), x])
+                net, np.concatenate([mat_a.flatten(order="F"), x])
             )
-            exact = sys_a.iteration_matrix @ x + sys_a.shift
+            exact = mat_a @ x + basis.nominal.shift
             assert np.linalg.norm(out - exact) <= eps
 
     def test_fixed_point_maps_to_itself(self, lab, family):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
         a = C.sample_family(family, 1, 17)[0]
-        sys_a = R.assemble_reduced(basis, a)
-        c_star = R.direct_solve(sys_a)
+        mat_a = R.iteration_matrix(basis, a)
+        c_star = R.direct_solve(basis, a)
         eps = 1e-5
-        net = NN.step_net(basis.size, 4.0, eps, sys_a.shift)
+        net = NN.step_net(basis.size, 4.0, eps, basis.nominal.shift)
         out = NN.realize(
-            net, np.concatenate([sys_a.iteration_matrix.flatten(order="F"), c_star])
+            net, np.concatenate([mat_a.flatten(order="F"), c_star])
         )
         assert np.linalg.norm(out - c_star) <= eps
 
     def test_nominal_zero_matrix_returns_shift(self, lab, rng):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
-        sys0 = R.assemble_reduced(basis, config.scaled_nominal())
+        mat0 = R.iteration_matrix(basis, config.scaled_nominal())
         n = basis.size
         eps = 1e-5
-        net = NN.step_net(n, 4.0, eps, sys0.shift)
+        net = NN.step_net(n, 4.0, eps, basis.nominal.shift)
         x = rng.standard_normal(n)
         x *= 3.0 / np.linalg.norm(x)
         out = NN.realize(
-            net, np.concatenate([sys0.iteration_matrix.flatten(order="F"), x])
+            net, np.concatenate([mat0.flatten(order="F"), x])
         )
-        assert np.linalg.norm(out - sys0.shift) <= eps
+        assert np.linalg.norm(out - basis.nominal.shift) <= eps
 
     def test_carry_passthrough(self, lab, rng):
         n = 3
@@ -492,10 +492,10 @@ class TestIteratorNet:
 
     def test_nominal_contracts_to_start(self, lab):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
-        sys0 = R.assemble_reduced(basis, config.scaled_nominal())
+        mat0 = R.iteration_matrix(basis, config.scaled_nominal())
         eps = 1e-5
-        bundle = iteration_bundle(basis.size, 3, eps, sys0.shift, 0.5)
-        flat = sys0.iteration_matrix.flatten(order="F")
+        bundle = iteration_bundle(basis.size, 3, eps, basis.nominal.shift, 0.5)
+        flat = mat0.flatten(order="F")
         e1 = np.zeros(basis.size)
         e1[0] = 1.0
         for out in (bundle.realize(flat), NN.realize(bundle.net, flat)):
@@ -506,12 +506,12 @@ class TestIteratorNet:
         eps = 1e-3
         k = R.choose_step_count(config.alpha, config.beta, lab["f_dual"], eps)
         for a in C.sample_family(family, 3, 37):
-            sys_a = R.assemble_reduced(basis, a)
+            mat_a = R.iteration_matrix(basis, a)
             bundle = iteration_bundle(
-                basis.size, k, eps, sys_a.shift, config.beta / config.alpha
+                basis.size, k, eps, basis.nominal.shift, config.beta / config.alpha
             )
-            flat = sys_a.iteration_matrix.flatten(order="F")
-            exact = R.iterate(sys_a, k).coefficients
+            flat = mat_a.flatten(order="F")
+            exact = R.iterate(basis, mat_a, k)[-1]
             assert np.linalg.norm(bundle.realize(flat) - exact) <= eps
             assert np.array_equal(NN.realize(bundle.net, flat), bundle.realize(flat))
 
@@ -551,10 +551,10 @@ class TestInputNet:
         for a in C.sample_family(family, 10, 53):
             y = enc.encode(a)
             recon = enc.reconstruct(y)
-            sys_r = R.assemble_reduced(basis, recon)
+            mat_r = R.iteration_matrix(basis, recon)
             out = NN.realize(net, y)
             assert np.max(
-                np.abs(out - sys_r.iteration_matrix.flatten(order="F"))
+                np.abs(out - mat_r.flatten(order="F"))
             ) <= 1e-12
 
     def test_exactly_affine(self, lab, rng):
@@ -641,8 +641,8 @@ class TestApproximator:
         for a in C.sample_family(family, 20, 3):
             y = lab["encoder"].encode(a)
             recon = lab["encoder"].reconstruct(y)
-            sys_r = R.assemble_reduced(basis, recon)
-            exact = R.iterate(sys_r, bundle.k_steps).coefficients
+            mat_r = R.iteration_matrix(basis, recon)
+            exact = R.iterate(basis, mat_r, bundle.k_steps)[-1]
             assert np.linalg.norm(bundle.realize(y) - exact) <= bundle.eps_iterator
 
     def test_energy_certificate_vs_dense_solve(self, bundle, lab, family):
@@ -650,9 +650,9 @@ class TestApproximator:
         for a in C.sample_family(family, 10, 4):
             y = lab["encoder"].encode(a)
             recon = lab["encoder"].reconstruct(y)
-            sys_r = R.assemble_reduced(basis, recon)
+            mat_r = R.iteration_matrix(basis, recon)
             u_net = RB.synthesize(basis, bundle.realize(y), "ortho")
-            u_ref = RB.synthesize(basis, R.direct_solve(sys_r), "ortho")
+            u_ref = RB.synthesize(basis, R.direct_solve(basis, recon), "ortho")
             err = F.energy_norm(space, config, u_net - u_ref)
             assert err <= bundle.report.tolerance
 
@@ -816,13 +816,13 @@ class TestApproximator:
         worst = 0.0
         samples = C.sample_family(family, 10, 6)
         for a in samples:
-            sys_a = R.assemble_reduced(basis, a)
-            flat = sys_a.iteration_matrix.flatten(order="F")
+            mat_a = R.iteration_matrix(basis, a)
+            flat = mat_a.flatten(order="F")
             for _ in range(20):
                 x = rng.standard_normal(basis.size)
                 x *= rng.uniform(0.0, bundle.report.input_bound) / np.linalg.norm(x)
                 out = NN.realize(step, np.concatenate([flat, x]))
-                exact = sys_a.iteration_matrix @ x + sys_a.shift
+                exact = mat_a @ x + basis.nominal.shift
                 worst = max(worst, float(np.linalg.norm(out - exact)))
         assert worst <= bundle.eps_step
 

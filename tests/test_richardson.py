@@ -23,15 +23,13 @@ def probe(config):
 
 class TestAssembleReduced:
     def test_nominal_in_ortho_frame_is_identity(self, basis, config):
-        sys0 = R.assemble_reduced(basis, config.a0)
-        assert np.max(np.abs(sys0.b_coeff - np.eye(basis.size))) < 1e-10
+        b0 = R.reduced_stiffness(basis, config.a0)
+        assert np.max(np.abs(b0 - np.eye(basis.size))) < 1e-10
 
-    def test_shift_is_first_unit_vector(self, basis, family):
-        a = C.sample_family(family, 1, 31)[0]
-        sys_a = R.assemble_reduced(basis, a)
+    def test_shift_is_first_unit_vector(self, basis):
         e1 = np.zeros(basis.size)
         e1[0] = 1.0
-        assert np.max(np.abs(sys_a.shift - e1)) < 1e-10
+        assert np.max(np.abs(basis.nominal.shift - e1)) < 1e-10
 
     def test_tiny_case_hand_quadrature(self, square):
         # double-refined two-triangle square, piecewise-constant coefficient,
@@ -44,9 +42,9 @@ class TestAssembleReduced:
         snaps = RB.generate_snapshots(fam, 4, 5, space, config)
         basis, _ = RB.weak_greedy(snaps, 1)
         assert basis.size == 2
-        sys_v = R.assemble_reduced(basis, v)
+        b_v = R.reduced_stiffness(basis, v)
         oracle = _hand_reduced_matrix(space, basis.ortho, v)
-        assert np.max(np.abs(sys_v.b_coeff - oracle)) < 1e-12
+        assert np.max(np.abs(b_v - oracle)) < 1e-12
 
     def test_spd_check(self, basis, config):
         broken = RB.ReducedBasis(
@@ -57,7 +55,7 @@ class TestAssembleReduced:
             basis.selection_indices,
         )
         with pytest.raises(RuntimeError):
-            R.assemble_reduced(broken, config.a0)
+            R.iteration_matrix(broken, config.a0)
 
     def test_broken_basis_is_a_library_error(self, basis, space, config, nodal_encoder):
         # every reader of the nominal form refuses a basis whose B0 is not SPD
@@ -69,7 +67,7 @@ class TestAssembleReduced:
             basis.selection_indices,
         )
         for read_form in (
-            lambda: R.assemble_reduced(broken, config.a0),
+            lambda: R.iteration_matrix(broken, config.a0),
             lambda: NN.input_net(broken, nodal_encoder),
             lambda: NN.build_approximator(broken, space, config, nodal_encoder, 1e-2),
         ):
@@ -77,7 +75,7 @@ class TestAssembleReduced:
                 read_form()
 
     def test_equals_the_formulas_bit_for_bit(self, basis, space, config, family):
-        # the cached nominal form leaves every array of the system unchanged
+        # the cached nominal form and the kernel give every array of the step unchanged
         p = basis.ortho
         b0 = p.T @ (basis.nominal_stiffness @ p)
         load = p.T @ F.assemble_load(space, config.f)
@@ -86,13 +84,12 @@ class TestAssembleReduced:
         for a in C.sample_family(family, 2, 37):
             b_v = p.T @ (F.assemble_stiffness(space, a) @ p)
             matrix = np.eye(len(load)) - la.cho_solve(chol, b_v) / config.alpha
-            sys_a = R.assemble_reduced(basis, a)
             for got, expected in (
-                (sys_a.b_nominal, b0),
-                (sys_a.b_coeff, b_v),
-                (sys_a.load, load),
-                (sys_a.iteration_matrix, matrix),
-                (sys_a.shift, shift),
+                (basis.nominal.b0, b0),
+                (R.reduced_stiffness(basis, a), b_v),
+                (basis.nominal.load, load),
+                (R.iteration_matrix(basis, a), matrix),
+                (basis.nominal.shift, shift),
             ):
                 assert np.array_equal(got, expected)
 
@@ -105,16 +102,17 @@ class TestAssembleReduced:
 
 
 class TestReducedStiffness:
-    def test_assemble_reduced_reads_the_kernel(self, basis, family, space):
+    def test_iteration_matrix_reads_the_kernel(self, basis, family, space, config):
         a = C.sample_family(family, 1, 71)[0]
         kernel = R.reduced_stiffness(basis, a)
         assert kernel.shape == (basis.size, basis.size)
-        assert np.array_equal(R.assemble_reduced(basis, a).b_coeff, kernel)
+        matrix = np.eye(basis.size) - la.cho_solve(basis.nominal.chol, kernel) / config.alpha
+        assert np.array_equal(R.iteration_matrix(basis, a), matrix)
         samples = a(F.quadrature_points(space))
         assert np.array_equal(R.reduced_stiffness(basis, samples), kernel)
-        # assemble_reduced flattens any samples array, so no shape of one reads as a block
+        # iteration_matrix flattens any samples array, so no shape of one reads as a block
         for shaped in (samples[:, None], samples.reshape(space.mesh.n_triangles, -1)):
-            assert np.array_equal(R.assemble_reduced(basis, shaped).b_coeff, kernel)
+            assert np.array_equal(R.iteration_matrix(basis, shaped), matrix)
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_block_slices_equal_single_columns(self, basis, space, nodal_encoder, kind):
@@ -125,20 +123,21 @@ class TestReducedStiffness:
         for k in range(nodal_encoder.m):
             assert np.array_equal(block[k], R.reduced_stiffness(basis, dense[:, k]))
 
-    def test_direct_solves_equal_direct_solve_per_column(self, basis, family, space):
+    def test_block_rows_equal_direct_solve_per_column(self, basis, family, space):
         members = C.sample_family(family, 3, 73)
         block = np.column_stack([a(F.quadrature_points(space)) for a in members])
-        solved = R.direct_solves(basis, block)
+        solved = R.direct_solve(basis, block)
         assert solved.shape == (3, basis.size)
-        for a, c in zip(members, solved):
-            assert np.array_equal(c, R.direct_solve(R.assemble_reduced(basis, a)))
+        for a, column, c in zip(members, block.T, solved):
+            assert np.array_equal(c, R.direct_solve(basis, column))
+            assert np.array_equal(c, R.direct_solve(basis, a))
 
     def test_non_finite_block_is_a_membership_error(self, basis, family, space):
         block = np.column_stack([a(F.quadrature_points(space))
                                  for a in C.sample_family(family, 2, 79)])
         block[5, 1] = np.nan
         with pytest.raises(F.MembershipError):
-            R.direct_solves(basis, block)
+            R.direct_solve(basis, block)
 
 
 def _hand_reduced_matrix(space, columns, v):
@@ -169,42 +168,32 @@ def _hand_reduced_matrix(space, columns, v):
 
 class TestContractionNorm:
     def test_scaled_nominal_contracts_to_zero(self, basis, config):
-        sys0 = R.assemble_reduced(basis, config.scaled_nominal())
-        assert R.contraction_norm(sys0) < 1e-10
+        a0 = R.iteration_matrix(basis, config.scaled_nominal())
+        assert np.linalg.norm(a0, 2) < 1e-10
 
     def test_family_samples_below_bound(self, basis, config, family):
         bound = config.beta / config.alpha
         for a in C.sample_family(family, 10, 64):
-            sys_a = R.assemble_reduced(basis, a)
-            assert R.contraction_norm(sys_a) <= bound + 1e-10
-
-    def test_fixed_matrix_vs_svd_oracle(self):
-        mat = np.array([[0.2, -0.1, 0.0], [0.05, 0.3, -0.2], [0.0, 0.1, 0.25]])
-        system = R.ReducedSystem(np.eye(3), np.eye(3), np.zeros(3), mat, np.zeros(3))
-        oracle = np.linalg.svd(mat, compute_uv=False)[0]
-        assert abs(R.contraction_norm(system) - oracle) < 1e-10
+            assert np.linalg.norm(R.iteration_matrix(basis, a), 2) <= bound + 1e-10
 
 
 class TestIterate:
     def test_one_step_fixed_point_at_nominal(self, basis, config):
-        sys0 = R.assemble_reduced(basis, config.scaled_nominal())
-        state = R.iterate(sys0, 1)
+        a0 = R.iteration_matrix(basis, config.scaled_nominal())
+        iterates = R.iterate(basis, a0, 1)
+        assert iterates.shape == (2, basis.size)
         e1 = np.zeros(basis.size)
         e1[0] = 1.0
-        assert np.max(np.abs(state.coefficients - e1)) < 1e-12
+        assert np.max(np.abs(iterates[-1] - e1)) < 1e-12
 
     def test_start_vector_norm_exactly_one(self, basis, probe):
-        sys_p = R.assemble_reduced(basis, probe)
-        state = R.iterate(sys_p, 5)
-        assert state.ell2_history[0] == 1.0
+        iterates = R.iterate(basis, R.iteration_matrix(basis, probe), 5)
+        assert np.linalg.norm(iterates[0]) == 1.0
 
     def test_geometric_convergence_vs_direct(self, basis, space, config, probe):
-        sys_p = R.assemble_reduced(basis, probe)
-        c_star = R.direct_solve(sys_p)
-        state = R.iterate(sys_p, 30)
-        errs = [
-            R.reduced_energy_error(sys_p, c, c_star) for c in state.trajectory
-        ]
+        c_star = R.direct_solve(basis, probe)
+        iterates = R.iterate(basis, R.iteration_matrix(basis, probe), 30)
+        errs = [R.reduced_energy_error(basis, c, c_star) for c in iterates]
         ratio = config.beta / config.alpha
         for k in range(30):
             assert errs[k + 1] <= (ratio + 1e-8) * errs[k]
@@ -215,24 +204,22 @@ class TestIterate:
 
     def test_fixed_point_consistency_long_run(self, basis, family):
         for a in C.sample_family(family, 3, 17):
-            sys_a = R.assemble_reduced(basis, a)
-            state = R.iterate(sys_a, 200)
-            c_star = R.direct_solve(sys_a)
-            assert np.linalg.norm(state.coefficients - c_star) < 1e-10
+            iterates = R.iterate(basis, R.iteration_matrix(basis, a), 200)
+            c_star = R.direct_solve(basis, a)
+            assert np.linalg.norm(iterates[-1] - c_star) < 1e-10
 
     def test_coefficient_bound_along_trajectories(self, basis, config, family):
         ratio = config.beta / config.alpha
         cap = config.alpha / (config.alpha - config.beta)
         for a in C.sample_family(family, 20, 23):
-            sys_a = R.assemble_reduced(basis, a)
-            state = R.iterate(sys_a, 50)
-            for k, nrm in enumerate(state.ell2_history):
-                assert nrm <= ratio**k + cap + 1e-8
+            iterates = R.iterate(basis, R.iteration_matrix(basis, a), 50)
+            for k, c in enumerate(iterates):
+                assert np.linalg.norm(c) <= ratio**k + cap + 1e-8
 
     def test_negative_steps_rejected(self, basis, config):
-        sys0 = R.assemble_reduced(basis, config.a0)
+        a0 = R.iteration_matrix(basis, config.a0)
         with pytest.raises(ValueError):
-            R.iterate(sys0, -1)
+            R.iterate(basis, a0, -1)
 
 
 class TestChooseStepCount:
@@ -269,20 +256,17 @@ class TestChooseStepCount:
 
 
 class TestReducedEnergyError:
-    def test_identical_vectors(self, basis, config):
-        sys0 = R.assemble_reduced(basis, config.a0)
+    def test_identical_vectors(self, basis):
         c = np.ones(basis.size)
-        assert R.reduced_energy_error(sys0, c, c) == 0.0
+        assert R.reduced_energy_error(basis, c, c) == 0.0
 
-    def test_orthonormal_frame_matches_l2(self, basis, config, rng):
-        sys0 = R.assemble_reduced(basis, config.a0)
+    def test_orthonormal_frame_matches_l2(self, basis, rng):
         c1 = rng.standard_normal(basis.size)
         c2 = rng.standard_normal(basis.size)
-        val = R.reduced_energy_error(sys0, c1, c2)
+        val = R.reduced_energy_error(basis, c1, c2)
         assert abs(val - np.linalg.norm(c1 - c2)) < 1e-12
 
     def test_matches_full_space_recomputation(self, basis, space, config, rng):
-        sys0 = R.assemble_reduced(basis, config.a0)
         c1 = rng.standard_normal(basis.size)
         c2 = rng.standard_normal(basis.size)
         direct = F.energy_norm(
@@ -290,4 +274,4 @@ class TestReducedEnergyError:
             config,
             RB.synthesize(basis, c1, "ortho") - RB.synthesize(basis, c2, "ortho"),
         )
-        assert abs(R.reduced_energy_error(sys0, c1, c2) - direct) < 1e-10
+        assert abs(R.reduced_energy_error(basis, c1, c2) - direct) < 1e-10
