@@ -13,11 +13,14 @@ member is scaled from the Bernstein hull of its nodal values
 (_bernstein_range, which also bounds the encoder's reconstructions).
 
 A family computes the parameter-free part of its members once per read-only
-point array and keeps it while the array lives (_point_table): the mode
-table of an affine family, or the cell dofs and shape values on a Sobolev
-ball's mesh. Members evaluate from it bit-identically to affine_combination
-and mesh_field. The cache (_per_points, weakly keyed by the array) also
-holds the encoder's channel matrices. A Sobolev ball also builds its dof
+point array and keeps it, read-only, while the array lives (_point_table):
+the mode table of an affine family, or the cell dofs and shape values on a
+Sobolev ball's mesh. Members evaluate from it bit-identically to
+affine_combination and mesh_field. An affine member evaluates as exactly
+table(pts) @ weights and exposes both in its meta, so a consumer linear in
+the field can work on the table's columns. The cache (_per_points, weakly
+keyed by the array) also holds the encoder's channel matrices and each
+basis's reduced stiffness stacks. A Sobolev ball also builds its dof
 table and the cosine factors of its waves at the dofs once (_sobolev_table).
 """
 
@@ -27,6 +30,7 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import _P2_EDGES, Mesh, Polygon, _lagrange_dofs, locate_points
 
@@ -412,11 +416,19 @@ def parameter_vectors(family: DataFamily, count: int, seed: int) -> np.ndarray:
     raise ValueError(f"unknown family kind {family.kind!r}")
 
 
-def _per_points(cache: dict, pts: np.ndarray, build):
-    """build(pts), kept in cache per read-only point array until a weakref callback
-    drops it with the array, so a reused id finds nothing; a writable array is
+def _read_only(array) -> bool:
+    """A dense array without write access, or a CSR/CSC matrix whose three arrays have none."""
+    if not sp.issparse(array):
+        return not array.flags.writeable
+    return array.format in ("csr", "csc") and not any(
+        part.flags.writeable for part in (array.data, array.indices, array.indptr))
+
+
+def _per_points(cache: dict, pts, build):
+    """build(pts), kept in cache per read-only array (see _read_only) until a weakref
+    callback drops it with the array, so a reused id finds nothing; any other array is
     rebuilt on every call."""
-    if pts.flags.writeable:
+    if not _read_only(pts):
         return build(pts)
     key = id(pts)
     entry = cache.get(key)
@@ -450,10 +462,14 @@ def _sobolev_table(family: DataFamily) -> tuple:
 
 def _build_table(family: DataFamily, pts: np.ndarray) -> tuple:
     if family.kind == "sobolev_ball":
-        return _locate(family.coeff_mesh, _sobolev_table(family)[1], family.coeff_degree, pts)
-    # columns: a constant 1 (not for abs_shift, whose raw field has no offset), then the modes
-    fields = family.modes if family.kind == "abs_shift" else (constant(1.0), *family.modes)
-    return (np.stack([f(pts) for f in fields], axis=1),)
+        table = _locate(family.coeff_mesh, _sobolev_table(family)[1], family.coeff_degree, pts)
+    else:
+        # columns: a constant 1 (not for abs_shift, whose raw field has no offset), then the modes
+        fields = family.modes if family.kind == "abs_shift" else (constant(1.0), *family.modes)
+        table = (np.stack([f(pts) for f in fields], axis=1),)
+    for array in table:  # shared by every member
+        array.flags.writeable = False
+    return table
 
 
 def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
@@ -466,8 +482,12 @@ def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
         weights = scale * params * np.asarray(family.amplitudes)
         if not shifted:
             weights = np.concatenate([[family.alpha], weights])
+
+        def table(pts):
+            return _point_table(family, pts)[0]
+
         out = CoefficientField(
-            lambda pts: _point_table(family, pts)[0] @ weights, kind="affine", meta={"weights": weights}
+            lambda pts: table(pts) @ weights, kind="affine", meta={"weights": weights, "table": table}
         )
         if shifted:
             out = abs_shift(out, family.a_min)

@@ -186,16 +186,17 @@ def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
     return synthesize(op.basis, c, frame=op.frame)
 
 
-def _reduced_solutions(op: NeuralOperator, block) -> list:
-    """Synthesized dense reduced Galerkin solution of each column of quadrature-point samples."""
-    return [synthesize(op.basis, c, frame="ortho") for c in direct_solve(op.basis, block)]
+def _reduced_solutions(op: NeuralOperator, block, weights) -> list:
+    """Synthesized dense reduced Galerkin solution of each weighted sum of the block's columns."""
+    return [synthesize(op.basis, c, frame="ortho") for c in direct_solve(op.basis, block, weights)]
 
 
 def network_solutions(op: NeuralOperator, coefficients) -> tuple[list, list]:
     """Per coefficient, encoded once: the reduced Galerkin solution of its encoded reconstruction
-    (samples op.quadrature_channels @ y; no network) and the operator's output, as evaluate's."""
+    (channel weights y on op.quadrature_channels; no network) and the operator's output, as
+    evaluate's."""
     ys = np.reshape([op.encoder.encode(a) for a in coefficients], (-1, op.encoder.m))
-    recon = _reduced_solutions(op, op.quadrature_channels @ ys.T)
+    recon = _reduced_solutions(op, op.quadrature_channels, ys)
     return recon, [synthesize(op.basis, op.approximator.realize(y), frame=op.frame) for y in ys]
 
 
@@ -204,16 +205,20 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
 
     Terms: (I) fine solution vs dense reduced solve, (II) reduced solves of
     the coefficient and of its reconstruction, (III) reduced solve of the
-    reconstruction vs the synthesized network output. The coefficients'
-    samples are one richardson.direct_solve block; network_solutions gives
-    the rest.
+    reconstruction vs the synthesized network output. A family member with
+    a point table (coeff meta "table" and "weights") is reduced as its
+    weights on the table at the quadrature points; any other field as its
+    samples, one column of weight 1. Both are richardson.direct_solve calls;
+    network_solutions gives the rest.
     """
     space, config, points = op.space, op.config, quadrature_points(op.space)
     coefficients = list(test_coefficients)
-    samples = np.reshape([a(points) for a in coefficients], (-1, len(points)))
     report = ErrorReport()
-    solutions = zip(samples, _reduced_solutions(op, samples.T), *network_solutions(op, coefficients))
-    for s, u_reduced, u_recon, u_net in solutions:
+    for a, u_recon, u_net in zip(coefficients, *network_solutions(op, coefficients)):
+        s = a(points)
+        table = a.meta.get("table") if a.kind == "affine" else None
+        block, weights = (s[:, None], [[1.0]]) if table is None else (table(points), [a.meta["weights"]])
+        (u_reduced,) = _reduced_solutions(op, block, weights)
         u_fine = galerkin_solve(space, config, s)
         report.totals.append(energy_norm(space, config, u_fine - u_net))
         report.reduced_truncation.append(energy_norm(space, config, u_fine - u_reduced))

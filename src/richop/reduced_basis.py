@@ -97,7 +97,8 @@ class ReducedBasis:
     ``ortho`` spans the same space and is orthonormal in the nominal inner
     product, with the first column parallel to the anchor. Prefixes of both
     frames are hierarchical by construction. ``nominal`` is the basis's own
-    coefficient-independent reduced form; a prefix computes its own.
+    coefficient-independent reduced form; a prefix computes its own, and
+    keeps its own reduced stiffness stacks (richardson._reduced_stack).
     """
 
     space: FemSpace
@@ -105,6 +106,8 @@ class ReducedBasis:
     raw: np.ndarray
     ortho: np.ndarray
     selection_indices: list
+    # id(block) -> (weakref to the block, its reduced stiffness stack), see coeff._per_points
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:

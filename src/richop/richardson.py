@@ -6,7 +6,10 @@ its Cholesky factor, the load f_N and the shift g are the basis's
 NominalForm (basis.nominal), computed once per basis, and every function
 here reads them from it. B_v has one kernel, reduced_stiffness, which also
 serves relu_net.input_net and direct_solve, the dense solution of B_v c = f_N
-for a field or a block of sample columns. The iteration contracts with
+for a field or a block of sample columns. B_v is linear in v, so a v that is
+a weighted sum of a block's columns (an encoded reconstruction, an affine
+family member) has B_v = sum_k w_k S[k] for the block's stack S, which
+direct_solve reads from a cache on the basis. The iteration contracts with
 factor beta/alpha on the admissible cone and its step count for a target
 accuracy follows a closed-form ceiling rule.
 """
@@ -19,7 +22,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .coeff import CoefficientField
+from .coeff import CoefficientField, _per_points
 from .fem import MembershipError, _sample_coefficient, assembly
 from .reduced_basis import ReducedBasis
 
@@ -38,13 +41,25 @@ def reduced_stiffness(basis: ReducedBasis, v) -> np.ndarray:
     samples at quadrature_points(basis.space); (M, N, N) for a block of sample columns
     (n_qp, M), dense or sparse, whose stiffness data is one product with the assembly."""
     block = np.ndim(v) == 2  # a sparse matrix has ndim 2 too
-    asm, p = assembly(basis.space), basis.ortho
+    asm, p, n = assembly(basis.space), basis.ortho, basis.size
     upper = asm.stiffness @ (v if block else _sample_coefficient(basis.space, v)[:, None])
     upper = upper.toarray() if sp.issparse(upper) else upper
     if not np.all(np.isfinite(upper)):  # a block skips _sample_coefficient's check
         raise MembershipError("coefficient evaluated to non-finite values")
-    out = np.array([p.T @ (asm.matrix(column) @ p) for column in upper.T])
+    out = np.reshape([p.T @ (asm.matrix(column) @ p) for column in upper.T], (-1, n, n))
     return out if block else out[0]
+
+
+def _reduced_stack(basis: ReducedBasis, block) -> np.ndarray:
+    """reduced_stiffness(basis, block), read-only and cached on the basis per read-only
+    block (coeff._per_points), so every reader of a block's stack shares one kernel call."""
+
+    def build(block):
+        stack = reduced_stiffness(basis, block)
+        stack.flags.writeable = False
+        return stack
+
+    return _per_points(basis._stacks, block, build)
 
 
 def iteration_matrix(basis: ReducedBasis, v: CoefficientField | np.ndarray) -> np.ndarray:
@@ -91,12 +106,23 @@ def reduced_energy_error(basis: ReducedBasis, c: np.ndarray, c_ref: np.ndarray) 
     return float(np.sqrt(max(d @ (basis.nominal.b0 @ d), 0.0)))
 
 
-def direct_solve(basis: ReducedBasis, v) -> np.ndarray:
-    """Dense solution of B_v c = f_N, B_v = reduced_stiffness(basis, v): (N,) for a field
-    or one flat sample vector; (M, N) for a block of sample columns (n_qp, M), one kernel
-    call and then the same solve on each slice, so row j is direct_solve of column j."""
+def direct_solve(basis: ReducedBasis, v, weights=None) -> np.ndarray:
+    """Dense solution of B c = f_N. Without weights, B = reduced_stiffness(basis, v): (N,)
+    for a field or one flat sample vector; (M, N) for a block of sample columns (n_qp, M),
+    one kernel call and then the same solve on each slice, so row j is direct_solve of
+    column j. With weights (J, M), row j solves B_j = sum_k weights[j, k] S[k] for the
+    stack S of the block v (_reduced_stack: built once per read-only block), each B_j by
+    the same product whatever the other rows, so row j is the call with weights[j:j + 1]."""
     load = basis.nominal.load
-    b = reduced_stiffness(basis, v)
-    if b.ndim == 2:
-        return la.solve(b, load, assume_a="sym")
-    return np.array([la.solve(b_j, load, assume_a="sym") for b_j in b])
+    if weights is None:
+        b = reduced_stiffness(basis, v)
+        if b.ndim == 2:
+            return la.solve(b, load, assume_a="sym")
+    else:
+        stack = _reduced_stack(basis, v)
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[1] != len(stack):
+            raise ValueError(f"weights of shape {weights.shape} for a block of {len(stack)} columns")
+        flat = stack.reshape(len(stack), -1)
+        b = [np.reshape(w @ flat, stack.shape[1:]) for w in weights]
+    return np.reshape([la.solve(b_j, load, assume_a="sym") for b_j in b], (-1, len(load)))

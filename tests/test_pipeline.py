@@ -342,9 +342,11 @@ class TestErrorDecomposition:
 
 class TestNetworkSolutions:
     def test_one_encoding_per_coefficient_and_one_kernel_call_per_block(
-        self, operator, family, monkeypatch
+        self, family, config, space, nodal_encoder, monkeypatch
     ):
-        op, blocks = dataclasses.replace(operator, encoder=_CountingEncoder(operator.encoder)), []
+        # the build's input net makes the basis's channel stack and every reconstruction
+        # reads it; the members' point table makes one stack, shared by later decompositions
+        enc, blocks = _CountingEncoder(nodal_encoder), []
         real = R.reduced_stiffness
 
         def counting(basis, v):
@@ -352,21 +354,25 @@ class TestNetworkSolutions:
             return real(basis, v)
 
         monkeypatch.setattr(R, "reduced_stiffness", counting)
-        members = C.sample_family(family, 3, 53)
+        op = P.build_operator(family, config, space, 8, 3, enc, 1e-1, seed=2)
         n_qp = len(F.quadrature_points(op.space))
+        assert blocks == [(n_qp, enc.m)]
+        members = C.sample_family(family, 3, 53)
+        enc.encoded.clear(), blocks.clear()
         recon, nets = P.network_solutions(op, members)
         assert len(recon) == len(nets) == 3
-        assert op.encoder.encoded == members and blocks == [(n_qp, 3)]
-        op.encoder.encoded.clear(), blocks.clear()
-        P.error_decomposition(op, members)
-        assert op.encoder.encoded == members and blocks == [(n_qp, 3), (n_qp, 3)]
+        assert enc.encoded == members and blocks == []
+        for expected in ([(n_qp, len(family.modes) + 1)], []):
+            enc.encoded.clear(), blocks.clear()
+            P.error_decomposition(op, members)
+            assert enc.encoded == members and blocks == expected
 
     def test_matches_the_per_coefficient_solves(self, operator, family):
         members = C.sample_family(family, 3, 59)
         recon, nets = P.network_solutions(operator, members)
         for a, u_recon, u_net in zip(members, recon, nets):
-            samples = operator.quadrature_channels @ operator.encoder.encode(a)
-            c = R.direct_solve(operator.basis, samples)
+            y = operator.encoder.encode(a)
+            (c,) = R.direct_solve(operator.basis, operator.quadrature_channels, y[None])
             assert np.array_equal(u_recon, RB.synthesize(operator.basis, c, frame="ortho"))
             assert np.array_equal(u_net, P.evaluate(operator, a))
 
@@ -384,6 +390,40 @@ class TestNetworkSolutions:
     def test_no_coefficients(self, operator):
         assert P.network_solutions(operator, []) == ([], [])
         assert P.error_decomposition(operator, []).rows() == []
+
+
+@pytest.fixture(scope="module")
+def sampled_fields(square, shifted_setup):
+    """Fields without a point table, which the decomposition reduces from their samples."""
+    sobolev = C.sobolev_family(1.0, 0.5, M.triangulate(square, 0.5))
+    return {
+        "sobolev_ball": C.sample_family(sobolev, 1, 113)[0],
+        "abs_shift": C.sample_family(shifted_setup[0], 1, 127)[0],
+        "from_callable": C.from_callable(lambda pts: 1.0 + 0.3 * np.sin(3 * pts[:, 0]) * pts[:, 1]),
+        "affine_combination": C.affine_combination([C.constant(1.0), C.trig_mode(2, 1)], [1.0, 0.3]),
+    }
+
+
+class TestSampledFields:
+    @pytest.mark.parametrize("name", ["sobolev_ball", "abs_shift", "from_callable",
+                                      "affine_combination"])
+    def test_truncation_and_total_are_the_field_solves(self, operator, sampled_fields, name):
+        # a one-column sample block of weight 1 makes the kernel call and the solve
+        # of direct_solve(basis, a), so these terms keep their bits
+        op, a = operator, sampled_fields[name]
+        assert "table" not in a.meta
+        space, config = op.space, op.config
+        u_fine = F.galerkin_solve(space, config, a)
+        u_reduced = RB.synthesize(op.basis, R.direct_solve(op.basis, a), frame="ortho")
+        tot, t1, _, _ = P.error_decomposition(op, [a]).rows()[0]
+        assert tot == F.energy_norm(space, config, u_fine - P.evaluate(op, a))
+        assert t1 == F.energy_norm(space, config, u_fine - u_reduced)
+
+    def test_mixed_list_rows_equal_single_calls(self, operator, family, sampled_fields):
+        members = C.sample_family(family, 2, 131)
+        mixed = [members[0], *sampled_fields.values(), members[1]]
+        batch = P.error_decomposition(operator, mixed).rows()
+        assert batch == [P.error_decomposition(operator, [a]).rows()[0] for a in mixed]
 
 
 @pytest.fixture(scope="module")

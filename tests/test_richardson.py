@@ -140,6 +140,93 @@ class TestReducedStiffness:
             R.direct_solve(basis, block)
 
 
+def _members_on_table(family, space, count, seed):
+    """count family members, their shared point table at the quadrature points and
+    their weights (count, K + 1): each member is exactly table @ its weights."""
+    members = C.sample_family(family, count, seed)
+    table = members[0].meta["table"](F.quadrature_points(space))
+    return members, table, np.stack([a.meta["weights"] for a in members])
+
+
+class TestWeightedSolve:
+    def test_rows_match_the_solve_of_the_summed_samples(self, basis, family, space):
+        _, table, weights = _members_on_table(family, space, 4, 83)
+        weighted = R.direct_solve(basis, table, weights)
+        sampled = R.direct_solve(basis, table @ weights.T)
+        assert weighted.shape == sampled.shape == (4, basis.size)
+        assert np.max(np.abs(weighted - sampled)) <= 1e-12 * np.max(np.abs(sampled))
+
+    def test_each_row_equals_its_single_row_call(self, basis, family, space, nodal_encoder, rng):
+        _, table, weights = _members_on_table(family, space, 3, 89)
+        channels = nodal_encoder.channel_matrix(F.quadrature_points(space))
+        ys = 1.0 + 0.4 * rng.uniform(-1.0, 1.0, size=(3, nodal_encoder.m))
+        for block, w in ((table, weights), (channels, ys)):
+            solved = R.direct_solve(basis, block, w)
+            for j in range(len(w)):
+                assert np.array_equal(solved[j], R.direct_solve(basis, block, w[j:j + 1])[0])
+
+    def test_weight_one_column_is_the_field_solve(self, basis, family, space):
+        a = C.sample_family(family, 1, 97)[0]
+        samples = a(F.quadrature_points(space))
+        (c,) = R.direct_solve(basis, samples[:, None], [[1.0]])
+        assert np.array_equal(c, R.direct_solve(basis, a))
+
+    def test_stack_built_once_per_read_only_block(self, basis, family, space, monkeypatch):
+        fresh, built = basis.prefix(basis.size), []
+        real = R.reduced_stiffness
+
+        def counting(basis_, v):
+            built.append(np.shape(v))
+            return real(basis_, v)
+
+        monkeypatch.setattr(R, "reduced_stiffness", counting)
+        _, table, weights = _members_on_table(family, space, 2, 101)
+        assert not table.flags.writeable
+        first = R.direct_solve(fresh, table, weights)
+        assert np.array_equal(R.direct_solve(fresh, table, weights[::-1]), first[::-1])
+        assert built == [table.shape]
+        stack = R._reduced_stack(fresh, table)
+        assert R._reduced_stack(fresh, table) is stack and not stack.flags.writeable
+        writable = table.copy()
+        R.direct_solve(fresh, writable, weights)
+        R.direct_solve(fresh, writable, weights)
+        assert built == [table.shape] * 3 and len(fresh._stacks) == 1
+
+    def test_sparse_block_cached_only_with_read_only_arrays(self, basis, space, nodal_encoder):
+        fresh = basis.prefix(basis.size)
+        channels = nodal_encoder.channel_matrix(F.quadrature_points(space))
+        assert R._reduced_stack(fresh, channels) is R._reduced_stack(fresh, channels)
+        writable = channels.copy()
+        assert writable.data.flags.writeable
+        assert R._reduced_stack(fresh, writable) is not R._reduced_stack(fresh, writable)
+        assert len(fresh._stacks) == 1
+
+    def test_prefix_keeps_stacks_of_its_own(self, basis, family, space):
+        fresh = basis.prefix(basis.size)
+        _, table, _ = _members_on_table(family, space, 1, 103)
+        full = R._reduced_stack(fresh, table)
+        prefix = fresh.prefix(4)
+        part = R._reduced_stack(prefix, table)
+        assert part.shape == (table.shape[1], 4, 4) and full.shape[1:] == (basis.size,) * 2
+        assert R._reduced_stack(prefix, table) is part
+        assert len(prefix._stacks) == len(fresh._stacks) == 1
+        assert np.allclose(part, full[:, :4, :4], rtol=0, atol=1e-13)
+
+    def test_empty_blocks_and_weights(self, basis, family, space):
+        n, n_qp = basis.size, len(F.quadrature_points(space))
+        empty = np.zeros((n_qp, 0))
+        assert R.reduced_stiffness(basis, empty).shape == (0, n, n)
+        assert R.direct_solve(basis, empty).shape == (0, n)
+        _, table, _ = _members_on_table(family, space, 1, 107)
+        assert R.direct_solve(basis, table, np.zeros((0, table.shape[1]))).shape == (0, n)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (1, 1, 5)])
+    def test_weights_must_be_one_row_per_solve(self, basis, family, space, shape):
+        _, table, _ = _members_on_table(family, space, 1, 109)
+        assert table.shape[1] == 5
+        with pytest.raises(ValueError, match="weights"):
+            R.direct_solve(basis, table, np.ones(shape))
+
 def _hand_reduced_matrix(space, columns, v):
     mesh = space.mesh
     p = mesh.nodes[mesh.triangles]
