@@ -12,6 +12,9 @@ cell order, edges in (triangle, local edge) order with local edges (0,1),
 (1,2), (2,0), and the P2 dofs as the vertices followed by the edge
 midpoints. The FEM spaces, red refinement, mesh fields and the GLL
 encoder's channels all use this numbering (_first_appearance).
+
+Corner grading keeps one bisection state across its marking passes and
+creates each half counter-clockwise, as _build_mesh would orient it.
 """
 
 from __future__ import annotations
@@ -238,10 +241,6 @@ def max_diameter(mesh: Mesh) -> float:
     return float(edge_lengths(mesh).max())
 
 
-def _triangle_diameters(mesh: Mesh) -> np.ndarray:
-    return edge_lengths(mesh).max(axis=1)
-
-
 def _is_rectilinear(polygon: Polygon) -> bool:
     verts = polygon.vertices
     k = len(verts)
@@ -350,97 +349,6 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return _build_mesh(coords, children.reshape(-1, 3))
 
 
-def _longest_edge(tri, nodes) -> int:
-    """Local index k of the edge (k, k+1) with maximal length; deterministic ties."""
-    best, best_key = 0, None
-    for k in range(3):
-        a, b = tri[k], tri[(k + 1) % 3]
-        d = nodes[a] - nodes[b]
-        key = (float(d @ d), -min(a, b), -max(a, b))
-        if best_key is None or key > best_key:
-            best, best_key = k, key
-    return best
-
-
-def _bisect_conforming(mesh: Mesh, marked: np.ndarray) -> Mesh:
-    """Longest-edge bisection of marked triangles with Rivara propagation."""
-    nodes = [np.asarray(p, dtype=float) for p in mesh.nodes]
-    tris: dict = {i: tuple(t) for i, t in enumerate(mesh.triangles)}
-    next_id = len(tris)
-    edge_map: dict = {}
-    for i, t in tris.items():
-        for k in range(3):
-            key = (min(t[k], t[(k + 1) % 3]), max(t[k], t[(k + 1) % 3]))
-            edge_map.setdefault(key, set()).add(i)
-    midpoints: dict = {}
-
-    def mid(a, b):
-        nonlocal nodes
-        key = (min(a, b), max(a, b))
-        if key not in midpoints:
-            midpoints[key] = len(nodes)
-            nodes.append((nodes[a] + nodes[b]) / 2.0)
-        return midpoints[key]
-
-    def remove(i):
-        t = tris.pop(i)
-        for k in range(3):
-            key = (min(t[k], t[(k + 1) % 3]), max(t[k], t[(k + 1) % 3]))
-            edge_map[key].discard(i)
-
-    def insert(t):
-        nonlocal next_id
-        i = next_id
-        next_id += 1
-        tris[i] = t
-        for k in range(3):
-            key = (min(t[k], t[(k + 1) % 3]), max(t[k], t[(k + 1) % 3]))
-            edge_map.setdefault(key, set()).add(i)
-        return i
-
-    def split_across(i, edge_key):
-        """Replace triangle i by its two halves across the given edge."""
-        t = tris[i]
-        a, b = edge_key
-        c = [v for v in t if v not in edge_key][0]
-        m = mid(a, b)
-        remove(i)
-        insert((c, a, m))  # _build_mesh orients both halves counter-clockwise
-        insert((c, m, b))
-
-    def refine(i, depth=0):
-        if depth > 200:
-            raise MeshError("bisection propagation did not terminate")
-        if i not in tris:
-            return
-        t = tris[i]
-        k = _longest_edge(t, nodes)
-        a, b = t[k], t[(k + 1) % 3]
-        key = (min(a, b), max(a, b))
-        neighbors = [j for j in edge_map.get(key, ()) if j != i]
-        for j in list(neighbors):
-            tn = tris.get(j)
-            if tn is None:
-                continue
-            kn = _longest_edge(tn, nodes)
-            keyn = (
-                min(tn[kn], tn[(kn + 1) % 3]),
-                max(tn[kn], tn[(kn + 1) % 3]),
-            )
-            if keyn != key:
-                refine(j, depth + 1)
-        # after propagation the (possibly new) neighbor across `key` shares it as
-        # longest edge or was already split; split both sides across `key`
-        split_across(i, key)
-        for j in [j for j in edge_map.get(key, ()) if j in tris]:
-            split_across(j, key)
-
-    for i in np.flatnonzero(np.asarray(marked)):
-        refine(int(i))
-    tri_arr = np.asarray([tris[i] for i in sorted(tris)], dtype=np.int64)
-    return _build_mesh(np.asarray(nodes), tri_arr)
-
-
 def refine_corner_graded(
     mesh: Mesh, corners, grading: float, levels: int
 ) -> Mesh:
@@ -448,8 +356,18 @@ def refine_corner_graded(
 
     After `levels` red refinements (width h), triangles at distance r from a
     marked corner are bisected until their diameter is below
-    h * (r / d0)^(1 - grading), d0 the coarse-mesh diameter. Empty corner
-    list reduces to plain uniform refinement.
+    h * (r / d0)^(1 - grading), d0 the coarse-mesh diameter; with levels 0,
+    h is d0 and the coarse mesh itself is graded. Empty corner list reduces
+    to plain uniform refinement.
+
+    One bisection state serves every pass: the node list, the triangles in
+    creation order (a split triangle leaves None and its two halves are
+    appended) and the live holders of each edge (min, max). Each pass
+    bisects, in creation order, the live triangles whose diameter exceeds
+    the target at their centroid, across their longest edge ranked by
+    (length², -min, -max), with Rivara propagation. Each half starts at the
+    vertex opposite the split edge and is counter-clockwise, so every pass
+    reads the centroids of the triangles as _build_mesh would orient them.
     """
     if not (0.0 < grading < 1.0):
         raise MeshError("grading must lie in (0, 1)")
@@ -458,21 +376,70 @@ def refine_corner_graded(
     out = mesh
     for _ in range(levels):
         out = refine_uniform(out)
-    if corners is None or levels == 0:
+    if corners is None:
         return out
     h_uniform = max_diameter(out)
+    nodes, tris, holders = list(out.nodes), [], {}
+
+    def edges(t):
+        return [(min(a, b), max(a, b)) for a, b in zip(t, t[1:] + t[:1])]
+
+    def add(t):
+        for key in edges(t):
+            holders.setdefault(key, []).append(len(tris))
+        tris.append(t)
+
+    def longest(t):
+        def rank(key):
+            d = nodes[key[0]] - nodes[key[1]]
+            return float(d @ d), -key[0], -key[1]
+
+        return max(edges(t), key=rank)
+
+    def split(i, key, m):
+        """Replace triangle i by its halves across the edge key, the one holding key[0] first."""
+        t, tris[i] = tris[i], None
+        for e in edges(t):
+            holders[e].remove(i)
+        k = next(k for k in range(3) if t[k] not in key)
+        c, p, q = t[k:] + t[:k]
+        halves = [(c, p, m), (c, m, q)]
+        for half in halves if p < q else halves[::-1]:
+            add(half)
+
+    def refine(i, depth=0):
+        if depth > 200:
+            raise MeshError("bisection propagation did not terminate")
+        if tris[i] is None:
+            return
+        key = longest(tris[i])
+        for j in [j for j in holders[key] if j != i and longest(tris[j]) != key]:
+            refine(j, depth + 1)
+        # after propagation the (possibly new) neighbor across `key` shares it as
+        # longest edge; split both sides across `key` at its midpoint
+        nodes.append((nodes[key[0]] + nodes[key[1]]) / 2.0)
+        split(i, key, len(nodes) - 1)
+        for j in list(holders[key]):
+            split(j, key, len(nodes) - 1)
+
+    for t in out.triangles.tolist():
+        add(tuple(t))
     for _ in range(100):
-        pts = out.nodes[out.triangles].mean(axis=1)
+        live = [i for i, t in enumerate(tris) if t is not None]
+        p = np.asarray(nodes)[[tris[i] for i in live]]
+        pts = p.mean(axis=1)
         r = np.min(
             np.sqrt(((pts[:, None, :] - corners[None, :, :]) ** 2).sum(axis=2)),
             axis=1,
         )
         target = h_uniform * np.power(np.maximum(r / d0, 1e-300), 1.0 - grading)
-        marked = _triangle_diameters(out) > target * (1.0 + 1e-12)
+        diameters = np.sqrt(np.sum((np.roll(p, -1, axis=1) - p) ** 2, axis=2)).max(axis=1)
+        marked = diameters > target * (1.0 + 1e-12)
         if not marked.any():
             break
-        out = _bisect_conforming(out, marked)
-    return out
+        for i in np.flatnonzero(marked):
+            refine(live[i])
+    return _build_mesh(np.asarray(nodes), [t for t in tris if t is not None])
 
 
 @dataclass(frozen=True)

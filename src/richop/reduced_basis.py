@@ -241,8 +241,12 @@ def weak_greedy(snapshots: SnapshotSet, n_max: int, gamma: float = 1.0):
     return ReducedBasis(space, config, raw, ortho, selected), trace
 
 
-def synthesize(basis: ReducedBasis, coeffs: np.ndarray, frame: str = "raw") -> np.ndarray:
-    """Linear combination of the columns of the named frame."""
+def synthesize(basis: ReducedBasis, coeffs: np.ndarray, frame: str) -> np.ndarray:
+    """Linear combination of the columns of the named frame, "raw" or "ortho".
+
+    The frame has no default: the reduced solves and the network give ortho
+    coefficients, and a raw synthesis of those is silently wrong.
+    """
     p = basis.frame(frame)
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) != p.shape[1]:

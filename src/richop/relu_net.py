@@ -508,8 +508,10 @@ def certified_approximator(
     (alpha - beta_eff) eps / (2 sqrt(n) ||f||), so the synthesized output is
     within eps of the reduced Galerkin solution of the encoded coefficient,
     in the energy norm. Each step has tolerance (1 - contraction)
-    eps_iterator on the box |A_ij| <= Z_A, |x_j| <= Z~ = 2 + 1/(1 - contraction),
-    so the accumulated geometric error stays below eps_iterator. Z_A is
+    eps_iterator on the box |A_ij| <= Z_A,
+    |x_j| <= Z~ = 2 + max(1, ||g||_2)/(1 - contraction), which bounds the
+    iterates whether or not the source is normalized, so the accumulated
+    geometric error stays below eps_iterator. Z_A is
     interval_matrix_bound of the input net over the channel box
     [alpha - beta_eff, alpha + beta_eff]^M, recorded as
     certificates["matrix_bound"].
@@ -523,7 +525,7 @@ def certified_approximator(
     eps_iter = (alpha - beta_eff) / (2.0 * math.sqrt(n) * f_dual) * epsilon
     contraction = beta_eff / alpha
     eps_step = (1.0 - contraction) * eps_iter
-    z_tilde = 2.0 + 1.0 / (1.0 - contraction)
+    z_tilde = 2.0 + max(1.0, float(np.linalg.norm(shift))) / (1.0 - contraction)
     z_a = interval_matrix_bound(encoder_input, alpha, beta_eff)
     step = step_net(n, z_tilde, eps_step, shift, matrix_bound=z_a)
     step_counts = _layer_counts(step)

@@ -2,6 +2,7 @@ import glob
 import json
 import os
 
+import numpy as np
 import pytest
 
 from richop import cli, encoder, fem, mesh, pipeline, reduced_basis, relu_net
@@ -294,6 +295,27 @@ def test_nncheck_passes_certificate(tmp_path):
     path.write_text(json.dumps(cfg))
     out = str(tmp_path / "nn")
     assert cli.main(["nncheck", "--config", str(path), "--out", out]) == 0
+
+
+def test_unnormalized_source_build_meets_its_certificate(tmp_path):
+    # an unnormalized source of value 100 gives a shift with ||g||_2 about 18.6;
+    # the iterate box Z~ = 2 + max(1, ||g||_2)/(1 - contraction) must cover it
+    cfg = json.load(open(CONFIG))
+    cfg["problem"].update(normalize_source=False, source={"kind": "constant", "value": 100.0})
+    s = cli.Setup(cfg, cfg["seed"])
+    op = s.operator
+    g_norm = np.linalg.norm(op.basis.nominal.shift)
+    contraction = op.certificates["contraction"]
+    assert g_norm > 10.0
+    assert op.approximator.report.input_bound == 2.0 + g_norm / (1.0 - contraction)
+    members = s.test_coefficients("mc_count", 200, 2)
+    errors = [fem.energy_norm(s.space, s.problem, r - u)
+              for r, u in zip(*pipeline.network_solutions(op, members))]
+    assert max(errors) <= op.certificates["epsilon"]
+    pipeline.save_bundle(op, str(tmp_path))
+    loaded = pipeline.load_bundle(str(tmp_path))
+    assert loaded.approximator.report == op.approximator.report
+    assert np.array_equal(loaded.evaluate(members[0]), pipeline.evaluate(op, members[0]))
 
 
 def test_nncheck_errors_are_the_decomposition_network_term(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -167,6 +168,29 @@ class TestCornerGraded:
         mesh = M.triangulate(square, 0.6)
         with pytest.raises(M.MeshError):
             M.refine_corner_graded(mesh, [[0.0, 0.0]], 1.2, 2)
+
+    def test_levels_zero_grades_the_coarse_mesh(self):
+        mesh = M.triangulate(M.lshape(), 0.5)
+        graded = M.refine_corner_graded(mesh, [[0.0, 0.0]], 0.5, 0)
+        M.validate_mesh(graded)
+        assert (mesh.n_triangles, graded.n_triangles) == (54, 70)
+        assert np.array_equal(graded.nodes[: mesh.n_nodes], mesh.nodes)
+
+    # the first 16 hex digits of sha256(nodes.tobytes() + triangles.tobytes()):
+    # node order, triangle order and each triangle's vertex order are pinned
+    @pytest.mark.parametrize(
+        "polygon, h, corners, grading, levels, n_nodes, n_triangles, digest",
+        [
+            (M.lshape, 0.5, [[0.0, 0.0]], 0.5, 2, 650, 1192, "afd62fd9ec3fc15f"),
+            (M.unit_square, 0.5, [[0.0, 0.0], [1.0, 1.0]], 0.4, 2, 331, 584, "fde014c85ca9fe35"),
+            (M.lshape, 0.25, [[0.0, 0.0]], 0.5, 3, 7740, 15072, "0dbe960c959b782d"),
+        ],
+    )
+    def test_pinned_meshes(self, polygon, h, corners, grading, levels, n_nodes, n_triangles, digest):
+        mesh = M.refine_corner_graded(M.triangulate(polygon(), h), corners, grading, levels)
+        assert (mesh.n_nodes, mesh.n_triangles) == (n_nodes, n_triangles)
+        data = mesh.nodes.tobytes() + mesh.triangles.tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 class TestQuadSplit:

@@ -146,16 +146,16 @@ class TestFrames:
 
 class TestAnalyzeSynthesize:
     def test_synthesize_zero_and_units(self, basis):
-        assert np.all(RB.synthesize(basis, np.zeros(basis.size)) == 0.0)
+        assert np.all(RB.synthesize(basis, np.zeros(basis.size), frame="raw") == 0.0)
         for j in (0, 1):
             e = np.zeros(basis.size)
             e[j] = 1.0
-            assert np.array_equal(RB.synthesize(basis, e), basis.raw[:, j])
+            assert np.array_equal(RB.synthesize(basis, e, frame="raw"), basis.raw[:, j])
 
     def test_synthesis_norm_bound(self, basis, space, config, rng):
         # Cauchy-Schwarz chain: |sum c_i psi_i| <= |c|_2 sqrt(N+1) max |psi_i|
         c = rng.standard_normal(basis.size)
-        val = F.energy_norm(space, config, RB.synthesize(basis, c))
+        val = F.energy_norm(space, config, RB.synthesize(basis, c, frame="raw"))
         max_norm = max(
             F.energy_norm(space, config, basis.raw[:, j])
             for j in range(basis.size)
@@ -164,7 +164,7 @@ class TestAnalyzeSynthesize:
 
     def test_length_mismatch(self, basis):
         with pytest.raises(ValueError):
-            RB.synthesize(basis, np.zeros(basis.size + 1))
+            RB.synthesize(basis, np.zeros(basis.size + 1), frame="raw")
 
 
 class TestProjectionCurve:
