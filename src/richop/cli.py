@@ -54,11 +54,13 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    problem = cfg.get("problem", {})
+    _check(isinstance(cfg, dict), f"the config must be a JSON object, got {type(cfg).__name__}")
+    problem = _section(cfg, "problem")
     alpha = _number(problem, "problem.alpha", 1.0, lambda a: 0 < a < math.inf, "be positive")
     _number(problem, "problem.beta", 0.5, lambda b: 0 < b < alpha, f"lie in (0, alpha={alpha!r})")
-    _number(cfg.get("reduction", {}), "reduction.gamma", 1.0, lambda g: 0 < g <= 1, "lie in (0, 1]")
-    mode = cfg.get("network", {}).get("beta_mode", "paper")
+    reduction = _section(cfg, "reduction")
+    _number(reduction, "reduction.gamma", 1.0, lambda g: 0 < g <= 1, "lie in (0, 1]")
+    mode = _section(cfg, "network").get("beta_mode", "paper")
     _check(mode in ("paper", "measured"), f"network.beta_mode must be paper or measured: {mode!r}")
     _integer(cfg, "seed", 0, 0)
     return cfg
@@ -68,6 +70,26 @@ def _check(ok: bool, message: str) -> None:
     """A config value the library would refuse is a config error."""
     if not ok:
         raise ConfigError(message)
+
+
+def _section(parent: dict, name: str, default=None) -> dict:
+    """The object at name's last key in parent ({} or default if absent); ConfigError if
+    it is not an object."""
+    value = parent.get(name.rsplit(".", 1)[-1], {} if default is None else default)
+    _check(isinstance(value, dict), f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _pairs(section: dict, name: str) -> list:
+    """The list at name's last key in section; ConfigError unless it is present and each
+    item is an [x, y] pair of numbers."""
+    value = section.get(name.rsplit(".", 1)[-1])
+    pairs = isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(c) in (int, float) for c in p)
+        for p in value
+    )
+    _check(pairs, f"{name} must be a list of [x, y] pairs, got {value!r}")
+    return value
 
 
 def _number(section: dict, name: str, default, ok, need: str):
@@ -103,47 +125,48 @@ class Setup:
     def __init__(self, cfg: dict, seed: int):
         self.cfg = cfg
         self.seed = seed
-        self.reduction = cfg.get("reduction", {})
-        self.beta_mode = cfg.get("network", {}).get("beta_mode", "paper")
+        self.reduction = _section(cfg, "reduction")
+        self.beta_mode = _section(cfg, "network").get("beta_mode", "paper")
 
     @cached_property
     def domain(self):
-        dom = self.cfg.get("domain", {"kind": "square"})
+        dom = _section(self.cfg, "domain", {"kind": "square"})
         kind = dom.get("kind", "square")
         if kind == "square":
             return mesh_mod.unit_square()
         if kind == "lshape":
             return mesh_mod.lshape()
         if kind == "polygon":
-            return mesh_mod.Polygon(np.asarray(dom["vertices"], dtype=float))
+            return mesh_mod.Polygon(np.asarray(_pairs(dom, "domain.vertices"), dtype=float))
         raise ConfigError(f"unknown domain kind {kind!r}")
 
     @cached_property
     def mesh(self):
-        section = self.cfg.get("mesh", {})
+        section = _section(self.cfg, "mesh")
         h = _number(section, "mesh.h", 0.125, lambda h: h > 0, "be positive")
         m = mesh_mod.triangulate(self.domain, h)
-        graded = section.get("graded")
+        graded = _section(section, "mesh.graded")
         if graded:
             grading = _number(graded, "mesh.graded.grading", None, lambda g: 0 < g < 1,
                               "lie in (0, 1)")
             levels = _integer(graded, "mesh.graded.levels", None, 0)
-            _check("corners" in graded, "mesh.graded.corners is required")
-            m = mesh_mod.refine_corner_graded(m, graded["corners"], grading, levels)
+            corners = _pairs(graded, "mesh.graded.corners")
+            m = mesh_mod.refine_corner_graded(m, corners, grading, levels)
         return m
 
     @cached_property
     def space(self):
-        degree = self.cfg.get("mesh", {}).get("degree", 1)
-        _check(degree in (1, 2), f"mesh.degree must be 1 or 2, got {degree!r}")
+        degree = _section(self.cfg, "mesh").get("degree", 1)
+        _check(type(degree) is int and degree in (1, 2),
+               f"mesh.degree must be 1 or 2, got {degree!r}")
         space = fem_mod.build_space(self.mesh, degree)
         _check(space.n_free > 0, f"mesh.h must leave a free dof at mesh.degree {degree}")
         return space
 
     @cached_property
     def problem(self):
-        section = self.cfg.get("problem", {})
-        source = section.get("source", {"kind": "constant", "value": 1.0})
+        section = _section(self.cfg, "problem")
+        source = _section(section, "problem.source", {"kind": "constant", "value": 1.0})
         if source.get("kind", "constant") != "constant":
             raise ConfigError("only constant sources are configurable")
         value = _number(source, "problem.source.value", 1.0, lambda v: 0 < abs(v) < math.inf,
@@ -163,7 +186,7 @@ class Setup:
 
     @cached_property
     def family(self):
-        section = self.cfg.get("family", {"kind": "analytic"})
+        section = _section(self.cfg, "family", {"kind": "analytic"})
         kind = section.get("kind", "analytic")
         fill = _number(section, "family.fill", 0.9, lambda f: 0 < f <= 1, "lie in (0, 1]")
         n_modes = _integer(section, "family.n_modes", 4, 1)
@@ -190,12 +213,13 @@ class Setup:
 
     @cached_property
     def encoder(self):
-        section = self.cfg.get("encoder", {"kind": "nodal", "h": 0.25, "degree": 1})
+        section = _section(self.cfg, "encoder", {"kind": "nodal", "h": 0.25, "degree": 1})
         kind = section.get("kind", "nodal")
         h = _number(section, "encoder.h", 0.25, lambda h: h > 0, "be positive")
         coarse = mesh_mod.triangulate(self.domain, h)
         if kind == "nodal":
-            degree = _number(section, "encoder.degree", 1, lambda d: d in (1, 2), "be 1 or 2")
+            degree = _number(section, "encoder.degree", 1, lambda d: type(d) is int and d in (1, 2),
+                             "be 1 or 2")
             return build_nodal_encoder(fem_mod.build_space(coarse, degree))
         if kind == "gll":
             p = _integer(section, "encoder.p", 3, 1)
@@ -217,7 +241,7 @@ class Setup:
     @cached_property
     def operator(self):
         red = self.reduction
-        section = self.cfg.get("network", {})
+        section = _section(self.cfg, "network")
         epsilon = _number(section, "network.epsilon", 1e-2, lambda e: 0 < e < 1, "lie in (0, 1)")
         return pipe_mod.build_operator(
             self.family,
@@ -234,7 +258,7 @@ class Setup:
 
     def test_coefficients(self, count_key: str, default: int, seed_offset: int):
         """Family members drawn with seed + seed_offset, as many as evaluation[count_key]."""
-        count = _integer(self.cfg.get("evaluation", {}), f"evaluation.{count_key}", default, 1)
+        count = _integer(_section(self.cfg, "evaluation"), f"evaluation.{count_key}", default, 1)
         return coeff_mod.sample_family(self.family, count, self.seed + seed_offset)
 
 
@@ -294,7 +318,7 @@ def cmd_eval(s: Setup, out_dir, hash_):
 
 
 def cmd_sweep(s: Setup, out_dir, hash_):
-    sweep = s.cfg.get("sweep", {"axis": "epsilon", "values": [1e-1, 1e-2, 1e-3]})
+    sweep = _section(s.cfg, "sweep", {"axis": "epsilon", "values": [1e-1, 1e-2, 1e-3]})
     if sweep.get("axis", "epsilon") != "epsilon":
         raise ConfigError("only epsilon sweeps are supported")
     values = sweep.get("values")

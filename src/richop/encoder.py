@@ -12,25 +12,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .coeff import (CoefficientField, _bernstein_range, _per_points, _shape_values, domain_grid,
                     from_callable)
-from .fem import FemSpace
-from .mesh import QuadSplit, _first_appearance, locate_points
+from .fem import FemSpace, build_space
+from .mesh import Mesh, QuadSplit, _first_appearance, locate_points, quad_split
 
 __all__ = [
     "Encoder",
-    "GllGrid",
+    "NodalEncoder",
+    "GllEncoder",
     "gll_nodes",
     "build_nodal_encoder",
     "build_gll_encoder",
     "encoder_error",
     "reconstruction_envelope",
     "encoder_to_json",
+    "encoder_from_json",
 ]
 
 
@@ -74,29 +75,22 @@ def _lagrange_1d(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GllGrid:
-    """Mapped tensor GLL nodes per quad with interface channels identified."""
-
-    split: QuadSplit
-    order: int
-    nodes_1d: np.ndarray
-    points: np.ndarray  # (M, 2) deduplicated global query points
-    quad_channels: np.ndarray  # (t, 3, (p+1)^2) global channel ids
-
-
 class Encoder:
-    """Linear encoder a -> R^M given by point queries, with reconstruction basis.
+    """Linear encoder a -> R^M given by point queries on a coarse `mesh`, with reconstruction basis.
 
-    ``query_points`` is a read-only copy, so family members encode from their family's table.
+    A kind gives `cell_channels` (row c: the channels of cell c), the `doc` encoder_from_json
+    rebuilds it from, and the hooks _cell_values (each point's cell and its basis values
+    there) and _range (the Bernstein range of channel vectors). ``query_points`` is a
+    read-only copy, so family members encode from their family's table.
     """
 
-    def __init__(self, kind: str, query_points: np.ndarray, payload):
-        self.kind = kind
+    def __init__(self, mesh: Mesh, query_points: np.ndarray, cell_channels: np.ndarray, doc: dict):
+        self.mesh = mesh
         self.query_points = np.array(query_points, dtype=float)
         self.query_points.flags.writeable = False
         self.m = len(self.query_points)
-        self._payload = payload
+        self.cell_channels = cell_channels
+        self.doc = doc
         self._channels = {}  # id(points) -> (weakref to the points, channel matrix)
 
     def encode(self, a: CoefficientField) -> np.ndarray:
@@ -114,8 +108,13 @@ class Encoder:
         return _per_points(self._channels, np.asarray(pts, dtype=float), self._build_channel_matrix)
 
     def _build_channel_matrix(self, pts: np.ndarray) -> sp.csr_matrix:
-        build = _nodal_channel_matrix if self.kind == "nodal" else _gll_channel_matrix
-        matrix = build(self._payload, pts)
+        tri_idx, bary = locate_points(self.mesh, pts, tol=1e-9)
+        if np.any(tri_idx < 0):
+            raise ValueError("point outside mesh in encoder reconstruction")
+        cells, values = self._cell_values(np.atleast_2d(pts), tri_idx, bary)
+        n, k = values.shape
+        matrix = sp.csr_matrix((values.ravel(), self.cell_channels[cells].ravel(),
+                                np.arange(0, n * k + 1, k)), shape=(n, self.m))
         for array in (matrix.data, matrix.indices, matrix.indptr):
             array.flags.writeable = False
         return matrix
@@ -130,43 +129,66 @@ class Encoder:
         )
 
 
-def build_nodal_encoder(space: FemSpace) -> Encoder:
+class NodalEncoder(Encoder):
+    """Lagrange interpolation on a P1/P2 space: its dofs are the channels."""
+
+    def __init__(self, space: FemSpace):
+        doc = {"kind": "nodal", "degree": space.degree}
+        super().__init__(space.mesh, space.dof_coords, space.cell_dofs, doc)
+        self.degree = space.degree
+
+    def _cell_values(self, pts, tri_idx, bary):
+        return tri_idx, _shape_values(bary, self.degree)
+
+    def _range(self, nodal):
+        return _bernstein_range(nodal, self.cell_channels, self.degree)
+
+
+def build_nodal_encoder(space: FemSpace) -> NodalEncoder:
     """Lagrange interpolation encoder; queries at the dof coordinates."""
-    if space.degree not in (1, 2):
-        raise ValueError("nodal encoder needs degree 1 or 2")
-    return Encoder("nodal", space.dof_coords, space)
+    return NodalEncoder(space)
 
 
-def _rows_of(values: np.ndarray, cols: np.ndarray, m: int) -> sp.csr_matrix:
-    """CSR (n, m) whose row i holds values[i] in columns cols[i]."""
-    n, k = values.shape
-    return sp.csr_matrix((values.ravel(), cols.ravel(), np.arange(0, n * k + 1, k)), shape=(n, m))
+class GllEncoder(Encoder):
+    """Tensor GLL interpolation of order p on the flat quads 3 t + i of the split: row q
+    of cell_channels holds quad q's node a (p+1) + b, mapped from (nodes_1d[a], nodes_1d[b])."""
+
+    def __init__(self, split: QuadSplit, p: int):
+        nodes = gll_nodes(p)  # refuses p < 1
+        ss, uu = np.meshgrid(nodes, nodes, indexing="ij")  # local index a*(p+1)+b
+        quads = np.arange(3 * split.mesh.n_triangles)[:, None]
+        # detect non-bijective maps on an 11 x 11 probe grid
+        probe = np.linspace(-1.0, 1.0, 11)
+        ps, pu = np.meshgrid(probe, probe, indexing="ij")
+        if np.any(split.bilinear_map(quads, ps.ravel()[None], pu.ravel()[None])[3] <= 0):
+            raise ValueError("non-bijective bilinear map detected in quad split")
+        mapped = split.bilinear_map(quads, ss.ravel()[None], uu.ravel()[None])[0].reshape(2, -1).T.copy()
+        # nodes on quad interfaces coincide to rounding; each is one channel
+        first, channels = _first_appearance(np.round(mapped, 12))
+        super().__init__(split.mesh, mapped[first], channels.reshape(len(quads), -1),
+                         {"kind": "gll", "p": p})
+        self.split, self.order, self.nodes_1d = split, p, nodes
+
+    def _cell_values(self, pts, tri_idx, bary):
+        quad = 3 * tri_idx + np.argmax(bary, axis=1)  # flat quad at the dominant vertex
+        st = _invert_bilinear(self.split, quad, pts)
+        ls = _lagrange_1d(self.nodes_1d, st[:, 0])
+        lu = _lagrange_1d(self.nodes_1d, st[:, 1])
+        # each point takes the values of exactly one quad
+        return quad, (ls[:, :, None] * lu[:, None, :]).reshape(len(pts), -1)
+
+    def _range(self, nodal):
+        p, k = self.order, np.arange(self.order + 1)
+        t = (self.nodes_1d[:, None] + 1.0) / 2.0
+        binom = np.array([math.comb(p, i) for i in k], dtype=float)
+        inv = np.linalg.inv(binom * t**k * (1.0 - t) ** (p - k))
+        coeffs = inv @ nodal[:, self.cell_channels].reshape(len(nodal), -1, p + 1, p + 1) @ inv.T
+        return coeffs.min(), coeffs.max()
 
 
-def _nodal_channel_matrix(space: FemSpace, pts: np.ndarray) -> sp.csr_matrix:
-    tri_idx, bary = locate_points(space.mesh, pts, tol=1e-9)
-    if np.any(tri_idx < 0):
-        raise ValueError("point outside mesh in encoder reconstruction")
-    return _rows_of(_shape_values(bary, space.degree), space.cell_dofs[tri_idx], space.n_dofs)
-
-
-def build_gll_encoder(split: QuadSplit, p: int) -> Encoder:
+def build_gll_encoder(split: QuadSplit, p: int) -> GllEncoder:
     """Piecewise tensor GLL encoder on the barycentric quad split."""
-    if p < 1:
-        raise ValueError("order p must be at least 1")
-    nodes = gll_nodes(p)
-    ss, uu = np.meshgrid(nodes, nodes, indexing="ij")  # local index a*(p+1)+b
-    quads = np.arange(3 * split.mesh.n_triangles)[:, None]
-    # detect non-bijective maps on an 11 x 11 probe grid
-    probe = np.linspace(-1.0, 1.0, 11)
-    ps, pu = np.meshgrid(probe, probe, indexing="ij")
-    if np.any(split.bilinear_map(quads, ps.ravel()[None], pu.ravel()[None])[3] <= 0):
-        raise ValueError("non-bijective bilinear map detected in quad split")
-    mapped = split.bilinear_map(quads, ss.ravel()[None], uu.ravel()[None])[0].reshape(2, -1).T.copy()
-    # nodes on quad interfaces coincide to rounding; each is one channel
-    first, channels = _first_appearance(np.round(mapped, 12))
-    grid = GllGrid(split, p, nodes, mapped[first], channels.reshape(split.mesh.n_triangles, 3, -1))
-    return Encoder("gll", grid.points, grid)
+    return GllEncoder(split, p)
 
 
 def _invert_bilinear(split: QuadSplit, quad: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -192,27 +214,12 @@ def _invert_bilinear(split: QuadSplit, quad: np.ndarray, pts: np.ndarray) -> np.
     return st
 
 
-def _gll_channel_matrix(grid: GllGrid, pts: np.ndarray) -> sp.csr_matrix:
-    split, p = grid.split, grid.order
-    tri_idx, bary = locate_points(split.mesh, pts, tol=1e-9)
-    if np.any(tri_idx < 0):
-        raise ValueError("point outside mesh in encoder reconstruction")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    quad = 3 * tri_idx + np.argmax(bary, axis=1)  # flat quad at the dominant vertex
-    st = _invert_bilinear(split, quad, pts)
-    ls = _lagrange_1d(grid.nodes_1d, st[:, 0])
-    lu = _lagrange_1d(grid.nodes_1d, st[:, 1])
-    tensor = (ls[:, :, None] * lu[:, None, :]).reshape(len(pts), -1)
-    # each point takes the values of exactly one quad
-    return _rows_of(tensor, grid.quad_channels.reshape(-1, (p + 1) ** 2)[quad], len(grid.points))
-
-
 def encoder_error(encoder: Encoder, a: CoefficientField, grid_n: int = 400) -> float:
     """Sampled sup-norm of a - reconstruction(encode(a)) on the mesh domain.
 
     A lower bound of the true L-inf error; dense enough grids make it sharp.
     """
-    pts = domain_grid(_encoder_mesh(encoder), grid_n)
+    pts = domain_grid(encoder.mesh, grid_n)
     recon = encoder.channel_matrix(pts) @ encoder.encode(a)
     return float(np.max(np.abs(a(pts) - recon)))
 
@@ -230,34 +237,36 @@ def reconstruction_envelope(encoder: Encoder, values: np.ndarray, alpha: float) 
     at the GLL nodes mapped to [0, 1]. Returns max(alpha - min, max - alpha)
     over all coefficients, a bound on the whole domain; for P1 it is exact.
     """
-    nodal = np.atleast_2d(np.asarray(values, dtype=float))  # (n, M)
-    payload = encoder._payload
-    if encoder.kind == "gll":
-        p, k = payload.order, np.arange(payload.order + 1)
-        t = (payload.nodes_1d[:, None] + 1.0) / 2.0
-        binom = np.array([math.comb(p, i) for i in k], dtype=float)
-        inv = np.linalg.inv(binom * t**k * (1.0 - t) ** (p - k))
-        coeffs = inv @ nodal[:, payload.quad_channels].reshape(len(nodal), -1, p + 1, p + 1) @ inv.T
-        lo, hi = coeffs.min(), coeffs.max()
-    else:
-        lo, hi = _bernstein_range(nodal, payload.cell_dofs, payload.degree)
+    lo, hi = encoder._range(np.atleast_2d(np.asarray(values, dtype=float)))
     return float(max(alpha - lo, hi - alpha))
 
 
-def _encoder_mesh(encoder: Encoder):
-    if encoder.kind == "nodal":
-        return encoder._payload.mesh
-    return encoder._payload.split.mesh
-
-
 def encoder_to_json(encoder: Encoder) -> str:
-    doc = {
-        "kind": encoder.kind,
-        "m": encoder.m,
-        "query_points": [[x, y] for x, y in encoder.query_points],
-    }
-    if encoder.kind == "nodal":
-        doc["degree"] = encoder._payload.degree
+    """encoder.json: the kind, m, the query points, then the kind's order."""
+    head = {"kind": encoder.doc["kind"], "m": encoder.m,
+            "query_points": [[x, y] for x, y in encoder.query_points]}
+    return json.dumps({**head, **encoder.doc})
+
+
+def encoder_from_json(text: str, mesh: Mesh) -> Encoder:
+    """The encoder that encoder_to_json wrote, rebuilt on its coarse mesh.
+
+    Raises ValueError for a document that is not an object, a kind other than
+    nodal or gll, a degree or p that is not an integer, and query points that
+    do not match the rebuilt ones.
+    """
+    doc = json.loads(text)
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    key = {"nodal": "degree", "gll": "p"}.get(kind)
+    if key is None:
+        raise ValueError(f"encoder.json has kind {kind!r}, not 'nodal' or 'gll'")
+    if type(doc.get(key)) is not int:
+        raise ValueError(f"encoder.json has {key} {doc.get(key)!r}, not an integer")
+    if kind == "nodal":
+        enc = build_nodal_encoder(build_space(mesh, doc[key]))
     else:
-        doc["p"] = encoder._payload.order
-    return json.dumps(doc)
+        enc = build_gll_encoder(quad_split(mesh), doc[key])
+    points = np.asarray(doc.get("query_points", []), dtype=float)
+    if enc.m != len(points) or not np.allclose(enc.query_points, points, atol=1e-12):
+        raise ValueError("rebuilt encoder does not match the stored query points")
+    return enc

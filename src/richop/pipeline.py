@@ -19,21 +19,18 @@ import scipy.sparse as sp
 from .coeff import CoefficientField, DataFamily
 from .encoder import (
     Encoder,
-    _encoder_mesh,
-    build_gll_encoder,
-    build_nodal_encoder,
+    encoder_from_json,
     encoder_to_json,
     reconstruction_envelope,
 )
 from .fem import (
     FemSpace,
     ProblemConfig,
-    build_space,
     energy_norm,
     galerkin_solve,
     quadrature_points,
 )
-from .mesh import quad_split, read_mesh, write_mesh
+from .mesh import read_mesh, write_mesh
 from .reduced_basis import (
     ReducedBasis,
     generate_snapshots,
@@ -264,7 +261,7 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
         raise ValueError("a nonsmooth operator cannot be saved: its input net has depth 3")
     os.makedirs(directory, exist_ok=True)
     write_mesh(op.space.mesh, os.path.join(directory, "mesh.txt"))
-    write_mesh(_encoder_mesh(op.encoder), os.path.join(directory, "encoder_mesh.txt"))
+    write_mesh(op.encoder.mesh, os.path.join(directory, "encoder_mesh.txt"))
     p = op.basis.frame(op.frame)
     row_format = ",".join(["%.17g"] * p.shape[1]) + "\n"
     with open(os.path.join(directory, "basis.csv"), "w") as fh:
@@ -299,16 +296,16 @@ class LoadedOperator:
 def load_bundle(directory: str) -> LoadedOperator:
     """Rebuild an operator from a bundle through the build's certificate chain.
 
-    certified_approximator re-derives K, the budgets, Z_A, the step net and
-    the report from the stored input net, shift, alpha, beta_eff, ||f|| and
-    epsilon. Raises ValueError for another bundle format, for alpha,
-    beta_eff, f_dual_norm or epsilon missing or not a number, for n_basis,
-    m_channels, input net widths or shift length that do not match basis.csv
-    and the encoder, and for any stored certificate (k_steps, eps_iterator,
-    eps_step, contraction, matrix_bound, ...) not exactly the derived one.
-    This checks consistency, not provenance: the bundle stores neither a0
-    nor f, so the input net, the shift, ||f|| and basis.csv are taken as
-    given, and edits that keep them consistent with each other load.
+    encoder_from_json rebuilds the encoder from encoder.json on encoder_mesh.txt and
+    refuses a malformed document; certified_approximator re-derives K, the budgets, Z_A,
+    the step net and the report from the stored input net, shift, alpha, beta_eff, ||f||
+    and epsilon. Raises ValueError for another bundle format, for alpha, beta_eff,
+    f_dual_norm or epsilon missing or not a number, for n_basis, m_channels, input net
+    widths or shift length that do not match basis.csv and the encoder, and for any
+    stored certificate (k_steps, eps_iterator, eps_step, contraction, matrix_bound, ...)
+    not exactly the derived one. This checks consistency, not provenance: the bundle
+    stores neither a0 nor f, so the input net, the shift, ||f|| and basis.csv are taken
+    as given, and edits that keep them consistent with each other load.
     """
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
@@ -321,14 +318,7 @@ def load_bundle(directory: str) -> LoadedOperator:
             raise ValueError(f"bundle has {key} {meta.get(key)!r}, not a number")
     enc_mesh = read_mesh(os.path.join(directory, "encoder_mesh.txt"))
     with open(os.path.join(directory, "encoder.json")) as fh:
-        enc_doc = json.load(fh)
-    if enc_doc["kind"] == "nodal":
-        enc = build_nodal_encoder(build_space(enc_mesh, enc_doc["degree"]))
-    else:
-        enc = build_gll_encoder(quad_split(enc_mesh), enc_doc["p"])
-    points = np.asarray(enc_doc["query_points"], dtype=float)
-    if enc.m != len(points) or not np.allclose(enc.query_points, points, atol=1e-12):
-        raise ValueError("rebuilt encoder does not match the stored query points")
+        enc = encoder_from_json(fh.read(), enc_mesh)
     with open(os.path.join(directory, "net.json")) as fh:
         doc = json.load(fh)
     encoder_input, shift = net_from_doc(doc["input"]), np.asarray(doc["shift"], dtype=float)

@@ -88,6 +88,8 @@ class NeuralNet:
             (w.tocsr().astype(np.float64, copy=False), np.asarray(b, dtype=float))
             for w, b in layers
         ]
+        if not self.layers:
+            raise ValueError("a network needs at least one layer")
         widths = [self.layers[0][0].shape[1]]
         for w, b in self.layers:
             if w.shape[1] != widths[-1]:

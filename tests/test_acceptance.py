@@ -367,7 +367,7 @@ def test_criterion_11_greedy_decay(lab):
 def exact_encoding_operator(lab):
     """Operator over P1 fields on the encoder mesh: encoding is exact."""
     enc = lab["encoder"]
-    enc_mesh = enc._payload.mesh
+    enc_mesh = enc.mesh
     modes = [
         C.mesh_field(enc_mesh, C.trig_mode(1, 0)(enc_mesh.nodes), 1),
         C.mesh_field(enc_mesh, C.trig_mode(0, 1)(enc_mesh.nodes), 1),

@@ -7,6 +7,7 @@ its tracer and its workload set-up on a tiny problem.
 
 import inspect
 import pathlib
+import re
 import sys
 
 import pytest
@@ -44,6 +45,31 @@ def test_counted_arguments_are_parameters(bench):
         for part in name.split("."):
             obj = getattr(obj, part)
         assert argument in inspect.signature(obj).parameters, name
+
+
+# The richop functions that bench/workloads.py calls to set a workload up. The traced
+# set-up gate compares the traced set-up time with the sum of the layers' self times,
+# so each must be a traced function: a class, or a class bound to a build_* name, is not.
+_WORKLOAD_CALLS = (
+    "mesh.unit_square", "mesh.triangulate", "mesh.quad_split", "fem.build_space",
+    "fem.normalize_source", "coeff.constant", "coeff.analytic_family",
+    "encoder.build_nodal_encoder", "encoder.build_gll_encoder", "pipeline.build_operator",
+)
+
+
+def test_workload_set_up_calls_are_traced(bench):
+    spans, _ = bench
+    source = (BENCH / "workloads.py").read_text()
+    called = set(re.findall(r"\b((?:mesh|fem|coeff|encoder|pipeline)\.[a-z_]+)\(", source))
+    assert called == set(_WORKLOAD_CALLS)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name in _WORKLOAD_CALLS:
+            module, attr = name.split(".")
+            assert hasattr(getattr(getattr(richop, module), attr), "__wrapped__"), name
+    finally:
+        tracer.uninstall()
 
 
 @pytest.fixture(scope="module")

@@ -50,6 +50,8 @@ def test_invalid_beta_exits_one(tmp_path):
         ("build", "network", {"epsilon": 0.0}),
         ("build", "mesh", {"degree": 3}),
         ("build", "encoder", {"degree": 3}),
+        ("build", "encoder", {"degree": 1.0}),
+        ("build", "mesh", {"degree": 1.0}),
         ("sweep", "sweep", {"values": [0.1, 1.5]}),
         ("build", "family", {"fill": 1.5}),
         ("build", "family", {"n_modes": 0}),
@@ -89,7 +91,8 @@ def test_invalid_beta_exits_one(tmp_path):
         ("sweep", "sweep", {"axis": "epsilon"}),
         ("sweep", "sweep", {"values": []}),
     ],
-    ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree", "sweep_epsilon",
+    ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree",
+         "encoder_degree_float", "mesh_degree_float", "sweep_epsilon",
          "family_fill", "family_n_modes", "analytic_n_modes_above_eight", "family_n_modes_fraction",
          "parametric_n_modes", "sobolev_order", "sobolev_radius", "gll_p_zero", "gamma_zero",
          "gamma_above_one", "beta_mode_unknown", "source_value_zero", "family_fill_string",
@@ -108,6 +111,43 @@ def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, values
     bad.write_text(json.dumps(cfg))
     assert cli.main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert f"config error: {section}" in capsys.readouterr().err
+
+
+def _graded(corners):
+    return {"corners": corners, "grading": 0.5, "levels": 1}
+
+
+@pytest.mark.parametrize(
+    "command, edit, named",
+    [
+        ("mesh", lambda c: [c], "the config"),
+        ("mesh", lambda c: {**c, "problem": 5}, "problem"),
+        ("mesh", lambda c: {**c, "reduction": []}, "reduction"),
+        ("build", lambda c: {**c, "encoder": "nodal"}, "encoder"),
+        ("snapshots", lambda c: {**c, "family": ["analytic"]}, "family"),
+        ("eval", lambda c: {**c, "evaluation": 8}, "evaluation"),
+        ("sweep", lambda c: {**c, "sweep": "epsilon"}, "sweep"),
+        ("mesh", lambda c: {**c, "domain": "square"}, "domain"),
+        ("snapshots", lambda c: {**c, "problem": {**c["problem"], "source": 1.0}}, "problem.source"),
+        ("mesh", lambda c: {**c, "mesh": {**c["mesh"], "graded": 5}}, "mesh.graded"),
+        ("mesh", lambda c: {**c, "mesh": {**c["mesh"], "graded": _graded(5)}}, "mesh.graded.corners"),
+        ("mesh", lambda c: {**c, "mesh": {**c["mesh"], "graded": _graded([[0.0, 0.0, 1.0]])}},
+         "mesh.graded.corners"),
+        ("mesh", lambda c: {**c, "domain": {"kind": "polygon"}}, "domain.vertices"),
+        ("mesh", lambda c: {**c, "domain": {"kind": "polygon", "vertices": [[0, 0], [1, 0], 1]}},
+         "domain.vertices"),
+    ],
+    ids=["top_level_list", "problem_number", "reduction_list", "encoder_string", "family_list",
+         "evaluation_number", "sweep_string", "domain_string", "source_number", "graded_number",
+         "corners_number", "corners_triple", "polygon_without_vertices", "vertices_not_pairs"],
+)
+def test_malformed_config_shape_exits_one(tmp_path, capsys, command, edit, named):
+    # the top level and every section read must be an object, and a point list a list of
+    # [x, y] pairs: otherwise a config error (1) through the console entry, not a bug (4)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.load(open(CONFIG)))))
+    assert cli.console([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {named}")
 
 
 @pytest.mark.parametrize("seed", ["3", 2.5, -1], ids=["string", "fraction", "negative"])

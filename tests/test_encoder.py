@@ -200,35 +200,35 @@ def _invert_bilinear_loop(coefs, pts):
     return st
 
 
-def _gll_channel_matrix_loop(grid, pts):
+def _gll_channel_matrix_loop(enc, pts):
     """Reference: one quad group at a time, one row at a time."""
-    tri_idx, bary = M.locate_points(grid.split.mesh, pts, tol=1e-9)
+    tri_idx, bary = M.locate_points(enc.split.mesh, pts, tol=1e-9)
     quad_idx = np.argmax(bary, axis=1)
-    a0, a1, a2, a3 = grid.split.bilinear_coefficients()
-    out = np.zeros((len(pts), len(grid.points)))
+    a0, a1, a2, a3 = enc.split.bilinear_coefficients()
+    out = np.zeros((len(pts), enc.m))
     for t, i in {(int(t), int(i)) for t, i in zip(tri_idx, quad_idx)}:
         sel = np.flatnonzero((tri_idx == t) & (quad_idx == i))
         st = _invert_bilinear_loop((a0[t, i], a1[t, i], a2[t, i], a3[t, i]), pts[sel])
-        ls = E._lagrange_1d(grid.nodes_1d, st[:, 0])
-        lu = E._lagrange_1d(grid.nodes_1d, st[:, 1])
+        ls = E._lagrange_1d(enc.nodes_1d, st[:, 0])
+        lu = E._lagrange_1d(enc.nodes_1d, st[:, 1])
         tensor = ls[:, :, None] * lu[:, None, :]
         for row, vals in zip(sel, tensor.reshape(len(sel), -1)):
-            out[row, grid.quad_channels[t, i]] += vals
+            out[row, enc.cell_channels[3 * t + i]] += vals
     return out
 
 
 class TestGllChannelMatrix:
     @pytest.fixture(scope="class")
-    def grid(self, square):
-        return E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)._payload
+    def enc(self, square):
+        return E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
 
-    def test_random_points_match_loop(self, grid):
+    def test_random_points_match_loop(self, enc):
         pts = np.random.default_rng(7).uniform(0.0, 1.0, size=(500, 2))
         assert np.array_equal(
-            E._gll_channel_matrix(grid, pts).toarray(), _gll_channel_matrix_loop(grid, pts)
+            enc._build_channel_matrix(pts).toarray(), _gll_channel_matrix_loop(enc, pts)
         )
 
-    def test_quad_interface_points_match_loop(self, grid):
+    def test_quad_interface_points_match_loop(self, enc):
         # the four edges of every quad: shared by two quads inside a
         # triangle, or by two triangles, or on the boundary
         u = np.linspace(-1.0, 1.0, 5)
@@ -236,10 +236,10 @@ class TestGllChannelMatrix:
             [np.column_stack([np.full(5, side), u]) for side in (-1.0, 1.0)]
             + [np.column_stack([u, np.full(5, side)]) for side in (-1.0, 1.0)]
         )
-        quads = np.arange(3 * grid.split.mesh.n_triangles)[:, None]
-        pts = grid.split.bilinear_map(quads, edges[:, 0], edges[:, 1])[0].reshape(2, -1).T
+        quads = np.arange(3 * enc.split.mesh.n_triangles)[:, None]
+        pts = enc.split.bilinear_map(quads, edges[:, 0], edges[:, 1])[0].reshape(2, -1).T
         assert np.array_equal(
-            E._gll_channel_matrix(grid, pts).toarray(), _gll_channel_matrix_loop(grid, pts)
+            enc._build_channel_matrix(pts).toarray(), _gll_channel_matrix_loop(enc, pts)
         )
 
 
@@ -295,6 +295,13 @@ class TestChannelMatrixAtQueryPoints:
         dense = enc.channel_matrix(enc.query_points).toarray()
         assert np.max(np.abs(dense - np.eye(enc.m))) <= 1e-13
 
+    @pytest.mark.xfail(strict=True, reason="GLL channels are numbered by coordinates rounded "
+                       "to 12 digits, and one pair of coincident pentagon nodes rounds apart")
+    def test_identity_for_gll_on_the_pentagon(self):
+        enc = E.build_gll_encoder(M.quad_split(M.triangulate(_pentagon(), 0.5)), 3)
+        diff = enc.channel_matrix(enc.query_points) - sp.identity(enc.m, format="csr")
+        assert abs(diff).max() <= 1e-13
+
 
 class TestChannelMatrixCache:
     @pytest.fixture
@@ -315,7 +322,7 @@ class TestChannelMatrixCache:
         pts.flags.writeable = False
         first = encoder.channel_matrix(pts)
         assert encoder.channel_matrix(pts) is first and len(built) == 1
-        fresh = E._nodal_channel_matrix(encoder._payload, pts)
+        fresh = E.Encoder._build_channel_matrix(encoder, pts)  # past the counting patch
         assert (first != fresh).nnz == 0
 
     def test_rebuilt_for_a_writable_array(self, encoder, monkeypatch):

@@ -562,11 +562,11 @@ class TestFirstAppearanceNumbering:
     @pytest.mark.parametrize("p", [2, 3])
     def test_gll_channels(self, p):
         split = M.quad_split(M.triangulate(M.unit_square(), 0.5))
-        grid = E.build_gll_encoder(split, p)._payload
+        enc = E.build_gll_encoder(split, p)
         nodes = E.gll_nodes(p)
         st = np.column_stack([np.repeat(nodes, p + 1), np.tile(nodes, p + 1)])
         channel_of, points = {}, []
-        channels = np.empty_like(grid.quad_channels)
+        channels = np.empty_like(enc.cell_channels)
         for t in range(split.mesh.n_triangles):
             for i in range(3):
                 for loc, x in enumerate(split.bilinear_map(3 * t + i, st[:, 0], st[:, 1])[0].T):
@@ -574,6 +574,6 @@ class TestFirstAppearanceNumbering:
                     if key not in channel_of:
                         channel_of[key] = len(points)
                         points.append(x)
-                    channels[t, i, loc] = channel_of[key]
-        assert np.array_equal(grid.points, np.asarray(points))
-        assert np.array_equal(grid.quad_channels, channels)
+                    channels[3 * t + i, loc] = channel_of[key]
+        assert np.array_equal(enc.query_points, np.asarray(points))
+        assert np.array_equal(enc.cell_channels, channels)

@@ -20,18 +20,27 @@ from richop import richardson as R
 _CHAIN_INPUTS = ("alpha", "beta_eff", "f_dual_norm", "epsilon")
 
 
-class _AmplifyingEncoder(E.Encoder):
+class _Stub:
+    """Test stub base: Stub(base, ...) is a copy of the encoder base, with its own channel
+    cache, whose class puts Stub in front of base's own encoder class."""
+
+    def __new__(cls, base, *args):
+        stub = object.__new__(type(cls.__name__, (cls, type(base)), {}))
+        vars(stub).update(vars(base), _channels={})
+        return stub
+
+
+class _AmplifyingEncoder(_Stub):
     """Test stub: encodings, and so reconstructions, scaled by a gain."""
 
     def __init__(self, base, gain):
-        super().__init__(base.kind, base.query_points, base._payload)
         self._gain = gain
 
     def encode(self, a):
         return self._gain * super().encode(a)
 
 
-class _CountingEncoder(E.Encoder):
+class _CountingEncoder(_Stub):
     """Test stub: records the points of each channel_matrix call and of each build,
     and each encoded coefficient.
 
@@ -39,7 +48,6 @@ class _CountingEncoder(E.Encoder):
     """
 
     def __init__(self, base):
-        super().__init__(base.kind, base.query_points, base._payload)
         self.queried = []
         self.built = []
         self.encoded = []
@@ -209,7 +217,7 @@ class TestErrorDecomposition:
     def test_in_span_member_with_exact_encoding(self, space, config, nodal_encoder):
         # family of P1 fields on the encoder mesh: encoding is exact, and a
         # selected snapshot's coefficient leaves only the network term
-        enc_mesh = nodal_encoder._payload.mesh
+        enc_mesh = nodal_encoder.mesh
         modes = [
             C.mesh_field(enc_mesh, C.trig_mode(1, 0)(enc_mesh.nodes), 1),
             C.mesh_field(enc_mesh, C.trig_mode(0, 1)(enc_mesh.nodes), 1),
@@ -587,6 +595,32 @@ class TestBundle:
         else:
             meta[key] = tamper(meta[key])
         path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=named):
+            P.load_bundle(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "name, tamper, named",
+        [
+            ("encoder.json", lambda doc: [doc], "kind"),
+            ("encoder.json", lambda doc: {k: v for k, v in doc.items() if k != "kind"}, "kind"),
+            ("encoder.json", lambda doc: {**doc, "kind": "spectral"}, "kind"),
+            ("encoder.json", lambda doc: {k: v for k, v in doc.items() if k != "degree"}, "degree"),
+            ("encoder.json", lambda doc: {**doc, "degree": "1"}, "degree"),
+            ("encoder.json", lambda doc: {**doc, "kind": "gll"}, "p"),
+            ("encoder.json", lambda doc: {**doc, "kind": "gll", "p": 2.0}, "p"),
+            ("encoder.json", lambda doc: {**doc, "query_points": doc["query_points"][1:]},
+             "query points"),
+            ("net.json", lambda doc: {**doc, "input": []}, "layer"),
+        ],
+        ids=["encoder_list", "kind_deleted", "kind_unknown", "degree_deleted", "degree_string",
+             "gll_without_p", "gll_p_float", "query_point_dropped", "input_net_empty"],
+    )
+    def test_rejects_malformed_document(self, operator, tmp_path, name, tamper, named):
+        # a document that lacks a key or has one of the wrong type is refused with
+        # ValueError, not KeyError or IndexError, and a kind is never guessed
+        P.save_bundle(operator, str(tmp_path))
+        path = tmp_path / name
+        path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=named):
             P.load_bundle(str(tmp_path))
 
