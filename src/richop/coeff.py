@@ -1,16 +1,17 @@
 """Coefficient fields and data families for the diffusion problem.
 
 Fields are pointwise evaluators a(x) on the domain, vectorized over point
-arrays. Families generate admissible coefficients: trigonometric sums with
-factorially controlled derivatives (analytic), random piecewise-quadratic
-fields on a coarse mesh (Sobolev ball), and affine parametric combinations
-of stored modes.
+arrays. A family kind is a DataFamily subclass that owns its parameter
+count, point table and member: affine combinations of stored modes
+(AffineFamily, also the analytic trigonometric sums), their shifted absolute
+values (AbsShiftFamily), and random piecewise-polynomial fields on a coarse
+mesh (SobolevBall).
 
-Every member lies in the band alpha +- beta by construction, with no grid
-sample: an affine family divides by a normalizer of at least
-sum_k |c_k| sup|xi_k|, in closed form per mode kind, and a Sobolev-ball
-member is scaled from the Bernstein hull of its nodal values
-(_bernstein_range, which also bounds the encoder's reconstructions).
+Every member lies in the band by construction, with no grid sample: an
+affine family computes its normalizer sum_k |c_k| sup|xi_k| in closed form
+per mode kind, and a Sobolev-ball member is scaled from the Bernstein hull
+of its nodal values (_bernstein_range, which also bounds the encoder's
+reconstructions).
 
 A family computes the parameter-free part of its members once per read-only
 point array and keeps it, read-only, while the array lives (_point_table):
@@ -20,14 +21,14 @@ affine_combination and mesh_field. An affine member evaluates as exactly
 table(pts) @ weights and exposes both in its meta, so a consumer linear in
 the field can work on the table's columns. The cache (_per_points, weakly
 keyed by the array) also holds the encoder's channel matrices and each
-basis's reduced stiffness stacks. A Sobolev ball also builds its dof
-table and the cosine factors of its waves at the dofs once (_sobolev_table).
+basis's reduced stiffness stacks.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +39,9 @@ __all__ = [
     "CoefficientField",
     "MembershipResult",
     "DataFamily",
+    "AffineFamily",
+    "AbsShiftFamily",
+    "SobolevBall",
     "constant",
     "from_callable",
     "affine_combination",
@@ -102,16 +106,14 @@ def affine_combination(fields, weights) -> CoefficientField:
 
 
 def _shape_values(bary: np.ndarray, degree: int) -> np.ndarray:
-    """Lagrange shape values from barycentric coordinates; (n, nloc)."""
+    """Shape values (n, nloc) at barycentric coordinates; _lagrange_dofs checked the degree."""
     l0, l1, l2 = bary[:, 0], bary[:, 1], bary[:, 2]
     if degree == 1:
         return np.stack([l0, l1, l2], axis=1)
-    if degree == 2:
-        lam = (l0, l1, l2)
-        vert = [l * (2 * l - 1) for l in lam]
-        edge = [4 * lam[a] * lam[b] for a, b in _P2_EDGES]
-        return np.stack(vert + edge, axis=1)
-    raise ValueError("degree must be 1 or 2")
+    lam = (l0, l1, l2)
+    vert = [l * (2 * l - 1) for l in lam]
+    edge = [4 * lam[a] * lam[b] for a, b in _P2_EDGES]
+    return np.stack(vert + edge, axis=1)
 
 
 def mesh_field(mesh: Mesh, values: np.ndarray, degree: int = 1) -> CoefficientField:
@@ -241,34 +243,19 @@ def trig_mode(kx: int, ky: int) -> CoefficientField:
     return CoefficientField(fn, kind="trig", meta={"kx": kx, "ky": ky})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DataFamily:
-    """Generator description for a set of admissible coefficients.
+    """Generator of admissible coefficients; ``fill`` is the share of the beta band used.
 
-    ``fill`` is the fraction of the beta band the family occupies, so every
-    member lies in alpha +- beta * fill. For an affine family (parametric,
-    analytic, abs_shift) ``normalizer`` must be at least the certified
-    sum_k |c_k| sup|xi_k| of its modes, which sample_family checks; an
-    abs_shift family's [a_min, a_min + raw_amplitude] must lie in the band.
+    A kind gives ``n_params``, ``member(params)`` for params in [-1, 1]^n_params,
+    and ``_build_table(pts)``, its members' parameter-free part at pts.
     """
 
-    kind: str
     alpha: float
     beta: float
-    modes: tuple = ()
-    amplitudes: tuple = ()
+    domain: object
     fill: float = 0.9
-    normalizer: float = 1.0
-    analytic_bound: float | None = None
-    sobolev_order: int | None = None
-    sobolev_radius: float | None = None
-    coeff_mesh: Mesh | None = None
-    coeff_degree: int = 2
-    domain: object = None
-    a_min: float | None = None
-    raw_amplitude: float | None = None
-    # id(points) -> (weakref to the points, parameter-free part), see _point_table;
-    # "sobolev" -> the sobolev_ball dof table and mode factors, see _sobolev_table
+    # id(points) -> (weakref to the points, parameter-free part), see _point_table
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -276,11 +263,10 @@ class DataFamily:
             raise ValueError("family requires 0 < beta < alpha")
         if not (0 < self.fill <= 1):
             raise ValueError("fill must lie in (0, 1]")
-        if self.kind == "abs_shift" and not (
-            self.alpha - self.beta <= self.a_min
-            and self.a_min + self.raw_amplitude <= self.alpha + self.beta
-        ):
-            raise ValueError("shifted range leaves the admissible band")
+
+    def _point_table(self, pts: np.ndarray) -> tuple:
+        """_build_table(pts), read-only, kept per read-only array (_per_points)."""
+        return _per_points(self._tables, pts, lambda pts: _frozen(self._build_table(pts)))
 
 
 def _mode_sup(mode: CoefficientField) -> float:
@@ -295,104 +281,83 @@ def _mode_sup(mode: CoefficientField) -> float:
     raise ValueError(f"no closed-form bound for a {mode.kind!r} mode")
 
 
-def _affine_normalizer(modes, amplitudes) -> float:
-    """sum_k |c_k| sup|xi_k| in mode order, a bound of sum_k |c_k xi_k(x)|."""
-    if not modes:
-        raise ValueError("an affine family needs at least one mode")
-    total = 0.0
-    for amp, mode in zip(amplitudes, modes):
-        total += abs(amp) * _mode_sup(mode)
-    return total
+@dataclass(frozen=True, kw_only=True)
+class AffineFamily(DataFamily):
+    """Affine family a = alpha + beta*fill * sum_k y_k c_k xi_k / s, y in [-1,1]^K.
 
-
-def _affine_family(kind, alpha, beta, modes, amplitudes, **fields) -> DataFamily:
-    """The one DataFamily constructor of the affine kinds; unit amplitudes by default."""
-    modes = tuple(modes)
-    if amplitudes is None:
-        amplitudes = [1.0] * len(modes)
-    amplitudes = tuple(float(c) for c in amplitudes)
-    normalizer = _affine_normalizer(modes, amplitudes)
-    return DataFamily(kind, alpha, beta, modes, amplitudes, normalizer=normalizer, **fields)
-
-
-def parametric_family(
-    alpha: float,
-    beta: float,
-    modes,
-    domain,
-    amplitudes=None,
-    fill: float = 0.9,
-) -> DataFamily:
-    """Affine family a = alpha + beta*fill * sum_k y_k c_k xi_k / s, y in [-1,1]^K."""
-    return _affine_family("parametric", alpha, beta, modes, amplitudes, fill=fill, domain=domain)
-
-
-# wavenumbers (kx, ky) of the analytic family's modes, in order of decaying amplitude
-ANALYTIC_WAVENUMBERS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3))
-
-
-def analytic_family(
-    alpha: float,
-    beta: float,
-    domain,
-    n_modes: int = 2,
-    decay: float = 0.5,
-    fill: float = 0.9,
-    analytic_bound: float = 4.0,
-) -> DataFamily:
-    """Trigonometric family with geometrically decaying mode amplitudes.
-
-    Finite trig sums with bounded wavenumbers have W^{m,inf} norms growing
-    like (k*pi)^m, inside the factorial envelope A^{m+1} m! for moderate m;
-    ``analytic_bound`` records the envelope constant as metadata without a
-    sharpness claim.
+    c_k is 1 unless given; s = sum_k |c_k| sup|xi_k|, in closed form per mode
+    kind, keeps every member, table(pts) @ weights, in alpha +- beta*fill.
     """
-    if not 1 <= n_modes <= len(ANALYTIC_WAVENUMBERS):
-        raise ValueError(
-            f"analytic_family takes 1 to {len(ANALYTIC_WAVENUMBERS)} modes, got {n_modes!r}"
+
+    modes: tuple
+    amplitudes: tuple | None = None
+    normalizer: float = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "modes", tuple(self.modes))
+        if not self.modes:
+            raise ValueError("an affine family needs at least one mode")
+        amplitudes = [1.0] * len(self.modes) if self.amplitudes is None else self.amplitudes
+        object.__setattr__(self, "amplitudes", tuple(float(c) for c in amplitudes))
+        normalizer = 0.0  # in mode order, a bound of sum_k |c_k xi_k(x)|
+        for amp, mode in zip(self.amplitudes, self.modes):
+            normalizer += abs(amp) * _mode_sup(mode)
+        object.__setattr__(self, "normalizer", normalizer)
+
+    @property
+    def n_params(self) -> int:
+        return len(self.modes)
+
+    def _build_table(self, pts: np.ndarray) -> tuple:
+        return (np.stack([f(pts) for f in self._columns()], axis=1),)
+
+    def _columns(self) -> tuple:
+        return (constant(1.0), *self.modes)
+
+    def _weights(self, params: np.ndarray) -> np.ndarray:
+        scale = self.beta * self.fill / self.normalizer
+        return np.concatenate([[self.alpha], scale * params * np.asarray(self.amplitudes)])
+
+    def member(self, params) -> CoefficientField:
+        """The family's shared table times this member's own weights."""
+        params = np.asarray(params, dtype=float)
+        weights = self._weights(params)
+
+        def table(pts):
+            return self._point_table(pts)[0]
+
+        return CoefficientField(
+            lambda pts: table(pts) @ weights, kind="affine",
+            meta={"weights": weights, "table": table, "params": params},
         )
-    modes = [trig_mode(kx, ky) for kx, ky in ANALYTIC_WAVENUMBERS[:n_modes]]
-    amps = [decay**k for k in range(len(modes))]
-    return _affine_family(
-        "analytic", alpha, beta, modes, amps, fill=fill, analytic_bound=analytic_bound, domain=domain
-    )
 
 
-def sobolev_family(
-    alpha: float,
-    beta: float,
-    coeff_mesh: Mesh,
-    order: int = 2,
-    radius: float = 50.0,
-    fill: float = 0.9,
-    degree: int = 2,
-) -> DataFamily:
-    """Random piecewise-P2 fields on a coarse mesh, range-clipped into the cone."""
-    if order < 0 or not radius > 0:
-        raise ValueError("sobolev_family needs order >= 0 and radius > 0")
-    return DataFamily(
-        "sobolev_ball", alpha, beta, fill=fill, sobolev_order=order, sobolev_radius=radius,
-        coeff_mesh=coeff_mesh, coeff_degree=degree, domain=coeff_mesh,
-    )
+@dataclass(frozen=True, kw_only=True)
+class AbsShiftFamily(AffineFamily):
+    """Fields a_min + |g|, g = amplitude * sum_k y_k c_k xi_k / s (meta["raw"]), whose
+    range [a_min, a_min + amplitude] must lie in the band alpha +- beta."""
 
+    a_min: float
+    amplitude: float
 
-def abs_family(
-    alpha: float,
-    beta: float,
-    modes,
-    domain,
-    a_min: float,
-    amplitude: float,
-    amplitudes=None,
-) -> DataFamily:
-    """Family of fields a_min + |g| where g is a sign-changing mode sum.
+    def __post_init__(self):
+        super().__post_init__()
+        if not (self.alpha - self.beta <= self.a_min
+                and self.a_min + self.amplitude <= self.alpha + self.beta):
+            raise ValueError("shifted range leaves the admissible band")
 
-    Requires [a_min, a_min + amplitude] inside [alpha - beta, alpha + beta].
-    Each member records the raw sign-changing field in its metadata.
-    """
-    return _affine_family(
-        "abs_shift", alpha, beta, modes, amplitudes, domain=domain, a_min=a_min, raw_amplitude=amplitude
-    )
+    def _columns(self) -> tuple:
+        return self.modes  # the raw field has no offset
+
+    def _weights(self, params: np.ndarray) -> np.ndarray:
+        return self.amplitude / self.normalizer * params * np.asarray(self.amplitudes)
+
+    def member(self, params) -> CoefficientField:
+        raw = super().member(params)
+        out = abs_shift(raw, self.a_min)
+        out.meta.update(raw=raw, params=raw.meta["params"])
+        return out
 
 
 # wavenumbers and W^{m,inf}-scaled amplitudes for the Sobolev-ball sampler
@@ -406,14 +371,134 @@ def _sobolev_amplitudes(order: int) -> np.ndarray:
     return (1.0 + _SOBOLEV_K2) ** (-(order + 1) / 2.0)
 
 
-def parameter_vectors(family: DataFamily, count: int, seed: int) -> np.ndarray:
-    """Deterministic parameter draws; rows are y vectors (or nodal values)."""
-    rng = np.random.default_rng(seed)
-    if family.kind in ("parametric", "analytic", "abs_shift"):
-        return rng.uniform(-1.0, 1.0, size=(count, len(family.modes)))
-    if family.kind == "sobolev_ball":
-        return rng.uniform(-1.0, 1.0, size=(count, len(_SOBOLEV_WAVES)))
-    raise ValueError(f"unknown family kind {family.kind!r}")
+@dataclass(frozen=True, kw_only=True)
+class SobolevBall(DataFamily):
+    """Random piecewise-P1/P2 (``degree``) fields on the coarse mesh ``domain``, in the cone."""
+
+    order: int = 2
+    radius: float = 50.0
+    degree: int = 2
+    n_params = len(_SOBOLEV_WAVES)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.order < 0 or not self.radius > 0:
+            raise ValueError("sobolev_family needs order >= 0 and radius > 0")
+
+    @cached_property
+    def _dofs(self) -> tuple:
+        """(coords, cell_dofs, cx, cy), read-only: the dof table of the mesh, and the
+        factors cos(kx pi x) and cos(ky pi y) of every wave at the dofs, one row per wave."""
+        coords, cell_dofs, _ = _lagrange_dofs(self.domain, self.degree)
+        cx = np.array([np.cos(kx * np.pi * coords[:, 0]) for kx, _ in _SOBOLEV_WAVES])
+        cy = np.array([np.cos(ky * np.pi * coords[:, 1]) for _, ky in _SOBOLEV_WAVES])
+        return _frozen((coords, cell_dofs, cx, cy))
+
+    def _build_table(self, pts: np.ndarray) -> tuple:
+        return _locate(self.domain, self._dofs[1], self.degree, pts)
+
+    def member(self, params) -> CoefficientField:
+        params = np.asarray(params, dtype=float)
+        coords, cell_dofs, cx, cy = self._dofs
+        amps = _sobolev_amplitudes(self.order)
+        raw_vals = np.zeros(len(coords))
+        for y, amp, cos_x, cos_y in zip(params, amps, cx, cy):
+            raw_vals += y * amp * cos_x * cos_y
+        # P2 fields overshoot their nodal values; the Bernstein hull bounds
+        # the range, so the scaled member stays in alpha +- beta * fill
+        lo, hi = _bernstein_range(raw_vals, cell_dofs, self.degree)
+        mid = 0.5 * (lo + hi)
+        half = max(0.5 * (hi - lo), 1e-12)
+        scale = self.beta * self.fill / half
+        # near-flat draws would be range-amplified past the declared radius;
+        # cap the analytic curvature bound of the generator at 0.8 R
+        curvature = scale * float(np.sum(np.abs(params) * amps * _SOBOLEV_K2)) * np.pi**2
+        if curvature > 0.8 * self.radius:
+            scale *= 0.8 * self.radius / curvature
+        vals = self.alpha + scale * (raw_vals - mid)
+
+        def member(pts):  # mesh_field(domain, vals, degree) from the cached location
+            dofs, shapes = self._point_table(pts)
+            return np.sum(vals[dofs] * shapes, axis=1)
+
+        meta = {"mesh": self.domain, "degree": self.degree, "values": vals,
+                "cell_dofs": cell_dofs, "params": params}
+        return CoefficientField(member, kind="mesh_field", meta=meta)
+
+
+def parametric_family(
+    alpha: float,
+    beta: float,
+    modes,
+    domain,
+    amplitudes=None,
+    fill: float = 0.9,
+) -> DataFamily:
+    """AffineFamily of the modes: a = alpha + beta*fill * sum_k y_k c_k xi_k / s."""
+    return AffineFamily(
+        alpha=alpha, beta=beta, domain=domain, fill=fill, modes=modes, amplitudes=amplitudes
+    )
+
+
+# wavenumbers (kx, ky) of the analytic family's modes, in order of decaying amplitude
+ANALYTIC_WAVENUMBERS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3))
+
+# envelope constant A of the analytic family: finite trig sums with bounded
+# wavenumbers have W^{m,inf} norms growing like (k*pi)^m, inside A^{m+1} m!
+# for moderate m; recorded without a sharpness claim
+ANALYTIC_BOUND = 4.0
+
+
+def analytic_family(
+    alpha: float,
+    beta: float,
+    domain,
+    n_modes: int = 2,
+    decay: float = 0.5,
+    fill: float = 0.9,
+) -> DataFamily:
+    """Trigonometric family with geometrically decaying mode amplitudes (see ANALYTIC_BOUND)."""
+    if not 1 <= n_modes <= len(ANALYTIC_WAVENUMBERS):
+        raise ValueError(
+            f"analytic_family takes 1 to {len(ANALYTIC_WAVENUMBERS)} modes, got {n_modes!r}"
+        )
+    modes = [trig_mode(kx, ky) for kx, ky in ANALYTIC_WAVENUMBERS[:n_modes]]
+    amps = [decay**k for k in range(len(modes))]
+    return AffineFamily(
+        alpha=alpha, beta=beta, domain=domain, fill=fill, modes=modes, amplitudes=amps
+    )
+
+
+def sobolev_family(
+    alpha: float,
+    beta: float,
+    coeff_mesh: Mesh,
+    order: int = 2,
+    radius: float = 50.0,
+    fill: float = 0.9,
+    degree: int = 2,
+) -> DataFamily:
+    """Random piecewise-P2 fields on a coarse mesh, range-clipped into the cone."""
+    return SobolevBall(
+        alpha=alpha, beta=beta, domain=coeff_mesh, fill=fill, order=order, radius=radius,
+        degree=degree,
+    )
+
+
+def abs_family(
+    alpha: float,
+    beta: float,
+    modes,
+    domain,
+    a_min: float,
+    amplitude: float,
+    amplitudes=None,
+) -> DataFamily:
+    """Fields a_min + |g| in alpha +- beta, g a sign-changing mode sum (AbsShiftFamily)."""
+    return AbsShiftFamily(
+        alpha=alpha, beta=beta, domain=domain, modes=modes, amplitudes=amplitudes,
+        a_min=a_min, amplitude=amplitude,
+    )
 
 
 def _read_only(array) -> bool:
@@ -438,113 +523,20 @@ def _per_points(cache: dict, pts, build):
     return entry[1]
 
 
-def _point_table(family: DataFamily, pts: np.ndarray) -> tuple:
-    """The members' parameter-free part: (table,) if affine, (dofs, shapes) if sobolev_ball."""
-    return _per_points(family._tables, pts, lambda pts: _build_table(family, pts))
-
-
-def _sobolev_table(family: DataFamily) -> tuple:
-    """(coords, cell_dofs, cx, cy) of a sobolev_ball family, built on first use.
-
-    The dof table of the coefficient mesh, and the factors cos(kx pi x) and
-    cos(ky pi y) of every wave at the dofs, one row per wave.
-    """
-    table = family._tables.get("sobolev")
-    if table is None:
-        coords, cell_dofs, _ = _lagrange_dofs(family.coeff_mesh, family.coeff_degree)
-        cx = np.array([np.cos(kx * np.pi * coords[:, 0]) for kx, _ in _SOBOLEV_WAVES])
-        cy = np.array([np.cos(ky * np.pi * coords[:, 1]) for _, ky in _SOBOLEV_WAVES])
-        table = family._tables["sobolev"] = (coords, cell_dofs, cx, cy)
-        for array in table:  # shared by every member
-            array.flags.writeable = False
-    return table
-
-
-def _build_table(family: DataFamily, pts: np.ndarray) -> tuple:
-    if family.kind == "sobolev_ball":
-        table = _locate(family.coeff_mesh, _sobolev_table(family)[1], family.coeff_degree, pts)
-    else:
-        # columns: a constant 1 (not for abs_shift, whose raw field has no offset), then the modes
-        fields = family.modes if family.kind == "abs_shift" else (constant(1.0), *family.modes)
-        table = (np.stack([f(pts) for f in fields], axis=1),)
-    for array in table:  # shared by every member
+def _frozen(arrays: tuple) -> tuple:
+    """The arrays, made read-only: every member of a family shares them."""
+    for array in arrays:
         array.flags.writeable = False
-    return table
-
-
-def realize_member(family: DataFamily, params: np.ndarray) -> CoefficientField:
-    """Build the coefficient field for one parameter vector."""
-    params = np.asarray(params, dtype=float)
-    if family.kind in ("parametric", "analytic", "abs_shift"):
-        # a member is the family's shared table times its own weights (abs_shift: a_min + |that|)
-        shifted = family.kind == "abs_shift"
-        scale = (family.raw_amplitude if shifted else family.beta * family.fill) / family.normalizer
-        weights = scale * params * np.asarray(family.amplitudes)
-        if not shifted:
-            weights = np.concatenate([[family.alpha], weights])
-
-        def table(pts):
-            return _point_table(family, pts)[0]
-
-        out = CoefficientField(
-            lambda pts: table(pts) @ weights, kind="affine", meta={"weights": weights, "table": table}
-        )
-        if shifted:
-            out = abs_shift(out, family.a_min)
-            out.meta["raw"] = out.meta["base"]
-        out.meta["params"] = params
-        return out
-    if family.kind == "sobolev_ball":
-        # smooth random draw with W^{m,inf}-scaled spectrum, interpolated as
-        # a piecewise-P1/P2 field on the coarse coefficient mesh
-        coords, cell_dofs, cx, cy = _sobolev_table(family)
-        amps = _sobolev_amplitudes(family.sobolev_order)
-        raw_vals = np.zeros(len(coords))
-        for y, amp, cos_x, cos_y in zip(params, amps, cx, cy):
-            raw_vals += y * amp * cos_x * cos_y
-        # P2 fields overshoot their nodal values; the Bernstein hull bounds
-        # the range, so the scaled member stays in alpha +- beta * fill
-        lo, hi = _bernstein_range(raw_vals, cell_dofs, family.coeff_degree)
-        mid = 0.5 * (lo + hi)
-        half = max(0.5 * (hi - lo), 1e-12)
-        band = family.beta * family.fill
-        scale = band / half
-        # near-flat draws would be range-amplified past the declared radius;
-        # cap the analytic curvature bound of the generator at 0.8 R
-        curvature = scale * float(np.sum(np.abs(params) * amps * _SOBOLEV_K2)) * np.pi**2
-        radius = family.sobolev_radius
-        if curvature > 0.8 * radius:
-            scale *= 0.8 * radius / curvature
-        vals = family.alpha + scale * (raw_vals - mid)
-
-        def member(pts):  # mesh_field(coeff_mesh, vals, coeff_degree) from the cached location
-            dofs, shapes = _point_table(family, pts)
-            return np.sum(vals[dofs] * shapes, axis=1)
-
-        meta = {"mesh": family.coeff_mesh, "degree": family.coeff_degree, "values": vals,
-                "cell_dofs": cell_dofs, "params": params}
-        return CoefficientField(member, kind="mesh_field", meta=meta)
-    raise ValueError(f"unknown family kind {family.kind!r}")
+    return arrays
 
 
 def sample_family(family: DataFamily, count: int, seed: int):
     """Deterministic list of family members, each admissible by construction.
 
-    An affine member is alpha + beta * fill * sum_k y_k c_k xi_k / normalizer
-    with |y_k| <= 1 (abs_shift: a_min + |raw|, |raw| <= raw_amplitude), so a
-    normalizer of at least sum_k |c_k| sup|xi_k| keeps it in the band; that
-    closed-form bound is checked once here and a smaller normalizer is
-    refused. A sobolev_ball member is scaled from its Bernstein hull. No
+    One uniform draw in [-1, 1]^(count, n_params), one member per row; no
     member is sampled on a grid.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if family.kind in ("parametric", "analytic", "abs_shift"):
-        bound = _affine_normalizer(family.modes, family.amplitudes)
-        if not family.normalizer >= bound:
-            raise ValueError(
-                f"family normalizer {family.normalizer:.6g} is below the "
-                f"certified bound {bound:.6g} of its modes"
-            )
-    return [realize_member(family, row) for row in parameter_vectors(family, count, seed)]
-
+    rng = np.random.default_rng(seed)
+    return [family.member(row) for row in rng.uniform(-1.0, 1.0, size=(count, family.n_params))]

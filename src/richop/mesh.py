@@ -183,17 +183,17 @@ def _edge_table(triangles: np.ndarray):
 
 
 def _lagrange_dofs(mesh: Mesh, degree: int):
-    """The Lagrange dof table of degree 1 or 2: (coords, cell_dofs, boundary).
+    """The Lagrange dof table of the integer degree 1 or 2: (coords, cell_dofs, boundary).
 
     The dof coordinates, each triangle's dofs (t, 3 or 6), and the sorted
     dofs on the boundary. P1 dofs are the mesh's own (read-only) arrays; P2
     dofs are the vertices, then the edge midpoints 0.5 (a + b), each
     triangle's edge dofs in _P2_EDGES order.
     """
+    if type(degree) is not int or degree not in (1, 2):  # 1.0 and True are not degrees
+        raise ValueError(f"degree must be the integer 1 or 2, got {degree!r}")
     if degree == 1:
         return mesh.nodes, mesh.triangles, mesh.boundary_nodes
-    if degree != 2:
-        raise ValueError("degree must be 1 or 2")
     edges, cell_edges, counts = _edge_table(mesh.triangles)
     nodes, n = mesh.nodes, mesh.n_nodes
     coords = np.vstack([nodes, 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])])

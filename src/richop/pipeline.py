@@ -299,7 +299,8 @@ def load_bundle(directory: str) -> LoadedOperator:
     encoder_from_json rebuilds the encoder from encoder.json on encoder_mesh.txt and
     refuses a malformed document; certified_approximator re-derives K, the budgets, Z_A,
     the step net and the report from the stored input net, shift, alpha, beta_eff, ||f||
-    and epsilon. Raises ValueError for another bundle format, for alpha, beta_eff,
+    and epsilon. Raises ValueError for a certificates.json that is not an object, a
+    net.json that net_to_doc did not write, another bundle format, for alpha, beta_eff,
     f_dual_norm or epsilon missing or not a number, for n_basis, m_channels, input net
     widths or shift length that do not match basis.csv and the encoder, and for any
     stored certificate (k_steps, eps_iterator, eps_step, contraction, matrix_bound, ...)
@@ -309,6 +310,8 @@ def load_bundle(directory: str) -> LoadedOperator:
     """
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError("certificates.json is not a JSON object")
     if meta.get("bundle_format") != BUNDLE_FORMAT:
         raise ValueError(
             f"bundle format {meta.get('bundle_format')!r} is not {BUNDLE_FORMAT}"
@@ -321,7 +324,10 @@ def load_bundle(directory: str) -> LoadedOperator:
         enc = encoder_from_json(fh.read(), enc_mesh)
     with open(os.path.join(directory, "net.json")) as fh:
         doc = json.load(fh)
-    encoder_input, shift = net_from_doc(doc["input"]), np.asarray(doc["shift"], dtype=float)
+    try:  # a document net_to_doc did not write: a list, a key missing, entry lists of two lengths
+        encoder_input, shift = net_from_doc(doc["input"]), np.asarray(doc["shift"], dtype=float)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"net.json is malformed: {type(exc).__name__} {exc}") from exc
     synthesis = np.loadtxt(os.path.join(directory, "basis.csv"), delimiter=",", ndmin=2)
     n = synthesis.shape[1]
     app = certified_approximator(

@@ -1,4 +1,6 @@
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,7 +153,7 @@ class TestFamilies:
         # factorially controlled derivatives are verified for orders <= 4
         # via the analytic per-mode bound |d^nu mode| <= (k pi)^{|nu|}
         fam = C.analytic_family(1.0, 0.5, square, n_modes=4, decay=0.7)
-        a_bound = fam.analytic_bound
+        a_bound = C.ANALYTIC_BOUND
         scale = fam.beta * fam.fill / fam.normalizer
         import math
 
@@ -162,21 +164,16 @@ class TestFamilies:
                 total += scale * amp * k**m
             assert total <= a_bound ** (m + 1) * math.factorial(m)
 
-    def test_inconsistent_family_bounds_detected(self, square):
-        # a broken normalizer lets samples overshoot the band, which the
-        # sampler must flag
-        broken = C.DataFamily(
-            kind="parametric",
-            alpha=1.0,
-            beta=0.3,
-            modes=(C.trig_mode(1, 0),),
-            amplitudes=(1.0,),
-            fill=1.0,
-            normalizer=0.2,
-            domain=square,
-        )
-        with pytest.raises(ValueError):
-            C.sample_family(broken, 10, 0)
+    def test_normalizer_is_neither_passed_nor_set(self, square):
+        # a normalizer below the certified bound of the modes would let members
+        # overshoot the band: the constructor computes it, and nothing else can
+        with pytest.raises(TypeError, match="normalizer"):
+            C.AffineFamily(alpha=1.0, beta=0.3, domain=square, modes=(C.trig_mode(1, 0),),
+                           normalizer=0.2)
+        fam = C.parametric_family(1.0, 0.3, [C.trig_mode(1, 0)], square, fill=1.0)
+        with pytest.raises(AttributeError):
+            fam.normalizer = 0.2
+        assert fam.normalizer == 1.0
 
     def test_sobolev_seminorm_estimate(self, square):
         # piecewise-P2 fields have gradient kinks on element interfaces, so
@@ -198,7 +195,7 @@ class TestFamilies:
                 dyy = (v[3] - 2 * v[0] + v[4]) / g**2
                 dxy = (v[5] - v[6] - v[7] + v[8]) / (4 * g**2)
                 est = max(est, abs(dxx), abs(dyy), abs(dxy))
-            assert est <= fam.sobolev_radius
+            assert est <= fam.radius
 
     def test_abs_family_members(self, square):
         fam = C.abs_family(
@@ -214,9 +211,14 @@ class TestFamilies:
             C.abs_family(1.0, 0.2, [C.trig_mode(1, 0)], square, 0.6, 0.8)
 
     def test_inadmissible_family_detected(self, square):
-        # fill > 1 is rejected up front by the dataclass
-        with pytest.raises(ValueError):
-            C.DataFamily(kind="parametric", alpha=1.0, beta=0.5, fill=1.5)
+        # fill > 1 is rejected up front by the base class, for every kind
+        for kind, own in [
+            (C.AffineFamily, {"modes": (C.trig_mode(1, 0),)}),
+            (C.AbsShiftFamily, {"modes": (C.trig_mode(1, 0),), "a_min": 0.6, "amplitude": 0.8}),
+            (C.SobolevBall, {"domain": M.triangulate(square, 0.5)}),
+        ]:
+            with pytest.raises(ValueError, match="fill"):
+                kind(**{"alpha": 1.0, "beta": 0.5, "domain": square, **own, "fill": 1.5})
 
     def test_count_validation(self, square, family):
         with pytest.raises(ValueError):
@@ -305,16 +307,16 @@ class TestCertifiedFamilies:
     @pytest.mark.parametrize("kind", sorted(_CERTIFIED_KINDS))
     def test_members_lie_in_band_on_dense_lattice(self, square, kind):
         fam = _CERTIFIED_KINDS[kind](square)
-        if fam.kind == "abs_shift":
-            lo, hi = fam.a_min, fam.a_min + fam.raw_amplitude
+        if isinstance(fam, C.AbsShiftFamily):
+            lo, hi = fam.a_min, fam.a_min + fam.amplitude
         else:
             lo, hi = fam.alpha - fam.beta * fam.fill, fam.alpha + fam.beta * fam.fill
         pts = C.domain_grid(square, 400)
         # random draws, and the corners y = +-sign(c) of the parameter box,
         # where an affine member reaches its band at the origin
-        n_params = C.parameter_vectors(fam, 1, 0).shape[1]
-        corner = np.sign(fam.amplitudes) if fam.modes else np.ones(n_params)
-        extremes = [C.realize_member(fam, sign * corner) for sign in (1.0, -1.0)]
+        affine = isinstance(fam, C.AffineFamily)
+        corner = np.sign(fam.amplitudes) if affine else np.ones(fam.n_params)
+        extremes = [fam.member(sign * corner) for sign in (1.0, -1.0)]
         for a in C.sample_family(fam, 4, 17) + extremes:
             vals = a(pts)
             assert vals.min() >= lo - 1e-12
@@ -336,8 +338,8 @@ class TestCertifiedFamilies:
 
     def test_hand_made_abs_family_outside_band_refused(self, square):
         with pytest.raises(ValueError, match="band"):
-            C.DataFamily(kind="abs_shift", alpha=1.0, beta=0.2, modes=(C.trig_mode(1, 0),),
-                         amplitudes=(1.0,), domain=square, a_min=0.6, raw_amplitude=0.8)
+            C.AbsShiftFamily(alpha=1.0, beta=0.2, modes=(C.trig_mode(1, 0),),
+                             amplitudes=(1.0,), domain=square, a_min=0.6, amplitude=0.8)
 
     def test_bernstein_range_exact_for_p1(self, square):
         mesh = M.triangulate(square, 0.3)
@@ -379,17 +381,17 @@ class TestSobolevParameters:
 
 def _uncached(fam, a, pts):
     """A family member's values through affine_combination or mesh_field, no table."""
-    if fam.kind == "abs_shift":
+    if isinstance(fam, C.AbsShiftFamily):
         raw = C.affine_combination(fam.modes, a.meta["raw"].meta["weights"])
         return fam.a_min + np.abs(raw(pts))
-    if fam.kind == "sobolev_ball":
-        return C.mesh_field(fam.coeff_mesh, a.meta["values"], fam.coeff_degree)(pts)
+    if isinstance(fam, C.SobolevBall):
+        return C.mesh_field(fam.domain, a.meta["values"], fam.degree)(pts)
     return C.affine_combination([C.constant(1.0), *fam.modes], a.meta["weights"])(pts)
 
 
 def _point_entries(fam):
-    """The keys of a family's per-point-set tables (a Sobolev ball also keeps its dof table)."""
-    return [key for key in fam._tables if key != "sobolev"]
+    """The keys of a family's per-point-set tables."""
+    return list(fam._tables)
 
 
 def _read_only(pts):
@@ -453,17 +455,18 @@ class TestMemberTables:
         assert len(built) == 1
         # each member's nodal values, by the per-member formula
         coords, cell_dofs, _ = real(mesh, degree)
-        amps = C._sobolev_amplitudes(fam.sobolev_order)
+        amps = C._sobolev_amplitudes(fam.order)
         k2 = np.array([kx * kx + ky * ky for kx, ky in C._SOBOLEV_WAVES])
-        for y, a in zip(C.parameter_vectors(fam, 40, 3), members):
+        draw = np.random.default_rng(3).uniform(-1.0, 1.0, (40, len(C._SOBOLEV_WAVES)))
+        for y, a in zip(draw, members):
             raw = np.zeros(len(coords))
             for y_k, amp, (kx, ky) in zip(y, amps, C._SOBOLEV_WAVES):
                 raw += y_k * amp * np.cos(kx * np.pi * coords[:, 0]) * np.cos(ky * np.pi * coords[:, 1])
             lo, hi = C._bernstein_range(raw, cell_dofs, degree)
             scale = fam.beta * fam.fill / max(0.5 * (hi - lo), 1e-12)
             curvature = scale * float(np.sum(np.abs(y) * amps * k2)) * np.pi**2
-            if curvature > 0.8 * fam.sobolev_radius:
-                scale *= 0.8 * fam.sobolev_radius / curvature
+            if curvature > 0.8 * fam.radius:
+                scale *= 0.8 * fam.radius / curvature
             assert np.array_equal(a.meta["values"], fam.alpha + scale * (raw - 0.5 * (lo + hi)))
 
     @pytest.mark.parametrize("kind", _TABLE_KINDS)
@@ -502,3 +505,41 @@ class TestMemberTables:
         for a in C.sample_family(fam, 40, 3):
             assert np.array_equal(enc.encode(a), _uncached(fam, a, enc.query_points))
         assert len(calls) == 1 + 40  # the table once, and the 40 uncached references
+
+
+# the families whose members are pinned bit for bit: one per kind, and both Sobolev degrees
+_GOLDEN_FAMILIES = {
+    "analytic": lambda sq: C.analytic_family(1.0, 0.5, sq, n_modes=4, decay=0.7),
+    "parametric": lambda sq: C.parametric_family(
+        1.0, 0.5, [C.trig_mode(k + 1, k % 2 + 1) for k in range(4)], sq
+    ),
+    "abs_family": lambda sq: C.abs_family(
+        1.0, 0.5, [C.trig_mode(1, 0), C.trig_mode(1, 1)], sq, 0.6, 0.8
+    ),
+    "sobolev_p1": lambda sq: C.sobolev_family(1.0, 0.5, M.triangulate(sq, 0.4), degree=1),
+    "sobolev_p2": lambda sq: C.sobolev_family(1.0, 0.5, M.triangulate(sq, 0.4), degree=2),
+}
+
+
+class TestGoldenMembers:
+    # the first 16 hex digits of sha256 over the values ("<f8") of the 7 members of
+    # sample_family(fam, 7, 3) on a read-only 17 x 17 grid, member by member
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("analytic", "e1d3695ca70ba640"),
+            ("parametric", "6f2c0eab57ebe5e9"),
+            ("abs_family", "4c361f62224c42d0"),
+            ("sobolev_p1", "f49638d99e587fee"),
+            ("sobolev_p2", "dbc4bfb350532d96"),
+        ],
+    )
+    def test_member_values_pinned(self, square, name, digest):
+        fam = _GOLDEN_FAMILIES[name](square)
+        pts = _read_only(C.domain_grid(square, 17))
+        writable = np.array(pts)
+        for points in (pts, writable):  # through the cached table, and without it
+            h = hashlib.sha256()
+            for a in C.sample_family(fam, 7, 3):
+                h.update(np.ascontiguousarray(a(points), dtype="<f8").tobytes())
+            assert h.hexdigest()[:16] == digest

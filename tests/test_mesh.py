@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from richop import coeff as C
 from richop import encoder as E
 from richop import fem as F
 from richop import mesh as M
@@ -577,3 +578,21 @@ class TestFirstAppearanceNumbering:
                     channels[3 * t + i, loc] = channel_of[key]
         assert np.array_equal(enc.query_points, np.asarray(points))
         assert np.array_equal(enc.cell_channels, channels)
+
+
+class TestLagrangeDegree:
+    @pytest.mark.parametrize("degree", [1.0, 2.0, True, 0, 3, "1", None],
+                             ids=["one_float", "two_float", "true", "zero", "three", "string", "none"])
+    def test_only_the_integers_one_and_two(self, degree):
+        # a float or bool equal to 1 built a space whose encoder.json its reader refused;
+        # the dof table's check covers every builder that takes a degree
+        mesh = M.triangulate(M.unit_square(), 0.5)
+        builders = [
+            lambda: M._lagrange_dofs(mesh, degree),
+            lambda: F.build_space(mesh, degree),
+            lambda: C.mesh_field(mesh, np.ones(mesh.n_nodes), degree),
+            lambda: C.sample_family(C.sobolev_family(1.0, 0.5, mesh, degree=degree), 1, 0),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match="integer 1 or 2"):
+                build()
