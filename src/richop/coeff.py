@@ -37,7 +37,6 @@ from .mesh import _P2_EDGES, Mesh, Polygon, _lagrange_dofs, locate_points
 
 __all__ = [
     "CoefficientField",
-    "MembershipResult",
     "DataFamily",
     "AffineFamily",
     "AbsShiftFamily",
@@ -47,7 +46,6 @@ __all__ = [
     "affine_combination",
     "mesh_field",
     "abs_shift",
-    "membership",
     "domain_grid",
     "sample_family",
     "parametric_family",
@@ -198,42 +196,6 @@ def domain_grid(domain, grid_n: int) -> np.ndarray:
     return pts[keep]
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    ok: bool
-    min_value: float
-    min_point: np.ndarray
-    max_value: float
-    max_point: np.ndarray
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def membership(
-    a: CoefficientField,
-    alpha: float,
-    beta: float,
-    grid_n: int,
-    domain,
-) -> MembershipResult:
-    """Sampled essinf/esssup test for membership in the admissible cone.
-
-    True iff min sample >= alpha - beta - 1e-12 and max sample
-    <= alpha + beta + 1e-12 over a grid_n x grid_n sampling of the domain.
-    A sample only bounds the range from inside, so this is not on the
-    sampling path (sample_family certifies members in closed form); it is
-    kept as the sampled reference that tests compare against.
-    """
-    pts = domain_grid(domain, grid_n)
-    vals = a(pts)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("coefficient evaluated to a non-finite value")
-    imin, imax = int(np.argmin(vals)), int(np.argmax(vals))
-    ok = bool(vals[imin] >= alpha - beta - 1e-12 and vals[imax] <= alpha + beta + 1e-12)
-    return MembershipResult(ok, float(vals[imin]), pts[imin], float(vals[imax]), pts[imax])
-
-
 def trig_mode(kx: int, ky: int) -> CoefficientField:
     """Product mode cos(kx*pi*x) * cos(ky*pi*y)."""
 
@@ -245,7 +207,7 @@ def trig_mode(kx: int, ky: int) -> CoefficientField:
 
 @dataclass(frozen=True, kw_only=True)
 class DataFamily:
-    """Generator of admissible coefficients; ``fill`` is the share of the beta band used.
+    """Generator of coefficients admissible for the band alpha +- beta.
 
     A kind gives ``n_params``, ``member(params)`` for params in [-1, 1]^n_params,
     and ``_build_table(pts)``, its members' parameter-free part at pts.
@@ -254,19 +216,22 @@ class DataFamily:
     alpha: float
     beta: float
     domain: object
-    fill: float = 0.9
     # id(points) -> (weakref to the points, parameter-free part), see _point_table
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.beta < self.alpha):
             raise ValueError("family requires 0 < beta < alpha")
-        if not (0 < self.fill <= 1):
-            raise ValueError("fill must lie in (0, 1]")
 
     def _point_table(self, pts: np.ndarray) -> tuple:
         """_build_table(pts), read-only, kept per read-only array (_per_points)."""
         return _per_points(self._tables, pts, lambda pts: _frozen(self._build_table(pts)))
+
+
+def _check_fill(fill: float) -> None:
+    """fill, the share of the beta band a family's members may use, must lie in (0, 1]."""
+    if not (0 < fill <= 1):
+        raise ValueError("fill must lie in (0, 1]")
 
 
 def _mode_sup(mode: CoefficientField) -> float:
@@ -282,11 +247,12 @@ def _mode_sup(mode: CoefficientField) -> float:
 
 
 @dataclass(frozen=True, kw_only=True)
-class AffineFamily(DataFamily):
-    """Affine family a = alpha + beta*fill * sum_k y_k c_k xi_k / s, y in [-1,1]^K.
+class _ModeSum(DataFamily):
+    """Members table(pts) @ weights over stored modes xi_k with amplitudes c_k.
 
     c_k is 1 unless given; s = sum_k |c_k| sup|xi_k|, in closed form per mode
-    kind, keeps every member, table(pts) @ weights, in alpha +- beta*fill.
+    kind, bounds sum_k |c_k xi_k|. A kind gives the table's columns and the
+    weights of a parameter vector.
     """
 
     modes: tuple
@@ -312,13 +278,6 @@ class AffineFamily(DataFamily):
     def _build_table(self, pts: np.ndarray) -> tuple:
         return (np.stack([f(pts) for f in self._columns()], axis=1),)
 
-    def _columns(self) -> tuple:
-        return (constant(1.0), *self.modes)
-
-    def _weights(self, params: np.ndarray) -> np.ndarray:
-        scale = self.beta * self.fill / self.normalizer
-        return np.concatenate([[self.alpha], scale * params * np.asarray(self.amplitudes)])
-
     def member(self, params) -> CoefficientField:
         """The family's shared table times this member's own weights."""
         params = np.asarray(params, dtype=float)
@@ -334,9 +293,28 @@ class AffineFamily(DataFamily):
 
 
 @dataclass(frozen=True, kw_only=True)
-class AbsShiftFamily(AffineFamily):
+class AffineFamily(_ModeSum):
+    """Affine family a = alpha + beta*fill * sum_k y_k c_k xi_k / s, y in [-1,1]^K,
+    every member in alpha +- beta*fill."""
+
+    fill: float = 0.9
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_fill(self.fill)
+
+    def _columns(self) -> tuple:
+        return (constant(1.0), *self.modes)
+
+    def _weights(self, params: np.ndarray) -> np.ndarray:
+        scale = self.beta * self.fill / self.normalizer
+        return np.concatenate([[self.alpha], scale * params * np.asarray(self.amplitudes)])
+
+
+@dataclass(frozen=True, kw_only=True)
+class AbsShiftFamily(_ModeSum):
     """Fields a_min + |g|, g = amplitude * sum_k y_k c_k xi_k / s (meta["raw"]), whose
-    range [a_min, a_min + amplitude] must lie in the band alpha +- beta."""
+    range [a_min, a_min + amplitude] must lie in the band alpha +- beta; no fill applies."""
 
     a_min: float
     amplitude: float
@@ -375,6 +353,7 @@ def _sobolev_amplitudes(order: int) -> np.ndarray:
 class SobolevBall(DataFamily):
     """Random piecewise-P1/P2 (``degree``) fields on the coarse mesh ``domain``, in the cone."""
 
+    fill: float = 0.9
     order: int = 2
     radius: float = 50.0
     degree: int = 2
@@ -382,6 +361,7 @@ class SobolevBall(DataFamily):
 
     def __post_init__(self):
         super().__post_init__()
+        _check_fill(self.fill)
         if self.order < 0 or not self.radius > 0:
             raise ValueError("sobolev_family needs order >= 0 and radius > 0")
 

@@ -61,6 +61,7 @@ __all__ = [
     "product_net",
     "step_net",
     "input_net",
+    "interval_entry_bounds",
     "interval_matrix_bound",
     "certified_approximator",
     "build_approximator",
@@ -249,26 +250,25 @@ def _copies(w: np.ndarray, k: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(k * height, k * width))
 
 
-def _product_gadget(bound_a: float, bound_b: float, m: int) -> list:
-    """Dense layers (W, b) of a net approximating a*b on |a| <= bound_a, |b| <= bound_b.
+def _product_gadget(m: int) -> list:
+    """Dense layers (W, b) of a net approximating u*v on |u|, |v| <= 1.
 
-    With u = a / bound_a and v = b / bound_b, a*b = bound_a bound_b
-    (((u+v)/2)^2 - ((u-v)/2)^2), each square realized by m sawtooth levels
-    on [0, 1]. The m + 2 layers are a 4x2 split into relu(+-(u+v)/2) and
-    relu(+-(u-v)/2); per level, two 3-row chains (h1, h2, h3), one per
-    square; and a 1x6 output. When one factor is zero the two chains carry
-    identical values and the output cancels to rounding level, but not to
-    an exact zero: the certified tolerance is the only guarantee.
+    u*v = ((u+v)/2)^2 - ((u-v)/2)^2, each square realized by m sawtooth
+    levels on [0, 1]. The m + 2 layers are a 4x2 split into relu(+-(u+v)/2)
+    and relu(+-(u-v)/2); per level, two 3-row chains (h1, h2, h3), one per
+    square; and a 1x6 output. step_net scales the split's columns and the
+    output to a box. When one factor is zero the two chains carry identical
+    values and the output cancels to rounding level, but not to an exact
+    zero: the certified tolerance is the only guarantee.
     """
-    wa, wb = 1.0 / (2.0 * bound_a), 1.0 / (2.0 * bound_b)
-    split = np.array([[wa, wb], [-wa, -wb], [wa, -wb], [-wa, wb]])
+    split = np.array([[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5]])
     levels = [la.block_diag(np.ones((3, 2)), np.ones((3, 2)))]
     for s in range(2, m + 1):
         f = 4.0 ** (s - 1)
         level = np.array([[-4.0, 2.0, 0.0], [-4.0, 2.0, 0.0], [4.0 / f, -2.0 / f, 1.0]])
         levels.append(la.block_diag(level, level))
-    scale, f = bound_a * bound_b, 4.0**m
-    out = [4.0 * scale / f, -2.0 * scale / f, scale, -4.0 * scale / f, 2.0 * scale / f, -scale]
+    f = 4.0**m
+    out = [4.0 / f, -2.0 / f, 1.0, -4.0 / f, 2.0 / f, -1.0]
     # h1 of each chain is offset by -1/2
     chain_bias = [-0.5, 0.0, 0.0, -0.5, 0.0, 0.0]
     layers = [(split, np.zeros(4))] + [(w, np.array(chain_bias)) for w in levels]
@@ -281,8 +281,7 @@ def product_net(epsilon: float, bound: float) -> NeuralNet:
         raise ValueError("epsilon must lie in (0, 1)")
     if bound < 1.0:
         raise ValueError("bound must be at least 1")
-    m = _sawtooth_levels(epsilon, bound, bound)
-    return NeuralNet([(_copies(w, 1), b) for w, b in _product_gadget(bound, bound, m)])
+    return step_net(1, bound, epsilon, np.zeros(1), matrix_bound=bound)
 
 
 def vec_index(i, j, n: int):
@@ -295,42 +294,62 @@ def step_net(
     bound: float,
     epsilon: float,
     shift: np.ndarray,
-    matrix_bound: float = 1.0,
+    matrix_bound=1.0,
 ) -> NeuralNet:
     """One approximate iteration step (vec(A), x) -> A x + g.
 
-    Certified for inputs with every |A_ij| <= matrix_bound and every
-    |x_j| <= bound (which ||x||_l2 <= bound implies), and for no others:
-    each product A_ij x_j is within the per-entry tolerance epsilon / n^{3/2}
-    on that box, so the row sums meet the l2 budget epsilon. The default
-    matrix_bound 1.0 is the contract |A| <= 1.
+    Certified for inputs with every |A_ij| <= Z_ij and every |x_j| <= bound
+    (which ||x||_l2 <= bound implies), and for no others. matrix_bound is Z:
+    an (n, n) array of per-entry bounds, or a scalar for every entry (the
+    default 1.0 is the contract |A| <= 1). Entries below eps max Z (eps the
+    float64 machine epsilon) are raised to that floor, as the split layer
+    divides by them; a larger bound is still a bound.
 
     The net is n^2 copies of one product gadget side by side, copy i n + j
-    computing A_ij x_j: a gather feeds (A_ij, x_j) into the copies' first
-    layer, every gadget layer W becomes kron(I_{n^2}, W), and the output
-    sums each row's n products (kron(I_n, 1^T_n)) and adds the shifted load
-    g as its bias.
+    computing A_ij x_j: a gather feeds (A_ij / Z_ij, x_j / bound) into the
+    copies' first layer, every hidden gadget layer W becomes
+    kron(I_{n^2}, W), and the output weighs copy i n + j by Z_ij bound, sums
+    each row's n products and adds the shifted load g as its bias. Copy
+    i n + j errs by at most 2 Z_ij bound 4^-(m+1), so row i errs by at most
+    2 bound 4^-(m+1) sum_j Z_ij, and m is the fewest levels with
+    2 bound 4^-(m+1) ||(sum_j Z_ij)_i||_2 <= epsilon: the error stays within
+    epsilon in l2. For a constant Z this is the per-entry tolerance
+    epsilon / n^{3/2} on |A_ij| <= Z.
     """
     shift = np.array(shift, dtype=float)
     if len(shift) != n:
         raise ValueError("shift length must match the reduced dimension")
-    for name, value in (("bound", bound), ("matrix_bound", matrix_bound)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    m = _sawtooth_levels(epsilon / n**1.5, matrix_bound, bound)
-    (split, b0), *hidden, (w_out, _) = _product_gadget(matrix_bound, bound, m)
+    if not (math.isfinite(bound) and bound > 0.0):
+        raise ValueError(f"bound must be finite and positive, got {bound!r}")
+    z = np.asarray(matrix_bound, dtype=float)
+    if z.shape not in ((), (n, n)):
+        raise ValueError(f"matrix_bound must be a scalar or an ({n}, {n}) array, not {z.shape}")
+    if not (np.all(np.isfinite(z)) and np.all(z >= 0.0) and np.max(z) > 0.0):
+        raise ValueError(
+            f"matrix_bound must be finite, nonnegative and not all zero, got {matrix_bound!r}"
+        )
+    z = np.maximum(np.broadcast_to(z, (n, n)), np.finfo(float).eps * np.max(z))
+    m = _sawtooth_levels(epsilon, float(np.linalg.norm(z.sum(axis=1))), bound)
+    (split, b0), *hidden, (w_out, _) = _product_gadget(m)
     # kron(I_{n^2}, split) times the gather is the split copies with column
-    # 2p read from A_ij and column 2p + 1 from x_j, for copy p = i n + j
+    # 2p read from A_ij and column 2p + 1 from x_j, for copy p = i n + j;
+    # each copy's two columns are divided by its box (Z_ij, bound)
     i, j = np.divmod(np.arange(n * n), n)
     gather = np.column_stack([vec_index(i, j, n), n * n + j]).ravel()
     split = _copies(split, n * n)
+    split.data.reshape(n * n, 4, 2)[...] *= np.column_stack(
+        [1.0 / z.ravel(), np.full(n * n, 1.0 / bound)]
+    )[:, None, :]
     first = sp.csr_matrix(
         (split.data, gather[split.indices], split.indptr), shape=(4 * n * n, n * n + n)
     )
     layers = [(first, np.tile(b0, n * n))]
     layers += [(_copies(w, n * n), np.tile(b, n * n)) for w, b in hidden]
-    # kron(I_n, 1^T_n) kron(I_{n^2}, w_out) = kron(I_n, [w_out ... w_out])
-    layers.append((_copies(np.tile(w_out, n), n), shift))
+    # kron(I_n, 1^T_n) kron(I_{n^2}, w_out) = kron(I_n, [w_out ... w_out]),
+    # copy i n + j weighed by Z_ij bound
+    out = _copies(np.tile(w_out, n), n)
+    out.data.reshape(n, n, 6)[...] *= (z * bound)[:, :, None]
+    layers.append((out, shift))
     return NeuralNet(layers)
 
 
@@ -402,21 +421,26 @@ def input_net(basis: ReducedBasis, encoder: Encoder) -> NeuralNet:
     return affine_net(weights, np.eye(n).flatten(order="F"))
 
 
-def interval_matrix_bound(encoder_input: NeuralNet, alpha: float, beta: float) -> float:
-    """Z_A = max_ij |vec(A)_ij| over channels y in [alpha - beta, alpha + beta]^M.
+def interval_entry_bounds(encoder_input: NeuralNet, alpha: float, beta: float) -> np.ndarray:
+    """Z_ij = max |vec(A)_ij| over channels y in [alpha - beta, alpha + beta]^M, in vec order.
 
     Interval bound propagation through the depth-one affine input net
     vec(A) = W y + b (Gowal et al. 2018): the box centre alpha 1 maps to
     W alpha 1 + b and the radius adds beta sum_k |W_ij,k|, so
-    Z_A = max_ij (|(W alpha 1 + b)_ij| + beta sum_k |W_ij,k|), attained at a
-    vertex of the box.
+    Z_ij = |(W alpha 1 + b)_ij| + beta sum_k |W_ij,k|, attained at a vertex
+    of the box.
     """
     if encoder_input.depth != 1:
         raise ValueError("the interval bound needs a depth-one affine input net")
     w, b = encoder_input.layers[0]
     ones = np.ones(w.shape[1])
     center = w @ (alpha * ones) + b
-    return float(np.max(np.abs(center) + beta * (abs(w) @ ones)))
+    return np.abs(center) + beta * (abs(w) @ ones)
+
+
+def interval_matrix_bound(encoder_input: NeuralNet, alpha: float, beta: float) -> float:
+    """Z_A = max_ij Z_ij of interval_entry_bounds, the bound of every entry at once."""
+    return float(np.max(interval_entry_bounds(encoder_input, alpha, beta)))
 
 
 @dataclass(frozen=True)
@@ -501,7 +525,7 @@ def certified_approximator(
     encoder_input: NeuralNet, shift: np.ndarray,
     alpha: float, beta_eff: float, f_dual: float, epsilon: float,
 ) -> ApproximatorBundle:
-    """The certificate chain: K, the budgets, Z_A, the step net and the report.
+    """The certificate chain: K, the budgets, the matrix box, the step net and the report.
 
     All follow from the depth-one input net, the shift g (of length n),
     alpha, beta_eff, the dual norm ||f|| and epsilon; build and load both
@@ -510,12 +534,14 @@ def certified_approximator(
     (alpha - beta_eff) eps / (2 sqrt(n) ||f||), so the synthesized output is
     within eps of the reduced Galerkin solution of the encoded coefficient,
     in the energy norm. Each step has tolerance (1 - contraction)
-    eps_iterator on the box |A_ij| <= Z_A,
+    eps_iterator on the box |A_ij| <= Z_ij,
     |x_j| <= Z~ = 2 + max(1, ||g||_2)/(1 - contraction), which bounds the
     iterates whether or not the source is normalized, so the accumulated
-    geometric error stays below eps_iterator. Z_A is
-    interval_matrix_bound of the input net over the channel box
-    [alpha - beta_eff, alpha + beta_eff]^M, recorded as
+    geometric error stays below eps_iterator. The per-entry bounds Z_ij are
+    interval_entry_bounds of the input net over the channel box
+    [alpha - beta_eff, alpha + beta_eff]^M; step_net sizes each product
+    gadget to its entry and the sawtooth levels to the row sums of Z. Their
+    maximum Z_A (interval_matrix_bound) is recorded as
     certificates["matrix_bound"].
     """
     if not (0.0 < epsilon < 1.0):
@@ -523,13 +549,19 @@ def certified_approximator(
     if not (0.0 < beta_eff < alpha):
         raise ValueError("effective beta must lie in (0, alpha)")
     n = len(shift)
+    if encoder_input.n_outputs != n * n:
+        raise ValueError(
+            f"the input net gives {encoder_input.n_outputs} matrix entries, "
+            f"but a shift of length {n} needs {n * n}"
+        )
     k_steps = choose_step_count(alpha, beta_eff, f_dual, epsilon)
     eps_iter = (alpha - beta_eff) / (2.0 * math.sqrt(n) * f_dual) * epsilon
     contraction = beta_eff / alpha
     eps_step = (1.0 - contraction) * eps_iter
     z_tilde = 2.0 + max(1.0, float(np.linalg.norm(shift))) / (1.0 - contraction)
-    z_a = interval_matrix_bound(encoder_input, alpha, beta_eff)
-    step = step_net(n, z_tilde, eps_step, shift, matrix_bound=z_a)
+    z = interval_entry_bounds(encoder_input, alpha, beta_eff)
+    z_a = float(np.max(z))
+    step = step_net(n, z_tilde, eps_step, shift, matrix_bound=z.reshape(n, n, order="F"))
     step_counts = _layer_counts(step)
     carry_counts = [(w + 2 * n * n, b) for w, b in step_counts]
     entry_counts = map(_layer_counts, _entry_nets(n))

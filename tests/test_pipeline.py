@@ -612,6 +612,7 @@ class TestBundle:
              "query points"),
             ("net.json", lambda doc: {**doc, "input": []}, "layer"),
             ("net.json", lambda doc: {"input": doc["input"]}, "shift"),
+            ("net.json", lambda doc: {**doc, "shift": doc["shift"] + [0.0]}, "shift"),
             ("net.json", lambda doc: {**doc, "input": [
                 {k: v for k, v in layer.items() if k != "shape"} for layer in doc["input"]]},
              "shape"),
@@ -622,8 +623,8 @@ class TestBundle:
         ],
         ids=["encoder_list", "kind_deleted", "kind_unknown", "degree_deleted", "degree_string",
              "gll_without_p", "gll_p_float", "query_point_dropped", "input_net_empty",
-             "shift_deleted", "layer_without_shape", "net_list", "rows_short_of_vals",
-             "certificates_list"],
+             "shift_deleted", "shift_one_longer", "layer_without_shape", "net_list",
+             "rows_short_of_vals", "certificates_list"],
     )
     def test_rejects_malformed_document(self, operator, tmp_path, name, tamper, named):
         # a document that lacks a key or has one of the wrong type is refused with

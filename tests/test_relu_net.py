@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import sys
 import threading
@@ -478,6 +479,103 @@ class TestStepNetBox:
         narrow = NN.step_net(3, 4.0, 1e-4, np.zeros(3), matrix_bound=0.5)
         assert narrow.depth == wide.depth - 1
         assert narrow.size < wide.size
+
+
+def row_rule_levels(z, bound, epsilon):
+    """The fewest m >= 1 with 2 bound 4^-(m+1) ||(sum_j Z_ij)_i||_2 <= epsilon, by counting."""
+    rows, m = np.linalg.norm(np.sum(z, axis=1)), 1
+    while 2.0 * bound * 4.0 ** -(m + 1) * rows > epsilon:
+        m += 1
+    return m
+
+
+def step_error(net, xs):
+    """Worst l2 error of a zero-shift step net against A x, over the rows (vec(A), x) of xs."""
+    n = net.n_outputs
+    mats = xs[:, : n * n].reshape(-1, n, n).transpose(0, 2, 1)  # vec(A) is column-major
+    want = np.einsum("bij,bj->bi", mats, xs[:, n * n:])
+    return float(np.max(np.linalg.norm(NN.realize(net, xs) - want, axis=1)))
+
+
+def box_inputs(rng, z, bound, vertices, count=200):
+    """Rows (vec(A), x): A at every vertex A_ij = +-Z_ij (vertices) or uniform in the box,
+    x uniform on the sphere ||x||_2 = bound."""
+    n = len(z)
+    if vertices:
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n * n)))
+    else:
+        signs = rng.uniform(-1.0, 1.0, (count, n * n))
+    mats = signs.reshape(-1, n, n) * z
+    x = rng.standard_normal((len(mats), n))
+    x *= bound / np.linalg.norm(x, axis=1, keepdims=True)
+    flat = mats.transpose(0, 2, 1).reshape(len(mats), n * n)  # vec(A), column-major
+    return np.hstack([flat, x])
+
+
+def nonuniform_box(rng, n):
+    """Per-entry bounds drawn on [0.05, 0.5]: the maximum is about twice the median."""
+    return rng.uniform(0.05, 0.5, (n, n))
+
+
+class TestPerEntryBox:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_within_budget_on_nonuniform_boxes(self, rng, n):
+        bound, eps = 4.0, 1e-3
+        for _ in range(3):
+            z = nonuniform_box(rng, n)
+            net = NN.step_net(n, bound, eps, np.zeros(n), matrix_bound=z)
+            inputs = [box_inputs(rng, z, bound, vertices=False)]
+            if n <= 3:
+                inputs.append(box_inputs(rng, z, bound, vertices=True))
+            for xs in inputs:
+                assert step_error(net, xs) <= eps
+
+    def test_levels_follow_the_row_rule(self, rng):
+        bound = 4.0
+        for n in (1, 2, 3, 5, 9):
+            for eps in (1e-2, 1e-4, 1e-6):
+                z = nonuniform_box(rng, n)
+                net = NN.step_net(n, bound, eps, np.zeros(n), matrix_bound=z)
+                assert net.depth == row_rule_levels(z, bound, eps) + 2
+                # a constant box: the per-entry tolerance eps / n^{3/2}, and the scalar-bound net
+                c = float(z.max())
+                const = NN.step_net(n, bound, eps, np.zeros(n), matrix_bound=np.full((n, n), c))
+                assert const.depth == NN._sawtooth_levels(eps / n**1.5, c, bound) + 2
+                assert const.depth == row_rule_levels(np.full((n, n), c), bound, eps) + 2
+                assert layers_digest([const]) == layers_digest(
+                    [NN.step_net(n, bound, eps, np.zeros(n), matrix_bound=c)]
+                )
+
+    def test_zero_entry_builds_within_budget(self, rng):
+        n, bound, eps = 3, 4.0, 1e-3
+        z = nonuniform_box(rng, n)
+        z[1, 2] = 0.0
+        net = NN.step_net(n, bound, eps, np.zeros(n), matrix_bound=z)
+        assert all(np.all(np.isfinite(w.data)) for w, _ in net.layers)
+        for vertices in (True, False):
+            xs = box_inputs(rng, z, bound, vertices)
+            assert np.all(xs[:, NN.vec_index(1, 2, n)] == 0.0)
+            assert step_error(net, xs) <= eps
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 2, 1)])
+    def test_rejects_box_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="matrix_bound"):
+            NN.step_net(2, 4.0, 1e-3, np.zeros(2), matrix_bound=np.full(shape, 0.5))
+
+    def test_build_sizes_the_step_to_the_input_net(self, operator, loaded):
+        # the shipped step is step_net on the per-entry interval bounds of the
+        # input net, and load_bundle rebuilds it layer for layer
+        app, certs = operator.approximator, operator.approximator.report.certificates
+        n = app.step.n_outputs
+        z = NN.interval_entry_bounds(app.encoder_input, operator.config.alpha, certs["beta_eff"])
+        assert certs["matrix_bound"] == float(z.max())
+        z = z.reshape(n, n, order="F")
+        bound, eps = app.report.input_bound, app.eps_step
+        assert app.step.depth == row_rule_levels(z, bound, eps) + 2
+        assert app.report.depth == 2 + app.k_steps * app.step.depth
+        want = NN.step_net(n, bound, eps, operator.basis.nominal.shift, matrix_bound=z)
+        assert layers_digest([app.step]) == layers_digest([want])
+        assert same_layers(loaded.step, app.step)
 
 
 class TestIteratorNet:
