@@ -75,12 +75,12 @@ class OperatorBuildError(ValueError):
 class NeuralOperator:
     """Composed operator a -> synthesize(approximator.realize(encode(a)))."""
 
+    frame = "ortho"  # a class constant, not a field: the basis frame of approximator outputs
     encoder: Encoder
     approximator: ApproximatorBundle
     basis: ReducedBasis
     space: FemSpace
     config: ProblemConfig
-    frame: str
     certificates: dict
 
     @property
@@ -174,7 +174,7 @@ def build_operator(
         "m_channels": encoder.m,
         **approximator.report.certificates,
     }
-    return NeuralOperator(encoder, approximator, basis, space, config, "ortho", certificates)
+    return NeuralOperator(encoder, approximator, basis, space, config, certificates)
 
 
 def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
@@ -190,11 +190,12 @@ def _reduced_solutions(op: NeuralOperator, block, weights) -> list:
 
 def network_solutions(op: NeuralOperator, coefficients) -> tuple[list, list]:
     """Per coefficient, encoded once: the reduced Galerkin solution of its encoded reconstruction
-    (channel weights y on op.quadrature_channels; no network) and the operator's output, as
-    evaluate's."""
+    (channel weights y on op.quadrature_channels; no network) and the operator's output. The
+    encodings go as one block to one direct_solve and one ApproximatorBundle.realize, whose
+    rows equal evaluate's single calls bit for bit."""
     ys = np.reshape([op.encoder.encode(a) for a in coefficients], (-1, op.encoder.m))
     recon = _reduced_solutions(op, op.quadrature_channels, ys)
-    return recon, [synthesize(op.basis, op.approximator.realize(y), frame=op.frame) for y in ys]
+    return recon, [synthesize(op.basis, c, frame=op.frame) for c in op.approximator.realize(ys)]
 
 
 def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:

@@ -98,7 +98,7 @@ class ReducedBasis:
     product, with the first column parallel to the anchor. Prefixes of both
     frames are hierarchical by construction. ``nominal`` is the basis's own
     coefficient-independent reduced form; a prefix computes its own, and
-    keeps its own reduced stiffness stacks (richardson._reduced_stack).
+    keeps its own reduced stiffness stacks (richardson.reduced_stiffness).
     """
 
     space: FemSpace

@@ -49,7 +49,7 @@ from scipy.sparse import _sparsetools
 from .encoder import Encoder
 from .fem import FemSpace, ProblemConfig, quadrature_points
 from .reduced_basis import ReducedBasis
-from .richardson import _reduced_stack, choose_step_count
+from .richardson import choose_step_count, reduced_stiffness
 
 __all__ = [
     "NeuralNet",
@@ -404,16 +404,16 @@ def _unroll(encoder_input, step, carry, k_steps: int, start, inject, concat):
 def input_net(basis: ReducedBasis, encoder: Encoder) -> NeuralNet:
     """Depth-one affine net: encoder channels y -> vec(Id - (alpha B0)^{-1} B_v).
 
-    Column k is -(alpha B0)^{-1} B_k in F order: B_k is reduced_stiffness of
-    channel k, one slice of the stack of all M channels (the encoder's cached
-    channel matrix at the quadrature points), which the basis caches for
-    richardson.direct_solve's reconstructions; solved with basis.nominal's factor,
-    so it matches richardson.iteration_matrix of the reconstruction up to solve
+    Column k is -(alpha B0)^{-1} B_k in F order: B_k is slice k of
+    richardson.reduced_stiffness of the encoder's cached channel matrix at the
+    quadrature points, the stack that the basis caches and that
+    richardson.direct_solve reads for the reconstructions; solved with basis.nominal's
+    factor, so it matches richardson.iteration_matrix of the reconstruction up to solve
     reassociation. All M N right-hand sides go to one solve, columns
     k N ... k N + N - 1 holding B_k.
     """
     chol, alpha, n = basis.nominal.chol, basis.config.alpha, basis.size
-    modes = _reduced_stack(basis, encoder.channel_matrix(quadrature_points(basis.space)))
+    modes = reduced_stiffness(basis, encoder.channel_matrix(quadrature_points(basis.space)))
     rhs = modes.transpose(1, 0, 2).reshape(n, len(modes) * n)
     solved = la.cho_solve(chol, rhs, check_finite=False)
     # row k of solved^T reshaped to (M, N^2) is the F-order flattening of solved block k
@@ -495,6 +495,8 @@ class ApproximatorBundle:
         same ones.
         """
         y = _checked(self.encoder_input, y)
+        if y.shape[:-1] == (1,):  # one row runs as the single input: csr_matvec, bit for bit
+            return self.realize(y[0])[None]
         inputs, step, depth = self.encoder_input, self.step, self.encoder_input.depth
         sizes = [inputs.n_inputs + 1] + [layer[0] for layer in inputs._kernel[:-1]]
         sizes += [step.n_inputs + 1] + [layer[0] for layer in step._kernel]

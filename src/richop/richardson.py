@@ -4,12 +4,13 @@ For a coefficient v the reduced Richardson step is c <- A c + g with the
 iteration matrix A = Id - (alpha B0)^{-1} B_v. Only B_v depends on v; B0,
 its Cholesky factor, the load f_N and the shift g are the basis's
 NominalForm (basis.nominal), computed once per basis, and every function
-here reads them from it. B_v has one kernel, reduced_stiffness, which also
-serves relu_net.input_net and direct_solve, the dense solution of B_v c = f_N
-for a field or a block of sample columns. B_v is linear in v, so a v that is
-a weighted sum of a block's columns (an encoded reconstruction, an affine
-family member) has B_v = sum_k w_k S[k] for the block's stack S, which
-direct_solve reads from a cache on the basis. The iteration contracts with
+here reads them from it. B_v has one kernel, reduced_stiffness: for a block of
+sample columns it gives the stack S with S[k] the B of column k, cached on the
+basis per read-only block. B_v is linear in v, so a v that is a weighted sum of
+a block's columns (an encoded reconstruction, an affine family member, one
+field's samples with weight 1) has B_v = sum_k w_k S[k]. direct_solve, the
+dense solution of B_v c = f_N, has that one path; iteration_matrix and
+relu_net.input_net read the same kernel. The iteration contracts with
 factor beta/alpha on the admissible cone and its step count for a target
 accuracy follows a closed-form ceiling rule.
 """
@@ -36,26 +37,21 @@ __all__ = [
 ]
 
 
-def reduced_stiffness(basis: ReducedBasis, v) -> np.ndarray:
-    """B_v = P^T K(v) P on the basis's orthonormal frame P, (N, N) for a field or its
-    samples at quadrature_points(basis.space); (M, N, N) for a block of sample columns
-    (n_qp, M), dense or sparse, whose stiffness data is one product with the assembly."""
-    block = np.ndim(v) == 2  # a sparse matrix has ndim 2 too
-    asm, p, n = assembly(basis.space), basis.ortho, basis.size
-    upper = asm.stiffness @ (v if block else _sample_coefficient(basis.space, v)[:, None])
-    upper = upper.toarray() if sp.issparse(upper) else upper
-    if not np.all(np.isfinite(upper)):  # a block skips _sample_coefficient's check
-        raise MembershipError("coefficient evaluated to non-finite values")
-    out = np.reshape([p.T @ (asm.matrix(column) @ p) for column in upper.T], (-1, n, n))
-    return out if block else out[0]
-
-
-def _reduced_stack(basis: ReducedBasis, block) -> np.ndarray:
-    """reduced_stiffness(basis, block), read-only and cached on the basis per read-only
-    block (coeff._per_points), so every reader of a block's stack shares one kernel call."""
+def reduced_stiffness(basis: ReducedBasis, block) -> np.ndarray:
+    """Read-only stack S (M, N, N), S[k] = P^T K(column k) P on the orthonormal frame P, of
+    a block of sample columns (n_qp, M) at quadrature_points(basis.space), dense or sparse,
+    from one product with the assembly. Cached on the basis per read-only block
+    (coeff._per_points), so its readers share one build; a writable block is rebuilt."""
+    if np.ndim(block) != 2:  # a sparse matrix has ndim 2 too
+        raise ValueError(f"a block of sample columns has 2 dimensions, not {np.ndim(block)}")
 
     def build(block):
-        stack = reduced_stiffness(basis, block)
+        asm, p, n = assembly(basis.space), basis.ortho, basis.size
+        upper = asm.stiffness @ block
+        upper = upper.toarray() if sp.issparse(upper) else upper
+        if not np.all(np.isfinite(upper)):  # a block skips _sample_coefficient's check
+            raise MembershipError("coefficient evaluated to non-finite values")
+        stack = np.reshape([p.T @ (asm.matrix(column) @ p) for column in upper.T], (-1, n, n))
         stack.flags.writeable = False
         return stack
 
@@ -66,7 +62,7 @@ def iteration_matrix(basis: ReducedBasis, v: CoefficientField | np.ndarray) -> n
     """A = Id - (alpha B0)^{-1} B_v, B_v the kernel of v's samples as one column whatever
     their shape; one solve with the cached Cholesky factor of basis.nominal, which raises
     IllConditionedBasisError when B0 is not positive definite."""
-    b_v = reduced_stiffness(basis, _sample_coefficient(basis.space, v)[:, None])[0]
+    (b_v,) = reduced_stiffness(basis, _sample_coefficient(basis.space, v)[:, None])
     form = basis.nominal
     return np.eye(len(form.load)) - la.cho_solve(form.chol, b_v) / basis.config.alpha
 
@@ -107,22 +103,18 @@ def reduced_energy_error(basis: ReducedBasis, c: np.ndarray, c_ref: np.ndarray) 
 
 
 def direct_solve(basis: ReducedBasis, v, weights=None) -> np.ndarray:
-    """Dense solution of B c = f_N. Without weights, B = reduced_stiffness(basis, v): (N,)
-    for a field or one flat sample vector; (M, N) for a block of sample columns (n_qp, M),
-    one kernel call and then the same solve on each slice, so row j is direct_solve of
-    column j. With weights (J, M), row j solves B_j = sum_k weights[j, k] S[k] for the
-    stack S of the block v (_reduced_stack: built once per read-only block), each B_j by
-    the same product whatever the other rows, so row j is the call with weights[j:j + 1]."""
-    load = basis.nominal.load
-    if weights is None:
-        b = reduced_stiffness(basis, v)
-        if b.ndim == 2:
-            return la.solve(b, load, assume_a="sym")
-    else:
-        stack = _reduced_stack(basis, v)
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[1] != len(stack):
-            raise ValueError(f"weights of shape {weights.shape} for a block of {len(stack)} columns")
-        flat = stack.reshape(len(stack), -1)
-        b = [np.reshape(w @ flat, stack.shape[1:]) for w in weights]
-    return np.reshape([la.solve(b_j, load, assume_a="sym") for b_j in b], (-1, len(load)))
+    """Dense solutions of B_j c = f_N, (J, N) for weights (J, M) on a block v of sample
+    columns: B_j = sum_k weights[j, k] S[k], S = reduced_stiffness(basis, v), by the same
+    product whatever the other rows, so row j is the call with weights[j:j + 1]. Without
+    weights, v is a field or its samples, solved as one column of weight 1: (N,)."""
+    field = weights is None
+    if field:
+        v, weights = _sample_coefficient(basis.space, v)[:, None], [[1.0]]
+    stack, load = reduced_stiffness(basis, v), basis.nominal.load
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != len(stack):
+        raise ValueError(f"weights of shape {weights.shape} for a block of {len(stack)} columns")
+    flat = stack.reshape(len(stack), len(load) ** 2)  # -1 is undefined for an empty block
+    b = [np.reshape(w @ flat, stack.shape[1:]) for w in weights]
+    solved = np.reshape([la.solve(b_j, load, assume_a="sym") for b_j in b], (-1, len(load)))
+    return solved[0] if field else solved

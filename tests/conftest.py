@@ -7,6 +7,7 @@ from richop import fem as F
 from richop import mesh as M
 from richop import pipeline as P
 from richop import reduced_basis as RB
+from richop import richardson as R
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +70,20 @@ def operator(family, config, space, nodal_encoder):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def stack_builds(monkeypatch):
+    """From now on, the shape of each block whose stack richardson.reduced_stiffness
+    builds: a cached stack that is read again is not built again."""
+    built, real = [], R._per_points
+
+    def counting(cache, block, build):
+        def recorded(block):
+            built.append(np.shape(block))
+            return build(block)
+
+        return real(cache, block, recorded)
+
+    monkeypatch.setattr(R, "_per_points", counting)
+    return built

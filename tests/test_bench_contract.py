@@ -2,10 +2,11 @@
 
 The benchmark is versioned apart from the library, so a rename or a removed
 parameter in src/ breaks it without failing any other test. These tests run
-its tracer and its workload set-up on a tiny problem.
+its tracer, its workload set-up and its untraced phases on a tiny problem.
 """
 
 import inspect
+import os
 import pathlib
 import re
 import sys
@@ -73,11 +74,16 @@ def test_workload_set_up_calls_are_traced(bench):
 
 
 @pytest.fixture(scope="module")
-def tiny(bench):
+def tiny_cfg(bench):
     _, workloads = bench
-    cfg = workloads._variant(mesh={"h": 0.3}, encoder={"h": 0.5},
-                             reduction={"training_count": 6, "n_basis": 3})
-    return workloads.setup(cfg, 1)
+    return workloads._variant(mesh={"h": 0.3}, encoder={"h": 0.5},
+                              reduction={"training_count": 6, "n_basis": 3})
+
+
+@pytest.fixture(scope="module")
+def tiny(bench, tiny_cfg):
+    _, workloads = bench
+    return workloads.setup(tiny_cfg, 1)
 
 
 def test_workload_setup_and_swept_build(tiny):
@@ -100,3 +106,39 @@ def test_verify_phase_counts_the_dense_reduced_solves(bench, tiny):
     finally:
         tracer.uninstall()
     assert tracer.total("richardson.direct_solve", 0) >= 1
+
+
+@pytest.fixture(scope="module")
+def bench_run(bench):
+    """bench/run.py as a module; its import sets the BLAS thread variables, which are put
+    back as they were so that later subprocesses do not inherit them."""
+    saved = dict(os.environ)
+    sys.path.insert(0, str(BENCH))
+    try:
+        import run
+    finally:
+        sys.path.remove(str(BENCH))
+        for var in run.THREAD_VARS:
+            if var in saved:
+                os.environ[var] = saved[var]
+            else:
+                os.environ.pop(var, None)
+    return run
+
+
+def test_untraced_phases_pass_the_gate(bench_run, tiny_cfg, tmp_path, monkeypatch):
+    # every phase of an untraced run reads the library: op.frame, the net's unrolled form,
+    # synthesize(..., frame=), error_decomposition and the bundle's LoadedOperator.evaluate
+    run = bench_run
+    monkeypatch.setattr(run, "OUT", str(tmp_path))
+    gate = run.Gate()
+    session = run.Session(richop, tiny_cfg, 1, gate)
+    session.prepare(session.setup())
+    session.evaluate(0)
+    session.batch()
+    _, ratio = session.verify(0)
+    _, size = session.bundle()
+    counts = run.net_counts(session.op.approximator.net)
+    assert gate.failed == 0 and gate.attempted == 12, gate.messages  # 8 of them are bundle checks
+    assert 0 <= ratio <= 1 and size > 0 and os.listdir(tmp_path) == []
+    assert all(value > 0 for value, _ in counts.values())

@@ -350,18 +350,11 @@ class TestErrorDecomposition:
 
 class TestNetworkSolutions:
     def test_one_encoding_per_coefficient_and_one_kernel_call_per_block(
-        self, family, config, space, nodal_encoder, monkeypatch
+        self, family, config, space, nodal_encoder, stack_builds
     ):
         # the build's input net makes the basis's channel stack and every reconstruction
         # reads it; the members' point table makes one stack, shared by later decompositions
-        enc, blocks = _CountingEncoder(nodal_encoder), []
-        real = R.reduced_stiffness
-
-        def counting(basis, v):
-            blocks.append(np.shape(v))
-            return real(basis, v)
-
-        monkeypatch.setattr(R, "reduced_stiffness", counting)
+        enc, blocks = _CountingEncoder(nodal_encoder), stack_builds
         op = P.build_operator(family, config, space, 8, 3, enc, 1e-1, seed=2)
         n_qp = len(F.quadrature_points(op.space))
         assert blocks == [(n_qp, enc.m)]
@@ -376,13 +369,18 @@ class TestNetworkSolutions:
             assert enc.encoded == members and blocks == expected
 
     def test_matches_the_per_coefficient_solves(self, operator, family):
-        members = C.sample_family(family, 3, 59)
-        recon, nets = P.network_solutions(operator, members)
-        for a, u_recon, u_net in zip(members, recon, nets):
-            y = operator.encoder.encode(a)
-            (c,) = R.direct_solve(operator.basis, operator.quadrature_channels, y[None])
-            assert np.array_equal(u_recon, RB.synthesize(operator.basis, c, frame="ortho"))
-            assert np.array_equal(u_net, P.evaluate(operator, a))
+        # one block realize and one weighted solve give each member's single calls' bits
+        for count in (1, 3):
+            members = C.sample_family(family, count, 59)
+            recon, nets = P.network_solutions(operator, members)
+            assert len(recon) == len(nets) == count
+            for a, u_recon, u_net in zip(members, recon, nets):
+                y = operator.encoder.encode(a)
+                (c,) = R.direct_solve(operator.basis, operator.quadrature_channels, y[None])
+                for got, want in ((u_recon, RB.synthesize(operator.basis, c, frame="ortho")),
+                                  (u_net, P.evaluate(operator, a))):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_reference_does_not_read_the_input_net(self, operator, family):
         (w, b), = operator.approximator.encoder_input.layers

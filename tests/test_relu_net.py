@@ -708,7 +708,7 @@ class TestInputNet:
         channels = enc.channel_matrix(F.quadrature_points(space)).toarray()
         weights = NN.input_net(basis, enc).layers[0][0].toarray()
         for k in range(enc.m):
-            b_k = R.reduced_stiffness(basis, channels[:, k])
+            b_k = R.reduced_stiffness(basis, channels[:, k:k + 1])[0]
             column = -la.cho_solve(basis.nominal.chol, b_k).flatten(order="F") / config.alpha
             assert np.array_equal(weights[:, k], column)
 
@@ -725,7 +725,7 @@ def approximators(bundle, lab, square):
     """(approximator, encoder) by kind; nonsmooth_operator's input net has depth 3."""
     basis, space, config, nodal = lab["basis"], lab["space"], lab["config"], lab["encoder"]
     gll = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
-    op = P.NeuralOperator(nodal, bundle, basis, space, config, "ortho", {})
+    op = P.NeuralOperator(nodal, bundle, basis, space, config, {})
     return {
         "nodal": (bundle, nodal),
         "gll": (NN.build_approximator(basis, space, config, gll, 1e-2), gll),
@@ -764,6 +764,17 @@ class TestApproximator:
             assert np.array_equal(app.realize(ys), NN.realize(app.net, ys))
             for y in ys[:3]:
                 assert np.array_equal(app.realize(y), NN.realize(app.net, y))
+
+    @pytest.mark.parametrize("kind", ["nodal", "gll"])
+    def test_one_row_block_equals_the_single_input(self, approximators, family, kind):
+        # a (1, M) block runs as the single input, through csr_matvec
+        app, enc = approximators[kind]
+        for y in [enc.encode(a) for a in C.sample_family(family, 4, 17)] + [np.zeros(enc.m)]:
+            for net_realize in (app.realize, lambda x: NN.realize(app.encoder_input, x)):
+                got, want = net_realize(y[None]), net_realize(y)
+                assert got.shape == (1,) + want.shape
+                assert np.array_equal(got[0], want)
+                assert np.array_equal(np.signbit(got[0]), np.signbit(want))
 
     def test_batch_equals_unrolled_net_bitwise(self, bundle, lab, family):
         enc = lab["encoder"]

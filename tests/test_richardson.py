@@ -21,9 +21,15 @@ def probe(config):
     )
 
 
+def _field_kernel(basis, a):
+    """B_a: slice 0 of the stack of a's samples as a one-column block."""
+    (b_a,) = R.reduced_stiffness(basis, a(F.quadrature_points(basis.space))[:, None])
+    return b_a
+
+
 class TestAssembleReduced:
     def test_nominal_in_ortho_frame_is_identity(self, basis, config):
-        b0 = R.reduced_stiffness(basis, config.a0)
+        b0 = _field_kernel(basis, config.a0)
         assert np.max(np.abs(b0 - np.eye(basis.size))) < 1e-10
 
     def test_shift_is_first_unit_vector(self, basis):
@@ -42,7 +48,7 @@ class TestAssembleReduced:
         snaps = RB.generate_snapshots(fam, 4, 5, space, config)
         basis, _ = RB.weak_greedy(snaps, 1)
         assert basis.size == 2
-        b_v = R.reduced_stiffness(basis, v)
+        b_v = _field_kernel(basis, v)
         oracle = _hand_reduced_matrix(space, basis.ortho, v)
         assert np.max(np.abs(b_v - oracle)) < 1e-12
 
@@ -86,7 +92,7 @@ class TestAssembleReduced:
             matrix = np.eye(len(load)) - la.cho_solve(chol, b_v) / config.alpha
             for got, expected in (
                 (basis.nominal.b0, b0),
-                (R.reduced_stiffness(basis, a), b_v),
+                (_field_kernel(basis, a), b_v),
                 (basis.nominal.load, load),
                 (R.iteration_matrix(basis, a), matrix),
                 (basis.nominal.shift, shift),
@@ -104,14 +110,16 @@ class TestAssembleReduced:
 class TestReducedStiffness:
     def test_iteration_matrix_reads_the_kernel(self, basis, family, space, config):
         a = C.sample_family(family, 1, 71)[0]
-        kernel = R.reduced_stiffness(basis, a)
+        kernel = _field_kernel(basis, a)
         assert kernel.shape == (basis.size, basis.size)
         matrix = np.eye(basis.size) - la.cho_solve(basis.nominal.chol, kernel) / config.alpha
         assert np.array_equal(R.iteration_matrix(basis, a), matrix)
         samples = a(F.quadrature_points(space))
-        assert np.array_equal(R.reduced_stiffness(basis, samples), kernel)
-        # iteration_matrix flattens any samples array, so no shape of one reads as a block
-        for shaped in (samples[:, None], samples.reshape(space.mesh.n_triangles, -1)):
+        # the kernel takes only a block; iteration_matrix flattens any samples array, so
+        # no shape of one reads as a block
+        with pytest.raises(ValueError, match="2 dimensions"):
+            R.reduced_stiffness(basis, samples)
+        for shaped in (samples, samples[:, None], samples.reshape(space.mesh.n_triangles, -1)):
             assert np.array_equal(R.iteration_matrix(basis, shaped), matrix)
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
@@ -120,13 +128,15 @@ class TestReducedStiffness:
         dense = channels.toarray()
         block = R.reduced_stiffness(basis, channels if kind == "sparse" else dense)
         assert block.shape == (nodal_encoder.m, basis.size, basis.size)
+        assert not block.flags.writeable
         for k in range(nodal_encoder.m):
-            assert np.array_equal(block[k], R.reduced_stiffness(basis, dense[:, k]))
+            assert np.array_equal(block[k], R.reduced_stiffness(basis, dense[:, k:k + 1])[0])
 
     def test_block_rows_equal_direct_solve_per_column(self, basis, family, space):
+        # unit weights pick one slice each: row k is the field solve of column k
         members = C.sample_family(family, 3, 73)
         block = np.column_stack([a(F.quadrature_points(space)) for a in members])
-        solved = R.direct_solve(basis, block)
+        solved = R.direct_solve(basis, block, np.eye(3))
         assert solved.shape == (3, basis.size)
         for a, column, c in zip(members, block.T, solved):
             assert np.array_equal(c, R.direct_solve(basis, column))
@@ -136,8 +146,10 @@ class TestReducedStiffness:
         block = np.column_stack([a(F.quadrature_points(space))
                                  for a in C.sample_family(family, 2, 79)])
         block[5, 1] = np.nan
-        with pytest.raises(F.MembershipError):
-            R.direct_solve(basis, block)
+        for call in (lambda: R.reduced_stiffness(basis, block),
+                     lambda: R.direct_solve(basis, block, np.eye(2))):
+            with pytest.raises(F.MembershipError):
+                call()
 
 
 def _members_on_table(family, space, count, seed):
@@ -152,7 +164,7 @@ class TestWeightedSolve:
     def test_rows_match_the_solve_of_the_summed_samples(self, basis, family, space):
         _, table, weights = _members_on_table(family, space, 4, 83)
         weighted = R.direct_solve(basis, table, weights)
-        sampled = R.direct_solve(basis, table @ weights.T)
+        sampled = np.stack([R.direct_solve(basis, table @ w) for w in weights])
         assert weighted.shape == sampled.shape == (4, basis.size)
         assert np.max(np.abs(weighted - sampled)) <= 1e-12 * np.max(np.abs(sampled))
 
@@ -166,49 +178,49 @@ class TestWeightedSolve:
                 assert np.array_equal(solved[j], R.direct_solve(basis, block, w[j:j + 1])[0])
 
     def test_weight_one_column_is_the_field_solve(self, basis, family, space):
+        # the field solve of P^T K(a) P c = f_N, written out here
         a = C.sample_family(family, 1, 97)[0]
-        samples = a(F.quadrature_points(space))
+        p, samples = basis.ortho, a(F.quadrature_points(space))
+        b_a = p.T @ (F.assemble_stiffness(space, a) @ p)
+        expected = la.solve(b_a, basis.nominal.load, assume_a="sym")
         (c,) = R.direct_solve(basis, samples[:, None], [[1.0]])
-        assert np.array_equal(c, R.direct_solve(basis, a))
+        for got in (c, R.direct_solve(basis, a), R.direct_solve(basis, samples)):
+            assert np.array_equal(got, expected)
 
-    def test_stack_built_once_per_read_only_block(self, basis, family, space, monkeypatch):
-        fresh, built = basis.prefix(basis.size), []
-        real = R.reduced_stiffness
-
-        def counting(basis_, v):
-            built.append(np.shape(v))
-            return real(basis_, v)
-
-        monkeypatch.setattr(R, "reduced_stiffness", counting)
+    def test_stack_built_once_per_read_only_block(self, basis, family, space, stack_builds):
+        fresh, built = basis.prefix(basis.size), stack_builds
         _, table, weights = _members_on_table(family, space, 2, 101)
         assert not table.flags.writeable
         first = R.direct_solve(fresh, table, weights)
         assert np.array_equal(R.direct_solve(fresh, table, weights[::-1]), first[::-1])
         assert built == [table.shape]
-        stack = R._reduced_stack(fresh, table)
-        assert R._reduced_stack(fresh, table) is stack and not stack.flags.writeable
+        stack = R.reduced_stiffness(fresh, table)
+        assert R.reduced_stiffness(fresh, table) is stack and not stack.flags.writeable
         writable = table.copy()
         R.direct_solve(fresh, writable, weights)
         R.direct_solve(fresh, writable, weights)
         assert built == [table.shape] * 3 and len(fresh._stacks) == 1
+        # a writable block's stack is read-only too, and a fresh array on every call
+        rebuilt = R.reduced_stiffness(fresh, writable)
+        assert not rebuilt.flags.writeable and rebuilt is not R.reduced_stiffness(fresh, writable)
 
     def test_sparse_block_cached_only_with_read_only_arrays(self, basis, space, nodal_encoder):
         fresh = basis.prefix(basis.size)
         channels = nodal_encoder.channel_matrix(F.quadrature_points(space))
-        assert R._reduced_stack(fresh, channels) is R._reduced_stack(fresh, channels)
+        assert R.reduced_stiffness(fresh, channels) is R.reduced_stiffness(fresh, channels)
         writable = channels.copy()
         assert writable.data.flags.writeable
-        assert R._reduced_stack(fresh, writable) is not R._reduced_stack(fresh, writable)
+        assert R.reduced_stiffness(fresh, writable) is not R.reduced_stiffness(fresh, writable)
         assert len(fresh._stacks) == 1
 
     def test_prefix_keeps_stacks_of_its_own(self, basis, family, space):
         fresh = basis.prefix(basis.size)
         _, table, _ = _members_on_table(family, space, 1, 103)
-        full = R._reduced_stack(fresh, table)
+        full = R.reduced_stiffness(fresh, table)
         prefix = fresh.prefix(4)
-        part = R._reduced_stack(prefix, table)
+        part = R.reduced_stiffness(prefix, table)
         assert part.shape == (table.shape[1], 4, 4) and full.shape[1:] == (basis.size,) * 2
-        assert R._reduced_stack(prefix, table) is part
+        assert R.reduced_stiffness(prefix, table) is part
         assert len(prefix._stacks) == len(fresh._stacks) == 1
         assert np.allclose(part, full[:, :4, :4], rtol=0, atol=1e-13)
 
@@ -216,7 +228,7 @@ class TestWeightedSolve:
         n, n_qp = basis.size, len(F.quadrature_points(space))
         empty = np.zeros((n_qp, 0))
         assert R.reduced_stiffness(basis, empty).shape == (0, n, n)
-        assert R.direct_solve(basis, empty).shape == (0, n)
+        assert R.direct_solve(basis, empty, np.zeros((0, 0))).shape == (0, n)
         _, table, _ = _members_on_table(family, space, 1, 107)
         assert R.direct_solve(basis, table, np.zeros((0, table.shape[1]))).shape == (0, n)
 
