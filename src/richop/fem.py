@@ -18,19 +18,21 @@ on the space (see Assembly), so each stiffness matrix or load vector is one
 sparse mat-vec. The stiffness operator yields the upper triangle of the
 symmetric matrix, which a gather mirrors into the whole pattern.
 
-The one solver is CG preconditioned by the sparse factorization of K(1),
-cached with the Assembly, rescaled symmetrically to the diagonal of the matrix
-solved (van der Sluis 1969): z = s^-1 * K(1)^-1 (s^-1 * r) with
-s = sqrt(diag K(a) / diag K(1)). Every solve uses it: snapshots, the anchor and
-the dual norm. Admissible coefficients lie in [alpha - beta, alpha + beta], so
-the unscaled factor would bound the condition number by
-(alpha + beta) / (alpha - beta) on every mesh; that bound does not carry over
-to the scaled one. On smooth coefficients the scaled one needs about half the
-applications (6-7 against 12-17 on the committed families); on coefficients
-that jump at mesh scale it can need more (stripes 0.55/1.45 on h = 0.025: 43
-against 23). The accuracy contract is the same for both: the recurrence stops
-at relative residual 1e-14, and the returned solution's true relative
-residual is checked to be at most 1e-10 (1.6e-13 to 2.2e-13 on those stripes).
+The one solver is CG preconditioned by the sparse factorization of K(1), cached
+with the Assembly, rescaled symmetrically to the diagonal of the matrix solved
+(van der Sluis 1969): z = s^-1 * K(1)^-1 (s^-1 * r) with
+s = sqrt(diag K(a) / diag K(1)), and every product with K(a) a csr_matvec on the
+cached pattern. Every solve uses it: snapshots, the anchor, the dual norm and
+the decomposition's fine solves, which start from the reduced solution u_N.
+Admissible coefficients lie in [alpha - beta, alpha + beta], so the unscaled
+factor would bound the condition number by (alpha + beta) / (alpha - beta) on
+every mesh; that bound does not carry over to the scaled one. On smooth
+coefficients the scaled one needs about half the applications (6-7 against 12-17
+on the committed families); on coefficients that jump at mesh scale it can need
+more (stripes 0.55/1.45 on h = 0.025: 43 against 23). The accuracy contract is
+the same for both: the recurrence stops at relative residual 1e-14, and the
+returned solution's true relative residual is checked to be at most 1e-10
+(1.6e-13 to 2.2e-13 on those stripes).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from . import coeff as coeff_mod
 from .coeff import CoefficientField, _shape_values, constant
@@ -156,6 +159,14 @@ def _geometry(space: FemSpace):
     return p, det, inv_t
 
 
+def _csr_kernel(ndim: int):
+    """f(rows, cols, indptr, indices, data, x, out): out += A x, csr_matvec(s) as A @ x runs."""
+    if ndim == 1:
+        return _sparsetools.csr_matvec
+    return lambda rows, cols, indptr, indices, data, x, out: _sparsetools.csr_matvecs(
+        rows, cols, x.shape[1], indptr, indices, data, x, out)
+
+
 @dataclass(frozen=True)
 class Assembly:
     """Coefficient-independent assembly data of one space.
@@ -164,15 +175,16 @@ class Assembly:
     element-major and read-only. indices/indptr are the CSR pattern of the
     free-dof stiffness matrix. The matrix is symmetric, so stiffness maps
     samples at the points to the data of the pattern's upper triangle only,
-    and data[mirror] is the data of the whole pattern. load maps samples to
-    the free-dof load vector. laplace, built on first read, factors K(1), and
-    laplace_diagonal is diag K(1), by which every solve rescales that factor.
+    and data[mirror] is the data of the whole pattern, diagonal its slots of
+    diag K. load maps samples to the free-dof load vector. laplace, built on first
+    read, factors K(1); every solve rescales it by laplace_diagonal = diag K(1).
     """
 
     points: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     mirror: np.ndarray
+    diagonal: np.ndarray
     stiffness: sp.csc_matrix  # (upper nnz, n_points)
     load: sp.csc_matrix  # (n_free, n_points)
 
@@ -182,19 +194,29 @@ class Assembly:
         data = upper[self.mirror]
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
 
-    def _unit(self) -> sp.csr_matrix:
-        """The coefficient-1 stiffness matrix K(1)."""
-        return self.matrix(self.stiffness @ np.ones(len(self.points)))
+    def product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """K x, K the matrix of the pattern's data upper[mirror] and x a vector or a block,
+        taken C-ordered: csr_matvec(s) into a fresh np.zeros, bit for bit matrix(upper) @ x."""
+        n, x = len(self.indptr) - 1, np.ascontiguousarray(x, dtype=float)
+        if x.shape[:1] != (n,) or x.ndim > 2 or data.shape != self.indices.shape:
+            raise ValueError(f"x of shape {x.shape} or data {data.shape} off the pattern")
+        out = np.zeros(x.shape)
+        _csr_kernel(x.ndim)(n, n, self.indptr, self.indices, data, x, out)
+        return out
+
+    @cached_property
+    def _unit(self) -> np.ndarray:  # the upper-triangle data of K(1)
+        return self.stiffness @ np.ones(len(self.points))
 
     @cached_property
     def laplace(self) -> spla.SuperLU:
         """Factorization of the coefficient-1 stiffness matrix K(1)."""
-        return _factor(self._unit())
+        return _factor(self.matrix(self._unit))
 
     @cached_property
     def laplace_diagonal(self) -> np.ndarray:
         """diag K(1), read-only."""
-        diagonal = self._unit().diagonal()
+        diagonal = self._unit[self.mirror][self.diagonal]
         diagonal.flags.writeable = False
         return diagonal
 
@@ -246,9 +268,8 @@ def _build_assembly(space: FemSpace) -> Assembly:
     pairs *= weight[:, :, None]
     stiffness = _csc_by_point(pairs, position, keep, len(upper))
     load = _csc_by_point(vals[None] * weight[:, :, None], local_dofs, local_dofs >= 0, n)
-    return Assembly(
-        points, kc.astype(np.int32), indptr, mirror.astype(np.int32), stiffness, load
-    )
+    return Assembly(points, kc.astype(np.int32), indptr, mirror.astype(np.int32),
+                    np.flatnonzero(kr == kc), stiffness, load)
 
 
 def quadrature_points(space: FemSpace) -> np.ndarray:
@@ -316,32 +337,30 @@ def _factor(matrix) -> spla.SuperLU:
     return lu
 
 
-def _cg(
-    matrix, rhs: np.ndarray, factor: spla.SuperLU, unit_diagonal: np.ndarray, tol: float
-) -> np.ndarray:
-    """CG from zero, preconditioned by the factor of K(1) scaled to the matrix:
-    z = s^-1 * factor.solve(s^-1 * r), s = sqrt(diag(matrix) / unit_diagonal)
-    taken once per solve (the module docstring gives the application counts).
-
-    The recurrence stops at relative residual tol; the true relative residual
-    ||matrix x - rhs|| / ||rhs|| of the result is guaranteed at most
-    max(tol, 1e-10). SolverError on a non-positive diagonal entry, on
-    non-positive curvature, at the cap, or when that check fails."""
+def _cg(asm: Assembly, data: np.ndarray, rhs: np.ndarray, tol: float, start=None) -> np.ndarray:
+    """CG for K x = rhs, K the matrix of the pattern's data, from start (a finite vector
+    shaped as rhs, else ValueError) or zero; every product is asm.product, and z =
+    s^-1 * asm.laplace.solve(s^-1 * r), s = sqrt(diag K / asm.laplace_diagonal) taken once
+    per solve. The recurrence stops at relative residual tol; the true relative residual
+    ||K x - rhs|| / ||rhs|| is guaranteed at most max(tol, 1e-10). SolverError on a
+    non-positive diagonal entry or curvature, at the cap, or when that check fails."""
     rhs = np.asarray(rhs, dtype=float)
+    if start is not None and not (np.shape(start) == rhs.shape and np.all(np.isfinite(start))):
+        raise ValueError(f"a start must be a finite vector of length {len(rhs)}")
     bnorm = np.linalg.norm(rhs)
-    x = np.zeros_like(rhs)
     if bnorm == 0.0:
-        return x
-    diagonal = matrix.diagonal()
+        return np.zeros_like(rhs)
+    diagonal = data[asm.diagonal]
     if not np.all(diagonal > 0.0):
         raise SolverError("non-positive diagonal; matrix not SPD")
-    scale = np.sqrt(unit_diagonal / diagonal)  # s^-1
-    r = rhs.copy()
+    scale, factor = np.sqrt(asm.laplace_diagonal / diagonal), asm.laplace  # s^-1
+    x = np.zeros_like(rhs) if start is None else np.array(start, dtype=float)
+    r = rhs.copy() if start is None else rhs - asm.product(data, x)
     z = scale * factor.solve(scale * r)
     p = z.copy()
     rz = r @ z
     for _ in range(max(len(rhs), 100)):
-        ap = matrix @ p
+        ap = asm.product(data, p)
         curvature = p @ ap
         if not curvature > 0.0:
             raise SolverError("non-positive curvature; matrix not SPD")
@@ -355,7 +374,7 @@ def _cg(
         p = z + (rz / rz_old) * p
     else:
         raise SolverError("CG did not converge within the iteration cap")
-    res = np.linalg.norm(matrix @ x - rhs) / bnorm
+    res = np.linalg.norm(asm.product(data, x) - rhs) / bnorm
     if res > max(tol, 1e-10):
         raise SolverError(f"relative residual {res:.3e} above tolerance {tol:.3e}")
     return x
@@ -401,8 +420,7 @@ def nominal(space: FemSpace, config: ProblemConfig) -> FineForm:
     if form is None:
         k0 = assemble_stiffness(space, config.a0)
         load = assemble_load(space, config.f)
-        asm = assembly(space)
-        rep = _cg(k0, load, asm.laplace, asm.laplace_diagonal, _SOLVE_TOL)
+        rep = _cg(assembly(space), k0.data, load, _SOLVE_TOL)
         for array in (k0.data, k0.indices, k0.indptr, load):
             array.flags.writeable = False
         f_dual = float(np.sqrt(max(float(load @ rep), 0.0)))
@@ -415,14 +433,15 @@ def galerkin_solve(
     config: ProblemConfig,
     a: CoefficientField | np.ndarray,
     check: bool = True,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Discrete solution of b(a; u, v) = (f, v) on the space, free dofs only.
 
     a is a field, or its samples at quadrature_points(space). The load is the
-    cached one of nominal(space, config). CG is preconditioned by the space's
-    cached factorization of K(1), scaled to diag K(a); its recurrence stops
-    at relative residual 1e-14, and the returned solution's true relative
-    residual is guaranteed at most 1e-10.
+    cached one of nominal(space, config). CG on K(a)'s pattern data starts from
+    start (a finite free-dof vector, else ValueError) or zero, preconditioned by
+    the cached factor of K(1) scaled to diag K(a); its recurrence stops at relative
+    residual 1e-14, and the true relative residual is guaranteed at most 1e-10.
     """
     samples = _sample_coefficient(space, a)
     if check:
@@ -432,9 +451,8 @@ def galerkin_solve(
                 f"coefficient range [{lo:.6g}, {hi:.6g}] outside "
                 f"[{config.alpha - config.beta:.6g}, {config.alpha + config.beta:.6g}]"
             )
-    k = assemble_stiffness_samples(space, samples)
-    asm = assembly(space)
-    return _cg(k, nominal(space, config).load, asm.laplace, asm.laplace_diagonal, _SOLVE_TOL)
+    data = assemble_stiffness_samples(space, samples).data
+    return _cg(assembly(space), data, nominal(space, config).load, _SOLVE_TOL, start)
 
 
 def energy_norm(space: FemSpace, config: ProblemConfig, v: np.ndarray) -> float:

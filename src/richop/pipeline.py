@@ -206,8 +206,8 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
     reconstruction vs the synthesized network output. A family member with
     a point table (coeff meta "table" and "weights") is reduced as its
     weights on the table at the quadrature points; any other field as its
-    samples, one column of weight 1. Both are richardson.direct_solve calls;
-    network_solutions gives the rest.
+    samples, one column of weight 1. Both are richardson.direct_solve calls, and the
+    fine solve starts from that u_N; network_solutions gives the rest.
     """
     space, config, points = op.space, op.config, quadrature_points(op.space)
     coefficients = list(test_coefficients)
@@ -217,7 +217,7 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
         table = a.meta.get("table") if a.kind == "affine" else None
         block, weights = (s[:, None], [[1.0]]) if table is None else (table(points), [a.meta["weights"]])
         (u_reduced,) = _reduced_solutions(op, block, weights)
-        u_fine = galerkin_solve(space, config, s)
+        u_fine = galerkin_solve(space, config, s, start=u_reduced)
         report.totals.append(energy_norm(space, config, u_fine - u_net))
         report.reduced_truncation.append(energy_norm(space, config, u_fine - u_reduced))
         report.encoder_perturbation.append(energy_norm(space, config, u_reduced - u_recon))

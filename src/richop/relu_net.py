@@ -44,10 +44,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .encoder import Encoder
-from .fem import FemSpace, ProblemConfig, quadrature_points
+from .fem import FemSpace, ProblemConfig, _csr_kernel, quadrature_points
 from .reduced_basis import ReducedBasis
 from .richardson import choose_step_count, reduced_stiffness
 
@@ -166,13 +165,10 @@ def _forward(net: NeuralNet, y: np.ndarray, outs) -> np.ndarray:
     outs is drawn with next rather than zipped: zip's cached result tuple
     would keep the first output alive to the end.
     """
-    last, outs = len(net.layers) - 1, iter(outs)
+    last, outs, matvec = len(net.layers) - 1, iter(outs), _csr_kernel(y.ndim)
     for ell, (rows, cols, indptr, indices, data) in enumerate(net._kernel):
         out = next(outs)
-        if y.ndim == 1:
-            _sparsetools.csr_matvec(rows, cols, indptr, indices, data, y, out)
-        else:
-            _sparsetools.csr_matvecs(rows, cols, y.shape[1], indptr, indices, data, y, out)
+        matvec(rows, cols, indptr, indices, data, y, out)
         if ell != last:
             np.maximum(out, 0.0, out=out)
         y = out

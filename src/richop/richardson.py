@@ -40,8 +40,8 @@ __all__ = [
 def reduced_stiffness(basis: ReducedBasis, block) -> np.ndarray:
     """Read-only stack S (M, N, N), S[k] = P^T K(column k) P on the orthonormal frame P, of
     a block of sample columns (n_qp, M) at quadrature_points(basis.space), dense or sparse,
-    from one product with the assembly. Cached on the basis per read-only block
-    (coeff._per_points), so its readers share one build; a writable block is rebuilt."""
+    from one product with the assembly and an Assembly.product of P per column. Cached on the
+    basis per read-only block (coeff._per_points); a writable block is rebuilt."""
     if np.ndim(block) != 2:  # a sparse matrix has ndim 2 too
         raise ValueError(f"a block of sample columns has 2 dimensions, not {np.ndim(block)}")
 
@@ -51,7 +51,8 @@ def reduced_stiffness(basis: ReducedBasis, block) -> np.ndarray:
         upper = upper.toarray() if sp.issparse(upper) else upper
         if not np.all(np.isfinite(upper)):  # a block skips _sample_coefficient's check
             raise MembershipError("coefficient evaluated to non-finite values")
-        stack = np.reshape([p.T @ (asm.matrix(column) @ p) for column in upper.T], (-1, n, n))
+        frame = np.ascontiguousarray(p)  # one copy of a prefix's strided frame, not one per column
+        stack = np.reshape([p.T @ asm.product(u[asm.mirror], frame) for u in upper.T], (-1, n, n))
         stack.flags.writeable = False
         return stack
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,27 @@ def stack_builds(monkeypatch):
 
     monkeypatch.setattr(R, "_per_points", counting)
     return built
+
+
+@pytest.fixture
+def cg_applications(monkeypatch):
+    """From now on, the preconditioner applications of each fem._cg run, one entry per run:
+    each run sees a copy of its Assembly whose factor counts its solves."""
+    counts, real = [], F._cg
+
+    class Counting:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, r):
+            counts[-1] += 1
+            return self.factor.solve(r)
+
+    def cg(asm, data, rhs, tol, start=None):
+        counts.append(0)
+        counted = copy.copy(asm)
+        vars(counted)["laplace"] = Counting(asm.laplace)
+        return real(counted, data, rhs, tol, start)
+
+    monkeypatch.setattr(F, "_cg", cg)
+    return counts

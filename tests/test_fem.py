@@ -176,6 +176,34 @@ class TestAssemblyCache:
         assert np.array_equal(k2.indices, F.assembly(space).indices)
 
 
+class TestPatternKernel:
+    """Assembly.product: K x on the cached pattern, bit for bit the csr_matrix product."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_bit_identical_to_the_matrix_product(self, square_mesh, degree, rng):
+        space = F.build_space(square_mesh, degree)
+        asm = F.assembly(space)
+        upper = asm.stiffness @ _WAVY(F.quadrature_points(space))
+        matrix, data = asm.matrix(upper), upper[asm.mirror]
+        vector, block = rng.standard_normal(space.n_free), rng.standard_normal((space.n_free, 5))
+        for x in (vector, block, np.asfortranarray(block), block[:, ::2]):
+            got = asm.product(data, x)
+            assert got.shape == x.shape and np.array_equal(got, matrix @ x)
+        assert np.array_equal(data[asm.diagonal], matrix.diagonal())
+
+    def test_operands_off_the_pattern_raise(self, space):
+        asm = F.assembly(space)
+        data = (asm.stiffness @ np.ones(len(asm.points)))[asm.mirror]
+        for bad_data, x in ((data, np.ones(space.n_free + 1)), (data[:-1], np.ones(space.n_free)),
+                            (data, np.ones((space.n_free, 2, 2)))):
+            with pytest.raises(ValueError, match="off the pattern"):
+                asm.product(bad_data, x)
+
+    def test_unit_diagonal_reads_the_slots_of_k1(self, space):
+        k1 = F.assemble_stiffness(space, C.constant(1.0))
+        assert np.array_equal(F.assembly(space).laplace_diagonal, k1.diagonal())
+
+
 class TestSolveSpd:
     """SPD solves: symmetry of a Galerkin solution, and the pivot guard of the
     factorization that preconditions every CG solve."""
@@ -262,28 +290,7 @@ class TestPreconditionedCg:
     """Galerkin solves: CG preconditioned by the cached factorization of K(1),
     scaled to the diagonal of the matrix solved."""
 
-    @staticmethod
-    def _count_applications(monkeypatch):
-        """Preconditioner applications, one entry per CG run."""
-        counts = []
-        real = F._cg
-
-        class Counting:
-            def __init__(self, factor):
-                self.factor = factor
-
-            def solve(self, r):
-                counts[-1] += 1
-                return self.factor.solve(r)
-
-        def cg(matrix, rhs, factor, unit_diagonal, tol):
-            counts.append(0)
-            return real(matrix, rhs, Counting(factor), unit_diagonal, tol)
-
-        monkeypatch.setattr(F, "_cg", cg)
-        return counts
-
-    def test_applications_stay_under_the_a_priori_bound(self, square, family, monkeypatch):
+    def test_applications_stay_under_the_a_priori_bound(self, square, family, request):
         # kappa(K(1)^-1 K(a)) <= (alpha + beta) / (alpha - beta) for every
         # admissible a, so CG preconditioned by the unscaled K(1) needs at most
         # ln(2 / tol) / ln(1 / rate) steps (12.5 here) on every mesh. That is
@@ -299,13 +306,31 @@ class TestPreconditionedCg:
         for space in spaces:
             F.assembly(space).laplace  # factor outside the count
             F.nominal(space, cfg)  # and the dual-norm solve of the cached form
-        counts = self._count_applications(monkeypatch)
+        counts = request.getfixturevalue("cg_applications")
         for space in spaces:
             for a in members:
                 F.galerkin_solve(space, cfg, a)
         assert len(counts) == 10
         assert 0 < max(counts) <= bound
         assert max(counts) <= bound / 2
+
+    @pytest.mark.parametrize("kind", ["wrong_length", "not_finite", "not_a_vector"])
+    def test_malformed_start_raises(self, space, config, kind):
+        n = space.n_free
+        start = {"wrong_length": np.ones(n - 1), "not_finite": np.full(n, np.nan),
+                 "not_a_vector": np.ones((n, 1))}[kind]
+        with pytest.raises(ValueError, match="start"):
+            F.galerkin_solve(space, config, C.constant(1.0), start=start)
+
+    def test_far_start_meets_the_contract_or_raises(self, space, config, family):
+        rhs = F.nominal(space, config).load
+        for a in C.sample_family(family, 3, 23):
+            try:
+                u = F.galerkin_solve(space, config, a, start=1e3 * np.ones(space.n_free))
+            except F.SolverError:
+                continue
+            k = F.assemble_stiffness(space, a)
+            assert np.linalg.norm(k @ u - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("kind", ["stripes", "per_element"])
     def test_mesh_scale_jumps_solve_to_the_tolerance(self, square, kind):
@@ -442,8 +467,7 @@ class TestNominalForm:
         form = F.nominal(space, config)
         k0 = F.assemble_stiffness(space, config.a0)
         load = F.assemble_load(space, config.f)
-        asm = F.assembly(space)
-        rep = F._cg(k0, load, asm.laplace, asm.laplace_diagonal, F._SOLVE_TOL)
+        rep = F._cg(F.assembly(space), k0.data, load, F._SOLVE_TOL)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(form.stiffness, name), getattr(k0, name))
         assert np.array_equal(form.load, load)
@@ -464,8 +488,7 @@ class TestNominalForm:
         a = C.sample_family(family, 1, 7)[0]
         k_a = F.assemble_stiffness(space, a)
         rhs = F.assemble_load(space, config.f)
-        asm = F.assembly(space)
-        expected = F._cg(k_a, rhs, asm.laplace, asm.laplace_diagonal, F._SOLVE_TOL)
+        expected = F._cg(F.assembly(space), k_a.data, rhs, F._SOLVE_TOL)
         assert np.array_equal(F.galerkin_solve(space, config, a), expected)
 
 

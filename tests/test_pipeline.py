@@ -415,15 +415,34 @@ class TestSampledFields:
                                       "affine_combination"])
     def test_truncation_and_total_are_the_field_solves(self, operator, sampled_fields, name):
         # a one-column sample block of weight 1 makes the kernel call and the solve
-        # of direct_solve(basis, a), so these terms keep their bits
+        # of direct_solve(basis, a), and the fine solve starts from its synthesis,
+        # so these terms keep their bits
         op, a = operator, sampled_fields[name]
         assert "table" not in a.meta
         space, config = op.space, op.config
-        u_fine = F.galerkin_solve(space, config, a)
         u_reduced = RB.synthesize(op.basis, R.direct_solve(op.basis, a), frame="ortho")
+        u_fine = F.galerkin_solve(space, config, a, start=u_reduced)
         tot, t1, _, _ = P.error_decomposition(op, [a]).rows()[0]
         assert tot == F.energy_norm(space, config, u_fine - P.evaluate(op, a))
         assert t1 == F.energy_norm(space, config, u_fine - u_reduced)
+
+    def test_warm_solves_agree_with_cold_ones_in_fewer_applications(
+        self, operator, family, sampled_fields, cg_applications
+    ):
+        # the decomposition starts the fine solve from the reduced solution u_N, which is
+        # within the truncation error of u_h, so CG has less residual to remove
+        op, space, config = operator, operator.space, operator.config
+        members = [*C.sample_family(family, 4, 137), *sampled_fields.values()]
+        cold, warm = [], []
+        for a in members:
+            start = RB.synthesize(op.basis, R.direct_solve(op.basis, a), frame="ortho")
+            u_cold = F.galerkin_solve(space, config, a)
+            cold.append(cg_applications[-1])
+            u_warm = F.galerkin_solve(space, config, a, start=start)
+            warm.append(cg_applications[-1])
+            norm = F.energy_norm(space, config, u_cold)
+            assert F.energy_norm(space, config, u_warm - u_cold) <= 1e-12 * norm
+        assert sum(warm) < sum(cold)
 
     def test_mixed_list_rows_equal_single_calls(self, operator, family, sampled_fields):
         members = C.sample_family(family, 2, 131)
