@@ -432,7 +432,6 @@ def galerkin_solve(
     space: FemSpace,
     config: ProblemConfig,
     a: CoefficientField | np.ndarray,
-    check: bool = True,
     start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Discrete solution of b(a; u, v) = (f, v) on the space, free dofs only.
@@ -442,15 +441,15 @@ def galerkin_solve(
     start (a finite free-dof vector, else ValueError) or zero, preconditioned by
     the cached factor of K(1) scaled to diag K(a); its recurrence stops at relative
     residual 1e-14, and the true relative residual is guaranteed at most 1e-10.
+    Samples outside the band alpha +- beta raise MembershipError before any solve.
     """
     samples = _sample_coefficient(space, a)
-    if check:
-        lo, hi = samples.min(), samples.max()
-        if lo < config.alpha - config.beta - 1e-12 or hi > config.alpha + config.beta + 1e-12:
-            raise MembershipError(
-                f"coefficient range [{lo:.6g}, {hi:.6g}] outside "
-                f"[{config.alpha - config.beta:.6g}, {config.alpha + config.beta:.6g}]"
-            )
+    lo, hi = samples.min(), samples.max()
+    if lo < config.alpha - config.beta - 1e-12 or hi > config.alpha + config.beta + 1e-12:
+        raise MembershipError(
+            f"coefficient range [{lo:.6g}, {hi:.6g}] outside "
+            f"[{config.alpha - config.beta:.6g}, {config.alpha + config.beta:.6g}]"
+        )
     data = assemble_stiffness_samples(space, samples).data
     return _cg(assembly(space), data, nominal(space, config).load, _SOLVE_TOL, start)
 

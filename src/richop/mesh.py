@@ -97,10 +97,6 @@ class Polygon:
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
 
-    @property
-    def area(self) -> float:
-        return _signed_area(self.vertices)
-
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Crossing-number inclusion test, vectorized over points (n, 2)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

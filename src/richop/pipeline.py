@@ -256,7 +256,7 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     rest. mesh.txt, which no loader reads, records the output space: the
     rows of basis.csv are the free dofs of build_space(read_mesh(mesh.txt),
     fem_degree). A nonsmooth operator is refused: its input net has depth 3, so
-    interval_matrix_bound cannot re-derive Z_A from it.
+    interval_entry_bounds cannot re-derive the box Z from it.
     """
     if "nonsmooth_a_min" in op.certificates:
         raise ValueError("a nonsmooth operator cannot be saved: its input net has depth 3")

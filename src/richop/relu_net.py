@@ -57,11 +57,9 @@ __all__ = [
     "realize",
     "affine_net",
     "sparse_concat",
-    "product_net",
     "step_net",
     "input_net",
     "interval_entry_bounds",
-    "interval_matrix_bound",
     "certified_approximator",
     "build_approximator",
     "net_to_doc",
@@ -271,15 +269,6 @@ def _product_gadget(m: int) -> list:
     return layers + [(np.array([out]), np.zeros(1))]
 
 
-def product_net(epsilon: float, bound: float) -> NeuralNet:
-    """Two-input net with |net(x, y) - x y| <= epsilon on |x|, |y| <= bound."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-    if bound < 1.0:
-        raise ValueError("bound must be at least 1")
-    return step_net(1, bound, epsilon, np.zeros(1), matrix_bound=bound)
-
-
 def vec_index(i, j, n: int):
     """Column-major position of matrix entry (i, j) in the flattened input; i, j may be arrays."""
     return i + n * j
@@ -290,16 +279,16 @@ def step_net(
     bound: float,
     epsilon: float,
     shift: np.ndarray,
-    matrix_bound=1.0,
+    matrix_bound: np.ndarray,
 ) -> NeuralNet:
     """One approximate iteration step (vec(A), x) -> A x + g.
 
     Certified for inputs with every |A_ij| <= Z_ij and every |x_j| <= bound
-    (which ||x||_l2 <= bound implies), and for no others. matrix_bound is Z:
-    an (n, n) array of per-entry bounds, or a scalar for every entry (the
-    default 1.0 is the contract |A| <= 1). Entries below eps max Z (eps the
-    float64 machine epsilon) are raised to that floor, as the split layer
-    divides by them; a larger bound is still a bound.
+    (which ||x||_l2 <= bound implies), and for no others. matrix_bound is Z,
+    the (n, n) array of per-entry bounds; any other shape, a scalar
+    included, raises ValueError. Entries below eps max Z (eps the float64
+    machine epsilon) are raised to that floor, as the split layer divides by
+    them; a larger bound is still a bound.
 
     The net is n^2 copies of one product gadget side by side, copy i n + j
     computing A_ij x_j: a gather feeds (A_ij / Z_ij, x_j / bound) into the
@@ -318,13 +307,13 @@ def step_net(
     if not (math.isfinite(bound) and bound > 0.0):
         raise ValueError(f"bound must be finite and positive, got {bound!r}")
     z = np.asarray(matrix_bound, dtype=float)
-    if z.shape not in ((), (n, n)):
-        raise ValueError(f"matrix_bound must be a scalar or an ({n}, {n}) array, not {z.shape}")
+    if z.shape != (n, n):
+        raise ValueError(f"matrix_bound must be an ({n}, {n}) array, not {z.shape}")
     if not (np.all(np.isfinite(z)) and np.all(z >= 0.0) and np.max(z) > 0.0):
         raise ValueError(
             f"matrix_bound must be finite, nonnegative and not all zero, got {matrix_bound!r}"
         )
-    z = np.maximum(np.broadcast_to(z, (n, n)), np.finfo(float).eps * np.max(z))
+    z = np.maximum(z, np.finfo(float).eps * np.max(z))
     m = _sawtooth_levels(epsilon, float(np.linalg.norm(z.sum(axis=1))), bound)
     (split, b0), *hidden, (w_out, _) = _product_gadget(m)
     # kron(I_{n^2}, split) times the gather is the split copies with column
@@ -372,24 +361,21 @@ def _carrying(step: NeuralNet) -> NeuralNet:
     return NeuralNet([(_csr(c.row, c.col, c.data, c.shape), b) for c, b in coos])
 
 
-def _entry_nets(n: int) -> tuple[NeuralNet, NeuralNet]:
-    """Affine nets vec(A) -> e1 (no step) and vec(A) -> (vec(A), e1)."""
-    start = np.zeros(n)
-    start[0] = 1.0
+def _entry_net(n: int) -> NeuralNet:
+    """The affine injection vec(A) -> (vec(A), e1) that the first step reads."""
     inject_w = sp.vstack([sp.eye(n * n), sp.csr_matrix((n, n * n))])
-    inject_b = np.concatenate([np.zeros(n * n), start])
-    return affine_net(sp.csr_matrix((n, n * n)), start), affine_net(inject_w, inject_b)
+    inject_b = np.zeros(n * n + n)
+    inject_b[n * n] = 1.0
+    return affine_net(inject_w, inject_b)
 
 
-def _unroll(encoder_input, step, carry, k_steps: int, start, inject, concat):
-    """(iterator, approximator) of the K-fold unrolling, spliced by concat.
+def _unroll(encoder_input, step, carry, k_steps: int, inject, concat):
+    """(iterator, approximator) of the K-fold unrolling, K >= 1, spliced by concat.
 
     The iterator runs carry K - 1 times and then step, from (vec(A), e1);
     the approximator puts the input net in front. With sparse_concat the
     parts are nets, with _concat_counts their layer counts.
     """
-    if k_steps == 0:
-        return start, concat(start, encoder_input)
     iterator = step
     for _ in range(k_steps - 1):
         iterator = concat(iterator, carry)
@@ -432,11 +418,6 @@ def interval_entry_bounds(encoder_input: NeuralNet, alpha: float, beta: float) -
     ones = np.ones(w.shape[1])
     center = w @ (alpha * ones) + b
     return np.abs(center) + beta * (abs(w) @ ones)
-
-
-def interval_matrix_bound(encoder_input: NeuralNet, alpha: float, beta: float) -> float:
-    """Z_A = max_ij Z_ij of interval_entry_bounds, the bound of every entry at once."""
-    return float(np.max(interval_entry_bounds(encoder_input, alpha, beta)))
 
 
 @dataclass(frozen=True)
@@ -515,8 +496,8 @@ class ApproximatorBundle:
     @cached_property
     def net(self) -> NeuralNet:
         """The unrolled net of the same function."""
-        carry, entry = _carrying(self.step), _entry_nets(self.step.n_outputs)
-        return _unroll(self.encoder_input, self.step, carry, self.k_steps, *entry, sparse_concat)[1]
+        carry, inject = _carrying(self.step), _entry_net(self.step.n_outputs)
+        return _unroll(self.encoder_input, self.step, carry, self.k_steps, inject, sparse_concat)[1]
 
 
 def certified_approximator(
@@ -539,8 +520,7 @@ def certified_approximator(
     interval_entry_bounds of the input net over the channel box
     [alpha - beta_eff, alpha + beta_eff]^M; step_net sizes each product
     gadget to its entry and the sawtooth levels to the row sums of Z. Their
-    maximum Z_A (interval_matrix_bound) is recorded as
-    certificates["matrix_bound"].
+    maximum Z_A is recorded as certificates["matrix_bound"].
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -562,10 +542,10 @@ def certified_approximator(
     step = step_net(n, z_tilde, eps_step, shift, matrix_bound=z.reshape(n, n, order="F"))
     step_counts = _layer_counts(step)
     carry_counts = [(w + 2 * n * n, b) for w, b in step_counts]
-    entry_counts = map(_layer_counts, _entry_nets(n))
+    inject_counts = _layer_counts(_entry_net(n))
     input_counts = _layer_counts(encoder_input)
     iterator, net = _unroll(
-        input_counts, step_counts, carry_counts, k_steps, *entry_counts, _concat_counts
+        input_counts, step_counts, carry_counts, k_steps, inject_counts, _concat_counts
     )
     size, iterator_size = sum(map(sum, net)), sum(map(sum, iterator))
     sections = (

@@ -82,9 +82,7 @@ def iterate(basis: ReducedBasis, a: np.ndarray, k_steps: int) -> np.ndarray:
 
 
 def choose_step_count(alpha: float, beta: float, f_dual_norm: float, epsilon: float) -> int:
-    """Step count making the geometric iteration tail at most epsilon / 2."""
-    if beta == 0.0:
-        return 1
+    """Step count making the geometric iteration tail at most epsilon / 2; at least 1."""
     if not (0.0 < beta < alpha):
         raise ValueError("require 0 < beta < alpha")
     if not (0.0 < epsilon < 1.0):

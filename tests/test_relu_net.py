@@ -150,8 +150,9 @@ class TestRealize:
             NN.realize(net, np.ones((2, 2, 3)))
 
     def test_single_input_equals_batch_row_bitwise(self, rng):
-        nets = [random_net(rng, 4), NN.product_net(1e-5, 2.0)]
-        nets.append(NN._carrying(NN.step_net(3, 4.0, 1e-4, rng.standard_normal(3))))
+        nets = [random_net(rng, 4), product_net(1e-5, 2.0)]
+        step = NN.step_net(3, 4.0, 1e-4, rng.standard_normal(3), matrix_bound=np.ones((3, 3)))
+        nets.append(NN._carrying(step))
         for net in nets:
             x = rng.uniform(-1, 1, (7, net.n_inputs))
             batch = NN.realize(net, x)
@@ -241,16 +242,22 @@ class TestSparseConcat:
             NN.sparse_concat(identity(3), identity(4))
 
 
+def product_net(epsilon, bound):
+    """Two-input net with |net(x, y) - x y| <= epsilon on |x|, |y| <= bound: a one-entry
+    step net with zero shift on the box |a| <= bound."""
+    return NN.step_net(1, bound, epsilon, np.zeros(1), matrix_bound=np.full((1, 1), bound))
+
+
 class TestProductNet:
     def test_reference_point(self):
-        net = NN.product_net(1e-6, 1.0)
+        net = product_net(1e-6, 1.0)
         val = NN.realize(net, np.array([0.5, 0.25]))[0]
         assert abs(val - 0.125) <= 1e-6
 
     def test_zero_factor_within_certificate(self, rng):
         # documented branch: zero factors cancel to rounding level, not to
         # an exact zero; the certificate is the guarantee
-        net = NN.product_net(1e-6, 1.0)
+        net = product_net(1e-6, 1.0)
         xs = rng.uniform(-1, 1, 50)
         vals = NN.realize(net, np.column_stack([xs, np.zeros(50)]))
         assert np.max(np.abs(vals)) <= 1e-6
@@ -263,7 +270,7 @@ class TestProductNet:
         exact = gx.ravel() * gy.ravel()
         depths = []
         for eps in eps_list:
-            net = NN.product_net(eps, 1.0)
+            net = product_net(eps, 1.0)
             err = np.max(np.abs(NN.realize(net, batch)[:, 0] - exact))
             assert err <= eps
             depths.append(net.depth)
@@ -279,7 +286,7 @@ class TestProductNet:
     @pytest.mark.parametrize("bound", [1.0, 3.0, 7.5])
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4, 1.5e-5, 1e-8])
     def test_box_scaling(self, rng, eps, bound):
-        net = NN.product_net(eps, bound)
+        net = product_net(eps, bound)
         xs = np.linspace(-bound, bound, 161)
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         grid = np.column_stack([gx.ravel(), gy.ravel()])
@@ -303,7 +310,7 @@ class TestProductNet:
     def test_asymmetric_box_scaling(self, rng, eps, z_a, z_x):
         # a one-entry step net with zero shift is the product a*x on the box
         # |a| <= z_a, |x| <= z_x, with per-entry tolerance eps
-        net = NN.step_net(1, z_x, eps, np.zeros(1), matrix_bound=z_a)
+        net = NN.step_net(1, z_x, eps, np.zeros(1), matrix_bound=np.full((1, 1), z_a))
         ga, gx = np.meshgrid(
             np.linspace(-z_a, z_a, 161), np.linspace(-z_x, z_x, 161), indexing="ij"
         )
@@ -322,21 +329,15 @@ class TestProductNet:
         cases += [(eps, b) for b in (1.0, 3.0, 7.5) for eps in (1e-1, 1.5e-5)]
         cases.append((1e-5, 2.0))
         for eps, bound in cases:
-            for w, b in NN.product_net(eps, bound).layers:
+            for w, b in product_net(eps, bound).layers:
                 for arr, dtype in ((w.indptr, "<i8"), (w.indices, "<i8"), (w.data, "<f8"), (b, "<f8")):
                     h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
         assert h.hexdigest() == PRODUCT_NET_DIGEST
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NN.product_net(2.0, 1.0)
-        with pytest.raises(ValueError):
-            NN.product_net(1e-3, 0.5)
-
 
 def matvec_net(n, epsilon, bound):
-    """Net mapping (vec(A), x) to Ax within epsilon in l2: a step with zero shift."""
-    return NN.step_net(n, bound, epsilon, np.zeros(n))
+    """Net mapping (vec(A), x) to Ax within epsilon in l2 on |A_ij| <= 1: a zero-shift step."""
+    return NN.step_net(n, bound, epsilon, np.zeros(n), matrix_bound=np.ones((n, n)))
 
 
 class TestMatvecNet:
@@ -397,7 +398,7 @@ class TestStepNet:
         z = 4.0
         a = C.sample_family(family, 1, 91)[0]
         mat_a = R.iteration_matrix(basis, a)
-        net = NN.step_net(n, z, eps, basis.nominal.shift)
+        net = NN.step_net(n, z, eps, basis.nominal.shift, matrix_bound=np.ones((n, n)))
         for _ in range(5):
             x = rng.standard_normal(n)
             x *= rng.uniform(0.1, z) / np.linalg.norm(x)
@@ -413,7 +414,8 @@ class TestStepNet:
         mat_a = R.iteration_matrix(basis, a)
         c_star = R.direct_solve(basis, a)
         eps = 1e-5
-        net = NN.step_net(basis.size, 4.0, eps, basis.nominal.shift)
+        box = np.ones((basis.size, basis.size))
+        net = NN.step_net(basis.size, 4.0, eps, basis.nominal.shift, matrix_bound=box)
         out = NN.realize(
             net, np.concatenate([mat_a.flatten(order="F"), c_star])
         )
@@ -424,7 +426,7 @@ class TestStepNet:
         mat0 = R.iteration_matrix(basis, config.scaled_nominal())
         n = basis.size
         eps = 1e-5
-        net = NN.step_net(n, 4.0, eps, basis.nominal.shift)
+        net = NN.step_net(n, 4.0, eps, basis.nominal.shift, matrix_bound=np.ones((n, n)))
         x = rng.standard_normal(n)
         x *= 3.0 / np.linalg.norm(x)
         out = NN.realize(
@@ -437,7 +439,7 @@ class TestStepNet:
         flat = rng.uniform(-0.9, 0.9, n * n)
         x = rng.standard_normal(n)
         x *= 2.0 / np.linalg.norm(x)
-        net = NN._carrying(NN.step_net(n, 4.0, 1e-4, np.zeros(n)))
+        net = NN._carrying(NN.step_net(n, 4.0, 1e-4, np.zeros(n), matrix_bound=np.ones((n, n))))
         out = NN.realize(net, np.concatenate([flat, x]))
         assert np.array_equal(out[: n * n], flat)
 
@@ -451,7 +453,7 @@ def iteration_bundle(n, k_steps, epsilon, shift, contraction):
     eps_step = (1.0 - contraction) * epsilon
     z = 2.0 + 1.0 / (1.0 - contraction)
     report = NN.BuildReport(0, 0, epsilon, z, (), {"eps_step": eps_step, "matrix_bound": 1.0})
-    step = NN.step_net(n, z, eps_step, shift)
+    step = NN.step_net(n, z, eps_step, shift, matrix_bound=np.ones((n, n)))
     return NN.ApproximatorBundle(identity(n * n), step, k_steps, report)
 
 
@@ -459,14 +461,14 @@ class TestStepNetBox:
     @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
     def test_rejects_matrix_bound_not_finite_positive(self, value):
         with pytest.raises(ValueError, match="matrix_bound"):
-            NN.step_net(2, 4.0, 1e-3, np.zeros(2), matrix_bound=value)
+            NN.step_net(2, 4.0, 1e-3, np.zeros(2), matrix_bound=np.full((2, 2), value))
 
     def test_step_net_bits_unchanged(self):
         # pinned digests of the step nets, carry-free and carrying, over a
         # grid of (n, eps, Z_A, Z~): any change of row order, weight or bias
         # changes them, and with them the bundles and CSV outputs
         steps = [
-            NN.step_net(n, z_x, eps, (np.arange(n) - 1.5) / 7.0, matrix_bound=z_a)
+            NN.step_net(n, z_x, eps, (np.arange(n) - 1.5) / 7.0, matrix_bound=np.full((n, n), z_a))
             for n in (1, 2, 3, 9, 13)
             for eps in (1e-1, 1e-2, 1e-4, 1e-6)
             for z_a, z_x in ((1.0, 3.0), (0.5, 4.0), (0.5086, 7.5))
@@ -475,8 +477,8 @@ class TestStepNetBox:
         assert layers_digest(map(NN._carrying, steps)) == CARRYING_STEP_DIGEST
 
     def test_fewer_levels_on_the_smaller_matrix_box(self):
-        wide = NN.step_net(3, 4.0, 1e-4, np.zeros(3))
-        narrow = NN.step_net(3, 4.0, 1e-4, np.zeros(3), matrix_bound=0.5)
+        wide = NN.step_net(3, 4.0, 1e-4, np.zeros(3), matrix_bound=np.ones((3, 3)))
+        narrow = NN.step_net(3, 4.0, 1e-4, np.zeros(3), matrix_bound=np.full((3, 3), 0.5))
         assert narrow.depth == wide.depth - 1
         assert narrow.size < wide.size
 
@@ -537,14 +539,11 @@ class TestPerEntryBox:
                 z = nonuniform_box(rng, n)
                 net = NN.step_net(n, bound, eps, np.zeros(n), matrix_bound=z)
                 assert net.depth == row_rule_levels(z, bound, eps) + 2
-                # a constant box: the per-entry tolerance eps / n^{3/2}, and the scalar-bound net
+                # a constant box: the per-entry tolerance eps / n^{3/2}
                 c = float(z.max())
                 const = NN.step_net(n, bound, eps, np.zeros(n), matrix_bound=np.full((n, n), c))
                 assert const.depth == NN._sawtooth_levels(eps / n**1.5, c, bound) + 2
                 assert const.depth == row_rule_levels(np.full((n, n), c), bound, eps) + 2
-                assert layers_digest([const]) == layers_digest(
-                    [NN.step_net(n, bound, eps, np.zeros(n), matrix_bound=c)]
-                )
 
     def test_zero_entry_builds_within_budget(self, rng):
         n, bound, eps = 3, 4.0, 1e-3
@@ -557,7 +556,7 @@ class TestPerEntryBox:
             assert np.all(xs[:, NN.vec_index(1, 2, n)] == 0.0)
             assert step_error(net, xs) <= eps
 
-    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 2, 1)])
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 2, 1), ()])
     def test_rejects_box_of_another_shape(self, shape):
         with pytest.raises(ValueError, match="matrix_bound"):
             NN.step_net(2, 4.0, 1e-3, np.zeros(2), matrix_bound=np.full(shape, 0.5))
@@ -579,15 +578,6 @@ class TestPerEntryBox:
 
 
 class TestIteratorNet:
-    def test_zero_steps_returns_start_vector(self, lab):
-        n = lab["basis"].size
-        bundle = iteration_bundle(n, 0, 1e-3, np.zeros(n), 0.5)
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        assert np.array_equal(bundle.realize(np.zeros(n * n)), e1)
-        assert np.array_equal(NN.realize(bundle.net, np.zeros(n * n)), e1)
-        assert bundle.net.depth == 2
-
     def test_nominal_contracts_to_start(self, lab):
         basis, space, config = lab["basis"], lab["space"], lab["config"]
         mat0 = R.iteration_matrix(basis, config.scaled_nominal())
@@ -942,7 +932,7 @@ class TestIntervalBound:
         net, config = bundle.encoder_input, lab["config"]
         alpha, beta = config.alpha, bundle.report.certificates["beta_eff"]
         z_a = bundle.report.certificates["matrix_bound"]
-        assert z_a == NN.interval_matrix_bound(net, alpha, beta)
+        assert z_a == np.max(NN.interval_entry_bounds(net, alpha, beta))
         w = net.layers[0][0].toarray()
         center = w @ np.full(w.shape[1], alpha) + net.layers[0][1]
         r = int(np.argmax(np.abs(center) + beta * np.abs(w).sum(axis=1)))
@@ -956,7 +946,7 @@ class TestIntervalBound:
 
     def test_rejects_deeper_input_net(self):
         with pytest.raises(ValueError):
-            NN.interval_matrix_bound(random_net(np.random.default_rng(0), 2), 1.0, 0.5)
+            NN.interval_entry_bounds(random_net(np.random.default_rng(0), 2), 1.0, 0.5)
 
 
 @pytest.fixture(scope="module")

@@ -344,10 +344,9 @@ class TestChooseStepCount:
         k = R.choose_step_count(1.0, 0.5, 0.5, 1e-2)
         assert k == math.ceil(abs(math.log(0.5e-2)) / abs(math.log(0.5)))
 
-    def test_zero_beta_short_circuit(self):
-        assert R.choose_step_count(1.0, 0.0, 1.0, 1e-3) == 1
-
     def test_argument_validation(self):
+        with pytest.raises(ValueError):
+            R.choose_step_count(1.0, 0.0, 1.0, 1e-3)
         with pytest.raises(ValueError):
             R.choose_step_count(1.0, 0.5, 1.0, 2.0)
         with pytest.raises(ValueError):
