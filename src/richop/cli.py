@@ -200,14 +200,15 @@ class Setup:
             )
         if kind == "parametric":
             modes = [coeff_mod.trig_mode(k + 1, k % 2 + 1) for k in range(n_modes)]
-            return coeff_mod.parametric_family(alpha, beta, modes, self.domain, fill=fill)
+            return coeff_mod.AffineFamily(alpha=alpha, beta=beta, domain=self.domain, modes=modes,
+                                          fill=fill)
         if kind == "sobolev_ball":
             order = _number(section, "family.order", 2, lambda k: k >= 0, "be non-negative")
             radius = _number(section, "family.radius", 50.0, lambda r: r > 0, "be positive")
             coeff_h = _number(section, "family.coeff_h", 0.5, lambda h: h > 0, "be positive")
             coarse = mesh_mod.triangulate(self.domain, coeff_h)
-            return coeff_mod.sobolev_family(
-                alpha, beta, coarse, order=order, radius=radius, fill=fill
+            return coeff_mod.SobolevBall(
+                alpha=alpha, beta=beta, domain=coarse, order=order, radius=radius, fill=fill
             )
         raise ConfigError(f"unknown family kind {kind!r}")
 

@@ -42,16 +42,12 @@ __all__ = [
     "AbsShiftFamily",
     "SobolevBall",
     "constant",
-    "from_callable",
     "affine_combination",
     "mesh_field",
     "abs_shift",
     "domain_grid",
     "sample_family",
-    "parametric_family",
     "analytic_family",
-    "sobolev_family",
-    "abs_family",
     "trig_mode",
 ]
 
@@ -81,10 +77,6 @@ def constant(value: float) -> CoefficientField:
     return CoefficientField(
         lambda pts: np.full(len(pts), value), kind="constant", meta={"value": value}
     )
-
-
-def from_callable(fn, meta: dict | None = None) -> CoefficientField:
-    return CoefficientField(fn, kind="callable", meta=meta)
 
 
 def affine_combination(fields, weights) -> CoefficientField:
@@ -363,7 +355,7 @@ class SobolevBall(DataFamily):
         super().__post_init__()
         _check_fill(self.fill)
         if self.order < 0 or not self.radius > 0:
-            raise ValueError("sobolev_family needs order >= 0 and radius > 0")
+            raise ValueError("SobolevBall needs order >= 0 and radius > 0")
 
     @cached_property
     def _dofs(self) -> tuple:
@@ -406,20 +398,6 @@ class SobolevBall(DataFamily):
         return CoefficientField(member, kind="mesh_field", meta=meta)
 
 
-def parametric_family(
-    alpha: float,
-    beta: float,
-    modes,
-    domain,
-    amplitudes=None,
-    fill: float = 0.9,
-) -> DataFamily:
-    """AffineFamily of the modes: a = alpha + beta*fill * sum_k y_k c_k xi_k / s."""
-    return AffineFamily(
-        alpha=alpha, beta=beta, domain=domain, fill=fill, modes=modes, amplitudes=amplitudes
-    )
-
-
 # wavenumbers (kx, ky) of the analytic family's modes, in order of decaying amplitude
 ANALYTIC_WAVENUMBERS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3))
 
@@ -446,38 +424,6 @@ def analytic_family(
     amps = [decay**k for k in range(len(modes))]
     return AffineFamily(
         alpha=alpha, beta=beta, domain=domain, fill=fill, modes=modes, amplitudes=amps
-    )
-
-
-def sobolev_family(
-    alpha: float,
-    beta: float,
-    coeff_mesh: Mesh,
-    order: int = 2,
-    radius: float = 50.0,
-    fill: float = 0.9,
-    degree: int = 2,
-) -> DataFamily:
-    """Random piecewise-P2 fields on a coarse mesh, range-clipped into the cone."""
-    return SobolevBall(
-        alpha=alpha, beta=beta, domain=coeff_mesh, fill=fill, order=order, radius=radius,
-        degree=degree,
-    )
-
-
-def abs_family(
-    alpha: float,
-    beta: float,
-    modes,
-    domain,
-    a_min: float,
-    amplitude: float,
-    amplitudes=None,
-) -> DataFamily:
-    """Fields a_min + |g| in alpha +- beta, g a sign-changing mode sum (AbsShiftFamily)."""
-    return AbsShiftFamily(
-        alpha=alpha, beta=beta, domain=domain, modes=modes, amplitudes=amplitudes,
-        a_min=a_min, amplitude=amplitude,
     )
 
 

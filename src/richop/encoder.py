@@ -2,8 +2,9 @@
 
 Two encoders are provided: nodal interpolation on a P1/P2 coefficient space,
 and piecewise tensor Gauss-Legendre-Lobatto interpolation on the barycentric
-quad split of a triangulation, with channels deduplicated across quad
-interfaces so the reconstruction is globally continuous. The GLL nodes, the
+quad split of a triangulation, with channels keyed by the mesh entity each
+node lies on, so copies of a node on quad interfaces are one channel and the
+reconstruction is globally continuous. The GLL nodes, the
 bijectivity probe and the Newton inversion of the reconstruction all map
 through the split's one bilinear map, QuadSplit.bilinear_map.
 """
@@ -16,10 +17,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .coeff import (CoefficientField, _bernstein_range, _per_points, _shape_values, domain_grid,
-                    from_callable)
+from .coeff import CoefficientField, _bernstein_range, _per_points, _shape_values, domain_grid
 from .fem import FemSpace, build_space
-from .mesh import Mesh, QuadSplit, _first_appearance, locate_points, quad_split
+from .mesh import Mesh, QuadSplit, _first_appearance, _lagrange_dofs, locate_points, quad_split
 
 __all__ = [
     "Encoder",
@@ -123,7 +123,7 @@ class Encoder:
         values = np.asarray(values, dtype=float)
         if len(values) != self.m:
             raise ValueError("channel count mismatch")
-        return from_callable(
+        return CoefficientField(
             lambda pts: self.channel_matrix(pts) @ values,
             meta={"encoder": self, "values": values},
         )
@@ -163,8 +163,8 @@ class GllEncoder(Encoder):
         if np.any(split.bilinear_map(quads, ps.ravel()[None], pu.ravel()[None])[3] <= 0):
             raise ValueError("non-bijective bilinear map detected in quad split")
         mapped = split.bilinear_map(quads, ss.ravel()[None], uu.ravel()[None])[0].reshape(2, -1).T.copy()
-        # nodes on quad interfaces coincide to rounding; each is one channel
-        first, channels = _first_appearance(np.round(mapped, 12))
+        # copies of one node on quad interfaces share a mesh-entity key; each key is one channel
+        first, channels = _first_appearance(_gll_keys(split.mesh, p).ravel())
         super().__init__(split.mesh, mapped[first], channels.reshape(len(quads), -1),
                          {"kind": "gll", "p": p})
         self.split, self.order, self.nodes_1d = split, p, nodes
@@ -184,6 +184,35 @@ class GllEncoder(Encoder):
         inv = np.linalg.inv(binom * t**k * (1.0 - t) ** (p - k))
         coeffs = inv @ nodal[:, self.cell_channels].reshape(len(nodal), -1, p + 1, p + 1) @ inv.T
         return coeffs.min(), coeffs.max()
+
+
+def _gll_keys(mesh: Mesh, p: int) -> np.ndarray:
+    """Integer key of each GLL node (quad 3 t + i, local node a (p+1) + b), from mesh topology.
+
+    The quad's corners in reference order are vertex i, the P2 midpoint in column 3 + i,
+    the barycentre (id n_p2 + t) and the midpoint in column [5, 3, 4][i]. A corner node's
+    key is (c, c, 0); a node k steps inside the edge from corner c to corner d has
+    (min, max, k counted from min); an interior node has (-1 - quad, a, b). Each triple
+    is packed into one integer, so copies of a node share one key and no others do.
+    """
+    coords, dofs, _ = _lagrange_dofs(mesh, 2)
+    centre = np.repeat(len(coords) + np.arange(len(dofs))[:, None], 3, axis=1)
+    corner = np.stack([dofs[:, :3], dofs[:, 3:], centre, dofs[:, [5, 3, 4]]], axis=2).reshape(-1, 4)
+    a, b = np.divmod(np.arange((p + 1) ** 2), p + 1)
+    # a boundary node lies `step` nodes along its quad edge b = 0, a = 0, b = p or a = p,
+    # from the edge's start corner to its end corner; a corner node starts and ends at itself
+    sides = [b == 0, a == 0, b == p, a == p]
+    step = np.select(sides, [a, b, a, b])
+    start = np.select(sides, [0, 0, 3, 1])
+    end = np.where(step == 0, start, np.select(sides, [1, 3, 2, 2]))
+    start = np.where(step == p, end, start)
+    step = step % p
+    c, d = corner[:, start], corner[:, end]
+    inner, quad = ~np.any(sides, axis=0), np.arange(len(corner))[:, None]
+    first = np.where(inner, -1 - quad, np.minimum(c, d)) + len(corner)  # made non-negative
+    second = np.where(inner, a, np.maximum(c, d))  # below len(coords) + len(dofs) + p
+    third = np.where(inner, b, np.where(c <= d, step, p - step))
+    return (first * (len(coords) + len(dofs) + p) + second) * (p + 1) + third
 
 
 def build_gll_encoder(split: QuadSplit, p: int) -> GllEncoder:

@@ -97,8 +97,8 @@ class ReducedBasis:
     ``ortho`` spans the same space and is orthonormal in the nominal inner
     product, with the first column parallel to the anchor. Prefixes of both
     frames are hierarchical by construction. ``nominal`` is the basis's own
-    coefficient-independent reduced form; a prefix computes its own, and
-    keeps its own reduced stiffness stacks (richardson.reduced_stiffness).
+    coefficient-independent reduced form; the basis also keeps its reduced
+    stiffness stacks (richardson.reduced_stiffness).
     """
 
     space: FemSpace
@@ -142,18 +142,6 @@ class ReducedBasis:
         for array in (b0, chol[0], load, shift):
             array.flags.writeable = False
         return NominalForm(b0, chol, load, shift, fine.f_dual)
-
-    def prefix(self, n_plus_1: int) -> "ReducedBasis":
-        """Basis spanned by the anchor and the first n selected snapshots."""
-        if not (1 <= n_plus_1 <= self.size):
-            raise ValueError("prefix size out of range")
-        return ReducedBasis(
-            self.space,
-            self.config,
-            self.raw[:, :n_plus_1],
-            self.ortho[:, :n_plus_1],
-            self.selection_indices[: n_plus_1 - 1],
-        )
 
 
 def generate_snapshots(

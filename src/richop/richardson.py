@@ -51,8 +51,7 @@ def reduced_stiffness(basis: ReducedBasis, block) -> np.ndarray:
         upper = upper.toarray() if sp.issparse(upper) else upper
         if not np.all(np.isfinite(upper)):  # a block skips _sample_coefficient's check
             raise MembershipError("coefficient evaluated to non-finite values")
-        frame = np.ascontiguousarray(p)  # one copy of a prefix's strided frame, not one per column
-        stack = np.reshape([p.T @ asm.product(u[asm.mirror], frame) for u in upper.T], (-1, n, n))
+        stack = np.reshape([p.T @ asm.product(u[asm.mirror], p) for u in upper.T], (-1, n, n))
         stack.flags.writeable = False
         return stack
 

@@ -306,13 +306,13 @@ def test_criterion_09_energy_and_shifted_form_bounds(lab, rng):
 def test_criterion_10_encoder_rates(lab):
     square = lab["square"]
     split = M.quad_split(M.triangulate(square, 1.5))
-    target = C.from_callable(lambda p: np.exp(p[:, 0] + p[:, 1]))
+    target = C.CoefficientField(lambda p: np.exp(p[:, 0] + p[:, 1]))
     errs = {
         p: E.encoder_error(E.build_gll_encoder(split, p), target, 150)
         for p in (4, 6, 8, 10)
     }
     gll_ok = all(errs[p + 2] / errs[p] <= 0.5 for p in (4, 6, 8))
-    smooth = C.from_callable(
+    smooth = C.CoefficientField(
         lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
     )
     mesh = M.triangulate(square, 0.6)
@@ -346,7 +346,7 @@ def test_criterion_11_greedy_decay(lab):
     graded = M.refine_corner_graded(M.triangulate(M.lshape(), 0.5), [[0.0, 0.0]], 0.5, 2)
     l_space = F.build_space(graded, 1)
     l_config = F.normalize_source(l_space, F.ProblemConfig(ALPHA, BETA))
-    fam_w = C.sobolev_family(ALPHA, BETA, coarse, order=2, radius=60.0, fill=0.9)
+    fam_w = C.SobolevBall(alpha=ALPHA, beta=BETA, domain=coarse, order=2, radius=60.0, fill=0.9)
     snaps_w = RB.generate_snapshots(fam_w, 60, 11, l_space, l_config)
     _, trace_w = RB.weak_greedy(snaps_w, 21)
     dw = np.asarray(trace_w.residuals)
@@ -374,7 +374,7 @@ def exact_encoding_operator(lab):
         C.mesh_field(enc_mesh, C.trig_mode(1, 1)(enc_mesh.nodes), 1),
         C.mesh_field(enc_mesh, C.trig_mode(2, 1)(enc_mesh.nodes), 1),
     ]
-    fam = C.parametric_family(ALPHA, BETA, modes, M.unit_square(), fill=0.9)
+    fam = C.AffineFamily(alpha=ALPHA, beta=BETA, modes=modes, domain=M.unit_square(), fill=0.9)
     op = P.build_operator(
         fam, lab["config"], lab["space"], 30, 8, enc, 1e-2, seed=12
     )
@@ -413,7 +413,8 @@ def test_criterion_12_error_decomposition(lab, exact_encoding_operator):
 def test_criterion_13_nonsmooth_extension(lab):
     square, space, config = lab["square"], lab["space"], lab["config"]
     modes = [C.trig_mode(1, 0), C.trig_mode(0, 1), C.trig_mode(1, 1)]
-    fam = C.abs_family(ALPHA, BETA, modes, square, a_min=0.6, amplitude=0.8)
+    fam = C.AbsShiftFamily(alpha=ALPHA, beta=BETA, modes=modes, domain=square, a_min=0.6,
+                           amplitude=0.8)
     base = P.build_operator(fam, config, space, 20, 6, lab["encoder"], 1e-2, seed=66)
     wrapped = P.nonsmooth_operator(base, 0.6)
     members = C.sample_family(fam, 20, 67)

@@ -48,14 +48,14 @@ class TestMembership:
         assert membership(C.constant(1.0), 1.0, 0.25, 16, square).ok
 
     def test_boundary_cases(self, square):
-        inside = C.from_callable(
+        inside = C.CoefficientField(
             lambda p: 1.0 + 0.5 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
         )
         assert membership(inside, 1.0, 0.5, 32, square).ok
         assert not membership(C.constant(2.0), 1.0, 0.5, 8, square).ok
 
     def test_witness_matches_dense_oracle(self, square):
-        a = C.from_callable(lambda p: 1.0 + 0.4 * np.cos(3 * p[:, 0]) * np.cos(2 * p[:, 1]))
+        a = C.CoefficientField(lambda p: 1.0 + 0.4 * np.cos(3 * p[:, 0]) * np.cos(2 * p[:, 1]))
         res = membership(a, 1.0, 0.5, 200, square)
         assert res.ok
         pts = C.domain_grid(square, 1000)
@@ -70,13 +70,13 @@ class TestMembership:
         extra=st.floats(min_value=0.01, max_value=0.5),
     )
     def test_monotone_in_beta(self, square, beta1, extra):
-        a = C.from_callable(lambda p: 1.0 + 0.04 * np.sin(7 * p[:, 0]))
+        a = C.CoefficientField(lambda p: 1.0 + 0.04 * np.sin(7 * p[:, 0]))
         first = membership(a, 1.0, beta1, 16, square).ok
         if first:
             assert membership(a, 1.0, beta1 + extra, 16, square).ok
 
     def test_nonfinite_raises(self, square):
-        bad = C.from_callable(lambda p: np.where(p[:, 0] > 0.5, np.inf, 1.0))
+        bad = C.CoefficientField(lambda p: np.where(p[:, 0] > 0.5, np.inf, 1.0))
         with pytest.raises(ValueError):
             membership(bad, 1.0, 0.5, 16, square)
 
@@ -87,13 +87,13 @@ class TestMembership:
 
 class TestAbsShift:
     def test_nonnegative_branch(self, square, rng):
-        base = C.from_callable(lambda p: 0.3 + 0.2 * p[:, 0])
+        base = C.CoefficientField(lambda p: 0.3 + 0.2 * p[:, 0])
         shifted = C.abs_shift(base, 0.1)
         pts = rng.uniform(0, 1, (50, 2))
         assert np.max(np.abs(shifted(pts) - (0.1 + base(pts)))) == 0.0
 
     def test_evenness(self, square, rng):
-        base = C.from_callable(lambda p: np.sin(5 * p[:, 0]) - 0.2)
+        base = C.CoefficientField(lambda p: np.sin(5 * p[:, 0]) - 0.2)
         neg = C.affine_combination([base], [-1.0])
         s1 = C.abs_shift(base, 0.3)
         s2 = C.abs_shift(neg, 0.3)
@@ -101,7 +101,7 @@ class TestAbsShift:
         assert np.array_equal(s1(pts), s2(pts))
 
     def test_sine_range_scan(self, square):
-        a = C.from_callable(lambda p: np.sin(2 * np.pi * p[:, 0]))
+        a = C.CoefficientField(lambda p: np.sin(2 * np.pi * p[:, 0]))
         shifted = C.abs_shift(a, 0.1)
         vals = shifted(C.domain_grid(square, 400))
         assert abs(vals.min() - 0.1) < 1e-4
@@ -109,7 +109,7 @@ class TestAbsShift:
 
     def test_essinf_above_shift(self, square, rng):
         # any abs-shifted field sits in a cone with essinf >= a_min
-        a = C.from_callable(lambda p: np.cos(4 * p[:, 0] + p[:, 1]))
+        a = C.CoefficientField(lambda p: np.cos(4 * p[:, 0] + p[:, 1]))
         shifted = C.abs_shift(a, 0.25)
         vals = shifted(C.domain_grid(square, 300))
         alpha_eff = 0.5 * (vals.min() + vals.max())
@@ -155,7 +155,7 @@ class TestAffineFields:
 class TestFamilies:
     def test_parametric_determinism(self, square):
         modes = [C.trig_mode(k + 1, 1) for k in range(4)]
-        fam = C.parametric_family(1.0, 0.5, modes, square)
+        fam = C.AffineFamily(alpha=1.0, beta=0.5, modes=modes, domain=square)
         s1 = C.sample_family(fam, 10, 42)
         s2 = C.sample_family(fam, 10, 42)
         pts = C.domain_grid(square, 40)
@@ -201,7 +201,8 @@ class TestFamilies:
         with pytest.raises(TypeError, match="normalizer"):
             C.AffineFamily(alpha=1.0, beta=0.3, domain=square, modes=(C.trig_mode(1, 0),),
                            normalizer=0.2)
-        fam = C.parametric_family(1.0, 0.3, [C.trig_mode(1, 0)], square, fill=1.0)
+        fam = C.AffineFamily(alpha=1.0, beta=0.3, modes=[C.trig_mode(1, 0)], domain=square,
+                             fill=1.0)
         with pytest.raises(AttributeError):
             fam.normalizer = 0.2
         assert fam.normalizer == 1.0
@@ -211,7 +212,7 @@ class TestFamilies:
         # the finite-difference stencil must stay inside one element, where
         # second derivatives are constant and the estimate is exact
         coarse = M.triangulate(square, 0.5)
-        fam = C.sobolev_family(1.0, 0.5, coarse, order=2, radius=60.0)
+        fam = C.SobolevBall(alpha=1.0, beta=0.5, domain=coarse, order=2, radius=60.0)
         members = C.sample_family(fam, 5, 3)
         bary = coarse.nodes[coarse.triangles].mean(axis=1)
         g = 0.02
@@ -229,8 +230,9 @@ class TestFamilies:
             assert est <= fam.radius
 
     def test_abs_family_members(self, square):
-        fam = C.abs_family(
-            1.0, 0.5, [C.trig_mode(1, 0), C.trig_mode(1, 1)], square, 0.6, 0.8
+        fam = C.AbsShiftFamily(
+            alpha=1.0, beta=0.5, modes=[C.trig_mode(1, 0), C.trig_mode(1, 1)], domain=square,
+            a_min=0.6, amplitude=0.8,
         )
         for a in C.sample_family(fam, 10, 5):
             vals = a(C.domain_grid(square, 64))
@@ -239,7 +241,8 @@ class TestFamilies:
 
     def test_abs_family_band_validation(self, square):
         with pytest.raises(ValueError):
-            C.abs_family(1.0, 0.2, [C.trig_mode(1, 0)], square, 0.6, 0.8)
+            C.AbsShiftFamily(alpha=1.0, beta=0.2, modes=[C.trig_mode(1, 0)], domain=square,
+                             a_min=0.6, amplitude=0.8)
 
     def test_inadmissible_family_detected(self, square):
         # fill > 1 is rejected up front, for every kind that has a fill
@@ -253,7 +256,8 @@ class TestFamilies:
     def test_abs_family_has_no_fill(self, square):
         # an abs-shift member lies in [a_min, a_min + amplitude]: no fill applies,
         # so the family neither shows one nor accepts one
-        fam = C.abs_family(1.0, 0.5, [C.trig_mode(1, 0)], square, 0.6, 0.8)
+        fam = C.AbsShiftFamily(alpha=1.0, beta=0.5, modes=[C.trig_mode(1, 0)], domain=square,
+                               a_min=0.6, amplitude=0.8)
         assert "fill" not in repr(fam)
         assert not hasattr(fam, "fill")
         own = {"modes": (C.trig_mode(1, 0),), "a_min": 0.6, "amplitude": 0.8}
@@ -297,18 +301,23 @@ def _p1_trig_modes(mesh):
 # one family of each kind; members must lie in the band of their kind
 _CERTIFIED_KINDS = {
     "analytic": lambda sq: C.analytic_family(1.0, 0.5, sq, n_modes=8, decay=0.8),
-    "trig_parametric": lambda sq: C.parametric_family(
-        1.0, 0.5, [C.trig_mode(k + 1, k % 2 + 1) for k in range(4)], sq, fill=1.0
+    "trig_parametric": lambda sq: C.AffineFamily(
+        alpha=1.0, beta=0.5, modes=[C.trig_mode(k + 1, k % 2 + 1) for k in range(4)], domain=sq,
+        fill=1.0,
     ),
-    "p1_mesh_field": lambda sq: C.parametric_family(
-        1.0, 0.5, _p1_trig_modes(M.triangulate(sq, 0.5)), sq, amplitudes=[1.0, -0.5, 0.7, 0.2]
+    "p1_mesh_field": lambda sq: C.AffineFamily(
+        alpha=1.0, beta=0.5, modes=_p1_trig_modes(M.triangulate(sq, 0.5)), domain=sq,
+        amplitudes=[1.0, -0.5, 0.7, 0.2],
     ),
-    "constant": lambda sq: C.parametric_family(1.0, 0.5, [C.constant(-2.0)], sq),
-    "abs_shift": lambda sq: C.abs_family(
-        1.0, 0.5, [C.trig_mode(1, 0), C.trig_mode(1, 1)], sq, 0.6, 0.8
+    "constant": lambda sq: C.AffineFamily(alpha=1.0, beta=0.5, modes=[C.constant(-2.0)], domain=sq),
+    "abs_shift": lambda sq: C.AbsShiftFamily(
+        alpha=1.0, beta=0.5, modes=[C.trig_mode(1, 0), C.trig_mode(1, 1)], domain=sq, a_min=0.6,
+        amplitude=0.8,
     ),
-    "sobolev_p1": lambda sq: C.sobolev_family(1.0, 0.5, M.triangulate(sq, 0.4), degree=1),
-    "sobolev_p2": lambda sq: C.sobolev_family(1.0, 0.5, M.triangulate(sq, 0.4), degree=2),
+    "sobolev_p1": lambda sq: C.SobolevBall(alpha=1.0, beta=0.5, domain=M.triangulate(sq, 0.4),
+                                           degree=1),
+    "sobolev_p2": lambda sq: C.SobolevBall(alpha=1.0, beta=0.5, domain=M.triangulate(sq, 0.4),
+                                           degree=2),
 }
 
 
@@ -322,15 +331,19 @@ _REPO_FAMILIES = {
         for n, d in [(2, 1.0), (4, 0.7), (5, 0.6), (8, 0.8)]
         for dom in (M.unit_square, M.lshape)
     },
-    "cli_parametric": lambda: C.parametric_family(
-        1.0, 0.5, [C.trig_mode(k + 1, k % 2 + 1) for k in range(4)], M.unit_square()
+    "cli_parametric": lambda: C.AffineFamily(
+        alpha=1.0, beta=0.5, modes=[C.trig_mode(k + 1, k % 2 + 1) for k in range(4)],
+        domain=M.unit_square(),
     ),
-    "p1_mesh_field": lambda: C.parametric_family(
-        1.0, 0.5, _p1_trig_modes(M.triangulate(M.unit_square(), 0.35)), M.unit_square()
+    "p1_mesh_field": lambda: C.AffineFamily(
+        alpha=1.0, beta=0.5, modes=_p1_trig_modes(M.triangulate(M.unit_square(), 0.35)),
+        domain=M.unit_square(),
     ),
-    "constant": lambda: C.parametric_family(1.0, 0.5, [C.constant(1.0)], M.unit_square()),
-    "abs_family": lambda: C.abs_family(
-        1.0, 0.5, [C.trig_mode(1, 0), C.trig_mode(1, 1)], M.unit_square(), 0.6, 0.8
+    "constant": lambda: C.AffineFamily(alpha=1.0, beta=0.5, modes=[C.constant(1.0)],
+                                       domain=M.unit_square()),
+    "abs_family": lambda: C.AbsShiftFamily(
+        alpha=1.0, beta=0.5, modes=[C.trig_mode(1, 0), C.trig_mode(1, 1)], domain=M.unit_square(),
+        a_min=0.6, amplitude=0.8,
     ),
 }
 
@@ -369,13 +382,13 @@ class TestCertifiedFamilies:
         assert fam.normalizer == _old_grid_normalizer(fam)
 
     def test_callable_mode_refused(self, square):
-        mode = C.from_callable(lambda p: np.cos(np.pi * p[:, 0]))
+        mode = C.CoefficientField(lambda p: np.cos(np.pi * p[:, 0]))
         with pytest.raises(ValueError, match="closed-form"):
-            C.parametric_family(1.0, 0.5, [mode], square)
+            C.AffineFamily(alpha=1.0, beta=0.5, modes=[mode], domain=square)
 
     def test_empty_mode_list_refused(self, square):
         with pytest.raises(ValueError, match="at least one mode"):
-            C.parametric_family(1.0, 0.5, [], square)
+            C.AffineFamily(alpha=1.0, beta=0.5, modes=[], domain=square)
 
     def test_hand_made_abs_family_outside_band_refused(self, square):
         with pytest.raises(ValueError, match="band"):
@@ -405,19 +418,19 @@ class TestSobolevParameters:
     def test_order_zero_is_not_order_two(self, square):
         coarse = M.triangulate(square, 0.5)
         pts = C.domain_grid(square, 30)
-        zero = C.sample_family(C.sobolev_family(1.0, 0.5, coarse, order=0), 4, 3)
-        two = C.sample_family(C.sobolev_family(1.0, 0.5, coarse, order=2), 4, 3)
+        zero = C.sample_family(C.SobolevBall(alpha=1.0, beta=0.5, domain=coarse, order=0), 4, 3)
+        two = C.sample_family(C.SobolevBall(alpha=1.0, beta=0.5, domain=coarse, order=2), 4, 3)
         for a, b in zip(zero, two):
             assert not np.array_equal(a(pts), b(pts))
 
     def test_negative_order_refused(self, square):
         with pytest.raises(ValueError, match="order"):
-            C.sobolev_family(1.0, 0.5, M.triangulate(square, 0.5), order=-1)
+            C.SobolevBall(alpha=1.0, beta=0.5, domain=M.triangulate(square, 0.5), order=-1)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0])
     def test_nonpositive_radius_refused(self, square, radius):
         with pytest.raises(ValueError, match="radius"):
-            C.sobolev_family(1.0, 0.5, M.triangulate(square, 0.5), radius=radius)
+            C.SobolevBall(alpha=1.0, beta=0.5, domain=M.triangulate(square, 0.5), radius=radius)
 
 
 def _uncached(fam, a, pts):
@@ -474,7 +487,8 @@ class TestMemberTables:
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_sobolev_locates_once_per_point_set(self, square, point_sets, degree, monkeypatch):
-        fam = C.sobolev_family(1.0, 0.5, M.triangulate(square, 0.4), degree=degree)
+        fam = C.SobolevBall(alpha=1.0, beta=0.5, domain=M.triangulate(square, 0.4),
+                            degree=degree)
         located = []
         real = C.locate_points
         monkeypatch.setattr(C, "locate_points", lambda *a, **k: located.append(1) or real(*a, **k))
@@ -487,7 +501,7 @@ class TestMemberTables:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_sobolev_dof_table_built_once(self, square, point_sets, degree, monkeypatch):
         mesh = M.triangulate(square, 0.4)
-        fam = C.sobolev_family(1.0, 0.5, mesh, degree=degree)
+        fam = C.SobolevBall(alpha=1.0, beta=0.5, domain=mesh, degree=degree)
         built, real = [], M._lagrange_dofs
         monkeypatch.setattr(C, "_lagrange_dofs", lambda *a: built.append(1) or real(*a))
         members = C.sample_family(fam, 40, 3)
@@ -551,14 +565,17 @@ class TestMemberTables:
 # the families whose members are pinned bit for bit: one per kind, and both Sobolev degrees
 _GOLDEN_FAMILIES = {
     "analytic": lambda sq: C.analytic_family(1.0, 0.5, sq, n_modes=4, decay=0.7),
-    "parametric": lambda sq: C.parametric_family(
-        1.0, 0.5, [C.trig_mode(k + 1, k % 2 + 1) for k in range(4)], sq
+    "parametric": lambda sq: C.AffineFamily(
+        alpha=1.0, beta=0.5, modes=[C.trig_mode(k + 1, k % 2 + 1) for k in range(4)], domain=sq
     ),
-    "abs_family": lambda sq: C.abs_family(
-        1.0, 0.5, [C.trig_mode(1, 0), C.trig_mode(1, 1)], sq, 0.6, 0.8
+    "abs_family": lambda sq: C.AbsShiftFamily(
+        alpha=1.0, beta=0.5, modes=[C.trig_mode(1, 0), C.trig_mode(1, 1)], domain=sq, a_min=0.6,
+        amplitude=0.8,
     ),
-    "sobolev_p1": lambda sq: C.sobolev_family(1.0, 0.5, M.triangulate(sq, 0.4), degree=1),
-    "sobolev_p2": lambda sq: C.sobolev_family(1.0, 0.5, M.triangulate(sq, 0.4), degree=2),
+    "sobolev_p1": lambda sq: C.SobolevBall(alpha=1.0, beta=0.5, domain=M.triangulate(sq, 0.4),
+                                           degree=1),
+    "sobolev_p2": lambda sq: C.SobolevBall(alpha=1.0, beta=0.5, domain=M.triangulate(sq, 0.4),
+                                           degree=2),
 }
 
 

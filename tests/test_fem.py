@@ -52,8 +52,8 @@ class TestStiffness:
         assert np.max(np.abs(kc - 3.7 * k1)) <= 1e-13 * np.max(np.abs(kc))
 
     def test_additivity_in_coefficient(self, space):
-        a1 = C.from_callable(lambda p: 1.0 + 0.3 * p[:, 0])
-        a2 = C.from_callable(lambda p: 0.5 + 0.2 * np.sin(3 * p[:, 1]))
+        a1 = C.CoefficientField(lambda p: 1.0 + 0.3 * p[:, 0])
+        a2 = C.CoefficientField(lambda p: 0.5 + 0.2 * np.sin(3 * p[:, 1]))
         ksum = F.assemble_stiffness(space, C.affine_combination([a1, a2], [1.0, 1.0]))
         k1 = F.assemble_stiffness(space, a1)
         k2 = F.assemble_stiffness(space, a2)
@@ -61,13 +61,13 @@ class TestStiffness:
         assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ksum.toarray()))
 
     def test_symmetry(self, space):
-        a = C.from_callable(lambda p: 1.0 + 0.4 * p[:, 0] * p[:, 1])
+        a = C.CoefficientField(lambda p: 1.0 + 0.4 * p[:, 0] * p[:, 1])
         k = F.assemble_stiffness(space, a)
         asym = np.max(np.abs((k - k.T).toarray()))
         assert asym <= 1e-13 * np.max(np.abs(k.toarray()))
 
     def test_non_finite_coefficient_raises(self, space):
-        bad = C.from_callable(lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0))
+        bad = C.CoefficientField(lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0))
         with pytest.raises(F.MembershipError):
             F.assemble_stiffness(space, bad)
 
@@ -121,7 +121,7 @@ def _add_at_load(space, samples):
     return full[space.free_dofs]
 
 
-_WAVY = C.from_callable(lambda p: 1.0 + 0.4 * np.sin(3 * p[:, 0]) * np.cos(2 * p[:, 1]))
+_WAVY = C.CoefficientField(lambda p: 1.0 + 0.4 * np.sin(3 * p[:, 0]) * np.cos(2 * p[:, 1]))
 
 
 class TestAssemblyCache:
@@ -240,7 +240,7 @@ class TestGalerkinSolve:
 
     def test_manufactured_solution_rate(self, square):
         # oracle: u = sin(pi x) sin(pi y), f = 2 pi^2 u, exact gradient known
-        f = C.from_callable(
+        f = C.CoefficientField(
             lambda p: 2 * np.pi**2 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
         )
         grad = lambda p: np.stack(
@@ -262,8 +262,8 @@ class TestGalerkinSolve:
         assert all(abs(s - 1.0) <= 0.15 for s in slopes)
 
     def test_lipschitz_uniform_in_h(self, square):
-        a1 = C.from_callable(lambda p: 1.0 + 0.3 * np.sin(np.pi * p[:, 0]))
-        a2 = C.from_callable(lambda p: 1.0 - 0.2 * np.cos(np.pi * p[:, 1]))
+        a1 = C.CoefficientField(lambda p: 1.0 + 0.3 * np.sin(np.pi * p[:, 0]))
+        a2 = C.CoefficientField(lambda p: 1.0 - 0.2 * np.cos(np.pi * p[:, 1]))
         diff_inf = 0.0
         pts = C.domain_grid(square, 400)
         diff_inf = float(np.max(np.abs(a1(pts) - a2(pts))))
@@ -355,7 +355,7 @@ class TestPreconditionedCg:
         # below the band check, a coefficient negative on a region gives
         # diagonal entries <= 0, which have no square root
         cfg = F.ProblemConfig(1.0, 0.5)
-        a = C.from_callable(lambda p: np.where(p[:, 0] < 0.3, -1.0, 1.0))
+        a = C.CoefficientField(lambda p: np.where(p[:, 0] < 0.3, -1.0, 1.0))
         k = F.assemble_stiffness(space, a)
         assert np.min(k.diagonal()) < 0
         with pytest.raises(F.SolverError, match="non-positive diagonal"):
@@ -375,9 +375,9 @@ class TestPreconditionedCg:
     @pytest.mark.parametrize(
         "a",
         [
-            C.from_callable(lambda p: 1.0 + 0.9 * np.sin(2 * np.pi * p[:, 0])),
-            C.from_callable(lambda p: 10.0 ** (3 * np.sin(2 * np.pi * p[:, 0]))),
-            C.from_callable(lambda p: np.cos(2 * np.pi * p[:, 0])),
+            C.CoefficientField(lambda p: 1.0 + 0.9 * np.sin(2 * np.pi * p[:, 0])),
+            C.CoefficientField(lambda p: 10.0 ** (3 * np.sin(2 * np.pi * p[:, 0]))),
+            C.CoefficientField(lambda p: np.cos(2 * np.pi * p[:, 0])),
         ],
         ids=["mild", "wide", "sign_changing"],
     )
@@ -533,7 +533,7 @@ class TestConeInvariants:
         fine = M.refine_uniform(coarse)
         sc = F.build_space(coarse, 1)
         sf = F.build_space(fine, 1)
-        a = C.from_callable(lambda p: 1.0 + 0.4 * np.sin(np.pi * p[:, 0]))
+        a = C.CoefficientField(lambda p: 1.0 + 0.4 * np.sin(np.pi * p[:, 0]))
         uf = F.galerkin_solve(sf, config, a)
         prol = _p1_prolongation(sc, sf)
         kf = F.assemble_stiffness(sf, a)
@@ -647,7 +647,7 @@ class TestP2Space:
         assert space.n_dofs == mesh.n_nodes + n_edges
 
     def test_p2_manufactured_rate(self, square):
-        f = C.from_callable(
+        f = C.CoefficientField(
             lambda p: 2 * np.pi**2 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
         )
         grad = lambda p: np.stack(

@@ -591,7 +591,8 @@ class TestLagrangeDegree:
             lambda: M._lagrange_dofs(mesh, degree),
             lambda: F.build_space(mesh, degree),
             lambda: C.mesh_field(mesh, np.ones(mesh.n_nodes), degree),
-            lambda: C.sample_family(C.sobolev_family(1.0, 0.5, mesh, degree=degree), 1, 0),
+            lambda: C.sample_family(
+                C.SobolevBall(alpha=1.0, beta=0.5, domain=mesh, degree=degree), 1, 0),
         ]
         for build in builders:
             with pytest.raises(ValueError, match="integer 1 or 2"):

@@ -83,7 +83,7 @@ class TestEffectiveBeta:
         enc, queried = _CountingEncoder(base), []
 
         def recording(a):
-            return C.from_callable(lambda pts: queried.append(pts) or a(pts))
+            return C.CoefficientField(lambda pts: queried.append(pts) or a(pts))
 
         members = C.sample_family(family, 4, 61)
         beta_tilde, _ = P.effective_beta(enc, config, [recording(a) for a in members])
@@ -116,8 +116,9 @@ class TestBuildOperator:
         assert len(geometry) == 1 and geometry[0] is space  # one Assembly per space
 
     def test_nominal_only_family_reproduces_anchor(self, space, config, nodal_encoder):
-        fam = C.parametric_family(
-            config.alpha, config.beta, [C.constant(1.0)], M.unit_square(), fill=0.3
+        fam = C.AffineFamily(
+            alpha=config.alpha, beta=config.beta, modes=[C.constant(1.0)], domain=M.unit_square(),
+            fill=0.3,
         )
         op = P.build_operator(fam, config, space, 8, 2, nodal_encoder, 1e-2, seed=1)
         anchor = F.galerkin_solve(space, config, config.scaled_nominal())
@@ -193,7 +194,7 @@ class TestEvaluate:
             assert tot <= t1 + t2 + eps + 1e-8
 
     def test_out_of_family_member_still_evaluates(self, operator, space, config):
-        rogue = C.from_callable(
+        rogue = C.CoefficientField(
             lambda p: 1.0 + 0.45 * np.cos(5 * p[:, 0]) * np.cos(4 * p[:, 1])
         )
         out = P.evaluate(operator, rogue)
@@ -223,7 +224,7 @@ class TestErrorDecomposition:
             C.mesh_field(enc_mesh, C.trig_mode(0, 1)(enc_mesh.nodes), 1),
             C.mesh_field(enc_mesh, C.trig_mode(1, 1)(enc_mesh.nodes), 1),
         ]
-        fam = C.parametric_family(1.0, 0.5, modes, M.unit_square(), fill=0.9)
+        fam = C.AffineFamily(alpha=1.0, beta=0.5, modes=modes, domain=M.unit_square(), fill=0.9)
         op = P.build_operator(fam, config, space, 12, 5, nodal_encoder, 1e-2, seed=4)
         picked = op.basis.selection_indices[0]
         member = C.sample_family(fam, 12, 4)[picked]
@@ -234,15 +235,16 @@ class TestErrorDecomposition:
         assert t3 <= op.certificates["epsilon"]
         assert abs(tot - t3) <= 2e-9
 
-    def test_truncation_tracks_projection_curve(self, operator, family, space, config):
+    def test_truncation_tracks_projection_curve(self, operator, snapshots, family, space, config):
         # worst reduced-truncation error per prefix obeys the quasi-optimality
-        # factor (alpha + beta) / (alpha - beta) against the projection curve
+        # factor (alpha + beta) / (alpha - beta) against the projection curve; the
+        # greedy is hierarchical, so a shorter run on the operator's snapshots is a prefix
         tests = C.sample_family(family, 10, 47)
         sols = np.column_stack([F.galerkin_solve(space, config, a) for a in tests])
         curve = dict(RB.projection_error_curve(operator.basis, sols))
         factor = (config.alpha + config.beta) / (config.alpha - config.beta)
         for n_plus_1 in (2, 4, operator.basis.size):
-            prefix = operator.basis.prefix(n_plus_1)
+            prefix, _ = RB.weak_greedy(snapshots, n_plus_1 - 1)
             worst = 0.0
             for j, a in enumerate(tests):
                 u_n = RB.synthesize(prefix, R.direct_solve(prefix, a), frame="ortho")
@@ -288,10 +290,10 @@ class TestErrorDecomposition:
         P.error_decomposition(op, members)
         assert (len(factored), len(loads), len(nominal_stiffness)) == (1, 1, 1)
 
-    def test_each_prefix_has_its_own_nominal_form(self, operator):
+    def test_each_prefix_has_its_own_nominal_form(self, operator, snapshots):
         basis, k0 = operator.basis, operator.basis.nominal_stiffness
         for n_plus_1 in (2, 4, basis.size):
-            prefix = basis.prefix(n_plus_1)
+            prefix, _ = RB.weak_greedy(snapshots, n_plus_1 - 1)
             form = prefix.nominal
             assert form is not basis.nominal and prefix.nominal is form
             assert np.array_equal(form.b0, prefix.ortho.T @ (k0 @ prefix.ortho))
@@ -401,11 +403,12 @@ class TestNetworkSolutions:
 @pytest.fixture(scope="module")
 def sampled_fields(square, shifted_setup):
     """Fields without a point table, which the decomposition reduces from their samples."""
-    sobolev = C.sobolev_family(1.0, 0.5, M.triangulate(square, 0.5))
+    sobolev = C.SobolevBall(alpha=1.0, beta=0.5, domain=M.triangulate(square, 0.5))
     return {
         "sobolev_ball": C.sample_family(sobolev, 1, 113)[0],
         "abs_shift": C.sample_family(shifted_setup[0], 1, 127)[0],
-        "from_callable": C.from_callable(lambda pts: 1.0 + 0.3 * np.sin(3 * pts[:, 0]) * pts[:, 1]),
+        "from_callable": C.CoefficientField(
+            lambda pts: 1.0 + 0.3 * np.sin(3 * pts[:, 0]) * pts[:, 1]),
         "affine_combination": C.affine_combination([C.constant(1.0), C.trig_mode(2, 1)], [1.0, 0.3]),
     }
 
@@ -454,7 +457,8 @@ class TestSampledFields:
 @pytest.fixture(scope="module")
 def shifted_setup(square, space, config, nodal_encoder):
     modes = [C.trig_mode(1, 0), C.trig_mode(0, 1), C.trig_mode(1, 1)]
-    fam = C.abs_family(1.0, 0.5, modes, square, a_min=0.6, amplitude=0.8)
+    fam = C.AbsShiftFamily(alpha=1.0, beta=0.5, modes=modes, domain=square, a_min=0.6,
+                           amplitude=0.8)
     base = P.build_operator(fam, config, space, 20, 6, nodal_encoder, 1e-2, seed=6)
     wrapped = P.nonsmooth_operator(base, 0.6)
     return fam, base, wrapped

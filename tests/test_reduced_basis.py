@@ -40,8 +40,9 @@ def _k_sqrt(k0):
 
 class TestSnapshots:
     def test_single_nominal_snapshot_is_anchor(self, space, config):
-        fam = C.parametric_family(
-            config.alpha, config.beta, [C.constant(1.0)], M.unit_square(), fill=1e-9
+        fam = C.AffineFamily(
+            alpha=config.alpha, beta=config.beta, modes=[C.constant(1.0)], domain=M.unit_square(),
+            fill=1e-9,
         )
         snaps = RB.generate_snapshots(fam, 1, 0, space, config)
         anchor = F.galerkin_solve(space, config, config.scaled_nominal())
@@ -65,8 +66,9 @@ class TestWeakGreedy:
     def test_degenerate_training_terminates_immediately(self, space, config):
         # constant-coefficient members scale the anchor, so the training set
         # lies in its span and the first residual is already at the floor
-        fam = C.parametric_family(
-            config.alpha, config.beta, [C.constant(1.0)], M.unit_square(), fill=0.5
+        fam = C.AffineFamily(
+            alpha=config.alpha, beta=config.beta, modes=[C.constant(1.0)], domain=M.unit_square(),
+            fill=0.5,
         )
         snaps = RB.generate_snapshots(fam, 6, 1, space, config)
         basis, trace = RB.weak_greedy(snaps, 5)
