@@ -40,10 +40,9 @@ from .reduced_basis import (
 from .relu_net import (
     ApproximatorBundle,
     NeuralNet,
+    affine_net,
     build_approximator,
     certified_approximator,
-    net_from_doc,
-    net_to_doc,
     sparse_concat,
 )
 from .richardson import direct_solve
@@ -63,7 +62,7 @@ __all__ = [
 ]
 
 
-BUNDLE_FORMAT = 4  # written to certificates.json; load_bundle accepts only this
+BUNDLE_FORMAT = 5  # written to certificates.json; load_bundle accepts only this
 
 
 class OperatorBuildError(ValueError):
@@ -252,30 +251,30 @@ def nonsmooth_operator(op: NeuralOperator, a_min: float) -> NeuralOperator:
 def save_bundle(op: NeuralOperator, directory: str) -> None:
     """Operator bundle: mesh, basis matrix CSV, encoder JSON, net JSON, certificates.
 
-    net.json holds the input net and the shift; load_bundle re-derives the
-    rest. mesh.txt, which no loader reads, records the output space: the
-    rows of basis.csv are the free dofs of build_space(read_mesh(mesh.txt),
-    fem_degree). A nonsmooth operator is refused: its input net has depth 3, so
-    interval_entry_bounds cannot re-derive the box Z from it.
+    net.json holds the input net's one layer, dense (weights, N^2 rows of M floats,
+    and bias), and the shift; load_bundle re-derives the rest. mesh.txt, which no
+    loader reads, records the output space: the rows of basis.csv are the free dofs of
+    build_space(read_mesh(mesh.txt), fem_degree). A nonsmooth operator is refused: its
+    input net has depth 3, so interval_entry_bounds cannot re-derive the box Z from it.
     """
     if "nonsmooth_a_min" in op.certificates:
         raise ValueError("a nonsmooth operator cannot be saved: its input net has depth 3")
     os.makedirs(directory, exist_ok=True)
     write_mesh(op.space.mesh, os.path.join(directory, "mesh.txt"))
     write_mesh(op.encoder.mesh, os.path.join(directory, "encoder_mesh.txt"))
-    p = op.basis.frame(op.frame)
+    p = op.basis.ortho
     row_format = ",".join(["%.17g"] * p.shape[1]) + "\n"
     with open(os.path.join(directory, "basis.csv"), "w") as fh:
         fh.writelines(row_format % tuple(row) for row in p.tolist())
     with open(os.path.join(directory, "encoder.json"), "w") as fh:
         fh.write(encoder_to_json(op.encoder))
+    [(w, b)] = op.approximator.encoder_input.layers
     shift = op.basis.nominal.shift.tolist()
     with open(os.path.join(directory, "net.json"), "w") as fh:
-        fh.write(json.dumps({"input": net_to_doc(op.approximator.encoder_input), "shift": shift}))
+        fh.write(json.dumps({"weights": w.toarray().tolist(), "bias": b.tolist(), "shift": shift}))
     meta = dict(op.certificates)
     meta["bundle_format"] = BUNDLE_FORMAT
     meta["fem_degree"] = op.space.degree
-    meta["frame"] = op.frame
     with open(os.path.join(directory, "certificates.json"), "w") as fh:
         fh.write(json.dumps(meta, indent=1))
 
@@ -301,13 +300,14 @@ def load_bundle(directory: str) -> LoadedOperator:
     refuses a malformed document; certified_approximator re-derives K, the budgets, Z_A,
     the step net and the report from the stored input net, shift, alpha, beta_eff, ||f||
     and epsilon. Raises ValueError for a certificates.json that is not an object, a
-    net.json that net_to_doc did not write, another bundle format, for alpha, beta_eff,
+    net.json whose weights, bias or shift are missing, ragged, not numbers or of the wrong
+    shape or whose shift is not finite, another bundle format, for alpha, beta_eff,
     f_dual_norm or epsilon missing or not a number, for n_basis, m_channels, input net
-    widths or shift length that do not match basis.csv and the encoder, and for any
-    stored certificate (k_steps, eps_iterator, eps_step, contraction, matrix_bound, ...)
-    not exactly the derived one. This checks consistency, not provenance: the bundle
-    stores neither a0 nor f, so the input net, the shift, ||f|| and basis.csv are taken
-    as given, and edits that keep them consistent with each other load.
+    widths or shift length that do not match basis.csv and the encoder, and for any stored
+    certificate (k_steps, eps_iterator, eps_step, contraction, matrix_bound, ...) not
+    exactly the derived one. This checks consistency, not provenance: the bundle stores
+    neither a0 nor f, so the input net, the shift, ||f|| and basis.csv are taken as given,
+    and edits that keep them consistent with each other load.
     """
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
@@ -325,10 +325,14 @@ def load_bundle(directory: str) -> LoadedOperator:
         enc = encoder_from_json(fh.read(), enc_mesh)
     with open(os.path.join(directory, "net.json")) as fh:
         doc = json.load(fh)
-    try:  # a document net_to_doc did not write: a list, a key missing, entry lists of two lengths
-        encoder_input, shift = net_from_doc(doc["input"]), np.asarray(doc["shift"], dtype=float)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"net.json is malformed: {type(exc).__name__} {exc}") from exc
+    try:  # a list, ragged rows or a string; a missing key reads as None, a 0-d array
+        keys = ("weights", "bias", "shift")
+        weights, bias, shift = (np.asarray(doc.get(key), dtype=float) for key in keys)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"net.json is malformed: {exc}") from exc
+    if (weights.ndim, bias.ndim, shift.ndim) != (2, 1, 1) or not np.isfinite(shift).all():
+        raise ValueError("net.json needs 2-D weights, 1-D bias and a finite 1-D shift")
+    encoder_input = affine_net(weights, bias)  # a bias of another length is refused here
     synthesis = np.loadtxt(os.path.join(directory, "basis.csv"), delimiter=",", ndmin=2)
     n = synthesis.shape[1]
     app = certified_approximator(

@@ -62,8 +62,6 @@ __all__ = [
     "interval_entry_bounds",
     "certified_approximator",
     "build_approximator",
-    "net_to_doc",
-    "net_from_doc",
     "vec_index",
 ]
 
@@ -588,24 +586,3 @@ def build_approximator(
         input_net(basis, encoder), nominal.shift, config.alpha, beta, nominal.f_dual, epsilon
     )
 
-
-def net_to_doc(net: NeuralNet) -> list:
-    """JSON-ready layers of a net; floats round-trip exactly."""
-    layers = []
-    for w, b in net.layers:
-        coo, nz = w.tocoo(), np.flatnonzero(b)
-        entries = {"rows": coo.row.tolist(), "cols": coo.col.tolist(), "vals": coo.data.tolist()}
-        bias = {"bias_rows": nz.tolist(), "bias_vals": b[nz].tolist()}
-        layers.append({"shape": list(w.shape), **entries, **bias})
-    return layers
-
-
-def net_from_doc(layers: list) -> NeuralNet:
-    built = []
-    for spec in layers:
-        shape = tuple(spec["shape"])
-        w = _csr(spec["rows"], spec["cols"], spec["vals"], shape)
-        b = np.zeros(shape[0])
-        b[np.asarray(spec["bias_rows"], dtype=int)] = spec["bias_vals"]
-        built.append((w, b))
-    return NeuralNet(built)

@@ -9,6 +9,8 @@ from richop import cli, encoder, fem, mesh, pipeline, reduced_basis, relu_net
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "square_smoke.json")
 SWEEP = os.path.join(os.path.dirname(__file__), "..", "configs", "eps_sweep.json")
+GLL = os.path.join(os.path.dirname(__file__), "..", "configs", "square_gll.json")
+LSHAPE = os.path.join(os.path.dirname(__file__), "..", "configs", "decay_lshape.json")
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
 
 
@@ -316,6 +318,31 @@ def test_snapshots_command(tmp_path):
     assert len(_body(os.path.join(out, "snapshots.csv"))) > 1
 
 
+def test_snapshots_command_on_the_parametric_family(tmp_path):
+    # no committed config uses the parametric family: the smoke config with its kind
+    cfg = json.load(open(CONFIG))
+    cfg["family"]["kind"] = "parametric"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "snaps")
+    assert cli.main(["snapshots", "--config", str(path), "--out", out]) == 0
+    assert len(_body(os.path.join(out, "snapshots.csv"))) > 1
+
+
+def test_greedy_command_on_the_sobolev_ball(tmp_path):
+    out = str(tmp_path / "lshape")
+    assert cli.main(["greedy", "--config", LSHAPE, "--out", out]) == 0
+    deltas = [float(ln.split(",")[1]) for ln in _body(os.path.join(out, "delta_curve.csv"))[1:]]
+    assert len(deltas) > 1 and all(b <= a + 1e-14 for a, b in zip(deltas, deltas[1:]))
+
+
+def test_build_command_with_the_gll_encoder(tmp_path):
+    out = str(tmp_path / "gll")
+    assert cli.main(["build", "--config", GLL, "--out", out]) == 0
+    with open(os.path.join(out, "bundle", "encoder.json")) as fh:
+        assert json.load(fh)["kind"] == "gll"
+
+
 def test_build_eval_decompose(tmp_path):
     out = str(tmp_path / "full")
     assert cli.main(["build", "--config", CONFIG, "--out", out]) == 0
@@ -335,6 +362,25 @@ def test_nncheck_passes_certificate(tmp_path):
     path.write_text(json.dumps(cfg))
     out = str(tmp_path / "nn")
     assert cli.main(["nncheck", "--config", str(path), "--out", out]) == 0
+
+
+def test_nncheck_violation_exits_three(tmp_path, capsys, monkeypatch):
+    # a measured error above epsilon, here from outputs shifted by one, exits 3
+    network_solutions = pipeline.network_solutions
+
+    def shifted(op, coefficients):
+        recon, outputs = network_solutions(op, coefficients)
+        return recon, [u + 1.0 for u in outputs]
+
+    monkeypatch.setattr(pipeline, "network_solutions", shifted)
+    cfg = json.load(open(CONFIG))
+    cfg["evaluation"]["mc_count"] = 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "nn")
+    assert cli.main(["nncheck", "--config", str(path), "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("certificate violation:")
+    assert len(_body(os.path.join(out, "nncheck.csv"))) == 4
 
 
 def test_unnormalized_source_build_meets_its_certificate(tmp_path):

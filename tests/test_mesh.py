@@ -177,6 +177,22 @@ class TestCornerGraded:
         assert (mesh.n_triangles, graded.n_triangles) == (54, 70)
         assert np.array_equal(graded.nodes[: mesh.n_nodes], mesh.nodes)
 
+    def test_rivara_propagation_on_the_pentagon(self):
+        # grading toward the regular pentagon's vertex (0, 1), twice a marked triangle's
+        # longest edge is not its neighbour's, so the neighbour is bisected first
+        # (Rivara propagation); the result stays conforming and meets every target
+        angles = 2.0 * np.pi * np.arange(5) / 5 + np.pi / 2
+        pentagon = M.Polygon(np.column_stack([np.cos(angles), np.sin(angles)]))
+        coarse = M.triangulate(pentagon, 0.5)
+        graded = M.refine_corner_graded(coarse, [pentagon.vertices[0]], 0.2, 2)
+        M.validate_mesh(graded)
+        assert graded.n_triangles == 1196
+        h = M.max_diameter(M.refine_uniform(M.refine_uniform(coarse)))
+        p = graded.nodes[graded.triangles]
+        r = np.linalg.norm(p.mean(axis=1) - pentagon.vertices[0], axis=1)
+        target = h * (r / M.max_diameter(coarse)) ** (1.0 - 0.2)
+        assert np.all(M.edge_lengths(graded).max(axis=1) <= target * (1.0 + 1e-12))
+
     # the first 16 hex digits of sha256(nodes.tobytes() + triangles.tobytes()):
     # node order, triangle order and each triangle's vertex order are pinned
     @pytest.mark.parametrize(

@@ -545,15 +545,16 @@ class TestBundle:
         for a in C.sample_family(family, 3, 98):
             assert np.array_equal(loaded.evaluate(a), P.evaluate(op, a))
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4])
     def test_rejects_other_bundle_format(self, operator, tmp_path, fmt):
         # format 2 step nets were built on the symmetric box max(Z~, 1) and
         # its reports lack matrix_bound; format 3 stored the step net, K and
-        # the report in net.json: all are refused like format 1
+        # the report in net.json; format 4 stored the input net as sparse entry
+        # lists: all are refused like format 1
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / "certificates.json"
         meta = json.loads(path.read_text())
-        assert meta["bundle_format"] == 4
+        assert meta["bundle_format"] == 5
         if fmt is None:
             del meta["bundle_format"]
         else:
@@ -573,17 +574,21 @@ class TestBundle:
     def test_basis_csv_bytes_match_the_value_by_value_writer(self, operator, tmp_path):
         # one %.17g format string per row writes the bytes f"{x:.17g}" per value wrote
         P.save_bundle(operator, str(tmp_path))
-        p = operator.basis.frame(operator.frame)
+        p = operator.basis.ortho
         expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in p)
         assert (tmp_path / "basis.csv").read_bytes() == expected.encode()
 
     def test_net_json_holds_only_the_input_net_and_shift(self, operator, tmp_path):
         P.save_bundle(operator, str(tmp_path))
         doc = json.loads((tmp_path / "net.json").read_text())
-        assert set(doc) == {"input", "shift"}
+        assert set(doc) == {"weights", "bias", "shift"}
+        [(w, b)] = operator.approximator.encoder_input.layers
+        assert doc["weights"] == w.toarray().tolist()
+        assert doc["bias"] == b.tolist()
         assert doc["shift"] == operator.basis.nominal.shift.tolist()
         meta = json.loads((tmp_path / "certificates.json").read_text())
         assert meta["k_steps"] == operator.approximator.k_steps
+        assert "frame" not in meta
 
     @pytest.mark.parametrize(
         "key, tamper, named",
@@ -631,25 +636,31 @@ class TestBundle:
             ("encoder.json", lambda doc: {**doc, "kind": "gll", "p": 2.0}, "p"),
             ("encoder.json", lambda doc: {**doc, "query_points": doc["query_points"][1:]},
              "query points"),
-            ("net.json", lambda doc: {**doc, "input": []}, "layer"),
-            ("net.json", lambda doc: {"input": doc["input"]}, "shift"),
+            ("net.json", lambda doc: {**doc, "weights": []}, "net.json"),
+            ("net.json", lambda doc: {k: v for k, v in doc.items() if k != "shift"}, "shift"),
             ("net.json", lambda doc: {**doc, "shift": doc["shift"] + [0.0]}, "shift"),
-            ("net.json", lambda doc: {**doc, "input": [
-                {k: v for k, v in layer.items() if k != "shape"} for layer in doc["input"]]},
-             "shape"),
+            ("net.json", lambda doc: {**doc, "shift": [float("nan")] + doc["shift"][1:]}, "shift"),
+            ("net.json", lambda doc: {k: v for k, v in doc.items() if k != "weights"}, "weights"),
             ("net.json", lambda doc: [doc], "net.json"),
-            ("net.json", lambda doc: {**doc, "input": [
-                {**layer, "rows": layer["rows"][:-1]} for layer in doc["input"]]}, "net.json"),
+            ("net.json", lambda doc: {**doc, "weights": [doc["weights"][0][:-1],
+                                                         *doc["weights"][1:]]}, "net.json"),
+            ("net.json", lambda doc: {**doc, "weights": "weights"}, "net.json"),
+            ("net.json", lambda doc: {**doc, "bias": doc["bias"][:-1]}, "bias"),
+            ("net.json", lambda doc: {**doc, "weights": doc["weights"][:-1],
+                                      "bias": doc["bias"][:-1]}, "input net"),
+            ("net.json", lambda doc: {**doc, "weights": [row[:-1] for row in doc["weights"]]},
+             "input net widths"),
             ("certificates.json", lambda doc: [doc], "certificates.json"),
         ],
         ids=["encoder_list", "kind_deleted", "kind_unknown", "degree_deleted", "degree_string",
              "gll_without_p", "gll_p_float", "query_point_dropped", "input_net_empty",
-             "shift_deleted", "shift_one_longer", "layer_without_shape", "net_list",
-             "rows_short_of_vals", "certificates_list"],
+             "shift_deleted", "shift_one_longer", "shift_nan", "weights_deleted", "net_list",
+             "weights_row_short", "weights_string", "bias_one_shorter", "weights_row_dropped",
+             "weights_column_dropped", "certificates_list"],
     )
     def test_rejects_malformed_document(self, operator, tmp_path, name, tamper, named):
-        # a document that lacks a key or has one of the wrong type is refused with
-        # ValueError, not KeyError or IndexError, and a kind is never guessed
+        # a document that lacks a key or has one of the wrong type or shape is refused
+        # with ValueError, not KeyError or TypeError, and a kind is never guessed
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / name
         path.write_text(json.dumps(tamper(json.loads(path.read_text()))))

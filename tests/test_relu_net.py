@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import sys
 import threading
 
@@ -8,8 +7,6 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from richop import coeff as C
 from richop import encoder as E
@@ -986,12 +983,3 @@ class TestSerialization:
         assert loaded.report == built.report
         assert loaded.k_steps == built.k_steps
         assert loaded.eps_step == built.eps_step
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(min_value=1, max_value=4))
-    def test_random_net_round_trip(self, depth):
-        rng = np.random.default_rng(depth)
-        net = random_net(rng, depth)
-        back = NN.net_from_doc(json.loads(json.dumps(NN.net_to_doc(net))))
-        x = rng.standard_normal((5, net.n_inputs))
-        assert np.array_equal(NN.realize(back, x), NN.realize(net, x))
