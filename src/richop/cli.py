@@ -48,6 +48,17 @@ class CertificateViolation(RuntimeError):
     pass
 
 
+# each section's keys (the top level's under ""); a key of another kind is accepted, unread
+_KEYS = {
+    "": "domain mesh problem family encoder reduction network evaluation sweep seed",
+    "domain": "kind vertices", "mesh": "h degree graded", "mesh.graded": "corners grading levels",
+    "problem": "alpha beta source normalize_source", "problem.source": "kind value",
+    "family": "kind n_modes decay fill order radius coeff_h", "encoder": "kind h degree p",
+    "reduction": "training_count n_basis gamma", "network": "epsilon beta_mode",
+    "evaluation": "test_count mc_count", "sweep": "axis values",
+}
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -55,6 +66,13 @@ def load_config(path: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     _check(isinstance(cfg, dict), f"the config must be a JSON object, got {type(cfg).__name__}")
+    sections = [("", cfg)]
+    for name, section in sections:  # a subsection is appended when its parent is read
+        for key in section:
+            dotted = f"{name}.{key}" if name else key
+            _check(key in _KEYS[name].split(), f"{dotted} is an unknown key (known: {_KEYS[name]})")
+            if dotted in _KEYS:
+                sections.append((dotted, _section(section, dotted)))
     problem = _section(cfg, "problem")
     alpha = _number(problem, "problem.alpha", 1.0, lambda a: 0 < a < math.inf, "be positive")
     _number(problem, "problem.beta", 0.5, lambda b: 0 < b < alpha, f"lie in (0, alpha={alpha!r})")

@@ -47,7 +47,7 @@ from scipy.sparse import _sparsetools
 
 from . import coeff as coeff_mod
 from .coeff import CoefficientField, _shape_values, constant
-from .mesh import _P2_EDGES, Mesh, _lagrange_dofs
+from .mesh import _P2_EDGES, Mesh, _affine_maps, _lagrange_dofs
 
 __all__ = [
     "FemSpace",
@@ -142,21 +142,11 @@ def _reference_tables(degree: int):
 
 
 def _geometry(space: FemSpace):
-    """Vertex coordinates (t, 3, 2), Jacobian determinants and inverse-transpose Jacobians."""
-    p = space.mesh.nodes[space.mesh.triangles]
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)  # (t, 2, 2)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv_t = (
-        np.stack(
-            [
-                np.stack([jac[:, 1, 1], -jac[:, 1, 0]], axis=1),
-                np.stack([-jac[:, 0, 1], jac[:, 0, 0]], axis=1),
-            ],
-            axis=1,
-        )
-        / det[:, None, None]
-    )
-    return p, det, inv_t
+    """The vertices (t, 3, 2) and Jacobian determinants of mesh._affine_maps, and the
+    inverse-transpose Jacobians: the adjugate [[e2y, -e1y], [-e2x, e1x]] divided by det."""
+    p, e1, e2, det = _affine_maps(space.mesh.nodes, space.mesh.triangles)
+    adjugate = np.stack([e2[:, 1], -e1[:, 1], -e2[:, 0], e1[:, 0]], axis=1).reshape(-1, 2, 2)
+    return p, det, adjugate / det[:, None, None]
 
 
 def _csr_kernel(ndim: int):

@@ -55,16 +55,24 @@ def _signed_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def _orient(a, b, c) -> float:
+    """Twice the signed area of the triangle abc, positive when it turns counter-clockwise."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _affine_maps(nodes: np.ndarray, triangles: np.ndarray):
+    """Vertices p = nodes[triangles] (t, 3, 2), edges e1 = p1 - p0, e2 = p2 - p0 and det [e1 e2]."""
+    p = nodes[triangles]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return p, e1, e2, e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+
+
 def _segments_cross(p, q, r, s) -> bool:
     """Proper crossing test for open segments pq and rs."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(r, s, p)
-    d2 = orient(r, s, q)
-    d3 = orient(p, q, r)
-    d4 = orient(p, q, s)
+    d1 = _orient(r, s, p)
+    d2 = _orient(r, s, q)
+    d3 = _orient(p, q, r)
+    d4 = _orient(p, q, s)
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
@@ -200,11 +208,7 @@ def _lagrange_dofs(mesh: Mesh, degree: int):
 def _build_mesh(nodes: np.ndarray, triangles: np.ndarray) -> Mesh:
     nodes = np.asarray(nodes, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    p = nodes[triangles]
-    areas = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
+    areas = 0.5 * _affine_maps(nodes, triangles)[3]
     flip = areas < 0
     if np.any(flip):
         triangles = triangles.copy()
@@ -227,9 +231,7 @@ def _build_mesh(nodes: np.ndarray, triangles: np.ndarray) -> Mesh:
 
 def edge_lengths(mesh: Mesh) -> np.ndarray:
     p = mesh.nodes[mesh.triangles]
-    e = np.stack(
-        [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
-    )
+    e = np.roll(p, -1, axis=1) - p  # p1 - p0, p2 - p1, p0 - p2
     return np.sqrt(np.sum(e**2, axis=2))
 
 
@@ -279,24 +281,21 @@ def _structured_rectilinear(polygon: Polygon, h_target: float) -> Mesh:
 
 
 def _ear_clip(polygon: Polygon) -> np.ndarray:
-    """Triangle fan of a simple polygon by ear clipping (indices into its vertices)."""
+    """Triangles of a simple polygon by ear clipping (indices into its vertices): an ear
+    turns counter-clockwise by _orient, and by _orient no other vertex lies in or on it."""
     verts = polygon.vertices
     idx = list(range(len(verts)))
     triangles = []
 
     def is_ear(i0, i1, i2):
         a, b, c = verts[i0], verts[i1], verts[i2]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cross <= 1e-14:
+        if _orient(a, b, c) <= 1e-14:
             return False
         for j in idx:
             if j in (i0, i1, i2):
                 continue
             p = verts[j]
-            d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-            d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-            if d1 >= -1e-14 and d2 >= -1e-14 and d3 >= -1e-14:
+            if all(_orient(u, v, p) >= -1e-14 for u, v in ((a, b), (b, c), (c, a))):
                 return False
         return True
 
@@ -485,13 +484,9 @@ def quad_split(mesh: Mesh) -> QuadSplit:
     bary = p.mean(axis=1)
     corners = np.empty((mesh.n_triangles, 3, 4, 2))
     for i in range(3):
-        v = p[:, i]
         m_next = 0.5 * (p[:, i] + p[:, (i + 1) % 3])
         m_prev = 0.5 * (p[:, i] + p[:, (i + 2) % 3])
-        corners[:, i, 0] = v
-        corners[:, i, 1] = m_next
-        corners[:, i, 2] = bary
-        corners[:, i, 3] = m_prev
+        corners[:, i] = np.stack([p[:, i], m_next, bary, m_prev], axis=1)
     return QuadSplit(mesh, corners)
 
 
@@ -500,17 +495,16 @@ def locate_points(mesh: Mesh, pts: np.ndarray, tol: float = 1e-12):
 
     Returns (tri_index, barycentric) arrays; index -1 for points outside.
     A point inside several triangles (within tol) takes the first in index
-    order. Blocks of points are tested against all triangles at once, with
-    at most _LOCATE_PAIRS point-triangle pairs per block.
+    order. The coordinates invert each triangle's _affine_maps by Cramer's
+    rule, for blocks of points against all triangles at once, with at most
+    _LOCATE_PAIRS point-triangle pairs per block.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = len(pts)
     tri_idx = -np.ones(n, dtype=np.int64)
     bary = np.zeros((n, 3))
-    p = mesh.nodes[mesh.triangles]
-    v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
-    e1, e2 = v1 - v0, v2 - v0
-    d = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    p, e1, e2, d = _affine_maps(mesh.nodes, mesh.triangles)
+    v0 = p[:, 0]
     block = max(1, _LOCATE_PAIRS // max(1, mesh.n_triangles))
     for lo in range(0, n, block):
         qx = pts[lo : lo + block, 0:1] - v0[:, 0]  # (block, n_triangles)
@@ -537,12 +531,8 @@ def validate_mesh(mesh: Mesh) -> None:
     rounded = np.round(mesh.nodes, _MERGE_DECIMALS)
     if len(np.unique(rounded, axis=0)) != mesh.n_nodes:
         raise MeshError("duplicate node coordinates")
-    p = mesh.nodes[mesh.triangles]
-    areas = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
-    if np.any(areas <= 0):
+    p, _, _, det = _affine_maps(mesh.nodes, mesh.triangles)
+    if np.any(det <= 0):
         raise MeshError("non-positive triangle area")
     directed = mesh.triangles[:, _P2_EDGES].reshape(-1, 2)
     if len(np.unique(directed, axis=0)) < len(directed):

@@ -330,8 +330,8 @@ def load_bundle(directory: str) -> LoadedOperator:
         weights, bias, shift = (np.asarray(doc.get(key), dtype=float) for key in keys)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"net.json is malformed: {exc}") from exc
-    if (weights.ndim, bias.ndim, shift.ndim) != (2, 1, 1) or not np.isfinite(shift).all():
-        raise ValueError("net.json needs 2-D weights, 1-D bias and a finite 1-D shift")
+    if (weights.ndim, bias.ndim) != (2, 1):
+        raise ValueError("net.json needs 2-D weights and a 1-D bias")
     encoder_input = affine_net(weights, bias)  # a bias of another length is refused here
     synthesis = np.loadtxt(os.path.join(directory, "basis.csv"), delimiter=",", ndmin=2)
     n = synthesis.shape[1]

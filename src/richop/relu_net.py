@@ -504,10 +504,10 @@ def certified_approximator(
 ) -> ApproximatorBundle:
     """The certificate chain: K, the budgets, the matrix box, the step net and the report.
 
-    All follow from the depth-one input net, the shift g (of length n),
-    alpha, beta_eff, the dual norm ||f|| and epsilon; build and load both
-    call this. The step count comes from the geometric tail rule and the
-    iterator tolerance from the synthesis budget
+    All follow from the depth-one input net, the shift g (a finite vector of length
+    n, else ValueError before anything is built), alpha, beta_eff, the dual norm
+    ||f|| and epsilon; build and load both call this. The step count comes from the
+    geometric tail rule and the iterator tolerance from the synthesis budget
     (alpha - beta_eff) eps / (2 sqrt(n) ||f||), so the synthesized output is
     within eps of the reduced Galerkin solution of the encoded coefficient,
     in the energy norm. Each step has tolerance (1 - contraction)
@@ -524,6 +524,8 @@ def certified_approximator(
         raise ValueError("epsilon must lie in (0, 1)")
     if not (0.0 < beta_eff < alpha):
         raise ValueError("effective beta must lie in (0, alpha)")
+    if np.ndim(shift) != 1 or not np.all(np.isfinite(shift)):
+        raise ValueError(f"the shift must be a finite 1-D vector, got {np.asarray(shift)!r}")
     n = len(shift)
     if encoder_input.n_outputs != n * n:
         raise ValueError(

@@ -152,6 +152,36 @@ def test_malformed_config_shape_exits_one(tmp_path, capsys, command, edit, named
     assert capsys.readouterr().err.startswith(f"config error: {named}")
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda c: c["reduction"].update(n_basiss=4), "reduction.n_basiss"),
+        (lambda c: c.update(seeds=1), "seeds"),
+        (lambda c: c["mesh"].update(graded={**_graded([[0.0, 0.0]]), "level": 2}),
+         "mesh.graded.level"),
+    ],
+    ids=["reduction_key_misspelled", "top_level_key_misspelled", "graded_extra_key"],
+)
+def test_unknown_config_key_exits_one(tmp_path, capsys, edit, named):
+    # a misspelled key would otherwise leave its default in place (n_basiss: N = 8)
+    cfg = json.load(open(CONFIG))
+    edit(cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert cli.main(["build", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {named} is an unknown key")
+    assert not (tmp_path / "o").exists()
+
+
+def test_key_of_another_kind_is_accepted(tmp_path):
+    # encoder.p belongs to the gll encoder; under the nodal encoder it is accepted, not read
+    cfg = json.load(open(CONFIG))
+    cfg["encoder"]["p"] = 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.load_config(str(path)) == cfg
+
+
 @pytest.mark.parametrize("seed", ["3", 2.5, -1], ids=["string", "fraction", "negative"])
 def test_bad_config_seed_exits_one(tmp_path, capsys, seed):
     cfg = json.load(open(CONFIG))
@@ -415,6 +445,21 @@ def test_nncheck_errors_are_the_decomposition_network_term(tmp_path):
     s = cli.Setup(cfg, cfg["seed"])
     members = s.test_coefficients("mc_count", 200, 2)
     assert errors == pipeline.error_decomposition(s.operator, members).network
+
+
+def test_polygon_domain_meshes_and_builds(tmp_path):
+    # a non-convex polygon domain whose first vertex is reflex, meshed by ear clipping
+    cfg = json.load(open(CONFIG))
+    cfg["domain"] = {"kind": "polygon", "vertices": [[0.6, 0.5], [1, 0.7], [0, 1], [0.2, 0.5],
+                                                     [0, 0], [1, 0.3]]}
+    cfg["mesh"]["h"], cfg["encoder"]["h"] = 0.15, 0.4
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "polygon")
+    for command in ("mesh", "greedy", "build"):
+        assert cli.main([command, "--config", str(path), "--out", out]) == 0
+    assert _body(os.path.join(out, "mesh_stats.csv"))[1].split(",")[:2] == ["153", "256"]
+    assert os.path.exists(os.path.join(out, "bundle", "net.json"))
 
 
 def test_rows_carry_config_hash(tmp_path):

@@ -77,6 +77,12 @@ def _tri_area(t):
     )
 
 
+# two counter-clockwise non-convex polygons that ear clipping has to work around: the first
+# starts at a reflex vertex, the second's vertex (0.5, 0.5) lies inside its first candidate ear
+REFLEX_FIRST = np.array([(0.6, 0.5), (1, 0.7), (0, 1), (0.2, 0.5), (0, 0), (1, 0.3)])
+VERTEX_IN_EAR = np.array([(0, 0), (2, 0), (2, 2), (0.5, 0.5), (0, 2)], dtype=float)
+
+
 class TestTriangulate:
     def test_square_coarsest(self, square):
         mesh = M.triangulate(square, 1.5)
@@ -102,6 +108,36 @@ class TestTriangulate:
         bowtie = [[0, 0], [1, 1], [1, 0], [0, 1]]
         with pytest.raises(M.MeshError):
             M.Polygon(np.asarray(bowtie, dtype=float))
+
+    @pytest.mark.parametrize(
+        "vertices, h, n_triangles",
+        [(REFLEX_FIRST, 0.3, 64), (VERTEX_IN_EAR, 0.5, 192)],
+        ids=["reflex_vertex_first", "vertex_inside_an_ear"],
+    )
+    def test_non_convex_ear_clip_tiles_the_polygon(self, vertices, h, n_triangles):
+        mesh = M.triangulate(M.Polygon(vertices), h)
+        M.validate_mesh(mesh)
+        assert mesh.n_triangles == n_triangles
+        x, y = vertices[:, 0], vertices[:, 1]
+        shoelace = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+        area = sum(_tri_area(t) for t in mesh.nodes[mesh.triangles])
+        assert abs(area - shoelace) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([(0, 0), (3, 0), (0, 1), (1, 2)], "self-intersecting"),
+            ([(0, 0), (0, 0), (1, 0), (0, 1)], "zero-length edge"),
+            ([(0, 0), (1, 0)], "at least 3"),
+        ],
+        ids=["self_intersecting", "zero_length_edge", "two_vertices"],
+    )
+    def test_invalid_polygon_raises(self, vertices, message):
+        with pytest.raises(M.MeshError, match=message):
+            M.Polygon(np.asarray(vertices, dtype=float))
+
+    def test_clockwise_polygon_is_stored_counter_clockwise(self):
+        assert np.array_equal(M.Polygon(REFLEX_FIRST[::-1]).vertices, REFLEX_FIRST)
 
     def test_general_polygon_ear_clip(self):
         poly = M.Polygon(
@@ -544,6 +580,8 @@ _NUMBERING_MESHES = {
     "ear_clipped": lambda: M.triangulate(
         M.Polygon(np.array([[0.0, 0.0], [2.0, 0.3], [1.7, 1.4], [0.6, 1.9], [-0.4, 0.9]])), 0.4
     ),
+    "ear_clipped_reflex_first": lambda: M.triangulate(M.Polygon(REFLEX_FIRST), 0.3),
+    "ear_clipped_vertex_in_ear": lambda: M.triangulate(M.Polygon(VERTEX_IN_EAR), 0.5),
 }
 
 

@@ -796,6 +796,19 @@ class TestApproximator:
             assert "_kernel" not in app.encoder_input.__dict__
             assert "_kernel" not in app.step.__dict__
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "column"])
+    def test_refuses_a_shift_that_is_not_a_finite_vector(self, bundle, lab, bad):
+        # max(1, nan) reads as 1 in Z~, so a NaN shift would pass every later check and
+        # the step net would output NaN: the shift is refused before anything is built
+        shift = lab["basis"].nominal.shift.copy()
+        if bad == "column":
+            shift = shift[:, None]
+        else:
+            shift[0] = float(bad)
+        with pytest.raises(ValueError, match="shift"):
+            NN.certified_approximator(bundle.encoder_input, shift, lab["config"].alpha,
+                                      lab["config"].beta, lab["f_dual"], 1e-2)
+
     @pytest.mark.parametrize("kind", ["nodal", "gll", "nonsmooth"])
     def test_workspace_equals_fresh_array_loop_bitwise(self, approximators, family, kind):
         app, enc = approximators[kind]
