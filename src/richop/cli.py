@@ -322,7 +322,7 @@ def cmd_build(s: Setup, out_dir, hash_):
     op = s.operator
     pipe_mod.save_bundle(op, os.path.join(out_dir, "bundle"))
     rep = op.approximator.report
-    row = (rep.depth, rep.size, op.certificates["k_steps"], rep.tolerance, op.certificates["beta_eff"])
+    row = (rep.depth, rep.size, rep.k_steps, rep.tolerance, rep.beta_eff)
     _write_csv(out_dir, "build.csv", ["depth", "size", "k_steps", "epsilon", "beta_eff"], [row], hash_)
 
 
@@ -344,8 +344,8 @@ def cmd_sweep(s: Setup, out_dir, hash_):
     _check(isinstance(values, list) and len(values) > 0
            and all(type(e) in (int, float) and 0 < e < 1 for e in values),
            f"sweep.values must be a non-empty list of numbers in (0, 1), got {values!r}")
-    op, certs = s.operator, s.operator.certificates
-    chain = (op.basis.nominal.shift, certs["alpha"], certs["beta_eff"], certs["f_dual_norm"])
+    op, rep = s.operator, s.operator.approximator.report
+    chain = (op.basis.nominal.shift, rep.alpha, rep.beta_eff, rep.f_dual_norm)
     bundles = [certified_approximator(op.approximator.encoder_input, *chain, eps) for eps in values]
     rows = ((eps, b.report.depth, b.report.size, b.k_steps) for eps, b in zip(values, bundles))
     _write_csv(out_dir, "sweep.csv", ["epsilon", "depth", "size", "k_steps"], rows, hash_)
@@ -353,7 +353,7 @@ def cmd_sweep(s: Setup, out_dir, hash_):
 
 def cmd_nncheck(s: Setup, out_dir, hash_):
     op = s.operator
-    eps = op.certificates["epsilon"]
+    eps = op.approximator.report.tolerance
     solutions = pipe_mod.network_solutions(op, s.test_coefficients("mc_count", 200, 2))
     errors = [fem_mod.energy_norm(s.space, s.problem, r - u) for r, u in zip(*solutions)]
     rows = [(j, err, eps) for j, err in enumerate(errors)]

@@ -63,6 +63,8 @@ __all__ = [
 
 
 BUNDLE_FORMAT = 5  # written to certificates.json; load_bundle accepts only this
+# report fields stored after the operator's keys; load_bundle checks each on the re-derived report
+REPORT_KEYS = ("k_steps", "eps_iterator", "eps_step", "contraction", "f_dual_norm", "matrix_bound")
 
 
 class OperatorBuildError(ValueError):
@@ -80,7 +82,15 @@ class NeuralOperator:
     basis: ReducedBasis
     space: FemSpace
     config: ProblemConfig
-    certificates: dict
+    beta_tilde: float  # effective_beta's envelope; approximator.report holds the rest of the chain
+
+    @property
+    def certificates(self) -> dict:
+        """A new dict of the chain in certificates.json's key order (save_bundle appends two)."""
+        rep = self.approximator.report
+        return {"epsilon": rep.tolerance, "beta_tilde": self.beta_tilde, "beta_eff": rep.beta_eff,
+                "alpha": rep.alpha, "beta": self.config.beta, "n_basis": self.basis.size - 1,
+                "m_channels": self.encoder.m, **{key: getattr(rep, key) for key in REPORT_KEYS}}
 
     @property
     def quadrature_channels(self) -> sp.csr_matrix:
@@ -163,17 +173,7 @@ def build_operator(
         encoder, config, snapshots.coefficients, beta_mode
     )
     approximator = build_approximator(basis, space, config, encoder, epsilon, beta_eff=beta_eff)
-    certificates = {
-        "epsilon": epsilon,
-        "beta_tilde": beta_tilde,
-        "beta_eff": beta_eff,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "n_basis": basis.size - 1,
-        "m_channels": encoder.m,
-        **approximator.report.certificates,
-    }
-    return NeuralOperator(encoder, approximator, basis, space, config, certificates)
+    return NeuralOperator(encoder, approximator, basis, space, config, beta_tilde)
 
 
 def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
@@ -239,13 +239,12 @@ def nonsmooth_operator(op: NeuralOperator, a_min: float) -> NeuralOperator:
     family; outputs are exactly invariant under a -> -a. The subnet goes in
     front of the input net; the report still counts the base network.
     """
-    if a_min <= 0:
-        raise ValueError("a_min must be positive")
+    if not 0.0 < a_min < np.inf:
+        raise ValueError(f"a_min must be finite and positive, got {a_min!r}")
     app = op.approximator
     shift_net = _abs_shift_net(op.encoder.m, a_min)
     app = replace(app, encoder_input=sparse_concat(app.encoder_input, shift_net))
-    certificates = {**op.certificates, "nonsmooth_a_min": a_min}
-    return replace(op, approximator=app, certificates=certificates)
+    return replace(op, approximator=app)
 
 
 def save_bundle(op: NeuralOperator, directory: str) -> None:
@@ -254,11 +253,13 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     net.json holds the input net's one layer, dense (weights, N^2 rows of M floats,
     and bias), and the shift; load_bundle re-derives the rest. mesh.txt, which no
     loader reads, records the output space: the rows of basis.csv are the free dofs of
-    build_space(read_mesh(mesh.txt), fem_degree). A nonsmooth operator is refused: its
-    input net has depth 3, so interval_entry_bounds cannot re-derive the box Z from it.
+    build_space(read_mesh(mesh.txt), fem_degree). certificates.json is op.certificates and
+    bundle_format and fem_degree. An input net of depth other than 1 (a nonsmooth operator's)
+    is refused: interval_entry_bounds cannot re-derive the box Z from it.
     """
-    if "nonsmooth_a_min" in op.certificates:
-        raise ValueError("a nonsmooth operator cannot be saved: its input net has depth 3")
+    depth = op.approximator.encoder_input.depth
+    if depth != 1:
+        raise ValueError(f"a nonsmooth operator cannot be saved: its input net has depth {depth}")
     os.makedirs(directory, exist_ok=True)
     write_mesh(op.space.mesh, os.path.join(directory, "mesh.txt"))
     write_mesh(op.encoder.mesh, os.path.join(directory, "encoder_mesh.txt"))
@@ -272,9 +273,7 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     shift = op.basis.nominal.shift.tolist()
     with open(os.path.join(directory, "net.json"), "w") as fh:
         fh.write(json.dumps({"weights": w.toarray().tolist(), "bias": b.tolist(), "shift": shift}))
-    meta = dict(op.certificates)
-    meta["bundle_format"] = BUNDLE_FORMAT
-    meta["fem_degree"] = op.space.degree
+    meta = {**op.certificates, "bundle_format": BUNDLE_FORMAT, "fem_degree": op.space.degree}
     with open(os.path.join(directory, "certificates.json"), "w") as fh:
         fh.write(json.dumps(meta, indent=1))
 
@@ -302,10 +301,10 @@ def load_bundle(directory: str) -> LoadedOperator:
     and epsilon. Raises ValueError for a certificates.json that is not an object, a
     net.json whose weights, bias or shift are missing, ragged, not numbers or of the wrong
     shape or whose shift is not finite, another bundle format, for alpha, beta_eff,
-    f_dual_norm or epsilon missing or not a number, for n_basis, m_channels, input net
-    widths or shift length that do not match basis.csv and the encoder, and for any stored
-    certificate (k_steps, eps_iterator, eps_step, contraction, matrix_bound, ...) not
-    exactly the derived one. This checks consistency, not provenance: the bundle stores
+    f_dual_norm or epsilon missing, not a number or not finite, for n_basis, m_channels,
+    input net widths or shift length that do not match basis.csv and the encoder, and for
+    a stored k_steps, eps_iterator, eps_step, contraction or matrix_bound not exactly the
+    derived report's field. This checks consistency, not provenance: the bundle stores
     neither a0 nor f, so the input net, the shift, ||f|| and basis.csv are taken as given,
     and edits that keep them consistent with each other load.
     """
@@ -339,13 +338,14 @@ def load_bundle(directory: str) -> LoadedOperator:
         encoder_input, shift, meta["alpha"], meta["beta_eff"], meta["f_dual_norm"], meta["epsilon"]
     )
     widths = (encoder_input.n_inputs, encoder_input.n_outputs)
-    stored = {**meta, "input net widths": widths, "shift length": len(shift)}
-    derived = {"n_basis": n - 1, "m_channels": enc.m, "input net widths": (enc.m, n * n),
-               "shift length": n, **app.report.certificates}
-    for key, value in derived.items():
-        if stored.get(key) != value:
+    checks = [("n_basis", meta.get("n_basis"), n - 1),
+              ("m_channels", meta.get("m_channels"), enc.m),
+              ("input net widths", widths, (enc.m, n * n)), ("shift length", len(shift), n)]
+    checks += [(key, meta.get(key), getattr(app.report, key)) for key in REPORT_KEYS]
+    for key, stored, value in checks:
+        if stored != value:
             raise ValueError(
-                f"bundle has {key} {stored.get(key)!r}, but {n} basis columns, {enc.m} encoder "
+                f"bundle has {key} {stored!r}, but {n} basis columns, {enc.m} encoder "
                 f"channels, the input net, the shift and epsilon {meta['epsilon']!r} give {value!r}"
             )
     return LoadedOperator(enc, app, synthesis, meta)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -368,17 +368,12 @@ def _entry_net(n: int) -> NeuralNet:
 
 
 def _unroll(encoder_input, step, carry, k_steps: int, inject, concat):
-    """(iterator, approximator) of the K-fold unrolling, K >= 1, spliced by concat.
-
-    The iterator runs carry K - 1 times and then step, from (vec(A), e1);
-    the approximator puts the input net in front. With sparse_concat the
-    parts are nets, with _concat_counts their layer counts.
-    """
+    """The input net, the (vec(A), e1) injection, carry K - 1 times, then step (K >= 1),
+    spliced by concat: nets with sparse_concat, their layer counts with _concat_counts."""
     iterator = step
     for _ in range(k_steps - 1):
         iterator = concat(iterator, carry)
-    iterator = concat(iterator, inject)
-    return iterator, concat(iterator, encoder_input)
+    return concat(concat(iterator, inject), encoder_input)
 
 
 def input_net(basis: ReducedBasis, encoder: Encoder) -> NeuralNet:
@@ -418,16 +413,22 @@ def interval_entry_bounds(encoder_input: NeuralNet, alpha: float, beta: float) -
     return np.abs(center) + beta * (abs(w) @ ones)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BuildReport:
-    """Depth/size bookkeeping and certificates for a built network."""
+    """The certificate chain of a built network; certified_approximator is its one constructor."""
 
-    depth: int
+    depth: int  # depth and size count the unrolled net
     size: int
-    tolerance: float
-    input_bound: float
-    sections: tuple
-    certificates: dict = field(default_factory=dict)
+    tolerance: float  # epsilon
+    input_bound: float  # the iterate box Z~
+    alpha: float
+    beta_eff: float
+    f_dual_norm: float
+    k_steps: int
+    eps_iterator: float
+    eps_step: float
+    contraction: float
+    matrix_bound: float  # Z_A = max_ij Z_ij
 
 
 @dataclass
@@ -435,25 +436,28 @@ class ApproximatorBundle:
     """Recurrent approximator: the input net once, then the step net K times.
 
     The step net is carry-free: each step gets the input net's output again.
-    The report counts the equivalent unrolled net, which net builds on first
-    read (sparse concatenation of the input net, an e1 injection, K - 1
-    carrying steps and this step) for accounting and tests. The carrying
-    step is this step with vec(A) carried through identity channels
-    (_carrying); net reads no report field.
+    K, eps_iterator and eps_step read the report, the chain's one record. It
+    counts the equivalent unrolled net, which net builds on first read (sparse
+    concatenation of the input net, an e1 injection, K - 1 carrying steps and
+    this step) for accounting and tests. The carrying step is this step with
+    vec(A) carried through identity channels (_carrying).
     """
 
     encoder_input: NeuralNet
     step: NeuralNet
-    k_steps: int
     report: BuildReport
 
     @property
+    def k_steps(self) -> int:
+        return self.report.k_steps
+
+    @property
     def eps_iterator(self) -> float:
-        return self.report.certificates["eps_iterator"]
+        return self.report.eps_iterator
 
     @property
     def eps_step(self) -> float:
-        return self.report.certificates["eps_step"]
+        return self.report.eps_step
 
     def realize(self, y: np.ndarray) -> np.ndarray:
         """Iterate from e1: x <- step(vec(A), x) with vec(A) the input net's output.
@@ -495,21 +499,22 @@ class ApproximatorBundle:
     def net(self) -> NeuralNet:
         """The unrolled net of the same function."""
         carry, inject = _carrying(self.step), _entry_net(self.step.n_outputs)
-        return _unroll(self.encoder_input, self.step, carry, self.k_steps, inject, sparse_concat)[1]
+        return _unroll(self.encoder_input, self.step, carry, self.k_steps, inject, sparse_concat)
 
 
 def certified_approximator(
     encoder_input: NeuralNet, shift: np.ndarray,
-    alpha: float, beta_eff: float, f_dual: float, epsilon: float,
+    alpha: float, beta_eff: float, f_dual_norm: float, epsilon: float,
 ) -> ApproximatorBundle:
     """The certificate chain: K, the budgets, the matrix box, the step net and the report.
 
     All follow from the depth-one input net, the shift g (a finite vector of length
     n, else ValueError before anything is built), alpha, beta_eff, the dual norm
-    ||f|| and epsilon; build and load both call this. The step count comes from the
-    geometric tail rule and the iterator tolerance from the synthesis budget
-    (alpha - beta_eff) eps / (2 sqrt(n) ||f||), so the synthesized output is
-    within eps of the reduced Galerkin solution of the encoded coefficient,
+    ||f|| and epsilon; build and load both call this, and it is the one place a
+    BuildReport is made. A non-finite alpha or ||f|| raises ValueError naming it. The
+    step count comes from the geometric tail rule and the iterator tolerance from the
+    synthesis budget (alpha - beta_eff) eps / (2 sqrt(n) ||f||), so the synthesized
+    output is within eps of the reduced Galerkin solution of the encoded coefficient,
     in the energy norm. Each step has tolerance (1 - contraction)
     eps_iterator on the box |A_ij| <= Z_ij,
     |x_j| <= Z~ = 2 + max(1, ||g||_2)/(1 - contraction), which bounds the
@@ -518,8 +523,11 @@ def certified_approximator(
     interval_entry_bounds of the input net over the channel box
     [alpha - beta_eff, alpha + beta_eff]^M; step_net sizes each product
     gadget to its entry and the sawtooth levels to the row sums of Z. Their
-    maximum Z_A is recorded as certificates["matrix_bound"].
+    maximum Z_A is the report's matrix_bound.
     """
+    for name, value in (("alpha", alpha), ("f_dual_norm", f_dual_norm)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     if not (0.0 < beta_eff < alpha):
@@ -532,33 +540,25 @@ def certified_approximator(
             f"the input net gives {encoder_input.n_outputs} matrix entries, "
             f"but a shift of length {n} needs {n * n}"
         )
-    k_steps = choose_step_count(alpha, beta_eff, f_dual, epsilon)
-    eps_iter = (alpha - beta_eff) / (2.0 * math.sqrt(n) * f_dual) * epsilon
+    k_steps = choose_step_count(alpha, beta_eff, f_dual_norm, epsilon)
+    eps_iter = (alpha - beta_eff) / (2.0 * math.sqrt(n) * f_dual_norm) * epsilon
     contraction = beta_eff / alpha
     eps_step = (1.0 - contraction) * eps_iter
     z_tilde = 2.0 + max(1.0, float(np.linalg.norm(shift))) / (1.0 - contraction)
     z = interval_entry_bounds(encoder_input, alpha, beta_eff)
-    z_a = float(np.max(z))
     step = step_net(n, z_tilde, eps_step, shift, matrix_bound=z.reshape(n, n, order="F"))
     step_counts = _layer_counts(step)
     carry_counts = [(w + 2 * n * n, b) for w, b in step_counts]
     inject_counts = _layer_counts(_entry_net(n))
     input_counts = _layer_counts(encoder_input)
-    iterator, net = _unroll(
-        input_counts, step_counts, carry_counts, k_steps, inject_counts, _concat_counts
+    net = _unroll(input_counts, step_counts, carry_counts, k_steps, inject_counts, _concat_counts)
+    report = BuildReport(
+        depth=len(net), size=sum(map(sum, net)), tolerance=epsilon, input_bound=z_tilde,
+        alpha=alpha, beta_eff=beta_eff, f_dual_norm=f_dual_norm, k_steps=k_steps,
+        eps_iterator=eps_iter, eps_step=eps_step, contraction=contraction,
+        matrix_bound=float(np.max(z)),
     )
-    size, iterator_size = sum(map(sum, net)), sum(map(sum, iterator))
-    sections = (
-        ("input_assembly", encoder_input.size),
-        ("unrolled_iterator", iterator_size),
-        ("splice_overhead", size - encoder_input.size - iterator_size),
-    )
-    certificates = dict(
-        k_steps=k_steps, eps_iterator=eps_iter, eps_step=eps_step, contraction=contraction,
-        f_dual_norm=f_dual, beta_eff=beta_eff, matrix_bound=z_a,
-    )
-    report = BuildReport(len(net), size, epsilon, z_tilde, sections, certificates)
-    return ApproximatorBundle(encoder_input, step, k_steps, report)
+    return ApproximatorBundle(encoder_input, step, report)
 
 
 def build_approximator(

@@ -498,8 +498,9 @@ class TestNonsmooth:
 
     def test_invalid_shift(self, shifted_setup):
         _, base, _ = shifted_setup
-        with pytest.raises(ValueError):
-            P.nonsmooth_operator(base, -1.0)
+        for a_min in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="a_min"):
+                P.nonsmooth_operator(base, a_min)
 
 
 class TestBundle:
@@ -518,6 +519,21 @@ class TestBundle:
         a = C.sample_family(family, 1, 99)[0]
         assert np.array_equal(loaded.evaluate(a), P.evaluate(operator, a))
         assert loaded.certificates["epsilon"] == operator.certificates["epsilon"]
+
+    def test_certificates_json_is_the_certificates_view(self, operator, tmp_path):
+        # certificates.json holds op.certificates in its key order, then the bundle's two
+        # keys; load_bundle reads it back whole and re-derives the built report
+        P.save_bundle(operator, str(tmp_path))
+        with open(tmp_path / "certificates.json") as fh:
+            assert list(json.load(fh)) == [
+                "epsilon", "beta_tilde", "beta_eff", "alpha", "beta", "n_basis", "m_channels",
+                "k_steps", "eps_iterator", "eps_step", "contraction", "f_dual_norm",
+                "matrix_bound", "bundle_format", "fem_degree",
+            ]
+        loaded = P.load_bundle(str(tmp_path))
+        want = {**operator.certificates, "bundle_format": 5, "fem_degree": operator.space.degree}
+        assert loaded.certificates == want
+        assert loaded.approximator.report == operator.approximator.report
 
     def test_mesh_file_records_the_output_space(self, operator, family, tmp_path):
         P.save_bundle(operator, str(tmp_path))
@@ -602,17 +618,22 @@ class TestBundle:
             ("m_channels", lambda v: v + 1, "m_channels"),
             *[(key, None, key) for key in _CHAIN_INPUTS],
             *[(key, lambda v: str(v), key) for key in _CHAIN_INPUTS],
+            ("f_dual_norm", lambda v: float("inf"), "f_dual_norm"),
+            ("f_dual_norm", lambda v: float("nan"), "f_dual_norm"),
+            ("alpha", lambda v: float("inf"), "alpha"),
         ],
         ids=["negative_k_steps", "fractional_k_steps", "k_steps_plus_five", "epsilon_1e-9",
              "matrix_bound_doubled", "n_basis_plus_one", "m_channels_plus_one",
              *[f"{key}_deleted" for key in _CHAIN_INPUTS],
-             *[f"{key}_string" for key in _CHAIN_INPUTS]],
+             *[f"{key}_string" for key in _CHAIN_INPUTS],
+             "f_dual_norm_infinite", "f_dual_norm_nan", "alpha_infinite"],
     )
     def test_rejects_inconsistent_net(self, operator, tmp_path, key, tamper, named):
         # load_bundle re-derives the certificate chain from the input net and
         # the shift; a stored value that differs is named in the error (an
         # edited epsilon shows first as the K it no longer gives), and so is
-        # a chain input that is missing (tamper None) or not a number
+        # a chain input that is missing (tamper None), not a number or not
+        # finite (json writes Infinity and NaN, and reads them back)
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / "certificates.json"
         meta = json.loads(path.read_text())

@@ -449,9 +449,13 @@ def iteration_bundle(n, k_steps, epsilon, shift, contraction):
     """
     eps_step = (1.0 - contraction) * epsilon
     z = 2.0 + 1.0 / (1.0 - contraction)
-    report = NN.BuildReport(0, 0, epsilon, z, (), {"eps_step": eps_step, "matrix_bound": 1.0})
+    report = NN.BuildReport(
+        depth=0, size=0, tolerance=epsilon, input_bound=z, alpha=1.0, beta_eff=contraction,
+        f_dual_norm=1.0, k_steps=k_steps, eps_iterator=epsilon, eps_step=eps_step,
+        contraction=contraction, matrix_bound=1.0,
+    )
     step = NN.step_net(n, z, eps_step, shift, matrix_bound=np.ones((n, n)))
-    return NN.ApproximatorBundle(identity(n * n), step, k_steps, report)
+    return NN.ApproximatorBundle(identity(n * n), step, report)
 
 
 class TestStepNetBox:
@@ -561,10 +565,10 @@ class TestPerEntryBox:
     def test_build_sizes_the_step_to_the_input_net(self, operator, loaded):
         # the shipped step is step_net on the per-entry interval bounds of the
         # input net, and load_bundle rebuilds it layer for layer
-        app, certs = operator.approximator, operator.approximator.report.certificates
+        app, report = operator.approximator, operator.approximator.report
         n = app.step.n_outputs
-        z = NN.interval_entry_bounds(app.encoder_input, operator.config.alpha, certs["beta_eff"])
-        assert certs["matrix_bound"] == float(z.max())
+        z = NN.interval_entry_bounds(app.encoder_input, operator.config.alpha, report.beta_eff)
+        assert report.matrix_bound == float(z.max())
         z = z.reshape(n, n, order="F")
         bound, eps = app.report.input_bound, app.eps_step
         assert app.step.depth == row_rule_levels(z, bound, eps) + 2
@@ -712,7 +716,7 @@ def approximators(bundle, lab, square):
     """(approximator, encoder) by kind; nonsmooth_operator's input net has depth 3."""
     basis, space, config, nodal = lab["basis"], lab["space"], lab["config"], lab["encoder"]
     gll = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
-    op = P.NeuralOperator(nodal, bundle, basis, space, config, {})
+    op = P.NeuralOperator(nodal, bundle, basis, space, config, beta_tilde=config.beta)
     return {
         "nodal": (bundle, nodal),
         "gll": (NN.build_approximator(basis, space, config, gll, 1e-2), gll),
@@ -862,8 +866,6 @@ class TestApproximator:
         assert bundle.report.depth == bundle.net.depth
         assert bundle.report.depth == 2 + bundle.k_steps * bundle.step.depth
         assert bundle.report.size == bundle.net.size
-        sections = dict((name, nnz) for name, nnz in bundle.report.sections)
-        assert sum(sections.values()) == bundle.report.size
 
     def test_size_monotone_in_accuracy(self, lab):
         sizes = []
@@ -940,8 +942,8 @@ class TestIntervalBound:
     def test_attained_at_box_vertex(self, bundle, lab):
         # the entry and vertex the bound picks reproduce it through the net
         net, config = bundle.encoder_input, lab["config"]
-        alpha, beta = config.alpha, bundle.report.certificates["beta_eff"]
-        z_a = bundle.report.certificates["matrix_bound"]
+        alpha, beta = config.alpha, bundle.report.beta_eff
+        z_a = bundle.report.matrix_bound
         assert z_a == np.max(NN.interval_entry_bounds(net, alpha, beta))
         w = net.layers[0][0].toarray()
         center = w @ np.full(w.shape[1], alpha) + net.layers[0][1]
@@ -950,7 +952,7 @@ class TestIntervalBound:
         assert abs(abs(NN.realize(net, y_star)[r]) - z_a) <= 1e-12
 
     def test_bounds_family_encodings(self, bundle, lab, family):
-        z_a = bundle.report.certificates["matrix_bound"]
+        z_a = bundle.report.matrix_bound
         ys = np.stack([lab["encoder"].encode(a) for a in C.sample_family(family, 200, 71)])
         assert np.max(np.abs(NN.realize(bundle.encoder_input, ys))) <= z_a
 
