@@ -556,13 +556,12 @@ def write_mesh(mesh: Mesh, path) -> None:
     """Write the mesh as text: a "NODES n TRIANGLES t" header, one "x y flag"
     line per node (%.17g, so every double survives; flag 1 on the boundary),
     then one line of node indices per triangle."""
-    flags = np.zeros(mesh.n_nodes, dtype=int)
-    flags[mesh.boundary_nodes] = 1
+    rows = np.zeros((mesh.n_nodes, 3))
+    rows[:, :2], rows[mesh.boundary_nodes, 2] = mesh.nodes, 1.0  # %d writes the flag 1.0 as 1
     with open(path, "w") as fh:
         fh.write(f"NODES {mesh.n_nodes} TRIANGLES {mesh.n_triangles}\n")
-        node_rows = zip(mesh.nodes.tolist(), flags.tolist())
-        fh.writelines("%.17g %.17g %d\n" % (x, y, f) for (x, y), f in node_rows)
-        fh.writelines("%d %d %d\n" % tuple(tri) for tri in mesh.triangles.tolist())
+        fh.write("%.17g %.17g %d\n" * mesh.n_nodes % tuple(rows.ravel().tolist()))
+        fh.write("%d %d %d\n" * mesh.n_triangles % tuple(mesh.triangles.ravel().tolist()))
 
 
 def read_mesh(path) -> Mesh:

@@ -39,6 +39,7 @@ from .reduced_basis import (
 )
 from .relu_net import (
     ApproximatorBundle,
+    BuildReport,
     NeuralNet,
     affine_net,
     build_approximator,
@@ -62,9 +63,7 @@ __all__ = [
 ]
 
 
-BUNDLE_FORMAT = 5  # written to certificates.json; load_bundle accepts only this
-# report fields stored after the operator's keys; load_bundle checks each on the re-derived report
-REPORT_KEYS = ("k_steps", "eps_iterator", "eps_step", "contraction", "f_dual_norm", "matrix_bound")
+BUNDLE_FORMAT = 6  # written to certificates.json; load_bundle accepts only this
 
 
 class OperatorBuildError(ValueError):
@@ -87,15 +86,21 @@ class NeuralOperator:
     @property
     def certificates(self) -> dict:
         """A new dict of the chain in certificates.json's key order (save_bundle appends two)."""
-        rep = self.approximator.report
-        return {"epsilon": rep.tolerance, "beta_tilde": self.beta_tilde, "beta_eff": rep.beta_eff,
-                "alpha": rep.alpha, "beta": self.config.beta, "n_basis": self.basis.size - 1,
-                "m_channels": self.encoder.m, **{key: getattr(rep, key) for key in REPORT_KEYS}}
+        return _certificates(self.approximator.report, self.beta_tilde, self.config.beta,
+                             self.basis.size - 1, self.encoder.m)
 
     @property
     def quadrature_channels(self) -> sp.csr_matrix:
         """The encoder's cached channel matrix at quadrature_points(space): encoding to samples."""
         return self.encoder.channel_matrix(quadrature_points(self.space))
+
+
+def _certificates(rep: BuildReport, beta_tilde: float, beta: float, n_basis: int, m: int) -> dict:
+    """certificates.json's scalars in order: the chain record, the envelope, beta, N and M."""
+    fields = ("k_steps", "eps_iterator", "eps_step", "contraction", "f_dual_norm", "matrix_bound")
+    return {"epsilon": rep.tolerance, "beta_tilde": beta_tilde, "beta_eff": rep.beta_eff,
+            "alpha": rep.alpha, "beta": beta, "n_basis": n_basis, "m_channels": m,
+            **{key: getattr(rep, key) for key in fields}}
 
 
 @dataclass
@@ -248,11 +253,12 @@ def nonsmooth_operator(op: NeuralOperator, a_min: float) -> NeuralOperator:
 
 
 def save_bundle(op: NeuralOperator, directory: str) -> None:
-    """Operator bundle: mesh, basis matrix CSV, encoder JSON, net JSON, certificates.
+    """Operator bundle: meshes, basis matrix .npy, encoder JSON, net JSON, certificates.
 
-    net.json holds the input net's one layer, dense (weights, N^2 rows of M floats,
-    and bias), and the shift; load_bundle re-derives the rest. mesh.txt, which no
-    loader reads, records the output space: the rows of basis.csv are the free dofs of
+    basis.npy is op.basis.ortho, saved by np.save without pickles: exact bits, the same bytes
+    on every save. net.json holds the input net's one layer, dense (weights, N^2 rows of M
+    floats, and bias), and the shift; load_bundle re-derives the rest. mesh.txt, which no
+    loader reads, records the output space: the rows of basis.npy are the free dofs of
     build_space(read_mesh(mesh.txt), fem_degree). certificates.json is op.certificates and
     bundle_format and fem_degree. An input net of depth other than 1 (a nonsmooth operator's)
     is refused: interval_entry_bounds cannot re-derive the box Z from it.
@@ -263,10 +269,7 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     write_mesh(op.space.mesh, os.path.join(directory, "mesh.txt"))
     write_mesh(op.encoder.mesh, os.path.join(directory, "encoder_mesh.txt"))
-    p = op.basis.ortho
-    row_format = ",".join(["%.17g"] * p.shape[1]) + "\n"
-    with open(os.path.join(directory, "basis.csv"), "w") as fh:
-        fh.writelines(row_format % tuple(row) for row in p.tolist())
+    np.save(os.path.join(directory, "basis.npy"), op.basis.ortho, allow_pickle=False)
     with open(os.path.join(directory, "encoder.json"), "w") as fh:
         fh.write(encoder_to_json(op.encoder))
     [(w, b)] = op.approximator.encoder_input.layers
@@ -295,30 +298,32 @@ class LoadedOperator:
 def load_bundle(directory: str) -> LoadedOperator:
     """Rebuild an operator from a bundle through the build's certificate chain.
 
-    encoder_from_json rebuilds the encoder from encoder.json on encoder_mesh.txt and
-    refuses a malformed document; certified_approximator re-derives K, the budgets, Z_A,
-    the step net and the report from the stored input net, shift, alpha, beta_eff, ||f||
-    and epsilon. Raises ValueError for a certificates.json that is not an object, a
-    net.json whose weights, bias or shift are missing, ragged, not numbers or of the wrong
-    shape or whose shift is not finite, another bundle format, for alpha, beta_eff,
-    f_dual_norm or epsilon missing, not a number or not finite, for n_basis, m_channels,
-    input net widths or shift length that do not match basis.csv and the encoder, and for
-    a stored k_steps, eps_iterator, eps_step, contraction or matrix_bound not exactly the
-    derived report's field. This checks consistency, not provenance: the bundle stores
-    neither a0 nor f, so the input net, the shift, ||f|| and basis.csv are taken as given,
-    and edits that keep them consistent with each other load.
+    encoder_from_json rebuilds the encoder from encoder.json on encoder_mesh.txt;
+    certified_approximator re-derives K, the budgets, Z_A, the step net and the report from
+    net.json's input net and shift and the stored alpha, beta_eff, ||f|| and epsilon. Raises
+    ValueError, naming the file or key, for another bundle format, a malformed document, a
+    basis.npy that np.load refuses or that is not a finite 2-D float64 array, widths that do
+    not fit, a band (beta, beta_tilde, beta_eff) that effective_beta gives for no build, and a
+    certificates.json key missing, unknown or not the re-derived value; LoadedOperator's
+    certificates are those re-derived values (fem_degree is copied). This checks consistency,
+    not provenance: the bundle stores neither a0 nor f, so the input net, the shift, ||f||
+    and basis.npy are taken as given, and edits that keep them consistent with each other load.
     """
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError("certificates.json is not a JSON object")
     if meta.get("bundle_format") != BUNDLE_FORMAT:
-        raise ValueError(
-            f"bundle format {meta.get('bundle_format')!r} is not {BUNDLE_FORMAT}"
-        )
-    for key in ("alpha", "beta_eff", "f_dual_norm", "epsilon"):
+        raise ValueError(f"bundle format {meta.get('bundle_format')!r} is not {BUNDLE_FORMAT}")
+    for key in ("alpha", "beta", "beta_tilde", "beta_eff", "f_dual_norm", "epsilon"):
         if type(meta.get(key)) not in (int, float):  # a JSON bool, string or null is refused
             raise ValueError(f"bundle has {key} {meta.get(key)!r}, not a number")
+    alpha, beta, beta_tilde, beta_eff = map(meta.get, ("alpha", "beta", "beta_tilde", "beta_eff"))
+    paper = beta_eff == beta and beta_tilde <= beta + 1e-9  # effective_beta's two modes
+    if not (0 < beta < alpha and 0 <= beta_tilde < alpha
+            and (paper or beta_eff == max(beta_tilde, 1e-6 * alpha))):
+        raise ValueError(f"bundle has beta {beta!r}, beta_tilde {beta_tilde!r} and beta_eff "
+                         f"{beta_eff!r}, which no build at alpha {alpha!r} gives")
     enc_mesh = read_mesh(os.path.join(directory, "encoder_mesh.txt"))
     with open(os.path.join(directory, "encoder.json")) as fh:
         enc = encoder_from_json(fh.read(), enc_mesh)
@@ -332,20 +337,30 @@ def load_bundle(directory: str) -> LoadedOperator:
     if (weights.ndim, bias.ndim) != (2, 1):
         raise ValueError("net.json needs 2-D weights and a 1-D bias")
     encoder_input = affine_net(weights, bias)  # a bias of another length is refused here
-    synthesis = np.loadtxt(os.path.join(directory, "basis.csv"), delimiter=",", ndmin=2)
+    with open(os.path.join(directory, "basis.npy"), "rb") as fh:
+        try:  # empty, truncated, pickled or text; an .npz archive loads as an NpzFile
+            synthesis = np.load(fh, allow_pickle=False)
+        except (EOFError, ValueError) as exc:
+            raise ValueError(f"basis.npy is malformed: {exc}") from exc
+    if not (isinstance(synthesis, np.ndarray) and synthesis.dtype == np.float64
+            and synthesis.ndim == 2 and np.isfinite(synthesis).all()):
+        raise ValueError(f"basis.npy holds {getattr(synthesis, 'dtype', type(synthesis))!r} "
+                         f"{np.shape(synthesis)}, not a finite 2-D float64 array")
     n = synthesis.shape[1]
     app = certified_approximator(
-        encoder_input, shift, meta["alpha"], meta["beta_eff"], meta["f_dual_norm"], meta["epsilon"]
+        encoder_input, shift, alpha, beta_eff, meta["f_dual_norm"], meta["epsilon"]
     )
     widths = (encoder_input.n_inputs, encoder_input.n_outputs)
-    checks = [("n_basis", meta.get("n_basis"), n - 1),
-              ("m_channels", meta.get("m_channels"), enc.m),
-              ("input net widths", widths, (enc.m, n * n)), ("shift length", len(shift), n)]
-    checks += [(key, meta.get(key), getattr(app.report, key)) for key in REPORT_KEYS]
-    for key, stored, value in checks:
-        if stored != value:
+    if widths != (enc.m, n * n):
+        raise ValueError(f"input net widths {widths} do not fit {enc.m} encoder channels "
+                         f"and the {n} columns of basis.npy")
+    derived = {**_certificates(app.report, beta_tilde, beta, n - 1, enc.m),
+               "bundle_format": BUNDLE_FORMAT, "fem_degree": meta.get("fem_degree")}
+    for key in {**derived, **meta}:  # a missing or unknown key is refused like a wrong value
+        if key not in meta or key not in derived or meta[key] != derived[key]:
             raise ValueError(
-                f"bundle has {key} {stored!r}, but {n} basis columns, {enc.m} encoder "
-                f"channels, the input net, the shift and epsilon {meta['epsilon']!r} give {value!r}"
+                f"bundle has {key} {meta.get(key, 'missing')!r}, but {n} basis columns, {enc.m} "
+                f"encoder channels, the input net, the shift and epsilon {meta['epsilon']!r} give "
+                f"{derived.get(key, 'no such key')!r}"
             )
-    return LoadedOperator(enc, app, synthesis, meta)
+    return LoadedOperator(enc, app, synthesis, derived)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -81,6 +82,12 @@ def _tri_area(t):
 # starts at a reflex vertex, the second's vertex (0.5, 0.5) lies inside its first candidate ear
 REFLEX_FIRST = np.array([(0.6, 0.5), (1, 0.7), (0, 1), (0.2, 0.5), (0, 0), (1, 0.3)])
 VERTEX_IN_EAR = np.array([(0, 0), (2, 0), (2, 2), (0.5, 0.5), (0, 2)], dtype=float)
+
+
+def _pentagon():
+    """The regular pentagon that the CI workflow's GLL bundle meshes at h = 0.3."""
+    angles = [2 * math.pi * k / 5 + math.pi / 2 for k in range(5)]
+    return M.Polygon(np.array([[math.cos(t), math.sin(t)] for t in angles]))
 
 
 class TestTriangulate:
@@ -359,6 +366,19 @@ class TestTextFormat:
         expected = f"NODES {mesh.n_nodes} TRIANGLES {mesh.n_triangles}\n"
         expected += "".join(f"{x:.17g} {y:.17g} {f}\n" for (x, y), f in zip(mesh.nodes, flags))
         expected += "".join(f"{i} {j} {k}\n" for i, j, k in mesh.triangles)
+        M.write_mesh(mesh, tmp_path / "mesh.txt")
+        assert (tmp_path / "mesh.txt").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("name", ["square_0.025", "lshape_graded", "pentagon_0.3"])
+    def test_bytes_match_the_per_line_writer(self, tmp_path, name):
+        # one % call per block writes the bytes of one "%.17g %.17g %d" / "%d %d %d" call per line
+        meshes = {**_NUMBERING_MESHES, "pentagon_0.3": lambda: M.triangulate(_pentagon(), 0.3)}
+        mesh = meshes[name]()
+        flags = np.isin(np.arange(mesh.n_nodes), mesh.boundary_nodes).astype(int)
+        expected = f"NODES {mesh.n_nodes} TRIANGLES {mesh.n_triangles}\n"
+        expected += "".join("%.17g %.17g %d\n" % (x, y, f)
+                            for (x, y), f in zip(mesh.nodes.tolist(), flags.tolist()))
+        expected += "".join("%d %d %d\n" % tuple(tri) for tri in mesh.triangles.tolist())
         M.write_mesh(mesh, tmp_path / "mesh.txt")
         assert (tmp_path / "mesh.txt").read_bytes() == expected.encode()
 

@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +20,20 @@ from richop import richardson as R
 
 # certificates.json values that load_bundle feeds to certified_approximator
 _CHAIN_INPUTS = ("alpha", "beta_eff", "f_dual_norm", "epsilon")
+
+
+def _npy(array, allow_pickle=False):
+    """The bytes np.save writes for the array."""
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _npz(array):
+    """The bytes of an .npz archive holding the array."""
+    buf = io.BytesIO()
+    np.savez(buf, basis=array)
+    return buf.getvalue()
 
 
 class _Stub:
@@ -509,7 +525,7 @@ class TestBundle:
         expected = {
             "mesh.txt",
             "encoder_mesh.txt",
-            "basis.csv",
+            "basis.npy",
             "encoder.json",
             "net.json",
             "certificates.json",
@@ -531,7 +547,7 @@ class TestBundle:
                 "matrix_bound", "bundle_format", "fem_degree",
             ]
         loaded = P.load_bundle(str(tmp_path))
-        want = {**operator.certificates, "bundle_format": 5, "fem_degree": operator.space.degree}
+        want = {**operator.certificates, "bundle_format": 6, "fem_degree": operator.space.degree}
         assert loaded.certificates == want
         assert loaded.approximator.report == operator.approximator.report
 
@@ -561,16 +577,17 @@ class TestBundle:
         for a in C.sample_family(family, 3, 98):
             assert np.array_equal(loaded.evaluate(a), P.evaluate(op, a))
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5])
     def test_rejects_other_bundle_format(self, operator, tmp_path, fmt):
         # format 2 step nets were built on the symmetric box max(Z~, 1) and
         # its reports lack matrix_bound; format 3 stored the step net, K and
         # the report in net.json; format 4 stored the input net as sparse entry
-        # lists: all are refused like format 1
+        # lists; format 5 stored the basis as %.17g text in basis.csv: all are
+        # refused like format 1
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / "certificates.json"
         meta = json.loads(path.read_text())
-        assert meta["bundle_format"] == 5
+        assert meta["bundle_format"] == 6
         if fmt is None:
             del meta["bundle_format"]
         else:
@@ -581,18 +598,98 @@ class TestBundle:
 
     def test_rejects_basis_missing_a_column(self, operator, tmp_path):
         P.save_bundle(operator, str(tmp_path))
-        path = tmp_path / "basis.csv"
-        rows = [ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
-        path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ValueError):
+        np.save(tmp_path / "basis.npy", operator.basis.ortho[:, :-1])
+        with pytest.raises(ValueError, match="columns of basis.npy"):
             P.load_bundle(str(tmp_path))
 
-    def test_basis_csv_bytes_match_the_value_by_value_writer(self, operator, tmp_path):
-        # one %.17g format string per row writes the bytes f"{x:.17g}" per value wrote
+    def test_basis_npy_is_the_ortho_frame_bit_for_bit(self, operator, tmp_path):
+        # np.save stores the float64 bits and a fixed header: two saves write the same bytes
+        for name in ("a", "b"):
+            P.save_bundle(operator, str(tmp_path / name))
+        first, second = (tmp_path / name / "basis.npy" for name in ("a", "b"))
+        saved = np.load(first, allow_pickle=False)
+        assert saved.dtype == np.float64 and saved.flags.c_contiguous
+        assert np.array_equal(saved, operator.basis.ortho)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda p, raw: raw[:60],
+            lambda p, raw: raw[:-8],
+            lambda p, raw: b"",
+            lambda p, raw: pickle.dumps(p),
+            lambda p, raw: "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in p).encode(),
+            lambda p, raw: _npy(np.array([p], dtype=object), allow_pickle=True),
+            lambda p, raw: _npz(p),
+            lambda p, raw: _npy(p.astype(np.float32)),
+            lambda p, raw: _npy(p.astype(">f8")),
+            lambda p, raw: _npy(p.ravel()),
+            lambda p, raw: _npy(p[None]),
+            lambda p, raw: _npy(np.where(p == p[1, 2], np.nan, p)),
+            lambda p, raw: _npy(np.where(p == p[1, 2], -np.inf, p)),
+        ],
+        ids=["header_truncated", "data_truncated", "empty", "pickle", "csv_text", "object_array",
+             "npz_archive", "float32", "big_endian", "one_dimensional", "three_dimensional",
+             "nan_entry", "infinite_entry"],
+    )
+    def test_rejects_malformed_basis(self, operator, tmp_path, tamper):
+        # np.load without pickles refuses the first six; the loader refuses the rest
         P.save_bundle(operator, str(tmp_path))
-        p = operator.basis.ortho
-        expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in p)
-        assert (tmp_path / "basis.csv").read_bytes() == expected.encode()
+        path = tmp_path / "basis.npy"
+        path.write_bytes(tamper(operator.basis.ortho, path.read_bytes()))
+        with pytest.raises(ValueError, match="basis.npy"):
+            P.load_bundle(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"beta_tilde": 5.0},
+            {"beta": "x"},
+            {"beta_tilde": 0.45, "beta": 0.3},
+            {"nonsmooth_a_min": 0.5},
+            {"beta": 1.0},
+            {"beta": 0.0, "beta_eff": 0.0},
+            {"beta_tilde": -0.1},
+            {"beta_tilde": 0.6},
+            {"beta_tilde": None},
+            {"beta_tilde": True},
+        ],
+        ids=["beta_tilde_above_alpha", "beta_string", "beta_eff_neither_mode", "unknown_key",
+             "beta_at_alpha", "beta_zero", "beta_tilde_negative", "beta_tilde_above_beta",
+             "beta_tilde_null", "beta_tilde_bool"],
+    )
+    def test_rejects_edited_band(self, operator, tmp_path, edit):
+        # the operator is built in paper mode, beta = beta_eff = 0.5 on alpha = 1; an edit
+        # to the band that effective_beta would not give, or a key no build writes, is refused
+        P.save_bundle(operator, str(tmp_path))
+        path = tmp_path / "certificates.json"
+        meta = json.loads(path.read_text())
+        assert (meta["alpha"], meta["beta"], meta["beta_eff"]) == (1.0, 0.5, 0.5)
+        path.write_text(json.dumps({**meta, **edit}))
+        with pytest.raises(ValueError, match="|".join(edit)):
+            P.load_bundle(str(tmp_path))
+
+    @pytest.mark.parametrize("key", ["fem_degree", "n_basis", "beta_tilde", "matrix_bound"])
+    def test_rejects_a_missing_key(self, operator, tmp_path, key):
+        P.save_bundle(operator, str(tmp_path))
+        path = tmp_path / "certificates.json"
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=key):
+            P.load_bundle(str(tmp_path))
+
+    def test_measured_mode_bundle_loads(self, family, config, space, nodal_encoder, tmp_path):
+        # measured mode stores beta_eff = max(beta_tilde, 1e-6 alpha), below the configured beta
+        op = P.build_operator(
+            family, config, space, 8, 3, nodal_encoder, 1e-1, seed=2, beta_mode="measured"
+        )
+        P.save_bundle(op, str(tmp_path))
+        loaded = P.load_bundle(str(tmp_path))
+        assert loaded.certificates["beta_eff"] == op.beta_tilde < config.beta
+        a = C.sample_family(family, 1, 96)[0]
+        assert np.array_equal(loaded.evaluate(a), P.evaluate(op, a))
 
     def test_net_json_holds_only_the_input_net_and_shift(self, operator, tmp_path):
         P.save_bundle(operator, str(tmp_path))
