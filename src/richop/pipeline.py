@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 
-BUNDLE_FORMAT = 6  # written to certificates.json; load_bundle accepts only this
+BUNDLE_FORMAT = 7  # written to certificates.json; load_bundle accepts only this
 
 
 class OperatorBuildError(ValueError):
@@ -253,12 +253,12 @@ def nonsmooth_operator(op: NeuralOperator, a_min: float) -> NeuralOperator:
 
 
 def save_bundle(op: NeuralOperator, directory: str) -> None:
-    """Operator bundle: meshes, basis matrix .npy, encoder JSON, net JSON, certificates.
+    """Operator bundle: meshes, encoder JSON, three .npy arrays, certificates JSON.
 
-    basis.npy is op.basis.ortho, saved by np.save without pickles: exact bits, the same bytes
-    on every save. net.json holds the input net's one layer, dense (weights, N^2 rows of M
-    floats, and bias), and the shift; load_bundle re-derives the rest. mesh.txt, which no
-    loader reads, records the output space: the rows of basis.npy are the free dofs of
+    np.save without pickles writes the float64 bits exactly, the same bytes on every save:
+    basis.npy is op.basis.ortho, input.npy the input net's one layer, its dense (N^2, M) weights
+    then the bias column, and shift.npy the shift g; load_bundle re-derives the rest. mesh.txt,
+    which no loader reads, records the output space: the rows of basis.npy are the free dofs of
     build_space(read_mesh(mesh.txt), fem_degree). certificates.json is op.certificates and
     bundle_format and fem_degree. An input net of depth other than 1 (a nonsmooth operator's)
     is refused: interval_entry_bounds cannot re-derive the box Z from it.
@@ -269,13 +269,12 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     write_mesh(op.space.mesh, os.path.join(directory, "mesh.txt"))
     write_mesh(op.encoder.mesh, os.path.join(directory, "encoder_mesh.txt"))
-    np.save(os.path.join(directory, "basis.npy"), op.basis.ortho, allow_pickle=False)
+    [(w, b)] = op.approximator.encoder_input.layers
+    for name, array in (("basis.npy", op.basis.ortho), ("shift.npy", op.basis.nominal.shift),
+                        ("input.npy", np.column_stack([w.toarray(), b]))):
+        np.save(os.path.join(directory, name), array, allow_pickle=False)
     with open(os.path.join(directory, "encoder.json"), "w") as fh:
         fh.write(encoder_to_json(op.encoder))
-    [(w, b)] = op.approximator.encoder_input.layers
-    shift = op.basis.nominal.shift.tolist()
-    with open(os.path.join(directory, "net.json"), "w") as fh:
-        fh.write(json.dumps({"weights": w.toarray().tolist(), "bias": b.tolist(), "shift": shift}))
     meta = {**op.certificates, "bundle_format": BUNDLE_FORMAT, "fem_degree": op.space.degree}
     with open(os.path.join(directory, "certificates.json"), "w") as fh:
         fh.write(json.dumps(meta, indent=1))
@@ -283,7 +282,7 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
 
 @dataclass
 class LoadedOperator:
-    """Evaluable operator reconstructed from a bundle directory; evaluate returns
+    """Operator rebuilt from a bundle directory: synthesis is basis.npy, and evaluate returns
     free-dof values of the space that mesh.txt records (see save_bundle)."""
 
     encoder: Encoder
@@ -295,19 +294,34 @@ class LoadedOperator:
         return self.synthesis @ self.approximator.realize(self.encoder.encode(a))
 
 
+def _read_npy(directory: str, name: str, ndim: int) -> np.ndarray:
+    """np.load of the file name without pickles; ValueError naming it if np.load refuses it, if
+    it is an .npz archive, or if the array is empty, not finite, not float64 or not ndim-D."""
+    with open(os.path.join(directory, name), "rb") as fh:
+        try:  # an empty, truncated, pickled or text file
+            array = np.load(fh, allow_pickle=False)
+        except (EOFError, ValueError) as exc:
+            raise ValueError(f"{name} is malformed: {exc}") from exc
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and array.ndim == ndim
+            and array.size and np.isfinite(array).all()):
+        raise ValueError(f"{name} holds {getattr(array, 'dtype', type(array))!r} "
+                         f"{np.shape(array)}, not a non-empty finite {ndim}-D float64 array")
+    return array
+
+
 def load_bundle(directory: str) -> LoadedOperator:
     """Rebuild an operator from a bundle through the build's certificate chain.
 
     encoder_from_json rebuilds the encoder from encoder.json on encoder_mesh.txt;
     certified_approximator re-derives K, the budgets, Z_A, the step net and the report from
-    net.json's input net and shift and the stored alpha, beta_eff, ||f|| and epsilon. Raises
-    ValueError, naming the file or key, for another bundle format, a malformed document, a
-    basis.npy that np.load refuses or that is not a finite 2-D float64 array, widths that do
-    not fit, a band (beta, beta_tilde, beta_eff) that effective_beta gives for no build, and a
+    input.npy's input net, shift.npy and the stored alpha, beta_eff, ||f|| and epsilon. Raises
+    ValueError, naming the file or key, for another bundle format, a malformed document or
+    .npy file (see _read_npy), widths that do not fit, a band (beta, beta_tilde, beta_eff) that
+    effective_beta gives for no build, a fem_degree other than the int 1 or 2, and a
     certificates.json key missing, unknown or not the re-derived value; LoadedOperator's
-    certificates are those re-derived values (fem_degree is copied). This checks consistency,
-    not provenance: the bundle stores neither a0 nor f, so the input net, the shift, ||f||
-    and basis.npy are taken as given, and edits that keep them consistent with each other load.
+    certificates are those values and fem_degree. This checks consistency, not provenance: the
+    bundle stores neither a0 nor f, so input.npy, shift.npy, ||f|| and basis.npy are taken as
+    given, and edits that keep them consistent with each other load.
     """
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
@@ -318,6 +332,8 @@ def load_bundle(directory: str) -> LoadedOperator:
     for key in ("alpha", "beta", "beta_tilde", "beta_eff", "f_dual_norm", "epsilon"):
         if type(meta.get(key)) not in (int, float):  # a JSON bool, string or null is refused
             raise ValueError(f"bundle has {key} {meta.get(key)!r}, not a number")
+    if type(meta.get("fem_degree")) is not int or meta["fem_degree"] not in (1, 2):
+        raise ValueError(f"bundle has fem_degree {meta.get('fem_degree')!r}, not the int 1 or 2")
     alpha, beta, beta_tilde, beta_eff = map(meta.get, ("alpha", "beta", "beta_tilde", "beta_eff"))
     paper = beta_eff == beta and beta_tilde <= beta + 1e-9  # effective_beta's two modes
     if not (0 < beta < alpha and 0 <= beta_tilde < alpha
@@ -327,35 +343,18 @@ def load_bundle(directory: str) -> LoadedOperator:
     enc_mesh = read_mesh(os.path.join(directory, "encoder_mesh.txt"))
     with open(os.path.join(directory, "encoder.json")) as fh:
         enc = encoder_from_json(fh.read(), enc_mesh)
-    with open(os.path.join(directory, "net.json")) as fh:
-        doc = json.load(fh)
-    try:  # a list, ragged rows or a string; a missing key reads as None, a 0-d array
-        keys = ("weights", "bias", "shift")
-        weights, bias, shift = (np.asarray(doc.get(key), dtype=float) for key in keys)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"net.json is malformed: {exc}") from exc
-    if (weights.ndim, bias.ndim) != (2, 1):
-        raise ValueError("net.json needs 2-D weights and a 1-D bias")
-    encoder_input = affine_net(weights, bias)  # a bias of another length is refused here
-    with open(os.path.join(directory, "basis.npy"), "rb") as fh:
-        try:  # empty, truncated, pickled or text; an .npz archive loads as an NpzFile
-            synthesis = np.load(fh, allow_pickle=False)
-        except (EOFError, ValueError) as exc:
-            raise ValueError(f"basis.npy is malformed: {exc}") from exc
-    if not (isinstance(synthesis, np.ndarray) and synthesis.dtype == np.float64
-            and synthesis.ndim == 2 and np.isfinite(synthesis).all()):
-        raise ValueError(f"basis.npy holds {getattr(synthesis, 'dtype', type(synthesis))!r} "
-                         f"{np.shape(synthesis)}, not a finite 2-D float64 array")
+    layer = _read_npy(directory, "input.npy", 2)
+    encoder_input = affine_net(layer[:, :-1], layer[:, -1])
+    synthesis = _read_npy(directory, "basis.npy", 2)
     n = synthesis.shape[1]
-    app = certified_approximator(
-        encoder_input, shift, alpha, beta_eff, meta["f_dual_norm"], meta["epsilon"]
-    )
+    app = certified_approximator(encoder_input, _read_npy(directory, "shift.npy", 1), alpha,
+                                 beta_eff, meta["f_dual_norm"], meta["epsilon"])
     widths = (encoder_input.n_inputs, encoder_input.n_outputs)
     if widths != (enc.m, n * n):
         raise ValueError(f"input net widths {widths} do not fit {enc.m} encoder channels "
                          f"and the {n} columns of basis.npy")
     derived = {**_certificates(app.report, beta_tilde, beta, n - 1, enc.m),
-               "bundle_format": BUNDLE_FORMAT, "fem_degree": meta.get("fem_degree")}
+               "bundle_format": BUNDLE_FORMAT, "fem_degree": meta["fem_degree"]}
     for key in {**derived, **meta}:  # a missing or unknown key is refused like a wrong value
         if key not in meta or key not in derived or meta[key] != derived[key]:
             raise ValueError(

@@ -455,10 +455,16 @@ def test_criterion_14_cli_determinism(tmp_path):
         body(os.path.join(out1, name)) == body(os.path.join(out2, name))
         for name in ("contraction.csv", "convergence.csv")
     )
-    with open(os.path.join(out1, "bundle", "net.json")) as fh1, open(
-        os.path.join(out2, "bundle", "net.json")
-    ) as fh2:
-        bundles_same = fh1.read() == fh2.read()
+    bundle1, bundle2 = (os.path.join(out, "bundle") for out in (out1, out2))
+    names = sorted(os.listdir(bundle1))
+
+    def raw(path):
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    bundles_same = names == sorted(os.listdir(bundle2)) and all(
+        raw(os.path.join(bundle1, name)) == raw(os.path.join(bundle2, name)) for name in names
+    )
     _report(
         14,
         "repeated CLI runs emit byte-identical CSV bodies and bundles",

@@ -376,7 +376,8 @@ def test_build_command_with_the_gll_encoder(tmp_path):
 def test_build_eval_decompose(tmp_path):
     out = str(tmp_path / "full")
     assert cli.main(["build", "--config", CONFIG, "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "bundle", "net.json"))
+    for name in ("input.npy", "shift.npy"):
+        assert os.path.exists(os.path.join(out, "bundle", name))
     assert cli.main(["eval", "--config", CONFIG, "--out", out]) == 0
     assert cli.main(["decompose", "--config", CONFIG, "--out", out]) == 0
     rows = _body(os.path.join(out, "decomposition.csv"))[1:]
@@ -459,7 +460,8 @@ def test_polygon_domain_meshes_and_builds(tmp_path):
     for command in ("mesh", "greedy", "build"):
         assert cli.main([command, "--config", str(path), "--out", out]) == 0
     assert _body(os.path.join(out, "mesh_stats.csv"))[1].split(",")[:2] == ["153", "256"]
-    assert os.path.exists(os.path.join(out, "bundle", "net.json"))
+    for name in ("input.npy", "shift.npy"):
+        assert os.path.exists(os.path.join(out, "bundle", name))
 
 
 def test_rows_carry_config_hash(tmp_path):

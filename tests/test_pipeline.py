@@ -36,6 +36,13 @@ def _npz(array):
     return buf.getvalue()
 
 
+def _with_entry(array, value):
+    """A copy of the array with its second entry, in C order, set to value."""
+    out = array.copy()
+    out.flat[1] = value
+    return out
+
+
 class _Stub:
     """Test stub base: Stub(base, ...) is a copy of the encoder base, with its own channel
     cache, whose class puts Stub in front of base's own encoder class."""
@@ -527,10 +534,11 @@ class TestBundle:
             "encoder_mesh.txt",
             "basis.npy",
             "encoder.json",
-            "net.json",
+            "input.npy",
+            "shift.npy",
             "certificates.json",
         }
-        assert expected <= set(os.listdir(tmp_path))
+        assert set(os.listdir(tmp_path)) == expected
         loaded = P.load_bundle(str(tmp_path))
         a = C.sample_family(family, 1, 99)[0]
         assert np.array_equal(loaded.evaluate(a), P.evaluate(operator, a))
@@ -547,7 +555,7 @@ class TestBundle:
                 "matrix_bound", "bundle_format", "fem_degree",
             ]
         loaded = P.load_bundle(str(tmp_path))
-        want = {**operator.certificates, "bundle_format": 6, "fem_degree": operator.space.degree}
+        want = {**operator.certificates, "bundle_format": 7, "fem_degree": operator.space.degree}
         assert loaded.certificates == want
         assert loaded.approximator.report == operator.approximator.report
 
@@ -577,17 +585,18 @@ class TestBundle:
         for a in C.sample_family(family, 3, 98):
             assert np.array_equal(loaded.evaluate(a), P.evaluate(op, a))
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6])
     def test_rejects_other_bundle_format(self, operator, tmp_path, fmt):
         # format 2 step nets were built on the symmetric box max(Z~, 1) and
         # its reports lack matrix_bound; format 3 stored the step net, K and
         # the report in net.json; format 4 stored the input net as sparse entry
-        # lists; format 5 stored the basis as %.17g text in basis.csv: all are
+        # lists; format 5 stored the basis as %.17g text in basis.csv; format 6
+        # stored the input net and the shift as JSON floats in net.json: all are
         # refused like format 1
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / "certificates.json"
         meta = json.loads(path.read_text())
-        assert meta["bundle_format"] == 6
+        assert meta["bundle_format"] == 7
         if fmt is None:
             del meta["bundle_format"]
         else:
@@ -642,6 +651,31 @@ class TestBundle:
             P.load_bundle(str(tmp_path))
 
     @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda p, raw: b"",
+            lambda p, raw: raw[:-8],
+            lambda p, raw: _npy(np.array([p], dtype=object), allow_pickle=True),
+            lambda p, raw: _npz(p),
+            lambda p, raw: "".join(f"{x:.17g}\n" for x in p.ravel()).encode(),
+            lambda p, raw: _npy(p.astype(np.int64)),
+            lambda p, raw: _npy(p[..., None]),
+            lambda p, raw: _npy(_with_entry(p, np.nan)),
+            lambda p, raw: _npy(_with_entry(p, np.inf)),
+        ],
+        ids=["empty", "data_truncated", "object_array", "npz_archive", "text", "int_dtype",
+             "wrong_ndim", "nan_entry", "infinite_entry"],
+    )
+    @pytest.mark.parametrize("name", ["input.npy", "shift.npy", "basis.npy"])
+    def test_rejects_malformed_npy(self, operator, tmp_path, name, tamper):
+        # the loader reads the three arrays through one reader, which refuses each case alike
+        P.save_bundle(operator, str(tmp_path))
+        path = tmp_path / name
+        path.write_bytes(tamper(np.load(path, allow_pickle=False), path.read_bytes()))
+        with pytest.raises(ValueError, match=name):
+            P.load_bundle(str(tmp_path))
+
+    @pytest.mark.parametrize(
         "edit",
         [
             {"beta_tilde": 5.0},
@@ -680,6 +714,16 @@ class TestBundle:
         with pytest.raises(ValueError, match=key):
             P.load_bundle(str(tmp_path))
 
+    @pytest.mark.parametrize("degree", [3, 0, "x", 2.0, True, None],
+                             ids=["three", "zero", "string", "float", "bool", "null"])
+    def test_rejects_an_edited_fem_degree(self, operator, tmp_path, degree):
+        # build_space knows degrees 1 and 2; a bool or a float equal to one of them is refused
+        P.save_bundle(operator, str(tmp_path))
+        path = tmp_path / "certificates.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "fem_degree": degree}))
+        with pytest.raises(ValueError, match="fem_degree"):
+            P.load_bundle(str(tmp_path))
+
     def test_measured_mode_bundle_loads(self, family, config, space, nodal_encoder, tmp_path):
         # measured mode stores beta_eff = max(beta_tilde, 1e-6 alpha), below the configured beta
         op = P.build_operator(
@@ -691,15 +735,26 @@ class TestBundle:
         a = C.sample_family(family, 1, 96)[0]
         assert np.array_equal(loaded.evaluate(a), P.evaluate(op, a))
 
-    def test_net_json_holds_only_the_input_net_and_shift(self, operator, tmp_path):
-        P.save_bundle(operator, str(tmp_path))
-        doc = json.loads((tmp_path / "net.json").read_text())
-        assert set(doc) == {"weights", "bias", "shift"}
+    def test_input_and_shift_npy_hold_the_input_net_and_shift_bit_for_bit(
+        self, operator, tmp_path
+    ):
+        for name in ("a", "b"):
+            P.save_bundle(operator, str(tmp_path / name))
+        for name in ("input.npy", "shift.npy"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        layer, shift = (np.load(tmp_path / "a" / name, allow_pickle=False)
+                        for name in ("input.npy", "shift.npy"))
+        assert layer.dtype == shift.dtype == np.float64
         [(w, b)] = operator.approximator.encoder_input.layers
-        assert doc["weights"] == w.toarray().tolist()
-        assert doc["bias"] == b.tolist()
-        assert doc["shift"] == operator.basis.nominal.shift.tolist()
-        meta = json.loads((tmp_path / "certificates.json").read_text())
+        pairs = ((layer[:, :-1], w.toarray()), (layer[:, -1], b),
+                 (shift, operator.basis.nominal.shift))
+        # the bits, -0.0 and all: the weights, then the bias column, and the shift
+        assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in pairs)
+        # the loader's affine_net drops the exact zeros: the built CSR layer, array for array
+        [(w1, b1)] = P.load_bundle(str(tmp_path / "a")).approximator.encoder_input.layers
+        pairs = zip((w1.indptr, w1.indices, w1.data, b1), (w.indptr, w.indices, w.data, b))
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs)
+        meta = json.loads((tmp_path / "a" / "certificates.json").read_text())
         assert meta["k_steps"] == operator.approximator.k_steps
         assert "frame" not in meta
 
@@ -754,34 +809,35 @@ class TestBundle:
             ("encoder.json", lambda doc: {**doc, "kind": "gll", "p": 2.0}, "p"),
             ("encoder.json", lambda doc: {**doc, "query_points": doc["query_points"][1:]},
              "query points"),
-            ("net.json", lambda doc: {**doc, "weights": []}, "net.json"),
-            ("net.json", lambda doc: {k: v for k, v in doc.items() if k != "shift"}, "shift"),
-            ("net.json", lambda doc: {**doc, "shift": doc["shift"] + [0.0]}, "shift"),
-            ("net.json", lambda doc: {**doc, "shift": [float("nan")] + doc["shift"][1:]}, "shift"),
-            ("net.json", lambda doc: {k: v for k, v in doc.items() if k != "weights"}, "weights"),
-            ("net.json", lambda doc: [doc], "net.json"),
-            ("net.json", lambda doc: {**doc, "weights": [doc["weights"][0][:-1],
-                                                         *doc["weights"][1:]]}, "net.json"),
-            ("net.json", lambda doc: {**doc, "weights": "weights"}, "net.json"),
-            ("net.json", lambda doc: {**doc, "bias": doc["bias"][:-1]}, "bias"),
-            ("net.json", lambda doc: {**doc, "weights": doc["weights"][:-1],
-                                      "bias": doc["bias"][:-1]}, "input net"),
-            ("net.json", lambda doc: {**doc, "weights": [row[:-1] for row in doc["weights"]]},
-             "input net widths"),
+            ("input.npy", lambda p: p[:0], "input.npy"),
+            ("input.npy", lambda p: p[:, :0], "input.npy"),
+            ("shift.npy", lambda p: p[:0], "shift.npy"),
+            ("shift.npy", lambda p: np.append(p, 0.0), "shift"),
+            ("shift.npy", lambda p: p[:-1], "shift"),
+            ("shift.npy", lambda p: np.r_[np.nan, p[1:]], "shift.npy"),
+            ("input.npy", lambda p: p[:, -1:], "input net widths"),
+            ("input.npy", lambda p: p[None], "input.npy"),
+            ("input.npy", lambda p: np.array("weights"), "input.npy"),
+            ("input.npy", lambda p: p[:-1], "input net"),
+            ("input.npy", lambda p: np.delete(p, 0, axis=1), "input net widths"),
             ("certificates.json", lambda doc: [doc], "certificates.json"),
         ],
         ids=["encoder_list", "kind_deleted", "kind_unknown", "degree_deleted", "degree_string",
              "gll_without_p", "gll_p_float", "query_point_dropped", "input_net_empty",
-             "shift_deleted", "shift_one_longer", "shift_nan", "weights_deleted", "net_list",
-             "weights_row_short", "weights_string", "bias_one_shorter", "weights_row_dropped",
+             "input_net_without_columns", "shift_empty", "shift_one_longer", "shift_one_shorter", "shift_nan",
+             "weights_deleted", "net_list", "weights_string", "weights_row_dropped",
              "weights_column_dropped", "certificates_list"],
     )
     def test_rejects_malformed_document(self, operator, tmp_path, name, tamper, named):
-        # a document that lacks a key or has one of the wrong type or shape is refused
-        # with ValueError, not KeyError or TypeError, and a kind is never guessed
+        # a document or array that lacks a key or an entry, or has one of the wrong type or
+        # shape, is refused with ValueError, not KeyError, TypeError or IndexError, and a kind
+        # is never guessed; input.npy is the input net's weights followed by its bias column
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / name
-        path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+        if name.endswith(".npy"):
+            np.save(path, tamper(np.load(path, allow_pickle=False)))
+        else:
+            path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=named):
             P.load_bundle(str(tmp_path))
 
@@ -790,4 +846,4 @@ class TestBundle:
         _, _, wrapped = shifted_setup
         with pytest.raises(ValueError, match="nonsmooth"):
             P.save_bundle(wrapped, str(tmp_path))
-        assert not os.path.exists(tmp_path / "net.json")
+        assert not os.listdir(tmp_path)
