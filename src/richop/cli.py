@@ -72,14 +72,13 @@ def load_config(path: str) -> dict:
             dotted = f"{name}.{key}" if name else key
             _check(key in _KEYS[name].split(), f"{dotted} is an unknown key (known: {_KEYS[name]})")
             if dotted in _KEYS:
-                sections.append((dotted, _section(section, dotted)))
-    problem = _section(cfg, "problem")
-    alpha = _number(problem, "problem.alpha", 1.0, lambda a: 0 < a < math.inf, "be positive")
-    _number(problem, "problem.beta", 0.5, lambda b: 0 < b < alpha, f"lie in (0, alpha={alpha!r})")
-    reduction = _section(cfg, "reduction")
-    _number(reduction, "reduction.gamma", 1.0, lambda g: 0 < g <= 1, "lie in (0, 1]")
-    mode = _section(cfg, "network").get("beta_mode", "paper")
-    _check(mode in ("paper", "measured"), f"network.beta_mode must be paper or measured: {mode!r}")
+                sections.append((dotted, _section(cfg, dotted)))
+    alpha = _number(cfg, "problem.alpha", 1.0, lambda a: 0 < a < math.inf, "be positive")
+    _number(cfg, "problem.beta", 0.5, lambda b: 0 < b < alpha, f"lie in (0, alpha={alpha!r})")
+    _number(cfg, "reduction.gamma", 1.0, lambda g: 0 < g <= 1, "lie in (0, 1]")
+    # the network is certified in the configured band alpha +- beta, so "paper" is the one mode
+    mode = _value(cfg, "network.beta_mode", "paper")
+    _check(mode == "paper", f"network.beta_mode must be paper: {mode!r}")
     _integer(cfg, "seed", 0, 0)
     return cfg
 
@@ -90,18 +89,27 @@ def _check(ok: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _section(parent: dict, name: str, default=None) -> dict:
-    """The object at name's last key in parent ({} or default if absent); ConfigError if
-    it is not an object."""
-    value = parent.get(name.rsplit(".", 1)[-1], {} if default is None else default)
-    _check(isinstance(value, dict), f"{name} must be an object, got {value!r}")
-    return value
+def _section(cfg: dict, name: str) -> dict:
+    """The object at the dotted name in cfg (cfg for "", {} if absent); ConfigError naming the
+    first section on the way that is not an object."""
+    section, path = cfg, []
+    for key in filter(None, name.split(".")):
+        path.append(key)
+        section = section.get(key, {})
+        _check(isinstance(section, dict), f"{'.'.join(path)} must be an object, got {section!r}")
+    return section
 
 
-def _pairs(section: dict, name: str) -> list:
-    """The list at name's last key in section; ConfigError unless it is present and each
+def _value(cfg: dict, name: str, default=None):
+    """The value at the dotted name in cfg (default if absent), read through _section."""
+    parent, _, key = name.rpartition(".")
+    return _section(cfg, parent).get(key, default)
+
+
+def _pairs(cfg: dict, name: str) -> list:
+    """The list at the dotted name in cfg; ConfigError unless it is present and each
     item is an [x, y] pair of numbers."""
-    value = section.get(name.rsplit(".", 1)[-1])
+    value = _value(cfg, name)
     pairs = isinstance(value, list) and all(
         isinstance(p, list) and len(p) == 2 and all(type(c) in (int, float) for c in p)
         for p in value
@@ -110,16 +118,16 @@ def _pairs(section: dict, name: str) -> list:
     return value
 
 
-def _number(section: dict, name: str, default, ok, need: str):
-    """The number at name's last key in section (default if absent); ConfigError unless ok."""
-    value = section.get(name.rsplit(".", 1)[-1], default)
+def _number(cfg: dict, name: str, default, ok, need: str):
+    """The number at the dotted name in cfg (default if absent); ConfigError unless ok."""
+    value = _value(cfg, name, default)
     _check(type(value) in (int, float) and ok(value), f"{name} must {need}, got {value!r}")
     return value
 
 
-def _integer(section: dict, name: str, default, least: int) -> int:
+def _integer(cfg: dict, name: str, default, least: int) -> int:
     """_number for an integer no smaller than least."""
-    return _number(section, name, default, lambda k: isinstance(k, int) and k >= least,
+    return _number(cfg, name, default, lambda k: isinstance(k, int) and k >= least,
                    f"be an integer of at least {least}")
 
 
@@ -143,38 +151,33 @@ class Setup:
     def __init__(self, cfg: dict, seed: int):
         self.cfg = cfg
         self.seed = seed
-        self.reduction = _section(cfg, "reduction")
-        self.beta_mode = _section(cfg, "network").get("beta_mode", "paper")
 
     @cached_property
     def domain(self):
-        dom = _section(self.cfg, "domain", {"kind": "square"})
-        kind = dom.get("kind", "square")
+        kind = _value(self.cfg, "domain.kind", "square")
         if kind == "square":
             return mesh_mod.unit_square()
         if kind == "lshape":
             return mesh_mod.lshape()
         if kind == "polygon":
-            return mesh_mod.Polygon(np.asarray(_pairs(dom, "domain.vertices"), dtype=float))
+            return mesh_mod.Polygon(np.asarray(_pairs(self.cfg, "domain.vertices"), dtype=float))
         raise ConfigError(f"unknown domain kind {kind!r}")
 
     @cached_property
     def mesh(self):
-        section = _section(self.cfg, "mesh")
-        h = _number(section, "mesh.h", 0.125, lambda h: h > 0, "be positive")
+        h = _number(self.cfg, "mesh.h", 0.125, lambda h: h > 0, "be positive")
         m = mesh_mod.triangulate(self.domain, h)
-        graded = _section(section, "mesh.graded")
-        if graded:
-            grading = _number(graded, "mesh.graded.grading", None, lambda g: 0 < g < 1,
+        if _section(self.cfg, "mesh.graded"):
+            grading = _number(self.cfg, "mesh.graded.grading", None, lambda g: 0 < g < 1,
                               "lie in (0, 1)")
-            levels = _integer(graded, "mesh.graded.levels", None, 0)
-            corners = _pairs(graded, "mesh.graded.corners")
+            levels = _integer(self.cfg, "mesh.graded.levels", None, 0)
+            corners = _pairs(self.cfg, "mesh.graded.corners")
             m = mesh_mod.refine_corner_graded(m, corners, grading, levels)
         return m
 
     @cached_property
     def space(self):
-        degree = _section(self.cfg, "mesh").get("degree", 1)
+        degree = _value(self.cfg, "mesh.degree", 1)
         _check(type(degree) is int and degree in (1, 2),
                f"mesh.degree must be 1 or 2, got {degree!r}")
         space = fem_mod.build_space(self.mesh, degree)
@@ -183,19 +186,13 @@ class Setup:
 
     @cached_property
     def problem(self):
-        section = _section(self.cfg, "problem")
-        source = _section(section, "problem.source", {"kind": "constant", "value": 1.0})
-        if source.get("kind", "constant") != "constant":
+        if _value(self.cfg, "problem.source.kind", "constant") != "constant":
             raise ConfigError("only constant sources are configurable")
-        value = _number(source, "problem.source.value", 1.0, lambda v: 0 < abs(v) < math.inf,
+        value = _number(self.cfg, "problem.source.value", 1.0, lambda v: 0 < abs(v) < math.inf,
                         "be finite and nonzero")
-        config = fem_mod.ProblemConfig(
-            section.get("alpha", 1.0),
-            section.get("beta", 0.5),
-            coeff_mod.constant(1.0),
-            coeff_mod.constant(value),
-        )
-        normalize = section.get("normalize_source", True)
+        alpha, beta = _value(self.cfg, "problem.alpha", 1.0), _value(self.cfg, "problem.beta", 0.5)
+        config = fem_mod.ProblemConfig(alpha, beta, coeff_mod.constant(1.0), coeff_mod.constant(value))
+        normalize = _value(self.cfg, "problem.normalize_source", True)
         _check(type(normalize) is bool,
                f"problem.normalize_source must be true or false, got {normalize!r}")
         if normalize:
@@ -204,15 +201,14 @@ class Setup:
 
     @cached_property
     def family(self):
-        section = _section(self.cfg, "family", {"kind": "analytic"})
-        kind = section.get("kind", "analytic")
-        fill = _number(section, "family.fill", 0.9, lambda f: 0 < f <= 1, "lie in (0, 1]")
-        n_modes = _integer(section, "family.n_modes", 4, 1)
+        kind = _value(self.cfg, "family.kind", "analytic")
+        fill = _number(self.cfg, "family.fill", 0.9, lambda f: 0 < f <= 1, "lie in (0, 1]")
+        n_modes = _integer(self.cfg, "family.n_modes", 4, 1)
         alpha, beta = self.problem.alpha, self.problem.beta
         if kind == "analytic":
             top = len(coeff_mod.ANALYTIC_WAVENUMBERS)
             _check(n_modes <= top, f"family.n_modes must be at most {top}, got {n_modes!r}")
-            decay = _number(section, "family.decay", 0.5, lambda d: 0 < d <= 1, "lie in (0, 1]")
+            decay = _number(self.cfg, "family.decay", 0.5, lambda d: 0 < d <= 1, "lie in (0, 1]")
             return coeff_mod.analytic_family(
                 alpha, beta, self.domain, n_modes=n_modes, decay=decay, fill=fill
             )
@@ -221,9 +217,9 @@ class Setup:
             return coeff_mod.AffineFamily(alpha=alpha, beta=beta, domain=self.domain, modes=modes,
                                           fill=fill)
         if kind == "sobolev_ball":
-            order = _number(section, "family.order", 2, lambda k: k >= 0, "be non-negative")
-            radius = _number(section, "family.radius", 50.0, lambda r: r > 0, "be positive")
-            coeff_h = _number(section, "family.coeff_h", 0.5, lambda h: h > 0, "be positive")
+            order = _number(self.cfg, "family.order", 2, lambda k: k >= 0, "be non-negative")
+            radius = _number(self.cfg, "family.radius", 50.0, lambda r: r > 0, "be positive")
+            coeff_h = _number(self.cfg, "family.coeff_h", 0.5, lambda h: h > 0, "be positive")
             coarse = mesh_mod.triangulate(self.domain, coeff_h)
             return coeff_mod.SobolevBall(
                 alpha=alpha, beta=beta, domain=coarse, order=order, radius=radius, fill=fill
@@ -232,52 +228,49 @@ class Setup:
 
     @cached_property
     def encoder(self):
-        section = _section(self.cfg, "encoder", {"kind": "nodal", "h": 0.25, "degree": 1})
-        kind = section.get("kind", "nodal")
-        h = _number(section, "encoder.h", 0.25, lambda h: h > 0, "be positive")
+        kind = _value(self.cfg, "encoder.kind", "nodal")
+        h = _number(self.cfg, "encoder.h", 0.25, lambda h: h > 0, "be positive")
         coarse = mesh_mod.triangulate(self.domain, h)
         if kind == "nodal":
-            degree = _number(section, "encoder.degree", 1, lambda d: type(d) is int and d in (1, 2),
+            degree = _number(self.cfg, "encoder.degree", 1, lambda d: type(d) is int and d in (1, 2),
                              "be 1 or 2")
             return build_nodal_encoder(fem_mod.build_space(coarse, degree))
         if kind == "gll":
-            p = _integer(section, "encoder.p", 3, 1)
+            p = _integer(self.cfg, "encoder.p", 3, 1)
             return build_gll_encoder(quad_split(coarse), p)
         raise ConfigError(f"unknown encoder kind {kind!r}")
 
     @cached_property
+    def training_count(self) -> int:
+        return _integer(self.cfg, "reduction.training_count", 40, 1)
+
+    @cached_property
+    def greedy_args(self) -> tuple:
+        """(n_basis, gamma) of the weak greedy."""
+        gamma = _value(self.cfg, "reduction.gamma", 1.0)
+        return _integer(self.cfg, "reduction.n_basis", 8, 0), gamma
+
+    @cached_property
     def snapshots(self):
-        count = _integer(self.reduction, "reduction.training_count", 40, 1)
+        count = self.training_count
         return rb_mod.generate_snapshots(self.family, count, self.seed, self.space, self.problem)
 
     @cached_property
     def greedy(self):
         """(basis, greedy trace) of the training snapshots."""
-        red = self.reduction
-        n_basis = _integer(red, "reduction.n_basis", 8, 0)
-        return rb_mod.weak_greedy(self.snapshots, n_basis, red.get("gamma", 1.0))
+        n_basis, gamma = self.greedy_args
+        return rb_mod.weak_greedy(self.snapshots, n_basis, gamma)
 
     @cached_property
     def operator(self):
-        red = self.reduction
-        section = _section(self.cfg, "network")
-        epsilon = _number(section, "network.epsilon", 1e-2, lambda e: 0 < e < 1, "lie in (0, 1)")
-        return pipe_mod.build_operator(
-            self.family,
-            self.problem,
-            self.space,
-            _integer(red, "reduction.training_count", 40, 1),
-            _integer(red, "reduction.n_basis", 8, 0),
-            self.encoder,
-            epsilon,
-            self.seed,
-            gamma=red.get("gamma", 1.0),
-            beta_mode=self.beta_mode,
-        )
+        epsilon = _number(self.cfg, "network.epsilon", 1e-2, lambda e: 0 < e < 1, "lie in (0, 1)")
+        stages = (self.family, self.problem, self.space, self.training_count)  # checked in this order
+        n_basis, gamma = self.greedy_args
+        return pipe_mod.build_operator(*stages, n_basis, self.encoder, epsilon, self.seed, gamma=gamma)
 
     def test_coefficients(self, count_key: str, default: int, seed_offset: int):
         """Family members drawn with seed + seed_offset, as many as evaluation[count_key]."""
-        count = _integer(_section(self.cfg, "evaluation"), f"evaluation.{count_key}", default, 1)
+        count = _integer(self.cfg, f"evaluation.{count_key}", default, 1)
         return coeff_mod.sample_family(self.family, count, self.seed + seed_offset)
 
 
@@ -337,7 +330,7 @@ def cmd_eval(s: Setup, out_dir, hash_):
 
 
 def cmd_sweep(s: Setup, out_dir, hash_):
-    sweep = _section(s.cfg, "sweep", {"axis": "epsilon", "values": [1e-1, 1e-2, 1e-3]})
+    sweep = _value(s.cfg, "sweep", {"axis": "epsilon", "values": [1e-1, 1e-2, 1e-3]})
     if sweep.get("axis", "epsilon") != "epsilon":
         raise ConfigError("only epsilon sweeps are supported")
     values = sweep.get("values")
@@ -431,7 +424,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
-        seed = cfg.get("seed", 0) if args.seed is None else _integer(vars(args), "seed", None, 0)
+        seed = _integer(cfg if args.seed is None else vars(args), "seed", 0, 0)
         os.makedirs(args.out, exist_ok=True)
         _COMMANDS[args.command](Setup(cfg, seed), args.out, config_hash(cfg))
     except ConfigError as exc:

@@ -64,6 +64,7 @@ __all__ = [
 
 
 BUNDLE_FORMAT = 7  # written to certificates.json; load_bundle accepts only this
+BAND_TOL = 1e-9  # how far beta_tilde may exceed beta, in effective_beta and load_bundle
 
 
 class OperatorBuildError(ValueError):
@@ -78,21 +79,19 @@ class NeuralOperator:
     frame = "ortho"  # a class constant, not a field: the basis frame of approximator outputs
     encoder: Encoder
     approximator: ApproximatorBundle
-    basis: ReducedBasis
-    space: FemSpace
-    config: ProblemConfig
+    basis: ReducedBasis  # its space and config are the operator's
     beta_tilde: float  # effective_beta's envelope; approximator.report holds the rest of the chain
 
     @property
     def certificates(self) -> dict:
         """A new dict of the chain in certificates.json's key order (save_bundle appends two)."""
-        return _certificates(self.approximator.report, self.beta_tilde, self.config.beta,
+        return _certificates(self.approximator.report, self.beta_tilde, self.basis.config.beta,
                              self.basis.size - 1, self.encoder.m)
 
     @property
     def quadrature_channels(self) -> sp.csr_matrix:
         """The encoder's cached channel matrix at quadrature_points(space): encoding to samples."""
-        return self.encoder.channel_matrix(quadrature_points(self.space))
+        return self.encoder.channel_matrix(quadrature_points(self.basis.space))
 
 
 def _certificates(rep: BuildReport, beta_tilde: float, beta: float, n_basis: int, m: int) -> dict:
@@ -123,16 +122,14 @@ class ErrorReport:
         )
 
 
-def effective_beta(
-    encoder: Encoder, config: ProblemConfig, coefficients, beta_mode: str = "paper"
-) -> tuple[float, float]:
-    """Envelope beta_tilde of the encoded reconstructions and the beta it admits.
+def effective_beta(encoder: Encoder, config: ProblemConfig, coefficients) -> float:
+    """Envelope beta_tilde of the encoded reconstructions, checked against the band.
 
     beta_tilde is the Bernstein bound of reconstruction_envelope, an upper
     bound of the envelope over the whole domain (exact for P1). Aborts
     when it reaches alpha, since the reduced iteration then has no
-    contraction guarantee. Mode 'paper' keeps the configured beta and
-    rejects an envelope above it; mode 'measured' uses the envelope itself.
+    contraction guarantee, and when it exceeds the configured beta by more
+    than BAND_TOL: the certificate holds in the band alpha +- beta only.
     """
     values = np.stack([encoder.encode(a) for a in coefficients])
     beta_tilde = reconstruction_envelope(encoder, values, config.alpha)
@@ -141,16 +138,12 @@ def effective_beta(
             f"encoded reconstructions have envelope beta_tilde={beta_tilde:.6g} "
             f">= alpha={config.alpha:.6g}; refine the encoder"
         )
-    if beta_mode == "paper":
-        if beta_tilde > config.beta + 1e-9:
-            raise OperatorBuildError(
-                f"measured envelope {beta_tilde:.6g} exceeds beta={config.beta:.6g}; "
-                "use beta_mode='measured'"
-            )
-        return beta_tilde, config.beta
-    if beta_mode == "measured":
-        return beta_tilde, max(beta_tilde, 1e-6 * config.alpha)
-    raise ValueError("beta_mode must be 'paper' or 'measured'")
+    if beta_tilde > config.beta + BAND_TOL:
+        raise OperatorBuildError(
+            f"encoded reconstructions have envelope beta_tilde={beta_tilde:.6g} "
+            f"> beta={config.beta:.6g}; refine the encoder or raise beta"
+        )
+    return beta_tilde
 
 
 def build_operator(
@@ -167,18 +160,19 @@ def build_operator(
 ) -> NeuralOperator:
     """Snapshots, weak greedy, network assembly, certificate recording.
 
-    The envelope of the encoded training reconstructions sets the effective
-    beta (see effective_beta), which may abort the build.
+    The network is certified in the configured band alpha +- beta, which effective_beta
+    checks the encoded training reconstructions against; it may abort the build. beta_mode
+    must be "paper", the only mode, or ValueError is raised.
     """
+    if beta_mode != "paper":
+        raise ValueError(f"beta_mode must be 'paper', got {beta_mode!r}")
     if n_basis > training_count:
         raise OperatorBuildError("basis size cannot exceed the training count")
     snapshots = generate_snapshots(family, training_count, seed, space, config)
     basis, _ = weak_greedy(snapshots, n_basis, gamma)
-    beta_tilde, beta_eff = effective_beta(
-        encoder, config, snapshots.coefficients, beta_mode
-    )
-    approximator = build_approximator(basis, space, config, encoder, epsilon, beta_eff=beta_eff)
-    return NeuralOperator(encoder, approximator, basis, space, config, beta_tilde)
+    beta_tilde = effective_beta(encoder, config, snapshots.coefficients)
+    approximator = build_approximator(basis, space, config, encoder, epsilon)
+    return NeuralOperator(encoder, approximator, basis, beta_tilde)
 
 
 def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
@@ -213,7 +207,7 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
     samples, one column of weight 1. Both are richardson.direct_solve calls, and the
     fine solve starts from that u_N; network_solutions gives the rest.
     """
-    space, config, points = op.space, op.config, quadrature_points(op.space)
+    space, config, points = op.basis.space, op.basis.config, quadrature_points(op.basis.space)
     coefficients = list(test_coefficients)
     report = ErrorReport()
     for a, u_recon, u_net in zip(coefficients, *network_solutions(op, coefficients)):
@@ -267,7 +261,7 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     if depth != 1:
         raise ValueError(f"a nonsmooth operator cannot be saved: its input net has depth {depth}")
     os.makedirs(directory, exist_ok=True)
-    write_mesh(op.space.mesh, os.path.join(directory, "mesh.txt"))
+    write_mesh(op.basis.space.mesh, os.path.join(directory, "mesh.txt"))
     write_mesh(op.encoder.mesh, os.path.join(directory, "encoder_mesh.txt"))
     [(w, b)] = op.approximator.encoder_input.layers
     for name, array in (("basis.npy", op.basis.ortho), ("shift.npy", op.basis.nominal.shift),
@@ -275,7 +269,7 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
         np.save(os.path.join(directory, name), array, allow_pickle=False)
     with open(os.path.join(directory, "encoder.json"), "w") as fh:
         fh.write(encoder_to_json(op.encoder))
-    meta = {**op.certificates, "bundle_format": BUNDLE_FORMAT, "fem_degree": op.space.degree}
+    meta = {**op.certificates, "bundle_format": BUNDLE_FORMAT, "fem_degree": op.basis.space.degree}
     with open(os.path.join(directory, "certificates.json"), "w") as fh:
         fh.write(json.dumps(meta, indent=1))
 
@@ -315,13 +309,13 @@ def load_bundle(directory: str) -> LoadedOperator:
     encoder_from_json rebuilds the encoder from encoder.json on encoder_mesh.txt;
     certified_approximator re-derives K, the budgets, Z_A, the step net and the report from
     input.npy's input net, shift.npy and the stored alpha, beta_eff, ||f|| and epsilon. Raises
-    ValueError, naming the file or key, for another bundle format, a malformed document or
-    .npy file (see _read_npy), widths that do not fit, a band (beta, beta_tilde, beta_eff) that
-    effective_beta gives for no build, a fem_degree other than the int 1 or 2, and a
-    certificates.json key missing, unknown or not the re-derived value; LoadedOperator's
-    certificates are those values and fem_degree. This checks consistency, not provenance: the
-    bundle stores neither a0 nor f, so input.npy, shift.npy, ||f|| and basis.npy are taken as
-    given, and edits that keep them consistent with each other load.
+    ValueError, naming the file or key, for another bundle format, a malformed document or .npy
+    file (see _read_npy), widths that do not fit, a band no build certifies (other than 0 <
+    beta = beta_eff < alpha and 0 <= beta_tilde <= beta + BAND_TOL), a fem_degree other than
+    the int 1 or 2, and a certificates.json key missing, unknown or not the re-derived value;
+    LoadedOperator's certificates are those values and fem_degree. This checks consistency, not
+    provenance: the bundle stores neither a0 nor f, so input.npy, shift.npy, ||f|| and basis.npy
+    are taken as given, and edits that keep them consistent with each other load.
     """
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
@@ -335,9 +329,8 @@ def load_bundle(directory: str) -> LoadedOperator:
     if type(meta.get("fem_degree")) is not int or meta["fem_degree"] not in (1, 2):
         raise ValueError(f"bundle has fem_degree {meta.get('fem_degree')!r}, not the int 1 or 2")
     alpha, beta, beta_tilde, beta_eff = map(meta.get, ("alpha", "beta", "beta_tilde", "beta_eff"))
-    paper = beta_eff == beta and beta_tilde <= beta + 1e-9  # effective_beta's two modes
-    if not (0 < beta < alpha and 0 <= beta_tilde < alpha
-            and (paper or beta_eff == max(beta_tilde, 1e-6 * alpha))):
+    if not (0 < beta < alpha and 0 <= beta_tilde < alpha and beta_eff == beta
+            and beta_tilde <= beta + BAND_TOL):
         raise ValueError(f"bundle has beta {beta!r}, beta_tilde {beta_tilde!r} and beta_eff "
                          f"{beta_eff!r}, which no build at alpha {alpha!r} gives")
     enc_mesh = read_mesh(os.path.join(directory, "encoder_mesh.txt"))

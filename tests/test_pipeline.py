@@ -109,7 +109,7 @@ class TestEffectiveBeta:
             return C.CoefficientField(lambda pts: queried.append(pts) or a(pts))
 
         members = C.sample_family(family, 4, 61)
-        beta_tilde, _ = P.effective_beta(enc, config, [recording(a) for a in members])
+        beta_tilde = P.effective_beta(enc, config, [recording(a) for a in members])
         assert enc.queried == [] and enc.built == []
         assert len(queried) == 4 and all(np.array_equal(q, base.query_points) for q in queried)
         values = np.stack([base.encode(a) for a in members])
@@ -180,24 +180,22 @@ class TestBuildOperator:
     def test_paper_mode_rejects_band_leaving_reconstructions(
         self, family, space, config, nodal_encoder
     ):
-        # stub encoder whose reconstructions leave the beta band but stay in
-        # the cone: paper-beta certificates are refused, measured ones work
+        # stub encoder whose reconstructions leave the beta band but stay in the cone:
+        # the certificate holds in the band alpha +- beta only, so the build is refused
         enc = _AmplifyingEncoder(nodal_encoder, 1.5)
-        with pytest.raises(P.OperatorBuildError):
-            P.build_operator(
-                family, config, space, 8, 3, enc, 1e-1, seed=2, beta_mode="paper"
-            )
-        op = P.build_operator(
-            family, config, space, 8, 3, enc, 1e-1, seed=2, beta_mode="measured"
-        )
-        assert config.beta < op.certificates["beta_tilde"] < config.alpha
-        assert op.certificates["beta_eff"] >= op.certificates["beta_tilde"]
+        with pytest.raises(P.OperatorBuildError, match="> beta"):
+            P.build_operator(family, config, space, 8, 3, enc, 1e-1, seed=2)
 
     def test_build_aborts_when_cone_is_left(self, family, space, config, nodal_encoder):
         enc = _AmplifyingEncoder(nodal_encoder, 4.0)
-        with pytest.raises(P.OperatorBuildError):
+        with pytest.raises(P.OperatorBuildError, match=">= alpha"):
+            P.build_operator(family, config, space, 8, 3, enc, 1e-1, seed=2)
+
+    def test_refuses_any_mode_but_paper(self, family, space, config, nodal_encoder):
+        # the configured band is the only certified one: the sample-maximum mode is gone
+        with pytest.raises(ValueError, match="beta_mode"):
             P.build_operator(
-                family, config, space, 8, 3, enc, 1e-1, seed=2, beta_mode="measured"
+                family, config, space, 8, 3, nodal_encoder, 1e-1, seed=2, beta_mode="measured"
             )
 
 
@@ -342,7 +340,9 @@ class TestErrorDecomposition:
         P.error_decomposition(op, members)
         P.error_decomposition(op, members)
         assert len(op.encoder.built) == 1
-        assert op.quadrature_channels is op.encoder.channel_matrix(F.quadrature_points(op.space))
+        assert op.quadrature_channels is op.encoder.channel_matrix(
+            F.quadrature_points(op.basis.space)
+        )
 
     def test_matches_dense_channel_computation(self, operator, family, space, config):
         op, frame = operator, operator.frame
@@ -381,7 +381,7 @@ class TestNetworkSolutions:
         # reads it; the members' point table makes one stack, shared by later decompositions
         enc, blocks = _CountingEncoder(nodal_encoder), stack_builds
         op = P.build_operator(family, config, space, 8, 3, enc, 1e-1, seed=2)
-        n_qp = len(F.quadrature_points(op.space))
+        n_qp = len(F.quadrature_points(op.basis.space))
         assert blocks == [(n_qp, enc.m)]
         members = C.sample_family(family, 3, 53)
         enc.encoded.clear(), blocks.clear()
@@ -445,7 +445,7 @@ class TestSampledFields:
         # so these terms keep their bits
         op, a = operator, sampled_fields[name]
         assert "table" not in a.meta
-        space, config = op.space, op.config
+        space, config = op.basis.space, op.basis.config
         u_reduced = RB.synthesize(op.basis, R.direct_solve(op.basis, a), frame="ortho")
         u_fine = F.galerkin_solve(space, config, a, start=u_reduced)
         tot, t1, _, _ = P.error_decomposition(op, [a]).rows()[0]
@@ -457,7 +457,7 @@ class TestSampledFields:
     ):
         # the decomposition starts the fine solve from the reduced solution u_N, which is
         # within the truncation error of u_h, so CG has less residual to remove
-        op, space, config = operator, operator.space, operator.config
+        op, space, config = operator, operator.basis.space, operator.basis.config
         members = [*C.sample_family(family, 4, 137), *sampled_fields.values()]
         cold, warm = [], []
         for a in members:
@@ -555,7 +555,8 @@ class TestBundle:
                 "matrix_bound", "bundle_format", "fem_degree",
             ]
         loaded = P.load_bundle(str(tmp_path))
-        want = {**operator.certificates, "bundle_format": 7, "fem_degree": operator.space.degree}
+        degree = operator.basis.space.degree
+        want = {**operator.certificates, "bundle_format": 7, "fem_degree": degree}
         assert loaded.certificates == want
         assert loaded.approximator.report == operator.approximator.report
 
@@ -564,8 +565,8 @@ class TestBundle:
         loaded = P.load_bundle(str(tmp_path))
         mesh = M.read_mesh(os.path.join(tmp_path, "mesh.txt"))
         space = F.build_space(mesh, loaded.certificates["fem_degree"])
-        assert np.array_equal(space.free_dofs, operator.space.free_dofs)
-        assert np.array_equal(space.dof_coords, operator.space.dof_coords)
+        assert np.array_equal(space.free_dofs, operator.basis.space.free_dofs)
+        assert np.array_equal(space.dof_coords, operator.basis.space.dof_coords)
         assert space.n_free == loaded.synthesis.shape[0]
         assert len(loaded.evaluate(C.sample_family(family, 1, 97)[0])) == space.n_free
 
@@ -688,14 +689,16 @@ class TestBundle:
             {"beta_tilde": 0.6},
             {"beta_tilde": None},
             {"beta_tilde": True},
+            {"beta_eff": 0.3345, "beta_tilde": 0.3345},
         ],
         ids=["beta_tilde_above_alpha", "beta_string", "beta_eff_neither_mode", "unknown_key",
              "beta_at_alpha", "beta_zero", "beta_tilde_negative", "beta_tilde_above_beta",
-             "beta_tilde_null", "beta_tilde_bool"],
+             "beta_tilde_null", "beta_tilde_bool", "beta_eff_sample_maximum"],
     )
     def test_rejects_edited_band(self, operator, tmp_path, edit):
-        # the operator is built in paper mode, beta = beta_eff = 0.5 on alpha = 1; an edit
-        # to the band that effective_beta would not give, or a key no build writes, is refused
+        # the operator is certified in the band beta = beta_eff = 0.5 on alpha = 1; an edit
+        # to the band that effective_beta would not give, or a key no build writes, is refused.
+        # beta_eff_sample_maximum is a network sized to a training-sample envelope below beta
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / "certificates.json"
         meta = json.loads(path.read_text())
@@ -723,17 +726,6 @@ class TestBundle:
         path.write_text(json.dumps({**json.loads(path.read_text()), "fem_degree": degree}))
         with pytest.raises(ValueError, match="fem_degree"):
             P.load_bundle(str(tmp_path))
-
-    def test_measured_mode_bundle_loads(self, family, config, space, nodal_encoder, tmp_path):
-        # measured mode stores beta_eff = max(beta_tilde, 1e-6 alpha), below the configured beta
-        op = P.build_operator(
-            family, config, space, 8, 3, nodal_encoder, 1e-1, seed=2, beta_mode="measured"
-        )
-        P.save_bundle(op, str(tmp_path))
-        loaded = P.load_bundle(str(tmp_path))
-        assert loaded.certificates["beta_eff"] == op.beta_tilde < config.beta
-        a = C.sample_family(family, 1, 96)[0]
-        assert np.array_equal(loaded.evaluate(a), P.evaluate(op, a))
 
     def test_input_and_shift_npy_hold_the_input_net_and_shift_bit_for_bit(
         self, operator, tmp_path

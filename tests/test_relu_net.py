@@ -567,7 +567,8 @@ class TestPerEntryBox:
         # input net, and load_bundle rebuilds it layer for layer
         app, report = operator.approximator, operator.approximator.report
         n = app.step.n_outputs
-        z = NN.interval_entry_bounds(app.encoder_input, operator.config.alpha, report.beta_eff)
+        alpha = operator.basis.config.alpha
+        z = NN.interval_entry_bounds(app.encoder_input, alpha, report.beta_eff)
         assert report.matrix_bound == float(z.max())
         z = z.reshape(n, n, order="F")
         bound, eps = app.report.input_bound, app.eps_step
@@ -716,7 +717,7 @@ def approximators(bundle, lab, square):
     """(approximator, encoder) by kind; nonsmooth_operator's input net has depth 3."""
     basis, space, config, nodal = lab["basis"], lab["space"], lab["config"], lab["encoder"]
     gll = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
-    op = P.NeuralOperator(nodal, bundle, basis, space, config, beta_tilde=config.beta)
+    op = P.NeuralOperator(nodal, bundle, basis, beta_tilde=config.beta)
     return {
         "nodal": (bundle, nodal),
         "gll": (NN.build_approximator(basis, space, config, gll, 1e-2), gll),
