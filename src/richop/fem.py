@@ -22,8 +22,10 @@ The one solver is CG preconditioned by the sparse factorization of K(1), cached
 with the Assembly, rescaled symmetrically to the diagonal of the matrix solved
 (van der Sluis 1969): z = s^-1 * K(1)^-1 (s^-1 * r) with
 s = sqrt(diag K(a) / diag K(1)), and every product with K(a) a csr_matvec on the
-cached pattern. Every solve uses it: snapshots, the anchor, the dual norm and
-the decomposition's fine solves, which start from the reduced solution u_N.
+cached pattern (Assembly.product), energy norms' products with K(a0) too; a
+Galerkin solve reads K(a)'s pattern data and builds no csr_matrix. Every solve
+uses it: snapshots, the anchor, the dual norm and the decomposition's fine
+solves, which start from the reduced solution u_N.
 Admissible coefficients lie in [alpha - beta, alpha + beta], so the unscaled
 factor would bound the condition number by (alpha + beta) / (alpha - beta) on
 every mesh; that bound does not carry over to the scaled one. On smooth
@@ -427,7 +429,9 @@ def galerkin_solve(
     """Discrete solution of b(a; u, v) = (f, v) on the space, free dofs only.
 
     a is a field, or its samples at quadrature_points(space). The load is the
-    cached one of nominal(space, config). CG on K(a)'s pattern data starts from
+    cached one of nominal(space, config). CG on K(a)'s pattern data, the mirrored
+    upper data of one product with the cached Assembly (the .data of
+    assemble_stiffness_samples, without building its csr_matrix), starts from
     start (a finite free-dof vector, else ValueError) or zero, preconditioned by
     the cached factor of K(1) scaled to diag K(a); its recurrence stops at relative
     residual 1e-14, and the true relative residual is guaranteed at most 1e-10.
@@ -440,13 +444,16 @@ def galerkin_solve(
             f"coefficient range [{lo:.6g}, {hi:.6g}] outside "
             f"[{config.alpha - config.beta:.6g}, {config.alpha + config.beta:.6g}]"
         )
-    data = assemble_stiffness_samples(space, samples).data
-    return _cg(assembly(space), data, nominal(space, config).load, _SOLVE_TOL, start)
+    asm = assembly(space)
+    data = (asm.stiffness @ samples)[asm.mirror]
+    return _cg(asm, data, nominal(space, config).load, _SOLVE_TOL, start)
 
 
 def energy_norm(space: FemSpace, config: ProblemConfig, v: np.ndarray) -> float:
-    """Nominal energy norm sqrt(v' K(a0) v), with K(a0) read from nominal(space, config)."""
-    val = float(v @ (nominal(space, config).stiffness @ v))
+    """Nominal energy norm sqrt(v' K(a0) v), with K(a0) read from nominal(space, config);
+    K(a0) v is Assembly.product on its data, bit for bit the csr_matrix product."""
+    v = np.asarray(v, dtype=float)
+    val = float(v @ assembly(space).product(nominal(space, config).stiffness.data, v))
     return float(np.sqrt(max(val, 0.0)))
 
 

@@ -360,7 +360,8 @@ def _carrying(step: NeuralNet) -> NeuralNet:
 
 
 def _entry_net(n: int) -> NeuralNet:
-    """The affine injection vec(A) -> (vec(A), e1) that the first step reads."""
+    """The affine injection vec(A) -> (vec(A), e1) that the first step reads: n * n unit
+    weights and one unit bias, the layer counts certified_approximator states."""
     inject_w = sp.vstack([sp.eye(n * n), sp.csr_matrix((n, n * n))])
     inject_b = np.zeros(n * n + n)
     inject_b[n * n] = 1.0
@@ -549,7 +550,7 @@ def certified_approximator(
     step = step_net(n, z_tilde, eps_step, shift, matrix_bound=z.reshape(n, n, order="F"))
     step_counts = _layer_counts(step)
     carry_counts = [(w + 2 * n * n, b) for w, b in step_counts]
-    inject_counts = _layer_counts(_entry_net(n))
+    inject_counts = [(n * n, 1)]  # _layer_counts(_entry_net(n)), without building it
     input_counts = _layer_counts(encoder_input)
     net = _unroll(input_counts, step_counts, carry_counts, k_steps, inject_counts, _concat_counts)
     report = BuildReport(

@@ -10,7 +10,10 @@ basis per read-only block. B_v is linear in v, so a v that is a weighted sum of
 a block's columns (an encoded reconstruction, an affine family member, one
 field's samples with weight 1) has B_v = sum_k w_k S[k]. direct_solve, the
 dense solution of B_v c = f_N, has that one path; iteration_matrix and
-relu_net.input_net read the same kernel. The iteration contracts with
+relu_net.input_net read the same kernel. direct_solve factors each B_v by
+LAPACK's symmetric-indefinite LDL^T (dsytrf, dsytrs, dsycon) called directly:
+the routines scipy.linalg.solve(..., assume_a="sym") runs, with its checks and
+its bits, without its per-call front end. The iteration contracts with
 factor beta/alpha on the admissible cone and its step count for a target
 accuracy follows a closed-form ceiling rule.
 """
@@ -18,10 +21,13 @@ accuracy follows a closed-form ceiling rule.
 from __future__ import annotations
 
 import math
+import warnings
+from functools import cache
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .coeff import CoefficientField, _per_points
 from .fem import MembershipError, _sample_coefficient, assembly
@@ -100,11 +106,49 @@ def reduced_energy_error(basis: ReducedBasis, c: np.ndarray, c_ref: np.ndarray) 
     return float(np.sqrt(max(d @ (basis.nominal.b0 @ d), 0.0)))
 
 
+_EPS = float(np.finfo(float).eps)  # the rcond below which a reduced solve warns
+
+
+@cache  # one entry per basis size
+def _sym_layout(n: int) -> tuple:
+    """The read-only upper-triangle mask of an n x n matrix and dsytrf's queried workspace."""
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    upper.flags.writeable = False
+    return upper, int(lapack.dsytrf_lwork(n)[0])
+
+
+def _sym_solve(b: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """b^-1 load read from the upper triangle of b, bit for bit la.solve(b, load,
+    assume_a="sym"): dsytrf with the queried workspace, then dsytrs, and dsycon on the
+    1-norm of the upper triangle mirrored; a 1 x 1 b is load / b, la.solve's scalar path.
+    Its checks too: ValueError for a non-finite entry of b, LinAlgError for an exactly
+    singular b, LinAlgWarning when the estimated rcond is below machine epsilon."""
+    if not np.isfinite(b).all():
+        raise ValueError("a reduced matrix must not contain infs or NaNs")
+    n = len(load)
+    if n == 1:
+        if b[0, 0] == 0.0:
+            raise la.LinAlgError("the 1 x 1 reduced matrix is singular")
+        return load / b[0, 0]
+    upper, lwork = _sym_layout(n)
+    ldu, pivots, info = lapack.dsytrf(b, lwork=lwork)
+    if info > 0:
+        raise la.LinAlgError(f"the reduced matrix is singular: D[{info - 1}] is zero")
+    solved, _ = lapack.dsytrs(ldu, pivots, load)
+    rcond, _ = lapack.dsycon(ldu, pivots, lapack.dlange("1", np.where(upper, b, b.T)))
+    if rcond < _EPS:
+        warnings.warn(f"ill-conditioned reduced matrix: rcond = {rcond}", la.LinAlgWarning,
+                      stacklevel=2)
+    return solved
+
+
 def direct_solve(basis: ReducedBasis, v, weights=None) -> np.ndarray:
     """Dense solutions of B_j c = f_N, (J, N) for weights (J, M) on a block v of sample
     columns: B_j = sum_k weights[j, k] S[k], S = reduced_stiffness(basis, v), by the same
     product whatever the other rows, so row j is the call with weights[j:j + 1]. Without
-    weights, v is a field or its samples, solved as one column of weight 1: (N,)."""
+    weights, v is a field or its samples, solved as one column of weight 1: (N,). Each B_j
+    is solved by LAPACK's LDL^T of its upper triangle, bit for bit la.solve(B_j, f_N,
+    assume_a="sym"), with its errors and warnings (see _sym_solve)."""
     field = weights is None
     if field:
         v, weights = _sample_coefficient(basis.space, v)[:, None], [[1.0]]
@@ -114,5 +158,5 @@ def direct_solve(basis: ReducedBasis, v, weights=None) -> np.ndarray:
         raise ValueError(f"weights of shape {weights.shape} for a block of {len(stack)} columns")
     flat = stack.reshape(len(stack), len(load) ** 2)  # -1 is undefined for an empty block
     b = [np.reshape(w @ flat, stack.shape[1:]) for w in weights]
-    solved = np.reshape([la.solve(b_j, load, assume_a="sym") for b_j in b], (-1, len(load)))
+    solved = np.reshape([_sym_solve(b_j, load) for b_j in b], (-1, len(load)))
     return solved[0] if field else solved

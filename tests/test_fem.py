@@ -285,6 +285,19 @@ class TestGalerkinSolve:
         with pytest.raises(F.MembershipError):
             F.galerkin_solve(space, config, outside)
 
+    def test_equals_cg_on_the_assembled_matrix_data(self, space, config, family):
+        # galerkin_solve mirrors the stiffness data itself instead of building the
+        # csr_matrix of assemble_stiffness_samples; CG sees the same array either way
+        a = C.sample_family(family, 1, 41)[0]
+        samples = a(F.quadrature_points(space))
+        data = F.assemble_stiffness_samples(space, samples).data
+        load = F.nominal(space, config).load
+        cold = F._cg(F.assembly(space), data, load, F._SOLVE_TOL)
+        assert np.array_equal(F.galerkin_solve(space, config, a), cold)
+        start = 0.9 * cold + 1e-3
+        warm = F._cg(F.assembly(space), data, load, F._SOLVE_TOL, start)
+        assert np.array_equal(F.galerkin_solve(space, config, samples, start=start), warm)
+
 
 class TestPreconditionedCg:
     """Galerkin solves: CG preconditioned by the cached factorization of K(1),
@@ -430,6 +443,13 @@ class TestEnergyNorm:
         v = rng.standard_normal(space.n_free)
         direct = element_h1_seminorm_sq(space, v)
         assert abs(F.energy_norm(space, config, v) ** 2 - direct) <= 1e-10 * direct
+
+    def test_equals_the_csr_matrix_product(self, space, config, k0, rng):
+        # Assembly.product runs the csr_matvec of k0 @ v on the same arrays, strided
+        # columns of a block included
+        block = rng.standard_normal((space.n_free, 3))
+        for v in (block[:, 0], block[:, 1], np.zeros(space.n_free), -block[:, 2]):
+            assert F.energy_norm(space, config, v) == np.sqrt(max(v @ (k0 @ v), 0.0))
 
 
 class TestDualNorm:

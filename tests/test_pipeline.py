@@ -122,20 +122,21 @@ class TestBuildOperator:
     ):
         space = F.build_space(square_mesh, 1)
         geometry, assemblies = [], []
-        real_geometry, real_samples = F._geometry, F.assemble_stiffness_samples
+        real_geometry, real_assembly = F._geometry, F.assembly
 
         def counting_geometry(s):
             geometry.append(s)
             return real_geometry(s)
 
-        def counting_samples(s, samples):
+        def counting_assembly(s):
             assemblies.append(s)
-            return real_samples(s, samples)
+            return real_assembly(s)
 
         monkeypatch.setattr(F, "_geometry", counting_geometry)
-        monkeypatch.setattr(F, "assemble_stiffness_samples", counting_samples)
+        monkeypatch.setattr(F, "assembly", counting_assembly)
         P.build_operator(family, config, space, 8, 3, nodal_encoder, 1e-1, seed=2)
-        assert len(assemblies) >= 8  # one per training snapshot at least
+        # every training snapshot's Galerkin solve reads the Assembly at least once
+        assert len(assemblies) >= 8 and all(s is space for s in assemblies)
         assert len(geometry) == 1 and geometry[0] is space  # one Assembly per space
 
     def test_nominal_only_family_reproduces_anchor(self, space, config, nodal_encoder):
@@ -371,6 +372,22 @@ class TestErrorDecomposition:
         v = RB.synthesize(operator.basis, c, frame="ortho")
         back = operator.basis.ortho.T @ (operator.basis.nominal_stiffness @ v)
         assert np.max(np.abs(back - c)) < 1e-10
+
+
+class TestVerifyPath:
+    def test_decomposition_never_calls_the_dense_front_end(
+        self, operator, family, sampled_fields, monkeypatch
+    ):
+        # the reduced solves run LAPACK directly, so a scipy.linalg.solve that refuses
+        # every call changes nothing: the path cannot drift back onto the front end
+        members = [*C.sample_family(family, 2, 149), sampled_fields["from_callable"]]
+        expected = P.error_decomposition(operator, members).rows()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.solve on the verification path")
+
+        monkeypatch.setattr(la, "solve", refuse)
+        assert P.error_decomposition(operator, members).rows() == expected
 
 
 class TestNetworkSolutions:

@@ -868,6 +868,11 @@ class TestApproximator:
         assert bundle.report.depth == 2 + bundle.k_steps * bundle.step.depth
         assert bundle.report.size == bundle.net.size
 
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_injection_counts_are_the_entry_nets(self, n):
+        # certified_approximator states these counts instead of building the net
+        assert NN._layer_counts(NN._entry_net(n)) == [(n * n, 1)]
+
     def test_size_monotone_in_accuracy(self, lab):
         sizes = []
         depths = []

@@ -1,4 +1,7 @@
 import dataclasses
+import glob
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from richop import cli
 from richop import coeff as C
 from richop import fem as F
 from richop import mesh as M
@@ -229,6 +233,95 @@ class TestWeightedSolve:
         assert table.shape[1] == 5
         with pytest.raises(ValueError, match="weights"):
             R.direct_solve(basis, table, np.ones(shape))
+
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
+
+
+def _outcome(solve):
+    """What one solve gives: its solution or its error's type, and its LinAlgWarning count."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = solve()
+        except ValueError as exc:  # LinAlgError is a ValueError
+            result = type(exc)
+    return result, sum(issubclass(w.category, la.LinAlgWarning) for w in caught)
+
+
+def _same(got, expected):
+    (x, x_warned), (y, y_warned) = got, expected
+    same = x is y if isinstance(y, type) else not isinstance(x, type) and np.array_equal(x, y)
+    return same and x_warned == y_warned
+
+
+class TestSymmetricSolve:
+    """direct_solve's LDL^T through LAPACK against the la.solve(..., assume_a="sym") it replaces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 13, 70])  # 70: dsytrf's blocked path
+    @pytest.mark.parametrize("kind", ["spd", "indefinite"])
+    def test_random_systems_equal_la_solve(self, n, kind):
+        rng = np.random.default_rng(1000 * n + len(kind))
+        for _ in range(40):
+            m = rng.standard_normal((n, n))
+            b = m @ m.T + n * np.eye(n) if kind == "spd" else m + m.T
+            b += 1e-14 * rng.standard_normal((n, n))  # not exactly symmetric, like P^T K P
+            load = rng.standard_normal(n)
+            assert np.array_equal(R._sym_solve(b, load), la.solve(b, load, assume_a="sym"))
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+    def test_committed_stacks_equal_la_solve(self, path):
+        # every slice of the channel stack (and of a family's point-table stack) alone, then
+        # the encodings of family members: direct_solve row by row against la.solve of the
+        # same B_j, warnings included (boundary channels give near-singular slices)
+        s = cli.Setup(cli.load_config(path), 0)
+        basis, points = s.greedy[0], F.quadrature_points(s.space)
+        members = C.sample_family(s.family, 3, 11)
+        blocks = [(s.encoder.channel_matrix(points), [s.encoder.encode(a) for a in members])]
+        if "table" in members[0].meta:
+            blocks.append((members[0].meta["table"](points), [a.meta["weights"] for a in members]))
+        for block, weights in blocks:
+            stack, load = R.reduced_stiffness(basis, block), basis.nominal.load
+            flat = stack.reshape(len(stack), -1)
+            for w in [*np.eye(len(stack)), *weights]:
+                b = np.reshape(w @ flat, stack.shape[1:])
+                got = _outcome(lambda: R.direct_solve(basis, block, [w])[0])
+                assert _same(got, _outcome(lambda: la.solve(b, load, assume_a="sym")))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_a_value_error(self, n, bad):
+        b = np.eye(n)
+        b[0, n - 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            R._sym_solve(b, np.ones(n))
+        with pytest.raises(ValueError):
+            la.solve(b, np.ones(n), assume_a="sym")
+
+    @pytest.mark.parametrize("make, n", [("zeros", 1), ("zeros", 2), ("zeros", 5),
+                                         ("ones", 2), ("ones", 5)])
+    def test_exactly_singular_is_a_lin_alg_error(self, make, n):
+        b = getattr(np, make)((n, n))
+        with pytest.raises(la.LinAlgError):
+            R._sym_solve(b, np.ones(n))
+        assert _same(_outcome(lambda: R._sym_solve(b, np.ones(n))),
+                     _outcome(lambda: la.solve(b, np.ones(n), assume_a="sym")))
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_near_singular_warns(self, n):
+        b, load = np.diag([1.0] * (n - 1) + [1e-17]), np.arange(1.0, n + 1)
+        with pytest.warns(la.LinAlgWarning, match="rcond"):
+            x = R._sym_solve(b, load)
+        assert _same((x, 1), _outcome(lambda: la.solve(b, load, assume_a="sym")))
+
+    def test_upper_triangle_decides_the_rcond_check(self):
+        # la.solve reads only the upper triangle, its condition estimate included: a large
+        # lower entry neither changes the solution nor raises a warning
+        b, load = np.array([[1.0, 0.0], [100.0, 1e-15]]), np.ones(2)
+        assert _same(_outcome(lambda: R._sym_solve(b, load)),
+                     _outcome(lambda: la.solve(b, load, assume_a="sym")))
+        assert _outcome(lambda: R._sym_solve(b, load))[1] == 0
+
 
 def _hand_reduced_matrix(space, columns, v):
     mesh = space.mesh
