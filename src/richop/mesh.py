@@ -205,9 +205,26 @@ def _lagrange_dofs(mesh: Mesh, degree: int):
     return coords, np.hstack([mesh.triangles, n + cell_edges]), boundary
 
 
+def _mesh_arrays(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
+    """nodes as float (n, 2) and triangles as int64 (t, 3); MeshError unless every node is
+    finite and every triangle holds three integer indices in [0, n) (numpy would wrap a
+    negative index to the last nodes)."""
+    nodes, triangles = np.asarray(nodes, dtype=float), np.asarray(triangles)
+    if not (nodes.ndim == 2 and nodes.shape[1] == 2):
+        raise MeshError(f"nodes must be (n, 2) floats, got shape {nodes.shape}")
+    if not np.isfinite(nodes).all():
+        raise MeshError("a node coordinate is not finite")
+    if not (triangles.ndim == 2 and triangles.shape[1] == 3 and triangles.dtype.kind in "iu"):
+        raise MeshError(f"triangles must be (t, 3) integers, got {triangles.dtype} "
+                        f"{triangles.shape}")
+    if triangles.size and not (triangles.min() >= 0 and triangles.max() < len(nodes)):
+        raise MeshError(f"triangle indices must lie in [0, {len(nodes)}), got "
+                        f"{triangles.min()} to {triangles.max()}")
+    return nodes, triangles.astype(np.int64, copy=False)
+
+
 def _build_mesh(nodes: np.ndarray, triangles: np.ndarray) -> Mesh:
-    nodes = np.asarray(nodes, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
+    nodes, triangles = _mesh_arrays(nodes, triangles)
     areas = 0.5 * _affine_maps(nodes, triangles)[3]
     flip = areas < 0
     if np.any(flip):

@@ -30,7 +30,7 @@ from .fem import (
     galerkin_solve,
     quadrature_points,
 )
-from .mesh import read_mesh, write_mesh
+from .mesh import MeshError, _build_mesh, _mesh_arrays
 from .reduced_basis import (
     ReducedBasis,
     generate_snapshots,
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 
-BUNDLE_FORMAT = 7  # written to certificates.json; load_bundle accepts only this
+BUNDLE_FORMAT = 8  # written to certificates.json; load_bundle accepts only this
 BAND_TOL = 1e-9  # how far beta_tilde may exceed beta, in effective_beta and load_bundle
 
 
@@ -247,13 +247,15 @@ def nonsmooth_operator(op: NeuralOperator, a_min: float) -> NeuralOperator:
 
 
 def save_bundle(op: NeuralOperator, directory: str) -> None:
-    """Operator bundle: meshes, encoder JSON, three .npy arrays, certificates JSON.
+    """Operator bundle: seven .npy arrays, encoder JSON, certificates JSON.
 
-    np.save without pickles writes the float64 bits exactly, the same bytes on every save:
-    basis.npy is op.basis.ortho, input.npy the input net's one layer, its dense (N^2, M) weights
-    then the bias column, and shift.npy the shift g; load_bundle re-derives the rest. mesh.txt,
-    which no loader reads, records the output space: the rows of basis.npy are the free dofs of
-    build_space(read_mesh(mesh.txt), fem_degree). certificates.json is op.certificates and
+    np.save without pickles writes the bits exactly, the same bytes on every save: basis.npy is
+    op.basis.ortho, input.npy the input net's one layer, its dense (N^2, M) weights then the
+    bias column, shift.npy the shift g, and <mesh>_nodes.npy (float64 (n, 2)) and
+    <mesh>_triangles.npy (int64 (t, 3)) the nodes and triangles of the output mesh ("mesh") and
+    of the encoder's ("encoder_mesh"); load_bundle re-derives the rest. The two mesh_*.npy files
+    record the output space: the rows of basis.npy are the free dofs of build_space(mesh,
+    fem_degree) on the mesh _build_mesh makes of them. certificates.json is op.certificates and
     bundle_format and fem_degree. An input net of depth other than 1 (a nonsmooth operator's)
     is refused: interval_entry_bounds cannot re-derive the box Z from it.
     """
@@ -261,11 +263,12 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     if depth != 1:
         raise ValueError(f"a nonsmooth operator cannot be saved: its input net has depth {depth}")
     os.makedirs(directory, exist_ok=True)
-    write_mesh(op.basis.space.mesh, os.path.join(directory, "mesh.txt"))
-    write_mesh(op.encoder.mesh, os.path.join(directory, "encoder_mesh.txt"))
     [(w, b)] = op.approximator.encoder_input.layers
-    for name, array in (("basis.npy", op.basis.ortho), ("shift.npy", op.basis.nominal.shift),
-                        ("input.npy", np.column_stack([w.toarray(), b]))):
+    arrays = {"basis.npy": op.basis.ortho, "shift.npy": op.basis.nominal.shift,
+              "input.npy": np.column_stack([w.toarray(), b])}
+    for prefix, mesh in (("mesh", op.basis.space.mesh), ("encoder_mesh", op.encoder.mesh)):
+        arrays |= {f"{prefix}_nodes.npy": mesh.nodes, f"{prefix}_triangles.npy": mesh.triangles}
+    for name, array in arrays.items():
         np.save(os.path.join(directory, name), array, allow_pickle=False)
     with open(os.path.join(directory, "encoder.json"), "w") as fh:
         fh.write(encoder_to_json(op.encoder))
@@ -277,7 +280,8 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
 @dataclass
 class LoadedOperator:
     """Operator rebuilt from a bundle directory: synthesis is basis.npy, and evaluate returns
-    free-dof values of the space that mesh.txt records (see save_bundle)."""
+    free-dof values of the space that mesh_nodes.npy and mesh_triangles.npy record (see
+    save_bundle)."""
 
     encoder: Encoder
     approximator: ApproximatorBundle
@@ -288,34 +292,51 @@ class LoadedOperator:
         return self.synthesis @ self.approximator.realize(self.encoder.encode(a))
 
 
-def _read_npy(directory: str, name: str, ndim: int) -> np.ndarray:
+def _read_npy(directory: str, name: str, ndim: int, dtype=np.float64) -> np.ndarray:
     """np.load of the file name without pickles; ValueError naming it if np.load refuses it, if
-    it is an .npz archive, or if the array is empty, not finite, not float64 or not ndim-D."""
+    it is an .npz archive, or if the array is empty, not finite, not of dtype (native byte
+    order) or not ndim-D."""
     with open(os.path.join(directory, name), "rb") as fh:
         try:  # an empty, truncated, pickled or text file
             array = np.load(fh, allow_pickle=False)
         except (EOFError, ValueError) as exc:
             raise ValueError(f"{name} is malformed: {exc}") from exc
-    if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and array.ndim == ndim
+    if not (isinstance(array, np.ndarray) and array.dtype == dtype and array.ndim == ndim
             and array.size and np.isfinite(array).all()):
         raise ValueError(f"{name} holds {getattr(array, 'dtype', type(array))!r} "
-                         f"{np.shape(array)}, not a non-empty finite {ndim}-D float64 array")
+                         f"{np.shape(array)}, not a non-empty finite {ndim}-D "
+                         f"{np.dtype(dtype).name} array")
     return array
+
+
+def _read_mesh(directory: str, prefix: str, make=_build_mesh):
+    """make(nodes, triangles) of prefix_nodes.npy (float64) and prefix_triangles.npy (int64),
+    each read by _read_npy; a MeshError is re-raised as a ValueError naming both files."""
+    names = (f"{prefix}_nodes.npy", f"{prefix}_triangles.npy")
+    nodes = _read_npy(directory, names[0], 2)
+    triangles = _read_npy(directory, names[1], 2, np.int64)
+    try:
+        return make(nodes, triangles)
+    except MeshError as exc:
+        raise ValueError(f"{names[0]} and {names[1]} do not form a mesh: {exc}") from exc
 
 
 def load_bundle(directory: str) -> LoadedOperator:
     """Rebuild an operator from a bundle through the build's certificate chain.
 
-    encoder_from_json rebuilds the encoder from encoder.json on encoder_mesh.txt;
+    encoder_from_json rebuilds the encoder from encoder.json on the mesh _build_mesh makes of
+    encoder_mesh_nodes.npy and encoder_mesh_triangles.npy. The output mesh's two files are
+    only checked (_mesh_arrays: finite (n, 2) nodes, (t, 3) indices in [0, n)), not built.
     certified_approximator re-derives K, the budgets, Z_A, the step net and the report from
     input.npy's input net, shift.npy and the stored alpha, beta_eff, ||f|| and epsilon. Raises
     ValueError, naming the file or key, for another bundle format, a malformed document or .npy
-    file (see _read_npy), widths that do not fit, a band no build certifies (other than 0 <
-    beta = beta_eff < alpha and 0 <= beta_tilde <= beta + BAND_TOL), a fem_degree other than
-    the int 1 or 2, and a certificates.json key missing, unknown or not the re-derived value;
-    LoadedOperator's certificates are those values and fem_degree. This checks consistency, not
-    provenance: the bundle stores neither a0 nor f, so input.npy, shift.npy, ||f|| and basis.npy
-    are taken as given, and edits that keep them consistent with each other load.
+    file (see _read_npy), mesh files that do not form a mesh, widths that do not fit, a band no
+    build certifies (other than 0 < beta = beta_eff < alpha and 0 <= beta_tilde <= beta +
+    BAND_TOL), a fem_degree other than the int 1 or 2, and a certificates.json key missing,
+    unknown or not the re-derived value; LoadedOperator's certificates are those values and
+    fem_degree. This checks consistency, not provenance: the bundle stores neither a0 nor f, so
+    input.npy, shift.npy, ||f|| and basis.npy are taken as given, and edits that keep them
+    consistent with each other load.
     """
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
@@ -333,9 +354,9 @@ def load_bundle(directory: str) -> LoadedOperator:
             and beta_tilde <= beta + BAND_TOL):
         raise ValueError(f"bundle has beta {beta!r}, beta_tilde {beta_tilde!r} and beta_eff "
                          f"{beta_eff!r}, which no build at alpha {alpha!r} gives")
-    enc_mesh = read_mesh(os.path.join(directory, "encoder_mesh.txt"))
+    _read_mesh(directory, "mesh", _mesh_arrays)
     with open(os.path.join(directory, "encoder.json")) as fh:
-        enc = encoder_from_json(fh.read(), enc_mesh)
+        enc = encoder_from_json(fh.read(), _read_mesh(directory, "encoder_mesh"))
     layer = _read_npy(directory, "input.npy", 2)
     encoder_input = affine_net(layer[:, :-1], layer[:, -1])
     synthesis = _read_npy(directory, "basis.npy", 2)

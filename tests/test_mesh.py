@@ -392,7 +392,8 @@ class TestTextFormat:
 
     @pytest.mark.parametrize(
         "edit",
-        ["truncated", "short_node_line", "short_triangle_line", "text_value", "bad_header", "empty"],
+        ["truncated", "short_node_line", "short_triangle_line", "text_value", "bad_header", "empty",
+         "index_minus_one", "index_n", "nan_node"],
     )
     def test_broken_file_raises_mesh_error(self, square, tmp_path, edit):
         path = tmp_path / "mesh.txt"
@@ -408,6 +409,15 @@ class TestTextFormat:
             lines[2] = "x " + lines[2].split(" ", 1)[1]
         elif edit == "bad_header":
             lines[0] = "NODES many TRIANGLES 2"
+        elif edit in ("index_minus_one", "index_n"):
+            # -1 in place of the last node n - 1 is the same mesh once numpy wraps it, so only
+            # the index check refuses it; n is one past the last node
+            n = int(lines[0].split()[1])
+            i = next(i for i in range(len(lines) - 1, 0, -1) if str(n - 1) in lines[i].split())
+            new = "-1" if edit == "index_minus_one" else str(n)
+            lines[i] = " ".join(new if x == str(n - 1) else x for x in lines[i].split())
+        elif edit == "nan_node":
+            lines[2] = "nan " + lines[2].split(" ", 1)[1]
         else:
             lines = []
         path.write_text("".join(ln + "\n" for ln in lines))
@@ -494,7 +504,8 @@ class TestValidateMeshRejects:
         angles = 4.0 * np.pi * np.arange(7) / 7.0
         radii = np.where(angles < 2.0 * np.pi, 1.0, 2.0)
         rim = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
-        wedges = np.column_stack([np.zeros(7), 1 + np.arange(7), 1 + (np.arange(1, 8) % 7)])
+        wedges = np.column_stack([np.zeros(7, dtype=np.int64), 1 + np.arange(7),
+                                  1 + (np.arange(1, 8) % 7)])
         double_cover = M._build_mesh(np.vstack([[0.0, 0.0], rim]), wedges)
         assert 0 not in double_cover.boundary_nodes
         with pytest.raises(M.MeshError, match="angle sum"):
@@ -511,6 +522,27 @@ class TestBuildMeshRejects:
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]])
         with pytest.raises(M.MeshError, match="more than two"):
             M._build_mesh(nodes, np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]]))
+
+    @pytest.mark.parametrize(
+        "nodes, triangles, message",
+        [
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, -1]], r"\[0, 3\)"),
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 3]], r"\[0, 3\)"),
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]], [[0, 1, 2]], "not finite"),
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]], [[0, 1, 2]], "not finite"),
+            ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]], r"\(n, 2\)"),
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0, 2.0]], "integers"),
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1]], "integers"),
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0, 1, 2], "integers"),
+        ],
+        ids=["index_minus_one", "index_n", "nan_node", "infinite_node", "three_columns",
+             "float_triangles", "two_indices", "one_dimensional"],
+    )
+    def test_bad_arrays(self, nodes, triangles, message):
+        # -1 would wrap to the last node, n would raise IndexError, a NaN area would pass the
+        # degeneracy test, and a float index would be truncated: each is a MeshError instead
+        with pytest.raises(M.MeshError, match=message):
+            M._build_mesh(np.array(nodes), np.array(triangles))
 
 
 # Reference numberings: dict loops that number each shared node, edge or

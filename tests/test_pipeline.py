@@ -43,6 +43,42 @@ def _with_entry(array, value):
     return out
 
 
+_NPY_TAMPERS = {  # any array: np.load or _read_npy refuses each
+    "empty": lambda p, raw: b"",
+    "data_truncated": lambda p, raw: raw[:-8],
+    "object_array": lambda p, raw: _npy(np.array([p], dtype=object), allow_pickle=True),
+    "npz_archive": lambda p, raw: _npz(p),
+    "text": lambda p, raw: "".join(f"{x:.17g}\n" for x in p.ravel()).encode(),
+    "wrong_ndim": lambda p, raw: _npy(p[..., None]),
+}
+_FLOAT_TAMPERS = {
+    **_NPY_TAMPERS,
+    "int_dtype": lambda p, raw: _npy(p.astype(np.int64)),
+    "nan_entry": lambda p, raw: _npy(_with_entry(p, np.nan)),
+    "infinite_entry": lambda p, raw: _npy(_with_entry(p, np.inf)),
+}
+_TRIANGLE_TAMPERS = {
+    **_NPY_TAMPERS,
+    "float64_dtype": lambda p, raw: _npy(p.astype(np.float64)),
+    "int32_dtype": lambda p, raw: _npy(p.astype(np.int32)),
+    "big_endian": lambda p, raw: _npy(p.astype(">i8")),
+    "two_columns": lambda p, raw: _npy(p[:, :2]),
+    "index_minus_one": lambda p, raw: _npy(_with_entry(p, -1)),
+    "index_n": lambda p, raw: _npy(_with_entry(p, p.max() + 1)),  # every node is a vertex
+}
+_MALFORMED_NPY = [
+    *[pytest.param(name, tamper, id=f"{name}-{key}")
+      for name in ("input.npy", "shift.npy", "basis.npy")
+      for key, tamper in _FLOAT_TAMPERS.items()],
+    *[pytest.param(f"{mesh}_nodes.npy", tamper, id=f"{mesh}_nodes.npy-{key}")
+      for mesh in ("mesh", "encoder_mesh")
+      for key, tamper in {**_FLOAT_TAMPERS, "one_column": lambda p, raw: _npy(p[:, :1])}.items()],
+    *[pytest.param(f"{mesh}_triangles.npy", tamper, id=f"{mesh}_triangles.npy-{key}")
+      for mesh in ("mesh", "encoder_mesh")
+      for key, tamper in _TRIANGLE_TAMPERS.items()],
+]
+
+
 class _Stub:
     """Test stub base: Stub(base, ...) is a copy of the encoder base, with its own channel
     cache, whose class puts Stub in front of base's own encoder class."""
@@ -547,8 +583,10 @@ class TestBundle:
     def test_round_trip(self, operator, family, tmp_path):
         P.save_bundle(operator, str(tmp_path))
         expected = {
-            "mesh.txt",
-            "encoder_mesh.txt",
+            "mesh_nodes.npy",
+            "mesh_triangles.npy",
+            "encoder_mesh_nodes.npy",
+            "encoder_mesh_triangles.npy",
             "basis.npy",
             "encoder.json",
             "input.npy",
@@ -573,15 +611,16 @@ class TestBundle:
             ]
         loaded = P.load_bundle(str(tmp_path))
         degree = operator.basis.space.degree
-        want = {**operator.certificates, "bundle_format": 7, "fem_degree": degree}
+        want = {**operator.certificates, "bundle_format": 8, "fem_degree": degree}
         assert loaded.certificates == want
         assert loaded.approximator.report == operator.approximator.report
 
     def test_mesh_file_records_the_output_space(self, operator, family, tmp_path):
         P.save_bundle(operator, str(tmp_path))
         loaded = P.load_bundle(str(tmp_path))
-        mesh = M.read_mesh(os.path.join(tmp_path, "mesh.txt"))
-        space = F.build_space(mesh, loaded.certificates["fem_degree"])
+        nodes, triangles = (np.load(tmp_path / f"mesh_{part}.npy", allow_pickle=False)
+                            for part in ("nodes", "triangles"))
+        space = F.build_space(M._build_mesh(nodes, triangles), loaded.certificates["fem_degree"])
         assert np.array_equal(space.free_dofs, operator.basis.space.free_dofs)
         assert np.array_equal(space.dof_coords, operator.basis.space.dof_coords)
         assert space.n_free == loaded.synthesis.shape[0]
@@ -603,18 +642,19 @@ class TestBundle:
         for a in C.sample_family(family, 3, 98):
             assert np.array_equal(loaded.evaluate(a), P.evaluate(op, a))
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7])
     def test_rejects_other_bundle_format(self, operator, tmp_path, fmt):
         # format 2 step nets were built on the symmetric box max(Z~, 1) and
         # its reports lack matrix_bound; format 3 stored the step net, K and
         # the report in net.json; format 4 stored the input net as sparse entry
         # lists; format 5 stored the basis as %.17g text in basis.csv; format 6
-        # stored the input net and the shift as JSON floats in net.json: all are
-        # refused like format 1
+        # stored the input net and the shift as JSON floats in net.json; format 7
+        # stored both meshes as %.17g/%d text in mesh.txt and encoder_mesh.txt: all
+        # are refused like format 1
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / "certificates.json"
         meta = json.loads(path.read_text())
-        assert meta["bundle_format"] == 7
+        assert meta["bundle_format"] == 8
         if fmt is None:
             del meta["bundle_format"]
         else:
@@ -638,6 +678,24 @@ class TestBundle:
         assert saved.dtype == np.float64 and saved.flags.c_contiguous
         assert np.array_equal(saved, operator.basis.ortho)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_mesh_npy_files_are_both_meshes_bit_for_bit(self, operator, tmp_path):
+        # the output mesh's and the encoder mesh's own arrays, the same bytes on every save,
+        # and the loader's encoder is built on the very mesh the operator's was
+        for name in ("a", "b"):
+            P.save_bundle(operator, str(tmp_path / name))
+        meshes = {"mesh": operator.basis.space.mesh, "encoder_mesh": operator.encoder.mesh}
+        for prefix, mesh in meshes.items():
+            for part, dtype in (("nodes", np.float64), ("triangles", np.int64)):
+                first, second = (tmp_path / name / f"{prefix}_{part}.npy" for name in ("a", "b"))
+                assert first.read_bytes() == second.read_bytes()
+                saved = np.load(first, allow_pickle=False)
+                want = getattr(mesh, part)
+                assert saved.dtype == dtype and saved.shape == want.shape
+                assert saved.tobytes() == want.tobytes()
+        loaded = P.load_bundle(str(tmp_path / "a")).encoder.mesh
+        for part in ("nodes", "triangles", "boundary_nodes", "boundary_edges"):
+            assert np.array_equal(getattr(loaded, part), getattr(operator.encoder.mesh, part))
 
     @pytest.mark.parametrize(
         "tamper",
@@ -668,25 +726,11 @@ class TestBundle:
         with pytest.raises(ValueError, match="basis.npy"):
             P.load_bundle(str(tmp_path))
 
-    @pytest.mark.parametrize(
-        "tamper",
-        [
-            lambda p, raw: b"",
-            lambda p, raw: raw[:-8],
-            lambda p, raw: _npy(np.array([p], dtype=object), allow_pickle=True),
-            lambda p, raw: _npz(p),
-            lambda p, raw: "".join(f"{x:.17g}\n" for x in p.ravel()).encode(),
-            lambda p, raw: _npy(p.astype(np.int64)),
-            lambda p, raw: _npy(p[..., None]),
-            lambda p, raw: _npy(_with_entry(p, np.nan)),
-            lambda p, raw: _npy(_with_entry(p, np.inf)),
-        ],
-        ids=["empty", "data_truncated", "object_array", "npz_archive", "text", "int_dtype",
-             "wrong_ndim", "nan_entry", "infinite_entry"],
-    )
-    @pytest.mark.parametrize("name", ["input.npy", "shift.npy", "basis.npy"])
+    @pytest.mark.parametrize("name, tamper", _MALFORMED_NPY)
     def test_rejects_malformed_npy(self, operator, tmp_path, name, tamper):
-        # the loader reads the three arrays through one reader, which refuses each case alike
+        # the loader reads the seven arrays through one reader, which refuses each case alike;
+        # the mesh arrays then go to _mesh_arrays, which refuses a column too few and a
+        # triangle index outside [0, n)
         P.save_bundle(operator, str(tmp_path))
         path = tmp_path / name
         path.write_bytes(tamper(np.load(path, allow_pickle=False), path.read_bytes()))
