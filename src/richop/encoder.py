@@ -273,7 +273,7 @@ def reconstruction_envelope(encoder: Encoder, values: np.ndarray, alpha: float) 
 def encoder_to_json(encoder: Encoder) -> str:
     """encoder.json: the kind, m, the query points, then the kind's order."""
     head = {"kind": encoder.doc["kind"], "m": encoder.m,
-            "query_points": [[x, y] for x, y in encoder.query_points]}
+            "query_points": encoder.query_points.tolist()}
     return json.dumps({**head, **encoder.doc})
 
 

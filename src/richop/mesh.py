@@ -224,11 +224,11 @@ def _mesh_arrays(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_mesh(nodes: np.ndarray, triangles: np.ndarray) -> Mesh:
-    nodes, triangles = _mesh_arrays(nodes, triangles)
+    # the mesh's own read-only copies: the caller's arrays stay as they were, writable
+    nodes, triangles = (a.copy() for a in _mesh_arrays(nodes, triangles))
     areas = 0.5 * _affine_maps(nodes, triangles)[3]
     flip = areas < 0
     if np.any(flip):
-        triangles = triangles.copy()
         triangles[flip] = triangles[flip][:, [0, 2, 1]]
         areas = np.abs(areas)
     if np.any(areas <= 1e-16):
@@ -238,11 +238,8 @@ def _build_mesh(nodes: np.ndarray, triangles: np.ndarray) -> Mesh:
         raise MeshError("edge shared by more than two triangles")
     boundary_edges = np.unique(edges[counts == 1], axis=0)
     boundary_nodes = np.unique(boundary_edges)
-    nodes = nodes.copy()
-    nodes.setflags(write=False)
-    triangles.setflags(write=False)
-    boundary_nodes.setflags(write=False)
-    boundary_edges.setflags(write=False)
+    for array in (nodes, triangles, boundary_nodes, boundary_edges):
+        array.setflags(write=False)
     return Mesh(nodes, triangles, boundary_nodes, boundary_edges)
 
 

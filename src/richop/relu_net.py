@@ -1,11 +1,12 @@
 """Feedforward ReLU network calculus with exact size and depth accounting.
 
 Networks are lists of (sparse weight, bias) layers with ReLU between them.
-The module provides sparse concatenation with certified depth/size bounds,
-a sawtooth product gadget, and the recurrent approximator of the reduced
-fixed-point iteration: an exact affine input net assembling the iteration
-matrix from encoder channels, and one tolerance-certified step net, n^2
-copies of the product gadget, that evaluation runs K times. The unrolled
+The module provides sparse concatenation with certified depth/size bounds
+and the recurrent approximator of the reduced fixed-point iteration: an
+exact affine input net assembling the iteration matrix from encoder
+channels, and one tolerance-certified step net, n^2 copies of a sawtooth
+product gadget whose CSR arrays step_net writes in closed form from index
+arithmetic (no kron or block_diag), that evaluation runs K times. The unrolled
 network (input net, then K spliced steps) computes the same function; it is
 built only when read, and its depth and size are counted from the parts
 without building it.
@@ -191,10 +192,20 @@ def realize(net: NeuralNet, x: np.ndarray) -> np.ndarray:
     return _forward(net, y, outs).T
 
 
+def _index_dtype(count: int):
+    """The CSR index dtype scipy picks for arrays of up to count entries: int32 while it fits."""
+    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
+
+
 def affine_net(weights, bias) -> NeuralNet:
-    w = sp.csr_matrix(weights)
-    w.eliminate_zeros()
-    return NeuralNet([(w, np.asarray(bias, dtype=float))])
+    """The depth-one net x -> W x + b: W is the CSR of the nonzeros of weights, all read off
+    one weights != 0 mask of the dense block (a sparse argument is densified first)."""
+    w = np.asarray(weights.toarray() if sp.issparse(weights) else weights, dtype=float)
+    nonzero, idx = w != 0.0, _index_dtype(w.size)
+    indptr = np.zeros(len(w) + 1, dtype=idx)
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
+    csr = (w[nonzero], np.nonzero(nonzero)[1].astype(idx), indptr)
+    return NeuralNet([(sp.csr_matrix(csr, shape=w.shape), np.asarray(bias, dtype=float))])
 
 
 def sparse_concat(outer: NeuralNet, inner: NeuralNet) -> NeuralNet:
@@ -232,39 +243,22 @@ def _sawtooth_levels(epsilon: float, bound_a: float, bound_b: float) -> int:
     return max(1, math.ceil(0.5 * math.log2(2.0 * bound_a * bound_b / epsilon)) - 1)
 
 
-def _copies(w: np.ndarray, k: int) -> sp.csr_matrix:
-    """kron(I_k, w) for a dense block w, as canonical CSR: k copies of w on the diagonal."""
-    rows, cols = np.nonzero(w)
-    height, width = w.shape
-    indptr = np.concatenate([[0], np.cumsum(np.tile(np.count_nonzero(w, axis=1), k))])
-    indices = (cols + width * np.arange(k)[:, None]).ravel()
-    data = np.tile(w[rows, cols], k)
-    return sp.csr_matrix((data, indices, indptr), shape=(k * height, k * width))
+# the product gadget u*v = ((u+v)/2)^2 - ((u-v)/2)^2 on |u|, |v| <= 1: a 4x2 split into
+# relu(+-(u+v)/2) and relu(+-(u-v)/2), then m sawtooth levels of two 3-row chains (h1, h2, h3,
+# h1 offset by -1/2), one per square; each level's (row entry counts, columns, width)
+_SPLIT = np.array([[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5]])
+_LEVEL_ONE = ([2] * 6, [0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3], 4)
+_LEVEL = ([2, 2, 3] * 2, [0, 1, 0, 1, 0, 1, 2, 3, 4, 3, 4, 3, 4, 5], 6)
+_CHAIN_BIAS = [-0.5, 0.0, 0.0, -0.5, 0.0, 0.0]
 
 
-def _product_gadget(m: int) -> list:
-    """Dense layers (W, b) of a net approximating u*v on |u|, |v| <= 1.
-
-    u*v = ((u+v)/2)^2 - ((u-v)/2)^2, each square realized by m sawtooth
-    levels on [0, 1]. The m + 2 layers are a 4x2 split into relu(+-(u+v)/2)
-    and relu(+-(u-v)/2); per level, two 3-row chains (h1, h2, h3), one per
-    square; and a 1x6 output. step_net scales the split's columns and the
-    output to a box. When one factor is zero the two chains carry identical
-    values and the output cancels to rounding level, but not to an exact
-    zero: the certified tolerance is the only guarantee.
-    """
-    split = np.array([[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5]])
-    levels = [la.block_diag(np.ones((3, 2)), np.ones((3, 2)))]
-    for s in range(2, m + 1):
-        f = 4.0 ** (s - 1)
-        level = np.array([[-4.0, 2.0, 0.0], [-4.0, 2.0, 0.0], [4.0 / f, -2.0 / f, 1.0]])
-        levels.append(la.block_diag(level, level))
-    f = 4.0**m
-    out = [4.0 / f, -2.0 / f, 1.0, -4.0 / f, 2.0 / f, -1.0]
-    # h1 of each chain is offset by -1/2
-    chain_bias = [-0.5, 0.0, 0.0, -0.5, 0.0, 0.0]
-    layers = [(split, np.zeros(4))] + [(w, np.array(chain_bias)) for w in levels]
-    return layers + [(np.array([out]), np.zeros(1))]
+def _diagonal(k: int, pattern: tuple, idx) -> tuple:
+    """CSR indices and indptr of kron(I_k, W), W given as a level pattern such as _LEVEL."""
+    lengths, cols, width = pattern
+    indptr = np.zeros(k * len(lengths) + 1, dtype=idx)
+    np.cumsum(np.tile(lengths, k), out=indptr[1:])
+    indices = np.asarray(cols, dtype=idx) + np.arange(0, k * width, width, dtype=idx)[:, None]
+    return indices.ravel(), indptr
 
 
 def vec_index(i, j, n: int):
@@ -290,14 +284,23 @@ def step_net(
 
     The net is n^2 copies of one product gadget side by side, copy i n + j
     computing A_ij x_j: a gather feeds (A_ij / Z_ij, x_j / bound) into the
-    copies' first layer, every hidden gadget layer W becomes
-    kron(I_{n^2}, W), and the output weighs copy i n + j by Z_ij bound, sums
-    each row's n products and adds the shifted load g as its bias. Copy
-    i n + j errs by at most 2 Z_ij bound 4^-(m+1), so row i errs by at most
+    copies' 4x2 split, every hidden gadget layer W becomes
+    kron(I_{n^2}, W), and the output kron(I_n, [w_out ... w_out]) weighs
+    copy i n + j by Z_ij bound, sums each row's n products and adds the
+    shifted load g as its bias. Copy i n + j errs by at most
+    2 Z_ij bound 4^-(m+1), so row i errs by at most
     2 bound 4^-(m+1) sum_j Z_ij, and m is the fewest levels with
     2 bound 4^-(m+1) ||(sum_j Z_ij)_i||_2 <= epsilon: the error stays within
     epsilon in l2. For a constant Z this is the per-entry tolerance
-    epsilon / n^{3/2} on |A_ij| <= Z.
+    epsilon / n^{3/2} on |A_ij| <= Z. When one factor is zero the two chains
+    carry identical values and the output cancels to rounding level, but not
+    to an exact zero: the certified tolerance is the only guarantee.
+
+    Each layer's CSR arrays come from index arithmetic, with the index dtype
+    and sorted rows scipy would give: row 4p + r of the first layer, copy
+    p = i n + j, holds split row r times (1 / Z_ij, 1 / bound) at columns
+    (vec_index(i, j), n^2 + j); levels 1 and 2..m tile one per-copy pattern
+    each over the n^2 copies; output row i holds w_out Z_ij bound, j < n.
     """
     shift = np.array(shift, dtype=float)
     if len(shift) != n:
@@ -313,27 +316,24 @@ def step_net(
         )
     z = np.maximum(z, np.finfo(float).eps * np.max(z))
     m = _sawtooth_levels(epsilon, float(np.linalg.norm(z.sum(axis=1))), bound)
-    (split, b0), *hidden, (w_out, _) = _product_gadget(m)
-    # kron(I_{n^2}, split) times the gather is the split copies with column
-    # 2p read from A_ij and column 2p + 1 from x_j, for copy p = i n + j;
-    # each copy's two columns are divided by its box (Z_ij, bound)
-    i, j = np.divmod(np.arange(n * n), n)
-    gather = np.column_stack([vec_index(i, j, n), n * n + j]).ravel()
-    split = _copies(split, n * n)
-    split.data.reshape(n * n, 4, 2)[...] *= np.column_stack(
-        [1.0 / z.ravel(), np.full(n * n, 1.0 / bound)]
-    )[:, None, :]
-    first = sp.csr_matrix(
-        (split.data, gather[split.indices], split.indptr), shape=(4 * n * n, n * n + n)
-    )
-    layers = [(first, np.tile(b0, n * n))]
-    layers += [(_copies(w, n * n), np.tile(b, n * n)) for w, b in hidden]
-    # kron(I_n, 1^T_n) kron(I_{n^2}, w_out) = kron(I_n, [w_out ... w_out]),
-    # copy i n + j weighed by Z_ij bound
-    out = _copies(np.tile(w_out, n), n)
-    out.data.reshape(n, n, 6)[...] *= (z * bound)[:, :, None]
-    layers.append((out, shift))
-    return NeuralNet(layers)
+    k, idx = n * n, _index_dtype(14 * n * n)  # 14 n^2: the most entries of any layer
+    i, j = np.divmod(np.arange(k, dtype=idx), n)
+    gather = np.repeat(np.column_stack([vec_index(i, j, n), k + j]), 4, axis=0).ravel()
+    scale = np.column_stack([1.0 / z.ravel(), np.full(k, 1.0 / bound)])[:, None, :]
+    csrs = [((_SPLIT * scale).ravel(), gather, np.arange(0, 8 * k + 1, 2, dtype=idx))]
+    csrs.append((np.ones(12 * k), *_diagonal(k, _LEVEL_ONE, idx)))
+    pattern = _diagonal(k, _LEVEL, idx)  # shared by levels 2..m
+    for s in range(2, m + 1):
+        f = 4.0 ** (s - 1)
+        csrs.append((np.tile([-4.0, 2.0, -4.0, 2.0, 4.0 / f, -2.0 / f, 1.0] * 2, k), *pattern))
+    f = 4.0**m
+    w_out = np.array([4.0 / f, -2.0 / f, 1.0, -4.0 / f, 2.0 / f, -1.0])
+    csrs.append((((z * bound)[:, :, None] * w_out).ravel(), np.arange(6 * k, dtype=idx),
+                 np.arange(0, 6 * k + 1, 6 * n, dtype=idx)))
+    widths = [k + n, 4 * k] + [6 * k] * m
+    biases = [np.zeros(4 * k)] + [np.tile(_CHAIN_BIAS, k) for _ in range(m)] + [shift]
+    return NeuralNet([(sp.csr_matrix(csr, shape=(len(csr[2]) - 1, width)), b)
+                      for csr, width, b in zip(csrs, widths, biases)])
 
 
 def _carrying(step: NeuralNet) -> NeuralNet:

@@ -1,11 +1,14 @@
+import csv
 import glob
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from richop import cli, encoder, fem, mesh, pipeline, reduced_basis, relu_net
+from richop import cli, coeff, encoder, fem, mesh, pipeline, reduced_basis, relu_net
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "square_smoke.json")
 SWEEP = os.path.join(os.path.dirname(__file__), "..", "configs", "eps_sweep.json")
@@ -452,10 +455,7 @@ def test_nncheck_errors_are_the_decomposition_network_term(tmp_path):
 
 def test_polygon_domain_meshes_and_builds(tmp_path):
     # a non-convex polygon domain whose first vertex is reflex, meshed by ear clipping
-    cfg = json.load(open(CONFIG))
-    cfg["domain"] = {"kind": "polygon", "vertices": [[0.6, 0.5], [1, 0.7], [0, 1], [0.2, 0.5],
-                                                     [0, 0], [1, 0.3]]}
-    cfg["mesh"]["h"], cfg["encoder"]["h"] = 0.15, 0.4
+    cfg = _polygon(json.load(open(CONFIG)))
     path = tmp_path / "polygon.json"
     path.write_text(json.dumps(cfg))
     out = str(tmp_path / "polygon")
@@ -489,6 +489,79 @@ def test_seed_override_changes_output(tmp_path):
 def test_committed_config_loads_and_meshes(path, tmp_path):
     cli.load_config(path)
     assert cli.main(["mesh", "--config", path, "--out", str(tmp_path)]) == 0
+
+
+def _pentagon(cfg):
+    """The GLL config cfg on the regular pentagon, whose quad interfaces hold node copies that
+    differ in the last digits."""
+    angles = [2 * math.pi * k / 5 + math.pi / 2 for k in range(5)]
+    cfg["domain"] = {"kind": "polygon", "vertices": [[math.cos(t), math.sin(t)] for t in angles]}
+    cfg["mesh"]["h"] = 0.3
+    cfg["encoder"] = {"kind": "gll", "h": 0.5, "p": 3}
+    return cfg
+
+
+def _polygon(cfg):
+    """The smoke config cfg on a non-convex polygon whose first vertex is reflex."""
+    cfg["domain"] = {"kind": "polygon",
+                     "vertices": [[0.6, 0.5], [1, 0.7], [0, 1], [0.2, 0.5], [0, 0], [1, 0.3]]}
+    cfg["mesh"]["h"] = 0.15
+    cfg["encoder"]["h"] = 0.4
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "path, edit",
+    [(path, None) for path in CONFIGS] + [(GLL, _pentagon), (CONFIG, _polygon)],
+    ids=[os.path.basename(path) for path in CONFIGS] + ["pentagon", "polygon"],
+)
+def test_built_bundle_loads_and_evaluates_a_family_member(path, edit, tmp_path, monkeypatch):
+    if edit is not None:  # the edited config, written to a file
+        cfg, path = edit(json.load(open(path))), str(tmp_path / "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+    built, save = [], pipeline.save_bundle
+
+    def recording(op, directory):
+        built.append(op)
+        save(op, directory)
+
+    monkeypatch.setattr(pipeline, "save_bundle", recording)
+    out = str(tmp_path / "out")
+    assert cli.main(["build", "--config", path, "--out", out, "--seed", "0"]) == 0
+    bundle = os.path.join(out, "bundle")
+    op = pipeline.load_bundle(bundle)
+    # the reconstruction interpolates: one channel per query point, none shared
+    enc = op.encoder
+    assert abs(enc.channel_matrix(enc.query_points) - sp.identity(enc.m, format="csr")).max() <= 1e-13
+    # loading re-derives the step net the build shipped, sized to the input net's per-entry
+    # bounds, array for array, and the report: the same depth, size, K, beta_eff and epsilon
+    # as the run's build.csv (%.17g floats read back exactly)
+    for (w, b), (v, c) in zip(op.approximator.step.layers, built[0].approximator.step.layers,
+                              strict=True):
+        assert w.shape == v.shape
+        for got, want in ((w.indptr, v.indptr), (w.indices, v.indices), (w.data, v.data), (b, c)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with open(os.path.join(out, "build.csv")) as fh:
+        row = next(csv.DictReader(line for line in fh if not line.startswith("#")))
+    report = op.approximator.report
+    assert (report.depth, report.size, report.k_steps, report.beta_eff, report.tolerance) == (
+        int(row["depth"]), int(row["size"]), int(row["k_steps"]), float(row["beta_eff"]),
+        float(row["epsilon"]))
+    a = coeff.sample_family(cli.Setup(cli.load_config(path), 0).family, 1, 0)[0]
+    u = op.evaluate(a)
+    assert np.all(np.isfinite(u))
+    assert np.array_equal(u, pipeline.evaluate(built[0], a))
+    # mesh_nodes.npy and mesh_triangles.npy record the output space: u holds its free-dof values
+    nodes, triangles = (np.load(os.path.join(bundle, f"mesh_{part}.npy"), allow_pickle=False)
+                        for part in ("nodes", "triangles"))
+    space = fem.build_space(mesh._build_mesh(nodes, triangles), op.certificates["fem_degree"])
+    assert len(u) == space.n_free
+    # basis.npy is the finite float64 (n_free, n_basis + 1) synthesis matrix, read without the
+    # loader
+    basis = np.load(os.path.join(bundle, "basis.npy"), allow_pickle=False)
+    assert basis.dtype == np.float64 and np.isfinite(basis).all()
+    assert basis.shape == (space.n_free, op.certificates["n_basis"] + 1)
 
 
 def test_write_csv_closes_file_when_a_row_fails(tmp_path, monkeypatch):

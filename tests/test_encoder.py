@@ -438,6 +438,16 @@ class TestSerialization:
         assert doc["degree"] == 1
         assert len(doc["query_points"]) == nodal_encoder.m
 
+    @pytest.mark.parametrize("kind", ["nodal", "gll"])
+    def test_json_bytes_are_those_of_python_floats(self, nodal_encoder, coarse_split, kind):
+        # the bytes every format 8 bundle's encoder.json holds: each coordinate as repr of its
+        # Python float, which reads back to the same bits
+        enc = nodal_encoder if kind == "nodal" else E.build_gll_encoder(coarse_split, 3)
+        points = [[float(x), float(y)] for x, y in enc.query_points]
+        text = E.encoder_to_json(enc)
+        assert text == json.dumps({"kind": kind, "m": enc.m, "query_points": points, **enc.doc})
+        assert np.array_equal(json.loads(text)["query_points"], enc.query_points)
+
     def test_gll_json(self, coarse_split):
         enc = E.build_gll_encoder(coarse_split, 3)
         doc = json.loads(E.encoder_to_json(enc))

@@ -545,6 +545,23 @@ class TestBuildMeshRejects:
             M._build_mesh(np.array(nodes), np.array(triangles))
 
 
+class TestBuildMeshCopies:
+    @pytest.mark.parametrize("flip", [False, True], ids=["counter_clockwise", "one_clockwise"])
+    def test_callers_arrays_stay_writable_and_unchanged(self, flip):
+        # int64 triangles pass _mesh_arrays uncopied: the mesh freezes its own copy, not these
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        triangles = np.array([[0, 1, 2], [1, 3, 2]], dtype=np.int64)
+        if flip:
+            triangles[0] = [0, 2, 1]
+        before = nodes.copy(), triangles.copy()
+        mesh = M._build_mesh(nodes, triangles)
+        for array, want in zip((nodes, triangles), before):
+            assert array.flags.writeable
+            assert array.dtype == want.dtype and np.array_equal(array, want)
+        assert not (mesh.nodes.flags.writeable or mesh.triangles.flags.writeable)
+        assert np.array_equal(mesh.triangles, [[0, 1, 2], [1, 3, 2]])
+
+
 # Reference numberings: dict loops that number each shared node, edge or
 # channel the first time a (cell, local entity) scan meets it.
 

@@ -484,6 +484,68 @@ class TestStepNetBox:
         assert narrow.size < wide.size
 
 
+def step_net_reference(n, bound, epsilon, shift, z):
+    """step_net built as its docstring states, through scipy's sparse products: the 4x2 split,
+    kron(I_{n^2}, W) of it and of each gadget level, the gather, the per-copy scalings and
+    kron(I_n, [w_out ... w_out]); every product has one term, so it rounds as step_net does."""
+    z = np.maximum(z, np.finfo(float).eps * z.max())
+    m = NN._sawtooth_levels(epsilon, float(np.linalg.norm(z.sum(axis=1))), bound)
+    k = n * n
+    eye = sp.identity(k, format="csr")
+    split = np.array([[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5]])
+    i, j = np.divmod(np.arange(k), n)
+    # column 2p of the split copies is A_ij / Z_ij, column 2p + 1 is x_j / bound, p = i n + j
+    scale = sp.diags(np.column_stack([1.0 / z.ravel(), np.full(k, 1.0 / bound)]).ravel())
+    columns = np.column_stack([NN.vec_index(i, j, n), k + j]).ravel()
+    gather = sp.csr_matrix((np.ones(2 * k), columns, np.arange(2 * k + 1)), shape=(2 * k, k + n))
+    first = sp.kron(eye, split, format="csr") @ scale @ gather
+    levels = [la.block_diag(np.ones((3, 2)), np.ones((3, 2)))]
+    for s in range(2, m + 1):
+        f = 4.0 ** (s - 1)
+        level = np.array([[-4.0, 2.0, 0.0], [-4.0, 2.0, 0.0], [4.0 / f, -2.0 / f, 1.0]])
+        levels.append(la.block_diag(level, level))
+    f = 4.0**m
+    w_out = np.array([[4.0 / f, -2.0 / f, 1.0, -4.0 / f, 2.0 / f, -1.0]])
+    out = sp.kron(sp.identity(n), np.tile(w_out, n), format="csr")
+    out = out @ sp.diags(np.repeat((z * bound).ravel(), 6))
+    chain_bias = np.tile([-0.5, 0.0, 0.0], 2 * k)
+    layers = [(first, np.zeros(4 * k))]
+    layers += [(sp.kron(eye, w, format="csr"), chain_bias) for w in levels]
+    layers.append((out, np.asarray(shift, dtype=float)))
+    for w, _ in layers:
+        w.sort_indices()
+    return layers
+
+
+def assert_identical_layers(net, layers):
+    """Each layer's shape, and its indptr, indices, data and bias, dtype and bytes."""
+    assert len(net.layers) == len(layers)
+    for (w, b), (v, c) in zip(net.layers, layers):
+        assert w.shape == v.shape
+        for got, want in ((w.indptr, v.indptr), (w.indices, v.indices), (w.data, v.data), (b, c)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", [1, 2, 9, 13])
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("box", ["uniform", "floored"])
+    def test_equals_the_kron_construction_bitwise(self, rng, n, m, box):
+        bound = 3.7
+        z = rng.uniform(0.05, 2.0, (n, n))
+        if box == "floored":  # zeros and a tiny entry, raised to the eps floor
+            z[rng.random((n, n)) < 0.4] = 0.0
+            z[-1, 0], z[0, -1] = 1e-300, 1.5
+        floored = np.maximum(z, np.finfo(float).eps * z.max())
+        # 1% above the row rule's budget at m levels: m suffice, m - 1 do not
+        epsilon = 1.01 * 2.0 * bound * 4.0 ** -(m + 1) * np.linalg.norm(floored.sum(axis=1))
+        shift = rng.standard_normal(n)
+        net = NN.step_net(n, bound, epsilon, shift, matrix_bound=z)
+        assert net.depth == m + 2
+        assert_identical_layers(net, step_net_reference(n, bound, epsilon, shift, z))
+
+
 def row_rule_levels(z, bound, epsilon):
     """The fewest m >= 1 with 2 bound 4^-(m+1) ||(sum_j Z_ij)_i||_2 <= epsilon, by counting."""
     rows, m = np.linalg.norm(np.sum(z, axis=1)), 1
