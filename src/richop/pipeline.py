@@ -31,15 +31,9 @@ from .fem import (
     quadrature_points,
 )
 from .mesh import MeshError, _build_mesh, _mesh_arrays
-from .reduced_basis import (
-    ReducedBasis,
-    generate_snapshots,
-    synthesize,
-    weak_greedy,
-)
+from .reduced_basis import ReducedBasis, generate_snapshots, weak_greedy
 from .relu_net import (
     ApproximatorBundle,
-    BuildReport,
     NeuralNet,
     affine_net,
     build_approximator,
@@ -74,32 +68,52 @@ class OperatorBuildError(ValueError):
 
 @dataclass
 class NeuralOperator:
-    """Composed operator a -> synthesize(approximator.realize(encode(a)))."""
+    """Composed operator G = R o A o E: a -> synthesis @ approximator.realize(encoder.encode(a)).
 
-    frame = "ortho"  # a class constant, not a field: the basis frame of approximator outputs
+    build_operator gives it its reduced basis; load_bundle rebuilds one without a basis, whose
+    evaluate and certificates are those of the built operator, but which network_solutions,
+    error_decomposition and save_bundle refuse with ValueError: they need the basis's space,
+    config or nominal form.
+    """
+
+    frame = "ortho"  # a class constant, not a field; only bench/run.py:243 reads it (ROADMAP 1a)
     encoder: Encoder
     approximator: ApproximatorBundle
-    basis: ReducedBasis  # its space and config are the operator's
+    synthesis: np.ndarray  # the linear decoder R: the ortho frame, (n_free, N + 1)
     beta_tilde: float  # effective_beta's envelope; approximator.report holds the rest of the chain
+    basis: ReducedBasis | None = None  # its space and config are the operator's
+
+    def evaluate(self, a: CoefficientField) -> np.ndarray:
+        """Apply the operator: encode, run the recurrent approximator, synthesize."""
+        return self.synthesis @ self.approximator.realize(self.encoder.encode(a))
 
     @property
     def certificates(self) -> dict:
-        """A new dict of the chain in certificates.json's key order (save_bundle appends two)."""
-        return _certificates(self.approximator.report, self.beta_tilde, self.basis.config.beta,
-                             self.basis.size - 1, self.encoder.m)
+        """A new dict of the chain in certificates.json's key order (save_bundle appends two).
+
+        beta reads the report's beta_eff, which is config.beta on every operator: build_operator
+        passes build_approximator no beta_eff, and load_bundle refuses a bundle whose beta and
+        beta_eff differ.
+        """
+        rep = self.approximator.report
+        fields = ("k_steps", "eps_iterator", "eps_step", "contraction", "f_dual_norm",
+                  "matrix_bound")
+        return {"epsilon": rep.tolerance, "beta_tilde": self.beta_tilde, "beta_eff": rep.beta_eff,
+                "alpha": rep.alpha, "beta": rep.beta_eff, "n_basis": self.synthesis.shape[1] - 1,
+                "m_channels": self.encoder.m, **{key: getattr(rep, key) for key in fields}}
 
     @property
     def quadrature_channels(self) -> sp.csr_matrix:
         """The encoder's cached channel matrix at quadrature_points(space): encoding to samples."""
-        return self.encoder.channel_matrix(quadrature_points(self.basis.space))
+        space = _basis(self, "quadrature_channels").space
+        return self.encoder.channel_matrix(quadrature_points(space))
 
 
-def _certificates(rep: BuildReport, beta_tilde: float, beta: float, n_basis: int, m: int) -> dict:
-    """certificates.json's scalars in order: the chain record, the envelope, beta, N and M."""
-    fields = ("k_steps", "eps_iterator", "eps_step", "contraction", "f_dual_norm", "matrix_bound")
-    return {"epsilon": rep.tolerance, "beta_tilde": beta_tilde, "beta_eff": rep.beta_eff,
-            "alpha": rep.alpha, "beta": beta, "n_basis": n_basis, "m_channels": m,
-            **{key: getattr(rep, key) for key in fields}}
+def _basis(op: NeuralOperator, task: str) -> ReducedBasis:
+    """op.basis; ValueError naming task for a loaded operator, which has none."""
+    if op.basis is None:
+        raise ValueError(f"{task} needs the operator's reduced basis; a loaded operator has none")
+    return op.basis
 
 
 @dataclass
@@ -172,28 +186,26 @@ def build_operator(
     basis, _ = weak_greedy(snapshots, n_basis, gamma)
     beta_tilde = effective_beta(encoder, config, snapshots.coefficients)
     approximator = build_approximator(basis, space, config, encoder, epsilon)
-    return NeuralOperator(encoder, approximator, basis, beta_tilde)
+    return NeuralOperator(encoder, approximator, basis.ortho, beta_tilde, basis)
 
 
-def evaluate(op: NeuralOperator, a: CoefficientField) -> np.ndarray:
-    """Apply the operator: encode, run the recurrent approximator, synthesize."""
-    c = op.approximator.realize(op.encoder.encode(a))
-    return synthesize(op.basis, c, frame=op.frame)
+evaluate = NeuralOperator.evaluate  # evaluate(op, a) is op.evaluate(a), for built and loaded ops
 
 
 def _reduced_solutions(op: NeuralOperator, block, weights) -> list:
     """Synthesized dense reduced Galerkin solution of each weighted sum of the block's columns."""
-    return [synthesize(op.basis, c, frame="ortho") for c in direct_solve(op.basis, block, weights)]
+    return [op.synthesis @ c for c in direct_solve(op.basis, block, weights)]
 
 
 def network_solutions(op: NeuralOperator, coefficients) -> tuple[list, list]:
     """Per coefficient, encoded once: the reduced Galerkin solution of its encoded reconstruction
     (channel weights y on op.quadrature_channels; no network) and the operator's output. The
     encodings go as one block to one direct_solve and one ApproximatorBundle.realize, whose
-    rows equal evaluate's single calls bit for bit."""
+    rows equal evaluate's single calls bit for bit. ValueError for a loaded operator."""
+    _basis(op, "network_solutions")
     ys = np.reshape([op.encoder.encode(a) for a in coefficients], (-1, op.encoder.m))
     recon = _reduced_solutions(op, op.quadrature_channels, ys)
-    return recon, [synthesize(op.basis, c, frame=op.frame) for c in op.approximator.realize(ys)]
+    return recon, [op.synthesis @ c for c in op.approximator.realize(ys)]
 
 
 def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
@@ -205,9 +217,11 @@ def error_decomposition(op: NeuralOperator, test_coefficients) -> ErrorReport:
     a point table (coeff meta "table" and "weights") is reduced as its
     weights on the table at the quadrature points; any other field as its
     samples, one column of weight 1. Both are richardson.direct_solve calls, and the
-    fine solve starts from that u_N; network_solutions gives the rest.
+    fine solve starts from that u_N; network_solutions gives the rest. ValueError for a
+    loaded operator.
     """
-    space, config, points = op.basis.space, op.basis.config, quadrature_points(op.basis.space)
+    basis = _basis(op, "error_decomposition")
+    space, config, points = basis.space, basis.config, quadrature_points(basis.space)
     coefficients = list(test_coefficients)
     report = ErrorReport()
     for a, u_recon, u_net in zip(coefficients, *network_solutions(op, coefficients)):
@@ -250,46 +264,33 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     """Operator bundle: seven .npy arrays, encoder JSON, certificates JSON.
 
     np.save without pickles writes the bits exactly, the same bytes on every save: basis.npy is
-    op.basis.ortho, input.npy the input net's one layer, its dense (N^2, M) weights then the
+    op.synthesis, input.npy the input net's one layer, its dense (N^2, M) weights then the
     bias column, shift.npy the shift g, and <mesh>_nodes.npy (float64 (n, 2)) and
     <mesh>_triangles.npy (int64 (t, 3)) the nodes and triangles of the output mesh ("mesh") and
     of the encoder's ("encoder_mesh"); load_bundle re-derives the rest. The two mesh_*.npy files
     record the output space: the rows of basis.npy are the free dofs of build_space(mesh,
     fem_degree) on the mesh _build_mesh makes of them. certificates.json is op.certificates and
     bundle_format and fem_degree. An input net of depth other than 1 (a nonsmooth operator's)
-    is refused: interval_entry_bounds cannot re-derive the box Z from it.
+    is refused: interval_entry_bounds cannot re-derive the box Z from it. So is a loaded
+    operator, which has no basis to give the shift and the output space.
     """
+    basis = _basis(op, "save_bundle")
     depth = op.approximator.encoder_input.depth
     if depth != 1:
         raise ValueError(f"a nonsmooth operator cannot be saved: its input net has depth {depth}")
     os.makedirs(directory, exist_ok=True)
     [(w, b)] = op.approximator.encoder_input.layers
-    arrays = {"basis.npy": op.basis.ortho, "shift.npy": op.basis.nominal.shift,
+    arrays = {"basis.npy": op.synthesis, "shift.npy": basis.nominal.shift,
               "input.npy": np.column_stack([w.toarray(), b])}
-    for prefix, mesh in (("mesh", op.basis.space.mesh), ("encoder_mesh", op.encoder.mesh)):
+    for prefix, mesh in (("mesh", basis.space.mesh), ("encoder_mesh", op.encoder.mesh)):
         arrays |= {f"{prefix}_nodes.npy": mesh.nodes, f"{prefix}_triangles.npy": mesh.triangles}
     for name, array in arrays.items():
         np.save(os.path.join(directory, name), array, allow_pickle=False)
     with open(os.path.join(directory, "encoder.json"), "w") as fh:
         fh.write(encoder_to_json(op.encoder))
-    meta = {**op.certificates, "bundle_format": BUNDLE_FORMAT, "fem_degree": op.basis.space.degree}
+    meta = {**op.certificates, "bundle_format": BUNDLE_FORMAT, "fem_degree": basis.space.degree}
     with open(os.path.join(directory, "certificates.json"), "w") as fh:
         fh.write(json.dumps(meta, indent=1))
-
-
-@dataclass
-class LoadedOperator:
-    """Operator rebuilt from a bundle directory: synthesis is basis.npy, and evaluate returns
-    free-dof values of the space that mesh_nodes.npy and mesh_triangles.npy record (see
-    save_bundle)."""
-
-    encoder: Encoder
-    approximator: ApproximatorBundle
-    synthesis: np.ndarray
-    certificates: dict
-
-    def evaluate(self, a: CoefficientField) -> np.ndarray:
-        return self.synthesis @ self.approximator.realize(self.encoder.encode(a))
 
 
 def _read_npy(directory: str, name: str, ndim: int, dtype=np.float64) -> np.ndarray:
@@ -321,8 +322,8 @@ def _read_mesh(directory: str, prefix: str, make=_build_mesh):
         raise ValueError(f"{names[0]} and {names[1]} do not form a mesh: {exc}") from exc
 
 
-def load_bundle(directory: str) -> LoadedOperator:
-    """Rebuild an operator from a bundle through the build's certificate chain.
+def load_bundle(directory: str) -> NeuralOperator:
+    """Rebuild an operator, without a basis, from a bundle through the build's certificate chain.
 
     encoder_from_json rebuilds the encoder from encoder.json on the mesh _build_mesh makes of
     encoder_mesh_nodes.npy and encoder_mesh_triangles.npy. The output mesh's two files are
@@ -333,10 +334,12 @@ def load_bundle(directory: str) -> LoadedOperator:
     file (see _read_npy), mesh files that do not form a mesh, widths that do not fit, a band no
     build certifies (other than 0 < beta = beta_eff < alpha and 0 <= beta_tilde <= beta +
     BAND_TOL), a fem_degree other than the int 1 or 2, and a certificates.json key missing,
-    unknown or not the re-derived value; LoadedOperator's certificates are those values and
-    fem_degree. This checks consistency, not provenance: the bundle stores neither a0 nor f, so
-    input.npy, shift.npy, ||f|| and basis.npy are taken as given, and edits that keep them
-    consistent with each other load.
+    unknown or not the re-derived value: certificates.json must be the loaded operator's
+    certificates, bundle_format and fem_degree, as save_bundle writes them. The operator's
+    synthesis is basis.npy, so evaluate returns free-dof values of the space that
+    mesh_nodes.npy and mesh_triangles.npy record. This checks consistency, not provenance: the
+    bundle stores neither a0 nor f, so input.npy, shift.npy, ||f|| and basis.npy are taken as
+    given, and edits that keep them consistent with each other load.
     """
     with open(os.path.join(directory, "certificates.json")) as fh:
         meta = json.load(fh)
@@ -367,8 +370,8 @@ def load_bundle(directory: str) -> LoadedOperator:
     if widths != (enc.m, n * n):
         raise ValueError(f"input net widths {widths} do not fit {enc.m} encoder channels "
                          f"and the {n} columns of basis.npy")
-    derived = {**_certificates(app.report, beta_tilde, beta, n - 1, enc.m),
-               "bundle_format": BUNDLE_FORMAT, "fem_degree": meta["fem_degree"]}
+    op = NeuralOperator(enc, app, synthesis, beta_tilde)
+    derived = {**op.certificates, "bundle_format": BUNDLE_FORMAT, "fem_degree": meta["fem_degree"]}
     for key in {**derived, **meta}:  # a missing or unknown key is refused like a wrong value
         if key not in meta or key not in derived or meta[key] != derived[key]:
             raise ValueError(
@@ -376,4 +379,4 @@ def load_bundle(directory: str) -> LoadedOperator:
                 f"encoder channels, the input net, the shift and epsilon {meta['epsilon']!r} give "
                 f"{derived.get(key, 'no such key')!r}"
             )
-    return LoadedOperator(enc, app, synthesis, derived)
+    return op

@@ -118,13 +118,6 @@ class ReducedBasis:
         """K(a0) of the fine form fem.nominal(space, config); read-only."""
         return fem.nominal(self.space, self.config).stiffness
 
-    def frame(self, name: str) -> np.ndarray:
-        if name == "raw":
-            return self.raw
-        if name == "ortho":
-            return self.ortho
-        raise ValueError("frame must be 'raw' or 'ortho'")
-
     @cached_property
     def nominal(self) -> NominalForm:
         """Computed on first read; IllConditionedBasisError unless b0 is SPD."""
@@ -230,16 +223,16 @@ def weak_greedy(snapshots: SnapshotSet, n_max: int, gamma: float = 1.0):
 
 
 def synthesize(basis: ReducedBasis, coeffs: np.ndarray, frame: str) -> np.ndarray:
-    """Linear combination of the columns of the named frame, "raw" or "ortho".
-
-    The frame has no default: the reduced solves and the network give ortho
-    coefficients, and a raw synthesis of those is silently wrong.
+    """basis.ortho @ coeffs: the field of ortho-frame coefficients, which the reduced solves
+    and the network give. frame must be "ortho", else ValueError; the keyword stays only for
+    the call at bench/run.py:243 and goes with ROADMAP item 1a.
     """
-    p = basis.frame(frame)
+    if frame != "ortho":
+        raise ValueError(f"frame must be 'ortho', got {frame!r}")
     coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) != p.shape[1]:
+    if len(coeffs) != basis.size:
         raise ValueError("coefficient length does not match basis size")
-    return p @ coeffs
+    return basis.ortho @ coeffs
 
 
 def projection_error_curve(basis: ReducedBasis, test_solutions: np.ndarray):

@@ -128,7 +128,7 @@ def bench_run(bench):
 
 def test_untraced_phases_pass_the_gate(bench_run, tiny_cfg, tmp_path, monkeypatch):
     # every phase of an untraced run reads the library: op.frame, the net's unrolled form,
-    # synthesize(..., frame=), error_decomposition and the bundle's LoadedOperator.evaluate
+    # synthesize(..., frame=), error_decomposition and the loaded NeuralOperator's evaluate
     run = bench_run
     monkeypatch.setattr(run, "OUT", str(tmp_path))
     gate = run.Gate()

@@ -555,7 +555,9 @@ def test_built_bundle_loads_and_evaluates_a_family_member(path, edit, tmp_path, 
     # mesh_nodes.npy and mesh_triangles.npy record the output space: u holds its free-dof values
     nodes, triangles = (np.load(os.path.join(bundle, f"mesh_{part}.npy"), allow_pickle=False)
                         for part in ("nodes", "triangles"))
-    space = fem.build_space(mesh._build_mesh(nodes, triangles), op.certificates["fem_degree"])
+    with open(os.path.join(bundle, "certificates.json")) as fh:
+        degree = json.load(fh)["fem_degree"]
+    space = fem.build_space(mesh._build_mesh(nodes, triangles), degree)
     assert len(u) == space.n_free
     # basis.npy is the finite float64 (n_free, n_basis + 1) synthesis matrix, read without the
     # loader

@@ -604,15 +604,16 @@ class TestBundle:
         # keys; load_bundle reads it back whole and re-derives the built report
         P.save_bundle(operator, str(tmp_path))
         with open(tmp_path / "certificates.json") as fh:
-            assert list(json.load(fh)) == [
-                "epsilon", "beta_tilde", "beta_eff", "alpha", "beta", "n_basis", "m_channels",
-                "k_steps", "eps_iterator", "eps_step", "contraction", "f_dual_norm",
-                "matrix_bound", "bundle_format", "fem_degree",
-            ]
+            meta = json.load(fh)
+        assert list(meta) == [
+            "epsilon", "beta_tilde", "beta_eff", "alpha", "beta", "n_basis", "m_channels",
+            "k_steps", "eps_iterator", "eps_step", "contraction", "f_dual_norm",
+            "matrix_bound", "bundle_format", "fem_degree",
+        ]
         loaded = P.load_bundle(str(tmp_path))
         degree = operator.basis.space.degree
-        want = {**operator.certificates, "bundle_format": 8, "fem_degree": degree}
-        assert loaded.certificates == want
+        assert meta == {**loaded.certificates, "bundle_format": 8, "fem_degree": degree}
+        assert loaded.certificates == operator.certificates
         assert loaded.approximator.report == operator.approximator.report
 
     def test_mesh_file_records_the_output_space(self, operator, family, tmp_path):
@@ -620,7 +621,8 @@ class TestBundle:
         loaded = P.load_bundle(str(tmp_path))
         nodes, triangles = (np.load(tmp_path / f"mesh_{part}.npy", allow_pickle=False)
                             for part in ("nodes", "triangles"))
-        space = F.build_space(M._build_mesh(nodes, triangles), loaded.certificates["fem_degree"])
+        degree = json.loads((tmp_path / "certificates.json").read_text())["fem_degree"]
+        space = F.build_space(M._build_mesh(nodes, triangles), degree)
         assert np.array_equal(space.free_dofs, operator.basis.space.free_dofs)
         assert np.array_equal(space.dof_coords, operator.basis.space.dof_coords)
         assert space.n_free == loaded.synthesis.shape[0]
@@ -900,3 +902,44 @@ class TestBundle:
         with pytest.raises(ValueError, match="nonsmooth"):
             P.save_bundle(wrapped, str(tmp_path))
         assert not os.listdir(tmp_path)
+
+
+@pytest.fixture(scope="module", params=["nodal", "gll"])
+def built_and_loaded(request, operator, family, config, space, square, tmp_path_factory):
+    """A built operator of each encoder kind and the operator load_bundle rebuilds of it."""
+    op = operator
+    if request.param == "gll":
+        gll = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
+        op = P.build_operator(family, config, space, 12, 4, gll, 1e-2, seed=5)
+    path = str(tmp_path_factory.mktemp(request.param))
+    P.save_bundle(op, path)
+    return op, P.load_bundle(path)
+
+
+class TestOneOperator:
+    def test_module_evaluate_is_the_method(self):
+        assert P.evaluate is P.NeuralOperator.evaluate
+
+    def test_built_and_loaded_evaluate_agree_bit_for_bit(self, built_and_loaded, family):
+        op, loaded = built_and_loaded
+        assert type(loaded) is P.NeuralOperator and loaded.basis is None
+        assert op.synthesis is op.basis.ortho
+        for a in C.sample_family(family, 3, 31):
+            u = P.evaluate(op, a)
+            assert np.array_equal(op.evaluate(a), u)
+            assert np.array_equal(loaded.evaluate(a), u)
+        assert loaded.certificates == op.certificates
+
+    @pytest.mark.parametrize("task", ["network_solutions", "error_decomposition", "save_bundle"])
+    def test_loaded_operator_has_no_basis(self, built_and_loaded, family, task, tmp_path):
+        # these need the basis's space, config or nominal shift, which a bundle does not hold
+        _, loaded = built_and_loaded
+        members = C.sample_family(family, 1, 3)
+        target = str(tmp_path / "bundle") if task == "save_bundle" else members
+        with pytest.raises(ValueError, match=f"^{task} needs the operator's reduced basis"):
+            getattr(P, task)(loaded, target)
+        assert not os.listdir(tmp_path)
+
+    def test_loaded_operator_has_no_quadrature_channels(self, built_and_loaded):
+        with pytest.raises(ValueError, match="^quadrature_channels needs the operator's"):
+            built_and_loaded[1].quadrature_channels

@@ -148,25 +148,31 @@ class TestFrames:
 
 class TestAnalyzeSynthesize:
     def test_synthesize_zero_and_units(self, basis):
-        assert np.all(RB.synthesize(basis, np.zeros(basis.size), frame="raw") == 0.0)
+        assert np.all(RB.synthesize(basis, np.zeros(basis.size), frame="ortho") == 0.0)
         for j in (0, 1):
             e = np.zeros(basis.size)
             e[j] = 1.0
-            assert np.array_equal(RB.synthesize(basis, e, frame="raw"), basis.raw[:, j])
+            assert np.array_equal(RB.synthesize(basis, e, frame="ortho"), basis.ortho[:, j])
 
     def test_synthesis_norm_bound(self, basis, space, config, rng):
         # Cauchy-Schwarz chain: |sum c_i psi_i| <= |c|_2 sqrt(N+1) max |psi_i|
         c = rng.standard_normal(basis.size)
-        val = F.energy_norm(space, config, RB.synthesize(basis, c, frame="raw"))
+        val = F.energy_norm(space, config, RB.synthesize(basis, c, frame="ortho"))
         max_norm = max(
-            F.energy_norm(space, config, basis.raw[:, j])
+            F.energy_norm(space, config, basis.ortho[:, j])
             for j in range(basis.size)
         )
         assert val <= np.linalg.norm(c) * np.sqrt(basis.size) * max_norm + 1e-12
 
     def test_length_mismatch(self, basis):
         with pytest.raises(ValueError):
-            RB.synthesize(basis, np.zeros(basis.size + 1), frame="raw")
+            RB.synthesize(basis, np.zeros(basis.size + 1), frame="ortho")
+
+    @pytest.mark.parametrize("frame", ["raw", "Ortho", ""])
+    def test_only_the_ortho_frame(self, basis, frame):
+        # network and reduced-solve coefficients are ortho; any other frame is refused
+        with pytest.raises(ValueError, match="frame"):
+            RB.synthesize(basis, np.zeros(basis.size), frame=frame)
 
 
 class TestProjectionCurve:

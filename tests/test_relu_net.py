@@ -740,7 +740,7 @@ class TestInputNet:
             from richop import mesh as M
 
             enc = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
-        p = basis.frame("ortho")
+        p = basis.ortho
         chol = la.cho_factor(p.T @ (basis.nominal_stiffness @ p), lower=True)
         channels = enc.channel_matrix(F.quadrature_points(space)).toarray()
         loop = np.column_stack([
@@ -779,7 +779,7 @@ def approximators(bundle, lab, square):
     """(approximator, encoder) by kind; nonsmooth_operator's input net has depth 3."""
     basis, space, config, nodal = lab["basis"], lab["space"], lab["config"], lab["encoder"]
     gll = E.build_gll_encoder(M.quad_split(M.triangulate(square, 0.5)), 2)
-    op = P.NeuralOperator(nodal, bundle, basis, beta_tilde=config.beta)
+    op = P.NeuralOperator(nodal, bundle, basis.ortho, beta_tilde=config.beta, basis=basis)
     return {
         "nodal": (bundle, nodal),
         "gll": (NN.build_approximator(basis, space, config, gll, 1e-2), gll),
