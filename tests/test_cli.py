@@ -14,6 +14,8 @@ CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "square_smoke.
 SWEEP = os.path.join(os.path.dirname(__file__), "..", "configs", "eps_sweep.json")
 GLL = os.path.join(os.path.dirname(__file__), "..", "configs", "square_gll.json")
 LSHAPE = os.path.join(os.path.dirname(__file__), "..", "configs", "decay_lshape.json")
+ANALYTIC = os.path.join(os.path.dirname(__file__), "..", "configs", "decay_analytic.json")
+LAB = os.path.join(os.path.dirname(__file__), "..", "configs", "lab.json")
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
 
 
@@ -21,23 +23,6 @@ def _body(path):
     """CSV contents without the timestamp header line."""
     with open(path) as fh:
         return [ln for ln in fh if not ln.startswith("# generated=")]
-
-
-def test_run_smoke(tmp_path):
-    out = str(tmp_path / "run")
-    assert cli.main(["run", "--config", CONFIG, "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "contraction.csv"))
-    assert os.path.exists(os.path.join(out, "convergence.csv"))
-    assert os.path.isdir(os.path.join(out, "bundle"))
-
-
-def test_run_deterministic(tmp_path):
-    out1 = str(tmp_path / "a")
-    out2 = str(tmp_path / "b")
-    assert cli.main(["run", "--config", CONFIG, "--out", out1]) == 0
-    assert cli.main(["run", "--config", CONFIG, "--out", out2]) == 0
-    for name in ("contraction.csv", "convergence.csv"):
-        assert _body(os.path.join(out1, name)) == _body(os.path.join(out2, name))
 
 
 def test_invalid_beta_exits_one(tmp_path):
@@ -312,11 +297,8 @@ def test_sweep_builds_the_input_net_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("beta_mode", ["paper"])
-def test_sweep_measured_mode_sizes_the_built_net(tmp_path, beta_mode):
-    # the sweep's row at the build's epsilon repeats the built net's depth and size
+def test_sweep_row_at_the_build_epsilon_repeats_the_built_depth_and_size(tmp_path):
     cfg = json.load(open(CONFIG))
-    cfg["network"]["beta_mode"] = beta_mode
     eps = cfg["network"]["epsilon"]
     cfg["sweep"] = {"axis": "epsilon", "values": [1e-1, eps]}
     path = tmp_path / "cfg.json"
@@ -354,13 +336,9 @@ def test_snapshots_command(tmp_path):
 
 
 def test_snapshots_command_on_the_parametric_family(tmp_path):
-    # no committed config uses the parametric family: the smoke config with its kind
-    cfg = json.load(open(CONFIG))
-    cfg["family"]["kind"] = "parametric"
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path = _edited_config(CONFIG, _parametric, tmp_path)
     out = str(tmp_path / "snaps")
-    assert cli.main(["snapshots", "--config", str(path), "--out", out]) == 0
+    assert cli.main(["snapshots", "--config", path, "--out", out]) == 0
     assert len(_body(os.path.join(out, "snapshots.csv"))) > 1
 
 
@@ -455,12 +433,10 @@ def test_nncheck_errors_are_the_decomposition_network_term(tmp_path):
 
 def test_polygon_domain_meshes_and_builds(tmp_path):
     # a non-convex polygon domain whose first vertex is reflex, meshed by ear clipping
-    cfg = _polygon(json.load(open(CONFIG)))
-    path = tmp_path / "polygon.json"
-    path.write_text(json.dumps(cfg))
+    path = _edited_config(CONFIG, _polygon, tmp_path)
     out = str(tmp_path / "polygon")
     for command in ("mesh", "greedy", "build"):
-        assert cli.main([command, "--config", str(path), "--out", out]) == 0
+        assert cli.main([command, "--config", path, "--out", out]) == 0
     assert _body(os.path.join(out, "mesh_stats.csv"))[1].split(",")[:2] == ["153", "256"]
     for name in ("input.npy", "shift.npy"):
         assert os.path.exists(os.path.join(out, "bundle", name))
@@ -510,16 +486,29 @@ def _polygon(cfg):
     return cfg
 
 
+def _parametric(cfg):
+    """The smoke config cfg on the parametric family, which no committed config uses."""
+    cfg["family"]["kind"] = "parametric"
+    return cfg
+
+
+def _edited_config(path, edit, directory):
+    """path itself if edit is None, else the config edit makes of it, written to directory."""
+    if edit is None:
+        return path
+    edited = str(directory / "config.json")
+    with open(edited, "w") as fh:
+        json.dump(edit(json.load(open(path))), fh)
+    return edited
+
+
 @pytest.mark.parametrize(
     "path, edit",
     [(path, None) for path in CONFIGS] + [(GLL, _pentagon), (CONFIG, _polygon)],
     ids=[os.path.basename(path) for path in CONFIGS] + ["pentagon", "polygon"],
 )
 def test_built_bundle_loads_and_evaluates_a_family_member(path, edit, tmp_path, monkeypatch):
-    if edit is not None:  # the edited config, written to a file
-        cfg, path = edit(json.load(open(path))), str(tmp_path / "config.json")
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
+    path = _edited_config(path, edit, tmp_path)
     built, save = [], pipeline.save_bundle
 
     def recording(op, directory):
@@ -564,6 +553,58 @@ def test_built_bundle_loads_and_evaluates_a_family_member(path, edit, tmp_path, 
     basis = np.load(os.path.join(bundle, "basis.npy"), allow_pickle=False)
     assert basis.dtype == np.float64 and np.isfinite(basis).all()
     assert basis.shape == (space.n_free, op.certificates["n_basis"] + 1)
+
+
+# Each case runs its commands twice with --seed 0, into a/ and into b/: config, edit, commands.
+_RERUNS = {
+    "smoke": (CONFIG, None,
+              ("mesh", "snapshots", "greedy", "build", "eval", "sweep", "nncheck", "decompose", "run")),
+    "gll": (GLL, None, ("build", "nncheck", "decompose", "run")),
+    "eps_sweep": (SWEEP, None, ("sweep",)),
+    "lshape": (LSHAPE, None, ("mesh", "greedy")),
+    "analytic": (ANALYTIC, None, ("greedy",)),
+    "lab": (LAB, None, ("run",)),
+    "parametric": (CONFIG, _parametric, ("snapshots",)),
+    "polygon": (CONFIG, _polygon, ("mesh",)),
+}
+
+# the files of a format-8 bundle, in byte order
+BUNDLE_FILES = [
+    "basis.npy", "certificates.json", "encoder.json", "encoder_mesh_nodes.npy",
+    "encoder_mesh_triangles.npy", "input.npy", "mesh_nodes.npy", "mesh_triangles.npy", "shift.npy",
+]
+
+
+def _written(out):
+    """{path relative to out: bytes} of every file under out, with the "# generated=" lines of
+    .csv files dropped."""
+    files = {}
+    for root, _dirs, names in os.walk(out):
+        for name in names:
+            with open(os.path.join(root, name), "rb") as fh:
+                lines = fh.readlines()
+            if name.endswith(".csv"):
+                lines = [ln for ln in lines if not ln.startswith(b"# generated=")]
+            files[os.path.relpath(os.path.join(root, name), out)] = b"".join(lines)
+    return files
+
+
+@pytest.mark.parametrize("case", list(_RERUNS))
+def test_two_runs_write_the_same_files(case, tmp_path):
+    # criterion 14 for every command: the same config and seed write the same files, byte for
+    # byte but for the timestamp line, and a bundle holds exactly the format-8 files
+    path, edit, commands = _RERUNS[case]
+    path = _edited_config(path, edit, tmp_path)
+    for out in ("a", "b"):
+        for command in commands:
+            argv = [command, "--config", path, "--out", str(tmp_path / out), "--seed", "0"]
+            assert cli.main(argv) == 0, argv
+    first, second = _written(tmp_path / "a"), _written(tmp_path / "b")
+    assert sorted(first) == sorted(second)
+    assert [name for name in first if first[name] != second[name]] == []
+    bundle = sorted(os.path.relpath(name, "bundle") for name in first
+                    if name.startswith("bundle" + os.sep))
+    assert bundle in ([], BUNDLE_FILES)
 
 
 def test_write_csv_closes_file_when_a_row_fails(tmp_path, monkeypatch):
