@@ -161,7 +161,7 @@ class Setup:
             return mesh_mod.lshape()
         if kind == "polygon":
             return mesh_mod.Polygon(np.asarray(_pairs(self.cfg, "domain.vertices"), dtype=float))
-        raise ConfigError(f"unknown domain kind {kind!r}")
+        raise ConfigError(f"domain.kind must be square, lshape or polygon, got {kind!r}")
 
     @cached_property
     def mesh(self):
@@ -186,8 +186,8 @@ class Setup:
 
     @cached_property
     def problem(self):
-        if _value(self.cfg, "problem.source.kind", "constant") != "constant":
-            raise ConfigError("only constant sources are configurable")
+        kind = _value(self.cfg, "problem.source.kind", "constant")
+        _check(kind == "constant", f"problem.source.kind must be constant, got {kind!r}")
         value = _number(self.cfg, "problem.source.value", 1.0, lambda v: 0 < abs(v) < math.inf,
                         "be finite and nonzero")
         alpha, beta = _value(self.cfg, "problem.alpha", 1.0), _value(self.cfg, "problem.beta", 0.5)
@@ -224,7 +224,7 @@ class Setup:
             return coeff_mod.SobolevBall(
                 alpha=alpha, beta=beta, domain=coarse, order=order, radius=radius, fill=fill
             )
-        raise ConfigError(f"unknown family kind {kind!r}")
+        raise ConfigError(f"family.kind must be analytic, parametric or sobolev_ball, got {kind!r}")
 
     @cached_property
     def encoder(self):
@@ -238,7 +238,7 @@ class Setup:
         if kind == "gll":
             p = _integer(self.cfg, "encoder.p", 3, 1)
             return build_gll_encoder(quad_split(coarse), p)
-        raise ConfigError(f"unknown encoder kind {kind!r}")
+        raise ConfigError(f"encoder.kind must be nodal or gll, got {kind!r}")
 
     @cached_property
     def training_count(self) -> int:
@@ -304,8 +304,8 @@ def cmd_snapshots(s: Setup, out_dir, hash_):
 
 def cmd_greedy(s: Setup, out_dir, hash_):
     basis, trace = s.greedy
-    # the seconds column is zeroed so that reruns are byte-identical
-    rows = ((n, delta, sel, 0.0) for n, delta, sel, _sec in trace.rows())
+    # greedy steps are not timed; the seconds column stays, all zero, to keep the file format
+    rows = ((n, delta, sel, 0.0) for n, delta, sel in trace.rows())
     _write_csv(out_dir, "greedy_trace.csv", ["N", "delta", "selected_index", "seconds"], rows, hash_)
     curve = rb_mod.projection_error_curve(basis, s.snapshots.solutions)
     _write_csv(out_dir, "delta_curve.csv", ["N", "delta"], curve, hash_)
@@ -331,8 +331,8 @@ def cmd_eval(s: Setup, out_dir, hash_):
 
 def cmd_sweep(s: Setup, out_dir, hash_):
     sweep = _value(s.cfg, "sweep", {"axis": "epsilon", "values": [1e-1, 1e-2, 1e-3]})
-    if sweep.get("axis", "epsilon") != "epsilon":
-        raise ConfigError("only epsilon sweeps are supported")
+    axis = sweep.get("axis", "epsilon")
+    _check(axis == "epsilon", f"sweep.axis must be epsilon, got {axis!r}")
     values = sweep.get("values")
     _check(isinstance(values, list) and len(values) > 0
            and all(type(e) in (int, float) and 0 < e < 1 for e in values),

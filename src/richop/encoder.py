@@ -119,15 +119,6 @@ class Encoder:
             array.flags.writeable = False
         return matrix
 
-    def reconstruct(self, values: np.ndarray) -> CoefficientField:
-        values = np.asarray(values, dtype=float)
-        if len(values) != self.m:
-            raise ValueError("channel count mismatch")
-        return CoefficientField(
-            lambda pts: self.channel_matrix(pts) @ values,
-            meta={"encoder": self, "values": values},
-        )
-
 
 class NodalEncoder(Encoder):
     """Lagrange interpolation on a P1/P2 space: its dofs are the channels."""

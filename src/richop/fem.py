@@ -100,7 +100,6 @@ class FemSpace:
     dof_coords: np.ndarray
     cell_dofs: np.ndarray
     free_dofs: np.ndarray
-    constrained_dofs: np.ndarray
     # FineForm per ProblemConfig, filled by nominal(space, config)
     _nominal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -119,9 +118,9 @@ class FemSpace:
 
 
 def build_space(mesh: Mesh, degree: int = 1) -> FemSpace:
-    dof_coords, cell_dofs, constrained = (a.copy() for a in _lagrange_dofs(mesh, degree))
+    dof_coords, cell_dofs, constrained = _lagrange_dofs(mesh, degree)
     free = np.setdiff1d(np.arange(len(dof_coords)), constrained)
-    return FemSpace(mesh, degree, dof_coords, cell_dofs, free, constrained)
+    return FemSpace(mesh, degree, dof_coords.copy(), cell_dofs.copy(), free)
 
 
 def _reference_tables(degree: int):
@@ -329,12 +328,12 @@ def _factor(matrix) -> spla.SuperLU:
     return lu
 
 
-def _cg(asm: Assembly, data: np.ndarray, rhs: np.ndarray, tol: float, start=None) -> np.ndarray:
+def _cg(asm: Assembly, data: np.ndarray, rhs: np.ndarray, start=None) -> np.ndarray:
     """CG for K x = rhs, K the matrix of the pattern's data, from start (a finite vector
     shaped as rhs, else ValueError) or zero; every product is asm.product, and z =
     s^-1 * asm.laplace.solve(s^-1 * r), s = sqrt(diag K / asm.laplace_diagonal) taken once
-    per solve. The recurrence stops at relative residual tol; the true relative residual
-    ||K x - rhs|| / ||rhs|| is guaranteed at most max(tol, 1e-10). SolverError on a
+    per solve. The recurrence stops at relative residual _SOLVE_TOL; the true relative residual
+    ||K x - rhs|| / ||rhs|| is guaranteed at most 1e-10. SolverError on a
     non-positive diagonal entry or curvature, at the cap, or when that check fails."""
     rhs = np.asarray(rhs, dtype=float)
     if start is not None and not (np.shape(start) == rhs.shape and np.all(np.isfinite(start))):
@@ -359,7 +358,7 @@ def _cg(asm: Assembly, data: np.ndarray, rhs: np.ndarray, tol: float, start=None
         step = rz / curvature
         x += step * p
         r -= step * ap
-        if np.linalg.norm(r) <= tol * bnorm:
+        if np.linalg.norm(r) <= _SOLVE_TOL * bnorm:
             break
         z = scale * factor.solve(scale * r)
         rz, rz_old = r @ z, rz
@@ -367,8 +366,8 @@ def _cg(asm: Assembly, data: np.ndarray, rhs: np.ndarray, tol: float, start=None
     else:
         raise SolverError("CG did not converge within the iteration cap")
     res = np.linalg.norm(asm.product(data, x) - rhs) / bnorm
-    if res > max(tol, 1e-10):
-        raise SolverError(f"relative residual {res:.3e} above tolerance {tol:.3e}")
+    if res > 1e-10:
+        raise SolverError(f"relative residual {res:.3e} above tolerance 1e-10")
     return x
 
 
@@ -412,7 +411,7 @@ def nominal(space: FemSpace, config: ProblemConfig) -> FineForm:
     if form is None:
         k0 = assemble_stiffness(space, config.a0)
         load = assemble_load(space, config.f)
-        rep = _cg(assembly(space), k0.data, load, _SOLVE_TOL)
+        rep = _cg(assembly(space), k0.data, load)
         for array in (k0.data, k0.indices, k0.indptr, load):
             array.flags.writeable = False
         f_dual = float(np.sqrt(max(float(load @ rep), 0.0)))
@@ -446,7 +445,7 @@ def galerkin_solve(
         )
     asm = assembly(space)
     data = (asm.stiffness @ samples)[asm.mirror]
-    return _cg(asm, data, nominal(space, config).load, _SOLVE_TOL, start)
+    return _cg(asm, data, nominal(space, config).load, start)
 
 
 def energy_norm(space: FemSpace, config: ProblemConfig, v: np.ndarray) -> float:

@@ -8,7 +8,6 @@ in the nominal inner product with one reorthogonalization pass.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,22 +53,19 @@ class SnapshotSet:
 
 @dataclass
 class GreedyTrace:
-    """Per-step record: basis size, worst residual, picked snapshot, timing."""
+    """Per-step record: basis size, worst residual, picked snapshot."""
 
     sizes: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     selected: list = field(default_factory=list)
-    seconds: list = field(default_factory=list)
 
     def rows(self):
-        return list(zip(self.sizes, self.residuals, self.selected, self.seconds))
+        return list(zip(self.sizes, self.residuals, self.selected))
 
-    def record(self, size: int, residual: float, selected: int, started: float) -> None:
-        """Append one step that began at time.perf_counter() == started."""
+    def record(self, size: int, residual: float, selected: int) -> None:
         self.sizes.append(size)
         self.residuals.append(residual)
         self.selected.append(selected)
-        self.seconds.append(time.perf_counter() - started)
 
 
 @dataclass(frozen=True)
@@ -91,19 +87,17 @@ class NominalForm:
 
 @dataclass
 class ReducedBasis:
-    """Anchored snapshot basis with its orthonormal companion frame.
+    """Anchored snapshot basis in its orthonormal frame.
 
-    ``raw`` stacks the anchor and the selected snapshots as columns;
-    ``ortho`` spans the same space and is orthonormal in the nominal inner
-    product, with the first column parallel to the anchor. Prefixes of both
-    frames are hierarchical by construction. ``nominal`` is the basis's own
-    coefficient-independent reduced form; the basis also keeps its reduced
-    stiffness stacks (richardson.reduced_stiffness).
+    ``ortho`` spans the anchor and the selected snapshots and is orthonormal
+    in the nominal inner product, with the first column parallel to the
+    anchor. Its prefixes are hierarchical by construction. ``nominal`` is the
+    basis's own coefficient-independent reduced form; the basis also keeps
+    its reduced stiffness stacks (richardson.reduced_stiffness).
     """
 
     space: FemSpace
     config: ProblemConfig
-    raw: np.ndarray
     ortho: np.ndarray
     selection_indices: list
     # id(block) -> (weakref to the block, its reduced stiffness stack), see coeff._per_points
@@ -111,7 +105,7 @@ class ReducedBasis:
 
     @property
     def size(self) -> int:
-        return self.raw.shape[1]
+        return self.ortho.shape[1]
 
     @property
     def nominal_stiffness(self) -> sp.csr_matrix:
@@ -182,7 +176,6 @@ def weak_greedy(snapshots: SnapshotSet, n_max: int, gamma: float = 1.0):
     sols = snapshots.solutions
     ks = k0 @ sols
 
-    raw_cols = [anchor]
     ortho_cols = [anchor / anchor_norm]
     selected: list = []
     trace = GreedyTrace()
@@ -196,11 +189,10 @@ def weak_greedy(snapshots: SnapshotSet, n_max: int, gamma: float = 1.0):
         return np.sqrt(np.maximum(vals, 0.0))
 
     while len(selected) < n_max:
-        t0 = time.perf_counter()
         res = residual_norms()
         rmax = float(res.max())
         if rmax < _RESIDUAL_FLOOR:
-            trace.record(len(selected), rmax, -1, t0)
+            trace.record(len(selected), rmax, -1)
             break
         pick = int(np.flatnonzero(res >= gamma * rmax)[0])
         v = sols[:, pick].copy()
@@ -210,16 +202,14 @@ def weak_greedy(snapshots: SnapshotSet, n_max: int, gamma: float = 1.0):
                 v -= (q @ (k0 @ v)) * q
         nrm = energy_norm(space, config, v)
         if nrm < _RESIDUAL_FLOOR:
-            trace.record(len(selected), rmax, pick, t0)
+            trace.record(len(selected), rmax, pick)
             break
         q_new = v / nrm
-        raw_cols.append(sols[:, pick])
         ortho_cols.append(q_new)
         selected.append(pick)
-        trace.record(len(selected) - 1, rmax, pick, t0)
+        trace.record(len(selected) - 1, rmax, pick)
 
-    raw, ortho = np.column_stack(raw_cols), np.column_stack(ortho_cols)
-    return ReducedBasis(space, config, raw, ortho, selected), trace
+    return ReducedBasis(space, config, np.column_stack(ortho_cols), selected), trace
 
 
 def synthesize(basis: ReducedBasis, coeffs: np.ndarray, frame: str) -> np.ndarray:

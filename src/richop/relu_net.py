@@ -67,16 +67,6 @@ __all__ = [
 ]
 
 
-def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    vals = np.asarray(vals, dtype=float)
-    keep = vals != 0.0
-    m = sp.csr_matrix(
-        (vals[keep], (np.asarray(rows)[keep], np.asarray(cols)[keep])), shape=shape
-    )
-    m.sum_duplicates()
-    return m
-
-
 class NeuralNet:
     """Weight/bias list; realization applies ReLU after every layer but the last."""
 
@@ -355,8 +345,7 @@ def _carrying(step: NeuralNet) -> NeuralNet:
     layers += [(sp.block_diag([w, carried]), np.concatenate([b, zeros])) for w, b in hidden]
     out = sp.bmat([[None, sp.kron(sp.identity(n_mat), pair.T)], [w_out, None]])
     layers.append((out, np.concatenate([np.zeros(n_mat), b_out])))
-    coos = [(w.tocoo(), b) for w, b in layers]
-    return NeuralNet([(_csr(c.row, c.col, c.data, c.shape), b) for c, b in coos])
+    return NeuralNet(layers)  # tocsr sums duplicates and sorts each row; no weight is zero
 
 
 def _entry_net(n: int) -> NeuralNet:

@@ -105,11 +105,11 @@ def cg_applications(monkeypatch):
             counts[-1] += 1
             return self.factor.solve(r)
 
-    def cg(asm, data, rhs, tol, start=None):
+    def cg(asm, data, rhs, start=None):
         counts.append(0)
         counted = copy.copy(asm)
         vars(counted)["laplace"] = Counting(asm.laplace)
-        return real(counted, data, rhs, tol, start)
+        return real(counted, data, rhs, start)
 
     monkeypatch.setattr(F, "_cg", cg)
     return counts

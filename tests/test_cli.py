@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from written_files import differing, written
 
 from richop import cli, coeff, encoder, fem, mesh, pipeline, reduced_basis, relu_net
 
@@ -81,6 +82,11 @@ def test_invalid_beta_exits_one(tmp_path):
         ("sweep", "sweep", {"axis": "epsilon"}),
         ("sweep", "sweep", {"values": []}),
         ("mesh", "network", {"beta_mode": "measured"}),
+        ("mesh", "domain", {"kind": "disk"}),
+        ("snapshots", "family", {"kind": "gaussian"}),
+        ("build", "encoder", {"kind": "modal"}),
+        ("build", "problem", {"source": {"kind": "gaussian", "value": 1.0}}),
+        ("sweep", "sweep", {"axis": "n_basis", "values": [0.1]}),
     ],
     ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree",
          "encoder_degree_float", "mesh_degree_float", "sweep_epsilon",
@@ -93,7 +99,9 @@ def test_invalid_beta_exits_one(tmp_path):
          "graded_levels_fraction", "graded_levels_negative", "graded_grading_above_one",
          "sobolev_coeff_h_zero", "mesh_h_leaves_no_free_dof", "normalize_source_string",
          "decay_string", "decay_negative", "decay_above_one", "graded_without_corners",
-         "sweep_without_values", "sweep_values_empty", "beta_mode_measured"],
+         "sweep_without_values", "sweep_values_empty", "beta_mode_measured", "domain_kind_unknown",
+         "family_kind_unknown", "encoder_kind_unknown", "source_kind_not_constant",
+         "sweep_axis_not_epsilon"],
 )
 def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, values):
     cfg = json.load(open(CONFIG))
@@ -575,20 +583,6 @@ BUNDLE_FILES = [
 ]
 
 
-def _written(out):
-    """{path relative to out: bytes} of every file under out, with the "# generated=" lines of
-    .csv files dropped."""
-    files = {}
-    for root, _dirs, names in os.walk(out):
-        for name in names:
-            with open(os.path.join(root, name), "rb") as fh:
-                lines = fh.readlines()
-            if name.endswith(".csv"):
-                lines = [ln for ln in lines if not ln.startswith(b"# generated=")]
-            files[os.path.relpath(os.path.join(root, name), out)] = b"".join(lines)
-    return files
-
-
 @pytest.mark.parametrize("case", list(_RERUNS))
 def test_two_runs_write_the_same_files(case, tmp_path):
     # criterion 14 for every command: the same config and seed write the same files, byte for
@@ -599,9 +593,8 @@ def test_two_runs_write_the_same_files(case, tmp_path):
         for command in commands:
             argv = [command, "--config", path, "--out", str(tmp_path / out), "--seed", "0"]
             assert cli.main(argv) == 0, argv
-    first, second = _written(tmp_path / "a"), _written(tmp_path / "b")
-    assert sorted(first) == sorted(second)
-    assert [name for name in first if first[name] != second[name]] == []
+    first, second = written(tmp_path / "a"), written(tmp_path / "b")
+    assert differing(first, second) == []
     bundle = sorted(os.path.relpath(name, "bundle") for name in first
                     if name.startswith("bundle" + os.sep))
     assert bundle in ([], BUNDLE_FILES)

@@ -601,3 +601,14 @@ class TestGoldenMembers:
             for a in C.sample_family(fam, 7, 3):
                 h.update(np.ascontiguousarray(a(points), dtype="<f8").tobytes())
             assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5], ids=["beta_alpha", "beta_above_alpha"])
+def test_family_outside_the_band_is_refused(square, beta):
+    with pytest.raises(ValueError, match="0 < beta < alpha"):
+        C.analytic_family(1.0, beta, square)
+
+
+def test_domain_grid_of_a_non_domain_is_a_type_error():
+    with pytest.raises(TypeError, match="Polygon or Mesh"):
+        C.domain_grid(np.array([[0.0, 0.0], [1.0, 1.0]]), 10)

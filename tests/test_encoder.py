@@ -158,7 +158,7 @@ class TestEncodeOp:
         enc = E.build_gll_encoder(coarse_split, 3)
         eye = np.eye(enc.m)
         for j in (0, enc.m // 2, enc.m - 1):
-            xi = enc.reconstruct(eye[j])
+            xi = C.CoefficientField(lambda pts: enc.channel_matrix(pts) @ eye[j])
             assert np.max(np.abs(enc.encode(xi) - eye[j])) < 1e-12
 
     def test_linearity(self, nodal_encoder, rng):
@@ -170,13 +170,14 @@ class TestEncodeOp:
 class TestEncoderError:
     def test_in_span_zero(self, nodal_encoder, rng):
         y = rng.standard_normal(nodal_encoder.m)
-        recon = nodal_encoder.reconstruct(y)
+        recon = C.CoefficientField(lambda pts: nodal_encoder.channel_matrix(pts) @ y)
         assert E.encoder_error(nodal_encoder, recon, grid_n=60) < 1e-12
 
     def test_projector_identity(self, coarse_split, rng):
         enc = E.build_gll_encoder(coarse_split, 5)
         y = rng.standard_normal(enc.m)
-        assert np.max(np.abs(enc.encode(enc.reconstruct(y)) - y)) < 1e-12
+        recon = C.CoefficientField(lambda pts: enc.channel_matrix(pts) @ y)
+        assert np.max(np.abs(enc.encode(recon) - y)) < 1e-12
 
 
 def _invert_bilinear_loop(coefs, pts):
@@ -454,3 +455,8 @@ class TestSerialization:
         assert doc["kind"] == "gll"
         assert doc["p"] == 3
         assert len(doc["query_points"]) == enc.m
+
+
+def test_channel_matrix_refuses_a_point_outside_the_mesh(nodal_encoder):
+    with pytest.raises(ValueError, match="point outside mesh"):
+        nodal_encoder.channel_matrix(np.array([[0.5, 0.5], [1.5, 0.5]]))

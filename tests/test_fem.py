@@ -292,10 +292,10 @@ class TestGalerkinSolve:
         samples = a(F.quadrature_points(space))
         data = F.assemble_stiffness_samples(space, samples).data
         load = F.nominal(space, config).load
-        cold = F._cg(F.assembly(space), data, load, F._SOLVE_TOL)
+        cold = F._cg(F.assembly(space), data, load)
         assert np.array_equal(F.galerkin_solve(space, config, a), cold)
         start = 0.9 * cold + 1e-3
-        warm = F._cg(F.assembly(space), data, load, F._SOLVE_TOL, start)
+        warm = F._cg(F.assembly(space), data, load, start)
         assert np.array_equal(F.galerkin_solve(space, config, samples, start=start), warm)
 
 
@@ -372,7 +372,7 @@ class TestPreconditionedCg:
         k = F.assemble_stiffness(space, a)
         assert np.min(k.diagonal()) < 0
         with pytest.raises(F.SolverError, match="non-positive diagonal"):
-            F._cg(F.assembly(space), k.data, F.assemble_load(space, cfg.f), 1e-14)
+            F._cg(F.assembly(space), k.data, F.assemble_load(space, cfg.f))
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_matches_dense_cholesky(self, square_mesh, family, degree):
@@ -401,7 +401,7 @@ class TestPreconditionedCg:
         k = F.assemble_stiffness(space, a)
         rhs = F.assemble_load(space, cfg.f)
         try:
-            u = F._cg(F.assembly(space), k.data, rhs, 1e-14)
+            u = F._cg(F.assembly(space), k.data, rhs)
         except F.SolverError:
             return
         assert np.linalg.norm(k @ u - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -490,7 +490,7 @@ class TestNominalForm:
         form = F.nominal(space, config)
         k0 = F.assemble_stiffness(space, config.a0)
         load = F.assemble_load(space, config.f)
-        rep = F._cg(F.assembly(space), k0.data, load, F._SOLVE_TOL)
+        rep = F._cg(F.assembly(space), k0.data, load)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(form.stiffness, name), getattr(k0, name))
         assert np.array_equal(form.load, load)
@@ -511,7 +511,7 @@ class TestNominalForm:
         a = C.sample_family(family, 1, 7)[0]
         k_a = F.assemble_stiffness(space, a)
         rhs = F.assemble_load(space, config.f)
-        expected = F._cg(F.assembly(space), k_a.data, rhs, F._SOLVE_TOL)
+        expected = F._cg(F.assembly(space), k_a.data, rhs)
         assert np.array_equal(F.galerkin_solve(space, config, a), expected)
 
 
@@ -687,3 +687,20 @@ class TestP2Space:
             mesh = M.refine_uniform(mesh)
         slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(abs(s - 2.0) <= 0.25 for s in slopes)
+
+
+def test_normalize_source_refuses_a_zero_source(space):
+    with pytest.raises(ValueError, match="zero source"):
+        F.normalize_source(space, F.ProblemConfig(1.0, 0.5, f=C.constant(0.0)))
+
+
+def test_cg_checks_the_true_residual(square, monkeypatch):
+    # a recurrence stopped at relative residual 1e-6 leaves a true residual far above the
+    # 1e-10 that every solve guarantees, so the final check refuses the iterate
+    space = F.build_space(M.triangulate(square, 0.05), 1)
+    cfg = F.ProblemConfig(1.0, 0.5)
+    a = C.sample_family(C.analytic_family(1.0, 0.5, square, n_modes=8), 1, 0)[0]
+    F.galerkin_solve(space, cfg, a)
+    monkeypatch.setattr(F, "_SOLVE_TOL", 1e-6)
+    with pytest.raises(F.SolverError, match="relative residual"):
+        F.galerkin_solve(space, cfg, a)

@@ -667,7 +667,7 @@ class TestFirstAppearanceNumbering:
         coords, cell_dofs, constrained = _dict_p2(mesh)
         assert np.array_equal(space.dof_coords, coords)
         assert np.array_equal(space.cell_dofs, cell_dofs)
-        assert np.array_equal(space.constrained_dofs, constrained)
+        assert np.array_equal(np.setdiff1d(np.arange(space.n_dofs), space.free_dofs), constrained)
 
     def test_red_refinement(self, mesh):
         fine, (nodes, triangles) = M.refine_uniform(mesh), _dict_refine(mesh)

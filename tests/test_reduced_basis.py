@@ -14,7 +14,7 @@ def exhaustive_best_subset(snapshots, basis, n_select):
     best-approximation error, spans always containing the anchor."""
     k0 = basis.nominal_stiffness
     sols = snapshots.solutions
-    anchor = basis.raw[:, 0]
+    anchor = F.galerkin_solve(basis.space, basis.config, basis.config.scaled_nominal())
     best = np.inf
     for subset in itertools.combinations(range(snapshots.count), n_select):
         cols = np.column_stack([anchor] + [sols[:, j] for j in subset])
@@ -125,25 +125,29 @@ class TestFrames:
         g = basis.ortho.T @ (basis.nominal_stiffness @ basis.ortho)
         assert np.max(np.abs(g - np.eye(basis.size))) < 1e-10
 
-    def test_spans_agree(self, basis):
-        # raw columns project exactly onto the ortho span and vice versa
+    def test_spans_agree(self, basis, snapshots, space, config):
+        # the anchor and the selected snapshots project exactly onto the ortho span, which has
+        # one column for each of them
         k0 = basis.nominal_stiffness
         q = basis.ortho
-        for j in range(basis.size):
-            v = basis.raw[:, j]
+        anchor = F.galerkin_solve(space, config, config.scaled_nominal())
+        spanned = np.column_stack([anchor, snapshots.solutions[:, basis.selection_indices]])
+        assert spanned.shape == q.shape
+        for v in spanned.T:
             resid = v - q @ (q.T @ (k0 @ v))
             assert np.sqrt(max(resid @ (k0 @ resid), 0)) < 1e-10
 
     def test_hierarchical_prefix(self, snapshots):
         big, _ = RB.weak_greedy(snapshots, 6)
         small, _ = RB.weak_greedy(snapshots, 4)
-        assert np.array_equal(big.raw[:, :5], small.raw)
         assert np.array_equal(big.ortho[:, :5], small.ortho)
         assert big.selection_indices[:4] == small.selection_indices
 
     def test_anchor_first(self, basis, space, config):
+        # the first column is the anchor scaled to unit energy norm
         anchor = F.galerkin_solve(space, config, config.scaled_nominal())
-        assert np.max(np.abs(basis.raw[:, 0] - anchor)) < 1e-12
+        unit = anchor / F.energy_norm(space, config, anchor)
+        assert np.max(np.abs(basis.ortho[:, 0] - unit)) < 1e-12
 
 
 class TestAnalyzeSynthesize:
@@ -191,3 +195,17 @@ def test_snapshot_above_energy_bound_is_a_solver_error(family, space, config, mo
     monkeypatch.setattr(RB, "energy_norm", lambda *args, **kwargs: 1e6)
     with pytest.raises(F.SolverError, match="a priori energy bound"):
         RB.generate_snapshots(family, 2, 0, space, config)
+
+
+def test_weak_greedy_refuses_an_empty_snapshot_set(space, config):
+    empty = RB.SnapshotSet([], np.zeros((space.n_free, 0)), space, config)
+    with pytest.raises(ValueError, match="empty snapshot set"):
+        RB.weak_greedy(empty, 3)
+
+
+def test_weak_greedy_refuses_a_vanished_anchor(family, space):
+    # an unnormalized zero source: every snapshot and the anchor are zero
+    zero = F.ProblemConfig(1.0, 0.5, f=C.constant(0.0))
+    snaps = RB.generate_snapshots(family, 3, 0, space, zero)
+    with pytest.raises(RB.IllConditionedBasisError, match="anchor solution vanished"):
+        RB.weak_greedy(snaps, 2)

@@ -702,7 +702,7 @@ class TestInputNet:
         net = NN.input_net(basis, enc)
         for a in C.sample_family(family, 10, 53):
             y = enc.encode(a)
-            recon = enc.reconstruct(y)
+            recon = enc.channel_matrix(F.quadrature_points(space)) @ y
             mat_r = R.iteration_matrix(basis, recon)
             out = NN.realize(net, y)
             assert np.max(
@@ -792,7 +792,7 @@ class TestApproximator:
         basis, space, config = lab["basis"], lab["space"], lab["config"]
         for a in C.sample_family(family, 20, 3):
             y = lab["encoder"].encode(a)
-            recon = lab["encoder"].reconstruct(y)
+            recon = lab["encoder"].channel_matrix(F.quadrature_points(space)) @ y
             mat_r = R.iteration_matrix(basis, recon)
             exact = R.iterate(basis, mat_r, bundle.k_steps)[-1]
             assert np.linalg.norm(bundle.realize(y) - exact) <= bundle.eps_iterator
@@ -801,7 +801,7 @@ class TestApproximator:
         basis, space, config = lab["basis"], lab["space"], lab["config"]
         for a in C.sample_family(family, 10, 4):
             y = lab["encoder"].encode(a)
-            recon = lab["encoder"].reconstruct(y)
+            recon = lab["encoder"].channel_matrix(F.quadrature_points(space)) @ y
             mat_r = R.iteration_matrix(basis, recon)
             u_net = RB.synthesize(basis, bundle.realize(y), "ortho")
             u_ref = RB.synthesize(basis, R.direct_solve(basis, recon), "ortho")
@@ -1066,3 +1066,44 @@ class TestSerialization:
         assert loaded.report == built.report
         assert loaded.k_steps == built.k_steps
         assert loaded.eps_step == built.eps_step
+
+
+class TestRefusals:
+    """Arguments no build path passes: each is refused with ValueError before anything is
+    built."""
+
+    @pytest.mark.parametrize(
+        "layers, match",
+        [
+            ([], "at least one layer"),
+            ([(sp.identity(2, format="csr"), np.zeros(2)), (sp.identity(3, format="csr"), np.zeros(3))],
+             "inconsistent layer widths"),
+            ([(sp.identity(2, format="csr"), np.zeros(3))], "bias length"),
+        ],
+        ids=["no_layers", "mismatched_widths", "bias_length"],
+    )
+    def test_neural_net(self, layers, match):
+        with pytest.raises(ValueError, match=match):
+            NN.NeuralNet(layers)
+
+    @pytest.mark.parametrize(
+        "shift, bound, match",
+        [(np.zeros(3), 4.0, "shift length"), (np.zeros(2), np.inf, "bound must be finite")],
+        ids=["shift_length", "infinite_bound"],
+    )
+    def test_step_net(self, shift, bound, match):
+        with pytest.raises(ValueError, match=match):
+            NN.step_net(2, bound, 1e-3, shift, matrix_bound=np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "epsilon, beta_share, match",
+        [(0.0, 0.5, "epsilon"), (1.0, 0.5, "epsilon"), (-1e-2, 0.5, "epsilon"),
+         (1e-2, 1.0, "effective beta"), (1e-2, 1.5, "effective beta")],
+        ids=["epsilon_zero", "epsilon_one", "epsilon_negative", "beta_eff_alpha",
+             "beta_eff_above_alpha"],
+    )
+    def test_certified_approximator(self, bundle, lab, epsilon, beta_share, match):
+        alpha = lab["config"].alpha
+        with pytest.raises(ValueError, match=match):
+            NN.certified_approximator(bundle.encoder_input, lab["basis"].nominal.shift, alpha,
+                                      beta_share * alpha, lab["f_dual"], epsilon)

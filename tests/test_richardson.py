@@ -62,7 +62,6 @@ class TestAssembleReduced:
         broken = RB.ReducedBasis(
             basis.space,
             basis.config,
-            np.zeros_like(basis.raw),
             np.zeros_like(basis.ortho),
             basis.selection_indices,
         )
@@ -74,7 +73,6 @@ class TestAssembleReduced:
         broken = RB.ReducedBasis(
             basis.space,
             basis.config,
-            np.zeros_like(basis.raw),
             np.zeros_like(basis.ortho),
             basis.selection_indices,
         )
