@@ -288,7 +288,7 @@ def _write_csv(out_dir: str, name: str, columns, rows, hash_: str) -> None:
 def cmd_mesh(s: Setup, out_dir, hash_):
     mesh = s.mesh
     mesh_mod.validate_mesh(mesh)
-    mesh_mod.write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
+    pipe_mod._write_mesh(out_dir, "mesh", mesh)
     row = (mesh.n_nodes, mesh.n_triangles, mesh_mod.max_diameter(mesh))
     _write_csv(out_dir, "mesh_stats.csv", ["nodes", "triangles", "max_diameter"], [row], hash_)
 

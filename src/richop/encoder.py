@@ -272,8 +272,9 @@ def encoder_from_json(text: str, mesh: Mesh) -> Encoder:
     """The encoder that encoder_to_json wrote, rebuilt on its coarse mesh.
 
     Raises ValueError for a document that is not an object, a kind other than
-    nodal or gll, a degree or p that is not an integer, and query points that
-    do not match the rebuilt ones.
+    nodal or gll, a degree or p that is not an integer, an m other than the
+    rebuilt encoder's, and query points that differ from the rebuilt ones by
+    more than 1e-12 in any coordinate.
     """
     doc = json.loads(text)
     kind = doc.get("kind") if isinstance(doc, dict) else None
@@ -286,7 +287,9 @@ def encoder_from_json(text: str, mesh: Mesh) -> Encoder:
         enc = build_nodal_encoder(build_space(mesh, doc[key]))
     else:
         enc = build_gll_encoder(quad_split(mesh), doc[key])
+    if type(doc.get("m")) is not int or doc["m"] != enc.m:
+        raise ValueError(f"encoder.json has m {doc.get('m')!r}, not the rebuilt encoder's {enc.m}")
     points = np.asarray(doc.get("query_points", []), dtype=float)
-    if enc.m != len(points) or not np.allclose(enc.query_points, points, atol=1e-12):
+    if enc.m != len(points) or not np.allclose(enc.query_points, points, rtol=0.0, atol=1e-12):
         raise ValueError("rebuilt encoder does not match the stored query points")
     return enc

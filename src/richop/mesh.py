@@ -37,8 +37,6 @@ __all__ = [
     "edge_lengths",
     "locate_points",
     "validate_mesh",
-    "write_mesh",
-    "read_mesh",
 ]
 
 _MERGE_DECIMALS = 12
@@ -564,45 +562,3 @@ def validate_mesh(mesh: Mesh) -> None:
     interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
     if len(interior) and np.max(np.abs(angle_sum[interior] - 2 * np.pi)) > 1e-9:
         raise MeshError("interior angle sum differs from 2*pi (overlap or gap)")
-
-
-def write_mesh(mesh: Mesh, path) -> None:
-    """Write the mesh as text: a "NODES n TRIANGLES t" header, one "x y flag"
-    line per node (%.17g, so every double survives; flag 1 on the boundary),
-    then one line of node indices per triangle."""
-    rows = np.zeros((mesh.n_nodes, 3))
-    rows[:, :2], rows[mesh.boundary_nodes, 2] = mesh.nodes, 1.0  # %d writes the flag 1.0 as 1
-    with open(path, "w") as fh:
-        fh.write(f"NODES {mesh.n_nodes} TRIANGLES {mesh.n_triangles}\n")
-        fh.write("%.17g %.17g %d\n" * mesh.n_nodes % tuple(rows.ravel().tolist()))
-        fh.write("%d %d %d\n" * mesh.n_triangles % tuple(mesh.triangles.ravel().tolist()))
-
-
-def read_mesh(path) -> Mesh:
-    """The mesh of a file written by write_mesh.
-
-    Each block is parsed by one np.loadtxt call. MeshError on a bad header,
-    or on fewer or malformed lines than the header states.
-    """
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    head = lines[0].split() if lines else []
-    if not (
-        len(head) == 4
-        and head[0] == "NODES"
-        and head[2] == "TRIANGLES"
-        and head[1].isdigit()
-        and head[3].isdigit()
-    ):
-        raise MeshError("bad mesh header")
-    n, t = int(head[1]), int(head[3])
-    if len(lines) < 1 + n + t:
-        raise MeshError(f"header states {n} nodes and {t} triangles; file has {len(lines) - 1} lines")
-    try:
-        nodes = np.loadtxt(lines[1 : 1 + n], ndmin=2, comments=None)
-        tris = np.loadtxt(lines[1 + n : 1 + n + t], dtype=np.int64, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise MeshError(f"malformed mesh line: {exc}") from exc
-    if nodes.shape != (n, 3) or tris.shape != (t, 3):
-        raise MeshError("a node line needs x, y and a flag; a triangle line three indices")
-    return _build_mesh(nodes[:, :2].copy(), tris)

@@ -30,7 +30,7 @@ from .fem import (
     galerkin_solve,
     quadrature_points,
 )
-from .mesh import MeshError, _build_mesh, _mesh_arrays
+from .mesh import Mesh, MeshError, _build_mesh, _mesh_arrays
 from .reduced_basis import ReducedBasis, generate_snapshots, weak_greedy
 from .relu_net import (
     ApproximatorBundle,
@@ -282,10 +282,10 @@ def save_bundle(op: NeuralOperator, directory: str) -> None:
     [(w, b)] = op.approximator.encoder_input.layers
     arrays = {"basis.npy": op.synthesis, "shift.npy": basis.nominal.shift,
               "input.npy": np.column_stack([w.toarray(), b])}
-    for prefix, mesh in (("mesh", basis.space.mesh), ("encoder_mesh", op.encoder.mesh)):
-        arrays |= {f"{prefix}_nodes.npy": mesh.nodes, f"{prefix}_triangles.npy": mesh.triangles}
     for name, array in arrays.items():
         np.save(os.path.join(directory, name), array, allow_pickle=False)
+    _write_mesh(directory, "mesh", basis.space.mesh)
+    _write_mesh(directory, "encoder_mesh", op.encoder.mesh)
     with open(os.path.join(directory, "encoder.json"), "w") as fh:
         fh.write(encoder_to_json(op.encoder))
     meta = {**op.certificates, "bundle_format": BUNDLE_FORMAT, "fem_degree": basis.space.degree}
@@ -308,6 +308,13 @@ def _read_npy(directory: str, name: str, ndim: int, dtype=np.float64) -> np.ndar
                          f"{np.shape(array)}, not a non-empty finite {ndim}-D "
                          f"{np.dtype(dtype).name} array")
     return array
+
+
+def _write_mesh(directory: str, prefix: str, mesh: Mesh) -> None:
+    """The mesh's nodes and triangles as prefix_nodes.npy and prefix_triangles.npy, saved
+    without pickles: the one on-disk mesh format, which _read_mesh reads."""
+    for part, array in (("nodes", mesh.nodes), ("triangles", mesh.triangles)):
+        np.save(os.path.join(directory, f"{prefix}_{part}.npy"), array, allow_pickle=False)
 
 
 def _read_mesh(directory: str, prefix: str, make=_build_mesh):

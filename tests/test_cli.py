@@ -35,58 +35,61 @@ def test_invalid_beta_exits_one(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, section, values",
+    "command, values, key",
     [
-        ("build", "network", {"epsilon": 2.0}),
-        ("build", "network", {"epsilon": 0.0}),
-        ("build", "mesh", {"degree": 3}),
-        ("build", "encoder", {"degree": 3}),
-        ("build", "encoder", {"degree": 1.0}),
-        ("build", "mesh", {"degree": 1.0}),
-        ("sweep", "sweep", {"values": [0.1, 1.5]}),
-        ("build", "family", {"fill": 1.5}),
-        ("build", "family", {"n_modes": 0}),
-        ("build", "family", {"n_modes": 9}),
-        ("build", "family", {"n_modes": 2.5}),
-        ("snapshots", "family", {"kind": "parametric", "n_modes": 0}),
-        ("snapshots", "family", {"kind": "sobolev_ball", "order": -1}),
-        ("snapshots", "family", {"kind": "sobolev_ball", "radius": 0.0}),
-        ("build", "encoder", {"kind": "gll", "p": 0}),
-        ("build", "reduction", {"gamma": 0.0}),
-        ("build", "reduction", {"gamma": 2.0}),
-        ("build", "network", {"beta_mode": "bogus"}),
-        ("build", "problem", {"source": {"kind": "constant", "value": 0.0}}),
-        ("build", "family", {"fill": "0.9"}),
-        ("build", "problem", {"alpha": "1.0"}),
-        ("build", "mesh", {"h": 0.0}),
-        ("build", "mesh", {"h": -0.1}),
-        ("build", "encoder", {"h": 0.0}),
-        ("build", "encoder", {"h": -0.3}),
-        ("eval", "evaluation", {"test_count": 0}),
-        ("run", "evaluation", {"test_count": 0}),
-        ("decompose", "evaluation", {"test_count": -2}),
-        ("nncheck", "evaluation", {"mc_count": 0}),
-        ("nncheck", "evaluation", {"mc_count": 2.5}),
-        ("build", "reduction", {"training_count": "30"}),
-        ("build", "reduction", {"n_basis": -1}),
-        ("build", "mesh", {"graded": {"corners": [[0.0, 0.0]], "grading": 0.5, "levels": 1.5}}),
-        ("build", "mesh", {"graded": {"corners": [[0.0, 0.0]], "grading": 0.5, "levels": -1}}),
-        ("build", "mesh", {"graded": {"corners": [[0.0, 0.0]], "grading": 1.5, "levels": 1}}),
-        ("snapshots", "family", {"kind": "sobolev_ball", "coeff_h": 0}),
-        ("build", "mesh", {"h": 5.0}),
-        ("build", "problem", {"normalize_source": "no"}),
-        ("build", "family", {"decay": "0.5"}),
-        ("build", "family", {"decay": -1.0}),
-        ("build", "family", {"decay": 1.5}),
-        ("build", "mesh", {"graded": {"grading": 0.5, "levels": 1}}),
-        ("sweep", "sweep", {"axis": "epsilon"}),
-        ("sweep", "sweep", {"values": []}),
-        ("mesh", "network", {"beta_mode": "measured"}),
-        ("mesh", "domain", {"kind": "disk"}),
-        ("snapshots", "family", {"kind": "gaussian"}),
-        ("build", "encoder", {"kind": "modal"}),
-        ("build", "problem", {"source": {"kind": "gaussian", "value": 1.0}}),
-        ("sweep", "sweep", {"axis": "n_basis", "values": [0.1]}),
+        ("build", {"epsilon": 2.0}, "network.epsilon"),
+        ("build", {"epsilon": 0.0}, "network.epsilon"),
+        ("build", {"degree": 3}, "mesh.degree"),
+        ("build", {"degree": 3}, "encoder.degree"),
+        ("build", {"degree": 1.0}, "encoder.degree"),
+        ("build", {"degree": 1.0}, "mesh.degree"),
+        ("sweep", {"values": [0.1, 1.5]}, "sweep.values"),
+        ("build", {"fill": 1.5}, "family.fill"),
+        ("build", {"n_modes": 0}, "family.n_modes"),
+        ("build", {"n_modes": 9}, "family.n_modes"),
+        ("build", {"n_modes": 2.5}, "family.n_modes"),
+        ("snapshots", {"kind": "parametric", "n_modes": 0}, "family.n_modes"),
+        ("snapshots", {"kind": "sobolev_ball", "order": -1}, "family.order"),
+        ("snapshots", {"kind": "sobolev_ball", "radius": 0.0}, "family.radius"),
+        ("build", {"kind": "gll", "p": 0}, "encoder.p"),
+        ("build", {"gamma": 0.0}, "reduction.gamma"),
+        ("build", {"gamma": 2.0}, "reduction.gamma"),
+        ("build", {"beta_mode": "bogus"}, "network.beta_mode"),
+        ("build", {"source": {"kind": "constant", "value": 0.0}}, "problem.source.value"),
+        ("build", {"fill": "0.9"}, "family.fill"),
+        ("build", {"alpha": "1.0"}, "problem.alpha"),
+        ("build", {"h": 0.0}, "mesh.h"),
+        ("build", {"h": -0.1}, "mesh.h"),
+        ("build", {"h": 0.0}, "encoder.h"),
+        ("build", {"h": -0.3}, "encoder.h"),
+        ("eval", {"test_count": 0}, "evaluation.test_count"),
+        ("run", {"test_count": 0}, "evaluation.test_count"),
+        ("decompose", {"test_count": -2}, "evaluation.test_count"),
+        ("nncheck", {"mc_count": 0}, "evaluation.mc_count"),
+        ("nncheck", {"mc_count": 2.5}, "evaluation.mc_count"),
+        ("build", {"training_count": "30"}, "reduction.training_count"),
+        ("build", {"n_basis": -1}, "reduction.n_basis"),
+        ("build", {"graded": {"corners": [[0.0, 0.0]], "grading": 0.5, "levels": 1.5}},
+         "mesh.graded.levels"),
+        ("build", {"graded": {"corners": [[0.0, 0.0]], "grading": 0.5, "levels": -1}},
+         "mesh.graded.levels"),
+        ("build", {"graded": {"corners": [[0.0, 0.0]], "grading": 1.5, "levels": 1}},
+         "mesh.graded.grading"),
+        ("snapshots", {"kind": "sobolev_ball", "coeff_h": 0}, "family.coeff_h"),
+        ("build", {"h": 5.0}, "mesh.h"),
+        ("build", {"normalize_source": "no"}, "problem.normalize_source"),
+        ("build", {"decay": "0.5"}, "family.decay"),
+        ("build", {"decay": -1.0}, "family.decay"),
+        ("build", {"decay": 1.5}, "family.decay"),
+        ("build", {"graded": {"grading": 0.5, "levels": 1}}, "mesh.graded.corners"),
+        ("sweep", {"axis": "epsilon"}, "sweep.values"),
+        ("sweep", {"values": []}, "sweep.values"),
+        ("mesh", {"beta_mode": "measured"}, "network.beta_mode"),
+        ("mesh", {"kind": "disk"}, "domain.kind"),
+        ("snapshots", {"kind": "gaussian"}, "family.kind"),
+        ("build", {"kind": "modal"}, "encoder.kind"),
+        ("build", {"source": {"kind": "gaussian", "value": 1.0}}, "problem.source.kind"),
+        ("sweep", {"axis": "n_basis", "values": [0.1]}, "sweep.axis"),
     ],
     ids=["epsilon_above_one", "epsilon_zero", "mesh_degree", "encoder_degree",
          "encoder_degree_float", "mesh_degree_float", "sweep_epsilon",
@@ -103,13 +106,14 @@ def test_invalid_beta_exits_one(tmp_path):
          "family_kind_unknown", "encoder_kind_unknown", "source_kind_not_constant",
          "sweep_axis_not_epsilon"],
 )
-def test_out_of_range_value_exits_one(tmp_path, capsys, command, section, values):
+def test_out_of_range_value_exits_one(tmp_path, capsys, command, values, key):
+    # values go into key's section, and the message names key itself, not just its section
     cfg = json.load(open(CONFIG))
-    cfg.setdefault(section, {}).update(values)
+    cfg.setdefault(key.split(".")[0], {}).update(values)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     assert cli.main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
-    assert f"config error: {section}" in capsys.readouterr().err
+    assert f"config error: {key} " in capsys.readouterr().err
 
 
 def _graded(corners):
@@ -321,10 +325,19 @@ def test_sweep_row_at_the_build_epsilon_repeats_the_built_depth_and_size(tmp_pat
 
 
 def test_mesh_command(tmp_path):
-    out = str(tmp_path / "mesh")
-    assert cli.main(["mesh", "--config", CONFIG, "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "mesh.txt"))
-    assert os.path.exists(os.path.join(out, "mesh_stats.csv"))
+    # richop mesh writes the bundle's two mesh files, byte for byte those of build's bundle, and
+    # _read_mesh of them is the config's mesh bit for bit
+    out = tmp_path / "out"
+    for command in ("mesh", "build"):
+        assert cli.main([command, "--config", CONFIG, "--out", str(out), "--seed", "0"]) == 0
+    for name in ("mesh_nodes.npy", "mesh_triangles.npy"):
+        assert (out / name).read_bytes() == (out / "bundle" / name).read_bytes()
+    assert (out / "mesh_stats.csv").exists()
+    got = pipeline._read_mesh(str(out), "mesh")
+    want = cli.Setup(cli.load_config(CONFIG), 0).mesh
+    for part in ("nodes", "triangles", "boundary_nodes"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_greedy_command(tmp_path):

@@ -5,8 +5,6 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from richop import coeff as C
 from richop import encoder as E
@@ -308,121 +306,6 @@ class TestConformityInvariant:
             mesh = M.refine_uniform(mesh)
             M.validate_mesh(mesh)
         pairwise_conformity_oracle(mesh)
-
-
-class TestTextFormat:
-    def test_round_trip_structured(self, tmp_path):
-        mesh = M.refine_corner_graded(
-            M.triangulate(M.lshape(), 0.7), [[0.0, 0.0]], 0.5, 1
-        )
-        M.write_mesh(mesh, tmp_path / "mesh.txt")
-        back = M.read_mesh(tmp_path / "mesh.txt")
-        assert np.array_equal(mesh.nodes, back.nodes)
-        assert np.array_equal(mesh.triangles, back.triangles)
-        assert np.array_equal(mesh.boundary_nodes, back.boundary_nodes)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(
-            st.floats(
-                min_value=-1e6,
-                max_value=1e6,
-                allow_nan=False,
-                allow_infinity=False,
-            ),
-            min_size=2,
-            max_size=2,
-        )
-    )
-    def test_seventeen_digit_round_trip(self, xy):
-        # the mesh writer uses %.17g; any double must survive
-        for x in xy:
-            assert float(f"{x:.17g}") == x
-
-    def test_header_line(self, square, tmp_path):
-        M.write_mesh(M.triangulate(square, 1.5), tmp_path / "mesh.txt")
-        assert (tmp_path / "mesh.txt").read_text().splitlines()[0] == "NODES 4 TRIANGLES 2"
-
-    def test_irrational_coordinates_bit_exact(self, tmp_path):
-        poly = M.Polygon(
-            np.array(
-                [
-                    [0.0, 0.0],
-                    [np.pi / 3, 0.1],
-                    [1.1, np.sqrt(2) - 0.2],
-                    [0.05, 1.03],
-                ]
-            )
-        )
-        mesh = M.triangulate(poly, 0.5)
-        M.write_mesh(mesh, tmp_path / "mesh.txt")
-        back = M.read_mesh(tmp_path / "mesh.txt")
-        assert np.array_equal(mesh.nodes, back.nodes)
-
-    def test_bytes_match_the_value_by_value_writer(self, tmp_path):
-        # one format string per line writes the bytes f"{x:.17g}" per value wrote
-        mesh = M.refine_corner_graded(M.triangulate(M.lshape(), 0.7), [[0.0, 0.0]], 0.5, 1)
-        flags = np.isin(np.arange(mesh.n_nodes), mesh.boundary_nodes).astype(int)
-        expected = f"NODES {mesh.n_nodes} TRIANGLES {mesh.n_triangles}\n"
-        expected += "".join(f"{x:.17g} {y:.17g} {f}\n" for (x, y), f in zip(mesh.nodes, flags))
-        expected += "".join(f"{i} {j} {k}\n" for i, j, k in mesh.triangles)
-        M.write_mesh(mesh, tmp_path / "mesh.txt")
-        assert (tmp_path / "mesh.txt").read_bytes() == expected.encode()
-
-    @pytest.mark.parametrize("name", ["square_0.025", "lshape_graded", "pentagon_0.3"])
-    def test_bytes_match_the_per_line_writer(self, tmp_path, name):
-        # one % call per block writes the bytes of one "%.17g %.17g %d" / "%d %d %d" call per line
-        meshes = {**_NUMBERING_MESHES, "pentagon_0.3": lambda: M.triangulate(_pentagon(), 0.3)}
-        mesh = meshes[name]()
-        flags = np.isin(np.arange(mesh.n_nodes), mesh.boundary_nodes).astype(int)
-        expected = f"NODES {mesh.n_nodes} TRIANGLES {mesh.n_triangles}\n"
-        expected += "".join("%.17g %.17g %d\n" % (x, y, f)
-                            for (x, y), f in zip(mesh.nodes.tolist(), flags.tolist()))
-        expected += "".join("%d %d %d\n" % tuple(tri) for tri in mesh.triangles.tolist())
-        M.write_mesh(mesh, tmp_path / "mesh.txt")
-        assert (tmp_path / "mesh.txt").read_bytes() == expected.encode()
-
-    def test_round_trip_fine_square(self, square, tmp_path):
-        mesh = M.triangulate(square, 0.025)
-        M.write_mesh(mesh, tmp_path / "mesh.txt")
-        back = M.read_mesh(tmp_path / "mesh.txt")
-        assert np.array_equal(mesh.nodes, back.nodes)
-        assert np.array_equal(mesh.triangles, back.triangles)
-        assert np.array_equal(mesh.boundary_nodes, back.boundary_nodes)
-
-    @pytest.mark.parametrize(
-        "edit",
-        ["truncated", "short_node_line", "short_triangle_line", "text_value", "bad_header", "empty",
-         "index_minus_one", "index_n", "nan_node"],
-    )
-    def test_broken_file_raises_mesh_error(self, square, tmp_path, edit):
-        path = tmp_path / "mesh.txt"
-        M.write_mesh(M.triangulate(square, 0.6), path)
-        lines = path.read_text().splitlines()
-        if edit == "truncated":
-            lines = lines[:-2]
-        elif edit == "short_node_line":
-            lines[1] = lines[1].rsplit(" ", 1)[0]
-        elif edit == "short_triangle_line":
-            lines[-1] = lines[-1].rsplit(" ", 1)[0]
-        elif edit == "text_value":
-            lines[2] = "x " + lines[2].split(" ", 1)[1]
-        elif edit == "bad_header":
-            lines[0] = "NODES many TRIANGLES 2"
-        elif edit in ("index_minus_one", "index_n"):
-            # -1 in place of the last node n - 1 is the same mesh once numpy wraps it, so only
-            # the index check refuses it; n is one past the last node
-            n = int(lines[0].split()[1])
-            i = next(i for i in range(len(lines) - 1, 0, -1) if str(n - 1) in lines[i].split())
-            new = "-1" if edit == "index_minus_one" else str(n)
-            lines[i] = " ".join(new if x == str(n - 1) else x for x in lines[i].split())
-        elif edit == "nan_node":
-            lines[2] = "nan " + lines[2].split(" ", 1)[1]
-        else:
-            lines = []
-        path.write_text("".join(ln + "\n" for ln in lines))
-        with pytest.raises(M.MeshError):
-            M.read_mesh(path)
 
 
 class TestLocatePoints:

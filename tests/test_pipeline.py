@@ -580,6 +580,14 @@ class TestNonsmooth:
                 P.nonsmooth_operator(base, a_min)
 
 
+def _moved_query_point(doc):
+    """encoder.json's doc with its largest query point coordinate moved by 5e-6: far more than
+    the 1e-12 the loader allows, but within a relative tolerance of 1e-5 of a unit coordinate."""
+    points = np.array(doc["query_points"])
+    points.flat[np.argmax(np.abs(points))] += 5e-6
+    return {**doc, "query_points": points.tolist()}
+
+
 class TestBundle:
     def test_round_trip(self, operator, family, tmp_path):
         P.save_bundle(operator, str(tmp_path))
@@ -865,6 +873,9 @@ class TestBundle:
             ("encoder.json", lambda doc: {**doc, "kind": "gll", "p": 2.0}, "p"),
             ("encoder.json", lambda doc: {**doc, "query_points": doc["query_points"][1:]},
              "query points"),
+            ("encoder.json", _moved_query_point, "query points"),
+            ("encoder.json", lambda doc: {**doc, "m": doc["m"] + 1}, "has m"),
+            ("encoder.json", lambda doc: {k: v for k, v in doc.items() if k != "m"}, "has m"),
             ("input.npy", lambda p: p[:0], "input.npy"),
             ("input.npy", lambda p: p[:, :0], "input.npy"),
             ("shift.npy", lambda p: p[:0], "shift.npy"),
@@ -879,7 +890,8 @@ class TestBundle:
             ("certificates.json", lambda doc: [doc], "certificates.json"),
         ],
         ids=["encoder_list", "kind_deleted", "kind_unknown", "degree_deleted", "degree_string",
-             "gll_without_p", "gll_p_float", "query_point_dropped", "input_net_empty",
+             "gll_without_p", "gll_p_float", "query_point_dropped", "query_point_moved",
+             "m_one_more", "m_deleted", "input_net_empty",
              "input_net_without_columns", "shift_empty", "shift_one_longer", "shift_one_shorter", "shift_nan",
              "weights_deleted", "net_list", "weights_string", "weights_row_dropped",
              "weights_column_dropped", "certificates_list"],
