@@ -307,7 +307,7 @@ def cmd_greedy(s: Setup, out_dir, hash_):
     # greedy steps are not timed; the seconds column stays, all zero, to keep the file format
     rows = ((n, delta, sel, 0.0) for n, delta, sel in trace.rows())
     _write_csv(out_dir, "greedy_trace.csv", ["N", "delta", "selected_index", "seconds"], rows, hash_)
-    curve = rb_mod.projection_error_curve(basis, s.snapshots.solutions)
+    curve = enumerate(trace.residuals[: basis.size - 1] + [trace.final])
     _write_csv(out_dir, "delta_curve.csv", ["N", "delta"], curve, hash_)
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "generate_snapshots",
     "weak_greedy",
     "synthesize",
-    "projection_error_curve",
 ]
 
 
@@ -53,17 +52,17 @@ class SnapshotSet:
 
 @dataclass
 class GreedyTrace:
-    """Per-step record: basis size, worst residual, picked snapshot."""
+    """Row N: the worst training residual on the first N + 1 basis columns and the snapshot
+    picked next (-1 at a floor stop). final: the worst training residual on the returned basis."""
 
-    sizes: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     selected: list = field(default_factory=list)
+    final: float = float("nan")
 
     def rows(self):
-        return list(zip(self.sizes, self.residuals, self.selected))
+        return [(n, r, sel) for n, (r, sel) in enumerate(zip(self.residuals, self.selected))]
 
-    def record(self, size: int, residual: float, selected: int) -> None:
-        self.sizes.append(size)
+    def record(self, residual: float, selected: int) -> None:
         self.residuals.append(residual)
         self.selected.append(selected)
 
@@ -188,13 +187,16 @@ def weak_greedy(snapshots: SnapshotSet, n_max: int, gamma: float = 1.0):
         vals = np.einsum("ij,ij->j", resid, k0 @ resid)
         return np.sqrt(np.maximum(vals, 0.0))
 
-    while len(selected) < n_max:
+    while True:
         res = residual_norms()
-        rmax = float(res.max())
+        rmax = trace.final = float(res.max())
+        if len(selected) >= n_max:
+            break
         if rmax < _RESIDUAL_FLOOR:
-            trace.record(len(selected), rmax, -1)
+            trace.record(rmax, -1)
             break
         pick = int(np.flatnonzero(res >= gamma * rmax)[0])
+        trace.record(rmax, pick)
         v = sols[:, pick].copy()
         # MGS against current orthonormal columns, one reorthogonalization pass
         for _ in range(2):
@@ -202,12 +204,9 @@ def weak_greedy(snapshots: SnapshotSet, n_max: int, gamma: float = 1.0):
                 v -= (q @ (k0 @ v)) * q
         nrm = energy_norm(space, config, v)
         if nrm < _RESIDUAL_FLOOR:
-            trace.record(len(selected), rmax, pick)
             break
-        q_new = v / nrm
-        ortho_cols.append(q_new)
+        ortho_cols.append(v / nrm)
         selected.append(pick)
-        trace.record(len(selected) - 1, rmax, pick)
 
     return ReducedBasis(space, config, np.column_stack(ortho_cols), selected), trace
 
@@ -224,22 +223,3 @@ def synthesize(basis: ReducedBasis, coeffs: np.ndarray, frame: str) -> np.ndarra
         raise ValueError("coefficient length does not match basis size")
     return basis.ortho @ coeffs
 
-
-def projection_error_curve(basis: ReducedBasis, test_solutions: np.ndarray):
-    """Worst best-approximation error per hierarchical prefix.
-
-    Returns (N, error) pairs for N = 0 .. basis size - 1, where the prefix of
-    size N spans the anchor plus the first N selected snapshots.
-    """
-    k0 = basis.nominal_stiffness
-    q = basis.ortho
-    ks = k0 @ test_solutions
-    coef = q.T @ ks  # (size, n_test)
-    curve = []
-    resid = test_solutions.copy()
-    for n in range(q.shape[1]):
-        resid = resid - np.outer(q[:, n], coef[n])
-        vals = np.einsum("ij,ij->j", resid, k0 @ resid)
-        worst = float(np.sqrt(np.maximum(vals, 0.0)).max())
-        curve.append((n, worst))
-    return curve

@@ -3,6 +3,8 @@ import glob
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ GLL = os.path.join(os.path.dirname(__file__), "..", "configs", "square_gll.json"
 LSHAPE = os.path.join(os.path.dirname(__file__), "..", "configs", "decay_lshape.json")
 ANALYTIC = os.path.join(os.path.dirname(__file__), "..", "configs", "decay_analytic.json")
 LAB = os.path.join(os.path.dirname(__file__), "..", "configs", "lab.json")
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
 
 
@@ -341,11 +345,17 @@ def test_mesh_command(tmp_path):
 
 
 def test_greedy_command(tmp_path):
+    # delta_curve.csv is the greedy's own curve: one row per basis size, the first size - 1 of
+    # them the delta column of greedy_trace.csv as text, the last the full-basis residual
     out = str(tmp_path / "greedy")
-    assert cli.main(["greedy", "--config", CONFIG, "--out", out]) == 0
+    assert cli.main(["greedy", "--config", CONFIG, "--out", out, "--seed", "0"]) == 0
     trace = _body(os.path.join(out, "greedy_trace.csv"))
     curve = _body(os.path.join(out, "delta_curve.csv"))
     assert trace[0].strip().split(",")[:4] == ["N", "delta", "selected_index", "seconds"]
+    size = cli.Setup(cli.load_config(CONFIG), 0).greedy[0].size
+    assert [ln.split(",")[0] for ln in curve[1:]] == [str(n) for n in range(size)]
+    delta = [[ln.split(",")[1] for ln in body[1:size]] for body in (curve, trace)]
+    assert delta[0] == delta[1]
     deltas = [float(ln.split(",")[1]) for ln in curve[1:]]
     assert all(deltas[i + 1] <= deltas[i] + 1e-14 for i in range(len(deltas) - 1))
 
@@ -611,6 +621,20 @@ def test_two_runs_write_the_same_files(case, tmp_path):
     bundle = sorted(os.path.relpath(name, "bundle") for name in first
                     if name.startswith("bundle" + os.sep))
     assert bundle in ([], BUNDLE_FILES)
+
+
+def test_blas_thread_count_does_not_change_the_files(tmp_path):
+    # importing richop pins BLAS to one thread unless the caller set a count, so a run with the
+    # thread variables unset writes the files of a run pinned to one OpenBLAS thread; the
+    # variables are deleted from the copy, as this process holds the pins since its import
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for out, pin in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        argv = [sys.executable, "-m", "richop.cli", "greedy", "--config", ANALYTIC,
+                "--out", str(tmp_path / out), "--seed", "0"]
+        subprocess.run(argv, env={**env, **pin}, check=True)
+    assert differing(written(tmp_path / "unset"), written(tmp_path / "pinned")) == []
 
 
 def test_write_csv_closes_file_when_a_row_fails(tmp_path, monkeypatch):

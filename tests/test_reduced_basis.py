@@ -78,10 +78,9 @@ class TestWeakGreedy:
     def test_greedy_cannot_beat_exhaustive(self, space, config, family):
         snaps = RB.generate_snapshots(family, 6, 77, space, config)
         basis, trace = RB.weak_greedy(snaps, 6)
-        curve = dict(RB.projection_error_curve(basis, snaps.solutions))
         for n in range(1, min(4, basis.size)):
             oracle = exhaustive_best_subset(snaps, basis, n)
-            assert curve[n] >= oracle - 1e-10
+            assert trace.residuals[n] >= oracle - 1e-10
 
     def test_weak_parameter_admissible_choice(self, snapshots):
         strong, _ = RB.weak_greedy(snapshots, 5, gamma=1.0)
@@ -181,13 +180,12 @@ class TestAnalyzeSynthesize:
 
 class TestProjectionCurve:
     def test_training_set_fully_resolved(self, snapshots):
-        basis, _ = RB.weak_greedy(snapshots, snapshots.count)
-        curve = RB.projection_error_curve(basis, snapshots.solutions)
-        assert curve[-1][1] <= 1e-10
+        _, trace = RB.weak_greedy(snapshots, snapshots.count)
+        assert trace.final <= 1e-10
 
-    def test_monotone_nonincreasing(self, basis, snapshots):
-        curve = RB.projection_error_curve(basis, snapshots.solutions)
-        vals = [v for _, v in curve]
+    def test_monotone_nonincreasing(self, basis_and_trace):
+        _, trace = basis_and_trace
+        vals = trace.residuals + [trace.final]
         assert all(vals[i + 1] <= vals[i] + 1e-14 for i in range(len(vals) - 1))
 
 
