@@ -150,14 +150,6 @@ def _geometry(space: FemSpace):
     return p, det, adjugate / det[:, None, None]
 
 
-def _csr_kernel(ndim: int):
-    """f(rows, cols, indptr, indices, data, x, out): out += A x, csr_matvec(s) as A @ x runs."""
-    if ndim == 1:
-        return _sparsetools.csr_matvec
-    return lambda rows, cols, indptr, indices, data, x, out: _sparsetools.csr_matvecs(
-        rows, cols, x.shape[1], indptr, indices, data, x, out)
-
-
 @dataclass(frozen=True)
 class Assembly:
     """Coefficient-independent assembly data of one space.
@@ -192,7 +184,10 @@ class Assembly:
         if x.shape[:1] != (n,) or x.ndim > 2 or data.shape != self.indices.shape:
             raise ValueError(f"x of shape {x.shape} or data {data.shape} off the pattern")
         out = np.zeros(x.shape)
-        _csr_kernel(x.ndim)(n, n, self.indptr, self.indices, data, x, out)
+        if x.ndim == 1:
+            _sparsetools.csr_matvec(n, n, self.indptr, self.indices, data, x, out)
+        else:
+            _sparsetools.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, data, x, out)
         return out
 
     @cached_property

@@ -25,14 +25,13 @@ in-place ReLU. This is bit-identical to `w @ y` followed by `+= b`:
 - a sum that starts at +0 is never -0, so a row with b_i = 0 (of either
   sign) needs no entry: sum + 0.0 is bitwise the sum.
 
-realize gives each layer a fresh np.zeros output. The recurrent
-ApproximatorBundle.realize allocates one zeroed workspace per call instead:
-the input net's input [y, 1] and hidden layers, the step's column block
-[vec(A), x, 1], into which the input net's last layer writes vec(A) in
-place, and every step-net layer's output, back to back. Each step zeroes
-the step-net region once, writes each layer into its slice, and copies the
-last one into the x rows. Each output still starts from +0, so the result
-is bit for bit the same.
+A step net's kernel form is local-major. Each sawtooth level is kron(I_k, W),
+k = n^2, so with its activations laid out as a (7, k batch) block, six chain
+rows and a row of ones that the output array holds instead of a carry entry,
+the level is one csr_matvecs call of W's 14 or 16 entries on k batch
+columns. Rows keep their entries in order and outputs start from +0, so every
+neuron is the same IEEE sequence as in the plain form. realize gives each
+layer a fresh output; ApproximatorBundle.realize uses one workspace per call.
 """
 
 from __future__ import annotations
@@ -40,14 +39,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .encoder import Encoder
-from .fem import FemSpace, ProblemConfig, _csr_kernel, quadrature_points
+from .fem import FemSpace, ProblemConfig, quadrature_points
 from .reduced_basis import ReducedBasis
 from .richardson import choose_step_count, reduced_stiffness
 
@@ -104,14 +104,13 @@ class NeuralNet:
 
     @cached_property
     def _kernel(self) -> list:
-        """(rows, cols, indptr, indices, data) of each layer in kernel form.
-
-        Row i is w's row i followed by (cols - 1, b_i) when b_i != 0; every
-        layer but the last has one more row, (cols - 1, 1.0), so that its
-        output ends in the 1 the next layer's bias column reads.
-        """
+        """(rows, cols, indptr, indices, data, copies, size) of each layer in kernel form: the
+        arrays of _bias_folded, carrying the 1 through every layer but the last; a layer acts on
+        `copies` column blocks side by side and writes the first rows * copies of its `size`
+        output rows, the rest being ones. Here copies is 1 and size is rows."""
         last = len(self.layers) - 1
-        return [_bias_folded(w, b, carry=ell != last) for ell, (w, b) in enumerate(self.layers)]
+        folded = [_bias_folded(w, b, ell != last) for ell, (w, b) in enumerate(self.layers)]
+        return [(*layer, 1, layer[0]) for layer in folded]
 
 
 def _bias_folded(w: sp.csr_matrix, b: np.ndarray, carry: bool) -> tuple:
@@ -144,20 +143,30 @@ def _checked(net: NeuralNet, x) -> np.ndarray:
     return x
 
 
-def _forward(net: NeuralNet, y: np.ndarray, outs) -> np.ndarray:
-    """net's output columns for input columns y whose last row is all ones.
+def _call(layer: tuple, y: np.ndarray, out: np.ndarray) -> partial:
+    """A layer's kernel call from y into out: csr_matvec(s), on copies x batch columns if tiled."""
+    if layer[5] == 1 and y.ndim == 1:  # one copy, one input
+        return partial(_sparsetools.csr_matvec, *layer[:5], y, out)
+    vecs = layer[5] * (y.size // len(y))
+    return partial(_sparsetools.csr_matvecs, *layer[:2], vecs, *layer[2:5], y, out)
 
-    Layer ell writes into the ell-th of outs, which must be zeroed and
-    C-ordered, (rows,) or (rows, batch) as y is; the last one is returned.
-    outs is drawn with next rather than zipped: zip's cached result tuple
-    would keep the first output alive to the end.
+
+def _forward(kernel: list, y: np.ndarray, outs) -> np.ndarray:
+    """The output columns of kernel-form layers for input columns y whose last row is ones.
+
+    Layer ell writes into the ell-th of outs, zeroed and C-ordered, (size,) or (size, batch)
+    as y is, and sets its ones rows; the last is returned. outs is drawn with next, as zip's
+    cached result tuple would keep the first output alive to the end.
     """
-    last, outs, matvec = len(net.layers) - 1, iter(outs), _csr_kernel(y.ndim)
-    for ell, (rows, cols, indptr, indices, data) in enumerate(net._kernel):
+    last, outs = len(kernel) - 1, iter(outs)
+    for ell, layer in enumerate(kernel):
         out = next(outs)
-        matvec(rows, cols, indptr, indices, data, y, out)
+        _call(layer, y, out)()  # unbound at once, so that y can go before the next output
         if ell != last:
-            np.maximum(out, 0.0, out=out)
+            relu = out[:layer[0] * layer[5]]
+            np.maximum(relu, 0.0, out=relu)
+            if len(relu) < len(out):  # the ones rows, which the next layer's bias reads
+                out[len(relu):] = 1.0
         y = out
     return y
 
@@ -168,8 +177,9 @@ def realize(net: NeuralNet, x: np.ndarray) -> np.ndarray:
     Activations are carried as columns: a vector for a single input, a
     C-ordered (width + 1, batch) block for a batch, whose last row is the
     constant 1 that the kernel form's bias column reads. Each layer is one
-    csr_matvec or csr_matvecs call on the kernel form into a fresh np.zeros
-    output, allocated as the layer is reached, and an in-place ReLU.
+    csr_matvec or csr_matvecs call on the kernel form into a fresh output,
+    allocated as the layer is reached, and an in-place ReLU; a step net's
+    levels run local-major, one call over all gadget copies.
     The kernel sums each output from +0 over the row's stored entries in
     order and the bias is the last of them, so the result is bit-identical
     to `w @ y` followed by `+= b` (see the module docstring). The result is
@@ -178,8 +188,8 @@ def realize(net: NeuralNet, x: np.ndarray) -> np.ndarray:
     x = _checked(net, x)
     y = np.ones((net.n_inputs + 1,) + x.shape[:-1])
     y[:-1] = x.T
-    outs = (np.zeros((layer[0],) + x.shape[:-1]) for layer in net._kernel)
-    return _forward(net, y, outs).T
+    outs = (np.zeros((layer[6],) + x.shape[:-1]) for layer in net._kernel)
+    return _forward(net._kernel, y, outs).T
 
 
 def _index_dtype(count: int):
@@ -322,8 +332,43 @@ def step_net(
                  np.arange(0, 6 * k + 1, 6 * n, dtype=idx)))
     widths = [k + n, 4 * k] + [6 * k] * m
     biases = [np.zeros(4 * k)] + [np.tile(_CHAIN_BIAS, k) for _ in range(m)] + [shift]
-    return NeuralNet([(sp.csr_matrix(csr, shape=(len(csr[2]) - 1, width)), b)
-                      for csr, width, b in zip(csrs, widths, biases)])
+    return _StepNet([(sp.csr_matrix(csr, shape=(len(csr[2]) - 1, width)), b)
+                     for csr, width, b in zip(csrs, widths, biases)])
+
+
+class _StepNet(NeuralNet):
+    """What step_net returns: a net whose kernel form runs each sawtooth level as one call."""
+
+    @cached_property
+    def _kernel(self) -> list:
+        """The local-major kernel form; ValueError if a hidden layer is not kron(I_k, W), k = n^2.
+
+        The split's and each level's output is a C-ordered (7, k batch) block: row c,
+        column p batch + b holds chain row c of copy p on input b, and row 6 is ones. A
+        level is W's 12 or 14 weights and 2 biases (on column 6) in one csr_matvecs call
+        on k batch columns. The split writes its row 4p + q as q k + p, leaving rows 4
+        and 5 empty; the output reads column 6p + c as c k + p and its bias in row 6.
+        """
+        k = self.n_outputs**2
+        (w0, b0), *levels, (w_out, b_out) = self.layers
+        kernel, r = [], levels[0][0].shape[0] // k  # r = 6 chain rows per copy
+        for w, b in levels:
+            c, cut = w.shape[1] // k, w.indptr[r]
+            indptr, indices, data = w.indptr[:r + 1], w.indices[:cut], w.data[:cut]
+            tile = _diagonal(k, (np.diff(indptr), indices, c), w.indices.dtype)
+            if not (w.shape == (r * k, c * k) and np.all(indices < c) and c <= r
+                    and all(map(np.array_equal, (w.indices, w.indptr, w.data, b),
+                                (*tile, np.tile(data, k), np.tile(b[:r], k))))):
+                raise ValueError(f"a hidden layer of the step net is not a {k}-fold tiling")
+            local = sp.csr_matrix((data, indices, indptr), shape=(r, r))
+            kernel.append((*_bias_folded(local, b[:r], False), k, (r + 1) * k))
+        split = np.arange(w0.shape[0]).reshape(k, -1).T.ravel()
+        rows, cols, indptr, indices, data = _bias_folded(w0[split], b0[split], False)
+        indptr = np.append(indptr, np.full(r * k - rows, indptr[-1]))
+        p, c = np.divmod(w_out.indices, r)
+        out = sp.csr_matrix((w_out.data, c * k + p, w_out.indptr), shape=w_out.shape)
+        return [(r * k, cols, indptr, indices, data, 1, (r + 1) * k), *kernel,
+                (*_bias_folded(out, b_out, False), 1, len(b_out))]
 
 
 def _carrying(step: NeuralNet) -> NeuralNet:
@@ -452,37 +497,46 @@ class ApproximatorBundle:
     def realize(self, y: np.ndarray) -> np.ndarray:
         """Iterate from e1: x <- step(vec(A), x) with vec(A) the input net's output.
 
-        One np.zeros workspace per call holds, back to back: the input
-        net's input [y, 1] and hidden-layer outputs; the step's column block
-        [vec(A), x, 1], whose vec(A) rows the input net's last layer writes
-        in place; and each step-net layer's output. Each step zeroes the
-        step-net region once, runs every layer into its own slice and copies
-        the last into the x rows. Nothing is kept between calls, and the
-        result is a fresh array. Equal bit for bit to realize(self.net, y):
-        every output starts from +0 as with np.zeros, and every first-layer
-        row of the step net has at most two terms, so its splice sums the
-        same ones.
+        One np.zeros workspace per call holds, back to back: the input net's
+        input [y, 1] and hidden outputs; the step's columns [vec(A), x, 1],
+        whose vec(A) the input net's last layer writes in place; and the
+        split's and each level's (7, k batch) block, its ones row written once.
+        Each step zeroes the chain rows of every block in one strided fill,
+        makes one kernel call and one ReLU per layer, then zeroes x, which the
+        split has read, and runs the output layer into it. Nothing is kept
+        between calls. Equal bit for bit to realize(self.net, y): every output
+        starts from +0, every row sums its stored entries in the unrolled net's
+        order, and every first-layer row of the step net has at most two terms.
         """
         y = _checked(self.encoder_input, y)
-        if y.shape[:-1] == (1,):  # one row runs as the single input: csr_matvec, bit for bit
+        if y.shape[:-1] == (1,):  # one row runs as the single input, bit for bit
             return self.realize(y[0])[None]
-        inputs, step, depth = self.encoder_input, self.step, self.encoder_input.depth
+        inputs, kernel, depth = self.encoder_input, self.step._kernel, self.encoder_input.depth
         sizes = [inputs.n_inputs + 1] + [layer[0] for layer in inputs._kernel[:-1]]
-        sizes += [step.n_inputs + 1] + [layer[0] for layer in step._kernel]
+        sizes += [self.step.n_inputs + 1] + [layer[6] for layer in kernel[:-1]]
         ends = list(itertools.accumulate(sizes))
         work = np.zeros((ends[-1],) + y.shape[:-1])
         regions = [work[a:b] for a, b in zip([0] + ends, ends)]
         source, hidden = regions[0], regions[1:depth]
-        columns, layers = regions[depth], regions[depth + 1:]
+        columns, outs = regions[depth], regions[depth + 1:]
         source[:-1] = y.T
         source[-1] = 1.0
-        _forward(inputs, source, hidden + [columns[:inputs.n_outputs]])
+        _forward(inputs._kernel, source, hidden + [columns[:inputs.n_outputs]])
         columns[-1] = 1.0
         state = columns[inputs.n_outputs:-1]
         state[0] = 1.0
+        *calls, output = map(_call, kernel, [columns] + outs, outs + [state])
+        blocks = work[ends[depth]:].reshape((len(calls), kernel[0][6]) + y.shape[:-1])
+        blocks[:, kernel[0][0]:] = 1.0  # the ones rows: no kernel call or ReLU writes them
+        chains, zero = blocks[:, :kernel[0][0]], np.zeros(())  # a 0-d zero: the faster ufunc call
+        relus = list(chains)
         for _ in range(self.k_steps):
-            work[ends[depth]:].fill(0.0)
-            state[...] = _forward(step, columns, layers)
+            chains.fill(0.0)
+            for call, relu in zip(calls, relus):
+                call()
+                np.maximum(relu, zero, out=relu)
+            state.fill(0.0)  # x is read: the split ran
+            output()
         return state.copy().T
 
     @cached_property

@@ -61,8 +61,10 @@ def matmul_realize(layers, x):
 
 
 def kernel_forward(net, y):
-    """Reference layer loop on columns y ending in ones: np.zeros, the kernel, ReLU."""
-    for ell, (rows, cols, indptr, indices, data) in enumerate(net._kernel):
+    """Reference layer loop on columns y ending in ones: np.zeros, the kernel, ReLU, on the
+    plain bias-folded form of net.layers, so that it does not read net._kernel."""
+    for ell, (w, b) in enumerate(net.layers):
+        rows, cols, indptr, indices, data = NN._bias_folded(w, b, carry=ell != net.depth - 1)
         out = np.zeros((rows,) + y.shape[1:])
         if y.ndim == 1:
             _sparsetools.csr_matvec(rows, cols, indptr, indices, data, y, out)
@@ -1107,3 +1109,86 @@ class TestRefusals:
         with pytest.raises(ValueError, match=match):
             NN.certified_approximator(bundle.encoder_input, lab["basis"].nominal.shift, alpha,
                                       beta_share * alpha, lab["f_dual"], epsilon)
+
+
+def plain_realize(net, x):
+    """realize on the plain bias-folded form of net.layers, through kernel_forward."""
+    y = np.ones((net.n_inputs + 1,) + x.shape[:-1])
+    y[:-1] = x.T
+    return kernel_forward(net, y).T
+
+
+def signed_inputs(rng, width):
+    """One input, and blocks of 0, 1, 2 and 7 rows: mixed signs, a zero row and -0.0 entries."""
+    block = rng.standard_normal((7, width)) * rng.choice([0.0, 0.5, 3.0], (7, width))
+    block[0] = 0.0
+    block[1, ::3] = -0.0
+    return [block[3], block[:0], block[:1], block[:2], block]
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestTiledForm:
+    """The step net's local-major kernel form against the plain bias-folded form, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 13])
+    def test_digest_grid_step_nets(self, rng, n):
+        for eps in (1e-1, 1e-2, 1e-4, 1e-6):
+            for z_a, z_x in ((1.0, 3.0), (0.5, 4.0), (0.5086, 7.5)):
+                shift = (np.arange(n) - 1.5) / 7.0
+                step = NN.step_net(n, z_x, eps, shift, matrix_bound=np.full((n, n), z_a))
+                for x in signed_inputs(rng, step.n_inputs):
+                    assert_bitwise(NN.realize(step, x), plain_realize(step, x))
+                copies = [layer[5] for layer in step._kernel]
+                assert copies == [1] + [n * n] * (step.depth - 2) + [1]
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 13])
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_floored_boxes(self, rng, n, m):
+        bound = 3.7
+        z = rng.uniform(0.05, 2.0, (n, n))
+        z[rng.random((n, n)) < 0.4] = 0.0
+        z[-1, 0], z[0, -1] = 1e-300, 1.5
+        floored = np.maximum(z, np.finfo(float).eps * z.max())
+        epsilon = 1.01 * 2.0 * bound * 4.0 ** -(m + 1) * np.linalg.norm(floored.sum(axis=1))
+        step = NN.step_net(n, bound, epsilon, rng.standard_normal(n), matrix_bound=z)
+        assert step.depth == m + 2
+        for x in signed_inputs(rng, step.n_inputs):
+            assert_bitwise(NN.realize(step, x), plain_realize(step, x))
+
+    @pytest.mark.parametrize("kind", ["nodal", "gll", "nonsmooth"])
+    def test_approximators(self, approximators, family, rng, kind):
+        app, enc = approximators[kind]
+        ys = np.stack([enc.encode(a) for a in C.sample_family(family, 7, 29)])
+        ys[0] = 0.0
+        ys[4:] = 0.75 - ys[4:]
+        for y in (ys[3], ys[:0], ys[:1], ys[:2], ys, ys[4]):
+            assert_bitwise(app.realize(y), recurrent_reference(app, y))
+        iterate = recurrent_reference(app, ys)
+        columns = np.hstack([NN.realize(app.encoder_input, ys), iterate])
+        for x in signed_inputs(rng, app.step.n_inputs) + [columns, columns[5]]:
+            assert_bitwise(NN.realize(app.step, x), plain_realize(app.step, x))
+
+    def test_the_unrolled_net_is_plain(self, approximators):
+        # the benchmark's batch phase realizes app.net: every kernel entry is one copy
+        for app, _ in approximators.values():
+            assert type(app.net) is NN.NeuralNet
+            assert all(layer[5] == 1 and layer[6] == layer[0] for layer in app.net._kernel)
+
+    @pytest.mark.parametrize("tamper", ["weight", "bias", "column"])
+    def test_refuses_a_level_that_is_not_a_tiling(self, tamper):
+        step = NN.step_net(3, 4.0, 1e-4, np.zeros(3), matrix_bound=np.ones((3, 3)))
+        w, b = step.layers[2]
+        if tamper == "weight":
+            w.data[-1] *= 2.0
+        elif tamper == "bias":
+            b[-3] = 0.25  # the last copy's first row of its second chain
+        else:
+            w.indices[-1] -= 6  # the last copy reads the copy before it
+        for build in (lambda: step._kernel, lambda: NN.realize(step, np.zeros(step.n_inputs))):
+            with pytest.raises(ValueError, match="not a 9-fold tiling"):
+                build()
